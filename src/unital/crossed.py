@@ -8,7 +8,9 @@ right action of H on G, written act(g, h) for g^h, satisfying
     Peiffer        g^(lam(g')) = g'^-1 * g * g'
 
 Groups are multiplication tables (order capped at 64); every axiom is
-checked exhaustively.
+checked exhaustively.  The same tables code the finite abelian groups of
+the point models: ``FiniteGroup.from_invariant_factors`` numbers elements
+in the lexicographic order of ``FgAbGroup.elements()``.
 
 The point model of the presented groupoid has objects H and morphisms
 g: h -> h' whenever lam(g) = h'^-1 * h; composition of g then g' is the
@@ -37,11 +39,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 from .abelian import CapExceeded, FinitenessError
 from .verification import VerificationReport
 
 MAX_GROUP_ORDER = 64
+MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
 
 
 class FiniteGroup:
@@ -49,7 +53,11 @@ class FiniteGroup:
 
     Closure, identity, inverses and associativity are all verified at
     construction; the order is capped so exhaustive checks stay cheap.
+    Groups built by ``from_invariant_factors`` are correct by construction
+    and skip those checks.
     """
+
+    radix = None  # invariant factors of a table-coded abelian group
 
     def __init__(self, table, name="G"):
         self.table = tuple(tuple(int(x) for x in row) for row in table)
@@ -70,12 +78,12 @@ class FiniteGroup:
         if e is None:
             raise ValueError("no identity element")
         self.identity = e
-        self._inv = [None] * n
+        self.inverse = [None] * n
         for a in range(n):
             for b in range(n):
                 if self.table[a][b] == e and self.table[b][a] == e:
-                    self._inv[a] = b
-            if self._inv[a] is None:
+                    self.inverse[a] = b
+            if self.inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
         for a in range(n):
             for b in range(n):
@@ -84,11 +92,39 @@ class FiniteGroup:
                     if self.table[ab][c] != self.table[a][self.table[b][c]]:
                         raise ValueError("table is not associative")
 
+    @classmethod
+    def from_invariant_factors(cls, factors, name=None):
+        """Z/d_1 x ... x Z/d_k, table-coded.
+
+        Element k has the coordinates ``coords(k)``, the k-th tuple in
+        lexicographic order, so indices follow ``FgAbGroup.elements()``.
+        Orders up to MAX_CODED_ORDER are allowed.
+        """
+        factors = tuple(int(d) for d in factors)
+        if any(d < 1 for d in factors):
+            raise ValueError("cyclic factors must be positive")
+        n = prod(factors)
+        if n > MAX_CODED_ORDER:
+            raise CapExceeded(f"group order {n} exceeds {MAX_CODED_ORDER}")
+        # append one cyclic factor at a time: (a, x) has index a * d + x
+        table, inverse = ((0,),), (0,)
+        for d in factors:
+            shift = [[(x + y) % d for y in range(d)] for x in range(d)]
+            table = tuple(tuple(ab * d + z for ab in row for z in shift[x])
+                          for row in table for x in range(d))
+            inverse = tuple(a * d + (-x) % d for a in inverse
+                            for x in range(d))
+        group = cls.__new__(cls)
+        group.table, group.inverse, group.order = table, inverse, n
+        group.name = name or " x ".join(f"Z/{d}" for d in factors) or "0"
+        group.identity, group.radix = 0, factors
+        return group
+
     def mul(self, a, b):
         return self.table[a][b]
 
     def inv(self, a):
-        return self._inv[a]
+        return self.inverse[a]
 
     def conj(self, a, b):
         """b^-1 * a * b."""
@@ -96,6 +132,36 @@ class FiniteGroup:
 
     def elements(self):
         return range(self.order)
+
+    # ---- coordinates of a table-coded abelian group ----
+
+    def coords(self, k):
+        """The coordinate tuple of element k."""
+        out = []
+        for d in reversed(self.radix):
+            k, c = divmod(k, d)
+            out.append(c)
+        return tuple(reversed(out))
+
+    def index(self, coords):
+        """The element with these coordinates, each reduced mod its factor."""
+        k = 0
+        for c, d in zip(coords, self.radix, strict=True):
+            k = k * d + c % d
+        return k
+
+    def image_array(self, matrix, target):
+        """The image index of every element under the homomorphism whose
+        integer matrix has rows indexed by generators of the table-coded
+        ``target`` and columns by ours: element k goes to entry k."""
+        images = [target.identity]
+        for i, d in enumerate(self.radix):
+            gen = target.index([row[i] for row in matrix])
+            multiples = [target.identity]
+            for _ in range(d - 1):
+                multiples.append(target.table[multiples[-1]][gen])
+            images = [target.table[x][m] for x in images for m in multiples]
+        return images
 
     @property
     def is_abelian(self):

@@ -15,6 +15,12 @@ Orientation of the filling 2-cell: theta runs from the path
 (f tensor f) ; phi_target to the path phi_source ; f, so membership reads
 delta(theta) = f + phi_target - phi_source.  Both pastings are re-evaluated
 independently wherever a 2-cell equation is used, which pins this sign.
+
+Exhaustive loops run on table-coded groups (``crossed.FiniteGroup``):
+element k is the k-th element of ``FgAbGroup.elements()``, addition and
+negation are lookups, and each map is an array of image indices.
+``GroupElem`` appears only in the unit and morphism objects, their keys,
+and failure witnesses.
 """
 
 from __future__ import annotations
@@ -22,9 +28,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import CapExceeded, FgAbGroup, FinitenessError, GroupElem, kernel
+from .abelian import CapExceeded, FinitenessError, GroupElem
 from .complexes import Complex2, Complex3
+from .crossed import FiniteGroup
 from .verification import VerificationReport
+
+
+def _coded(G):
+    return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
+
+
+def _coded_units(src, tgt, lam):
+    """Units (e, x) with lam[x] = e as index pairs, in lexicographic order."""
+    units = [(e, x) for e in tgt.elements() for x in src.elements()
+             if lam[x] == e]
+    if len(units) != src.order:  # x |-> (lam x, x) is a bijection
+        raise AssertionError(f"{len(units)} units, expected {src.order}")
+    return units
 
 
 @dataclass(frozen=True)
@@ -39,9 +59,10 @@ class PicardModel1:
 
     def morphisms(self, b, b2):
         """All morphisms b -> b2, i.e. {a : lam(a) = b - b2}."""
-        self._require_finite()
-        want = b - b2
-        return [a for a in self.base.A.elements() if self.base.lam(a) == want]
+        A, B, lam = _tables_1(self)
+        want = B.index((b - b2).coords)
+        return [self.base.A.element(A.coords(a)) for a in A.elements()
+                if lam[a] == want]
 
 
 @dataclass(frozen=True)
@@ -89,16 +110,20 @@ def canonical_unit(model):
     return JKUnit(model, model.base.C.zero(), model.base.B.zero())
 
 
+def _tables_1(model: PicardModel1):
+    """Table-coded A and B and the array of lam."""
+    model._require_finite()
+    A, B = _coded(model.base.A), _coded(model.base.B)
+    return A, B, A.image_array(model.base.lam.matrix, B)
+
+
 def enumerate_units_1(model: PicardModel1):
     """All units in lexicographic (e, a_phi) order; exactly |A| of them."""
-    model._require_finite()
-    lam = model.base.lam
-    units = [SaavedraUnit(model, e, a)
-             for e in model.base.B.elements()
-             for a in model.base.A.elements()
-             if lam(a) == e]
-    assert len(units) == model.base.A.order()  # a |-> (lam a, a) is a bijection
-    return units
+    A, B, lam = _tables_1(model)
+    base = model.base
+    return [SaavedraUnit(model, base.B.element(B.coords(e)),
+                         base.A.element(A.coords(a)))
+            for e, a in _coded_units(A, B, lam)]
 
 
 def unit_morphisms_1(s: SaavedraUnit, t: SaavedraUnit):
@@ -107,6 +132,24 @@ def unit_morphisms_1(s: SaavedraUnit, t: SaavedraUnit):
         raise ValueError("units live in different models")
     m = UnitMorphism1(s, t, s.a_phi - t.a_phi)
     return [m]
+
+
+def count_unit_morphisms_1(model: PicardModel1):
+    """The number of ordered pairs of units (s, t) whose morphism
+    u = a_phi(s) - a_phi(t), the one ``unit_morphisms_1`` gives, passes both
+    checks of ``UnitMorphism1``."""
+    A, B, lam = _tables_1(model)
+    add, neg = A.table, A.inverse
+    units = _coded_units(A, B, lam)
+    count = 0
+    for e_s, a_s in units:
+        e_s_plus = B.table[e_s]
+        for e_t, a_t in units:
+            u = add[a_s][neg[a_t]]
+            if lam[u] == e_s_plus[B.inverse[e_t]] and \
+                    add[a_s][u] == add[add[u][u]][a_t]:
+                count += 1
+    return count
 
 
 def compose_unit_morphisms_1(m1: UnitMorphism1, m2: UnitMorphism1):
@@ -121,7 +164,8 @@ def tensor_units_1(s: SaavedraUnit, t: SaavedraUnit) -> SaavedraUnit:
     if s.model != t.model:
         raise ValueError("units live in different models")
     phi = s.a_phi + t.a_phi
-    assert phi == _tensor_phi_composite(s, t)
+    if phi != _tensor_phi_composite(s, t):
+        raise AssertionError("tensor structure morphism is not the composite")
     return SaavedraUnit(s.model, s.e + t.e, phi)
 
 
@@ -141,45 +185,65 @@ def tensor_unit_morphisms_1(m1: UnitMorphism1, m2: UnitMorphism1):
                          m1.u + m2.u)
 
 
-def verify_contractible_1(model: PicardModel1) -> VerificationReport:
+def verify_contractible_1(model: PicardModel1,
+                          max_states=10 ** 7) -> VerificationReport:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
     unit morphism (scanning all of A), (iii) the unique morphisms compose
-    coherently.
+    coherently.  The |A|^3 coherence triples count against ``max_states``
+    before any scan.
     """
+    model._require_finite()
+    triples = model.base.A.order() ** 3
+    if triples > max_states:
+        raise CapExceeded(f"coherence scan needs {triples} states (|A|^3), "
+                          f"above the cap {max_states}")
     report = VerificationReport("contractibility of the unit groupoid")
-    units = enumerate_units_1(model)
+    A, B, lam = _tables_1(model)
+    units = _coded_units(A, B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    lam = model.base.lam
-    elems_a = list(model.base.A.elements())
-    lam_of = [(a, lam(a)) for a in elems_a]
-    unique = {}
+
+    def key(unit):
+        return (B.coords(unit[0]), A.coords(unit[1]))
+
+    add = A.table
+    unique = []
     pair_failures = []
     for s in units:
+        e_s_plus = B.table[s[0]]
+        through_source = add[s[1]]
+        row = []
         for t in units:
-            want = s.e - t.e
-            found = [a for a, la in lam_of
-                     if la == want and _square_paths_1(s, t, a)]
+            want, a_t = e_s_plus[B.inverse[t[0]]], t[1]
+            found = [u for u in A.elements() if lam[u] == want
+                     and through_source[u]          # phi_src then u
+                     == add[add[u][u]][a_t]]        # u tensor u, then phi_tgt
             if len(found) != 1:
-                pair_failures.append((s.key(), t.key(), len(found)))
-            else:
-                unique[(s.key(), t.key())] = found[0]
+                pair_failures.append((key(s), key(t), len(found)))
+            row.append(found[0] if len(found) == 1 else None)
+        unique.append(row)
+    morphisms = sum(u is not None for row in unique for u in row)
     report.add("exactly one unit morphism per ordered pair",
                not pair_failures,
                pair_failures[:3] if pair_failures else
-               f"{len(unique)} morphisms")
+               f"{morphisms} morphisms")
     coherence_failures = []
-    for s in units:
-        for t in units:
-            for w in units:
-                lhs = unique[(s.key(), t.key())] + unique[(t.key(), w.key())]
-                if lhs != unique[(s.key(), w.key())]:
-                    coherence_failures.append((s.key(), t.key(), w.key()))
+    if pair_failures:
+        coherence_failures.append("no unique morphisms to compose")
+    else:
+        for i, to_t in enumerate(unique):
+            for j, u_st in enumerate(to_t):
+                then = add[u_st]
+                composites = [then[u_tw] for u_tw in unique[j]]
+                if composites != to_t:
+                    coherence_failures.extend(
+                        (key(units[i]), key(units[j]), key(units[k]))
+                        for k, c in enumerate(composites) if c != to_t[k])
     report.add("composition of unique morphisms is coherent",
                not coherence_failures, coherence_failures[:3] or None)
     report.stats["units"] = len(units)
-    report.stats["morphisms"] = len(unique)
+    report.stats["morphisms"] = morphisms
     return report
 
 
@@ -270,37 +334,57 @@ def _pastings(m1, m2, gamma):
     return left, right
 
 
+def _tables_2(model: PicardModel2):
+    """Table-coded A, B and C and the arrays of delta and lam."""
+    model._require_finite()
+    base = model.base
+    A, B, C = _coded(base.A), _coded(base.B), _coded(base.C)
+    return (A, B, C, A.image_array(base.delta.matrix, B),
+            B.image_array(base.lam.matrix, C))
+
+
+def _fibers(src, tgt, f):
+    """The preimages under the array f of every element of tgt, ascending."""
+    out = [[] for _ in tgt.elements()]
+    for x in src.elements():
+        out[f[x]].append(x)
+    return out
+
+
+def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
+    """The unit 1-morphisms s -> t as (f, theta) index pairs, in
+    lexicographic order: lam(f) = e_s - e_t, and theta lies over the
+    boundary f + phi_t - phi_s.  (phi_s - phi_t, 0) must be one of them."""
+    (e_s, phi_s), (e_t, phi_t) = s, t
+    add, neg = B.table, B.inverse
+    out = [(f, theta) for f in f_fibers[C.table[e_s][C.inverse[e_t]]]
+           for theta in theta_fibers[add[add[f][phi_t]][neg[phi_s]]]]
+    if (add[phi_s][neg[phi_t]], 0) not in out:
+        raise AssertionError("(phi_s - phi_t, 0) is not a unit 1-morphism")
+    return out
+
+
 def enumerate_units_2(model: PicardModel2):
     """All units in lexicographic (e, phi) order; exactly |B| of them."""
-    model._require_finite()
-    lam = model.base.lam
-    units = [JKUnit(model, e, phi)
-             for e in model.base.C.elements()
-             for phi in model.base.B.elements()
-             if lam(phi) == e]
-    assert len(units) == model.base.B.order()
-    return units
+    _, B, C, _, lam = _tables_2(model)
+    base = model.base
+    return [JKUnit(model, base.C.element(C.coords(e)),
+                   base.B.element(B.coords(phi)))
+            for e, phi in _coded_units(B, C, lam)]
 
 
 def unit_1morphisms(s: JKUnit, t: JKUnit):
     """All unit 1-morphisms s -> t; nonempty, since (phi_s - phi_t, 0) works."""
     if s.model != t.model:
         raise ValueError("units live in different models")
+    A, B, C, delta, lam = _tables_2(s.model)
+    ms = _coded_1morphisms(
+        B, C, _fibers(B, C, lam), _fibers(A, B, delta),
+        *((C.index(u.e.coords), B.index(u.phi.coords)) for u in (s, t)))
     base = s.model.base
-    want_f = s.e - t.e
-    theta_fibers = {}
-    for theta in base.A.elements():
-        theta_fibers.setdefault(base.delta(theta).coords, []).append(theta)
-    out = []
-    for f in base.B.elements():
-        if base.lam(f) != want_f:
-            continue
-        bound = f + t.phi - s.phi
-        for theta in theta_fibers.get(bound.coords, ()):
-            out.append(UnitMorphism2(s, t, f, theta))
-    witness = UnitMorphism2(s, t, s.phi - t.phi, base.A.zero())
-    assert any(m.f == witness.f and m.theta == witness.theta for m in out)
-    return out
+    return [UnitMorphism2(s, t, base.B.element(B.coords(f)),
+                          base.A.element(A.coords(theta)))
+            for f, theta in ms]
 
 
 def unit_2morphisms(m1: UnitMorphism2, m2: UnitMorphism2):
@@ -335,64 +419,73 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7,
     ``coherence_bound`` morphisms otherwise.
     """
     report = VerificationReport("contractibility of the unit 2-groupoid")
-    units = enumerate_units_2(model)
+    A, B, C, delta, lam = _tables_2(model)
+    units = _coded_units(B, C, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    base = model.base
-    ker_delta, kd_incl = kernel(base.delta)
-    if not ker_delta.is_finite:
-        raise FinitenessError("2-cell fibers must be finite")
-    fiber = [kd_incl(k) for k in ker_delta.elements()]
+
+    def unit_key(u):
+        return (C.coords(u[0]), B.coords(u[1]))
+
+    def key(s, t, m):  # UnitMorphism2.key()
+        return (unit_key(s), unit_key(t), B.coords(m[0]), A.coords(m[1]))
+
+    f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)
+    fiber = theta_fibers[B.identity]  # ker(delta)
 
     connected_failures = []
-    onemors = {}
+    onemors = []
     budget = 0
     for s in units:
         for t in units:
-            ms = unit_1morphisms(s, t)
+            ms = _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t)
             budget += len(ms) ** 2 + len(ms) * len(fiber)
             if budget > max_states:
                 raise CapExceeded(
                     f"2-cell verification needs more than {max_states} states")
             if not ms:
-                connected_failures.append((s.key(), t.key()))
-            onemors[(s.key(), t.key())] = ms
+                connected_failures.append((unit_key(s), unit_key(t)))
+            onemors.append((s, t, ms))
     report.add("every unit pair is connected by a unit 1-morphism",
                not connected_failures, connected_failures[:3] or None)
 
+    add_a, neg_a = A.table, A.inverse
+    add_b, neg_b = B.table, B.inverse
     pair_failures = []
     total_pairs = 0
-    for ms in onemors.values():
+    for s, t, ms in onemors:
         verified_diffs = {}
         for m1 in ms:
+            f1, theta1 = m1
             for m2 in ms:
+                f2, theta2 = m2
                 total_pairs += 1
-                gamma0 = m1.theta - m2.theta
-                df = m1.f - m2.f
-                diff = (df.coords, gamma0.coords)
+                gamma0 = add_a[theta1][neg_a[theta2]]
+                diff = (add_b[f1][neg_b[f2]], gamma0)
                 if diff not in verified_diffs:
-                    found = [g for g in (gamma0 + k for k in fiber)
-                             if base.delta(g) == df
-                             and _pastings(m1, m2, g)[0]
-                             == _pastings(m1, m2, g)[1]]
+                    # the pastings (gamma + gamma) + theta_2 and theta_1 + gamma
+                    found = [g for g in (add_a[gamma0][k] for k in fiber)
+                             if delta[g] == diff[0]
+                             and add_a[add_a[g][g]][theta2]
+                             == add_a[theta1][g]]
                     verified_diffs[diff] = (len(found) == 1
                                             and found[0] == gamma0)
                 if not verified_diffs[diff]:
-                    pair_failures.append((m1.key(), m2.key()))
+                    pair_failures.append((key(s, t, m1), key(s, t, m2)))
     report.add("exactly one unit 2-morphism per parallel pair",
                not pair_failures,
                pair_failures[:3] if pair_failures else
                f"{total_pairs} parallel pairs")
 
     coherence_failures = []
-    for ms in onemors.values():
-        sample = ms if len(ms) <= coherence_bound else ms[:coherence_bound]
-        for m1, m2, m3 in itertools.product(sample, repeat=3):
-            g12 = m1.theta - m2.theta
-            g23 = m2.theta - m3.theta
-            if g12 + g23 != m1.theta - m3.theta:
-                coherence_failures.append((m1.key(), m2.key(), m3.key()))
+    for s, t, ms in onemors:
+        for m1, m2, m3 in itertools.product(ms[:coherence_bound], repeat=3):
+            g12 = add_a[m1[1]][neg_a[m2[1]]]
+            g23 = add_a[m2[1]][neg_a[m3[1]]]
+            if add_a[g12][g23] != add_a[m1[1]][neg_a[m3[1]]]:
+                coherence_failures.append(
+                    (key(s, t, m1), key(s, t, m2), key(s, t, m3)))
     report.add("vertical composition of unique 2-morphisms is coherent",
                not coherence_failures, coherence_failures[:3] or None)
     report.stats["units"] = len(units)
-    report.stats["unit 1-morphisms"] = sum(len(v) for v in onemors.values())
+    report.stats["unit 1-morphisms"] = sum(len(ms) for _, _, ms in onemors)
     return report

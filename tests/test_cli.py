@@ -165,6 +165,20 @@ class TestCliProcess:
                      "--max-states", "10"])
         assert code == 3
 
+    def test_two_term_contractible_honours_max_states(self, tmp_path, capsys):
+        # 8^3 = 512 coherence triples against a cap of 10
+        z8 = {"kind": "complex2",
+              "groups": {"A": {"inv": [8]}, "B": {"inv": [8]}},
+              "maps": {"lambda": [[1]]}}
+        code = main(["contractible", "--in", self._write(tmp_path, z8),
+                     "--max-states", "10"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("cap exceeded")
+        assert "512" in err
+        assert main(["contractible", "--in", self._write(tmp_path, z8),
+                     "--max-states", "512"]) == 0
+
     def test_group_order_cap_exit_3(self, tmp_path):
         big = {"kind": "complex2",
                "groups": {"A": {"inv": [2]}, "B": {"inv": [512]}},

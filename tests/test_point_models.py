@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from unital.abelian import FgAbGroup, FinitenessError, GroupHom
+from unital.abelian import CapExceeded, FgAbGroup, FinitenessError, GroupHom
 from unital.complexes import Complex2, Complex3, GroupElem, homology, unit_complex_1
 from unital.point_models import (
     JKUnit,
@@ -15,6 +15,7 @@ from unital.point_models import (
     UnitMorphism2,
     canonical_unit,
     compose_unit_morphisms_1,
+    count_unit_morphisms_1,
     enumerate_units_1,
     enumerate_units_2,
     tensor_unit_morphisms_1,
@@ -109,6 +110,16 @@ class TestUnitMorphisms1:
                 assert len(sols) == 1
                 assert sols[0] == unit_morphisms_1(s, t)[0].u
 
+    def test_morphism_sets_and_count(self):
+        rng = random.Random(105)
+        for _ in range(10):
+            m = PicardModel1(random_complex2(rng, 12))
+            A, B, lam = m.base.A, m.base.B, m.base.lam
+            for b, b2 in itertools.product(list(B.elements())[:4], repeat=2):
+                assert m.morphisms(b, b2) == \
+                    [a for a in A.elements() if lam(a) == b - b2]
+            assert count_unit_morphisms_1(m) == A.order() ** 2
+
     def test_morphism_to_canonical_is_a_phi(self):
         rng = random.Random(103)
         for _ in range(10):
@@ -167,6 +178,13 @@ class TestContractible1:
     def test_zero_z3(self):
         rep = verify_contractible_1(model_zero_z3())
         assert rep.passed and rep.stats["morphisms"] == 9
+
+    def test_coherence_triples_count_against_max_states(self):
+        m = PicardModel1(Complex2(FgAbGroup.cyclic(8), Z2,
+                                  GroupHom.zero(FgAbGroup.cyclic(8), Z2)))
+        with pytest.raises(CapExceeded, match="512"):
+            verify_contractible_1(m, max_states=511)
+        assert verify_contractible_1(m, max_states=512).passed
 
     def test_iso_class_count_matches_unit_complex(self):
         rng = random.Random(109)
