@@ -24,7 +24,7 @@ form; no floating point, no fixed-width overflow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 
@@ -70,121 +70,69 @@ def smith_normal_form(M):
     >>> [D[0][0], D[1][1]]
     [2, 10]
     """
-    U, _, D, V, _ = _snf_full(M, want_ui=False, want_vi=False)
+    U, _, D, V = _snf_full(M, want_ui=False)
     return _freeze(U), _freeze(D), _freeze(V)
 
 
-def _snf_full(M, want_u=True, want_ui=True, want_v=True, want_vi=True):
+def _snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
     """Smith normal form with optionally tracked transforms.
 
-    Returns ``(U, Ui, D, V, Vi)``; transforms not asked for come back None.
+    Returns ``(U, Ui, D, V)`` with ``U * M * V == D`` and ``Ui`` the inverse
+    of ``U``; transforms not asked for come back None.
+
+    A nonzero ``modulus`` e runs the same steps with every entry that a step
+    touches reduced into [0, e), so the two equations hold modulo e.  Each
+    reduction adjoins a vector of e * Z^m, so ``D`` then presents the
+    quotient by the columns together with e * Z^m (see
+    ``_canonicalize_presentation``).
     """
-    A = [[int(x) for x in row] for row in M]
+    e = modulus
+    A = [[int(x) % e if e else int(x) for x in row] for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(m) if want_u else None
-    Ui = _identity(m) if want_ui else None
-    V = _identity(n) if want_v else None
-    Vi = _identity(n) if want_vi else None
+    # Row i of W is row i of A followed by row i of U, and the rows of V
+    # follow, so that one step on two rows or two columns of W carries the
+    # transforms along.  Ui takes the inverse row steps on its columns, so
+    # it is held transposed.
+    W = ([row + u for row, u in zip(A, _identity(m))] if want_u else A) \
+        + (_identity(n) if want_v else [])
+    UiT = _identity(m) if want_ui else None
 
-    def row_add(i, j, c):  # row_i += c * row_j
-        Ai, Aj = A[i], A[j]
-        for t in range(n):
-            Ai[t] += c * Aj[t]
-        if U is not None:
-            Uii, Uj = U[i], U[j]
-            for t in range(m):
-                Uii[t] += c * Uj[t]
-        if Ui is not None:
-            for r in Ui:  # inverse update: col_j -= c * col_i
-                r[j] -= c * r[i]
+    def lin(p, q, x, y, u, v):
+        # (p, q) <- (x p + y q, u p + v q) in place, with x v - y u = 1;
+        # y = 0 comes with x = v = 1 and changes q only
+        if y:
+            for s in range(len(p)):
+                a, b = p[s], q[s]
+                p[s] = (x * a + y * b) % e if e else x * a + y * b
+                q[s] = (u * a + v * b) % e if e else u * a + v * b
+        else:
+            for s in range(len(p)):
+                q[s] = (q[s] + u * p[s]) % e if e else q[s] + u * p[s]
 
-    def col_add(j, i, c):  # col_j += c * col_i
-        for r in A:
-            r[j] += c * r[i]
-        if V is not None:
-            for r in V:
-                r[j] += c * r[i]
-        if Vi is not None:
-            Vij, Vii = Vi[j], Vi[i]
-            for t in range(n):  # inverse update: row_i -= c * row_j
-                Vii[t] -= c * Vij[t]
+    def row_step(t, i, x, y, u, v):  # lin on rows t and i
+        lin(W[t], W[i], x, y, u, v)
+        if UiT is not None:  # Ui times the inverse block
+            lin(UiT[i], UiT[t], x, -y, -u, v)
 
-    def row_swap(i, j):
-        if i == j:
-            return
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Ui is not None:
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-        if Vi is not None:
-            Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-        if Ui is not None:
-            for r in Ui:
-                r[i] = -r[i]
-
-    def row_gcd_op(t, i, x, y, u, v):
-        # (row_t, row_i) <- (x row_t + y row_i, u row_t + v row_i),
-        # with x v - y u = 1
-        At, Ai = A[t], A[i]
-        for s in range(n):
-            a, b = At[s], Ai[s]
-            At[s] = x * a + y * b
-            Ai[s] = u * a + v * b
-        if U is not None:
-            Ut, Uu = U[t], U[i]
-            for s in range(m):
-                a, b = Ut[s], Uu[s]
-                Ut[s] = x * a + y * b
-                Uu[s] = u * a + v * b
-        if Ui is not None:
-            for r in Ui:  # right-multiply by the inverse block
-                a, b = r[t], r[i]
-                r[t] = v * a - u * b
-                r[i] = -y * a + x * b
-
-    def col_gcd_op(t, j, x, y, u, v):
-        # (col_t, col_j) <- (x col_t + y col_j, u col_t + v col_j)
-        for r in A:
-            a, b = r[t], r[j]
-            r[t] = x * a + y * b
-            r[j] = u * a + v * b
-        if V is not None:
-            for r in V:
+    def col_step(t, j, x, y, u, v):  # lin on columns t and j
+        if y:
+            for r in W:
                 a, b = r[t], r[j]
-                r[t] = x * a + y * b
-                r[j] = u * a + v * b
-        if Vi is not None:
-            Vt, Vj = Vi[t], Vi[j]
-            for s in range(n):
-                a, b = Vt[s], Vj[s]
-                Vt[s] = v * a - u * b
-                Vj[s] = -y * a + x * b
+                r[t] = (x * a + y * b) % e if e else x * a + y * b
+                r[j] = (u * a + v * b) % e if e else u * a + v * b
+        else:
+            for r in W:
+                r[j] = (r[j] + u * r[t]) % e if e else r[j] + u * r[t]
 
     t = 0
     while t < m and t < n:
         piv = None
         best = None
         for i in range(t, m):
-            row = A[i]
+            row = W[i]
             for j in range(t, n):
                 v = row[j]
                 if v:
@@ -197,41 +145,48 @@ def _snf_full(M, want_u=True, want_ui=True, want_v=True, want_vi=True):
                 break
         if piv is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        i, j = piv
+        if i != t:
+            W[t], W[i] = W[i], W[t]
+            if UiT is not None:
+                UiT[t], UiT[i] = UiT[i], UiT[t]
+        if j != t:
+            for r in W:
+                r[t], r[j] = r[j], r[t]
         while True:
+            # a divisible entry is cleared by one addition, any other by one
+            # unimodular step that leaves (gcd, 0)
             for i in range(t + 1, m):
-                b = A[i][t]
+                b = W[i][t]
                 if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        row_add(i, t, -(b // a))
-                    else:  # one unimodular step leaves (gcd, 0)
-                        g, x, y = _xgcd(a, b)
-                        row_gcd_op(t, i, x, y, -(b // g), a // g)
+                    a = W[t][t]
+                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
+                    row_step(t, i, x, y, -(b // g), a // g)
             for j in range(t + 1, n):
-                b = A[t][j]
+                b = W[t][j]
                 if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        col_add(j, t, -(b // a))
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_gcd_op(t, j, x, y, -(b // g), a // g)
-            if all(A[i][t] == 0 for i in range(t + 1, m)):
+                    a = W[t][t]
+                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
+                    col_step(t, j, x, y, -(b // g), a // g)
+            if all(W[i][t] == 0 for i in range(t + 1, m)):
                 break
-        if A[t][t] < 0:
-            row_negate(t)
-        d = A[t][t]
-        bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                    if A[i][j] % d), None)
+        if W[t][t] < 0:  # never with a modulus
+            W[t] = [-x for x in W[t]]
+            if UiT is not None:
+                UiT[t] = [-x for x in UiT[t]]
+        d = W[t][t]
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                    if W[i][j] % d), None)
         if bad is not None:
-            # pull the offending row up so the next pass replaces the pivot
-            # with a proper divisor; pivot gcd strictly decreases.
-            row_add(t, bad[0], 1)
+            # add the offending row to row t, so that the next pass replaces
+            # the pivot with a proper divisor; the pivot strictly decreases
+            row_step(bad, t, 1, 0, 1, 1)
             continue
         t += 1
-    return U, Ui, A, V, Vi
+    return ([r[n:] for r in W[:m]] if want_u else None,
+            [list(c) for c in zip(*UiT)] if want_ui else None,
+            [r[:n] for r in W[:m]],
+            W[m:] if want_v else None)
 
 
 def _xgcd(a, b):
@@ -258,145 +213,26 @@ def _canonicalize_presentation(ngens, rel_cols, exponent=None):
 
     When ``exponent`` is given it must be a certified annihilator of the
     quotient, i.e. exponent * Z^ngens lies inside the relation lattice.
-    The quotient is then computed as Z^ngens / (lattice + exponent * Z^ngens)
-    -- the same group -- with every working entry held below the exponent:
-    exponent-sized sublattices are invariant under the row transforms, so
-    the order of canonical coordinate i is gcd(d_i, exponent), and the
-    coordinate transforms only matter modulo the generator orders, which
-    divide the exponent.
+    The elimination then runs modulo the exponent, which computes
+    Z^ngens / (lattice + exponent * Z^ngens) -- the same group -- with every
+    working entry held below the exponent: exponent-sized sublattices are
+    invariant under the row transforms, so the order of canonical coordinate
+    i is gcd(d_i, exponent), and the coordinate transforms only matter
+    modulo the generator orders, which divide the exponent.  Without one,
+    ``e = 0`` and gcd(d_i, 0) = |d_i|, with 0 marking a free coordinate.
     """
     k = len(rel_cols)
     R = [[rel_cols[j][i] for j in range(k)] for i in range(ngens)]
-    if exponent is not None:
-        U, Ui, D = _snf_presentation(R, exponent)
-        orders = [gcd(D[i][i], exponent) if i < k else exponent
-                  for i in range(ngens)]
-        free = []
-    else:
-        U, Ui, D, _, _ = _snf_full(R, want_v=False, want_vi=False)
-        orders = [abs(D[i][i]) if i < k else 0 for i in range(ngens)]
-        free = [i for i, o in enumerate(orders) if o == 0]
+    e = exponent or 0
+    U, Ui, D, _ = _snf_full(R, want_v=False, modulus=e)
+    orders = [gcd(D[i][i], e) if i < k else e for i in range(ngens)]
+    free = [i for i, o in enumerate(orders) if o == 0]
     torsion = [i for i, o in enumerate(orders) if o >= 2]
     group = FgAbGroup(tuple(orders[i] for i in torsion), len(free))
     sel = torsion + free
     to_can = [U[i] for i in sel]
     from_can = [[Ui[i][j] for j in sel] for i in range(ngens)]
     return group, to_can, from_can
-
-
-def _snf_presentation(R, exponent):
-    """Elimination for relation lattices taken together with exponent * Z^m.
-
-    Entry reductions below the exponent amount to adjoining vectors of that
-    sublattice, which the result accounts for; the row transforms are kept
-    reduced as well, which their use tolerates.  Returns ``(U, Ui, D)``.
-    """
-    e = exponent
-    A = [[x % e for x in row] for row in R]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    U, Ui = _identity(m), _identity(m)
-
-    def row_add(i, j, c):
-        Ai, Aj = A[i], A[j]
-        for t in range(n):
-            Ai[t] = (Ai[t] + c * Aj[t]) % e
-        Uii, Uj = U[i], U[j]
-        for t in range(m):
-            Uii[t] = (Uii[t] + c * Uj[t]) % e
-        for r in Ui:
-            r[j] = (r[j] - c * r[i]) % e
-
-    def row_gcd_op(t, i, x, y, u, v):
-        At, Ai = A[t], A[i]
-        for s in range(n):
-            a, b = At[s], Ai[s]
-            At[s] = (x * a + y * b) % e
-            Ai[s] = (u * a + v * b) % e
-        Ut, Uu = U[t], U[i]
-        for s in range(m):
-            a, b = Ut[s], Uu[s]
-            Ut[s] = (x * a + y * b) % e
-            Uu[s] = (u * a + v * b) % e
-        for r in Ui:
-            a, b = r[t], r[i]
-            r[t] = (v * a - u * b) % e
-            r[i] = (x * b - y * a) % e
-
-    def col_gcd_op(t, j, x, y, u, v):
-        for r in A:
-            a, b = r[t], r[j]
-            r[t] = (x * a + y * b) % e
-            r[j] = (u * a + v * b) % e
-
-    def col_add(j, i, c):
-        for r in A:
-            r[j] = (r[j] + c * r[i]) % e
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-
-    def row_swap(i, j):
-        if i == j:
-            return
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Ui:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < m and t < n:
-        # entries live in [0, e); a zero entry may still represent the
-        # relation e, which the appended exponent columns keep available
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    if best is None or v < best:
-                        piv, best = (i, j), v
-                        if v == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            for i in range(t + 1, m):
-                b = A[i][t]
-                if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        row_add(i, t, -(b // a))
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        row_gcd_op(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, n):
-                b = A[t][j]
-                if b:
-                    a = A[t][t]
-                    if b % a == 0:
-                        col_add(j, t, -(b // a))
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_gcd_op(t, j, x, y, -(b // g), a // g)
-            if all(A[i][t] == 0 for i in range(t + 1, m)):
-                break
-        d = A[t][t]
-        bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                    if A[i][j] % d), None)
-        if bad is not None:
-            row_add(t, bad[0], 1)
-            continue
-        t += 1
-    return U, Ui, A
 
 
 # --------------------------------------------------------------------------
@@ -637,25 +473,6 @@ class GroupHom:
 
 
 # --------------------------------------------------------------------------
-# element-level conveniences mirroring the operation surface
-
-def add(x, y):
-    return x + y
-
-
-def neg(x):
-    return -x
-
-
-def apply(f, x):
-    return f(x)
-
-
-def normalize(x):
-    return x.group.element(x.coords)
-
-
-# --------------------------------------------------------------------------
 # kernels, cokernels, sums, solving
 
 
@@ -665,7 +482,7 @@ def _int_kernel_columns(cols, nrows):
     if nrows == 0:  # 0 x N matrix: the kernel is everything
         return [[int(i == j) for i in range(N)] for j in range(N)]
     M = [[cols[j][i] for j in range(N)] for i in range(nrows)]
-    _, _, D, V, _ = _snf_full(M, want_u=False, want_ui=False, want_vi=False)
+    _, _, D, V = _snf_full(M, want_u=False, want_ui=False)
     rank = sum(1 for i in range(min(nrows, N)) if D[i][i])
     return [[V[i][j] for i in range(N)] for j in range(rank, N)]
 
@@ -741,8 +558,7 @@ class LinearSolver:
         N = len(cols)
         M = [[cols[j][i] for j in range(N)] for i in range(m)]
         self._N = N
-        self._U, _, self._D, self._V, _ = _snf_full(M, want_ui=False,
-                                                    want_vi=False)
+        self._U, _, self._D, self._V = _snf_full(M, want_ui=False)
 
     def solve(self, y):
         """One preimage of y, or None if y is not in the image."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 from typing import NamedTuple
 
 from .abelian import (
@@ -512,9 +513,8 @@ def _group_from_orders(orders):
     width = max((len(v) for v in per_prime.values()), default=0)
     divisors = []
     for i in range(width):
-        divisors.append(
-            __import__("math").prod(v[i] for v in per_prime.values()
-                                    if i < len(v)))
+        divisors.append(prod(v[i] for v in per_prime.values()
+                             if i < len(v)))
     return FgAbGroup.from_divisors(*divisors)
 
 

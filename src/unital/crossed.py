@@ -260,6 +260,9 @@ class CrossedModule:
                 any(len(r) != self.H.order for r in self.action) or \
                 len(self.action) != self.G.order:
             raise ValueError("boundary/action tables have wrong shapes")
+        if any(not 0 <= h < self.H.order for h in self.boundary) or \
+                any(not 0 <= g < self.G.order for r in self.action for g in r):
+            raise ValueError("boundary/action values must be element indices")
 
     def bnd(self, g):
         return self.boundary[g]

@@ -44,6 +44,8 @@ class ComplexSpecFile:
 
 
 def _need(doc, key, path, kind=None):
+    if not isinstance(doc, dict):
+        raise SpecError(f"{path}: expected an object")
     if key not in doc:
         raise SpecError(f"{path}: missing required field {key!r}")
     val = doc[key]
@@ -52,14 +54,18 @@ def _need(doc, key, path, kind=None):
     return val
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is 1
+
+
 def _parse_group(doc, path):
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: expected an object with 'inv'/'free'")
     inv = doc.get("inv", [])
     free = doc.get("free", 0)
-    if not isinstance(inv, list) or not all(isinstance(d, int) for d in inv):
+    if not isinstance(inv, list) or not all(_is_int(d) for d in inv):
         raise SpecError(f"{path}.inv: expected a list of integers")
-    if not isinstance(free, int) or free < 0:
+    if not _is_int(free) or free < 0:
         raise SpecError(f"{path}.free: expected a nonnegative integer")
     try:
         return FgAbGroup(tuple(inv), free)
@@ -69,7 +75,7 @@ def _parse_group(doc, path):
 
 def _parse_matrix(doc, path):
     if not isinstance(doc, list) or \
-            not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
+            not all(isinstance(r, list) and all(_is_int(x) for x in r)
                     for r in doc):
         raise SpecError(f"{path}: expected a row-major integer matrix")
     return doc
@@ -90,20 +96,20 @@ def _parse_cover(doc, path):
     if not parts or not all(isinstance(p, str) for p in parts):
         raise SpecError(f"{path}.parts: expected a nonempty list of names")
     inters = []
-    for k, entry in enumerate(doc.get("intersections", [])):
+    for k, entry in enumerate(_optional_list(doc, "intersections", path)):
         epath = f"{path}.intersections[{k}]"
-        names = _need(entry, "parts", epath, list)
+        names = _part_names(entry, "parts", epath, parts)
         comps = entry.get("components", ["*"])
-        for p in names:
-            if p not in parts:
-                raise SpecError(f"{epath}: unknown part {p!r}")
-        inters.append((tuple(names), tuple(comps)))
+        if not isinstance(comps, list) or \
+                not all(isinstance(c, str) for c in comps):
+            raise SpecError(f"{epath}.components: expected a list of names")
+        inters.append((names, tuple(comps)))
     conts = []
-    for k, entry in enumerate(doc.get("containments", [])):
+    for k, entry in enumerate(_optional_list(doc, "containments", path)):
         epath = f"{path}.containments[{k}]"
-        conts.append((tuple(_need(entry, "parts", epath, list)),
+        conts.append((_part_names(entry, "parts", epath, parts),
                       _need(entry, "component", epath, str),
-                      tuple(_need(entry, "sub_parts", epath, list)),
+                      _part_names(entry, "sub_parts", epath, parts),
                       _need(entry, "sub_component", epath, str)))
     try:
         return cover_of_parts(parts, inters, conts)
@@ -111,8 +117,23 @@ def _parse_cover(doc, path):
         raise SpecError(f"{path}: {exc}") from None
 
 
+def _part_names(entry, key, epath, parts):
+    names = _need(entry, key, epath, list)
+    for p in names:
+        if p not in parts:
+            raise SpecError(f"{epath}: unknown part {p!r}")
+    return tuple(names)
+
+
+def _optional_list(doc, key, path):
+    val = doc.get(key, [])
+    if not isinstance(val, list):
+        raise SpecError(f"{path}.{key}: expected a list")
+    return val
+
+
 def _parse_finite_group(doc, path):
-    table = _need(doc, "table", path, list)
+    table = _parse_matrix(_need(doc, "table", path, list), f"{path}.table")
     try:
         return FiniteGroup(table, doc.get("name", "G"))
     except ValueError as exc:
@@ -167,6 +188,8 @@ def parse_spec(text) -> ComplexSpecFile:
         G = _parse_finite_group(_need(doc, "G", "$", dict), "G")
         H = _parse_finite_group(_need(doc, "H", "$", dict), "H")
         boundary = _need(doc, "boundary", "$", list)
+        if not all(_is_int(h) for h in boundary):
+            raise SpecError("boundary: expected a list of integers")
         action = _parse_matrix(_need(doc, "action", "$", list), "action")
         try:
             payload = CrossedModule(G, H, boundary, action)

@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from unital.abelian import (
     lift_through,
     smith_normal_form,
     solve,
+    _canonicalize_presentation,
 )
 
 from oracles import (
@@ -141,6 +142,38 @@ class TestCanonicalForm:
             list(FgAbGroup.free(1).elements())
         with pytest.raises(FinitenessError):
             FgAbGroup((2,), 1).order()
+
+
+@st.composite
+def finite_presentations(draw):
+    """(n, relation columns, exponent): d_i e_i columns certify the exponent
+    lcm(d_i), and up to four further columns relate the generators."""
+    n = draw(st.integers(1, 4))
+    orders = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    extra = draw(st.lists(st.lists(st.integers(-30, 30), min_size=n,
+                                   max_size=n), max_size=4))
+    diagonal = [[d * (i == j) for i in range(n)] for j, d in enumerate(orders)]
+    return n, draw(st.permutations(extra + diagonal)), lcm(*orders)
+
+
+class TestPresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(finite_presentations())
+    def test_modular_and_integer_elimination_agree(self, presentation):
+        n, cols, exponent = presentation
+        modular = _canonicalize_presentation(n, cols, exponent)
+        integer = _canonicalize_presentation(n, cols)
+        assert modular[0] == integer[0]
+        for G, to_can, from_can in (modular, integer):
+            assert G.free_rank == 0
+            for i, d in enumerate(G.invariant_factors):
+                # to_can . from_can = I and to_can . relations = 0, mod d_i
+                for j in range(G.ngens):
+                    entry = sum(to_can[i][t] * from_can[t][j]
+                                for t in range(n))
+                    assert (entry - (i == j)) % d == 0
+                for col in cols:
+                    assert sum(a * b for a, b in zip(to_can[i], col)) % d == 0
 
 
 class TestElements:

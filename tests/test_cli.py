@@ -28,6 +28,17 @@ INVERSION = {"kind": "crossed_module",
              "action": [[0, 0], [1, 2], [2, 1]]}
 
 
+def _replaced(doc, path, value):
+    """A deep copy of doc with the entry at path (keys and indices) set."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
 class TestParse:
     def test_times2(self):
         spec = parse_spec(json.dumps(TIMES2))
@@ -192,6 +203,49 @@ class TestCliProcess:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["data"]["nerve_levels"] == [3, 9, 21, 45]
+
+    @pytest.mark.parametrize("path,value", [
+        (("intersections", 1), 7), (("intersections", 1), None),
+        (("intersections", 1), 2.5), (("intersections", 1), ["a0", "a1"]),
+        (("intersections",), 5), (("intersections", 1, "components"), 5),
+        (("containments",), {}),
+        (("containments",), [{"parts": ["a0", "zz"], "component": "c",
+                               "sub_parts": ["a0"], "sub_component": "c"}])])
+    def test_malformed_nerve_exit_2(self, tmp_path, capsys, path, value):
+        nerve = _replaced(CIRCLE_NERVE, path, value)
+        code = main(["cech-classify", "--in",
+                     self._write(tmp_path, dict(TIMES2, nerve=nerve))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: nerve.{path[0]}")
+
+    @pytest.mark.parametrize("path,value", [
+        (("boundary", 2), 2), (("boundary", 1), -1), (("boundary", 2), "1"),
+        (("action", 1, 1), 3), (("G", "table", 1), 5)])
+    def test_crossed_value_out_of_range_exit_2(self, tmp_path, capsys, path,
+                                               value):
+        doc = _replaced(INVERSION, path, value)
+        code = main(["crossed-verify", "--in", self._write(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path,value", [
+        (("maps", "lambda", 0, 0), True), (("groups", "A", "inv", 0), True),
+        (("groups", "A", "free"), True)])
+    def test_json_true_is_not_an_integer_exit_2(self, tmp_path, capsys, path,
+                                                value):
+        # Z/2 -> Z/2, where true would read as a valid 1
+        doc = {"kind": "complex2",
+               "groups": {"A": {"inv": [2]}, "B": {"inv": [2]}},
+               "maps": {"lambda": [[1]]}}
+        code = main(["units", "--in",
+                     self._write(tmp_path, _replaced(doc, path, value))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: " + ".".join(
+            k for k in path if isinstance(k, str)))
 
     def test_check_failure_exit_1(self, tmp_path):
         # a non-acyclic complex fails unit-complex --check-acyclic?  the unit

@@ -4,7 +4,11 @@ Every `units` and `contractible` input of the desk-mix and point-enum
 workloads with a known exit code 0, in all of its presentations, is run in
 process and its report digest compared with the one recorded in
 ``perfbench/digests.json``.  A refactor of the enumeration layer must leave
-these byte-identical.  Nothing under ``perfbench/`` is written.
+these byte-identical.  A second set covers the six other commands: their
+desk-mix inputs, the descent workload's crossed-module and point-nerve
+inputs in every presentation, and presentation 0 of each circle-nerve
+`cech-classify` input, where the Smith forms modulo an exponent work
+hardest.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib
@@ -39,8 +43,29 @@ def _cases():
                 yield workload, item
 
 
+def _other_cases():
+    corpus = _corpus()
+    for item in corpus.all_variants("desk-mix"):
+        if item["command"] not in COMMANDS and item["known"]["exit"] == 0:
+            yield "desk-mix", item
+    for item in corpus.all_variants("descent"):
+        circle = "nerve" in json.loads(item["spec"])
+        if item["command"] != "cech-classify" or not circle \
+                or item["variant"] == 0:
+            yield "descent", item
+
+
+def _run(item):
+    args = _build_parser().parse_args(
+        [item["command"], "--in", "-", *item["args"]])
+    return run(item["command"], parse_spec(item["spec"]),
+               max_states=args.max_states, against=args.against,
+               check_acyclic=args.check_acyclic)
+
+
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 CASES = list(_cases())
+OTHER_CASES = list(_other_cases())
 
 
 def test_corpus_covers_both_workloads_and_commands():
@@ -52,9 +77,22 @@ def test_corpus_covers_both_workloads_and_commands():
 @pytest.mark.parametrize("workload,item", CASES,
                          ids=[item["id"] for _, item in CASES])
 def test_report_digest_is_unchanged(workload, item):
-    args = _build_parser().parse_args(
-        [item["command"], "--in", "-", *item["args"]])
-    report = run(item["command"], parse_spec(item["spec"]),
-                 max_states=args.max_states, against=args.against,
-                 check_acyclic=args.check_acyclic)
-    assert report.digest() == DIGESTS[workload][item["id"]]
+    assert _run(item).digest() == DIGESTS[workload][item["id"]]
+
+
+def test_other_commands_are_all_covered():
+    commands = {"homology", "unit-complex", "qiso", "cech-classify",
+                "crossed-verify", "crossed-units"}
+    assert {item["command"] for _, item in OTHER_CASES} == commands
+    desk = [item for w, item in OTHER_CASES if w == "desk-mix"]
+    assert len(desk) == 8 * 12  # two slots per command
+    circle = [item for w, item in OTHER_CASES
+              if w == "descent" and item["command"] == "cech-classify"
+              and "nerve" in json.loads(item["spec"])]
+    assert len(circle) == 6
+
+
+@pytest.mark.parametrize("workload,item", OTHER_CASES,
+                         ids=[f"{w}:{item['id']}" for w, item in OTHER_CASES])
+def test_other_report_digest_is_unchanged(workload, item):
+    assert _run(item).digest() == DIGESTS[workload][item["id"]]

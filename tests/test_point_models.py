@@ -5,6 +5,7 @@ import pytest
 
 from unital.abelian import CapExceeded, FgAbGroup, FinitenessError, GroupHom
 from unital.complexes import Complex2, Complex3, GroupElem, homology, unit_complex_1
+from unital import point_models
 from unital.point_models import (
     JKUnit,
     PicardModel1,
@@ -279,3 +280,74 @@ class TestTensor2AndContractible2:
         for _ in range(8):
             rep = verify_contractible_2(PicardModel2(random_complex3(rng, 8)))
             assert rep.passed
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestFaultInjection:
+    """Corrupted coded tables, patched in behind the verifiers, must turn
+    into failing named checks rather than exceptions or silent passes."""
+
+    def test_incoherent_composition_fails_level_1(self, monkeypatch):
+        # Z/3 -> 0 with b - a in place of a + b: the square still has one
+        # solution u = a_s + a_t per pair, but these no longer compose
+        tables = point_models._tables_1
+
+        def subtracting(model):
+            A, B, lam = tables(model)
+            A.table = tuple(tuple((b - a) % 3 for b in range(3))
+                            for a in range(3))
+            return A, B, lam
+
+        T = FgAbGroup.trivial()
+        model = PicardModel1(Complex2(Z3, T, GroupHom.zero(Z3, T)))
+        monkeypatch.setattr(point_models, "_tables_1", subtracting)
+        rep = verify_contractible_1(model)
+        assert _check(rep, "exactly one unit morphism per ordered pair").passed
+        coherence = _check(rep, "composition of unique morphisms is coherent")
+        assert not coherence.passed
+        assert coherence.witness
+
+    def test_incoherent_vertical_composition_fails_level_2(self, monkeypatch):
+        # Z/3 -> 0 -> 0 with every element its own inverse: the three
+        # parallel unit 1-morphisms (0, theta) no longer compose vertically
+        tables = point_models._tables_2
+
+        def self_inverse(model):
+            A, B, C, delta, lam = tables(model)
+            A.inverse = tuple(range(A.order))
+            return A, B, C, delta, lam
+
+        T = FgAbGroup.trivial()
+        model = PicardModel2(Complex3(Z3, T, T, GroupHom.zero(Z3, T),
+                                      GroupHom.zero(T, T)))
+        monkeypatch.setattr(point_models, "_tables_2", self_inverse)
+        rep = verify_contractible_2(model)
+        assert rep.stats["unit 1-morphisms"] == 3
+        coherence = _check(
+            rep, "vertical composition of unique 2-morphisms is coherent")
+        assert not coherence.passed
+        assert coherence.witness
+
+    def test_missing_canonical_1morphism_fails_named_check(self,
+                                                           monkeypatch):
+        # swapping lam on Z/2 makes (phi_s - phi_t, 0) miss the fiber of
+        # e_s - e_t for every pair of units
+        model = model2_example()
+        units = enumerate_units_2(model)
+        tables = point_models._tables_2
+
+        def swapped(model):
+            return (*tables(model)[:4], (1, 0))
+
+        monkeypatch.setattr(point_models, "_tables_2", swapped)
+        rep = verify_contractible_2(model)
+        connected = _check(
+            rep, "every unit pair is connected by a unit 1-morphism")
+        assert not connected.passed
+        key = (((0,), (1,)), ((0,), (1,)))
+        assert connected.witness[0] == key
+        with pytest.raises(AssertionError, match="phi_s - phi_t"):
+            unit_1morphisms(units[0], units[0])
