@@ -44,7 +44,8 @@ from .abelian import (
     solve,
 )
 from .complexes import Complex2, Complex3, homology, unit_complex_2
-from .point_models import JKUnit, PicardModel1, PicardModel2, SaavedraUnit
+from .point_models import (
+    JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
 
 TOP_LEVEL = 3
 MAX_CELLS_PER_LEVEL = 64
@@ -146,19 +147,21 @@ class Nerve:
     Cells are (index tuple, component name) pairs, sorted; ``face(n, i, c)``
     drops index i.  The simplicial identities d_i d_j = d_(j-1) d_i for
     i < j are verified exhaustively at construction.
+    Level n+1 extends level-n index tuples by one index while the index
+    set is declared; declared sets are closed under subsets, so no cell is
+    missed.
     """
 
     def __init__(self, cover: Cover):
         self.cover = cover
         nparts = len(cover.parts)
         self._cells = []
+        tuples = [()]
         for n in range(TOP_LEVEL + 1):
-            level = []
-            for tup in itertools.product(range(nparts), repeat=n + 1):
-                key = frozenset(tup)
-                for comp in cover.components.get(key, ()):
-                    level.append((tup, comp))
-            level.sort()
+            tuples = [t + (j,) for t in tuples for j in range(nparts)
+                      if frozenset(t + (j,)) in cover.components]
+            level = sorted((t, comp) for t in tuples
+                           for comp in cover.components[frozenset(t)])
             if len(level) > MAX_CELLS_PER_LEVEL:
                 raise CapExceeded(
                     f"level {n} has {len(level)} cells (cap "
@@ -183,6 +186,12 @@ class Nerve:
         """i-th face of a level-n cell (a cell at level n-1)."""
         return self._faces[(n, i)][cell]
 
+    def face_index(self, n, i):
+        """d_i on positions: entry k is the position in level n-1 of the
+        i-th face of the k-th cell of level n."""
+        position = {cell: k for k, cell in enumerate(self._cells[n - 1])}
+        return [position[self.face(n, i, c)] for c in self._cells[n]]
+
     def _verify_simplicial_identities(self):
         for n in range(2, TOP_LEVEL + 1):
             for j in range(n + 1):
@@ -194,10 +203,6 @@ class Nerve:
                             raise ValueError(
                                 f"simplicial identity d_{i} d_{j} = "
                                 f"d_{j - 1} d_{i} fails at {cell}")
-
-    @property
-    def total_cells(self):
-        return sum(len(lv) for lv in self._cells)
 
     def __str__(self):
         sizes = ", ".join(str(len(lv)) for lv in self._cells)
@@ -263,10 +268,6 @@ class SheafSections:
     def __sub__(self, other):
         return self._binary(other, lambda x, y: x - y)
 
-    def __neg__(self):
-        return SheafSections(self.group, self.level,
-                             {c: -v for c, v in self.data.items()})
-
     @property
     def is_zero(self):
         return all(v.is_zero for v in self.data.values())
@@ -303,16 +304,6 @@ class TorsorClasses(NamedTuple):
     representatives: list
 
 
-def _torsor_relations_hold(nerve, X, a, b):
-    lam_a = a.map_values(X.lam)
-    if not (a.pullback(nerve, 0) + a.pullback(nerve, 2)
-            - a.pullback(nerve, 1)).is_zero:
-        return False
-    if not (b.pullback(nerve, 0) - b.pullback(nerve, 1) - lam_a).is_zero:
-        return False
-    return True
-
-
 def _coboundary_action(nerve, X, a, b, alpha):
     """Re-choose the local section by alpha in A(V_0)."""
     new_a = a + alpha.pullback(nerve, 0) - alpha.pullback(nerve, 1)
@@ -326,34 +317,51 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     Exhaustive: enumerates every pair, filters by the two cocycle relations,
     and quotients by the full coboundary action.  Representatives are the
     lexicographically smallest members of their classes.
+
+    The scan runs on table-coded groups: a section is a tuple of element
+    indices in cell order, which compares like its ``key()``.
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("torsor enumeration needs finite groups")
     states = _count_sections(X.A, nerve, 1) * _count_sections(X.B, nerve, 0)
     if states > max_states:
         raise CapExceeded(f"{states} candidate cocycles exceed {max_states}")
-    cocycles = {}
-    for a in _all_sections(X.A, nerve, 1):
-        for b in _all_sections(X.B, nerve, 0):
-            if _torsor_relations_hold(nerve, X, a, b):
-                cocycles[(a.key(), b.key())] = (a, b)
-    alphas = list(_all_sections(X.A, nerve, 0))
+    A, B = _coded(X.A), _coded(X.B)
+    lam = A.image_array(X.lam.matrix, B)
+    add_a, neg_a, add_b = A.table, A.inverse, B.table
+    # d0*(a) + d2*(a) = d1*(a) on V_2, and d0*(b) = d1*(b) + lam(a) on V_1
+    a_rel = list(zip(*(nerve.face_index(2, i) for i in range(3))))
+    b_rel = list(zip(*(nerve.face_index(1, i) for i in range(2))))
+    n0 = len(nerve.level(0))
+    cocycles = []  # in lexicographic order: the product runs in index order
+    for a in itertools.product(A.elements(), repeat=len(nerve.level(1))):
+        a_closed = all(add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in a_rel)
+        lam_a = [lam[x] for x in a]
+        for b in itertools.product(B.elements(), repeat=n0):
+            if a_closed and all(b[f0] == add_b[b[f1]][y]
+                                for (f0, f1), y in zip(b_rel, lam_a)):
+                cocycles.append((a, b))
+    alphas = list(itertools.product(A.elements(), repeat=n0))
     if len(cocycles) * len(alphas) > max_states:
         raise CapExceeded("coboundary quotient exceeds the state cap")
+    # alpha adds d0*(alpha) - d1*(alpha) to a and lam(alpha) to b
+    shifts = [([add_a[al[f0]][neg_a[al[f1]]] for f0, f1 in b_rel],
+               [lam[x] for x in al]) for al in alphas]
     reps = []
     seen = set()
-    for key in sorted(cocycles):
-        if key in seen:
+    for a, b in cocycles:
+        if (a, b) in seen:
             continue
-        a, b = cocycles[key]
-        orbit = set()
-        for alpha in alphas:
-            na, nb = _coboundary_action(nerve, X, a, b, alpha)
-            orbit.add((na.key(), nb.key()))
+        orbit = {(tuple(add_a[x][y] for x, y in zip(a, da)),
+                  tuple(add_b[x][y] for x, y in zip(b, db)))
+                 for da, db in shifts}
         seen |= orbit
-        rep_key = min(orbit)
-        reps.append(cocycles[rep_key])
-    return TorsorClasses(len(reps), reps)
+        reps.append(min(orbit))
+    ea, eb = list(X.A.elements()), list(X.B.elements())
+    return TorsorClasses(len(reps), [
+        (SheafSections(X.A, 1, dict(zip(nerve.level(1), [ea[k] for k in a]))),
+         SheafSections(X.B, 0, dict(zip(nerve.level(0), [eb[k] for k in b]))))
+        for a, b in reps])
 
 
 # --------------------------------------------------------------------------
@@ -558,26 +566,43 @@ class _TotalLayout:
 
 
 def _total_differential_hom(X, nerve, layout_n, layout_n1) -> GroupHom:
-    """D = d_X + (-1)^(p+1) cech, as one hom between the packed groups."""
-    images = []
-    for g in range(layout_n.group.ngens):
-        gen = layout_n.group.generator(g)
-        comps = layout_n.unpack(gen)
-        out = layout_n1.group.zero()
-        for (p, q, cell), inj in zip(layout_n1.blocks, layout_n1._inj):
-            val = X.group_at(p).zero()
-            if (p - 1, q) in comps:
-                val = val + X.differential(p - 1)(comps[(p - 1, q)](cell))
-            if (p, q - 1) in comps:
-                sign = -1 if p % 2 == 0 else 1  # (-1)^(p+1)
-                acc = X.group_at(p).zero()
-                for i in range(q + 1):
-                    face_val = comps[(p, q - 1)](nerve.face(q, i, cell))
-                    acc = acc + face_val if i % 2 == 0 else acc - face_val
-                val = val + (acc if sign == 1 else -acc)
-            out = out + inj(val)
-        images.append(out)
-    return GroupHom.from_images(layout_n.group, layout_n1.group, images)
+    """D = d_X + (-1)^(p+1) cech, as one hom between the packed groups.
+
+    In block coordinates D has d_X from (p-1, q, c) to (p, q, c) and
+    (-1)^(p+1+i) from (p, q-1, d_i c) to (p, q, c); it is conjugated by the
+    stacked target injections and source projections, skipping zeros.
+    """
+    width = layout_n.group.ngens
+    offset, proj_rows = {}, []  # stacked source projections
+    for block, proj in zip(layout_n.blocks, layout_n._proj):
+        offset[block] = len(proj_rows)
+        proj_rows.extend(proj.matrix)
+    out = [[0] * width for _ in range(layout_n1.group.ngens)]
+    for (p, q, cell), inj in zip(layout_n1.blocks, layout_n1._inj):
+        # rows of (block matrix) x (stacked projections) for this block
+        rows = [[0] * width for _ in range(X.group_at(p).ngens)]
+        if (p - 1, q, cell) in offset:
+            off = offset[(p - 1, q, cell)]
+            for row, d_row in zip(rows, X.differential(p - 1).matrix):
+                for j, v in enumerate(d_row):
+                    if v:
+                        _add_multiple(row, v, proj_rows[off + j])
+        for i in range(q + 1 if q else 0):
+            off = offset[(p, q - 1, nerve.face(q, i, cell))]
+            for k, row in enumerate(rows):
+                _add_multiple(row, (-1) ** (p + 1 + i), proj_rows[off + k])
+        for out_row, inj_row in zip(out, inj.matrix):
+            for v, row in zip(inj_row, rows):
+                if v:
+                    _add_multiple(out_row, v, row)
+    return GroupHom(layout_n.group, layout_n1.group, out)
+
+
+def _add_multiple(acc, v, row):
+    """acc += v * row, in place, skipping the zero entries of row."""
+    for j, x in enumerate(row):
+        if x:
+            acc[j] += v * x
 
 
 def total_complex_piece(X, nerve):

@@ -1,10 +1,14 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unital.abelian import FgAbGroup, GroupHom
+from unital import cech
+from unital.abelian import CapExceeded, FgAbGroup, GroupHom
 from unital.cech import (
+    MAX_CELLS_PER_LEVEL,
     CocycleError,
     Cover,
     Nerve,
@@ -17,6 +21,8 @@ from unital.cech import (
     cocycle_of_unit,
     cover_of_parts,
     point_cover,
+    _all_sections,
+    _coboundary_action,
     torsor_classes,
     total_complex_piece,
     unit_cocycle_from_phi,
@@ -35,6 +41,7 @@ from unital.point_models import (
 
 from oracles import oracle_circle_nerve, oracle_point_nerve, oracle_torsor_classes
 from test_abelian import random_group, random_hom
+from test_coded_groups import homs
 from test_complexes import c2_times2, c3_zero_id, random_complex2, random_complex3
 
 Z2 = FgAbGroup.cyclic(2)
@@ -84,6 +91,55 @@ class TestNerve:
         cell = ((0, 1), "c")
         assert N.face(1, 0, cell)[0] == (1,)
         assert N.face(1, 1, cell)[0] == (0,)
+
+    def test_point_and_circle_against_oracles(self):
+        for N, (cells, faces), name in (
+                (point_nerve(), oracle_point_nerve(), lambda t: ("pt",) * len(t)),
+                (circle_nerve(), oracle_circle_nerve(), lambda t: t)):
+            for n in range(4):
+                assert [name(t) for t, _ in N.level(n)] == cells[n]
+            for (n, i), face in faces.items():
+                for cell in N.level(n):
+                    assert name(N.face(n, i, cell)[0]) == face[name(cell[0])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_cells_and_faces_as_the_full_product(self, data):
+        nparts = data.draw(st.integers(1, 4))
+        sets = data.draw(st.lists(st.frozensets(st.integers(0, nparts - 1)),
+                                  max_size=4))
+        closed = {frozenset(sub) for key in sets for r in range(2, len(key) + 1)
+                  for sub in itertools.combinations(sorted(key), r)}
+        # two components only on maximal sets, so no face is ambiguous
+        comps = {key: ("c", "d")[:data.draw(st.integers(1, 2))]
+                 if not any(key < other for other in closed) else ("c",)
+                 for key in closed}
+        cover = Cover(tuple(f"p{i}" for i in range(nparts)), comps)
+        # the enumeration that Nerve ran before pruning
+        levels = [sorted((tup, comp)
+                         for tup in itertools.product(range(nparts),
+                                                      repeat=n + 1)
+                         for comp in cover.components.get(frozenset(tup), ()))
+                  for n in range(4)]
+        if any(len(lv) > MAX_CELLS_PER_LEVEL for lv in levels):
+            with pytest.raises(CapExceeded):
+                Nerve(cover)
+            return
+        N = Nerve(cover)
+        assert [list(N.level(n)) for n in range(4)] == levels
+        for n in range(1, 4):
+            for i in range(n + 1):
+                for k, (tup, comp) in enumerate(N.level(n)):
+                    face = N.face(n, i, (tup, comp))
+                    assert face[0] == tup[:i] + tup[i + 1:]
+                    assert N.level(n - 1)[N.face_index(n, i)[k]] == face
+
+    def test_many_disjoint_parts_build_fast(self):
+        cover = cover_of_parts([f"p{i}" for i in range(64)], [])
+        started = time.perf_counter()
+        N = cech_nerve(cover)
+        assert time.perf_counter() - started < 0.5
+        assert [len(N.level(n)) for n in range(4)] == [64] * 4
 
 
 class TestSections:
@@ -159,6 +215,77 @@ class TestTorsorClasses:
         assert a1.key() == a2.key() and b1.key() == b2.key()
 
 
+def _filter_torsor_classes(nerve, X):
+    """Oracle: the SheafSections filter that torsor_classes ran before its
+    scan moved to table-coded groups, returning the representatives."""
+    def relations_hold(a, b):
+        if not (a.pullback(nerve, 0) + a.pullback(nerve, 2)
+                - a.pullback(nerve, 1)).is_zero:
+            return False
+        return (b.pullback(nerve, 0) - b.pullback(nerve, 1)
+                - a.map_values(X.lam)).is_zero
+
+    cocycles = {}
+    for a in _all_sections(X.A, nerve, 1):
+        for b in _all_sections(X.B, nerve, 0):
+            if relations_hold(a, b):
+                cocycles[(a.key(), b.key())] = (a, b)
+    alphas = list(_all_sections(X.A, nerve, 0))
+    reps, seen = [], set()
+    for key in sorted(cocycles):
+        if key in seen:
+            continue
+        orbit = set()
+        for alpha in alphas:
+            na, nb = _coboundary_action(nerve, X, *cocycles[key], alpha)
+            orbit.add((na.key(), nb.key()))
+        seen |= orbit
+        reps.append(cocycles[min(orbit)])
+    return reps
+
+
+def _check_coded_scan(N, oracle_nerve, X):
+    res = torsor_classes(N, X)
+    assert res.representatives == _filter_torsor_classes(N, X)
+    cells, faces = oracle_nerve
+    lam = lambda a: X.lam(X.A.element(a)).coords  # noqa: E731
+    assert res.count == oracle_torsor_classes(
+        cells, faces, X.A.invariant_factors, X.B.invariant_factors, lam)
+    # two ways to one number: torsor classes and |H^0(Tot X)|
+    assert res.count == classify_h0(N, X).order()
+
+
+def _complexes2_of_order_at_most_2():
+    for A, B in itertools.product((TRIV, Z2), repeat=2):
+        pool = [y for y in B.elements()
+                if all(y.scale(d).is_zero for d in A.invariant_factors)]
+        for images in itertools.product(pool, repeat=A.ngens):
+            yield Complex2(A, B, GroupHom.from_images(A, B, list(images)))
+
+
+class TestCodedTorsorScan:
+    @settings(max_examples=40, deadline=None)
+    @given(homs(max_order=12))
+    def test_point_against_filter_and_oracles(self, lam):
+        X = Complex2(lam.source, lam.target, lam)
+        _check_coded_scan(point_nerve(), oracle_point_nerve(), X)
+
+    @pytest.mark.parametrize("X", list(_complexes2_of_order_at_most_2()),
+                             ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
+    def test_circle_against_filter_and_oracles(self, X):
+        # every complex with |A|, |B| <= 2: Z/2 -> Z/2 is 4096 candidates
+        _check_coded_scan(circle_nerve(), oracle_circle_nerve(), X)
+
+    def test_cap_refuses_before_any_table(self, monkeypatch):
+        X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
+
+        def no_tables(G):
+            raise AssertionError("coded tables built before the cap check")
+        monkeypatch.setattr(cech, "_coded", no_tables)
+        with pytest.raises(CapExceeded, match="4096 candidate"):
+            torsor_classes(circle_nerve(), X, max_states=4095)
+
+
 class TestUnitCocycles:
     def test_one_class_point(self):
         classes, group = unit_cocycles(point_nerve(), c2_times2())
@@ -220,6 +347,44 @@ class TestClassifyH0:
         N = circle_nerve()
         total, _ = total_complex_piece(c3_zero_id(), N)
         assert total.lam.compose(total.delta).is_zero_hom
+
+
+def _generator_total_differential(X, nerve, layout_n, layout_n1):
+    """Oracle: the total differential as the block-matrix product replaced
+    it, generator by generator: unpack each generator into sections, apply
+    d_X + (-1)^(p+1) cech in GroupElem arithmetic, and pack the result."""
+    images = []
+    for g in range(layout_n.group.ngens):
+        comps = layout_n.unpack(layout_n.group.generator(g))
+        out = layout_n1.group.zero()
+        for (p, q, cell), inj in zip(layout_n1.blocks, layout_n1._inj):
+            val = X.group_at(p).zero()
+            if (p - 1, q) in comps:
+                val = val + X.differential(p - 1)(comps[(p - 1, q)](cell))
+            if (p, q - 1) in comps:
+                acc = X.group_at(p).zero()
+                for i in range(q + 1):
+                    face_val = comps[(p, q - 1)](nerve.face(q, i, cell))
+                    acc = acc + face_val if i % 2 == 0 else acc - face_val
+                val = val + (acc if p % 2 else -acc)
+            out = out + inj(val)
+        images.append(out)
+    return GroupHom.from_images(layout_n.group, layout_n1.group, images)
+
+
+class TestBlockDifferential:
+    @pytest.mark.parametrize("terms", [2, 3])
+    @pytest.mark.parametrize("nerve,count", [("point", 8), ("circle", 3)])
+    def test_matches_generator_images(self, terms, nerve, count):
+        rng = random.Random(f"{terms}{nerve}")
+        N = point_nerve() if nerve == "point" else circle_nerve()
+        make = random_complex2 if terms == 2 else random_complex3
+        for _ in range(count):
+            X = make(rng, 8)
+            total, (lm1, l0, l1) = total_complex_piece(X, N)
+            assert total.delta == _generator_total_differential(X, N, lm1, l0)
+            assert total.lam == _generator_total_differential(X, N, l0, l1)
+            assert total.lam.compose(total.delta).is_zero_hom
 
 
 class TestUnitCocycleRoundTrip:

@@ -190,6 +190,20 @@ class TestCliProcess:
         assert main(["contractible", "--in", self._write(tmp_path, z8),
                      "--max-states", "512"]) == 0
 
+    def test_circle_torsor_scan_honours_max_states(self, tmp_path, capsys):
+        # 2^9 * 2^3 = 4096 candidate torsor cocycles on the circle
+        z2 = {"kind": "complex2",
+              "groups": {"A": {"inv": [2]}, "B": {"inv": [2]}},
+              "maps": {"lambda": [[0]]}}
+        args = ["cech-classify", "--in", self._write(tmp_path, z2),
+                "--nerve", self._write(tmp_path, CIRCLE_NERVE, "n.json")]
+        code = main(args + ["--max-states", "4095"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("cap exceeded")
+        assert "4096" in err
+        assert main(args + ["--max-states", "4096"]) == 0
+
     def test_group_order_cap_exit_3(self, tmp_path):
         big = {"kind": "complex2",
                "groups": {"A": {"inv": [2]}, "B": {"inv": [512]}},

@@ -23,8 +23,9 @@ def finite_groups(draw, max_order=256):
 
 
 @st.composite
-def homs(draw):
-    A, B = draw(finite_groups()), draw(finite_groups())
+def homs(draw, max_order=256):
+    A = draw(finite_groups(max_order))
+    B = draw(finite_groups(max_order))
     images = []
     for d in A.invariant_factors:
         # the d-torsion of Z/b is generated by b / gcd(b, d)

@@ -8,7 +8,8 @@ these byte-identical.  A second set covers the six other commands: their
 desk-mix inputs, the descent workload's crossed-module and point-nerve
 inputs in every presentation, and presentation 0 of each circle-nerve
 `cech-classify` input, where the Smith forms modulo an exponent work
-hardest.  Nothing under ``perfbench/`` is written.
+hardest.  A third set covers presentations 1-7 of those circle-nerve
+inputs.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib
@@ -55,6 +56,13 @@ def _other_cases():
             yield "descent", item
 
 
+def _circle_cases():
+    for item in _corpus().all_variants("descent"):
+        if item["command"] == "cech-classify" and item["variant"] != 0 \
+                and "nerve" in json.loads(item["spec"]):
+            yield item
+
+
 def _run(item):
     args = _build_parser().parse_args(
         [item["command"], "--in", "-", *item["args"]])
@@ -66,6 +74,7 @@ def _run(item):
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 CASES = list(_cases())
 OTHER_CASES = list(_other_cases())
+CIRCLE_CASES = list(_circle_cases())
 
 
 def test_corpus_covers_both_workloads_and_commands():
@@ -96,3 +105,14 @@ def test_other_commands_are_all_covered():
                          ids=[f"{w}:{item['id']}" for w, item in OTHER_CASES])
 def test_other_report_digest_is_unchanged(workload, item):
     assert _run(item).digest() == DIGESTS[workload][item["id"]]
+
+
+def test_circle_presentations_are_all_covered():
+    assert len(CIRCLE_CASES) == 6 * 7
+    assert all(item["known"]["exit"] == 0 for item in CIRCLE_CASES)
+
+
+@pytest.mark.parametrize("item", CIRCLE_CASES,
+                         ids=[item["id"] for item in CIRCLE_CASES])
+def test_circle_report_digest_is_unchanged(item):
+    assert _run(item).digest() == DIGESTS["descent"][item["id"]]
