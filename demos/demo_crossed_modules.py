@@ -30,12 +30,12 @@ conj = CrossedModule(
                  for g in S3.elements()))
 
 print("== the conjugation crossed module on S3 ==")
-print(verify_crossed_module(conj))
+print(verify_crossed_module(conj).to_text())
 U = unit_crossed_module(conj)
 print(f"unit crossed module has |K| = {U.H.order}, "
       f"pi0 = {pi0_order(U)}, pi1 = {pi1_order(U)}")
 units, report = enumerate_units_nonabelian(conj)
-print(report)
+print(report.to_text())
 
 print()
 print("== Z/3 with Z/2 acting by inversion ==")

@@ -35,7 +35,7 @@ s, t = units
 print(f"unique morphism first -> second has u = {mor.u}")
 print(f"tensor of the nontrivial unit with itself: "
       f"{tensor_units_1(t, t).key()}")
-print(verify_contractible_1(model))
+print(verify_contractible_1(model).to_text())
 
 print()
 print("== units one level up ==")
@@ -48,4 +48,4 @@ print(f"unit 1-morphisms between them: "
       f"{[(m.f.coords, m.theta.coords) for m in ms]}")
 (g,) = unit_2morphisms(ms[0], ms[1])
 print(f"the unique 2-morphism between those has gamma = {g.gamma}")
-print(verify_contractible_2(model2))
+print(verify_contractible_2(model2).to_text())

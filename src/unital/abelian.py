@@ -175,8 +175,9 @@ def _snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
             if UiT is not None:
                 UiT[t] = [-x for x in UiT[t]]
         d = W[t][t]
-        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
-                    if W[i][j] % d), None)
+        bad = None if d == 1 else next(  # a unit pivot divides everything
+            (i for i in range(t + 1, m) for j in range(t + 1, n)
+             if W[i][j] % d), None)
         if bad is not None:
             # add the offending row to row t, so that the next pass replaces
             # the pivot with a proper divisor; the pivot strictly decreases

@@ -102,6 +102,10 @@ class Cover:
                         raise ValueError(
                             f"inconsistent table: {sorted(key)} is nonempty "
                             f"but {list(sub)} is not declared")
+        for (_, _, target), comp in self.containments.items():
+            if comp not in comps.get(target, ()):
+                raise ValueError(f"containment target {sorted(target)}:{comp} "
+                                 f"is not a declared component")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "containments", dict(self.containments))
 
@@ -633,13 +637,12 @@ class TotalCocycle:
     """A total-degree-0 cocycle with coefficients in a 2- or 3-term complex.
 
     ``components`` maps (complex degree, nerve level) with p + q = 0 to
-    sections.  ``convention`` records the sign normalization of the stored
-    components ("total": the library's total differential vanishes on them).
+    sections, normalized so that the library's total differential vanishes
+    on them.
     """
 
     complex: object
     components: dict
-    convention: str = "total"
 
     def validate(self, nerve):
         X = self.complex
@@ -647,8 +650,6 @@ class TotalCocycle:
             q = -p
             if 0 <= q <= TOP_LEVEL and (p, q) not in self.components:
                 raise CocycleError(f"missing component at bidegree ({p}, {q})")
-        if self.convention != "total":
-            raise CocycleError(f"unknown normalization {self.convention!r}")
         for p_t in X.degrees:
             for q_t in range(TOP_LEVEL + 1):
                 if p_t + q_t != 1:

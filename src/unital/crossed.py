@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .abelian import CapExceeded, FinitenessError
-from .verification import VerificationReport
+from .verification import Report
 
 MAX_GROUP_ORDER = 64
 MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
@@ -274,10 +274,10 @@ class CrossedModule:
         return f"[{self.G} -> {self.H}]"
 
 
-def verify_crossed_module(X: CrossedModule) -> VerificationReport:
+def verify_crossed_module(X: CrossedModule) -> Report:
     """Exhaustive axiom check; each failed check carries its first violation."""
     G, H = X.G, X.H
-    report = VerificationReport(f"crossed module axioms for {X}")
+    report = Report(f"crossed module axioms for {X}")
 
     def first(pred, space):
         for w in space:
@@ -309,8 +309,8 @@ def verify_crossed_module(X: CrossedModule) -> VerificationReport:
     w = first(lambda g, g2: X.act(g, X.bnd(g2)) == G.conj(g, g2),
               itertools.product(G.elements(), repeat=2))
     report.add("Peiffer identity: g^(bnd g') = g'^-1 g g'", w is None, w)
-    report.stats["|G|"] = G.order
-    report.stats["|H|"] = H.order
+    report.data["|G|"] = G.order
+    report.data["|H|"] = H.order
     return report
 
 
@@ -397,7 +397,7 @@ def unique_unit_morphism(s: NonabelianUnit, t: NonabelianUnit):
     return u
 
 
-def enumerate_units_nonabelian(X: CrossedModule, with_report=True):
+def enumerate_units_nonabelian(X: CrossedModule):
     """All units (e, g_phi), plus the contractibility report.
 
     Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
@@ -407,10 +407,8 @@ def enumerate_units_nonabelian(X: CrossedModule, with_report=True):
     """
     units = sorted((NonabelianUnit(X, X.bnd(g), g) for g in X.G.elements()),
                    key=lambda u: u.key())
-    if not with_report:
-        return units, None
     G, H = X.G, X.H
-    report = VerificationReport("contractibility of the nonabelian unit groupoid")
+    report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
     kernel = sorted(g for g in G.elements() if X.bnd(g) == H.identity)
@@ -440,7 +438,7 @@ def enumerate_units_nonabelian(X: CrossedModule, with_report=True):
                     coh.append((s.key(), t.key(), w.key()))
     report.add("composition of unique morphisms is coherent", not coh,
                coh[:3] or None)
-    report.stats["units"] = len(units)
+    report.data["units"] = len(units)
     return units, report
 
 

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from .abelian import CapExceeded, FinitenessError, GroupElem
 from .complexes import Complex2, Complex3
 from .crossed import FiniteGroup
-from .verification import VerificationReport
+from .verification import Report
+
+COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
 
 
 def _coded(G):
@@ -152,12 +154,6 @@ def count_unit_morphisms_1(model: PicardModel1):
     return count
 
 
-def compose_unit_morphisms_1(m1: UnitMorphism1, m2: UnitMorphism1):
-    if m1.target.key() != m2.source.key():
-        raise ValueError("morphisms not composable")
-    return UnitMorphism1(m1.source, m2.target, m1.u + m2.u)
-
-
 def tensor_units_1(s: SaavedraUnit, t: SaavedraUnit) -> SaavedraUnit:
     """Tensor of units; the structure morphism is the five-arrow composite,
     which collapses to a_phi(s) + a_phi(t) in the strict model."""
@@ -186,7 +182,7 @@ def tensor_unit_morphisms_1(m1: UnitMorphism1, m2: UnitMorphism1):
 
 
 def verify_contractible_1(model: PicardModel1,
-                          max_states=10 ** 7) -> VerificationReport:
+                          max_states=10 ** 7) -> Report:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
@@ -199,7 +195,7 @@ def verify_contractible_1(model: PicardModel1,
     if triples > max_states:
         raise CapExceeded(f"coherence scan needs {triples} states (|A|^3), "
                           f"above the cap {max_states}")
-    report = VerificationReport("contractibility of the unit groupoid")
+    report = Report("contractibility of the unit groupoid")
     A, B, lam = _tables_1(model)
     units = _coded_units(A, B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
@@ -242,8 +238,8 @@ def verify_contractible_1(model: PicardModel1,
                         for k, c in enumerate(composites) if c != to_t[k])
     report.add("composition of unique morphisms is coherent",
                not coherence_failures, coherence_failures[:3] or None)
-    report.stats["units"] = len(units)
-    report.stats["morphisms"] = morphisms
+    report.data["units"] = len(units)
+    report.data["morphisms"] = morphisms
     return report
 
 
@@ -403,8 +399,7 @@ def tensor_units_2(s: JKUnit, t: JKUnit) -> JKUnit:
     return JKUnit(s.model, s.e + t.e, s.phi + t.phi)
 
 
-def verify_contractible_2(model: PicardModel2, max_states=10 ** 7,
-                          coherence_bound=12):
+def verify_contractible_2(model: PicardModel2, max_states=10 ** 7) -> Report:
     """Check that the unit 2-groupoid is contractible, exhaustively.
 
     Units exist; every ordered pair of units is connected by the unit
@@ -414,9 +409,9 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7,
     parallel pairs, which covers every pair: translating a parallel pair
     leaves its pasting equation literally unchanged.  Vertical-composition
     coherence is checked on all triples when a morphism set is small, and
-    on the first ``coherence_bound`` morphisms otherwise.
+    on the first ``COHERENCE_BOUND`` morphisms otherwise.
     """
-    report = VerificationReport("contractibility of the unit 2-groupoid")
+    report = Report("contractibility of the unit 2-groupoid")
     A, B, C, delta, lam = _tables_2(model)
     units = _coded_units(B, C, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
@@ -476,7 +471,7 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7,
 
     coherence_failures = []
     for s, t, ms in onemors:
-        for m1, m2, m3 in itertools.product(ms[:coherence_bound], repeat=3):
+        for m1, m2, m3 in itertools.product(ms[:COHERENCE_BOUND], repeat=3):
             g12 = add_a[m1[1]][neg_a[m2[1]]]
             g23 = add_a[m2[1]][neg_a[m3[1]]]
             if add_a[g12][g23] != add_a[m1[1]][neg_a[m3[1]]]:
@@ -484,6 +479,6 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7,
                     (key(s, t, m1), key(s, t, m2), key(s, t, m3)))
     report.add("vertical composition of unique 2-morphisms is coherent",
                not coherence_failures, coherence_failures[:3] or None)
-    report.stats["units"] = len(units)
-    report.stats["unit 1-morphisms"] = sum(len(ms) for _, _, ms in onemors)
+    report.data["units"] = len(units)
+    report.data["unit 1-morphisms"] = sum(len(ms) for _, _, ms in onemors)
     return report

@@ -1,13 +1,17 @@
-"""Pass/fail reports for exhaustive structure verification.
+"""Pass/fail reports, for the library's exhaustive checks and for commands.
 
 A report is an ordered list of named checks; a failed check carries a
-witness (a counterexample, or whatever identifies the violation).  Reports
-are deterministic for a fixed input: check order is fixed and witnesses use
-the library's canonical enumeration order.
+witness (a counterexample, or whatever identifies the violation).  A
+command report adds the digest of its canonicalized input and result
+data.  Reports are deterministic for a fixed input: check order is fixed
+and witnesses use the library's canonical enumeration order.  Everything
+except the timing field enters the report digest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 
@@ -18,14 +22,34 @@ class Check:
     witness: object = None
 
 
+def _jsonable(value):
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [_jsonable(v) for v in value]
+    return str(value)
+
+
 @dataclass
-class VerificationReport:
-    title: str
+class Report:
+    """``command`` is the command run, or the structure a library check
+    verifies; ``input_digest`` is empty for the latter."""
+
+    command: str
+    input_digest: str = ""
     checks: list[Check] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
+    timing_seconds: float = 0.0
 
     def add(self, name, passed, witness=None):
         self.checks.append(Check(name, bool(passed), witness))
+
+    def merge(self, other, prefix=""):
+        """Append the checks of ``other``; its data stays out of this one."""
+        self.checks += [Check(prefix + c.name, c.passed, c.witness)
+                        for c in other.checks]
 
     @property
     def passed(self):
@@ -35,15 +59,36 @@ class VerificationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def lines(self):
-        out = [self.title]
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            extra = "" if c.witness is None else f"  [{c.witness}]"
-            out.append(f"  {mark} {c.name}{extra}")
-        for k, v in self.stats.items():
-            out.append(f"  {k}: {v}")
-        return out
+    def body(self):
+        return {"command": self.command,
+                "input_digest": self.input_digest,
+                "checks": [{"name": c.name,
+                            "status": "pass" if c.passed else "fail",
+                            "witness": _jsonable(c.witness)}
+                           for c in self.checks],
+                "data": _jsonable(self.data)}
 
-    def __str__(self):
-        return "\n".join(self.lines())
+    def digest(self):
+        text = json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def to_json(self):
+        out = self.body()
+        out["schema"] = "unital-report/1"
+        out["report_digest"] = self.digest()
+        out["timing"] = {"seconds": self.timing_seconds}
+        return json.dumps(out, sort_keys=True, indent=2)
+
+    def to_text(self):
+        lines = [f"unital {self.command}",
+                 f"input digest {self.input_digest[:16]}"]
+        for c in self.checks:
+            line = f"  {'PASS' if c.passed else 'FAIL'} {c.name}"
+            if c.witness is not None:
+                line += f"  [{_jsonable(c.witness)}]"
+            lines.append(line)
+        for key, val in self.data.items():
+            lines.append(f"  {key}: {json.dumps(_jsonable(val), sort_keys=True)}")
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        lines.append(f"time: {self.timing_seconds:.3f}s")
+        return "\n".join(lines)

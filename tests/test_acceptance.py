@@ -112,8 +112,8 @@ def test_criterion_1_saavedra_contractibility():
     for X in complexes:
         report = verify_contractible_1(PicardModel1(X))
         assert report.passed, str(report)
-        assert report.stats["units"] == X.A.order()
-        assert report.stats["morphisms"] == X.A.order() ** 2
+        assert report.data["units"] == X.A.order()
+        assert report.data["morphisms"] == X.A.order() ** 2
     elapsed = _criterion(1, "unit groupoid is contractible", started)
     assert elapsed < 10.0
 
@@ -161,7 +161,7 @@ def test_criterion_4_jk_contractibility():
         except CapExceeded:
             continue
         assert report.passed, str(report)
-        assert report.stats["units"] == X.B.order()
+        assert report.data["units"] == X.B.order()
         done += 1
     assert done >= 25
     elapsed = _criterion(4, "unit 2-groupoid is contractible", started)

@@ -86,6 +86,14 @@ class TestNerve:
             Cover(("U", "V", "W"),
                   {frozenset({0, 1, 2}): ("c",)})  # pairs not declared
 
+    def test_undeclared_containment_target_rejected(self):
+        split_u = [(("U",), ("x", "y")), (("U", "V"), ("*",))]
+        with pytest.raises(ValueError, match=r"target \[0\]:z is not"):
+            cover_of_parts(("U", "V"), split_u, [(("U", "V"), "*", ("U",), "z")])
+        N = cech_nerve(cover_of_parts(
+            ("U", "V"), split_u, [(("U", "V"), "*", ("U",), "y")]))
+        assert N.face(1, 1, ((0, 1), "*")) == ((0,), "y")
+
     def test_faces_drop_indices(self):
         N = circle_nerve()
         cell = ((0, 1), "c")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from unital.cli import main
-from unital.reporting import run
+from unital.reporting import COMMANDS, run
 from unital.specfile import SpecError, parse_spec, print_spec
 
 TIMES2 = {"kind": "complex2",
@@ -21,11 +21,24 @@ CIRCLE_NERVE = {"parts": ["a0", "a1", "a2"],
                     {"parts": ["a1", "a2"], "components": ["c"]},
                     {"parts": ["a0", "a2"], "components": ["c"]}]}
 
+# U has two components, so the faces of U n V into U need a containment
+SPLIT_U = {"parts": ["U", "V"],
+           "intersections": [{"parts": ["U"], "components": ["x", "y"]},
+                             {"parts": ["U", "V"]}]}
+
 INVERSION = {"kind": "crossed_module",
              "G": {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "name": "Z/3"},
              "H": {"table": [[0, 1], [1, 0]], "name": "Z/2"},
              "boundary": [0, 0, 0],
              "action": [[0, 0], [1, 2], [2, 1]]}
+
+# (command, input of another kind, the kinds it needs, the input's kind)
+WRONG_KIND = [
+    (command, INVERSION, "('complex2', 'complex3')", "crossed_module")
+    for command in ("homology", "units", "contractible", "unit-complex",
+                    "qiso", "cech-classify")
+] + [("crossed-verify", TIMES2, "('crossed_module',)", "complex2"),
+     ("crossed-units", THREE_TERM, "('crossed_module',)", "complex3")]
 
 
 def _replaced(doc, path, value):
@@ -129,12 +142,42 @@ class TestRun:
         with pytest.raises(SpecError, match="crossed-verify"):
             run("crossed-verify", spec)
 
+    @pytest.mark.parametrize("command,doc,kinds,kind", WRONG_KIND)
+    def test_wrong_kind_message(self, command, doc, kinds, kind):
+        with pytest.raises(SpecError) as exc:
+            run(command, parse_spec(json.dumps(doc)))
+        assert str(exc.value) == \
+            f"kind: command {command!r} needs one of {kinds}, got {kind!r}"
+
+    def test_wrong_kind_cases_cover_every_command(self):
+        assert tuple(case[0] for case in WRONG_KIND) == COMMANDS
+
+    def test_unknown_command(self):
+        with pytest.raises(SpecError) as exc:
+            run("units2", parse_spec(json.dumps(TIMES2)))
+        assert str(exc.value) == "command: unknown command 'units2'"
+
+    @pytest.mark.parametrize("doc", [TIMES2, THREE_TERM])
+    def test_unknown_against_model(self, doc):
+        with pytest.raises(SpecError) as exc:
+            run("qiso", parse_spec(json.dumps(doc)), against="idB")
+        assert str(exc.value) == "against: unknown model 'idB'"
+
     def test_crossed_commands(self):
         spec = parse_spec(json.dumps(INVERSION))
         assert run("crossed-verify", spec).passed
         report = run("crossed-units", spec)
         assert report.passed
         assert len(report.data["units"]) == 3
+
+    def test_merged_reports_add_checks_only(self):
+        report = run("contractible", parse_spec(json.dumps(TIMES2)))
+        assert len(report.checks) == 3 and report.data == {}
+
+    def test_text_prints_witnesses_as_json(self):
+        text = run("crossed-units", parse_spec(json.dumps(INVERSION))).to_text()
+        assert "  PASS units over the identity are the kernel of the " \
+               "boundary  [[[0, 1, 2], [0, 1, 2]]]\n" in text
 
     def test_report_determinism(self):
         spec = parse_spec(json.dumps(TIMES2))
@@ -260,6 +303,42 @@ class TestCliProcess:
         assert code == 2
         assert err.startswith("input error: " + ".".join(
             k for k in path if isinstance(k, str)))
+
+    def test_wrong_kind_exit_2(self, tmp_path, capsys):
+        assert main(["units", "--in", self._write(tmp_path, INVERSION)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: kind: command 'units' needs one of "
+            "('complex2', 'complex3'), got 'crossed_module'\n")
+
+    @pytest.mark.parametrize("args", [
+        ["units2"], ["qiso", "--against", "idB"]])
+    def test_unknown_command_or_model_refused(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--in", self._write(tmp_path, TIMES2)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nerve,message", [
+        (SPLIT_U, "nerve: ambiguous component containment [0, 1]:* -> [0]"),
+        (dict(SPLIT_U, containments=[{"parts": ["U", "V"], "component": "*",
+                                      "sub_parts": ["U"],
+                                      "sub_component": "z"}]),
+         "nerve: containment target [0]:z is not a declared component")])
+    @pytest.mark.parametrize("command,doc", [
+        ("cech-classify", TIMES2), ("crossed-units", INVERSION)])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_unresolved_cover_exit_2(self, tmp_path, capsys, nerve, message,
+                                     command, doc, embedded):
+        if embedded:
+            args = ["--in", self._write(tmp_path, dict(doc, nerve=nerve))]
+        else:
+            args = ["--in", self._write(tmp_path, doc),
+                    "--nerve", self._write(tmp_path, nerve, "n.json")]
+        code = main([command, *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {message}")
+        assert "Traceback" not in err
 
     def test_check_failure_exit_1(self, tmp_path):
         # a non-acyclic complex fails unit-complex --check-acyclic?  the unit

@@ -208,7 +208,7 @@ class TestNonabelianUnits:
         rng = random.Random(227)
         for _ in range(10):
             X = random_crossed_module(rng)
-            units, _ = enumerate_units_nonabelian(X, with_report=False)
+            units, _ = enumerate_units_nonabelian(X)
             with_e1 = sorted(u.g_phi for u in units if u.e == X.H.identity)
             ker = sorted(g for g in X.G.elements()
                          if X.bnd(g) == X.H.identity)

@@ -9,7 +9,8 @@ desk-mix inputs, the descent workload's crossed-module and point-nerve
 inputs in every presentation, and presentation 0 of each circle-nerve
 `cech-classify` input, where the Smith forms modulo an exponent work
 hardest.  A third set covers presentations 1-7 of those circle-nerve
-inputs.  Nothing under ``perfbench/`` is written.
+inputs.  Every (command, input kind) pair of ``reporting.HANDLERS`` has an
+input among the first two sets.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from unital.cli import _build_parser
-from unital.reporting import run
+from unital.reporting import HANDLERS, run
 from unital.specfile import parse_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -99,6 +100,13 @@ def test_other_commands_are_all_covered():
               if w == "descent" and item["command"] == "cech-classify"
               and "nerve" in json.loads(item["spec"])]
     assert len(circle) == 6
+
+
+def test_every_handler_has_a_golden_digest():
+    covered = {(item["command"], json.loads(item["spec"])["kind"])
+               for _, item in CASES + OTHER_CASES}
+    assert covered == {(command, kind) for command, kinds in HANDLERS.items()
+                       for kind in kinds}
 
 
 @pytest.mark.parametrize("workload,item", OTHER_CASES,

@@ -15,7 +15,6 @@ from unital.point_models import (
     UnitMorphism1,
     UnitMorphism2,
     canonical_unit,
-    compose_unit_morphisms_1,
     count_unit_morphisms_1,
     enumerate_units_1,
     enumerate_units_2,
@@ -167,18 +166,18 @@ class TestContractible1:
     def test_times2(self):
         rep = verify_contractible_1(model_times2())
         assert rep.passed
-        assert rep.stats["units"] == 2
-        assert rep.stats["morphisms"] == 4
+        assert rep.data["units"] == 2
+        assert rep.data["morphisms"] == 4
 
     def test_point(self):
         T = FgAbGroup.trivial()
         rep = verify_contractible_1(
             PicardModel1(Complex2(T, T, GroupHom.zero(T, T))))
-        assert rep.passed and rep.stats["units"] == 1
+        assert rep.passed and rep.data["units"] == 1
 
     def test_zero_z3(self):
         rep = verify_contractible_1(model_zero_z3())
-        assert rep.passed and rep.stats["morphisms"] == 9
+        assert rep.passed and rep.data["morphisms"] == 9
 
     def test_coherence_triples_count_against_max_states(self):
         m = PicardModel1(Complex2(FgAbGroup.cyclic(8), Z2,
@@ -273,7 +272,7 @@ class TestTensor2AndContractible2:
     def test_contractible_example(self):
         rep = verify_contractible_2(model2_example())
         assert rep.passed
-        assert rep.stats["units"] == 2
+        assert rep.data["units"] == 2
 
     def test_contractible_random(self):
         rng = random.Random(131)
@@ -325,7 +324,7 @@ class TestFaultInjection:
                                       GroupHom.zero(T, T)))
         monkeypatch.setattr(point_models, "_tables_2", self_inverse)
         rep = verify_contractible_2(model)
-        assert rep.stats["unit 1-morphisms"] == 3
+        assert rep.data["unit 1-morphisms"] == 3
         coherence = _check(
             rep, "vertical composition of unique 2-morphisms is coherent")
         assert not coherence.passed
