@@ -20,16 +20,18 @@ chosen so that for a 2-term complex the component equations of a total
 
 and the coboundary of alpha in A(V_0) acts by a += d0*alpha - d1*alpha,
 b += lambda(alpha).  Classification groups are computed as homology of the
-packed total complex in exact arithmetic; unit-cocycle classes are also
-enumerated exhaustively and quotiented, which is how the contractibility
-statements are checked at sheaf level.
+packed total complex in exact arithmetic.  Torsor cocycles (a, b) and unit
+cocycles (a, a_phi, b) are also enumerated exhaustively and quotiented by
+that action, which is how the contractibility statements are checked at
+sheaf level; both scans run on table-coded groups and return their class
+representatives as sections.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
+from math import lcm
 from typing import NamedTuple
 
 from .abelian import (
@@ -289,14 +291,42 @@ def cech_differential(nerve, s: SheafSections) -> SheafSections:
     return out
 
 
-def _all_sections(group, nerve, level):
-    cells = nerve.level(level)
-    for values in itertools.product(group.elements(), repeat=len(cells)):
-        yield SheafSections(group, level, dict(zip(cells, values)))
+# --------------------------------------------------------------------------
+# table-coded scans: a coded section is a tuple of element indices in cell
+# order, which compares like its ``key()`` because index order is the order
+# of ``FgAbGroup.elements()``
 
 
-def _count_sections(group, nerve, level):
-    return group.order() ** len(nerve.level(level))
+def _coded_complex(nerve, X: Complex2):
+    """Table-coded A and B, lam as an image array, and the face positions
+    (d0, d1, d2) of each V_2 cell and (d0, d1) of each V_1 cell."""
+    A, B = _coded(X.A), _coded(X.B)
+    lam = A.image_array(X.lam.matrix, B)
+    faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
+    faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
+    return A, B, lam, faces2, faces1
+
+
+def _coboundary(A, lam, faces1, alpha):
+    """Re-choosing the local sections by alpha in A(V_0) adds
+    d0*(alpha) - d1*(alpha) to a and lam(alpha) to b."""
+    return (tuple(A.table[alpha[f0]][A.inverse[alpha[f1]]]
+                  for f0, f1 in faces1),
+            tuple(lam[x] for x in alpha))
+
+
+def _add(tables, x, y):
+    """Pointwise sum of coded cochains, each part in its own table."""
+    return tuple(tuple(add[u][v] for u, v in zip(p, q))
+                 for add, p, q in zip(tables, x, y))
+
+
+def _decode(group, nerve, level, coded):
+    """The SheafSections of each coded section of ``group`` over a level."""
+    elems, cells = list(group.elements()), nerve.level(level)
+    return [SheafSections(group, level,
+                          dict(zip(cells, (elems[k] for k in c))))
+            for c in coded]
 
 
 # --------------------------------------------------------------------------
@@ -308,64 +338,44 @@ class TorsorClasses(NamedTuple):
     representatives: list
 
 
-def _coboundary_action(nerve, X, a, b, alpha):
-    """Re-choose the local section by alpha in A(V_0)."""
-    new_a = a + alpha.pullback(nerve, 0) - alpha.pullback(nerve, 1)
-    new_b = b + alpha.map_values(X.lam)
-    return new_a, new_b
-
-
 def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     """Classes of torsor cocycles (a, b) modulo re-choice of sections.
 
     Exhaustive: enumerates every pair, filters by the two cocycle relations,
     and quotients by the full coboundary action.  Representatives are the
     lexicographically smallest members of their classes.
-
-    The scan runs on table-coded groups: a section is a tuple of element
-    indices in cell order, which compares like its ``key()``.
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("torsor enumeration needs finite groups")
-    states = _count_sections(X.A, nerve, 1) * _count_sections(X.B, nerve, 0)
+    n0, n1 = len(nerve.level(0)), len(nerve.level(1))
+    states = X.A.order() ** n1 * X.B.order() ** n0
     if states > max_states:
         raise CapExceeded(f"{states} candidate cocycles exceed {max_states}")
-    A, B = _coded(X.A), _coded(X.B)
-    lam = A.image_array(X.lam.matrix, B)
-    add_a, neg_a, add_b = A.table, A.inverse, B.table
-    # d0*(a) + d2*(a) = d1*(a) on V_2, and d0*(b) = d1*(b) + lam(a) on V_1
-    a_rel = list(zip(*(nerve.face_index(2, i) for i in range(3))))
-    b_rel = list(zip(*(nerve.face_index(1, i) for i in range(2))))
-    n0 = len(nerve.level(0))
+    A, B, lam, faces2, faces1 = _coded_complex(nerve, X)
+    add_a, add_b = A.table, B.table
     cocycles = []  # in lexicographic order: the product runs in index order
-    for a in itertools.product(A.elements(), repeat=len(nerve.level(1))):
-        a_closed = all(add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in a_rel)
+    for a in itertools.product(A.elements(), repeat=n1):
+        # d0*(a) + d2*(a) = d1*(a) on V_2, and d0*(b) = d1*(b) + lam(a) on V_1
+        if not all(add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2):
+            continue
         lam_a = [lam[x] for x in a]
         for b in itertools.product(B.elements(), repeat=n0):
-            if a_closed and all(b[f0] == add_b[b[f1]][y]
-                                for (f0, f1), y in zip(b_rel, lam_a)):
+            if all(b[f0] == add_b[b[f1]][y]
+                   for (f0, f1), y in zip(faces1, lam_a)):
                 cocycles.append((a, b))
     alphas = list(itertools.product(A.elements(), repeat=n0))
     if len(cocycles) * len(alphas) > max_states:
         raise CapExceeded("coboundary quotient exceeds the state cap")
-    # alpha adds d0*(alpha) - d1*(alpha) to a and lam(alpha) to b
-    shifts = [([add_a[al[f0]][neg_a[al[f1]]] for f0, f1 in b_rel],
-               [lam[x] for x in al]) for al in alphas]
-    reps = []
-    seen = set()
-    for a, b in cocycles:
-        if (a, b) in seen:
-            continue
-        orbit = {(tuple(add_a[x][y] for x, y in zip(a, da)),
-                  tuple(add_b[x][y] for x, y in zip(b, db)))
-                 for da, db in shifts}
-        seen |= orbit
-        reps.append(min(orbit))
-    ea, eb = list(X.A.elements()), list(X.B.elements())
-    return TorsorClasses(len(reps), [
-        (SheafSections(X.A, 1, dict(zip(nerve.level(1), [ea[k] for k in a]))),
-         SheafSections(X.B, 0, dict(zip(nerve.level(0), [eb[k] for k in b]))))
-        for a, b in reps])
+    shifts = [_coboundary(A, lam, faces1, al) for al in alphas]
+    reps, seen = [], set()
+    for c in cocycles:
+        if c not in seen:
+            orbit = {_add((add_a, add_b), c, s) for s in shifts}
+            seen |= orbit
+            reps.append(min(orbit))
+    a_reps, b_reps = zip(*reps)
+    return TorsorClasses(len(reps), list(zip(
+        _decode(X.A, nerve, 1, a_reps), _decode(X.B, nerve, 0, b_reps))))
 
 
 # --------------------------------------------------------------------------
@@ -404,11 +414,6 @@ class UnitCocycle1:
     def key(self):
         return (self.a.key(), self.a_phi.key(), self.b.key())
 
-    def shifted(self, nerve, X, alpha):
-        """The cohomologous cocycle after re-choosing sections by alpha."""
-        new_a, new_b = _coboundary_action(nerve, X, self.a, self.b, alpha)
-        return UnitCocycle1(new_a, self.a_phi + alpha, new_b)
-
 
 def _first_nonzero(section):
     for c in sorted(section.data):
@@ -417,116 +422,85 @@ def _first_nonzero(section):
     return None
 
 
-def unit_cocycle_from_phi(nerve, X, a_phi: SheafSections) -> UnitCocycle1:
-    """The unit cocycle determined by a choice of a_phi in A(V_0)."""
-    a = a_phi.pullback(nerve, 0) - a_phi.pullback(nerve, 1)
-    b = a_phi.map_values(X.lam)
-    c = UnitCocycle1(a, a_phi, b)
-    c.validate(nerve, X)
-    return c
-
-
 def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     """All unit cocycles modulo coboundaries.
 
-    The defining relations make a and b functions of a_phi, so the cocycle
-    set is scanned through a_phi; the quotient is by the full coboundary
-    action.  Returns ``(classes, group)`` where ``group`` is the abelian
-    group the classes form under tensor (expected: one class, trivial).
+    The defining relations make a and b functions of a_phi, so the scan runs
+    over a_phi and checks the four relations of ``UnitCocycle1.validate`` on
+    each cocycle; the quotient is by the full coboundary action.  Returns
+    ``(classes, group)`` where ``group`` is the abelian group the classes
+    form under pointwise tensor (expected: one class, trivial).
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("unit-cocycle enumeration needs finite groups")
-    states = _count_sections(X.A, nerve, 0)
+    states = X.A.order() ** len(nerve.level(0))
     if states > max_states:
         raise CapExceeded(f"{states} states exceed {max_states}")
-    cocycles = {}
-    for a_phi in _all_sections(X.A, nerve, 0):
-        c = unit_cocycle_from_phi(nerve, X, a_phi)
-        cocycles[c.key()] = c
-    alphas = list(_all_sections(X.A, nerve, 0))
-    reps = []
-    seen = set()
-    rep_of = {}
-    work = 0
-    for key in sorted(cocycles):
-        if key in seen:
+    A, B, lam, faces2, faces1 = _coded_complex(nerve, X)
+    add_a, add_b = A.table, B.table
+    shifts = []  # re-choosing by alpha adds the cocycle of alpha
+    for phi in itertools.product(A.elements(), repeat=len(nerve.level(0))):
+        a, b = _coboundary(A, lam, faces1, phi)
+        for relation, level, holds in (
+                ("d0*(a) + d2*(a) = d1*(a)", 2,
+                 [add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2]),
+                ("d0*(b) = d1*(b) + lambda(a)", 1,
+                 [b[f0] == add_b[b[f1]][lam[x]]
+                  for (f0, f1), x in zip(faces1, a)]),
+                ("a = d0*(a_phi) - d1*(a_phi)", 1,
+                 [add_a[x][phi[f1]] == phi[f0]
+                  for (f0, f1), x in zip(faces1, a)]),
+                ("lambda(a_phi) = b", 0,
+                 [lam[x] == y for x, y in zip(phi, b)])):
+            if not all(holds):
+                raise CocycleError(relation,
+                                   nerve.level(level)[holds.index(False)])
+        shifts.append((a, phi, b))
+    tables = (add_a, add_a, add_b)
+    reps, label, work = [], {}, 0
+    for c in sorted(shifts):  # cocycles in key order, (a, a_phi, b)
+        if c in label:
             continue
-        work += len(alphas)  # one full orbit sweep per new class
+        work += len(shifts)  # one full orbit sweep per new class
         if work > max_states:
             raise CapExceeded("coboundary quotient exceeds the state cap")
-        c = cocycles[key]
-        orbit = {c.shifted(nerve, X, alpha).key() for alpha in alphas}
-        seen |= orbit
-        rep_key = min(orbit)
-        for k in orbit:
-            rep_of[k] = rep_key
-        reps.append(cocycles[rep_key])
-    group = _class_group(nerve, X, cocycles, rep_of)
-    return reps, group
-
-
-def _class_group(nerve, X, cocycles, rep_of):
-    """Structure of the class group under pointwise tensor, from the orders
-    of its elements."""
-    reps = sorted({k for k in rep_of.values()})
-    zero_key = unit_cocycle_from_phi(
-        nerve, X, SheafSections.zero(X.A, nerve, 0)).key()
-    zero_rep = rep_of[zero_key]
-
-    def tensor_key(k1, k2):
-        c1, c2 = cocycles[k1], cocycles[k2]
-        summed = unit_cocycle_from_phi(nerve, X, c1.a_phi + c2.a_phi)
-        return rep_of[summed.key()]
-
-    orders = []
+        orbit = {_add(tables, c, s) for s in shifts}
+        label.update(dict.fromkeys(orbit, len(reps)))
+        reps.append(min(orbit))
+    orders = []  # of each class under the tensor: pointwise sum, then label
     for r in reps:
-        acc = r
-        n = 1
-        while acc != zero_rep:
-            acc = tensor_key(acc, r)
-            n += 1
+        acc, n = r, 1
+        while label[acc] != label[shifts[0]]:  # shifts[0]: alpha = 0
+            acc, n = _add(tables, acc, r), n + 1
         orders.append(n)
-    return _group_from_orders(orders)
+    a_reps, phi_reps, b_reps = zip(*reps)
+    return [UnitCocycle1(*parts) for parts in zip(
+        _decode(X.A, nerve, 1, a_reps), _decode(X.A, nerve, 0, phi_reps),
+        _decode(X.B, nerve, 0, b_reps))], _group_from_orders(orders)
 
 
 def _group_from_orders(orders):
-    """Invariant factors of a finite abelian group from its element orders."""
-    primes = set()
-    for o in orders:
-        d, p = o, 2
-        while p * p <= d:
-            if d % p == 0:
-                primes.add(p)
-                while d % p == 0:
-                    d //= p
-            p += 1
-        if d > 1:
-            primes.add(d)
-    per_prime = {}
-    for p in sorted(primes):
-        exps = []
-        j = 1
-        while True:
-            n_j = sum(1 for o in orders if (p ** j) % o == 0)
-            n_prev = sum(1 for o in orders if (p ** (j - 1)) % o == 0)
-            ratio, r_j = n_j // n_prev, 0
+    """A finite abelian group from the orders of its elements.
+
+    Its p-part has r_j cyclic factors of order divisible by p^j, where
+    p^(r_j) is the ratio of the numbers of elements killed by p^j and by
+    p^(j-1); the i-th largest factor takes one p for each r_j > i.
+    """
+    def killed(m):
+        return sum(1 for o in orders if m % o == 0)
+
+    divisors, rest, p = [], lcm(*orders), 2
+    while rest > 1:
+        j = 0
+        while rest % p == 0:
+            rest, j = rest // p, j + 1
+            ratio, r = killed(p ** j) // killed(p ** (j - 1)), 0
             while ratio > 1:
-                ratio //= p
-                r_j += 1
-            if r_j == 0:
-                break
-            exps.append(r_j)
-            j += 1
-        factor_exps = []
-        for jj, r in enumerate(exps, start=1):
-            higher = exps[jj] if jj < len(exps) else 0
-            factor_exps += [jj] * (r - higher)
-        per_prime[p] = sorted((p ** e for e in factor_exps), reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    divisors = []
-    for i in range(width):
-        divisors.append(prod(v[i] for v in per_prime.values()
-                             if i < len(v)))
+                ratio, r = ratio // p, r + 1
+            divisors += [1] * (r - len(divisors))
+            for i in range(r):
+                divisors[i] *= p
+        p += 1
     return FgAbGroup.from_divisors(*divisors)
 
 

@@ -10,12 +10,11 @@ witness), 2 bad input, 3 a state cap was exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .abelian import CapExceeded, FinitenessError
 from .reporting import COMMANDS, run
-from .specfile import SpecError, parse_spec, _parse_cover
+from .specfile import SpecError, load_json, parse_spec, _parse_cover
 
 
 def _build_parser():
@@ -41,19 +40,28 @@ def _build_parser():
     return parser
 
 
+def _read(path):
+    """The text of an input file; bytes that are not UTF-8 are bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 ({exc.reason} at byte "
+                        f"{exc.start})") from None
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.infile, encoding="utf-8") as fh:
-            spec = parse_spec(fh.read())
+        spec = parse_spec(_read(args.infile))
         cover = None
         if args.nervefile:
-            with open(args.nervefile, encoding="utf-8") as fh:
-                cover = _parse_cover(json.load(fh), "nerve")
+            cover = _parse_cover(load_json(_read(args.nervefile), "nerve"),
+                                 "nerve")
         report = run(args.command, spec, cover=cover,
                      max_states=args.max_states, against=args.against,
                      check_acyclic=args.check_acyclic)
-    except (SpecError, FinitenessError, OSError, json.JSONDecodeError) as exc:
+    except (SpecError, FinitenessError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

@@ -452,8 +452,12 @@ class UnitTriple:
 
     Valid when, pointwise, bnd(g') h = 1 and g = d0*(g') * (d1* g')^-1.
     These are the conditions obtained by mirroring the abelian descent
-    calculus multiplicatively; on non-point nerves they are an assumption
-    recorded by the validator, not a statement from a reference.
+    calculus multiplicatively.  For a 2-term complex read as a crossed
+    module with trivial action and boundary lam they are a tested
+    consequence: (g, g', h) is then the unit cocycle (a, a_phi, -b), and
+    ``h0_group_law`` is its pointwise tensor.  For nonabelian modules on
+    non-point nerves they remain an assumption recorded by the validator,
+    not a statement from a reference.
     """
 
     module: CrossedModule

@@ -174,6 +174,10 @@ def _crossed_verify(report, X, opts):
 
 
 def _crossed_units(report, X, opts):
+    axioms = verify_crossed_module(X)
+    if not axioms.passed:  # no unit module or descent data to build
+        report.checks += axioms.failures
+        return
     units, rep = enumerate_units_nonabelian(X)
     report.data["units"] = [u.key() for u in units]
     report.merge(rep)

@@ -140,13 +140,21 @@ def _parse_finite_group(doc, path):
         raise SpecError(f"{path}: {exc}") from None
 
 
+def load_json(text, path="$"):
+    """Decode a JSON document; malformed text, or nesting deeper than the
+    decoder can follow, raises SpecError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply") from None
+
+
 def parse_spec(text) -> ComplexSpecFile:
     """Parse and validate an input document; raises SpecError with the path
     of the first offending field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"$: not valid JSON ({exc})") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise SpecError("$: expected a JSON object")
     schema = doc.get("schema", SCHEMA)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,15 +22,20 @@ from unital.cech import (
     cocycle_of_unit,
     cover_of_parts,
     point_cover,
-    _all_sections,
-    _coboundary_action,
     torsor_classes,
     total_complex_piece,
-    unit_cocycle_from_phi,
     unit_cocycles,
     unit_of_cocycle,
+    _group_from_orders,
 )
 from unital.complexes import Complex2, Complex3, homology, unit_complex_1, unit_complex_2
+from unital.crossed import (
+    CrossedModule,
+    FiniteGroup,
+    enumerate_unit_triples,
+    h0_group_law,
+    verify_crossed_module,
+)
 from unital.point_models import (
     PicardModel1,
     PicardModel2,
@@ -41,7 +47,7 @@ from unital.point_models import (
 
 from oracles import oracle_circle_nerve, oracle_point_nerve, oracle_torsor_classes
 from test_abelian import random_group, random_hom
-from test_coded_groups import homs
+from test_coded_groups import finite_groups, homs
 from test_complexes import c2_times2, c3_zero_id, random_complex2, random_complex3
 
 Z2 = FgAbGroup.cyclic(2)
@@ -62,6 +68,70 @@ def point_nerve():
 
 def circle_nerve():
     return cech_nerve(circle_cover())
+
+
+
+# --------------------------------------------------------------------------
+# the SheafSections route that the coded scans replaced, kept as oracles
+
+
+def _all_sections(group, nerve, level):
+    cells = nerve.level(level)
+    for values in itertools.product(group.elements(), repeat=len(cells)):
+        yield SheafSections(group, level, dict(zip(cells, values)))
+
+
+def _coboundary_action(nerve, X, a, b, alpha):
+    """Re-choose the local section by alpha in A(V_0)."""
+    new_a = a + alpha.pullback(nerve, 0) - alpha.pullback(nerve, 1)
+    new_b = b + alpha.map_values(X.lam)
+    return new_a, new_b
+
+
+def unit_cocycle_from_phi(nerve, X, a_phi):
+    """The unit cocycle determined by a choice of a_phi in A(V_0)."""
+    a = a_phi.pullback(nerve, 0) - a_phi.pullback(nerve, 1)
+    b = a_phi.map_values(X.lam)
+    c = UnitCocycle1(a, a_phi, b)
+    c.validate(nerve, X)
+    return c
+
+
+def _shifted(nerve, X, c, alpha):
+    """The cohomologous cocycle after re-choosing sections by alpha."""
+    new_a, new_b = _coboundary_action(nerve, X, c.a, c.b, alpha)
+    return UnitCocycle1(new_a, c.a_phi + alpha, new_b)
+
+
+def _oracle_unit_cocycles(nerve, X):
+    """Oracle: unit_cocycles as it ran before its scan moved to table-coded
+    groups, without the state cap."""
+    cocycles = {}
+    for a_phi in _all_sections(X.A, nerve, 0):
+        c = unit_cocycle_from_phi(nerve, X, a_phi)
+        cocycles[c.key()] = c
+    alphas = list(_all_sections(X.A, nerve, 0))
+    reps, seen, rep_of = [], set(), {}
+    for key in sorted(cocycles):
+        if key in seen:
+            continue
+        orbit = {_shifted(nerve, X, cocycles[key], alpha).key()
+                 for alpha in alphas}
+        seen |= orbit
+        rep_of.update(dict.fromkeys(orbit, min(orbit)))
+        reps.append(cocycles[min(orbit)])
+    # class orders under the pointwise tensor
+    zero = rep_of[unit_cocycle_from_phi(
+        nerve, X, SheafSections.zero(X.A, nerve, 0)).key()]
+    orders = []
+    for r in sorted(set(rep_of.values())):
+        acc, n = r, 1
+        while acc != zero:
+            acc = rep_of[unit_cocycle_from_phi(
+                nerve, X, cocycles[acc].a_phi + cocycles[r].a_phi).key()]
+            n += 1
+        orders.append(n)
+    return reps, _group_from_orders(orders)
 
 
 class TestNerve:
@@ -205,7 +275,6 @@ class TestTorsorClasses:
         assert a == b
 
     def test_coboundary_is_group_action(self):
-        from unital.cech import _coboundary_action
         N = circle_nerve()
         X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
         rng = random.Random(29)
@@ -263,12 +332,17 @@ def _check_coded_scan(N, oracle_nerve, X):
     assert res.count == classify_h0(N, X).order()
 
 
-def _complexes2_of_order_at_most_2():
-    for A, B in itertools.product((TRIV, Z2), repeat=2):
-        pool = [y for y in B.elements()
-                if all(y.scale(d).is_zero for d in A.invariant_factors)]
-        for images in itertools.product(pool, repeat=A.ngens):
+def _complexes2(groups):
+    """Every 2-term complex with both terms from ``groups``."""
+    for A, B in itertools.product(groups, repeat=2):
+        pools = [[y for y in B.elements() if y.scale(d).is_zero]
+                 for d in A.invariant_factors]
+        for images in itertools.product(*pools):
             yield Complex2(A, B, GroupHom.from_images(A, B, list(images)))
+
+
+ORDER_AT_MOST_4 = (TRIV, Z2, Z3, FgAbGroup.cyclic(4),
+                   FgAbGroup.from_divisors(2, 2))
 
 
 class TestCodedTorsorScan:
@@ -278,7 +352,7 @@ class TestCodedTorsorScan:
         X = Complex2(lam.source, lam.target, lam)
         _check_coded_scan(point_nerve(), oracle_point_nerve(), X)
 
-    @pytest.mark.parametrize("X", list(_complexes2_of_order_at_most_2()),
+    @pytest.mark.parametrize("X", list(_complexes2((TRIV, Z2))),
                              ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
     def test_circle_against_filter_and_oracles(self, X):
         # every complex with |A|, |B| <= 2: Z/2 -> Z/2 is 4096 candidates
@@ -317,6 +391,126 @@ class TestUnitCocycles:
         classes, _ = unit_cocycles(point_nerve(), X)
         rep = verify_contractible_1(PicardModel1(X))
         assert len(classes) == 1 and rep.passed
+
+
+def _check_unit_scan(N, X):
+    classes, group = unit_cocycles(N, X)
+    oracle_classes, oracle_group = _oracle_unit_cocycles(N, X)
+    assert [c.key() for c in classes] == [c.key() for c in oracle_classes]
+    assert classes == oracle_classes
+    assert group == oracle_group
+
+
+class TestCodedUnitScan:
+    @settings(max_examples=40, deadline=None)
+    @given(homs(max_order=16))
+    def test_point_against_oracle(self, lam):
+        _check_unit_scan(point_nerve(), Complex2(lam.source, lam.target, lam))
+
+    @pytest.mark.parametrize("X", list(_complexes2(ORDER_AT_MOST_4)),
+                             ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
+    def test_circle_against_oracle(self, X):
+        # every complex with |A|, |B| <= 4: at most 4^3 = 64 states
+        _check_unit_scan(circle_nerve(), X)
+
+    def test_cap_refuses_before_any_table(self, monkeypatch):
+        X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
+
+        def no_tables(G):
+            raise AssertionError("coded tables built before the cap check")
+        monkeypatch.setattr(cech, "_coded", no_tables)
+        with pytest.raises(CapExceeded, match="^8 states exceed 7$"):
+            unit_cocycles(circle_nerve(), X, max_states=7)
+
+    @pytest.mark.parametrize("cells,relation", [
+        # a constant shift of b cancels in d0*(b) - d1*(b)
+        ((0, 1, 2), r"lambda\(a_phi\) = b at \(\(0,\), '\*'\)"),
+        ((0,), r"d0\*\(b\) = d1\*\(b\) \+ lambda\(a\) at \(\(0, 1\), 'c'\)")])
+    def test_broken_cocycle_names_its_relation(self, monkeypatch, cells,
+                                               relation):
+        X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
+        coboundary = cech._coboundary
+
+        def shifted_b(A, lam, faces1, alpha):  # Z/3 indices are coordinates
+            a, b = coboundary(A, lam, faces1, alpha)
+            return a, tuple((y + (k in cells)) % 3 for k, y in enumerate(b))
+        monkeypatch.setattr(cech, "_coboundary", shifted_b)
+        with pytest.raises(CocycleError, match=relation):
+            unit_cocycles(circle_nerve(), X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_groups())
+def test_group_from_its_element_orders(G):
+    orders = [lcm(*(d // gcd(c, d)
+                    for c, d in zip(x.coords, G.invariant_factors)))
+              for x in G.elements()]
+    assert _group_from_orders(orders) == G
+
+
+def _as_crossed_module(X):
+    """A 2-term complex read as a crossed module: boundary lam, trivial
+    action."""
+    G = FiniteGroup.from_invariant_factors(X.A.invariant_factors)
+    H = FiniteGroup.from_invariant_factors(X.B.invariant_factors)
+    return CrossedModule(G, H, G.image_array(X.lam.matrix, H),
+                         [[g] * H.order for g in G.elements()])
+
+
+def _cocycle_key(t):
+    """The key of the unit cocycle (a, a_phi, b) = (g, g', -h) of a triple."""
+    G, H = t.module.G, t.module.H
+    return (tuple(G.coords(v) for _, v in t.g),
+            tuple(G.coords(v) for _, v in t.g_prime),
+            tuple(H.coords(H.inv(v)) for _, v in t.h))
+
+
+def _check_triples_are_unit_cocycles(N, X):
+    XC = _as_crossed_module(X)
+    assert verify_crossed_module(XC).passed
+    triples = enumerate_unit_triples(XC, N)
+    cocycles = {c.key(): c for c in (unit_cocycle_from_phi(N, X, phi)
+                                     for phi in _all_sections(X.A, N, 0))}
+    keys = [_cocycle_key(t) for t in triples]
+    assert len(set(keys)) == len(triples) == len(cocycles)
+    assert set(keys) == set(cocycles)
+    # h0_group_law is the pointwise tensor of unit cocycles
+    rng = random.Random(len(triples))
+    pairs = list(itertools.product(triples, repeat=2)) if len(triples) <= 8 \
+        else [(rng.choice(triples), rng.choice(triples)) for _ in range(64)]
+    for t1, t2 in pairs:
+        c1, c2 = cocycles[_cocycle_key(t1)], cocycles[_cocycle_key(t2)]
+        tensor = (c1.a + c2.a, c1.a_phi + c2.a_phi, c1.b + c2.b)
+        assert _cocycle_key(h0_group_law(t1, t2, N)) == \
+            tuple(s.key() for s in tensor)
+
+
+def _complex2(a_factors, b_factors, lam):
+    A = FgAbGroup.from_divisors(*a_factors)
+    B = FgAbGroup.from_divisors(*b_factors)
+    return Complex2(A, B, GroupHom(A, B, lam))
+
+
+class TestTriplesAreUnitCocycles:
+    """A 2-term complex is a crossed module with trivial action and boundary
+    lam: its descent triples (g, g', h) are its unit cocycles
+    (a, a_phi, -b), and the triple law is the pointwise tensor."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(homs(max_order=64))
+    def test_point(self, lam):
+        _check_triples_are_unit_cocycles(
+            point_nerve(), Complex2(lam.source, lam.target, lam))
+
+    @pytest.mark.parametrize("X", [
+        _complex2((2,), (2,), [[0]]), _complex2((2,), (2,), [[1]]),
+        _complex2((3,), (3,), [[0]]), _complex2((4,), (2,), [[1]]),
+        _complex2((2, 2), (2,), [[1, 1]]), _complex2((2,), (4,), [[2]]),
+        _complex2((4,), (4,), [[3]]), _complex2((8,), (4,), [[1]])],
+        ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
+    def test_circle(self, X):
+        # |A|^3 <= 512 triples keeps the SheafSections oracle quick
+        _check_triples_are_unit_cocycles(circle_nerve(), X)
 
 
 class TestClassifyH0:
@@ -423,7 +617,7 @@ class TestUnitCocycleRoundTrip:
         c = unit_cocycle_from_phi(N, X, phi)
         unit, alpha = unit_of_cocycle(c, N, X)
         # the trivializing cochain really makes the cocycle constant
-        shifted = c.shifted(N, X, alpha)
+        shifted = _shifted(N, X, c, alpha)
         assert shifted.a.is_zero
         assert all(v == unit.a_phi for v in shifted.a_phi.data.values())
         # decoded unit is a valid unit connected to the canonical one

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -31,6 +32,15 @@ INVERSION = {"kind": "crossed_module",
              "H": {"table": [[0, 1], [1, 0]], "name": "Z/2"},
              "boundary": [0, 0, 0],
              "action": [[0, 0], [1, 2], [2, 1]]}
+
+# the crossed-module tables fail equivariance
+NOT_CROSSED = {"kind": "crossed_module",
+               "G": {"table": [[0, 1], [1, 0]]},
+               "H": {"table": [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3],
+                               [2, 0, 1, 5, 3, 4], [3, 5, 4, 0, 2, 1],
+                               [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0]]},
+               "boundary": [0, 3],
+               "action": [[0] * 6, [1] * 6]}
 
 # (command, input of another kind, the kinds it needs, the input's kind)
 WRONG_KIND = [
@@ -77,6 +87,10 @@ class TestParse:
                "maps": {"delta": [[1]], "lambda": [[1]]}}
         with pytest.raises(SpecError, match="composite nonzero at generator 0"):
             parse_spec(json.dumps(doc))
+
+    def test_deeply_nested_json_is_a_spec_error(self):
+        with pytest.raises(SpecError, match=r"^\$: JSON nested too deeply$"):
+            parse_spec("[" * 100000)
 
     def test_schema_violations_carry_paths(self):
         with pytest.raises(SpecError, match="groups.A.inv"):
@@ -344,12 +358,33 @@ class TestCliProcess:
         # a non-acyclic complex fails unit-complex --check-acyclic?  the unit
         # complex is always acyclic, so force failure via homology mismatch:
         # use a crossed module that is not one
-        doc = {"kind": "crossed_module",
-               "G": {"table": [[0, 1], [1, 0]]},
-               "H": {"table": [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3],
-                               [2, 0, 1, 5, 3, 4], [3, 5, 4, 0, 2, 1],
-                               [4, 3, 5, 1, 0, 2], [5, 4, 3, 2, 1, 0]]},
-               "boundary": [0, 3],
-               "action": [[0] * 6, [1] * 6]}
+        doc = NOT_CROSSED
         code = main(["crossed-verify", "--in", self._write(tmp_path, doc)])
         assert code == 1
+
+    def test_crossed_units_on_a_non_crossed_module_exit_1(self, tmp_path,
+                                                           capsys):
+        code = main(["crossed-units", "--in",
+                     self._write(tmp_path, NOT_CROSSED)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        assert "  FAIL equivariance: bnd(g^h) = h^-1 bnd(g) h  [[1, 1]]" in out
+        assert "PASS" not in out
+
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff{}", r"not UTF-8 \(invalid start byte at byte 0\)"),
+        (b"[" * 100000, "JSON nested too deeply")],
+        ids=["not-utf8", "nested"])
+    @pytest.mark.parametrize("flag", ["--in", "--nerve"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, content,
+                                     message, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        args = ["--in", str(bad)] if flag == "--in" else \
+            ["--in", self._write(tmp_path, TIMES2), "--nerve", str(bad)]
+        code = main(["cech-classify", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.match(f"input error: .*{message}\n$", err)
+        assert "Traceback" not in err
