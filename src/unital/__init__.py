@@ -6,90 +6,78 @@ groupoid, a 3-term complex a strict Picard 2-groupoid; their units form
 contractible structures whose representing complexes, descent cocycles and
 classification groups this package builds and verifies, together with the
 nonabelian crossed-module analogue.
+
+Each layer runs only when first used.  ``complexes``, ``crossed``,
+``point_models`` and ``cech`` are registered as lazy modules, whose bodies
+execute on the first attribute access, and the public names below resolve
+through ``__getattr__``.  So ``homology``, ``unit-complex`` and ``qiso``
+execute ``complexes`` alone; ``units`` and ``contractible`` add
+``point_models`` and ``crossed``; ``crossed-verify`` executes ``crossed``
+alone; ``cech-classify``, ``crossed-units`` and any input with a nerve
+execute all four.
 """
 
-from .abelian import (
-    CapExceeded,
-    FgAbGroup,
-    FinitenessError,
-    GroupElem,
-    GroupHom,
-    cokernel,
-    direct_sum,
-    direct_sum_many,
-    is_isomorphism,
-    kernel,
-    lift_through,
-    smith_normal_form,
-    solve,
-)
-from .cech import (
-    CocycleError,
-    Cover,
-    Nerve,
-    SheafSections,
-    TotalCocycle,
-    UnitCocycle1,
-    cech_differential,
-    cech_nerve,
-    classify_h0,
-    cocycle_of_unit,
-    cover_of_parts,
-    point_cover,
-    torsor_classes,
-    unit_cocycles,
-    unit_of_cocycle,
-)
-from .complexes import (
-    Complex2,
-    Complex3,
-    StrictMorphism,
-    cone,
-    cone_comparison,
-    forgetful_morphism_1,
-    forgetful_morphism_2,
-    homology,
-    homology_data,
-    identity_model,
-    is_acyclic,
-    is_quasi_isomorphism,
-    kernel_model,
-    kernel_sum_model,
-    sum_model,
-    truncate_shift,
-    unit_complex_1,
-    unit_complex_2,
-)
-from .crossed import (
-    CrossedModule,
-    FiniteGroup,
-    NonabelianUnit,
-    UnitTriple,
-    enumerate_units_nonabelian,
-    h0_group_law,
-    pi0_order,
-    pi1_order,
-    triple_of_unit,
-    unit_crossed_module,
-    verify_crossed_module,
-)
-from .point_models import (
-    JKUnit,
-    PicardModel1,
-    PicardModel2,
-    SaavedraUnit,
-    canonical_unit,
-    enumerate_units_1,
-    enumerate_units_2,
-    tensor_units_1,
-    tensor_units_2,
-    unit_1morphisms,
-    unit_2morphisms,
-    unit_morphisms_1,
-    verify_contractible_1,
-    verify_contractible_2,
-)
-from .reporting import Report, run
-from .specfile import ComplexSpecFile, SpecError, parse_spec, print_spec
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# the public names, by the module that defines them
+_EXPORTS = {
+    "abelian": (
+        "CapExceeded", "FgAbGroup", "FinitenessError", "GroupElem", "GroupHom",
+        "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
+        "kernel", "lift_through", "smith_normal_form", "solve"),
+    "cech": (
+        "CocycleError", "Cover", "Nerve", "SheafSections", "TotalCocycle",
+        "UnitCocycle1", "cech_differential", "cech_nerve", "classify_h0",
+        "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
+        "unit_cocycles", "unit_of_cocycle"),
+    "complexes": (
+        "Complex2", "Complex3", "StrictMorphism", "cone", "cone_comparison",
+        "forgetful_morphism_1", "forgetful_morphism_2", "homology",
+        "homology_data", "identity_model", "is_acyclic",
+        "is_quasi_isomorphism", "kernel_model", "kernel_sum_model",
+        "sum_model", "truncate_shift", "unit_complex_1", "unit_complex_2"),
+    "crossed": (
+        "CrossedModule", "FiniteGroup", "NonabelianUnit", "UnitTriple",
+        "enumerate_units_nonabelian", "h0_group_law", "pi0_order",
+        "pi1_order", "triple_of_unit", "unit_crossed_module",
+        "verify_crossed_module"),
+    "point_models": (
+        "JKUnit", "PicardModel1", "PicardModel2", "SaavedraUnit",
+        "canonical_unit", "enumerate_units_1", "enumerate_units_2",
+        "tensor_units_1", "tensor_units_2", "unit_1morphisms",
+        "unit_2morphisms", "unit_morphisms_1", "verify_contractible_1",
+        "verify_contractible_2"),
+    "reporting": ("run",),
+    "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
+    "verification": ("Report",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = tuple(_HOME)
+
+
+def _lazy(name):
+    """Register unital.<name> in sys.modules without executing it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+complexes, crossed, point_models, cech = map(
+    _lazy, ("complexes", "crossed", "point_models", "cech"))
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -36,6 +36,9 @@ class CapExceeded(RuntimeError):
     """An exhaustive search would exceed the configured state cap."""
 
 
+MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
+
+
 # --------------------------------------------------------------------------
 # Integer matrices as lists of rows.  Dimensions are always passed explicitly
 # where a matrix may have zero rows or columns, since [] cannot remember its

@@ -41,11 +41,10 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .abelian import CapExceeded, FinitenessError
+from .abelian import MAX_CODED_ORDER, CapExceeded, FinitenessError
 from .verification import Report
 
 MAX_GROUP_ORDER = 64
-MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
 
 
 class FiniteGroup:

@@ -15,45 +15,8 @@ import hashlib
 import time
 from types import SimpleNamespace
 
-from .abelian import CapExceeded
-from .cech import (
-    cech_nerve,
-    classify_h0,
-    point_cover,
-    torsor_classes,
-    unit_cocycles,
-)
-from .complexes import (
-    Complex2,
-    homology,
-    identity_model,
-    is_quasi_isomorphism,
-    kernel_model,
-    kernel_sum_model,
-    sum_model,
-    unit_complex_1,
-    unit_complex_2,
-)
-from .crossed import (
-    MAX_CODED_ORDER,
-    enumerate_unit_triples,
-    enumerate_units_nonabelian,
-    h0_group_law,
-    identity_triple,
-    pi0_order,
-    pi1_order,
-    unit_crossed_module,
-    verify_crossed_module,
-)
-from .point_models import (
-    PicardModel1,
-    PicardModel2,
-    count_unit_morphisms_1,
-    enumerate_units_1,
-    enumerate_units_2,
-    verify_contractible_1,
-    verify_contractible_2,
-)
+from . import cech, complexes, crossed, point_models
+from .abelian import MAX_CODED_ORDER, CapExceeded
 from .specfile import ComplexSpecFile, SpecError
 from .verification import Report
 
@@ -70,13 +33,13 @@ def _check_caps(spec):
 
 
 def _homology_table(X):
-    return {str(d): homology(X, d) for d in X.degrees}
+    return {str(d): complexes.homology(X, d) for d in X.degrees}
 
 
 def _nerve(opts):
     """The nerve of the --nerve cover, else of the input's, else a point."""
     try:
-        return cech_nerve(opts.cover or point_cover())
+        return cech.cech_nerve(opts.cover or cech.point_cover())
     except ValueError as exc:  # faces the cover's containments cannot resolve
         raise SpecError(f"nerve: {exc}") from None
 
@@ -91,10 +54,10 @@ def _homology(report, X, opts):
 
 
 def _units_1(report, X, opts):
-    model = PicardModel1(X)
-    units = enumerate_units_1(model)
+    model = point_models.PicardModel1(X)
+    units = point_models.enumerate_units_1(model)
     report.data["units"] = [u.key() for u in units]
-    morphisms = count_unit_morphisms_1(model)
+    morphisms = point_models.count_unit_morphisms_1(model)
     report.data["unique_morphisms"] = morphisms
     report.add("unit count equals |A|", len(units) == X.A.order(), len(units))
     report.add("one morphism per ordered pair", morphisms == len(units) ** 2,
@@ -102,23 +65,26 @@ def _units_1(report, X, opts):
 
 
 def _units_2(report, X, opts):
-    units = enumerate_units_2(PicardModel2(X))
+    units = point_models.enumerate_units_2(point_models.PicardModel2(X))
     report.data["units"] = [u.key() for u in units]
     report.add("unit count equals |B|", len(units) == X.B.order(), len(units))
 
 
 def _contractible_1(report, X, opts):
-    report.merge(verify_contractible_1(PicardModel1(X),
-                                       max_states=opts.max_states))
+    report.merge(point_models.verify_contractible_1(
+        point_models.PicardModel1(X), max_states=opts.max_states))
 
 
 def _contractible_2(report, X, opts):
-    report.merge(verify_contractible_2(PicardModel2(X),
-                                       max_states=opts.max_states))
+    report.merge(point_models.verify_contractible_2(
+        point_models.PicardModel2(X), max_states=opts.max_states))
 
 
 def _unit_complex(report, X, opts):
-    U = unit_complex_1(X)[0] if isinstance(X, Complex2) else unit_complex_2(X)
+    if isinstance(X, complexes.Complex2):
+        U = complexes.unit_complex_1(X)[0]
+    else:
+        U = complexes.unit_complex_2(X)
     report.data["terms"] = {str(d): U.group_at(d) for d in U.degrees}
     table = _homology_table(U)
     report.data["homology"] = table
@@ -130,15 +96,17 @@ def _unit_complex(report, X, opts):
 
 
 def _qiso(report, X, opts):
-    if isinstance(X, Complex2):
-        builders = {"idA": identity_model, "idker": kernel_model}
+    if isinstance(X, complexes.Complex2):
+        builders = {"idA": complexes.identity_model,
+                    "idker": complexes.kernel_model}
     else:
-        builders = {"idA": sum_model, "idker": kernel_sum_model}
+        builders = {"idA": complexes.sum_model,
+                    "idker": complexes.kernel_sum_model}
     for name in (opts.against,) if opts.against else tuple(builders):
         if name not in builders:
             raise SpecError(f"against: unknown model {name!r}")
         _, mor = builders[name](X)
-        res = is_quasi_isomorphism(mor)
+        res = complexes.is_quasi_isomorphism(mor)
         report.add(f"comparison with {name} is a quasi-isomorphism",
                    res.is_qiso)
         report.data[f"induced_{name}"] = {
@@ -150,45 +118,49 @@ def _qiso(report, X, opts):
 def _cech_classify(report, X, opts):
     nerve = _nerve(opts)
     report.data["nerve_levels"] = [len(nerve.level(n)) for n in range(4)]
-    if isinstance(X, Complex2):
-        tc = torsor_classes(nerve, X, max_states=opts.max_states)
+    if isinstance(X, complexes.Complex2):
+        tc = cech.torsor_classes(nerve, X, max_states=opts.max_states)
         report.data["torsor_classes"] = tc.count
-        classes, group = unit_cocycles(nerve, X, max_states=opts.max_states)
+        classes, group = cech.unit_cocycles(nerve, X,
+                                            max_states=opts.max_states)
         report.data["unit_cocycle_classes"] = len(classes)
         report.data["unit_class_group"] = group
         report.add("unit cocycles form a single class", len(classes) == 1,
                    len(classes))
         report.add("unit class group is trivial", group.is_trivial, group)
-        U, _ = unit_complex_1(X)
+        U, _ = complexes.unit_complex_1(X)
     else:
-        U = unit_complex_2(X)
-    h0u = classify_h0(nerve, U)
+        U = complexes.unit_complex_2(X)
+    h0u = cech.classify_h0(nerve, U)
     report.data["h0_of_unit_complex"] = h0u
     report.add("classification group of the unit complex is trivial",
                h0u.is_trivial, h0u)
-    report.data["h0_of_coefficients"] = classify_h0(nerve, X)
+    report.data["h0_of_coefficients"] = cech.classify_h0(nerve, X)
 
 
 def _crossed_verify(report, X, opts):
-    report.merge(verify_crossed_module(X))
+    report.merge(crossed.verify_crossed_module(X))
 
 
 def _crossed_units(report, X, opts):
-    axioms = verify_crossed_module(X)
+    axioms = crossed.verify_crossed_module(X)
     if not axioms.passed:  # no unit module or descent data to build
         report.checks += axioms.failures
         return
-    units, rep = enumerate_units_nonabelian(X)
+    units, rep = crossed.enumerate_units_nonabelian(X)
     report.data["units"] = [u.key() for u in units]
     report.merge(rep)
-    U = unit_crossed_module(X)
-    report.merge(verify_crossed_module(U), prefix="unit module: ")
-    report.add("unit module has trivial pi0", pi0_order(U) == 1, pi0_order(U))
-    report.add("unit module has trivial pi1", pi1_order(U) == 1, pi1_order(U))
+    U = crossed.unit_crossed_module(X)
+    report.merge(crossed.verify_crossed_module(U), prefix="unit module: ")
+    pi0, pi1 = crossed.pi0_order(U), crossed.pi1_order(U)
+    report.add("unit module has trivial pi0", pi0 == 1, pi0)
+    report.add("unit module has trivial pi1", pi1 == 1, pi1)
     nerve = _nerve(opts)
-    triples = enumerate_unit_triples(X, nerve, max_states=opts.max_states)
-    ident = identity_triple(X, nerve)
-    ok = all(h0_group_law(t, ident, nerve).key() == t.key() for t in triples)
+    triples = crossed.enumerate_unit_triples(X, nerve,
+                                             max_states=opts.max_states)
+    ident = crossed.identity_triple(X, nerve)
+    ok = all(crossed.h0_group_law(t, ident, nerve).key() == t.key()
+             for t in triples)
     report.add("descent triples: (1,1,1) is the identity", ok, len(triples))
 
 

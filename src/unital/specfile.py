@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupHom
-from .cech import Cover, cover_of_parts
-from .complexes import Complex2, Complex3
-from .crossed import CrossedModule, FiniteGroup
+from . import cech, complexes, crossed
+from .abelian import CapExceeded, FgAbGroup, GroupHom
 
 SCHEMA = "unital/1"
 KINDS = ("complex2", "complex3", "crossed_module")
+# per group: qiso on a 3-term complex of free rank 64 takes about 6 s on a
+# 2-core Xeon, and a default zero map of n generators is an n x n matrix
+MAX_GENERATORS = 64
 
 
 class SpecError(ValueError):
@@ -36,7 +37,7 @@ class SpecError(ValueError):
 class ComplexSpecFile:
     kind: str
     payload: object           # Complex2 | Complex3 | CrossedModule
-    cover: Cover | None
+    cover: cech.Cover | None
     raw: dict                 # canonicalized source document
 
     def canonical_text(self):
@@ -68,9 +69,13 @@ def _parse_group(doc, path):
     if not _is_int(free) or free < 0:
         raise SpecError(f"{path}.free: expected a nonnegative integer")
     try:
-        return FgAbGroup(tuple(inv), free)
+        G = FgAbGroup(tuple(inv), free)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
+    if G.ngens > MAX_GENERATORS:
+        raise CapExceeded(f"{path}: {G.ngens} generators exceed the cap "
+                          f"{MAX_GENERATORS}")
+    return G
 
 
 def _parse_matrix(doc, path):
@@ -112,7 +117,7 @@ def _parse_cover(doc, path):
                       _part_names(entry, "sub_parts", epath, parts),
                       _need(entry, "sub_component", epath, str)))
     try:
-        return cover_of_parts(parts, inters, conts)
+        return cech.cover_of_parts(parts, inters, conts)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 
@@ -135,7 +140,7 @@ def _optional_list(doc, key, path):
 def _parse_finite_group(doc, path):
     table = _parse_matrix(_need(doc, "table", path, list), f"{path}.table")
     try:
-        return FiniteGroup(table, doc.get("name", "G"))
+        return crossed.FiniteGroup(table, doc.get("name", "G"))
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 
@@ -167,8 +172,10 @@ def parse_spec(text) -> ComplexSpecFile:
     cover = _parse_cover(doc["nerve"], "nerve") if "nerve" in doc else None
 
     if kind in ("complex2", "complex3"):
-        groups_doc = doc.get("groups", {})
-        maps_doc = doc.get("maps", {})
+        groups_doc, maps_doc = doc.get("groups", {}), doc.get("maps", {})
+        for key, val in (("groups", groups_doc), ("maps", maps_doc)):
+            if not isinstance(val, dict):
+                raise SpecError(f"{key}: expected an object")
         names = ("A", "B") if kind == "complex2" else ("A", "B", "C")
         groups = {n: _parse_group(groups_doc.get(n, {}), f"groups.{n}")
                   for n in names}
@@ -176,7 +183,7 @@ def parse_spec(text) -> ComplexSpecFile:
             lam = _parse_hom(maps_doc.get("lambda", _zero(groups["A"],
                                                           groups["B"])),
                              groups["A"], groups["B"], "maps.lambda")
-            payload = Complex2(groups["A"], groups["B"], lam)
+            payload = complexes.Complex2(groups["A"], groups["B"], lam)
         else:
             delta = _parse_hom(maps_doc.get("delta", _zero(groups["A"],
                                                            groups["B"])),
@@ -190,8 +197,8 @@ def parse_spec(text) -> ComplexSpecFile:
                 if any(col):
                     raise SpecError(
                         f"maps: composite nonzero at generator {j}")
-            payload = Complex3(groups["A"], groups["B"], groups["C"],
-                               delta, lam)
+            payload = complexes.Complex3(groups["A"], groups["B"],
+                                         groups["C"], delta, lam)
     else:
         G = _parse_finite_group(_need(doc, "G", "$", dict), "G")
         H = _parse_finite_group(_need(doc, "H", "$", dict), "H")
@@ -200,7 +207,7 @@ def parse_spec(text) -> ComplexSpecFile:
             raise SpecError("boundary: expected a list of integers")
         action = _parse_matrix(_need(doc, "action", "$", list), "action")
         try:
-            payload = CrossedModule(G, H, boundary, action)
+            payload = crossed.CrossedModule(G, H, boundary, action)
         except ValueError as exc:
             raise SpecError(f"$: {exc}") from None
 

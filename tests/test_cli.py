@@ -1,8 +1,17 @@
+import ast
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import unital
 from unital.cli import main
 from unital.reporting import COMMANDS, run
 from unital.specfile import SpecError, parse_spec, print_spec
@@ -304,7 +313,8 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("path,value", [
         (("maps", "lambda", 0, 0), True), (("groups", "A", "inv", 0), True),
-        (("groups", "A", "free"), True)])
+        (("groups", "A", "free"), True), (("groups",), True),
+        (("maps",), True)])
     def test_json_true_is_not_an_integer_exit_2(self, tmp_path, capsys, path,
                                                 value):
         # Z/2 -> Z/2, where true would read as a valid 1
@@ -317,6 +327,17 @@ class TestCliProcess:
         assert code == 2
         assert err.startswith("input error: " + ".".join(
             k for k in path if isinstance(k, str)))
+
+    @pytest.mark.parametrize("free,code", [(64, 0), (65, 3), (2 ** 64, 3)])
+    def test_generator_cap(self, tmp_path, capsys, free, code):
+        # refused before the default zero map, a 1 x free matrix, is built
+        doc = {"kind": "complex2",
+               "groups": {"A": {"free": free}, "B": {"inv": [2]}}}
+        assert main(["homology", "--in", self._write(tmp_path, doc)]) == code
+        if code == 3:
+            assert capsys.readouterr().err == (
+                f"cap exceeded: groups.A: {free} generators exceed the cap "
+                "64\n")
 
     def test_wrong_kind_exit_2(self, tmp_path, capsys):
         assert main(["units", "--in", self._write(tmp_path, INVERSION)]) == 2
@@ -388,3 +409,157 @@ class TestCliProcess:
         assert code == 2
         assert re.match(f"input error: .*{message}\n$", err)
         assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# a mutation fuzzer for the exit-code contract
+
+# JSON values of every type; dictionaries take the input's and the cover's
+# keys, so that nested values look like malformed groups and nerves
+_KEYS = ("inv", "free", "table", "name", "lambda", "delta", "parts",
+         "intersections", "components", "containments", "component",
+         "sub_parts", "sub_component")
+_HUGE = st.sampled_from([2 ** 31, 2 ** 63, 2 ** 64, 10 ** 30, -1, -2 ** 63])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | _HUGE | st.just(2.5)
+    | st.sampled_from(["", "a0", "a1", "c", "*"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), kids, max_size=3),
+    max_leaves=8)
+
+FUZZ_SEEDS = [TIMES2, THREE_TERM, INVERSION, dict(TIMES2, nerve=CIRCLE_NERVE),
+              dict(THREE_TERM, nerve=SPLIT_U),
+              dict(INVERSION, nerve=CIRCLE_NERVE)]
+
+
+def _paths(doc, prefix=()):
+    """The path of doc and of every entry below it, outermost first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A seed document with one to three entries dropped, replaced (by a
+    boolean, a small, huge or negative integer, or any JSON value) or
+    added, or its nerve replaced."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        *outer, last = path
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        op = draw(st.sampled_from(("drop", "bool", "int", "json", "add",
+                                   "nerve")))
+        if op == "drop":
+            del parent[last]
+        elif op == "bool":
+            parent[last] = draw(st.booleans())
+        elif op == "int":  # small ones are out of range as indices
+            parent[last] = draw(st.integers(-3, 8) | _HUGE)
+        elif op == "json":
+            parent[last] = draw(_JSON)
+        elif op == "add" and isinstance(parent[last], dict):
+            parent[last][draw(st.sampled_from(_KEYS))] = draw(_JSON)
+        else:
+            doc["nerve"] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_specs(), st.sampled_from(COMMANDS))
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, doc,
+                                                    command):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--in", str(path), "--json",
+                     "--max-states", "64"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        checks = json.loads(out.getvalue())["checks"]
+        assert any(c["status"] == "fail" for c in checks)
+    assert (err.getvalue() == "") == (code in (0, 1))
+
+
+# --------------------------------------------------------------------------
+# which modules a command executes
+
+ROOT = Path(__file__).resolve().parent.parent
+LAZY = {"cech", "complexes", "crossed", "point_models"}
+# run cli.main, then print the unital modules whose bodies have executed
+# (a lazy module becomes a plain module when it executes)
+EXECUTED = """
+import contextlib, io, json, sys, types
+import unital.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = unital.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(
+    name.split(".")[1] for name, module in sys.modules.items()
+    if name.startswith("unital.") and type(module) is types.ModuleType)]))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command,doc,code,executed", [
+    ("homology", TIMES2, 0, {"complexes"}),
+    ("crossed-verify", INVERSION, 0, {"crossed"}),
+    ("units", '{"kind": "compl', 2, set()),
+    ("cech-classify", TIMES2, 0, LAZY)],
+    ids=["homology", "crossed-verify", "truncated", "cech-classify"])
+def test_command_executes_only_its_layers(tmp_path, command, doc, code,
+                                          executed):
+    path = tmp_path / "in.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    got_code, modules = json.loads(
+        _python("-c", EXECUTED, command, "--in", str(path)))
+    assert got_code == code
+    assert set(modules) & LAZY == executed
+
+
+def test_tracer_finds_every_module_it_wraps(tmp_path):
+    # perfbench/tracer.py reads sys.modules["unital.<m>"] for each m in
+    # SPANNED right after `import unital.cli`, and wraps what vars() holds
+    tracer = ROOT / "perfbench" / "tracer.py"
+    spanned = next(ast.literal_eval(node.value)
+                   for node in ast.parse(tracer.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "SPANNED")
+    loaded = _python("-c", "import sys, unital.cli; print(*sys.modules)")
+    assert {f"unital.{m}" for m in spanned} <= set(loaded.split())
+    path, spans = tmp_path / "in.json", tmp_path / "spans.json"
+    path.write_text(json.dumps(TIMES2))
+    _python(str(tracer), str(spans), "homology", "--in", str(path), "--json")
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"specfile.parse_spec", "complexes.homology"} <= names
+
+
+def test_export_table():
+    for module, names in unital._EXPORTS.items():
+        home = sys.modules[f"unital.{module}"]
+        for name in names:
+            scope = {}
+            exec(f"from unital import {name}", scope)
+            assert scope[name] is getattr(home, name)
+            assert scope[name].__module__ == home.__name__
+            assert name in dir(unital)
+    assert set(unital.__all__) == \
+        {name for names in unital._EXPORTS.values() for name in names}
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        unital.nonesuch

@@ -13,3 +13,14 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/unital: {found}"
+
+
+def test_no_name_imports_from_lazy_modules():
+    # `from .cech import x` executes cech; the modules every command
+    # imports bind the lazy ones as modules and look names up when called
+    lazy = {"cech", "complexes", "crossed", "point_models"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.stem not in lazy
+             for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, ast.ImportFrom) and node.module in lazy]
+    assert not found, f"names imported from lazy modules: {found}"
