@@ -457,16 +457,18 @@ def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
                                    nerve.level(level)[holds.index(False)])
         shifts.append((a, phi, b))
     tables = (add_a, add_a, add_b)
-    reps, label, work = [], {}, 0
+    # every sum c + s is itself in shifts, and assigning to an existing key
+    # keeps the stored tuple, so each cocycle is held once
+    reps, label, work = [], dict.fromkeys(shifts), 0
     for c in sorted(shifts):  # cocycles in key order, (a, a_phi, b)
-        if c in label:
+        if label[c] is not None:
             continue
         work += len(shifts)  # one full orbit sweep per new class
         if work > max_states:
             raise CapExceeded("coboundary quotient exceeds the state cap")
-        orbit = {_add(tables, c, s) for s in shifts}
-        label.update(dict.fromkeys(orbit, len(reps)))
-        reps.append(min(orbit))
+        for s in shifts:
+            label[_add(tables, c, s)] = len(reps)
+        reps.append(c)  # smaller cocycles lie in earlier classes
     orders = []  # of each class under the tensor: pointwise sum, then label
     for r in reps:
         acc, n = r, 1

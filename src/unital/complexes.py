@@ -21,6 +21,7 @@ X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .abelian import (
@@ -197,8 +198,14 @@ class HomologyData:
         self.group, self._proj = cokernel(self._in_lift)
         self.degree = degree
         self.ambient = X.group_at(degree)
-        self._incl_solver = LinearSolver(self._incl)
-        self._proj_solver = LinearSolver(self._proj)
+
+    @cached_property  # a Smith form, paid for on first use only
+    def _incl_solver(self):
+        return LinearSolver(self._incl)
+
+    @cached_property
+    def _proj_solver(self):
+        return LinearSolver(self._proj)
 
     def classify(self, x: GroupElem) -> GroupElem:
         z = self._incl_solver.solve(x)

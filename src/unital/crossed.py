@@ -23,6 +23,11 @@ unit morphism (e1, g1) -> (e2, g2) is
 
 and units with e = 1 are exactly the kernel of lam.
 
+``unit_morphism_checks`` verifies this on tables alone, by scanning each
+morphism fiber of lam, and is the one unit-groupoid scan of the library: a
+2-term complex lam: A -> B is the crossed module with trivial action, so
+``point_models.verify_contractible_1`` runs the same scan.
+
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
 boundary g |-> (g^-1, lam g) and K acting through its H-coordinate.  This is
@@ -372,41 +377,89 @@ class NonabelianUnit:
         return (self.e, self.g_phi)
 
 
-def tensor_morphisms(X: CrossedModule, g1, tgt2, g2):
-    """g1 (x) g2 where tgt2 is the target object of g2."""
-    return X.G.mul(X.act(g1, tgt2), g2)
-
-
-def _unit_square_holds(X, s, t, u):
-    """phi_s then u  ==  (u (x) u) then phi_t, evaluated in G."""
-    left = X.G.mul(u, s.g_phi)
-    u_tensor_u = tensor_morphisms(X, u, t.e, u)
-    right = X.G.mul(t.g_phi, u_tensor_u)
-    return left == right
-
-
 def unique_unit_morphism(s: NonabelianUnit, t: NonabelianUnit):
     """The only morphism s -> t: (g_t^(e_t^-1))^-1 * (g_s^(e_s^-1))."""
     X = s.module
     G, H = X.G, X.H
     u = G.mul(G.inv(X.act(t.g_phi, H.inv(t.e))),
               X.act(s.g_phi, H.inv(s.e)))
-    if not _unit_square_holds(X, s, t, u):
+    # phi_s then u  ==  (u (x) u) then phi_t
+    if G.mul(u, s.g_phi) != G.mul(t.g_phi, G.mul(X.act(u, t.e), u)):
         raise AssertionError("unit-morphism square failed")
     return u
+
+
+def _coded_units(src, f):
+    """Units (e, x) with f[x] = e as index pairs, in lexicographic order;
+    x |-> (f[x], x) is a bijection, so there are |src| of them."""
+    return sorted((f[x], x) for x in src.elements())
+
+
+def _fibers(src, tgt, f):
+    """The preimages under the array f of every element of tgt, ascending."""
+    out = [[] for _ in tgt.elements()]
+    for x in src.elements():
+        out[f[x]].append(x)
+    return out
+
+
+def unit_morphism_checks(report, G, H, bnd, act, units, key):
+    """Add the two checks that make a unit groupoid contractible.
+
+    ``bnd`` and ``act`` are the boundary array and the action table of a
+    crossed module G -> H, ``units`` its units from ``_coded_units``, and
+    ``key`` names a unit in witnesses.  Every ordered pair (s, t) must carry
+    exactly one unit morphism, found by scanning the fiber of bnd over
+    e_t^-1 e_s, and it must be u = (g_t^(e_t^-1))^-1 (g_s^(e_s^-1)); these
+    morphisms must compose coherently.  Returns the number of pairs with
+    exactly one unit morphism.
+    """
+    mul, inv, h_mul, h_inv = G.table, G.inverse, H.table, H.inverse
+    cols = tuple(zip(*mul))  # cols[b][a] = a * b
+    fibers = _fibers(G, H, bnd)
+    # over u: phi_s then u is cols[g_s][u], (u (x) u) then phi_t squares[t][u]
+    squares = [[mul[g][mul[act[u][e]][u]] for u in G.elements()]
+               for e, g in units]
+    twisted = [act[g][h_inv[e]] for e, g in units]  # g^(e^-1)
+    unique = [[mul[inv[x_t]][x_s] for x_t in twisted] for x_s in twisted]
+    pair_failures, morphisms = [], 0
+    for s, to_t in zip(units, unique):
+        through_source, e_s = cols[s[1]], s[0]
+        for t, square, u in zip(units, squares, to_t):
+            sols = [x for x in fibers[h_mul[h_inv[t[0]]][e_s]]
+                    if through_source[x] == square[x]]
+            morphisms += len(sols) == 1
+            if sols != [u]:
+                pair_failures.append((key(s), key(t), sols))
+    report.add("exactly one unit morphism per ordered pair",
+               not pair_failures,
+               pair_failures[:3] or f"{len(units) ** 2} morphisms")
+    coherence_failures = []
+    for s, to_t in zip(units, unique):
+        for t, u_st, to_w in zip(units, to_t, unique):
+            then = cols[u_st]  # u_st then u_tw is u_tw * u_st
+            composites = [then[u_tw] for u_tw in to_w]
+            if composites != to_t:
+                coherence_failures.extend(
+                    (key(s), key(t), key(w))
+                    for w, c, u_sw in zip(units, composites, to_t)
+                    if c != u_sw)
+    report.add("composition of unique morphisms is coherent",
+               not coherence_failures, coherence_failures[:3] or None)
+    return morphisms
 
 
 def enumerate_units_nonabelian(X: CrossedModule):
     """All units (e, g_phi), plus the contractibility report.
 
     Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
-    kernel of the boundary; between every ordered pair there is exactly one
-    unit morphism (verified by scanning all of G) and the unique morphisms
-    compose coherently.
+    kernel of the boundary; ``unit_morphism_checks`` adds that every ordered
+    pair carries exactly one unit morphism and that these compose
+    coherently.
     """
-    units = sorted((NonabelianUnit(X, X.bnd(g), g) for g in X.G.elements()),
-                   key=lambda u: u.key())
     G, H = X.G, X.H
+    coded = _coded_units(G, X.boundary)
+    units = [NonabelianUnit(X, e, g) for e, g in coded]
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
@@ -414,29 +467,8 @@ def enumerate_units_nonabelian(X: CrossedModule):
     trivial_e = sorted(u.g_phi for u in units if u.e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
-    unique = {}
-    failures = []
-    for s in units:
-        for t in units:
-            want = H.mul(H.inv(t.e), s.e)
-            sols = [u for u in G.elements()
-                    if X.bnd(u) == want and _unit_square_holds(X, s, t, u)]
-            formula = unique_unit_morphism(s, t)
-            if len(sols) != 1 or sols[0] != formula:
-                failures.append((s.key(), t.key(), sols))
-            unique[(s.key(), t.key())] = formula
-    report.add("exactly one unit morphism per ordered pair", not failures,
-               failures[:3] or f"{len(unique)} morphisms")
-    coh = []
-    for s in units:
-        for t in units:
-            for w in units:
-                composite = G.mul(unique[(t.key(), w.key())],
-                                  unique[(s.key(), t.key())])
-                if composite != unique[(s.key(), w.key())]:
-                    coh.append((s.key(), t.key(), w.key()))
-    report.add("composition of unique morphisms is coherent", not coh,
-               coh[:3] or None)
+    unit_morphism_checks(report, G, H, X.boundary, X.action, coded,
+                         lambda unit: unit)
     report.data["units"] = len(units)
     return units, report
 

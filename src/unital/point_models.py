@@ -6,6 +6,10 @@ and both composition and tensor are addition.  A Saavedra unit is an object
 e together with a morphism e + e -> e, i.e. a pair (e, a_phi) with
 lam(a_phi) = e.
 
+Read as a crossed module with trivial action, lam: A -> B has the same
+units and unit morphisms, so level-1 contractibility is
+``crossed.unit_morphism_checks`` on the coded tables.
+
 A 3-term complex A -> B -> C presents a strict Picard 2-groupoid the same
 way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
 {alpha : delta(alpha) = b - b'}.  A unit is a pair (e, phi) with
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 
 from .abelian import CapExceeded, FinitenessError, GroupElem
 from .complexes import Complex2, Complex3
-from .crossed import FiniteGroup
+from .crossed import (FiniteGroup, _coded_units, _fibers,
+                      unit_morphism_checks)
 from .verification import Report
 
 COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
@@ -38,15 +43,6 @@ COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
 
 def _coded(G):
     return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
-
-
-def _coded_units(src, tgt, lam):
-    """Units (e, x) with lam[x] = e as index pairs, in lexicographic order."""
-    units = [(e, x) for e in tgt.elements() for x in src.elements()
-             if lam[x] == e]
-    if len(units) != src.order:  # x |-> (lam x, x) is a bijection
-        raise AssertionError(f"{len(units)} units, expected {src.order}")
-    return units
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def enumerate_units_1(model: PicardModel1):
     base = model.base
     return [SaavedraUnit(model, base.B.element(B.coords(e)),
                          base.A.element(A.coords(a)))
-            for e, a in _coded_units(A, B, lam)]
+            for e, a in _coded_units(A, lam)]
 
 
 def unit_morphisms_1(s: SaavedraUnit, t: SaavedraUnit):
@@ -142,7 +138,7 @@ def count_unit_morphisms_1(model: PicardModel1):
     checks of ``UnitMorphism1``."""
     A, B, lam = _tables_1(model)
     add, neg = A.table, A.inverse
-    units = _coded_units(A, B, lam)
+    units = _coded_units(A, lam)
     count = 0
     for e_s, a_s in units:
         e_s_plus = B.table[e_s]
@@ -186,9 +182,10 @@ def verify_contractible_1(model: PicardModel1,
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
-    unit morphism (scanning all of A), (iii) the unique morphisms compose
-    coherently.  The |A|^3 coherence triples count against ``max_states``
-    before any scan.
+    unit morphism (scanning each morphism fiber), (iii) the unique morphisms
+    compose coherently.  (ii) and (iii) are ``unit_morphism_checks`` on
+    lam: A -> B read as a crossed module with trivial action.  The |A|^3
+    coherence triples count against ``max_states`` before any scan.
     """
     model._require_finite()
     triples = model.base.A.order() ** 3
@@ -197,47 +194,12 @@ def verify_contractible_1(model: PicardModel1,
                           f"above the cap {max_states}")
     report = Report("contractibility of the unit groupoid")
     A, B, lam = _tables_1(model)
-    units = _coded_units(A, B, lam)
+    units = _coded_units(A, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-
-    def key(unit):
-        return (B.coords(unit[0]), A.coords(unit[1]))
-
-    add = A.table
-    unique = []
-    pair_failures = []
-    for s in units:
-        e_s_plus = B.table[s[0]]
-        through_source = add[s[1]]
-        row = []
-        for t in units:
-            want, a_t = e_s_plus[B.inverse[t[0]]], t[1]
-            found = [u for u in A.elements() if lam[u] == want
-                     and through_source[u]          # phi_src then u
-                     == add[add[u][u]][a_t]]        # u tensor u, then phi_tgt
-            if len(found) != 1:
-                pair_failures.append((key(s), key(t), len(found)))
-            row.append(found[0] if len(found) == 1 else None)
-        unique.append(row)
-    morphisms = sum(u is not None for row in unique for u in row)
-    report.add("exactly one unit morphism per ordered pair",
-               not pair_failures,
-               pair_failures[:3] if pair_failures else
-               f"{morphisms} morphisms")
-    coherence_failures = []
-    if pair_failures:
-        coherence_failures.append("no unique morphisms to compose")
-    else:
-        for i, to_t in enumerate(unique):
-            for j, u_st in enumerate(to_t):
-                then = add[u_st]
-                composites = [then[u_tw] for u_tw in unique[j]]
-                if composites != to_t:
-                    coherence_failures.extend(
-                        (key(units[i]), key(units[j]), key(units[k]))
-                        for k, c in enumerate(composites) if c != to_t[k])
-    report.add("composition of unique morphisms is coherent",
-               not coherence_failures, coherence_failures[:3] or None)
+    trivial = tuple((a,) * B.order for a in A.elements())
+    morphisms = unit_morphism_checks(
+        report, A, B, lam, trivial, units,
+        lambda unit: (B.coords(unit[0]), A.coords(unit[1])))
     report.data["units"] = len(units)
     report.data["morphisms"] = morphisms
     return report
@@ -339,14 +301,6 @@ def _tables_2(model: PicardModel2):
             B.image_array(base.lam.matrix, C))
 
 
-def _fibers(src, tgt, f):
-    """The preimages under the array f of every element of tgt, ascending."""
-    out = [[] for _ in tgt.elements()]
-    for x in src.elements():
-        out[f[x]].append(x)
-    return out
-
-
 def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
     """The unit 1-morphisms s -> t as (f, theta) index pairs, in
     lexicographic order: lam(f) = e_s - e_t, and theta lies over the
@@ -368,7 +322,7 @@ def enumerate_units_2(model: PicardModel2):
     base = model.base
     return [JKUnit(model, base.C.element(C.coords(e)),
                    base.B.element(B.coords(phi)))
-            for e, phi in _coded_units(B, C, lam)]
+            for e, phi in _coded_units(B, lam)]
 
 
 def unit_1morphisms(s: JKUnit, t: JKUnit):
@@ -413,7 +367,7 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7) -> Report:
     """
     report = Report("contractibility of the unit 2-groupoid")
     A, B, C, delta, lam = _tables_2(model)
-    units = _coded_units(B, C, lam)
+    units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
 
     def unit_key(u):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from unital import point_models
 from unital.cech import cech_nerve, point_cover
 from unital.crossed import (
     CrossedModule,
@@ -18,11 +19,15 @@ from unital.crossed import (
     triple_of_unit,
     unique_unit_morphism,
     unit_crossed_module,
+    unit_morphism_checks,
     unit_triple_from_gprime,
     verify_crossed_module,
 )
+from unital.point_models import PicardModel1, verify_contractible_1
+from unital.verification import Report
 
 from test_cech import circle_cover
+from test_complexes import random_complex2
 
 
 def point_nerve():
@@ -219,6 +224,76 @@ class TestNonabelianUnits:
         for _ in range(8):
             _, rep = enumerate_units_nonabelian(random_crossed_module(rng, 8))
             assert rep.passed
+
+
+def random_tables(rng):
+    """Uniformly random boundary and action tables between two pool groups;
+    these almost never satisfy the crossed-module axioms."""
+    G, H = rng.choice(GROUP_POOL), rng.choice(GROUP_POOL)
+    boundary = [rng.randrange(H.order) for _ in G.elements()]
+    action = [[rng.randrange(G.order) for _ in H.elements()]
+              for _ in G.elements()]
+    return CrossedModule(G, H, boundary, action)
+
+
+def unit_morphisms_by_method(X, units):
+    """(s, t, solutions, formula) for each ordered pair of units: the unit
+    morphisms s -> t found by trying every element of G, and the formula
+    morphism (g_t^(e_t^-1))^-1 (g_s^(e_s^-1))."""
+    G, H = X.G, X.H
+    out = []
+    for s, t in itertools.product(units, repeat=2):
+        sols = [u for u in G.elements()
+                if X.bnd(u) == H.mul(H.inv(t.e), s.e)
+                and G.mul(u, s.g_phi)
+                == G.mul(t.g_phi, G.mul(X.act(u, t.e), u))]
+        formula = G.mul(G.inv(X.act(t.g_phi, H.inv(t.e))),
+                        X.act(s.g_phi, H.inv(s.e)))
+        out.append((s.key(), t.key(), sols, formula))
+    return out
+
+
+class TestUnitScan:
+    CHECKS = ["unit set nonempty",
+              "units over the identity are the kernel of the boundary",
+              "exactly one unit morphism per ordered pair",
+              "composition of unique morphisms is coherent"]
+
+    def test_tables_failing_the_axioms_fail_named_checks(self):
+        rng = random.Random(251)
+        for _ in range(200):
+            X = random_tables(rng)
+            assert not verify_crossed_module(X).passed
+            units, rep = enumerate_units_nonabelian(X)
+            assert [c.name for c in rep.checks] == self.CHECKS
+            pairs = unit_morphisms_by_method(X, units)
+            failures = [(s, t, sols) for s, t, sols, u in pairs
+                        if sols != [u]]
+            assert failures and not rep.passed
+            pair = rep.checks[2]
+            assert not pair.passed and pair.witness == failures[:3]
+            scan = Report("scan")
+            unique = unit_morphism_checks(
+                scan, X.G, X.H, X.boundary, X.action,
+                [u.key() for u in units], lambda unit: unit)
+            assert scan.checks == rep.checks[2:]
+            assert unique == sum(len(sols) == 1 for _, _, sols, _ in pairs)
+
+    def test_trivial_action_module_matches_level_1(self):
+        # lam: A -> B with trivial action presents the Picard groupoid of
+        # the 2-term complex, so the shared checks must agree exactly
+        rng = random.Random(257)
+        for _ in range(20):
+            model = PicardModel1(random_complex2(rng, 64))
+            A, B, lam = point_models._tables_1(model)
+            X = CrossedModule(A, B, lam,
+                              tuple((a,) * B.order for a in A.elements()))
+            _, rep = enumerate_units_nonabelian(X)
+            level_1 = verify_contractible_1(model)
+            shared = {c.name for c in level_1.checks}
+            assert [c for c in rep.checks if c.name in shared] == \
+                level_1.checks
+            assert len(shared) == 3 and rep.data["units"] == A.order
 
 
 class TestH0GroupLaw:

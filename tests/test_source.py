@@ -24,3 +24,9 @@ def test_no_name_imports_from_lazy_modules():
              for node in ast.parse(path.read_text(), str(path)).body
              if isinstance(node, ast.ImportFrom) and node.module in lazy]
     assert not found, f"names imported from lazy modules: {found}"
+
+
+def test_parses_as_python_3_10():
+    # the requires-python floor; a newer-only syntax would break its users
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
