@@ -24,8 +24,9 @@ form; no floating point, no fixed-width overflow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
+
+from .record import Record
 
 
 class FinitenessError(ValueError):
@@ -242,8 +243,7 @@ def _canonicalize_presentation(ngens, rel_cols, exponent=None):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """A finitely generated abelian group in invariant-factor form."""
 
     invariant_factors: tuple[int, ...] = ()
@@ -353,8 +353,7 @@ class FgAbGroup:
         return f"FgAbGroup({list(self.invariant_factors)}, {self.free_rank})"
 
 
-@dataclass(frozen=True)
-class GroupElem:
+class GroupElem(Record):
     group: FgAbGroup
     coords: tuple[int, ...]
 
@@ -387,8 +386,7 @@ class GroupElem:
         return f"({', '.join(map(str, self.coords))})"
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """Homomorphism given by an integer matrix on canonical generators.
 
     Well-definedness (each torsion relation maps to zero) is checked
@@ -608,8 +606,7 @@ def lift_through(incl, f):
     return GroupHom.from_images(f.source, incl.source, images)
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Record):
     group: FgAbGroup
     injections: tuple[GroupHom, ...]
     projections: tuple[GroupHom, ...]

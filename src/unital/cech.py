@@ -30,8 +30,8 @@ representatives as sections.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .abelian import (
@@ -48,6 +48,7 @@ from .abelian import (
 from .complexes import Complex2, Complex3, homology, unit_complex_2
 from .point_models import (
     JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
+from .record import Record
 
 TOP_LEVEL = 3
 MAX_CELLS_PER_LEVEL = 64
@@ -69,8 +70,7 @@ class CocycleError(ValueError):
 # covers and nerves
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """Named parts with an intersection table.
 
     ``components`` maps a frozenset of part indices to the tuple of its
@@ -80,8 +80,9 @@ class Cover:
     """
 
     parts: tuple[str, ...]
-    components: dict = field(default_factory=dict)
-    containments: dict = field(default_factory=dict)
+    # read-only defaults: __post_init__ puts fresh dicts on every instance
+    components: dict = MappingProxyType({})
+    containments: dict = MappingProxyType({})
 
     def __post_init__(self):
         comps = {}
@@ -223,8 +224,7 @@ def cech_nerve(cover: Cover) -> Nerve:
 # sections
 
 
-@dataclass(frozen=True)
-class SheafSections:
+class SheafSections(Record):
     """A function from the cells of one nerve level to a fixed group."""
 
     group: FgAbGroup
@@ -382,8 +382,7 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
 # unit cocycles (a, a_phi, b)
 
 
-@dataclass(frozen=True)
-class UnitCocycle1:
+class UnitCocycle1(Record):
     """The descent datum of a unit: a in A(V_1), a_phi in A(V_0), b in B(V_0)."""
 
     a: SheafSections
@@ -608,8 +607,7 @@ def classify_h0(nerve: Nerve, X) -> FgAbGroup:
     return homology(total, -1)
 
 
-@dataclass(frozen=True)
-class TotalCocycle:
+class TotalCocycle(Record):
     """A total-degree-0 cocycle with coefficients in a 2- or 3-term complex.
 
     ``components`` maps (complex degree, nerve level) with p + q = 0 to

@@ -17,6 +17,18 @@ from .reporting import COMMANDS, run
 from .specfile import SpecError, load_json, parse_spec, _parse_cover
 
 
+def _state_cap(text):
+    """The --max-states value, a nonnegative integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return cap
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="unital",
@@ -31,7 +43,7 @@ def _build_parser():
     fmt.add_argument("--json", action="store_true", help="JSON report")
     fmt.add_argument("--text", action="store_true",
                      help="plain-text report (default)")
-    parser.add_argument("--max-states", type=int, default=10 ** 7,
+    parser.add_argument("--max-states", type=_state_cap, default=10 ** 7,
                         help="cap on exhaustive-search states")
     parser.add_argument("--against", choices=("idA", "idker"),
                         help="which comparison model qiso should check")

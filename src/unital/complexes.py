@@ -20,7 +20,6 @@ X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -37,12 +36,12 @@ from .abelian import (
     lift_through,
     solve,
 )
+from .record import Record
 
 _TRIVIAL = FgAbGroup.trivial()
 
 
-@dataclass(frozen=True)
-class Complex2:
+class Complex2(Record):
     """A -> B in degrees -1, 0."""
 
     A: FgAbGroup
@@ -76,8 +75,7 @@ class Complex2:
         return f"[{self.A} -> {self.B}]"
 
 
-@dataclass(frozen=True)
-class Complex3:
+class Complex3(Record):
     """A -> B -> C in degrees -2, -1, 0 with lam . delta = 0."""
 
     A: FgAbGroup
@@ -126,8 +124,7 @@ def _incoming(X, degree):
     return X.differential(degree - 1)
 
 
-@dataclass(frozen=True)
-class StrictMorphism:
+class StrictMorphism(Record):
     """Degreewise maps between complexes of the same length.
 
     Every square is required to commute; this is checked at construction.

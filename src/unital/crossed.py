@@ -43,10 +43,10 @@ is then closed on valid descent triples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import prod
 
 from .abelian import MAX_CODED_ORDER, CapExceeded, FinitenessError
+from .record import Record
 from .verification import Report
 
 MAX_GROUP_ORDER = 64
@@ -249,8 +249,7 @@ class FiniteGroup:
         return cls(table, name or f"sub({big.name})"), subset
 
 
-@dataclass(frozen=True)
-class CrossedModule:
+class CrossedModule(Record):
     G: FiniteGroup
     H: FiniteGroup
     boundary: tuple  # boundary[g] in H
@@ -363,8 +362,7 @@ def unit_crossed_module(X: CrossedModule) -> CrossedModule:
 # point-model units
 
 
-@dataclass(frozen=True)
-class NonabelianUnit:
+class NonabelianUnit(Record):
     module: CrossedModule
     e: int       # object of the point model, an element of H
     g_phi: int   # morphism e*e -> e, an element of G
@@ -477,8 +475,7 @@ def enumerate_units_nonabelian(X: CrossedModule):
 # descent triples and their group law
 
 
-@dataclass(frozen=True)
-class UnitTriple:
+class UnitTriple(Record):
     """(g, g', h): g on level-1 cells, g' and h on level-0 cells.
 
     Valid when, pointwise, bnd(g') h = 1 and g = d0*(g') * (d1* g')^-1.

@@ -30,12 +30,12 @@ and failure witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .abelian import CapExceeded, FinitenessError, GroupElem
 from .complexes import Complex2, Complex3
 from .crossed import (FiniteGroup, _coded_units, _fibers,
                       unit_morphism_checks)
+from .record import Record
 from .verification import Report
 
 COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
@@ -45,8 +45,7 @@ def _coded(G):
     return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
 
 
-@dataclass(frozen=True)
-class PicardModel1:
+class PicardModel1(Record):
     """The strict Picard groupoid over a point presented by a 2-term complex."""
 
     base: Complex2
@@ -63,8 +62,7 @@ class PicardModel1:
                 if lam[a] == want]
 
 
-@dataclass(frozen=True)
-class SaavedraUnit:
+class SaavedraUnit(Record):
     model: PicardModel1
     e: GroupElem
     a_phi: GroupElem
@@ -77,8 +75,7 @@ class SaavedraUnit:
         return (self.e.coords, self.a_phi.coords)
 
 
-@dataclass(frozen=True)
-class UnitMorphism1:
+class UnitMorphism1(Record):
     """A morphism of units: u with lam(u) = e_src - e_tgt making the
     tensor-compatibility square commute."""
 
@@ -209,8 +206,7 @@ def verify_contractible_1(model: PicardModel1,
 # one level up
 
 
-@dataclass(frozen=True)
-class PicardModel2:
+class PicardModel2(Record):
     """The strict Picard 2-groupoid over a point presented by a 3-term
     complex."""
 
@@ -222,8 +218,7 @@ class PicardModel2:
             raise FinitenessError("point-model enumeration needs finite groups")
 
 
-@dataclass(frozen=True)
-class JKUnit:
+class JKUnit(Record):
     model: PicardModel2
     e: GroupElem
     phi: GroupElem
@@ -236,8 +231,7 @@ class JKUnit:
         return (self.e.coords, self.phi.coords)
 
 
-@dataclass(frozen=True)
-class UnitMorphism2:
+class UnitMorphism2(Record):
     """A unit 1-morphism (f, theta): f underlies it, theta fills the square."""
 
     source: JKUnit
@@ -264,8 +258,7 @@ def _theta_boundary(m: UnitMorphism2):
     return top - bottom
 
 
-@dataclass(frozen=True)
-class Unit2Morphism:
+class Unit2Morphism(Record):
     source: UnitMorphism2
     target: UnitMorphism2
     gamma: GroupElem

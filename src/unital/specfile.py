@@ -17,10 +17,10 @@ supplied separately.  Errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import cech, complexes, crossed
 from .abelian import CapExceeded, FgAbGroup, GroupHom
+from .record import Record
 
 SCHEMA = "unital/1"
 KINDS = ("complex2", "complex3", "crossed_module")
@@ -33,8 +33,7 @@ class SpecError(ValueError):
     """Input file rejected; the message starts with the JSON path."""
 
 
-@dataclass(frozen=True)
-class ComplexSpecFile:
+class ComplexSpecFile(Record):
     kind: str
     payload: object           # Complex2 | Complex3 | CrossedModule
     cover: cech.Cover | None

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     passed: bool
     witness: object = None
@@ -32,16 +32,17 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass
 class Report:
     """``command`` is the command run, or the structure a library check
-    verifies; ``input_digest`` is empty for the latter."""
+    verifies; ``input_digest`` is empty for the latter.  A report is built
+    up in place, and compares by identity."""
 
-    command: str
-    input_digest: str = ""
-    checks: list[Check] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    timing_seconds: float = 0.0
+    def __init__(self, command, input_digest=""):
+        self.command = command
+        self.input_digest = input_digest
+        self.checks: list[Check] = []
+        self.data = {}
+        self.timing_seconds = 0.0
 
     def add(self, name, passed, witness=None):
         self.checks.append(Check(name, bool(passed), witness))

@@ -256,6 +256,24 @@ class TestCliProcess:
         assert main(["contractible", "--in", self._write(tmp_path, z8),
                      "--max-states", "512"]) == 0
 
+    @pytest.mark.parametrize("command,cap", [("contractible", "-1"),
+                                             ("units", "-3")])
+    def test_negative_max_states_is_bad_input(self, tmp_path, capsys,
+                                              command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", self._write(tmp_path, TIMES2),
+                  "--max-states", cap])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --max-states: expected a nonnegative integer, "
+            f"got '{cap}'\n")
+
+    def test_zero_max_states(self, tmp_path, capsys):
+        path = self._write(tmp_path, TIMES2)
+        assert main(["contractible", "--in", path, "--max-states", "0"]) == 3
+        assert capsys.readouterr().err.startswith("cap exceeded")
+        assert main(["units", "--in", path, "--max-states", "0"]) == 0
+
     def test_circle_torsor_scan_honours_max_states(self, tmp_path, capsys):
         # 2^9 * 2^3 = 4096 candidate torsor cocycles on the circle
         z2 = {"kind": "complex2",
@@ -531,6 +549,31 @@ def test_command_executes_only_its_layers(tmp_path, command, doc, code,
         _python("-c", EXECUTED, command, "--in", str(path)))
     assert got_code == code
     assert set(modules) & LAZY == executed
+
+
+# run cli.main, then print every module the interpreter has imported
+IMPORTED = """
+import contextlib, io, json, sys
+import unital.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = unital.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("homology", TIMES2), ("units", TIMES2),
+    ("cech-classify", dict(TIMES2, nerve=CIRCLE_NERVE))],
+    ids=["homology", "units", "cech-classify-circle"])
+def test_command_imports_no_dataclasses(tmp_path, command, doc):
+    # dataclasses, and the inspect it imports, cost 20-40 ms of start-up
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, modules = json.loads(
+        _python("-c", IMPORTED, command, "--in", str(path)))
+    assert code == 0
+    assert not {"dataclasses", "inspect"} & set(modules)
 
 
 def test_tracer_finds_every_module_it_wraps(tmp_path):

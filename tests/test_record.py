@@ -1,0 +1,244 @@
+"""Every ``Record`` behaves like the frozen dataclass it replaces.
+
+Each record class of the library is checked against a twin made by
+``dataclasses.make_dataclass(..., frozen=True)`` with the same name, fields,
+defaults and methods, on values the library itself builds.  Failing checks
+print their witnesses through ``repr``, and no corpus input fails a check,
+so this test is what pins that text.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from unital import abelian, cech, complexes, crossed, point_models
+from unital import specfile, verification
+from unital.record import Record
+
+Z2 = abelian.FgAbGroup((2,), 0)
+Z4 = abelian.FgAbGroup((4,), 0)
+X2 = complexes.Complex2(Z2, Z4, abelian.GroupHom(Z2, Z4, [[2]]))
+X2B = complexes.Complex2(Z4, Z2, abelian.GroupHom(Z4, Z2, [[1]]))
+X3 = complexes.Complex3(Z2, Z2, Z2, abelian.GroupHom.zero(Z2, Z2),
+                        abelian.GroupHom.identity(Z2))
+X3B = complexes.Complex3(Z2, Z4, Z2, abelian.GroupHom(Z2, Z4, [[2]]),
+                         abelian.GroupHom(Z4, Z2, [[1]]))
+Z3 = crossed.FiniteGroup.cyclic(3)
+C3_ON_ITSELF = crossed.CrossedModule(Z3, Z3, range(3),
+                                     [[g] * 3 for g in range(3)])
+C2_TRIVIAL = crossed.CrossedModule(crossed.FiniteGroup.cyclic(2),
+                                   crossed.FiniteGroup.cyclic(2), (0, 0),
+                                   ((0, 0), (1, 1)))
+CIRCLE = cech.cover_of_parts(
+    ("a0", "a1", "a2"),
+    [(("a0", "a1"), ("c",)), (("a1", "a2"), ("c",)), (("a0", "a2"), ("c",))])
+NERVE = cech.cech_nerve(CIRCLE)
+POINT = cech.cech_nerve(cech.point_cover())
+
+
+def _units_1():
+    return point_models.enumerate_units_1(point_models.PicardModel1(X2))
+
+
+def _units_2():
+    return point_models.enumerate_units_2(point_models.PicardModel2(X3B))
+
+
+def _morphisms_2():
+    return [m for s, t in itertools.product(_units_2(), repeat=2)
+            for m in point_models.unit_1morphisms(s, t)]
+
+
+# a few library-built values of every record class, some of them equal
+SAMPLES = {
+    "FgAbGroup": lambda: [Z2, Z4, abelian.FgAbGroup((2,), 0),
+                          abelian.FgAbGroup((2, 4), 1)],
+    "GroupElem": lambda: [*abelian.FgAbGroup((2, 4), 0).elements()][:4]
+    + [Z2.zero(), Z4.zero()],
+    "GroupHom": lambda: [abelian.GroupHom(Z2, Z4, [[2]]),
+                         abelian.GroupHom.identity(Z4),
+                         abelian.GroupHom.zero(Z4, Z4)],
+    "DirectSum": lambda: [abelian.direct_sum_many([Z2, Z4]),
+                          abelian.direct_sum_many([Z4, Z2])],
+    "Complex2": lambda: [X2, X2B],
+    "Complex3": lambda: [X3, X3B],
+    "StrictMorphism": lambda: [complexes.StrictMorphism.identity(X)
+                               for X in (X2, X2B, X3)],
+    "PicardModel1": lambda: [point_models.PicardModel1(X) for X in (X2, X2B)],
+    "SaavedraUnit": _units_1,
+    "UnitMorphism1": lambda: [
+        m for s, t in itertools.product(_units_1(), repeat=2)
+        for m in point_models.unit_morphisms_1(s, t)],
+    "PicardModel2": lambda: [point_models.PicardModel2(X) for X in (X3, X3B)],
+    "JKUnit": _units_2,
+    "UnitMorphism2": _morphisms_2,
+    "Unit2Morphism": lambda: [
+        m for m1, m2 in itertools.product(_morphisms_2()[:4], repeat=2)
+        if m1.source == m2.source and m1.target == m2.target
+        for m in point_models.unit_2morphisms(m1, m2)],
+    "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
+    "NonabelianUnit": lambda: crossed.enumerate_units_nonabelian(
+        C3_ON_ITSELF)[0],
+    "UnitTriple": lambda: crossed.enumerate_unit_triples(C2_TRIVIAL, POINT),
+    "Cover": lambda: [cech.point_cover(), CIRCLE],
+    "SheafSections": lambda: [cech.SheafSections.zero(Z2, NERVE, 0),
+                              cech.SheafSections.zero(Z4, NERVE, 1),
+                              cech.SheafSections.constant(Z4.generator(0),
+                                                          NERVE, 1)],
+    "UnitCocycle1": lambda: [cech.cocycle_of_unit(u, NERVE)
+                             for u in _units_1()],
+    "TotalCocycle": lambda: [cech.cocycle_of_unit(u, POINT)
+                             for u in _units_2()[:2]],
+    "ComplexSpecFile": lambda: [
+        specfile.parse_spec(specfile.print_spec(specfile.parse_spec(text)))
+        for text in ('{"kind": "complex2", "groups": {"A": {"inv": [2]}}}',
+                     '{"kind": "complex3", "groups": {}, "maps": {}}')],
+    "Check": lambda: [verification.Check("a", True),
+                      verification.Check("a", True, None),
+                      verification.Check("b", False, (1, Z2)),
+                      verification.Check("b", False, [1])],
+}
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("unital."):
+            yield sub
+        yield from _records(sub)
+
+
+RECORDS = sorted(_records(), key=lambda cls: cls.__name__)
+
+
+def _fields(cls):
+    return tuple(vars(cls)["__annotations__"])
+
+
+def _values(record):
+    return [getattr(record, name) for name in _fields(type(record))]
+
+
+# what a class body holds only because it is a Record, or any class
+_RECORD_ONLY = {"__dict__", "__weakref__", "__annotations__", "__module__",
+                "__qualname__", "_fields", "_defaults", "_astuple", "_init"}
+
+
+def _twin(cls):
+    """The frozen dataclass that ``cls`` stands for, with its own methods."""
+    own = vars(cls)
+    specs = [(name, object) if name not in own else
+             # a factory, since a read-only mapping is not a hashable default
+             (name, object,
+              dataclasses.field(default_factory=lambda v=own[name]: v))
+             for name in _fields(cls)]
+    namespace = {key: value for key, value in own.items()
+                 if key not in _fields(cls) and key not in _RECORD_ONLY}
+    return dataclasses.make_dataclass(cls.__name__, specs,
+                                      namespace=namespace, frozen=True)
+
+
+def _hashed(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_every_record_has_samples():
+    assert len(RECORDS) == 23
+    assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
+    assert all(cls.__bases__ == (Record,) for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equality_hash_and_repr_match_the_dataclass(cls):
+    twin = _twin(cls)
+    records = SAMPLES[cls.__name__]()
+    assert len(records) >= 2
+    assert all(type(r) is cls for r in records)
+    twins = [twin(*_values(r)) for r in records]
+    for record, other in zip(records, twins):
+        copy = cls(*_values(record))
+        assert copy is not record and copy == record and not copy != record
+        assert repr(record) == repr(other) == repr(copy)
+        assert _hashed(record) == _hashed(other) == _hashed(copy)
+        assert record != other and other != record
+    for (r1, t1), (r2, t2) in itertools.product(zip(records, twins),
+                                                repeat=2):
+        assert (r1 == r2) == (t1 == t2)
+        assert (r1 != r2) == (t1 != t2)
+    assert any(r1 != r2 for r1, r2 in itertools.combinations(records, 2))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_keywords_and_defaults_match_the_dataclass(cls):
+    twin = _twin(cls)
+    record = SAMPLES[cls.__name__]()[0]
+    names, values = _fields(cls), _values(record)
+    assert cls(**dict(zip(names, values))) == record
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+    required = [name for name in names if name not in vars(cls)]
+    for k in range(len(required), len(names) + 1):  # the rest defaulted
+        given = dict(zip(names[:k], values))
+        assert _values(cls(**given)) == _values(twin(**given))
+        assert _values(cls(*values[:k])) == _values(twin(*values[:k]))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_bad_arguments_raise_type_error(cls):
+    twin = _twin(cls)
+    record = SAMPLES[cls.__name__]()[0]
+    names, values = _fields(cls), _values(record)
+    calls = [(values + [None], {}),                          # extra
+             (values, {names[0]: values[0]}),                # repeated
+             (values, {"nonesuch": 1})]                      # unknown
+    if names[0] not in vars(cls):
+        calls.append(((), dict(zip(names[1:], values[1:]))))  # missing
+    for args, kwargs in calls:
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_immutable(cls):
+    record = SAMPLES[cls.__name__]()[0]
+    twin = _twin(cls)(*_values(record))
+    for value in (record, twin):
+        for name in (_fields(cls)[0], "nonesuch"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert _values(record) == _values(twin)
+
+
+def test_post_init_runs_once_per_construction():
+    seen = []
+
+    class Probe(Record):
+        x: int
+        y: int = 0
+
+        def __post_init__(self):
+            seen.append((self.x, self.y))
+
+    Probe(1)
+    Probe(2, 3)
+    Probe(x=4)
+    Probe(5, y=6)
+    Probe(y=8, x=7)
+    assert seen == [(1, 0), (2, 3), (4, 0), (5, 6), (7, 8)]
+    with pytest.raises(TypeError):
+        Probe()
+    assert len(seen) == 5
+
+
+def test_validation_runs_in_every_constructor_form():
+    # GroupHom's __post_init__ refuses a map that is not well defined
+    for args, kwargs in [((Z2, Z4, [[1]]), {}),
+                         ((), {"source": Z2, "target": Z4, "matrix": [[1]]}),
+                         ((Z2,), {"matrix": [[1]], "target": Z4})]:
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            abelian.GroupHom(*args, **kwargs)

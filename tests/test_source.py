@@ -30,3 +30,25 @@ def test_parses_as_python_3_10():
     # the requires-python floor; a newer-only syntax would break its users
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_records_not_dataclasses():
+    # importing dataclasses costs every command `inspect` and generated
+    # code; and Record.__init__ is what runs __post_init__, so on any other
+    # class that validation would be skipped without an error
+    imports, unchecked = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "dataclasses" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) \
+                    and node.module == "dataclasses":
+                imports.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    for f in node.body) and not any(
+                    isinstance(b, ast.Name) and b.id == "Record"
+                    for b in node.bases):
+                unchecked.append(f"{path.name}:{node.name}")
+    assert not imports, f"dataclasses imported in src/unital: {imports}"
+    assert not unchecked, f"__post_init__ outside a Record: {unchecked}"
