@@ -209,8 +209,8 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def _canonicalize_presentation(ngens, rel_cols, exponent=None):
-    """Quotient of Z^ngens by the columns of a relation matrix.
+def _canonicalize_presentation(R, exponent=None):
+    """Quotient of Z^ngens by the columns of R, an ngens-row matrix by rows.
 
     Returns ``(group, to_can, from_can)`` where ``to_can`` maps ambient
     coordinates to canonical generators and ``from_can`` sends each canonical
@@ -226,8 +226,7 @@ def _canonicalize_presentation(ngens, rel_cols, exponent=None):
     modulo the generator orders, which divide the exponent.  Without one,
     ``e = 0`` and gcd(d_i, 0) = |d_i|, with 0 marking a free coordinate.
     """
-    k = len(rel_cols)
-    R = [[rel_cols[j][i] for j in range(k)] for i in range(ngens)]
+    ngens, k = len(R), len(R[0]) if R else 0
     e = exponent or 0
     U, Ui, D, _ = _snf_full(R, want_v=False, modulus=e)
     orders = [gcd(D[i][i], e) if i < k else e for i in range(ngens)]
@@ -280,13 +279,9 @@ class FgAbGroup(Record):
         >>> FgAbGroup.from_divisors(2, 3).invariant_factors
         (6,)
         """
-        cols = []
-        for i, d in enumerate(divisors):
-            if d:
-                col = [0] * len(divisors)
-                col[i] = int(d)
-                cols.append(col)
-        group, _, _ = _canonicalize_presentation(len(divisors), cols)
+        divisors = [int(d) for d in divisors]
+        group, _, _ = _canonicalize_presentation(
+            _with_relations([[]] * len(divisors), divisors))
         return group
 
     @property
@@ -333,13 +328,10 @@ class FgAbGroup(Record):
         for coords in itertools.product(*ranges):
             yield GroupElem(self, coords)
 
-    def relation_columns(self):
-        cols = []
-        for i, d in enumerate(self.invariant_factors):
-            col = [0] * self.ngens
-            col[i] = d
-            cols.append(col)
-        return cols
+    @property
+    def orders(self):
+        """The order of each coordinate, 0 for a free one."""
+        return self.invariant_factors + (0,) * self.free_rank
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]
@@ -478,15 +470,69 @@ class GroupHom(Record):
 # kernels, cokernels, sums, solving
 
 
-def _int_kernel_columns(cols, nrows):
-    """Basis columns of the integer kernel of the matrix with given columns."""
-    N = len(cols)
-    if nrows == 0:  # 0 x N matrix: the kernel is everything
-        return [[int(i == j) for i in range(N)] for j in range(N)]
-    M = [[cols[j][i] for j in range(N)] for i in range(nrows)]
+def _with_relations(rows, orders):
+    """The rows of a matrix into Z^m / R, followed by the columns of R, the
+    diagonal lattice of the coordinate orders (0 marks a free one)."""
+    rel = [i for i, d in enumerate(orders) if d]
+    return [list(row) + [orders[i] if i == r else 0 for r in rel]
+            for i, row in enumerate(rows)]
+
+
+def _int_kernel(M, ncols):
+    """A basis of the integer kernel of M (by rows, ncols wide), as the
+    columns of a matrix given by its rows."""
+    if not M:  # no equations: the kernel is everything
+        return _identity(ncols)
     _, _, D, V = _snf_full(M, want_u=False, want_ui=False)
-    rank = sum(1 for i in range(min(nrows, N)) if D[i][i])
-    return [[V[i][j] for i in range(N)] for j in range(rank, N)]
+    rank = sum(1 for i in range(min(len(M), ncols)) if D[i][i])
+    return [row[rank:] for row in V]
+
+
+def _exponent(orders):
+    """Annihilator of Z^n / R; None when a coordinate is free or n = 0."""
+    return lcm(*orders) if orders and all(orders) else None
+
+
+def subquotient(d_in, orders, d_out, out_orders):
+    """Homology at the middle of  Z^k -> Z^n / R -> Z^m / R',  canonical.
+
+    R and R' are the diagonal lattices of the coordinate orders ``orders``
+    and ``out_orders`` (0 marks a free coordinate).  ``d_out`` (m x n) and
+    ``d_in`` (n x k) are integer matrices, by rows, of well-defined maps
+    with ``d_out . d_in`` in R'.  The result is
+
+        {x : d_out x in R'} / (im d_in + R),
+
+    found without a canonical form of either term: one integer kernel gives
+    generators of the cycle lattice, a second one their relations, and only
+    the quotient is canonicalized.  Cycle generators are reduced modulo R
+    between the stages; the cycle lattice contains R, so this changes
+    nothing but keeps the integers small.
+
+    Returns ``(group, gens, from_can)``: ``gens`` are the cycle generators
+    as vectors of Z^n, and column j of ``from_can`` writes canonical
+    generator j in terms of them.
+
+    >>> str(subquotient([[], []], [2, 3], [], [])[0])  # Z/2 x Z/3
+    'Z/6'
+    """
+    n = len(orders)
+    gens, seen = [], set()
+    K = _int_kernel(_with_relations(d_out, out_orders),
+                    n + sum(map(bool, out_orders)))
+    for col in zip(*K[:n]):
+        v = tuple(x % d if d else x for x, d in zip(col, orders))
+        if any(v) and v not in seen:
+            seen.add(v)
+            gens.append(v)
+    s = len(gens)
+    M = _with_relations([[g[i] for g in gens] + list(row)
+                         for i, row in enumerate(d_in)], orders)
+    # the exponent of Z^n / R annihilates every cycle class, certifying the
+    # entry-bounded elimination
+    group, _, from_can = _canonicalize_presentation(
+        _int_kernel(M, len(M[0]) if M else s)[:s], _exponent(orders))
+    return group, gens, from_can
 
 
 def kernel(f):
@@ -494,49 +540,20 @@ def kernel(f):
 
     Returns ``(K, incl)`` where ``incl`` is injective, ``f . incl = 0`` and
     every element killed by ``f`` factors through ``incl``.
-
-    Lattice generators are reduced modulo the source relations between
-    elimination stages; the kernel lattice contains those relations, so this
-    changes nothing but keeps the integers small.
     """
     n = f.source.ngens
-    m = f.target.ngens
-    cols = [[f.matrix[i][j] for i in range(m)] for j in range(n)]
-    cols += f.target.relation_columns()
-    # x-parts of solutions of  f(x) + relation = 0  generate the kernel lattice
-    lattice = []
-    seen = set()
-    for col in _int_kernel_columns(cols, m):
-        v = list(f.source.reduce(col[:n]))
-        if any(v) and tuple(v) not in seen:
-            seen.add(tuple(v))
-            lattice.append(v)
-    s = len(lattice)
-    cols2 = [list(b) for b in lattice] + f.source.relation_columns()
-    rel = [col[:s] for col in _int_kernel_columns(cols2, n)]
-    # the source exponent annihilates every generator class, certifying the
-    # entry-bounded elimination
-    exponent = _group_exponent(f.source)
-    K, _, from_can = _canonicalize_presentation(s, rel, exponent)
-    B = [[lattice[j][i] for j in range(s)] for i in range(n)]  # n x s
-    incl_rows = _matmul(B, from_can, n, s, K.ngens)
+    K, gens, from_can = subquotient([[]] * n, f.source.orders, f.matrix,
+                                    f.target.orders)
+    B = [[g[i] for g in gens] for i in range(n)]  # n x s
+    incl_rows = _matmul(B, from_can, n, len(gens), K.ngens)
     return K, GroupHom(K, f.source, incl_rows)
-
-
-def _group_exponent(G):
-    """Annihilator of a finite group; None when there is a free part."""
-    if G.free_rank or not G.invariant_factors:
-        return None
-    return G.invariant_factors[-1]
 
 
 def cokernel(f):
     """Cokernel quotient with its projection.  Returns ``(Q, proj)``."""
-    m = f.target.ngens
-    cols = [[f.matrix[i][j] for i in range(m)] for j in range(f.source.ngens)]
-    cols += f.target.relation_columns()
-    Q, to_can, _ = _canonicalize_presentation(m, cols,
-                                              _group_exponent(f.target))
+    orders = f.target.orders
+    Q, to_can, _ = _canonicalize_presentation(
+        _with_relations(f.matrix, orders), _exponent(orders))
     return Q, GroupHom(f.target, Q, to_can)
 
 
@@ -555,11 +572,8 @@ class LinearSolver:
         self._n, self._m = n, m
         if m == 0:
             return
-        cols = [[f.matrix[i][j] for i in range(m)] for j in range(n)]
-        cols += f.target.relation_columns()
-        N = len(cols)
-        M = [[cols[j][i] for j in range(N)] for i in range(m)]
-        self._N = N
+        M = _with_relations(f.matrix, f.target.orders)
+        self._N = len(M[0])
         self._U, _, self._D, self._V = _snf_full(M, want_ui=False)
 
     def solve(self, y):
@@ -615,19 +629,10 @@ class DirectSum(Record):
 def direct_sum_many(groups):
     """Canonical-form direct sum with all injections and projections."""
     groups = list(groups)
-    ngens = sum(G.ngens for G in groups)
     offsets = list(itertools.accumulate([0] + [G.ngens for G in groups]))
-    cols = []
-    for G, off in zip(groups, offsets):
-        for c in G.relation_columns():
-            col = [0] * ngens
-            col[off:off + G.ngens] = c
-            cols.append(col)
-    exponent = None
-    if all(G.free_rank == 0 for G in groups) and any(G.ngens for G in groups):
-        exponent = lcm(*(d for G in groups for d in G.invariant_factors),
-                       1)
-    S, to_can, from_can = _canonicalize_presentation(ngens, cols, exponent)
+    orders = [d for G in groups for d in G.orders]
+    S, to_can, from_can = _canonicalize_presentation(
+        _with_relations([[]] * len(orders), orders), _exponent(orders))
     injections = []
     projections = []
     for G, off in zip(groups, offsets):

@@ -19,12 +19,14 @@ chosen so that for a 2-term complex the component equations of a total
     d0*(a) + d2*(a) = d1*(a)      and      d0*(b) = d1*(b) + lambda(a),
 
 and the coboundary of alpha in A(V_0) acts by a += d0*alpha - d1*alpha,
-b += lambda(alpha).  Classification groups are computed as homology of the
-packed total complex in exact arithmetic.  Torsor cocycles (a, b) and unit
-cocycles (a, a_phi, b) are also enumerated exhaustively and quotiented by
-that action, which is how the contractibility statements are checked at
-sheaf level; both scans run on table-coded groups and return their class
-representatives as sections.
+b += lambda(alpha).  Classification groups are computed in exact arithmetic
+as H^0 of the total complex on block coordinates: the differential is one
+integer block matrix, each term is presented by the orders of its
+coordinates, and only the resulting group is put in canonical form.
+Torsor cocycles (a, b) and unit cocycles (a, a_phi, b) are also enumerated
+exhaustively and quotiented by that action, which is how the
+contractibility statements are checked at sheaf level; both scans run on
+table-coded groups and return their class representatives as sections.
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ from .abelian import (
     CapExceeded,
     FgAbGroup,
     FinitenessError,
-    GroupElem,
     GroupHom,
+    _with_relations,
     direct_sum,
-    direct_sum_many,
     kernel,
     solve,
+    subquotient,
 )
-from .complexes import Complex2, Complex3, homology, unit_complex_2
+from .complexes import Complex2, unit_complex_2
 from .point_models import (
     JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
 from .record import Record
@@ -510,101 +512,86 @@ def _group_from_orders(orders):
 
 
 class _TotalLayout:
-    """Packing of the total-degree-n part of the double complex X^p(V_q)
-    into a single canonical group, block by block."""
+    """The total-degree-n part of the double complex X^p(V_q) on block
+    coordinates: one block per (p, q, cell) holding the coordinates of
+    X^p, each of the order it has there (0 for a free one).  The term is
+    the product of its blocks, presented by the diagonal lattice of
+    ``orders``; no canonical form is taken."""
 
     def __init__(self, X, nerve, total_degree):
         self.X = X
-        self.nerve = nerve
         self.blocks = []  # (p, q, cell)
+        self.offset = {}  # block -> its first coordinate
+        self.orders = []
         for p in X.degrees:
             q = total_degree - p
             if 0 <= q <= TOP_LEVEL:
                 for cell in nerve.level(q):
                     self.blocks.append((p, q, cell))
-        ds = direct_sum_many([X.group_at(p) for p, _, _ in self.blocks])
-        self.group = ds.group
-        self._inj = ds.injections
-        self._proj = ds.projections
+                    self.offset[(p, q, cell)] = len(self.orders)
+                    self.orders += X.group_at(p).orders
 
-    def pack(self, components) -> GroupElem:
-        """components: {(p, q): SheafSections}"""
-        out = self.group.zero()
-        for (p, q, cell), inj in zip(self.blocks, self._inj):
-            out = out + inj(components[(p, q)](cell))
-        return out
+    def pack(self, components):
+        """Coordinates of {(p, q): SheafSections}, block by block."""
+        return [x for p, q, cell in self.blocks
+                for x in components[(p, q)](cell).coords]
 
-    def unpack(self, elem) -> dict:
-        comps = {}
-        for (p, q, cell), proj in zip(self.blocks, self._proj):
-            sec = comps.setdefault(
-                (p, q), {"group": self.X.group_at(p), "data": {}})
-            sec["data"][cell] = proj(elem)
-        return {pq: SheafSections(v["group"], pq[1], v["data"])
-                for pq, v in comps.items()}
+    def unpack(self, coords) -> dict:
+        """{(p, q): SheafSections} of a coordinate vector, reduced."""
+        data = {}
+        for p, q, cell in self.blocks:
+            G, off = self.X.group_at(p), self.offset[(p, q, cell)]
+            data.setdefault((p, q), {})[cell] = G.element(
+                coords[off:off + G.ngens])
+        return {pq: SheafSections(self.X.group_at(pq[0]), pq[1], sections)
+                for pq, sections in data.items()}
 
 
-def _total_differential_hom(X, nerve, layout_n, layout_n1) -> GroupHom:
-    """D = d_X + (-1)^(p+1) cech, as one hom between the packed groups.
-
-    In block coordinates D has d_X from (p-1, q, c) to (p, q, c) and
-    (-1)^(p+1+i) from (p, q-1, d_i c) to (p, q, c); it is conjugated by the
-    stacked target injections and source projections, skipping zeros.
-    """
-    width = layout_n.group.ngens
-    offset, proj_rows = {}, []  # stacked source projections
-    for block, proj in zip(layout_n.blocks, layout_n._proj):
-        offset[block] = len(proj_rows)
-        proj_rows.extend(proj.matrix)
-    out = [[0] * width for _ in range(layout_n1.group.ngens)]
-    for (p, q, cell), inj in zip(layout_n1.blocks, layout_n1._inj):
-        # rows of (block matrix) x (stacked projections) for this block
-        rows = [[0] * width for _ in range(X.group_at(p).ngens)]
-        if (p - 1, q, cell) in offset:
-            off = offset[(p - 1, q, cell)]
-            for row, d_row in zip(rows, X.differential(p - 1).matrix):
-                for j, v in enumerate(d_row):
-                    if v:
-                        _add_multiple(row, v, proj_rows[off + j])
+def _block_differential(X, nerve, source, target):
+    """D = d_X + (-1)^(p+1) cech as an integer matrix, by rows: d_X from
+    (p-1, q, c) to (p, q, c), and (-1)^(p+1+i) times the identity from
+    (p, q-1, d_i c) to (p, q, c)."""
+    width = len(source.orders)
+    rows = []
+    for p, q, cell in target.blocks:
+        block = [[0] * width for _ in range(X.group_at(p).ngens)]
+        off = source.offset.get((p - 1, q, cell))
+        if off is not None:
+            for row, d_row in zip(block, X.differential(p - 1).matrix):
+                row[off:off + len(d_row)] = d_row
         for i in range(q + 1 if q else 0):
-            off = offset[(p, q - 1, nerve.face(q, i, cell))]
-            for k, row in enumerate(rows):
-                _add_multiple(row, (-1) ** (p + 1 + i), proj_rows[off + k])
-        for out_row, inj_row in zip(out, inj.matrix):
-            for v, row in zip(inj_row, rows):
-                if v:
-                    _add_multiple(out_row, v, row)
-    return GroupHom(layout_n.group, layout_n1.group, out)
-
-
-def _add_multiple(acc, v, row):
-    """acc += v * row, in place, skipping the zero entries of row."""
-    for j, x in enumerate(row):
-        if x:
-            acc[j] += v * x
+            off = source.offset[(p, q - 1, nerve.face(q, i, cell))]
+            for k, row in enumerate(block):
+                row[off + k] += (-1) ** (p + 1 + i)
+        rows += block
+    return rows
 
 
 def total_complex_piece(X, nerve):
-    """The packed three-term complex T^-1 -> T^0 -> T^1 with its layouts."""
-    lm1 = _TotalLayout(X, nerve, -1)
-    l0 = _TotalLayout(X, nerve, 0)
-    l1 = _TotalLayout(X, nerve, 1)
-    d_low = _total_differential_hom(X, nerve, lm1, l0)
-    d_high = _total_differential_hom(X, nerve, l0, l1)
-    return Complex3(lm1.group, l0.group, l1.group, d_low, d_high), (lm1, l0, l1)
+    """The total complex T^-1 -> T^0 -> T^1 on block coordinates.
+
+    Returns the layouts ``(lm1, l0, l1)`` and the integer block matrices
+    ``(d_low, d_high)`` of the total differential; T^n is presented by the
+    diagonal lattice of its layout's ``orders``.
+    """
+    layouts = tuple(_TotalLayout(X, nerve, n) for n in (-1, 0, 1))
+    return layouts, (_block_differential(X, nerve, *layouts[:2]),
+                     _block_differential(X, nerve, *layouts[1:]))
 
 
 def classify_h0(nerve: Nerve, X) -> FgAbGroup:
     """Total-degree-0 cocycles modulo coboundaries, as a canonical group.
 
-    For the unit complex of any coefficient complex this is the trivial
+    On block coordinates this is {x : D0 x in R1} / (im D-1 + R0), with R0
+    and R1 the relation lattices of T^0 and T^1 (``abelian.subquotient``).
+    For the unit complex of any coefficient complex it is the trivial
     group; that is the classification form of contractibility.
     """
     for d in X.degrees:
         if not X.group_at(d).is_finite:
             raise FinitenessError("classification needs finite groups")
-    total, _ = total_complex_piece(X, nerve)
-    return homology(total, -1)
+    (_, l0, l1), (d_low, d_high) = total_complex_piece(X, nerve)
+    return subquotient(d_low, l0.orders, d_high, l1.orders)[0]
 
 
 class TotalCocycle(Record):
@@ -706,10 +693,16 @@ def unit_of_cocycle(cocycle, nerve: Nerve, X):
         phi, e = qroj_b(bc), qroj_c(bc)
         unit = JKUnit(PicardModel2(X), e, phi)
         constant = cocycle_of_unit(unit, nerve)
-        total, (lm1, l0, _) = total_complex_piece(U, nerve)
-        target = l0.pack(cocycle.components) - l0.pack(constant.components)
-        w = solve(total.delta, target)
+        (lm1, l0, _), (d_low, _) = total_complex_piece(U, nerve)
+        target = [x - y for x, y in zip(l0.pack(cocycle.components),
+                                        l0.pack(constant.components))]
+        # D-1 w + r = target with r in R0, an exact solve over the integers:
+        # w then r are the coordinates of a free source
+        source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))
+        ambient = FgAbGroup.free(len(l0.orders))
+        w = solve(GroupHom(source, ambient, _with_relations(d_low, l0.orders)),
+                  ambient.element(target))
         if w is None:
             raise CocycleError("cocycle is not cohomologous to a constant")
-        return unit, lm1.unpack(w)
+        return unit, lm1.unpack(w.coords[:len(lm1.orders)])
     raise TypeError("expected a unit cocycle")

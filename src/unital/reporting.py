@@ -53,7 +53,18 @@ def _homology(report, X, opts):
     report.add("complex is well formed", True)
 
 
+def _charge(G, power, formula, cap):
+    """Refuse a unit scan of |G|^power states above the cap, before any
+    table is built; an infinite G is refused by the scan itself."""
+    states = G.order() ** power if G.is_finite else 0
+    if states > cap:
+        raise CapExceeded(f"unit scan needs {states} states ({formula}), "
+                          f"above the cap {cap}")
+
+
 def _units_1(report, X, opts):
+    # count_unit_morphisms_1 scans every ordered pair of units
+    _charge(X.A, 2, "|A|^2", opts.max_states)
     model = point_models.PicardModel1(X)
     units = point_models.enumerate_units_1(model)
     report.data["units"] = [u.key() for u in units]
@@ -65,6 +76,7 @@ def _units_1(report, X, opts):
 
 
 def _units_2(report, X, opts):
+    _charge(X.B, 1, "|B|", opts.max_states)
     units = point_models.enumerate_units_2(point_models.PicardModel2(X))
     report.data["units"] = [u.key() for u in units]
     report.add("unit count equals |B|", len(units) == X.B.order(), len(units))

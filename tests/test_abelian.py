@@ -161,8 +161,9 @@ class TestPresentation:
     @given(finite_presentations())
     def test_modular_and_integer_elimination_agree(self, presentation):
         n, cols, exponent = presentation
-        modular = _canonicalize_presentation(n, cols, exponent)
-        integer = _canonicalize_presentation(n, cols)
+        R = [[col[i] for col in cols] for i in range(n)]
+        modular = _canonicalize_presentation(R, exponent)
+        integer = _canonicalize_presentation(R)
         assert modular[0] == integer[0]
         for G, to_can, from_can in (modular, integer):
             assert G.free_rank == 0

@@ -272,7 +272,17 @@ class TestCliProcess:
         path = self._write(tmp_path, TIMES2)
         assert main(["contractible", "--in", path, "--max-states", "0"]) == 3
         assert capsys.readouterr().err.startswith("cap exceeded")
-        assert main(["units", "--in", path, "--max-states", "0"]) == 0
+        assert main(["units", "--in", path, "--max-states", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded") and "4 states" in err
+
+    @pytest.mark.parametrize("doc,states", [(TIMES2, 4), (THREE_TERM, 2)])
+    def test_units_honour_max_states(self, tmp_path, capsys, doc, states):
+        # |A|^2 ordered pairs of units for 2-term input, |B| units for 3-term
+        args = ["units", "--in", self._write(tmp_path, doc), "--max-states"]
+        assert main(args + [str(states - 1)]) == 3
+        assert f"needs {states} states" in capsys.readouterr().err
+        assert main(args + [str(states)]) == 0
 
     def test_circle_torsor_scan_honours_max_states(self, tmp_path, capsys):
         # 2^9 * 2^3 = 4096 candidate torsor cocycles on the circle
