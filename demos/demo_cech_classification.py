@@ -52,8 +52,8 @@ print(f"classification group of the unit complex on the circle: "
 print()
 print("== round trip between units and cocycles ==")
 unit = enumerate_units_1(PicardModel1(X))[1]
-c = cocycle_of_unit(unit, nerve)
-back, alpha = unit_of_cocycle(c, nerve, X)
-print(f"unit {unit.key()} -> constant cocycle -> unit {back.key()}")
-print(f"trivializing section: "
-      f"{[v.coords for v in alpha.data.values()]}")
+x = cocycle_of_unit(unit, nerve)
+back, w = unit_of_cocycle(x, nerve, X)
+print(f"unit {unit.key()} -> constant total 0-cocycle of the unit complex "
+      f"({len(x)} block coordinates) -> unit {back.key()}")
+print(f"trivializing cochain of total degree -1: {w}")

@@ -16,12 +16,10 @@ from unital import (
     enumerate_units_1,
     enumerate_units_2,
     tensor_units_1,
-    unit_1morphisms,
-    unit_2morphisms,
-    unit_morphisms_1,
     verify_contractible_1,
     verify_contractible_2,
 )
+from unital.point_models import count_unit_morphisms_1
 
 Z2, Z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
 
@@ -31,8 +29,10 @@ units = enumerate_units_1(model)
 for u in units:
     print(f"  unit: e = {u.e}, a_phi = {u.a_phi}")
 s, t = units
-(mor,) = unit_morphisms_1(s, t)
-print(f"unique morphism first -> second has u = {mor.u}")
+print(f"unique morphism first -> second has u = a_phi(s) - a_phi(t) = "
+      f"{s.a_phi - t.a_phi}")
+print(f"ordered pairs of units joined by that morphism: "
+      f"{count_unit_morphisms_1(model)} of {len(units) ** 2}")
 print(f"tensor of the nontrivial unit with itself: "
       f"{tensor_units_1(t, t).key()}")
 print(verify_contractible_1(model).to_text())
@@ -43,9 +43,4 @@ model2 = PicardModel2(Complex3(Z2, Z2, Z2, GroupHom.zero(Z2, Z2),
                                GroupHom.identity(Z2)))
 units2 = enumerate_units_2(model2)
 print(f"units: {[u.key() for u in units2]}")
-ms = unit_1morphisms(units2[0], units2[1])
-print(f"unit 1-morphisms between them: "
-      f"{[(m.f.coords, m.theta.coords) for m in ms]}")
-(g,) = unit_2morphisms(ms[0], ms[1])
-print(f"the unique 2-morphism between those has gamma = {g.gamma}")
 print(verify_contractible_2(model2).to_text())

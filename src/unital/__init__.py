@@ -30,8 +30,7 @@ _EXPORTS = {
         "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
         "kernel", "lift_through", "smith_normal_form", "solve"),
     "cech": (
-        "CocycleError", "Cover", "Nerve", "SheafSections", "TotalCocycle",
-        "UnitCocycle1", "cech_differential", "cech_nerve", "classify_h0",
+        "CocycleError", "Cover", "Nerve", "cech_nerve", "classify_h0",
         "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
         "unit_cocycles", "unit_of_cocycle"),
     "complexes": (
@@ -47,10 +46,8 @@ _EXPORTS = {
         "verify_crossed_module"),
     "point_models": (
         "JKUnit", "PicardModel1", "PicardModel2", "SaavedraUnit",
-        "canonical_unit", "enumerate_units_1", "enumerate_units_2",
-        "tensor_units_1", "tensor_units_2", "unit_1morphisms",
-        "unit_2morphisms", "unit_morphisms_1", "verify_contractible_1",
-        "verify_contractible_2"),
+        "enumerate_units_1", "enumerate_units_2", "tensor_units_1",
+        "tensor_units_2", "verify_contractible_1", "verify_contractible_2"),
     "reporting": ("run",),
     "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
     "verification": ("Report",),

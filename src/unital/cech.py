@@ -7,9 +7,8 @@ repetition) and per connected component of the corresponding intersection;
 face maps drop indices.  Levels 0..3 are kept, which is exactly enough to
 state the degree-0 and degree-1 cocycle conditions.
 
-Sections of an abelian group over a level are plain functions from cells to
-group elements.  The double complex of a coefficient complex X has
-K^(p,q) = X^p(V_q); the total differential used throughout is
+The double complex of a coefficient complex X has K^(p,q) = X^p(V_q); the
+total differential used throughout is
 
     D = d_X + (-1)^(p+1) * cech
 
@@ -19,14 +18,17 @@ chosen so that for a 2-term complex the component equations of a total
     d0*(a) + d2*(a) = d1*(a)      and      d0*(b) = d1*(b) + lambda(a),
 
 and the coboundary of alpha in A(V_0) acts by a += d0*alpha - d1*alpha,
-b += lambda(alpha).  Classification groups are computed in exact arithmetic
-as H^0 of the total complex on block coordinates: the differential is one
-integer block matrix, each term is presented by the orders of its
-coordinates, and only the resulting group is put in canonical form.
-Torsor cocycles (a, b) and unit cocycles (a, a_phi, b) are also enumerated
-exhaustively and quotiented by that action, which is how the
-contractibility statements are checked at sheaf level; both scans run on
-table-coded groups and return their class representatives as sections.
+b += lambda(alpha).  Total cochains live on block coordinates: one block of
+X^p coordinates per (p, q, cell), each term presented by the orders of its
+coordinates, and the differential is one integer block matrix.
+Classification groups are H^0 of this total complex, computed exactly and
+put in canonical form only at the end.  Units of the point model are the
+total 0-cocycles of the unit complex up to coboundaries (J and K below);
+for a 2-term complex these are the descent data (a, a_phi, b).  Torsor
+cocycles (a, b) and unit cocycles (a, a_phi, b) are also enumerated
+exhaustively on table-coded groups and quotiented by the coboundary
+action, which is how the contractibility statements are checked at sheaf
+level; both scans return coded class representatives.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ from .abelian import (
     GroupHom,
     _with_relations,
     direct_sum,
-    kernel,
     solve,
     subquotient,
 )
-from .complexes import Complex2, unit_complex_2
+from .complexes import (
+    Complex2, _unit_complex_2_embedding, unit_complex_1, unit_complex_2)
 from .point_models import (
     JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
 from .record import Record
@@ -223,80 +225,9 @@ def cech_nerve(cover: Cover) -> Nerve:
 
 
 # --------------------------------------------------------------------------
-# sections
-
-
-class SheafSections(Record):
-    """A function from the cells of one nerve level to a fixed group."""
-
-    group: FgAbGroup
-    level: int
-    data: dict
-
-    def __post_init__(self):
-        for cell, val in self.data.items():
-            if val.group != self.group:
-                raise ValueError(f"value at {cell} lies in the wrong group")
-
-    @classmethod
-    def zero(cls, group, nerve, level):
-        return cls(group, level,
-                   {c: group.zero() for c in nerve.level(level)})
-
-    @classmethod
-    def constant(cls, value, nerve, level):
-        return cls(value.group, level,
-                   {c: value for c in nerve.level(level)})
-
-    def __call__(self, cell):
-        return self.data[cell]
-
-    def pullback(self, nerve, i):
-        """d_i^*: sections one level up, value at c is the value at d_i(c)."""
-        n = self.level + 1
-        return SheafSections(
-            self.group, n,
-            {c: self.data[nerve.face(n, i, c)] for c in nerve.level(n)})
-
-    def map_values(self, hom: GroupHom):
-        return SheafSections(hom.target, self.level,
-                             {c: hom(v) for c, v in self.data.items()})
-
-    def _binary(self, other, op):
-        if self.group != other.group or self.level != other.level or \
-                set(self.data) != set(other.data):
-            raise ValueError("sections are not compatible")
-        return SheafSections(self.group, self.level,
-                             {c: op(self.data[c], other.data[c])
-                              for c in self.data})
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
-
-    @property
-    def is_zero(self):
-        return all(v.is_zero for v in self.data.values())
-
-    def key(self):
-        return tuple(self.data[c].coords for c in sorted(self.data))
-
-
-def cech_differential(nerve, s: SheafSections) -> SheafSections:
-    """Alternating sum of face pullbacks, one level up."""
-    out = SheafSections.zero(s.group, nerve, s.level + 1)
-    for i in range(s.level + 2):
-        pulled = s.pullback(nerve, i)
-        out = out + pulled if i % 2 == 0 else out - pulled
-    return out
-
-
-# --------------------------------------------------------------------------
 # table-coded scans: a coded section is a tuple of element indices in cell
-# order, which compares like its ``key()`` because index order is the order
-# of ``FgAbGroup.elements()``
+# order; index order is the order of ``FgAbGroup.elements()``, so coded
+# sections sort like their coordinates
 
 
 def _coded_complex(nerve, X: Complex2):
@@ -323,14 +254,6 @@ def _add(tables, x, y):
                  for add, p, q in zip(tables, x, y))
 
 
-def _decode(group, nerve, level, coded):
-    """The SheafSections of each coded section of ``group`` over a level."""
-    elems, cells = list(group.elements()), nerve.level(level)
-    return [SheafSections(group, level,
-                          dict(zip(cells, (elems[k] for k in c))))
-            for c in coded]
-
-
 # --------------------------------------------------------------------------
 # torsor cocycles (a, b)
 
@@ -345,7 +268,7 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
 
     Exhaustive: enumerates every pair, filters by the two cocycle relations,
     and quotients by the full coboundary action.  Representatives are the
-    lexicographically smallest members of their classes.
+    smallest members of their classes, as coded pairs (a, b).
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("torsor enumeration needs finite groups")
@@ -375,62 +298,24 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
             orbit = {_add((add_a, add_b), c, s) for s in shifts}
             seen |= orbit
             reps.append(min(orbit))
-    a_reps, b_reps = zip(*reps)
-    return TorsorClasses(len(reps), list(zip(
-        _decode(X.A, nerve, 1, a_reps), _decode(X.B, nerve, 0, b_reps))))
+    return TorsorClasses(len(reps), reps)
 
 
 # --------------------------------------------------------------------------
 # unit cocycles (a, a_phi, b)
 
 
-class UnitCocycle1(Record):
-    """The descent datum of a unit: a in A(V_1), a_phi in A(V_0), b in B(V_0)."""
-
-    a: SheafSections
-    a_phi: SheafSections
-    b: SheafSections
-
-    def validate(self, nerve, X):
-        """Check all four relations pointwise; raise CocycleError naming the
-        first violated one."""
-        a, a_phi, b = self.a, self.a_phi, self.b
-        bad = a.pullback(nerve, 0) + a.pullback(nerve, 2) - a.pullback(nerve, 1)
-        if not bad.is_zero:
-            raise CocycleError("d0*(a) + d2*(a) = d1*(a)",
-                               _first_nonzero(bad))
-        bad = b.pullback(nerve, 0) - b.pullback(nerve, 1) \
-            - a.map_values(X.lam)
-        if not bad.is_zero:
-            raise CocycleError("d0*(b) = d1*(b) + lambda(a)",
-                               _first_nonzero(bad))
-        bad = a - (a_phi.pullback(nerve, 0) - a_phi.pullback(nerve, 1))
-        if not bad.is_zero:
-            raise CocycleError("a = d0*(a_phi) - d1*(a_phi)",
-                               _first_nonzero(bad))
-        bad = a_phi.map_values(X.lam) - b
-        if not bad.is_zero:
-            raise CocycleError("lambda(a_phi) = b", _first_nonzero(bad))
-
-    def key(self):
-        return (self.a.key(), self.a_phi.key(), self.b.key())
-
-
-def _first_nonzero(section):
-    for c in sorted(section.data):
-        if not section.data[c].is_zero:
-            return c
-    return None
-
-
 def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     """All unit cocycles modulo coboundaries.
 
-    The defining relations make a and b functions of a_phi, so the scan runs
-    over a_phi and checks the four relations of ``UnitCocycle1.validate`` on
-    each cocycle; the quotient is by the full coboundary action.  Returns
-    ``(classes, group)`` where ``group`` is the abelian group the classes
-    form under pointwise tensor (expected: one class, trivial).
+    A unit cocycle is a descent datum (a, a_phi, b): a in A(V_1), a_phi in
+    A(V_0), b in B(V_0).  The defining relations make a and b functions of
+    a_phi, so the scan runs over a_phi and checks all four relations on
+    each cocycle, raising CocycleError naming the first violated one; the
+    quotient is by the full coboundary action.  Returns ``(classes,
+    group)``: the smallest member of each class as a coded triple
+    (a, a_phi, b), and the abelian group the classes form under pointwise
+    tensor (expected: one class, trivial).
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("unit-cocycle enumeration needs finite groups")
@@ -476,10 +361,7 @@ def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
         while label[acc] != label[shifts[0]]:  # shifts[0]: alpha = 0
             acc, n = _add(tables, acc, r), n + 1
         orders.append(n)
-    a_reps, phi_reps, b_reps = zip(*reps)
-    return [UnitCocycle1(*parts) for parts in zip(
-        _decode(X.A, nerve, 1, a_reps), _decode(X.A, nerve, 0, phi_reps),
-        _decode(X.B, nerve, 0, b_reps))], _group_from_orders(orders)
+    return reps, _group_from_orders(orders)
 
 
 def _group_from_orders(orders):
@@ -519,7 +401,6 @@ class _TotalLayout:
     ``orders``; no canonical form is taken."""
 
     def __init__(self, X, nerve, total_degree):
-        self.X = X
         self.blocks = []  # (p, q, cell)
         self.offset = {}  # block -> its first coordinate
         self.orders = []
@@ -530,21 +411,6 @@ class _TotalLayout:
                     self.blocks.append((p, q, cell))
                     self.offset[(p, q, cell)] = len(self.orders)
                     self.orders += X.group_at(p).orders
-
-    def pack(self, components):
-        """Coordinates of {(p, q): SheafSections}, block by block."""
-        return [x for p, q, cell in self.blocks
-                for x in components[(p, q)](cell).coords]
-
-    def unpack(self, coords) -> dict:
-        """{(p, q): SheafSections} of a coordinate vector, reduced."""
-        data = {}
-        for p, q, cell in self.blocks:
-            G, off = self.X.group_at(p), self.offset[(p, q, cell)]
-            data.setdefault((p, q), {})[cell] = G.element(
-                coords[off:off + G.ngens])
-        return {pq: SheafSections(self.X.group_at(pq[0]), pq[1], sections)
-                for pq, sections in data.items()}
 
 
 def _block_differential(X, nerve, source, target):
@@ -594,115 +460,75 @@ def classify_h0(nerve: Nerve, X) -> FgAbGroup:
     return subquotient(d_low, l0.orders, d_high, l1.orders)[0]
 
 
-class TotalCocycle(Record):
-    """A total-degree-0 cocycle with coefficients in a 2- or 3-term complex.
-
-    ``components`` maps (complex degree, nerve level) with p + q = 0 to
-    sections, normalized so that the library's total differential vanishes
-    on them.
-    """
-
-    complex: object
-    components: dict
-
-    def validate(self, nerve):
-        X = self.complex
-        for p in X.degrees:
-            q = -p
-            if 0 <= q <= TOP_LEVEL and (p, q) not in self.components:
-                raise CocycleError(f"missing component at bidegree ({p}, {q})")
-        for p_t in X.degrees:
-            for q_t in range(TOP_LEVEL + 1):
-                if p_t + q_t != 1:
-                    continue
-                total = SheafSections.zero(X.group_at(p_t), nerve, q_t)
-                if (p_t - 1, q_t) in self.components:
-                    total = total + self.components[(p_t - 1, q_t)].map_values(
-                        X.differential(p_t - 1))
-                if (p_t, q_t - 1) in self.components:
-                    ch = cech_differential(nerve, self.components[(p_t, q_t - 1)])
-                    total = total + ch if p_t % 2 else total - ch
-                if not total.is_zero:
-                    raise CocycleError(
-                        f"total differential nonzero at bidegree "
-                        f"({p_t}, {q_t})", _first_nonzero(total))
-
-    def key(self):
-        return tuple((pq, self.components[pq].key())
-                     for pq in sorted(self.components))
-
-
 # --------------------------------------------------------------------------
-# units <-> cocycles
+# units <-> total 0-cocycles of the unit complex (J and K)
+
+
+def _unit_frame(X):
+    """The unit complex U of X, the inclusion of U^0 into S (+) O with that
+    sum's (inj_S, inj_O, proj_S, proj_O), and the unit constructor.
+
+    A unit (e, phi) of the point model of X is the point (phi, e) of U^0:
+    phi lies in the structure group S and e in the object group O, which
+    are A and B for a 2-term X and B and C for a 3-term one.
+    """
+    if isinstance(X, Complex2):
+        (U, emb), S, O = unit_complex_1(X), X.A, X.B
+        model, unit = PicardModel1(X), SaavedraUnit
+    else:
+        U, emb = unit_complex_2(X), _unit_complex_2_embedding(X)
+        S, O, model, unit = X.B, X.C, PicardModel2(X), JKUnit
+    return U, emb, direct_sum(S, O)[1:], lambda e, phi: unit(model, e, phi)
 
 
 def cocycle_of_unit(unit, nerve: Nerve):
-    """The constant cocycle of a point-model unit over a nerve."""
-    if isinstance(unit, SaavedraUnit):
-        X = unit.model.base
-        c = UnitCocycle1(SheafSections.zero(X.A, nerve, 1),
-                         SheafSections.constant(unit.a_phi, nerve, 0),
-                         SheafSections.constant(unit.e, nerve, 0))
-        c.validate(nerve, X)
-        return c
-    if isinstance(unit, JKUnit):
-        X = unit.model.base
-        U = unit_complex_2(X)
-        _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(X.B, X.C)
-        emb_target = jnj_b(unit.phi) + jnj_c(unit.e)
-        _, emb = kernel(X.lam.compose(qroj_b) - qroj_c)
-        k0 = solve(emb, emb_target)
-        if k0 is None:
-            raise ValueError("unit does not define a kernel element")
-        comps = {
-            (-2, 2): SheafSections.zero(U.A, nerve, 2),
-            (-1, 1): SheafSections.zero(U.B, nerve, 1),
-            (0, 0): SheafSections.constant(k0, nerve, 0),
-        }
-        c = TotalCocycle(U, comps)
-        c.validate(nerve)
-        return c
-    raise TypeError("expected a point-model unit")
+    """J: the constant total 0-cocycle of a point-model unit.
 
-
-def unit_of_cocycle(cocycle, nerve: Nerve, X):
-    """Decode a unit from a cocycle, with the trivializing cochain.
-
-    For a descent datum (a, a_phi, b) the re-choice alpha = const - a_phi
-    makes it the constant cocycle of the returned unit.  For a total cocycle
-    with coefficients in the unit complex of X, a total degree -1 cochain w
-    with D(w) = cocycle - constant is solved for exactly.
+    It is a T^0 coordinate vector of ``total_complex_piece(U, nerve)`` for
+    the unit complex U: the unit's point of U^0 on every (0, 0, cell) block
+    and zero on the other blocks.
     """
-    if isinstance(cocycle, UnitCocycle1):
-        cocycle.validate(nerve, X)
-        base_cell = nerve.level(0)[0]
-        c0 = cocycle.a_phi(base_cell)
-        unit = SaavedraUnit(PicardModel1(X), X.lam(c0), c0)
-        alpha = SheafSections.constant(c0, nerve, 0) - cocycle.a_phi
-        return unit, alpha
-    if isinstance(cocycle, TotalCocycle):
-        cocycle.validate(nerve)
-        U = cocycle.complex
-        if U.degrees != (-2, -1, 0):
-            raise ValueError("expected a 3-term coefficient complex")
-        base_cell = nerve.level(0)[0]
-        k0 = cocycle.components[(0, 0)](base_cell)
-        _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(X.B, X.C)
-        _, emb = kernel(X.lam.compose(qroj_b) - qroj_c)
-        bc = emb(k0)
-        phi, e = qroj_b(bc), qroj_c(bc)
-        unit = JKUnit(PicardModel2(X), e, phi)
-        constant = cocycle_of_unit(unit, nerve)
-        (lm1, l0, _), (d_low, _) = total_complex_piece(U, nerve)
-        target = [x - y for x, y in zip(l0.pack(cocycle.components),
-                                        l0.pack(constant.components))]
-        # D-1 w + r = target with r in R0, an exact solve over the integers:
-        # w then r are the coordinates of a free source
-        source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))
-        ambient = FgAbGroup.free(len(l0.orders))
-        w = solve(GroupHom(source, ambient, _with_relations(d_low, l0.orders)),
-                  ambient.element(target))
-        if w is None:
-            raise CocycleError("cocycle is not cohomologous to a constant")
-        return unit, lm1.unpack(w.coords[:len(lm1.orders)])
-    raise TypeError("expected a unit cocycle")
+    _, e, phi = unit._astuple(unit)  # (model, object, structure)
+    U, emb, (inj_s, inj_o, _, _), _ = _unit_frame(unit.model.base)
+    point = solve(emb, inj_s(phi) + inj_o(e)).coords
+    layout = _TotalLayout(U, nerve, 0)
+    x = [0] * len(layout.orders)
+    for cell in nerve.level(0):
+        off = layout.offset[(0, 0, cell)]
+        x[off:off + len(point)] = point
+    return x
+
+
+def unit_of_cocycle(x, nerve: Nerve, X):
+    """K: the unit of a total 0-cocycle x of the unit complex U of X, with
+    a cochain w of T^-1 such that x - D-1 w is J(unit) modulo R0.
+
+    x is a T^0 coordinate vector of ``total_complex_piece(U, nerve)``; it
+    is a cocycle iff D0 x lies in R1, and otherwise CocycleError names the
+    first (p, q) block and cell of T^1 where it does not.  The unit is read
+    off the base cell of V_0, then w is solved for exactly.
+    """
+    U, emb, (_, _, proj_s, proj_o), make_unit = _unit_frame(X)
+    (lm1, l0, l1), (d_low, d_high) = total_complex_piece(U, nerve)
+    if len(x) != len(l0.orders):
+        raise ValueError(f"expected {len(l0.orders)} T^0 coordinates")
+    for i, (row, d) in enumerate(zip(d_high, l1.orders)):
+        value = sum(c * y for c, y in zip(row, x))
+        if value % d if d else value:
+            p, q, cell = next(b for b in reversed(l1.blocks)
+                              if l1.offset[b] <= i)
+            raise CocycleError(
+                f"total differential nonzero at bidegree ({p}, {q})", cell)
+    K, off = U.group_at(0), l0.offset[(0, 0, nerve.level(0)[0])]
+    point = emb(K.element(x[off:off + K.ngens]))
+    unit = make_unit(proj_o(point), proj_s(point))
+    target = [y - z for y, z in zip(x, cocycle_of_unit(unit, nerve))]
+    # D-1 w + r = target with r in R0, an exact solve over the integers:
+    # w then r are the coordinates of a free source
+    source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))
+    ambient = FgAbGroup.free(len(l0.orders))
+    w = solve(GroupHom(source, ambient, _with_relations(d_low, l0.orders)),
+              ambient.element(target))
+    if w is None:
+        raise CocycleError("cocycle is not cohomologous to a constant")
+    return unit, list(w.coords[:len(lm1.orders)])

@@ -4,7 +4,8 @@ A 2-term complex A -> B presents a strict Picard groupoid: objects are the
 elements of B, a morphism b -> b' is an element a of A with lam(a) = b - b',
 and both composition and tensor are addition.  A Saavedra unit is an object
 e together with a morphism e + e -> e, i.e. a pair (e, a_phi) with
-lam(a_phi) = e.
+lam(a_phi) = e.  A morphism of units s -> t is an a with
+lam(a) = e_s - e_t whose square commutes: a_phi(s) + a = a + a + a_phi(t).
 
 Read as a crossed module with trivial action, lam: A -> B has the same
 units and unit morphisms, so level-1 contractibility is
@@ -23,8 +24,8 @@ independently wherever a 2-cell equation is used, which pins this sign.
 Exhaustive loops run on table-coded groups (``crossed.FiniteGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
 negation are lookups, and each map is an array of image indices.
-``GroupElem`` appears only in the unit and morphism objects, their keys,
-and failure witnesses.
+``GroupElem`` appears only in the unit objects and their keys; morphisms
+exist only as coded index pairs inside the scans.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ class PicardModel1(Record):
         if not (self.base.A.is_finite and self.base.B.is_finite):
             raise FinitenessError("point-model enumeration needs finite groups")
 
-    def morphisms(self, b, b2):
-        """All morphisms b -> b2, i.e. {a : lam(a) = b - b2}."""
-        A, B, lam = _tables_1(self)
-        want = B.index((b - b2).coords)
-        return [self.base.A.element(A.coords(a)) for a in A.elements()
-                if lam[a] == want]
-
 
 class SaavedraUnit(Record):
     model: PicardModel1
@@ -73,36 +67,6 @@ class SaavedraUnit(Record):
 
     def key(self):
         return (self.e.coords, self.a_phi.coords)
-
-
-class UnitMorphism1(Record):
-    """A morphism of units: u with lam(u) = e_src - e_tgt making the
-    tensor-compatibility square commute."""
-
-    source: SaavedraUnit
-    target: SaavedraUnit
-    u: GroupElem
-
-    def __post_init__(self):
-        lam = self.source.model.base.lam
-        if lam(self.u) != self.source.e - self.target.e:
-            raise ValueError("u is not a morphism e_src -> e_tgt")
-        if _square_paths_1(self.source, self.target, self.u) is False:
-            raise ValueError("unit-morphism square does not commute")
-
-
-def _square_paths_1(s, t, u):
-    """Evaluate both composites of the unit-morphism square and compare."""
-    through_source = s.a_phi + u        # phi_src then u
-    through_target = u + u + t.a_phi    # u tensor u, then phi_tgt
-    return through_source == through_target
-
-
-def canonical_unit(model):
-    """The unit (0, 0); it exists in every model."""
-    if isinstance(model, PicardModel1):
-        return SaavedraUnit(model, model.base.B.zero(), model.base.A.zero())
-    return JKUnit(model, model.base.C.zero(), model.base.B.zero())
 
 
 def _tables_1(model: PicardModel1):
@@ -121,18 +85,10 @@ def enumerate_units_1(model: PicardModel1):
             for e, a in _coded_units(A, lam)]
 
 
-def unit_morphisms_1(s: SaavedraUnit, t: SaavedraUnit):
-    """The morphisms s -> t; always exactly one, u = a_phi(s) - a_phi(t)."""
-    if s.model != t.model:
-        raise ValueError("units live in different models")
-    m = UnitMorphism1(s, t, s.a_phi - t.a_phi)
-    return [m]
-
-
 def count_unit_morphisms_1(model: PicardModel1):
-    """The number of ordered pairs of units (s, t) whose morphism
-    u = a_phi(s) - a_phi(t), the one ``unit_morphisms_1`` gives, passes both
-    checks of ``UnitMorphism1``."""
+    """The number of ordered pairs of units (s, t) for which
+    u = a_phi(s) - a_phi(t) is a unit morphism s -> t: lam(u) = e_s - e_t
+    and the unit square commutes."""
     A, B, lam = _tables_1(model)
     add, neg = A.table, A.inverse
     units = _coded_units(A, lam)
@@ -152,26 +108,7 @@ def tensor_units_1(s: SaavedraUnit, t: SaavedraUnit) -> SaavedraUnit:
     which collapses to a_phi(s) + a_phi(t) in the strict model."""
     if s.model != t.model:
         raise ValueError("units live in different models")
-    phi = s.a_phi + t.a_phi
-    if phi != _tensor_phi_composite(s, t):
-        raise AssertionError("tensor structure morphism is not the composite")
-    return SaavedraUnit(s.model, s.e + t.e, phi)
-
-
-def _tensor_phi_composite(s, t):
-    """Reference form: associator, (associator, braiding, associator),
-    associator, then phi_s tensor phi_t.  All constraints of the strict
-    commutative model are zero morphisms."""
-    zero = s.model.base.A.zero()
-    assoc1, assoc2, braid, assoc3, assoc4 = zero, zero, zero, zero, zero
-    phi_tensor = s.a_phi + t.a_phi
-    return assoc1 + (assoc2 + braid + assoc3) + assoc4 + phi_tensor
-
-
-def tensor_unit_morphisms_1(m1: UnitMorphism1, m2: UnitMorphism1):
-    return UnitMorphism1(tensor_units_1(m1.source, m2.source),
-                         tensor_units_1(m1.target, m2.target),
-                         m1.u + m2.u)
+    return SaavedraUnit(s.model, s.e + t.e, s.a_phi + t.a_phi)
 
 
 def verify_contractible_1(model: PicardModel1,
@@ -231,60 +168,6 @@ class JKUnit(Record):
         return (self.e.coords, self.phi.coords)
 
 
-class UnitMorphism2(Record):
-    """A unit 1-morphism (f, theta): f underlies it, theta fills the square."""
-
-    source: JKUnit
-    target: JKUnit
-    f: GroupElem
-    theta: GroupElem
-
-    def __post_init__(self):
-        base = self.source.model.base
-        if base.lam(self.f) != self.source.e - self.target.e:
-            raise ValueError("f is not a 1-morphism e_src -> e_tgt")
-        if base.delta(self.theta) != _theta_boundary(self):
-            raise ValueError("theta does not fill the unit square")
-
-    def key(self):
-        return (self.source.key(), self.target.key(),
-                self.f.coords, self.theta.coords)
-
-
-def _theta_boundary(m: UnitMorphism2):
-    """Difference of the two square paths that theta must bound."""
-    top = m.f + m.f + m.target.phi   # (f tensor f) then phi_tgt
-    bottom = m.source.phi + m.f      # phi_src then f
-    return top - bottom
-
-
-class Unit2Morphism(Record):
-    source: UnitMorphism2
-    target: UnitMorphism2
-    gamma: GroupElem
-
-    def __post_init__(self):
-        m1, m2 = self.source, self.target
-        if m1.source.key() != m2.source.key() or \
-                m1.target.key() != m2.target.key():
-            raise ValueError("unit 1-morphisms are not parallel")
-        base = m1.source.model.base
-        if base.delta(self.gamma) != m1.f - m2.f:
-            raise ValueError("gamma is not a 2-morphism f1 => f2")
-        left, right = _pastings(m1, m2, self.gamma)
-        if left != right:
-            raise ValueError("the two pastings disagree")
-
-
-def _pastings(m1, m2, gamma):
-    """Both pasted composites of the 2-cell equation, evaluated separately:
-    (gamma tensor gamma) whiskered into theta_2 versus theta_1 whiskered
-    into gamma."""
-    left = (gamma + gamma) + m2.theta
-    right = m1.theta + gamma
-    return left, right
-
-
 def _tables_2(model: PicardModel2):
     """Table-coded A, B and C and the arrays of delta and lam."""
     model._require_finite()
@@ -318,28 +201,6 @@ def enumerate_units_2(model: PicardModel2):
             for e, phi in _coded_units(B, lam)]
 
 
-def unit_1morphisms(s: JKUnit, t: JKUnit):
-    """All unit 1-morphisms s -> t; nonempty, since (phi_s - phi_t, 0) works."""
-    if s.model != t.model:
-        raise ValueError("units live in different models")
-    A, B, C, delta, lam = _tables_2(s.model)
-    pair = [(C.index(u.e.coords), B.index(u.phi.coords)) for u in (s, t)]
-    ms = _coded_1morphisms(B, C, _fibers(B, C, lam), _fibers(A, B, delta),
-                           *pair)
-    if _canonical_1morphism(B, *pair) not in ms:
-        raise AssertionError("(phi_s - phi_t, 0) is not a unit 1-morphism")
-    base = s.model.base
-    return [UnitMorphism2(s, t, base.B.element(B.coords(f)),
-                          base.A.element(A.coords(theta)))
-            for f, theta in ms]
-
-
-def unit_2morphisms(m1: UnitMorphism2, m2: UnitMorphism2):
-    """The unit 2-morphisms m1 => m2; exactly one, gamma = theta_1 - theta_2."""
-    gamma = m1.theta - m2.theta
-    return [Unit2Morphism(m1, m2, gamma)]
-
-
 def tensor_units_2(s: JKUnit, t: JKUnit) -> JKUnit:
     if s.model != t.model:
         raise ValueError("units live in different models")
@@ -366,7 +227,7 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7) -> Report:
     def unit_key(u):
         return (C.coords(u[0]), B.coords(u[1]))
 
-    def key(s, t, m):  # UnitMorphism2.key()
+    def key(s, t, m):  # witness: (source, target, f, theta)
         return (unit_key(s), unit_key(t), B.coords(m[0]), A.coords(m[1]))
 
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)

@@ -145,12 +145,15 @@ def _parse_finite_group(doc, path):
 
 
 def load_json(text, path="$"):
-    """Decode a JSON document; malformed text, or nesting deeper than the
-    decoder can follow, raises SpecError."""
+    """Decode a JSON document; malformed text, an integer longer than the
+    interpreter converts, or nesting deeper than the decoder can follow,
+    raises SpecError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise SpecError(f"{path}: unreadable JSON ({exc})") from None
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply") from None
 

@@ -8,16 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from unital import cech
 from unital.abelian import (
-    CapExceeded, FgAbGroup, GroupHom, direct_sum_many, kernel, subquotient)
+    CapExceeded, FgAbGroup, GroupHom, direct_sum, direct_sum_many, kernel,
+    solve, subquotient)
 from unital.cech import (
     MAX_CELLS_PER_LEVEL,
     CocycleError,
     Cover,
     Nerve,
-    SheafSections,
-    TotalCocycle,
-    UnitCocycle1,
-    cech_differential,
     cech_nerve,
     classify_h0,
     cocycle_of_unit,
@@ -42,7 +39,6 @@ from unital.point_models import (
     PicardModel2,
     enumerate_units_1,
     enumerate_units_2,
-    unit_morphisms_1,
     verify_contractible_1,
 )
 
@@ -81,63 +77,99 @@ def ring_nerve(k=4):
 
 
 # --------------------------------------------------------------------------
-# the SheafSections route that the coded scans replaced, kept as oracles
+# brute-force oracles on sections: a section over a nerve level is a tuple
+# of group elements in cell order
 
 
 def _all_sections(group, nerve, level):
-    cells = nerve.level(level)
-    for values in itertools.product(group.elements(), repeat=len(cells)):
-        yield SheafSections(group, level, dict(zip(cells, values)))
+    return itertools.product(list(group.elements()),
+                             repeat=len(nerve.level(level)))
+
+
+def _pull(nerve, s, level, i):
+    """d_i^*: the section over ``level`` whose value at each cell is the
+    value of s, a section one level down, at the cell's i-th face."""
+    return tuple(s[k] for k in nerve.face_index(level, i))
+
+
+def _add(s, t):
+    return tuple(x + y for x, y in zip(s, t))
+
+
+def _sub(s, t):
+    return tuple(x - y for x, y in zip(s, t))
+
+
+def _keys(*sections):
+    return tuple(tuple(x.coords for x in s) for s in sections)
+
+
+def _decoded(group, coded):
+    """Coordinates of a coded section, indices in ``elements()`` order."""
+    elems = list(group.elements())
+    return tuple(elems[k].coords for k in coded)
 
 
 def _coboundary_action(nerve, X, a, b, alpha):
     """Re-choose the local section by alpha in A(V_0)."""
-    new_a = a + alpha.pullback(nerve, 0) - alpha.pullback(nerve, 1)
-    new_b = b + alpha.map_values(X.lam)
-    return new_a, new_b
+    shift = _sub(_pull(nerve, alpha, 1, 0), _pull(nerve, alpha, 1, 1))
+    return _add(a, shift), _add(b, tuple(map(X.lam, alpha)))
+
+
+def _torsor_relations(nerve, X, a, b):
+    """Whether d0*(a) + d2*(a) = d1*(a) and d0*(b) = d1*(b) + lam(a) hold."""
+    return [_add(_pull(nerve, a, 2, 0), _pull(nerve, a, 2, 2))
+            == _pull(nerve, a, 2, 1),
+            _pull(nerve, b, 1, 0)
+            == _add(_pull(nerve, b, 1, 1), tuple(map(X.lam, a)))]
+
+
+def _descent_relations(nerve, X, a, a_phi, b):
+    """Whether each of the four relations of a descent datum holds."""
+    return _torsor_relations(nerve, X, a, b) + [
+        a == _sub(_pull(nerve, a_phi, 1, 0), _pull(nerve, a_phi, 1, 1)),
+        tuple(map(X.lam, a_phi)) == b]
 
 
 def unit_cocycle_from_phi(nerve, X, a_phi):
-    """The unit cocycle determined by a choice of a_phi in A(V_0)."""
-    a = a_phi.pullback(nerve, 0) - a_phi.pullback(nerve, 1)
-    b = a_phi.map_values(X.lam)
-    c = UnitCocycle1(a, a_phi, b)
-    c.validate(nerve, X)
+    """The unit cocycle (a, a_phi, b) determined by a_phi in A(V_0)."""
+    c = (_sub(_pull(nerve, a_phi, 1, 0), _pull(nerve, a_phi, 1, 1)), a_phi,
+         tuple(map(X.lam, a_phi)))
+    assert all(_descent_relations(nerve, X, *c))
     return c
 
 
 def _shifted(nerve, X, c, alpha):
     """The cohomologous cocycle after re-choosing sections by alpha."""
-    new_a, new_b = _coboundary_action(nerve, X, c.a, c.b, alpha)
-    return UnitCocycle1(new_a, c.a_phi + alpha, new_b)
+    new_a, new_b = _coboundary_action(nerve, X, c[0], c[2], alpha)
+    return new_a, _add(c[1], alpha), new_b
 
 
 def _oracle_unit_cocycles(nerve, X):
-    """Oracle: unit_cocycles as it ran before its scan moved to table-coded
-    groups, without the state cap."""
+    """Oracle: unit_cocycles by brute force on sections, without the state
+    cap; representatives as coordinates."""
     cocycles = {}
     for a_phi in _all_sections(X.A, nerve, 0):
         c = unit_cocycle_from_phi(nerve, X, a_phi)
-        cocycles[c.key()] = c
+        cocycles[_keys(*c)] = c
     alphas = list(_all_sections(X.A, nerve, 0))
     reps, seen, rep_of = [], set(), {}
     for key in sorted(cocycles):
         if key in seen:
             continue
-        orbit = {_shifted(nerve, X, cocycles[key], alpha).key()
+        orbit = {_keys(*_shifted(nerve, X, cocycles[key], alpha))
                  for alpha in alphas}
         seen |= orbit
         rep_of.update(dict.fromkeys(orbit, min(orbit)))
-        reps.append(cocycles[min(orbit)])
-    # class orders under the pointwise tensor
-    zero = rep_of[unit_cocycle_from_phi(
-        nerve, X, SheafSections.zero(X.A, nerve, 0)).key()]
+        reps.append(min(orbit))
+    # class orders under the pointwise tensor; alphas[0] is the zero section
+    zero = rep_of[_keys(*unit_cocycle_from_phi(nerve, X, alphas[0]))]
     orders = []
     for r in sorted(set(rep_of.values())):
         acc, n = r, 1
         while acc != zero:
-            acc = rep_of[unit_cocycle_from_phi(
-                nerve, X, cocycles[acc].a_phi + cocycles[r].a_phi).key()]
+            acc = rep_of[_keys(*unit_cocycle_from_phi(
+                nerve, X, _add(cocycles[acc][1], cocycles[r][1])))]
             n += 1
         orders.append(n)
     return reps, _group_from_orders(orders)
@@ -231,21 +263,20 @@ class TestNerve:
 
 class TestSections:
     def test_cech_differential_squares_to_zero(self):
-        N = circle_nerve()
-        rng = random.Random(17)
+        # for X = G -> 0 the composite D0 D-1 is the Cech differential
+        # twice, from G(V_0) through G(V_1) to G(V_2)
         G = FgAbGroup.from_divisors(4)
-        s = SheafSections(G, 0, {c: G.element([rng.randrange(4)])
-                                 for c in N.level(0)})
-        dd = cech_differential(N, cech_differential(N, s))
-        assert dd.is_zero
+        X = Complex2(G, TRIV, GroupHom.zero(G, TRIV))
+        (_, _, l1), (d_low, d_high) = total_complex_piece(X, circle_nerve())
+        assert any(map(any, d_low))
+        assert _zero_mod(_matmul(d_high, d_low), l1.orders)
 
     def test_pullback_along_faces(self):
         N = circle_nerve()
-        s = SheafSections(Z2, 0, {c: Z2.element([i % 2])
-                                  for i, c in enumerate(N.level(0))})
-        p0 = s.pullback(N, 0)
-        for c in N.level(1):
-            assert p0(c) == s(N.face(1, 0, c))
+        s = tuple(Z2.element([i % 2]) for i in range(len(N.level(0))))
+        p0 = _pull(N, s, 1, 0)
+        for k, c in enumerate(N.level(1)):
+            assert p0[k] == s[N.level(0).index(N.face(1, 0, c))]
 
 
 class TestTorsorClasses:
@@ -287,52 +318,40 @@ class TestTorsorClasses:
         N = circle_nerve()
         X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
         rng = random.Random(29)
-        a = SheafSections(X.A, 1, {c: X.A.element([rng.randrange(2)])
-                                   for c in N.level(1)})
-        b = SheafSections(X.B, 0, {c: X.B.element([rng.randrange(2)])
-                                   for c in N.level(0)})
-        al1 = SheafSections(X.A, 0, {c: X.A.element([rng.randrange(2)])
-                                     for c in N.level(0)})
-        al2 = SheafSections(X.A, 0, {c: X.A.element([rng.randrange(2)])
-                                     for c in N.level(0)})
+        a, b, al1, al2 = (tuple(G.element([rng.randrange(2)])
+                                for _ in N.level(level))
+                          for G, level in ((X.A, 1), (X.B, 0), (X.A, 0),
+                                           (X.A, 0)))
         a1, b1 = _coboundary_action(N, X, *_coboundary_action(N, X, a, b, al1),
                                     al2)
-        a2, b2 = _coboundary_action(N, X, a, b, al1 + al2)
-        assert a1.key() == a2.key() and b1.key() == b2.key()
+        a2, b2 = _coboundary_action(N, X, a, b, _add(al1, al2))
+        assert _keys(a1, b1) == _keys(a2, b2)
 
 
 def _filter_torsor_classes(nerve, X):
-    """Oracle: the SheafSections filter that torsor_classes ran before its
-    scan moved to table-coded groups, returning the representatives."""
-    def relations_hold(a, b):
-        if not (a.pullback(nerve, 0) + a.pullback(nerve, 2)
-                - a.pullback(nerve, 1)).is_zero:
-            return False
-        return (b.pullback(nerve, 0) - b.pullback(nerve, 1)
-                - a.map_values(X.lam)).is_zero
-
+    """Oracle: the torsor classes by filtering every pair of sections,
+    returning the representatives as coordinates."""
     cocycles = {}
     for a in _all_sections(X.A, nerve, 1):
         for b in _all_sections(X.B, nerve, 0):
-            if relations_hold(a, b):
-                cocycles[(a.key(), b.key())] = (a, b)
+            if all(_torsor_relations(nerve, X, a, b)):
+                cocycles[_keys(a, b)] = (a, b)
     alphas = list(_all_sections(X.A, nerve, 0))
     reps, seen = [], set()
     for key in sorted(cocycles):
         if key in seen:
             continue
-        orbit = set()
-        for alpha in alphas:
-            na, nb = _coboundary_action(nerve, X, *cocycles[key], alpha)
-            orbit.add((na.key(), nb.key()))
+        orbit = {_keys(*_coboundary_action(nerve, X, *cocycles[key], alpha))
+                 for alpha in alphas}
         seen |= orbit
-        reps.append(cocycles[min(orbit)])
+        reps.append(min(orbit))
     return reps
 
 
 def _check_coded_scan(N, oracle_nerve, X):
     res = torsor_classes(N, X)
-    assert res.representatives == _filter_torsor_classes(N, X)
+    assert [(_decoded(X.A, a), _decoded(X.B, b))
+            for a, b in res.representatives] == _filter_torsor_classes(N, X)
     cells, faces = oracle_nerve
     lam = lambda a: X.lam(X.A.element(a)).coords  # noqa: E731
     assert res.count == oracle_torsor_classes(
@@ -392,7 +411,7 @@ class TestUnitCocycles:
         X = Complex2(TRIV, Z2, GroupHom.zero(TRIV, Z2))
         classes, group = unit_cocycles(circle_nerve(), X)
         assert len(classes) == 1 and group.is_trivial
-        assert classes[0].a_phi.is_zero
+        assert classes[0][1] == (0, 0, 0)  # a_phi is zero
 
     def test_agreement_with_point_model(self):
         # point-nerve unit classes biject with iso classes of units: both 1
@@ -405,8 +424,8 @@ class TestUnitCocycles:
 def _check_unit_scan(N, X):
     classes, group = unit_cocycles(N, X)
     oracle_classes, oracle_group = _oracle_unit_cocycles(N, X)
-    assert [c.key() for c in classes] == [c.key() for c in oracle_classes]
-    assert classes == oracle_classes
+    assert [(_decoded(X.A, a), _decoded(X.A, phi), _decoded(X.B, b))
+            for a, phi, b in classes] == oracle_classes
     assert group == oracle_group
 
 
@@ -478,8 +497,8 @@ def _check_triples_are_unit_cocycles(N, X):
     XC = _as_crossed_module(X)
     assert verify_crossed_module(XC).passed
     triples = enumerate_unit_triples(XC, N)
-    cocycles = {c.key(): c for c in (unit_cocycle_from_phi(N, X, phi)
-                                     for phi in _all_sections(X.A, N, 0))}
+    cocycles = {_keys(*c): c for c in (unit_cocycle_from_phi(N, X, phi)
+                                       for phi in _all_sections(X.A, N, 0))}
     keys = [_cocycle_key(t) for t in triples]
     assert len(set(keys)) == len(triples) == len(cocycles)
     assert set(keys) == set(cocycles)
@@ -489,9 +508,8 @@ def _check_triples_are_unit_cocycles(N, X):
         else [(rng.choice(triples), rng.choice(triples)) for _ in range(64)]
     for t1, t2 in pairs:
         c1, c2 = cocycles[_cocycle_key(t1)], cocycles[_cocycle_key(t2)]
-        tensor = (c1.a + c2.a, c1.a_phi + c2.a_phi, c1.b + c2.b)
         assert _cocycle_key(h0_group_law(t1, t2, N)) == \
-            tuple(s.key() for s in tensor)
+            _keys(*map(_add, c1, c2))
 
 
 def _complex2(a_factors, b_factors, lam):
@@ -518,7 +536,7 @@ class TestTriplesAreUnitCocycles:
         _complex2((4,), (4,), [[3]]), _complex2((8,), (4,), [[1]])],
         ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
     def test_circle(self, X):
-        # |A|^3 <= 512 triples keeps the SheafSections oracle quick
+        # |A|^3 <= 512 triples keeps the section oracle quick
         _check_triples_are_unit_cocycles(circle_nerve(), X)
 
 
@@ -639,21 +657,30 @@ class _PackedLayout:
         comps = {}
         for (p, q, cell), proj in zip(self.blocks, self.proj):
             comps.setdefault((p, q), {})[cell] = proj(elem)
-        return {pq: SheafSections(self.X.group_at(pq[0]), pq[1], data)
-                for pq, data in comps.items()}
+        return comps
+
+
+def _unpack(X, layout, coords):
+    """{(p, q): {cell: element}} of a block coordinate vector."""
+    comps = {}
+    for p, q, cell in layout.blocks:
+        G, off = X.group_at(p), layout.offset[(p, q, cell)]
+        comps.setdefault((p, q), {})[cell] = G.element(
+            coords[off:off + G.ngens])
+    return comps
 
 
 def _differential_by_sections(X, nerve, comps, blocks):
-    """d_X + (-1)^(p+1) cech of the components {(p, q): SheafSections} at
-    each (p, q, cell) of ``blocks``, in GroupElem arithmetic."""
+    """d_X + (-1)^(p+1) cech of the components {(p, q): {cell: element}}
+    at each (p, q, cell) of ``blocks``, in GroupElem arithmetic."""
     for p, q, cell in blocks:
         val = X.group_at(p).zero()
         if (p - 1, q) in comps:
-            val = val + X.differential(p - 1)(comps[(p - 1, q)](cell))
+            val = val + X.differential(p - 1)(comps[(p - 1, q)][cell])
         if (p, q - 1) in comps:
             acc = X.group_at(p).zero()
             for i in range(q + 1):
-                face_val = comps[(p, q - 1)](nerve.face(q, i, cell))
+                face_val = comps[(p, q - 1)][nerve.face(q, i, cell)]
                 acc = acc + face_val if i % 2 == 0 else acc - face_val
             val = val + (acc if p % 2 else -acc)
         yield val
@@ -710,7 +737,7 @@ class TestBlockDifferential:
                 for j in range(len(source.orders)):  # the image of e_j
                     e_j = [int(i == j) for i in range(len(source.orders))]
                     image = [x for val in _differential_by_sections(
-                        X, N, source.unpack(e_j), target.blocks)
+                        X, N, _unpack(X, source, e_j), target.blocks)
                         for x in val.coords]
                     assert _zero_mod([[row[j] - y] for row, y in
                                       zip(D, image)], target.orders)
@@ -757,80 +784,154 @@ def _free_complex(rng, terms):
     return Complex3(A, B, C, incl.compose(_free_hom(rng, A, K)), lam)
 
 
+
+
+# --------------------------------------------------------------------------
+# J and K: point-model units and total 0-cocycles of the unit complex
+
+
+NERVES = {"point": point_nerve, "circle": circle_nerve, "ring4": ring_nerve}
+
+
+def _unit_piece(X, N):
+    U = unit_complex_1(X)[0] if isinstance(X, Complex2) else unit_complex_2(X)
+    return total_complex_piece(U, N)
+
+
+def _units(X):
+    if isinstance(X, Complex2):
+        return enumerate_units_1(PicardModel1(X))
+    return enumerate_units_2(PicardModel2(X))
+
+
+def _carries(x, w, unit, N, X):
+    """Whether x - D-1 w is J(unit) modulo R0."""
+    (_, l0, _), (d_low, _) = _unit_piece(X, N)
+    return _zero_mod([[v - y - z] for v, y, z in zip(
+        x, cocycle_of_unit(unit, N), _matvec(d_low, w))], l0.orders)
+
+
+def _block_coder(N, X):
+    """The T^0 coordinates, on the unit complex A -> K of a 2-term X, of a
+    descent datum (a, a_phi, b): a on the (-1, 1) blocks and the
+    K-coordinates of (a_phi, b) on the (0, 0) blocks; None unless
+    lam(a_phi) = b, since (a_phi, b) then lies outside K."""
+    (_, l0, _), _ = _unit_piece(X, N)
+    _, emb = unit_complex_1(X)
+    _, inj_a, inj_b, _, _ = direct_sum(X.A, X.B)
+
+    def code(a, a_phi, b):
+        points = [solve(emb, inj_a(f) + inj_b(y)) for f, y in zip(a_phi, b)]
+        if any(k is None for k in points):
+            return None
+        value = dict(zip([(-1, 1, c) for c in N.level(1)], a))
+        value.update(zip([(0, 0, c) for c in N.level(0)], points))
+        return [v for block in l0.blocks for v in value[block].coords]
+    return code
+
+
 class TestUnitCocycleRoundTrip:
     def test_saavedra_constant(self):
         X = c2_times2()
-        unit = enumerate_units_1(PicardModel1(X))[1]  # (2, 1)
+        unit = _units(X)[1]  # (2, 1)
         N = point_nerve()
-        c = cocycle_of_unit(unit, N)
-        assert c.a.is_zero
-        assert c.a_phi(N.level(0)[0]) == unit.a_phi
-        back, alpha = unit_of_cocycle(c, N, X)
-        assert back.key() == unit.key()
-        (mor,) = unit_morphisms_1(back, unit)
-        assert mor.u.is_zero
+        x = cocycle_of_unit(unit, N)
+        assert x == _block_coder(N, X)((X.A.zero(),), (unit.a_phi,),
+                                       (unit.e,))
+        assert unit_of_cocycle(x, N, X)[0] == unit
 
     def test_zero_unit(self):
         X = c2_times2()
-        unit = enumerate_units_1(PicardModel1(X))[0]
-        c = cocycle_of_unit(unit, circle_nerve())
-        assert c.a.is_zero and c.b.is_zero and c.a_phi.is_zero
+        assert not any(cocycle_of_unit(_units(X)[0], circle_nerve()))
 
     def test_nonconstant_cocycle_decodes_to_connected_unit(self):
         N = circle_nerve()
         X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
-        phi = SheafSections(X.A, 0,
-                            {c: X.A.element([i % 3])
-                             for i, c in enumerate(N.level(0))})
-        c = unit_cocycle_from_phi(N, X, phi)
-        unit, alpha = unit_of_cocycle(c, N, X)
-        # the trivializing cochain really makes the cocycle constant
-        shifted = _shifted(N, X, c, alpha)
-        assert shifted.a.is_zero
-        assert all(v == unit.a_phi for v in shifted.a_phi.data.values())
-        # decoded unit is a valid unit connected to the canonical one
-        assert len(unit_morphisms_1(
-            unit, enumerate_units_1(PicardModel1(X))[0])) == 1
+        phi = tuple(X.A.element([i % 3]) for i in range(len(N.level(0))))
+        x = _block_coder(N, X)(*unit_cocycle_from_phi(N, X, phi))
+        unit, w = unit_of_cocycle(x, N, X)
+        # K reads the base cell, and w carries x onto the constant cocycle
+        assert unit.a_phi == phi[0]
+        assert _carries(x, w, unit, N, X)
 
     def test_corrupted_cocycle_names_relation(self):
-        X = c2_times2()
-        N = point_nerve()
-        unit = enumerate_units_1(PicardModel1(X))[1]
-        c = cocycle_of_unit(unit, N)
-        bad = UnitCocycle1(c.a, c.a_phi,
-                           c.b + SheafSections.constant(X.B.element([1]),
-                                                        N, 0))
-        with pytest.raises(CocycleError, match=r"lambda\(a_phi\) = b"):
-            bad.validate(N, X)
+        # D0 x leaves R1 first at the first T^1 block reading the corrupted
+        # coordinate: the K-coordinate at the base cell first meets the edge
+        # (0, 1), in bidegree (0, 1); the A-coordinate on that edge first
+        # meets the triangle (0, 1, 0), in bidegree (-1, 2), since on
+        # (0, 0, 1) its d0 and d1 terms cancel
+        N = circle_nerve()
+        X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
+        (_, l0, _), _ = _unit_piece(X, N)
+        x = cocycle_of_unit(_units(X)[1], N)
+        for block, bidegree, cell in [
+                ((0, 0, N.level(0)[0]), (0, 1), ((0, 1), "c")),
+                ((-1, 1, ((0, 1), "c")), (-1, 2), ((0, 1, 0), "c"))]:
+            bad = list(x)
+            bad[l0.offset[block]] += 1
+            with pytest.raises(CocycleError) as info:
+                unit_of_cocycle(bad, N, X)
+            assert info.value.relation == \
+                f"total differential nonzero at bidegree {bidegree}"
+            assert info.value.where == cell
 
     def test_jk_constant_total_cocycle(self):
         X = c3_zero_id()
-        unit = enumerate_units_2(PicardModel2(X))[1]
+        unit = _units(X)[1]
         for N in (point_nerve(), circle_nerve()):
-            c = cocycle_of_unit(unit, N)
-            c.validate(N)
-            back, w = unit_of_cocycle(c, N, X)
-            assert back.key() == unit.key()
+            x = cocycle_of_unit(unit, N)
+            back, w = unit_of_cocycle(x, N, X)
+            assert back == unit and _carries(x, w, unit, N, X)
 
     def test_jk_nonconstant_total_cocycle(self):
-        X = c3_zero_id()
-        U = unit_complex_2(X)
-        N = point_nerve()
-        (lm1, l0, _), (d_low, _) = total_complex_piece(U, N)
-        unit = enumerate_units_2(PicardModel2(X))[1]
-        const = cocycle_of_unit(unit, N)
-        for w_in in itertools.islice(
-                itertools.product(*map(range, lm1.orders)), 1, 7):
-            shift = l0.unpack(_matvec(d_low, w_in))
-            comps = {pq: const.components[pq] + shift[pq]
-                     for pq in const.components}
-            moved = TotalCocycle(U, comps)
-            moved.validate(N)
-            back, w = unit_of_cocycle(moved, N, X)
-            assert back.model == PicardModel2(X)
-            # the returned cochain carries the cocycle onto the constant
-            # one of the decoded unit
-            gap = [[x - y - z] for x, y, z in zip(
-                l0.pack(comps), l0.pack(cocycle_of_unit(back, N).components),
-                _matvec(d_low, lm1.pack(w)))]
-            assert _zero_mod(gap, l0.orders)
+        # J(u) + D-1 w, reduced, decodes to a unit of the same model, and
+        # the returned cochain carries it onto J of that unit modulo R0
+        for X in (c2_times2(), c3_zero_id()):
+            for N in (point_nerve(), circle_nerve()):
+                (lm1, l0, _), (d_low, _) = _unit_piece(X, N)
+                rng = random.Random(len(l0.orders))
+                for unit in _units(X):
+                    w_in = [rng.randrange(d or 5) for d in lm1.orders]
+                    moved = [v % d if d else v for v, d in zip(
+                        map(sum, zip(cocycle_of_unit(unit, N),
+                                     _matvec(d_low, w_in))), l0.orders)]
+                    back, w = unit_of_cocycle(moved, N, X)
+                    assert type(back) is type(unit)
+                    assert back.model == unit.model
+                    assert _carries(moved, w, back, N, X)
+
+    @pytest.mark.parametrize("nerve", list(NERVES))
+    @pytest.mark.parametrize("terms", [2, 3])
+    def test_round_trip_every_unit(self, terms, nerve):
+        rng = random.Random(f"jk{terms}{nerve}")
+        N = NERVES[nerve]()
+        make = random_complex2 if terms == 2 else random_complex3
+        for _ in range(3):
+            X = make(rng, 6)
+            for unit in _units(X):
+                x = cocycle_of_unit(unit, N)
+                back, w = unit_of_cocycle(x, N, X)
+                assert back == unit and _carries(x, w, unit, N, X)
+
+    @pytest.mark.parametrize("X", [
+        _complex2((3,), (3,), [[0]]), _complex2((4,), (4,), [[1]]),
+        _complex2((4,), (2,), [[1]])], ids=str)
+    def test_descent_relations_are_the_block_cocycle_condition(self, X):
+        # pins the sign of D = d_X + (-1)^(p+1) cech: over the circle, the
+        # descent datum of every a_phi, the same with a moved on one edge,
+        # and with a random a, each satisfy the four relations iff their
+        # block vector x has D0 x in R1
+        N = circle_nerve()
+        (_, _, l1), (_, d_high) = _unit_piece(X, N)
+        code, rng = _block_coder(N, X), random.Random(str(X))
+        elems, g, h = list(X.A.elements()), X.A.generator(0), X.B.generator(0)
+        for a_phi in _all_sections(X.A, N, 0):
+            a, _, b = unit_cocycle_from_phi(N, X, a_phi)
+            k = rng.randrange(len(a))
+            for a in (a, a[:k] + (a[k] + g,) + a[k + 1:],
+                      tuple(rng.choice(elems) for _ in a)):
+                x = code(a, a_phi, b)
+                assert all(_descent_relations(N, X, a, a_phi, b)) == \
+                    _zero_mod([[v] for v in _matvec(d_high, x)], l1.orders)
+            # moving b off lam(a_phi) leaves K: the fourth relation
+            assert code(a, a_phi, (b[0] + h,) + b[1:]) is None

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unital
+from unital import crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, run
 from unital.specfile import SpecError, parse_spec, print_spec
@@ -421,6 +422,27 @@ class TestCliProcess:
         assert "  FAIL equivariance: bnd(g^h) = h^-1 bnd(g) h  [[1, 1]]" in out
         assert "PASS" not in out
 
+    def test_corrupted_unit_module_fails_named_checks(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a unit module whose boundary no longer sends 1 to 1: the handler's
+        # "unit module: " axiom checks are its only verification
+        real = crossed.CrossedModule
+
+        def rotated(G, H, boundary, action):
+            if H.name.startswith("ker("):  # built by unit_crossed_module
+                boundary = boundary[-1:] + boundary[:-1]
+            return real(G, H, boundary, action)
+
+        monkeypatch.setattr(crossed, "CrossedModule", rotated)
+        code = main(["crossed-units", "--in",
+                     self._write(tmp_path, INVERSION)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        failing = [line for line in out.splitlines()
+                   if line.startswith("  FAIL ")]
+        assert failing
+        assert all(line.startswith("  FAIL unit module: ") for line in failing)
+
     @pytest.mark.parametrize("content,message", [
         (b"\xff{}", r"not UTF-8 \(invalid start byte at byte 0\)"),
         (b"[" * 100000, "JSON nested too deeply")],
@@ -535,14 +557,44 @@ print(json.dumps([code, sorted(
 """
 
 
-def _python(*args):
+def _run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _python(*args):
+    proc = _run_python(*args)
     assert proc.returncode == 0 and not proc.stderr, proc.stderr
     return proc.stdout
+
+
+def test_huge_json_integer_is_bad_input(tmp_path):
+    # json.loads raises a plain ValueError on an integer longer than the
+    # interpreter's int-string digit limit (4300 from Python 3.11); where
+    # there is no limit, the integer parses and the group cap refuses it
+    path = tmp_path / "in.json"
+    path.write_text('{"kind": "complex2", "groups": {"A": {"inv": [%s]}}}'
+                    % ("9" * 5000))
+    proc = _run_python("-c", "import sys; from unital.cli import main; "
+                       "sys.exit(main())", "homology", "--in", str(path))
+    assert "Traceback" not in proc.stderr
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error: ")
+    else:
+        assert proc.returncode in (2, 3)
+
+
+def test_perfbench_micro_runs_on_the_library(tmp_path):
+    # perfbench/micro.py binds FgAbGroup, GroupElem addition,
+    # FiniteGroup.symmetric and .mul, and smith_normal_form
+    out = json.loads(_python(str(ROOT / "perfbench" / "micro.py")))
+    assert set(out) == {"abelian.elem_add_ns", "crossed.mul_ns",
+                        "abelian.snf_us.6x6", "abelian.snf_us.20x20"}
+    assert all(v > 0 for v in out.values())
 
 
 @pytest.mark.parametrize("command,doc,code,executed", [

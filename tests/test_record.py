@@ -33,7 +33,6 @@ C2_TRIVIAL = crossed.CrossedModule(crossed.FiniteGroup.cyclic(2),
 CIRCLE = cech.cover_of_parts(
     ("a0", "a1", "a2"),
     [(("a0", "a1"), ("c",)), (("a1", "a2"), ("c",)), (("a0", "a2"), ("c",))])
-NERVE = cech.cech_nerve(CIRCLE)
 POINT = cech.cech_nerve(cech.point_cover())
 
 
@@ -43,11 +42,6 @@ def _units_1():
 
 def _units_2():
     return point_models.enumerate_units_2(point_models.PicardModel2(X3B))
-
-
-def _morphisms_2():
-    return [m for s, t in itertools.product(_units_2(), repeat=2)
-            for m in point_models.unit_1morphisms(s, t)]
 
 
 # a few library-built values of every record class, some of them equal
@@ -67,29 +61,13 @@ SAMPLES = {
                                for X in (X2, X2B, X3)],
     "PicardModel1": lambda: [point_models.PicardModel1(X) for X in (X2, X2B)],
     "SaavedraUnit": _units_1,
-    "UnitMorphism1": lambda: [
-        m for s, t in itertools.product(_units_1(), repeat=2)
-        for m in point_models.unit_morphisms_1(s, t)],
     "PicardModel2": lambda: [point_models.PicardModel2(X) for X in (X3, X3B)],
     "JKUnit": _units_2,
-    "UnitMorphism2": _morphisms_2,
-    "Unit2Morphism": lambda: [
-        m for m1, m2 in itertools.product(_morphisms_2()[:4], repeat=2)
-        if m1.source == m2.source and m1.target == m2.target
-        for m in point_models.unit_2morphisms(m1, m2)],
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
     "NonabelianUnit": lambda: crossed.enumerate_units_nonabelian(
         C3_ON_ITSELF)[0],
     "UnitTriple": lambda: crossed.enumerate_unit_triples(C2_TRIVIAL, POINT),
     "Cover": lambda: [cech.point_cover(), CIRCLE],
-    "SheafSections": lambda: [cech.SheafSections.zero(Z2, NERVE, 0),
-                              cech.SheafSections.zero(Z4, NERVE, 1),
-                              cech.SheafSections.constant(Z4.generator(0),
-                                                          NERVE, 1)],
-    "UnitCocycle1": lambda: [cech.cocycle_of_unit(u, NERVE)
-                             for u in _units_1()],
-    "TotalCocycle": lambda: [cech.cocycle_of_unit(u, POINT)
-                             for u in _units_2()[:2]],
     "ComplexSpecFile": lambda: [
         specfile.parse_spec(specfile.print_spec(specfile.parse_spec(text)))
         for text in ('{"kind": "complex2", "groups": {"A": {"inv": [2]}}}',
@@ -146,7 +124,7 @@ def _hashed(value):
 
 
 def test_every_record_has_samples():
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 17
     assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
     assert all(cls.__bases__ == (Record,) for cls in RECORDS)
 
