@@ -20,11 +20,14 @@ chosen so that for a 2-term complex the component equations of a total
 and the coboundary of alpha in A(V_0) acts by a += d0*alpha - d1*alpha,
 b += lambda(alpha).  Total cochains live on block coordinates: one block of
 X^p coordinates per (p, q, cell), each term presented by the orders of its
-coordinates, and the differential is one integer block matrix.
-Classification groups are H^0 of this total complex, computed exactly and
-put in canonical form only at the end.  Units of the point model are the
-total 0-cocycles of the unit complex up to coboundaries (J and K below);
-for a 2-term complex these are the descent data (a, a_phi, b).  Torsor
+coordinates, and the differential is one integer block matrix, held as
+sparse rows.  Classification groups are H^0 of this total complex: the
++-1 entries between coordinates of equal order, most of them Cech faces,
+are cancelled by Gaussian elimination first, and the small remainder is
+computed exactly and put in canonical form only at the end.  Units of the
+point model are the total 0-cocycles of the unit complex up to
+coboundaries (J and K below); for a 2-term complex these are the descent
+data (a, a_phi, b).  Torsor
 cocycles (a, b) and unit cocycles (a, a_phi, b) are also enumerated
 exhaustively on table-coded groups and quotiented by the coboundary
 action, which is how the contractibility statements are checked at sheaf
@@ -414,35 +417,107 @@ class _TotalLayout:
 
 
 def _block_differential(X, nerve, source, target):
-    """D = d_X + (-1)^(p+1) cech as an integer matrix, by rows: d_X from
-    (p-1, q, c) to (p, q, c), and (-1)^(p+1+i) times the identity from
-    (p, q-1, d_i c) to (p, q, c)."""
-    width = len(source.orders)
+    """D = d_X + (-1)^(p+1) cech as sparse rows {column: nonzero entry}:
+    d_X from (p-1, q, c) to (p, q, c), and (-1)^(p+1+i) times the identity
+    from (p, q-1, d_i c) to (p, q, c)."""
     rows = []
     for p, q, cell in target.blocks:
-        block = [[0] * width for _ in range(X.group_at(p).ngens)]
+        block = [{} for _ in range(X.group_at(p).ngens)]
         off = source.offset.get((p - 1, q, cell))
         if off is not None:
             for row, d_row in zip(block, X.differential(p - 1).matrix):
-                row[off:off + len(d_row)] = d_row
+                row.update((off + j, v) for j, v in enumerate(d_row) if v)
         for i in range(q + 1 if q else 0):
             off = source.offset[(p, q - 1, nerve.face(q, i, cell))]
             for k, row in enumerate(block):
-                row[off + k] += (-1) ** (p + 1 + i)
+                v = row.pop(off + k, 0) + (-1) ** (p + 1 + i)
+                if v:
+                    row[off + k] = v
         rows += block
     return rows
+
+
+def _dense(rows, columns):
+    """Sparse rows as dense ones over the given columns."""
+    return [[row.get(j, 0) for j in columns] for row in rows]
 
 
 def total_complex_piece(X, nerve):
     """The total complex T^-1 -> T^0 -> T^1 on block coordinates.
 
     Returns the layouts ``(lm1, l0, l1)`` and the integer block matrices
-    ``(d_low, d_high)`` of the total differential; T^n is presented by the
-    diagonal lattice of its layout's ``orders``.
+    ``(d_low, d_high)`` of the total differential, as sparse rows
+    {column: entry}; T^n is presented by the diagonal lattice of its
+    layout's ``orders``.
     """
     layouts = tuple(_TotalLayout(X, nerve, n) for n in (-1, 0, 1))
     return layouts, (_block_differential(X, nerve, *layouts[:2]),
                      _block_differential(X, nerve, *layouts[1:]))
+
+
+class _SparseMap:
+    """An integer matrix into Z^m / R, R diagonal with the row ``orders``,
+    as sparse rows reduced modulo their orders, with a column index."""
+
+    def __init__(self, rows, orders):
+        self.orders = orders
+        self.rows, self.cols = {}, {}
+        for i, (row, d) in enumerate(zip(rows, orders)):
+            reduced = ((j, v % d if d else v) for j, v in row.items())
+            self.rows[i] = {j: v for j, v in reduced if v}
+            for j in self.rows[i]:
+                self.cols.setdefault(j, set()).add(i)
+
+    def drop_row(self, i):
+        for j in self.rows.pop(i):
+            self.cols[j].discard(i)
+
+    def drop_col(self, j):
+        for i in self.cols.pop(j, ()):
+            del self.rows[i][j]
+
+    def cancel_units(self, col_orders):
+        """Cancel every pair (column c, row r) of equal order d whose entry
+        is u = +-1 mod d, an isomorphism Z/d -> Z/d, and yield it: each
+        other row x loses D[x][c] u times row r, reduced mod orders[x],
+        and row r and column c go.  A new unit pivot can appear in a
+        column already passed over, so the sweep repeats until none does.
+        """
+        found = True
+        while found:
+            found = False
+            for c in sorted(self.cols, key=lambda j: len(self.cols[j])):
+                d, best = col_orders[c], None
+                for r in self.cols.get(c, ()):
+                    v = self.rows[r][c]  # reduced: -1 is d - 1, or -1 free
+                    u = 1 if v == 1 else -1 if v in (-1, d - 1) else 0
+                    if u and self.orders[r] == d and (best is None or len(
+                            self.rows[r]) < len(self.rows[best[0]])):
+                        best = r, u
+                if best:
+                    self._pivot(c, *best)
+                    found = True
+                    yield best[0], c
+
+    def _pivot(self, c, r, u):
+        pivot_row = self.rows.pop(r)
+        for j in pivot_row:
+            self.cols[j].discard(r)
+        del pivot_row[c]
+        for x in self.cols.pop(c):
+            row, d = self.rows[x], self.orders[x]
+            f = row.pop(c) * u
+            for j, v in pivot_row.items():
+                w = row.get(j, 0) - f * v
+                if d:
+                    w %= d
+                if w:
+                    if j not in row:
+                        self.cols[j].add(x)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    self.cols[j].discard(x)
 
 
 def classify_h0(nerve: Nerve, X) -> FgAbGroup:
@@ -450,14 +525,38 @@ def classify_h0(nerve: Nerve, X) -> FgAbGroup:
 
     On block coordinates this is {x : D0 x in R1} / (im D-1 + R0), with R0
     and R1 the relation lattices of T^0 and T^1 (``abelian.subquotient``).
-    For the unit complex of any coefficient complex it is the trivial
-    group; that is the classification form of contractibility.
+    Before that runs, the complex is reduced by Gaussian elimination: a
+    component Z/d -> Z/d of D-1 or D0 with entry +-1 is an isomorphism, and
+    cancelling it (``_SparseMap.cancel_units``) leaves a homotopy
+    equivalent complex.  A T^-1 - T^0 pair also takes its T^0 coordinate
+    out of D0's columns, and a T^0 - T^1 pair out of D-1's rows.  Most of
+    the Cech face entries are such units, so only a small dense remainder,
+    without the T^1 rows and T^-1 columns left all zero, reaches
+    ``subquotient``.  For the unit complex of any coefficient complex the
+    group is trivial; that is the classification form of contractibility.
     """
     for d in X.degrees:
         if not X.group_at(d).is_finite:
             raise FinitenessError("classification needs finite groups")
-    (_, l0, l1), (d_low, d_high) = total_complex_piece(X, nerve)
-    return subquotient(d_low, l0.orders, d_high, l1.orders)[0]
+    return subquotient(*_reduced_piece(X, nerve))[0]
+
+
+def _reduced_piece(X, nerve):
+    """The total complex after cancelling unit pivots, as the dense
+    arguments ``(d_in, orders, d_out, out_orders)`` of ``subquotient``."""
+    (lm1, l0, l1), (d_low, d_high) = total_complex_piece(X, nerve)
+    low, high = _SparseMap(d_low, l0.orders), _SparseMap(d_high, l1.orders)
+    for r, _ in low.cancel_units(lm1.orders):
+        high.drop_col(r)
+    for _, c in high.cancel_units(l0.orders):
+        low.drop_row(c)
+    t0 = sorted(low.rows)
+    t_m1 = sorted(j for j, rows in low.cols.items() if rows)
+    t1 = sorted(i for i, row in high.rows.items() if row)
+    return (_dense([low.rows[i] for i in t0], t_m1),
+            [l0.orders[i] for i in t0],
+            _dense([high.rows[x] for x in t1], t0),
+            [l1.orders[x] for x in t1])
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +612,7 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     if len(x) != len(l0.orders):
         raise ValueError(f"expected {len(l0.orders)} T^0 coordinates")
     for i, (row, d) in enumerate(zip(d_high, l1.orders)):
-        value = sum(c * y for c, y in zip(row, x))
+        value = sum(c * x[j] for j, c in row.items())
         if value % d if d else value:
             p, q, cell = next(b for b in reversed(l1.blocks)
                               if l1.offset[b] <= i)
@@ -527,7 +626,8 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     # w then r are the coordinates of a free source
     source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))
     ambient = FgAbGroup.free(len(l0.orders))
-    w = solve(GroupHom(source, ambient, _with_relations(d_low, l0.orders)),
+    w = solve(GroupHom(source, ambient, _with_relations(
+        _dense(d_low, range(len(lm1.orders))), l0.orders)),
               ambient.element(target))
     if w is None:
         raise CocycleError("cocycle is not cohomologous to a constant")

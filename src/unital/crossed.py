@@ -550,6 +550,41 @@ def enumerate_unit_triples(X, nerve, max_states=10 ** 7):
     return out
 
 
+def descent_identity_check(X, nerve, max_states=10 ** 7):
+    """Whether (1,1,1) is a right identity of every descent triple, checked
+    on the tables; returns ``(holds, number of triples)``.
+
+    This is ``h0_group_law(t, identity_triple(X, nerve)) == t`` over
+    ``enumerate_unit_triples``, streamed over the index tuples g' with the
+    same |G|^|V0| charge first.  A triple is coded as tuples (g, g', h) in
+    cell order, built from g' as ``unit_triple_from_gprime`` builds it, so
+    it is valid; a product equal to a valid triple is valid too, which is
+    why the comparison alone decides the check.
+    """
+    G, H = X.G, X.H
+    n0 = len(nerve.level(0))
+    if G.order ** n0 > max_states:
+        raise CapExceeded("triple enumeration exceeds the state cap")
+    mul, inv, bnd, act = G.table, G.inverse, X.boundary, X.action
+    faces = list(zip(nerve.face_index(1, 0), nerve.face_index(1, 1)))
+
+    def triple(gp):
+        return (tuple(mul[gp[f0]][inv[gp[f1]]] for f0, f1 in faces), gp,
+                tuple(H.inverse[bnd[x]] for x in gp))
+
+    g2, gp2, h2 = triple((G.identity,) * n0)
+    twist = [h2[f0] for f0, _ in faces]  # d0* h2 on the level-1 cells
+
+    def fixed(gp):  # t (1,1,1) == t for the triple t of gp, part by part
+        g1, _, h1 = triple(gp)
+        return all(mul[act[x][h]][y] == x for x, h, y in zip(g1, twist, g2)) \
+            and all(mul[act[x][h]][y] == x for x, h, y in zip(gp, h2, gp2)) \
+            and all(H.table[x][y] == x for x, y in zip(h1, h2))
+
+    return (all(map(fixed, itertools.product(G.elements(), repeat=n0))),
+            G.order ** n0)
+
+
 def h0_group_law(t1: UnitTriple, t2: UnitTriple, nerve) -> UnitTriple:
     """(g1, g1', h1)(g2, g2', h2) =
     (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2), validated on the nerve."""

@@ -237,6 +237,37 @@ class TestCliProcess:
         path.write_text("{not json")
         assert main(["units", "--in", str(path)]) == 2
 
+    def test_crossed_units_verifies_the_axioms_of_x_once(self, tmp_path,
+                                                          monkeypatch):
+        real, checked = crossed.verify_crossed_module, []
+
+        def counted(X):
+            checked.append(X)
+            return real(X)
+
+        monkeypatch.setattr(crossed, "verify_crossed_module", counted)
+        assert main(["crossed-units", "--in",
+                     self._write(tmp_path, INVERSION)]) == 0
+        assert [X.H.name for X in checked] == \
+            ["Z/2", "ker(Z/3 semidirect Z/2 -> Z/2)"]
+
+    def test_descent_triples_cap_builds_no_triple(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a UnitTriple was built")
+
+        monkeypatch.setattr(crossed.UnitTriple, "build", refuse)
+        monkeypatch.setattr(crossed, "h0_group_law", refuse)
+        args = ["crossed-units", "--in", self._write(tmp_path, INVERSION),
+                "--nerve", self._write(tmp_path, CIRCLE_NERVE, "n.json")]
+        # |G|^|V0| = 3^3 triples
+        assert main(args + ["--max-states", "26"]) == 3
+        assert capsys.readouterr().err == \
+            "cap exceeded: triple enumeration exceeds the state cap\n"
+        assert main(args + ["--max-states", "27"]) == 0
+        assert "PASS descent triples: (1,1,1) is the identity  [27]\n" in \
+            capsys.readouterr().out
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         code = main(["cech-classify", "--in", self._write(tmp_path, TIMES2),
                      "--nerve", self._write(tmp_path, CIRCLE_NERVE, "n.json"),
@@ -586,6 +617,45 @@ def test_huge_json_integer_is_bad_input(tmp_path):
         assert proc.stderr.startswith("input error: ")
     else:
         assert proc.returncode in (2, 3)
+
+
+def test_huge_group_order_is_over_the_cap(tmp_path):
+    # two 4,000-digit invariant factors parse, and their product is past
+    # the interpreter's int-string digit limit
+    d = "1" + "0" * 3999
+    path = tmp_path / "in.json"
+    path.write_text('{"kind": "complex2", "groups": {"A": {"inv": [%s, %s]}}}'
+                    % (d, d))
+    proc = _run_python("-c", "import sys; from unital.cli import main; "
+                       "sys.exit(main())", "homology", "--in", str(path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "cap exceeded: group of order at least 2^26568 " \
+                          "exceeds the cap 256\n"
+
+
+def test_cech_classify_on_the_ring_with_order_16_terms(tmp_path):
+    # (Z/2)^4 -0-> (Z/2)^4 -id-> (Z/2)^4 over four parts in a cycle (levels
+    # [4, 12, 28, 60]); at --max-states 0 nothing on this path is charged
+    names = [f"a{i}" for i in range(4)]
+    ring = {"parts": names, "intersections": [
+        {"parts": [names[i], names[(i + 1) % 4]], "components": ["c"]}
+        for i in range(4)]}
+    inv = {"inv": [2, 2, 2, 2]}
+    zero = [[0] * 4 for _ in range(4)]
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "kind": "complex3", "nerve": ring,
+        "groups": {"A": inv, "B": inv, "C": inv},
+        "maps": {"delta": zero, "lambda": identity}}))
+    proc = _run_python("-c", "import sys; from unital.cli import main; "
+                       "sys.exit(main())", "cech-classify", "--in", str(path),
+                       "--json", "--max-states", "0")
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(proc.stdout)["data"]
+    assert data["nerve_levels"] == [4, 12, 28, 60]
+    assert data["h0_of_unit_complex"] == "0"
+    assert data["h0_of_coefficients"] == "0"
 
 
 def test_perfbench_micro_runs_on_the_library(tmp_path):

@@ -5,10 +5,12 @@ import pytest
 
 from unital import point_models
 from unital.cech import cech_nerve, point_cover
+from unital.abelian import CapExceeded
 from unital.crossed import (
     CrossedModule,
     FiniteGroup,
     NonabelianUnit,
+    descent_identity_check,
     enumerate_unit_triples,
     enumerate_units_nonabelian,
     h0_group_law,
@@ -372,3 +374,80 @@ class TestH0GroupLaw:
         tampered = bad.__class__(X, ((cell1, 1),), bad.g_prime, bad.h)
         with pytest.raises(ValueError, match="level-1 condition"):
             tampered.validate(N)
+
+
+# --------------------------------------------------------------------------
+# the coded descent-triple check against the UnitTriple records
+
+
+def _identity_by_triples(X, N):
+    """Oracle: crossed-units' check on UnitTriple records.  A product the
+    validator rejects differs from the valid triple it was compared with,
+    so a ValueError reads as a failed check."""
+    triples = enumerate_unit_triples(X, N)
+    ident = identity_triple(X, N)
+    try:
+        holds = all(h0_group_law(t, ident, N).key() == t.key()
+                    for t in triples)
+    except ValueError:
+        holds = False
+    return holds, len(triples)
+
+
+def _scrambled_action(rng, X, keep_identity):
+    """X with a random action table, except that the identity of H acts
+    trivially when ``keep_identity``."""
+    H = X.H
+    action = [[g if keep_identity and h == H.identity
+               else rng.randrange(X.G.order) for h in H.elements()]
+              for g in X.G.elements()]
+    return CrossedModule(X.G, H, X.boundary, action)
+
+
+class TestDescentIdentityCheck:
+    @pytest.mark.parametrize("nerve", ["point", "circle"])
+    def test_matches_triples_on_random_modules(self, nerve):
+        rng = random.Random(f"descent{nerve}")
+        N = point_nerve() if nerve == "point" else cech_nerve(circle_cover())
+        for _ in range(12):
+            X = random_crossed_module(rng, 12 if nerve == "point" else 8)
+            assert descent_identity_check(X, N) == _identity_by_triples(X, N)
+            assert descent_identity_check(X, N)[0]
+
+    def test_bad_tables_agree(self):
+        # tables that fail the axioms, passed straight to the check: a
+        # scrambled action that keeps 1 acting trivially still has (1,1,1)
+        # as identity, one that does not loses it
+        rng = random.Random(263)
+        N = cech_nerve(circle_cover())
+        seen = set()
+        for _ in range(30):
+            X = random_crossed_module(rng, 6)
+            for Y in (_scrambled_action(rng, X, True),
+                      _scrambled_action(rng, X, False), random_tables(rng)):
+                if Y.G.order ** 3 > 512:
+                    continue
+                got = descent_identity_check(Y, N)
+                assert got == _identity_by_triples(Y, N)
+                seen.add((verify_crossed_module(Y).passed, got[0]))
+        assert {(False, True), (False, False)} <= seen
+        # a boundary that moves 1, under the trivial action: the product
+        # with (1,1,1) differs from t only in its h part
+        G, H = FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)
+        Y = CrossedModule(G, H, (1, 1, 1), [(g, g) for g in G.elements()])
+        assert descent_identity_check(Y, N) == _identity_by_triples(Y, N) \
+            == (False, 27)
+
+    def test_cap_is_charged_before_any_triple(self):
+        class Trap(tuple):
+            def __getitem__(self, k):
+                raise AssertionError("a table was read")
+
+        X = inversion_module()
+        trapped = CrossedModule(X.G, X.H, X.boundary, X.action)
+        object.__setattr__(trapped, "boundary", Trap(X.boundary))
+        N = cech_nerve(circle_cover())  # 3^3 = 27 triples
+        with pytest.raises(CapExceeded,
+                           match="^triple enumeration exceeds the state cap$"):
+            descent_identity_check(trapped, N, max_states=26)
+        assert descent_identity_check(X, N, max_states=27) == (True, 27)
