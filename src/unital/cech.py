@@ -27,11 +27,11 @@ are cancelled by Gaussian elimination first, and the small remainder is
 computed exactly and put in canonical form only at the end.  Units of the
 point model are the total 0-cocycles of the unit complex up to
 coboundaries (J and K below); for a 2-term complex these are the descent
-data (a, a_phi, b).  Torsor
-cocycles (a, b) and unit cocycles (a, a_phi, b) are also enumerated
-exhaustively on table-coded groups and quotiented by the coboundary
-action, which is how the contractibility statements are checked at sheaf
-level; both scans return coded class representatives.
+data (a, a_phi, b).  One exhaustive scan on table-coded groups finds the
+torsor cocycles (a, b), taking a from the lam-fibers over the Cech
+differential of b, and quotients them by the coboundaries.  Unit cocycles
+are the torsor cocycles (a, (a_phi, b)) of the unit complex, so the same
+scan checks contractibility at sheaf level.
 """
 
 from __future__ import annotations
@@ -42,17 +42,10 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .abelian import (
-    CapExceeded,
-    FgAbGroup,
-    FinitenessError,
-    GroupHom,
-    _with_relations,
-    direct_sum,
-    solve,
-    subquotient,
-)
-from .complexes import (
-    Complex2, _unit_complex_2_embedding, unit_complex_1, unit_complex_2)
+    CapExceeded, FgAbGroup, FinitenessError, GroupHom, _with_relations,
+    direct_sum, solve, subquotient)
+from .complexes import Complex2, _unit_complex_2, unit_complex_1
+from .crossed import _fibers
 from .point_models import (
     JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
 from .record import Record
@@ -144,10 +137,16 @@ def cover_of_parts(parts, intersections, containments=None):
     ``intersections``: iterable of (part name tuple, component names).
     ``containments``: iterable of (parts, component, subparts, subcomponent).
     """
-    parts = tuple(parts)
+    parts, comps = tuple(parts), {}
     idx = {p: i for i, p in enumerate(parts)}
-    comps = {frozenset(idx[p] for p in key): tuple(names)
-             for key, names in intersections}
+    if len(idx) < len(parts):
+        raise ValueError(f"part names repeat: {list(parts)}")
+    for key, names in intersections:
+        key = frozenset(idx[p] for p in key)
+        if key in comps:
+            raise ValueError(f"intersection {sorted(parts[i] for i in key)} "
+                             "is declared twice")
+        comps[key] = tuple(names)
     cont = {}
     for key, comp, sub, subcomp in (containments or ()):
         cont[(frozenset(idx[p] for p in key), comp,
@@ -228,19 +227,8 @@ def cech_nerve(cover: Cover) -> Nerve:
 
 
 # --------------------------------------------------------------------------
-# table-coded scans: a coded section is a tuple of element indices in cell
-# order; index order is the order of ``FgAbGroup.elements()``, so coded
-# sections sort like their coordinates
-
-
-def _coded_complex(nerve, X: Complex2):
-    """Table-coded A and B, lam as an image array, and the face positions
-    (d0, d1, d2) of each V_2 cell and (d0, d1) of each V_1 cell."""
-    A, B = _coded(X.A), _coded(X.B)
-    lam = A.image_array(X.lam.matrix, B)
-    faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
-    faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
-    return A, B, lam, faces2, faces1
+# torsor and unit cocycles on table-coded groups: a coded section holds the
+# element indices of its cells, and sorts like its coordinates
 
 
 def _coboundary(A, lam, faces1, alpha):
@@ -257,21 +245,60 @@ def _add(tables, x, y):
                  for add, p, q in zip(tables, x, y))
 
 
-# --------------------------------------------------------------------------
-# torsor cocycles (a, b)
-
-
 class TorsorClasses(NamedTuple):
     count: int
     representatives: list
 
 
+def _cocycle_classes(nerve, X: Complex2, max_states):
+    """Every torsor cocycle (a, b) of X, labelled by its class.
+
+    b runs over B(V_0), a over the lam-fiber of d0*(b) - d1*(b) on each V_1
+    cell, and d0*(a) + d2*(a) = d1*(a) is tested on V_2.  One label sweep
+    in key order, charged class by class, quotients by the coboundaries.
+    Returns the class minima, every cocycle's label, and the tables of A
+    and B.  CocycleError if a coboundary sum is not a cocycle found.
+    """
+    A, B = _coded(X.A), _coded(X.B)
+    lam, add_a, add_b = A.image_array(X.lam.matrix, B), A.table, B.table
+    faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
+    faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
+    fibers, n0 = _fibers(A, B, lam), len(nerve.level(0))
+    cocycles = []
+    for b in itertools.product(B.elements(), repeat=n0):
+        over = [fibers[add_b[b[f0]][B.inverse[b[f1]]]] for f0, f1 in faces1]
+        cocycles += ((a, b) for a in itertools.product(*over) if all(
+            add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2))
+    cocycles.sort()
+    # a cocycle maps to itself until it is labelled, and the coboundaries
+    # are held as those keys, so each cocycle tuple is held once
+    label, count = dict(zip(cocycles, cocycles)), len(cocycles)
+    del cocycles
+    shifts = []
+    for alpha in itertools.product(A.elements(), repeat=n0):
+        s = _coboundary(A, lam, faces1, alpha)
+        shifts.append(label.setdefault(s, s))
+    tables, reps, work = (add_a, add_b), [], 0
+    for c in label:
+        if label[c] is not c:
+            continue
+        work += len(shifts)
+        if work > max_states:
+            raise CapExceeded("coboundary quotient exceeds the state cap")
+        for s in shifts:
+            label[_add(tables, c, s)] = len(reps)
+        if len(label) != count:  # a sum, or a coboundary, was added
+            raise CocycleError("cocycle + coboundary is a cocycle", c)
+        reps.append(c)
+    return reps, label, tables
+
+
 def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     """Classes of torsor cocycles (a, b) modulo re-choice of sections.
 
-    Exhaustive: enumerates every pair, filters by the two cocycle relations,
-    and quotients by the full coboundary action.  Representatives are the
-    smallest members of their classes, as coded pairs (a, b).
+    Exhaustive on the coded tables (``_cocycle_classes``), charged the
+    full candidate product |A|^|V_1| |B|^|V_0| up front.  Representatives
+    are the smallest members of their classes, as coded pairs (a, b).
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("torsor enumeration needs finite groups")
@@ -279,89 +306,36 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     states = X.A.order() ** n1 * X.B.order() ** n0
     if states > max_states:
         raise CapExceeded(f"{states} candidate cocycles exceed {max_states}")
-    A, B, lam, faces2, faces1 = _coded_complex(nerve, X)
-    add_a, add_b = A.table, B.table
-    cocycles = []  # in lexicographic order: the product runs in index order
-    for a in itertools.product(A.elements(), repeat=n1):
-        # d0*(a) + d2*(a) = d1*(a) on V_2, and d0*(b) = d1*(b) + lam(a) on V_1
-        if not all(add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2):
-            continue
-        lam_a = [lam[x] for x in a]
-        for b in itertools.product(B.elements(), repeat=n0):
-            if all(b[f0] == add_b[b[f1]][y]
-                   for (f0, f1), y in zip(faces1, lam_a)):
-                cocycles.append((a, b))
-    alphas = list(itertools.product(A.elements(), repeat=n0))
-    if len(cocycles) * len(alphas) > max_states:
-        raise CapExceeded("coboundary quotient exceeds the state cap")
-    shifts = [_coboundary(A, lam, faces1, al) for al in alphas]
-    reps, seen = [], set()
-    for c in cocycles:
-        if c not in seen:
-            orbit = {_add((add_a, add_b), c, s) for s in shifts}
-            seen |= orbit
-            reps.append(min(orbit))
+    reps = _cocycle_classes(nerve, X, max_states)[0]
     return TorsorClasses(len(reps), reps)
-
-
-# --------------------------------------------------------------------------
-# unit cocycles (a, a_phi, b)
 
 
 def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     """All unit cocycles modulo coboundaries.
 
     A unit cocycle is a descent datum (a, a_phi, b): a in A(V_1), a_phi in
-    A(V_0), b in B(V_0).  The defining relations make a and b functions of
-    a_phi, so the scan runs over a_phi and checks all four relations on
-    each cocycle, raising CocycleError naming the first violated one; the
-    quotient is by the full coboundary action.  Returns ``(classes,
-    group)``: the smallest member of each class as a coded triple
-    (a, a_phi, b), and the abelian group the classes form under pointwise
-    tensor (expected: one class, trivial).
+    A(V_0), b in B(V_0).  With u = (a_phi, b) in ker(lam - id), (a, u) is
+    a torsor cocycle of the unit complex U of X, so the scan is the torsor
+    scan of U.  U's differential is injective, so the one value in each
+    V_1 fiber is a = d0*(a_phi) - d1*(a_phi): finding other than one
+    cocycle per a_phi raises CocycleError.  Returns ``(classes, group)``:
+    the smallest member of each class as a coded pair (a, u), and the
+    group the classes form under pointwise tensor (expected: trivial).
     """
     if not (X.A.is_finite and X.B.is_finite):
         raise FinitenessError("unit-cocycle enumeration needs finite groups")
     states = X.A.order() ** len(nerve.level(0))
     if states > max_states:
         raise CapExceeded(f"{states} states exceed {max_states}")
-    A, B, lam, faces2, faces1 = _coded_complex(nerve, X)
-    add_a, add_b = A.table, B.table
-    shifts = []  # re-choosing by alpha adds the cocycle of alpha
-    for phi in itertools.product(A.elements(), repeat=len(nerve.level(0))):
-        a, b = _coboundary(A, lam, faces1, phi)
-        for relation, level, holds in (
-                ("d0*(a) + d2*(a) = d1*(a)", 2,
-                 [add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2]),
-                ("d0*(b) = d1*(b) + lambda(a)", 1,
-                 [b[f0] == add_b[b[f1]][lam[x]]
-                  for (f0, f1), x in zip(faces1, a)]),
-                ("a = d0*(a_phi) - d1*(a_phi)", 1,
-                 [add_a[x][phi[f1]] == phi[f0]
-                  for (f0, f1), x in zip(faces1, a)]),
-                ("lambda(a_phi) = b", 0,
-                 [lam[x] == y for x, y in zip(phi, b)])):
-            if not all(holds):
-                raise CocycleError(relation,
-                                   nerve.level(level)[holds.index(False)])
-        shifts.append((a, phi, b))
-    tables = (add_a, add_a, add_b)
-    # every sum c + s is itself in shifts, and assigning to an existing key
-    # keeps the stored tuple, so each cocycle is held once
-    reps, label, work = [], dict.fromkeys(shifts), 0
-    for c in sorted(shifts):  # cocycles in key order, (a, a_phi, b)
-        if label[c] is not None:
-            continue
-        work += len(shifts)  # one full orbit sweep per new class
-        if work > max_states:
-            raise CapExceeded("coboundary quotient exceeds the state cap")
-        for s in shifts:
-            label[_add(tables, c, s)] = len(reps)
-        reps.append(c)  # smaller cocycles lie in earlier classes
+    reps, label, tables = _cocycle_classes(
+        nerve, unit_complex_1(X)[0], max_states)
+    if len(label) != states:
+        raise CocycleError(f"{len(label)} unit cocycles, one per a_phi: "
+                           f"|A|^|V_0| = {states}")
     orders = []  # of each class under the tensor: pointwise sum, then label
     for r in reps:
         acc, n = r, 1
-        while label[acc] != label[shifts[0]]:  # shifts[0]: alpha = 0
+        while label[acc] != 0:  # the zero cocycle is the smallest
             acc, n = _add(tables, acc, r), n + 1
         orders.append(n)
     return reps, _group_from_orders(orders)
@@ -575,8 +549,8 @@ def _unit_frame(X):
         (U, emb), S, O = unit_complex_1(X), X.A, X.B
         model, unit = PicardModel1(X), SaavedraUnit
     else:
-        U, emb = unit_complex_2(X), _unit_complex_2_embedding(X)
-        S, O, model, unit = X.B, X.C, PicardModel2(X), JKUnit
+        (U, emb), S, O = _unit_complex_2(X), X.B, X.C
+        model, unit = PicardModel2(X), JKUnit
     return U, emb, direct_sum(S, O)[1:], lambda e, phi: unit(model, e, phi)
 
 

@@ -276,6 +276,12 @@ def unit_complex_1(X: Complex2):
 
 def unit_complex_2(X: Complex3) -> Complex3:
     """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units."""
+    return _unit_complex_2(X)[0]
+
+
+def _unit_complex_2(X: Complex3):
+    """``(U, incl)``: ``unit_complex_2(X)`` and the inclusion of its
+    degree-0 term into B (+) C, as ``unit_complex_1`` returns it."""
     A, B, C, delta, lam = X.A, X.B, X.C, X.delta, X.lam
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
     _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(B, C)
@@ -285,13 +291,7 @@ def unit_complex_2(X: Complex3) -> Complex3:
     to_bc = jnj_b.compose(proj_b - delta.compose(proj_a)) \
         + jnj_c.compose(lam.compose(proj_b))
     d2 = lift_through(incl, to_bc)
-    return Complex3(A, d1.target, K, d1, d2)
-
-
-def _unit_complex_2_embedding(X: Complex3) -> GroupHom:
-    _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(X.B, X.C)
-    _, incl = kernel(X.lam.compose(qroj_b) - qroj_c)
-    return incl
+    return Complex3(A, d1.target, K, d1, d2), incl
 
 
 def cone(f: StrictMorphism) -> Complex3:
@@ -346,8 +346,7 @@ def forgetful_morphism_1(X: Complex2) -> StrictMorphism:
 
 def forgetful_morphism_2(X: Complex3) -> StrictMorphism:
     """unit_complex_2(X) -> X by (id_A, projection to B, projection to C)."""
-    U = unit_complex_2(X)
-    emb = _unit_complex_2_embedding(X)
+    U, emb = _unit_complex_2(X)
     _, _, _, proj_b, _ = direct_sum(X.B, X.A)
     _, _, _, _, qroj_c = direct_sum(X.B, X.C)
     return StrictMorphism(U, X, (GroupHom.identity(X.A), proj_b,
@@ -386,8 +385,7 @@ def kernel_model(X: Complex2):
 def sum_model(X: Complex3):
     """Alternate 3-term model A -> B (+) A -> B with its map into
     unit_complex_2(X); second differential is (b, a) |-> b - delta(a)."""
-    U = unit_complex_2(X)
-    emb = _unit_complex_2_embedding(X)
+    U, emb = _unit_complex_2(X)
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(X.B, X.A)
     d1 = inj_b.compose(X.delta) + inj_a
     d2 = proj_b - X.delta.compose(proj_a)
@@ -402,8 +400,7 @@ def sum_model(X: Complex3):
 def kernel_sum_model(X: Complex3):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
     into unit_complex_2(X)."""
-    U = unit_complex_2(X)
-    emb = _unit_complex_2_embedding(X)
+    U, emb = _unit_complex_2(X)
     Kl, kincl = kernel(X.lam)
     delta_k = lift_through(kincl, X.delta)
     _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, X.A)

@@ -167,30 +167,6 @@ class FiniteGroup:
             images = [target.table[x][m] for x in images for m in multiples]
         return images
 
-    @property
-    def is_abelian(self):
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(self.order))
-
-    def closure(self, gens):
-        out = {self.identity}
-        frontier = set(gens) | {self.identity}
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in list(out) + list(gens):
-                    for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                        if c not in out and c not in frontier:
-                            new.add(c)
-            out |= frontier
-            frontier = new
-        return tuple(sorted(out))
-
-    def is_normal(self, subset):
-        sub = set(subset)
-        return all(self.conj(a, b) in sub
-                   for a in sub for b in range(self.order))
-
     def __str__(self):
         return f"{self.name} (order {self.order})"
 
@@ -206,20 +182,6 @@ class FiniteGroup:
                    f"Z/{n}")
 
     @classmethod
-    def dihedral(cls, n):
-        """Order 2n: (i, f) with (i1,f1)(i2,f2) = (i1 + (-1)^f1 i2, f1+f2)."""
-        elems = [(i, f) for f in range(2) for i in range(n)]
-        index = {e: k for k, e in enumerate(elems)}
-
-        def mul(x, y):
-            i1, f1 = x
-            i2, f2 = y
-            return ((i1 + (i2 if f1 == 0 else -i2)) % n, (f1 + f2) % 2)
-
-        table = [[index[mul(x, y)] for y in elems] for x in elems]
-        return cls(table, f"D{n}")
-
-    @classmethod
     def symmetric(cls, n):
         if n > 4:
             raise CapExceeded("symmetric(n) supported for n <= 4")
@@ -231,22 +193,6 @@ class FiniteGroup:
 
         table = [[index[mul(p, q)] for q in elems] for p in elems]
         return cls(table, f"S{n}")
-
-    @classmethod
-    def direct_product(cls, a, b):
-        elems = [(x, y) for x in a.elements() for y in b.elements()]
-        index = {e: k for k, e in enumerate(elems)}
-        table = [[index[(a.mul(x1, x2), b.mul(y1, y2))]
-                  for (x2, y2) in elems] for (x1, y1) in elems]
-        return cls(table, f"{a.name} x {b.name}")
-
-    @classmethod
-    def subgroup(cls, big, subset, name=None):
-        """The subgroup on the given closed subset, with its inclusion map."""
-        subset = tuple(sorted(subset))
-        pos = {g: k for k, g in enumerate(subset)}
-        table = [[pos[big.mul(x, y)] for y in subset] for x in subset]
-        return cls(table, name or f"sub({big.name})"), subset
 
 
 class CrossedModule(Record):

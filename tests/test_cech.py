@@ -379,6 +379,12 @@ def _complexes2(groups):
             yield Complex2(A, B, GroupHom.from_images(A, B, list(images)))
 
 
+def _complex2(a_factors, b_factors, lam):
+    A = FgAbGroup.from_divisors(*a_factors)
+    B = FgAbGroup.from_divisors(*b_factors)
+    return Complex2(A, B, GroupHom(A, B, lam))
+
+
 ORDER_AT_MOST_4 = (TRIV, Z2, Z3, FgAbGroup.cyclic(4),
                    FgAbGroup.from_divisors(2, 2))
 
@@ -405,6 +411,13 @@ class TestCodedTorsorScan:
         with pytest.raises(CapExceeded, match="4096 candidate"):
             torsor_classes(circle_nerve(), X, max_states=4095)
 
+    def test_sweep_is_charged_class_by_class(self):
+        # 4 classes, each swept by the 2^3 coboundaries
+        X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
+        assert len(cech._cocycle_classes(circle_nerve(), X, 32)[0]) == 4
+        with pytest.raises(CapExceeded, match="coboundary quotient"):
+            cech._cocycle_classes(circle_nerve(), X, 31)
+
 
 class TestUnitCocycles:
     def test_one_class_point(self):
@@ -421,7 +434,7 @@ class TestUnitCocycles:
         X = Complex2(TRIV, Z2, GroupHom.zero(TRIV, Z2))
         classes, group = unit_cocycles(circle_nerve(), X)
         assert len(classes) == 1 and group.is_trivial
-        assert classes[0][1] == (0, 0, 0)  # a_phi is zero
+        assert classes[0][1] == (0, 0, 0)  # u = (a_phi, b) is zero
 
     def test_agreement_with_point_model(self):
         # point-nerve unit classes biject with iso classes of units: both 1
@@ -434,8 +447,13 @@ class TestUnitCocycles:
 def _check_unit_scan(N, X):
     classes, group = unit_cocycles(N, X)
     oracle_classes, oracle_group = _oracle_unit_cocycles(N, X)
-    assert [(_decoded(X.A, a), _decoded(X.A, phi), _decoded(X.B, b))
-            for a, phi, b in classes] == oracle_classes
+    # a coded point u of ker(lam - id) is (a_phi, b) through the embedding
+    U, emb = unit_complex_1(X)
+    _, _, _, proj_a, proj_b = direct_sum(X.A, X.B)
+    points = list(map(emb, U.B.elements()))
+    assert [(_decoded(X.A, a), tuple(proj_a(points[k]).coords for k in u),
+             tuple(proj_b(points[k]).coords for k in u))
+            for a, u in classes] == oracle_classes
     assert group == oracle_group
 
 
@@ -460,21 +478,78 @@ class TestCodedUnitScan:
         with pytest.raises(CapExceeded, match="^8 states exceed 7$"):
             unit_cocycles(circle_nerve(), X, max_states=7)
 
-    @pytest.mark.parametrize("cells,relation", [
-        # a constant shift of b cancels in d0*(b) - d1*(b)
-        ((0, 1, 2), r"lambda\(a_phi\) = b at \(\(0,\), '\*'\)"),
-        ((0,), r"d0\*\(b\) = d1\*\(b\) \+ lambda\(a\) at \(\(0, 1\), 'c'\)")])
-    def test_broken_cocycle_names_its_relation(self, monkeypatch, cells,
-                                               relation):
-        X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
+    @pytest.mark.parametrize("X", list(_complexes2((TRIV, Z2))),
+                             ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
+    def test_ring_against_oracle(self, X):
+        # 4 parts: 16 sections a_phi for A = Z/2
+        _check_unit_scan(ring_nerve(), X)
+
+
+# the first class swept is that of the zero cocycle (a, b) = (0, 0)
+ZERO_PLUS_COBOUNDARY = (r"^violated relation: cocycle \+ coboundary is a "
+                        r"cocycle at \(\(0, 0, 0, 0, 0, 0, 0, 0, 0\), "
+                        r"\(0, 0, 0\)\)$")
+
+SCANS = pytest.mark.parametrize("scan", [torsor_classes, unit_cocycles],
+                                ids=["torsor", "unit"])
+
+
+class TestScanSelfCheck:
+    """Broken scans that the CocycleError self-check catches: each
+    mutation is patched into ``cech`` for one call."""
+
+    X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
+
+    def test_fibers_ignoring_lam_give_extra_unit_cocycles(self, monkeypatch):
+        # every a then fits every u: 2^9 a's over 8 u's pass the V_1 cells
+        monkeypatch.setattr(cech, "_fibers", lambda src, tgt, f: [
+            list(src.elements()) for _ in tgt.elements()])
+        with pytest.raises(CocycleError,
+                           match=r"violated relation: 64 unit cocycles, one "
+                                 r"per a_phi: \|A\|\^\|V_0\| = 8$"):
+            unit_cocycles(circle_nerve(), self.X)
+
+    @SCANS
+    def test_lost_cocycles_miss_a_coboundary(self, monkeypatch, scan):
+        fibers = cech._fibers
+        monkeypatch.setattr(cech, "_fibers", lambda *args: [
+            f[:-1] for f in fibers(*args)])
+        with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
+            scan(circle_nerve(), self.X)
+
+    @SCANS
+    def test_broken_coboundary_is_no_cocycle(self, monkeypatch, scan):
         coboundary = cech._coboundary
 
-        def shifted_b(A, lam, faces1, alpha):  # Z/3 indices are coordinates
+        def shifted_b(A, lam, faces1, alpha):  # b moves at the first cell
             a, b = coboundary(A, lam, faces1, alpha)
-            return a, tuple((y + (k in cells)) % 3 for k, y in enumerate(b))
+            return a, (1 - b[0],) + b[1:]
         monkeypatch.setattr(cech, "_coboundary", shifted_b)
-        with pytest.raises(CocycleError, match=relation):
-            unit_cocycles(circle_nerve(), X)
+        with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
+            scan(circle_nerve(), self.X)
+
+    @SCANS
+    def test_broken_sum_lands_outside(self, monkeypatch, scan):
+        add = cech._add
+
+        def shifted_b(tables, x, y):  # b moves at the first cell
+            a, b = add(tables, x, y)
+            return a, (1 - b[0],) + b[1:]
+        monkeypatch.setattr(cech, "_add", shifted_b)
+        with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
+            scan(circle_nerve(), self.X)
+
+
+@pytest.mark.parametrize("nerve,lam", [
+    (circle_nerve, _complex2((4,), (2,), [[1]])),
+    (circle_nerve, _complex2((2, 2), (2,), [[1, 1]])),
+    (ring_nerve, _complex2((2,), (2,), [[0]]))],
+    ids=["Z4-1->Z2 circle", "Z2xZ2-[1 1]->Z2 circle", "Z2-0->Z2 ring"])
+def test_torsor_count_with_large_fibers_is_h0(nerve, lam):
+    # every nonempty lam-fiber has two elements, so a takes two values on
+    # each V_1 cell for every b that has a cocycle
+    N = nerve()
+    assert torsor_classes(N, lam).count == classify_h0(N, lam).order()
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,12 +595,6 @@ def _check_triples_are_unit_cocycles(N, X):
         c1, c2 = cocycles[_cocycle_key(t1)], cocycles[_cocycle_key(t2)]
         assert _cocycle_key(h0_group_law(t1, t2, N)) == \
             _keys(*map(_add, c1, c2))
-
-
-def _complex2(a_factors, b_factors, lam):
-    A = FgAbGroup.from_divisors(*a_factors)
-    B = FgAbGroup.from_divisors(*b_factors)
-    return Complex2(A, B, GroupHom(A, B, lam))
 
 
 class TestTriplesAreUnitCocycles:

@@ -435,6 +435,27 @@ class TestCliProcess:
         assert err.startswith(f"input error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("nerve,message", [
+        # both parts are "a", so part 0 cannot be addressed
+        ({"parts": ["a", "a"],
+          "intersections": [{"parts": ["a", "a"], "components": ["x", "y"]}]},
+         "nerve: part names repeat: ['a', 'a']"),
+        (dict(CIRCLE_NERVE, intersections=CIRCLE_NERVE["intersections"] + [
+            {"parts": ["a1", "a0"], "components": ["d"]}]),
+         "nerve: intersection ['a0', 'a1'] is declared twice")])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_ambiguous_cover_exit_2(self, tmp_path, capsys, nerve, message,
+                                    embedded):
+        if embedded:
+            args = ["--in", self._write(tmp_path, dict(TIMES2, nerve=nerve))]
+        else:
+            args = ["--in", self._write(tmp_path, TIMES2),
+                    "--nerve", self._write(tmp_path, nerve, "n.json")]
+        code = main(["cech-classify", "--json", *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"input error: {message}\n"
+
     def test_check_failure_exit_1(self, tmp_path):
         # a non-acyclic complex fails unit-complex --check-acyclic?  the unit
         # complex is always acyclic, so force failure via homology mismatch:

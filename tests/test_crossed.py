@@ -29,7 +29,61 @@ from unital.point_models import PicardModel1, verify_contractible_1
 from unital.verification import Report
 
 from test_cech import circle_cover
+from test_coded_groups import is_abelian
 from test_complexes import random_complex2
+
+
+# ---- finite groups by table that only the tests build ----
+
+
+def dihedral(n):
+    """Order 2n: (i, f) with (i1,f1)(i2,f2) = (i1 + (-1)^f1 i2, f1+f2)."""
+    elems = [(i, f) for f in range(2) for i in range(n)]
+    index = {e: k for k, e in enumerate(elems)}
+
+    def mul(x, y):
+        i1, f1 = x
+        i2, f2 = y
+        return ((i1 + (i2 if f1 == 0 else -i2)) % n, (f1 + f2) % 2)
+
+    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    return FiniteGroup(table, f"D{n}")
+
+
+def direct_product(a, b):
+    elems = [(x, y) for x in a.elements() for y in b.elements()]
+    index = {e: k for k, e in enumerate(elems)}
+    table = [[index[(a.mul(x1, x2), b.mul(y1, y2))]
+              for (x2, y2) in elems] for (x1, y1) in elems]
+    return FiniteGroup(table, f"{a.name} x {b.name}")
+
+
+def subgroup(big, subset, name=None):
+    """The subgroup on the given closed subset, with its inclusion map."""
+    subset = tuple(sorted(subset))
+    pos = {g: k for k, g in enumerate(subset)}
+    table = [[pos[big.mul(x, y)] for y in subset] for x in subset]
+    return FiniteGroup(table, name or f"sub({big.name})"), subset
+
+
+def closure(G, gens):
+    out = {G.identity}
+    frontier = set(gens) | {G.identity}
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in list(out) + list(gens):
+                for c in (G.mul(a, b), G.mul(b, a), G.inv(a)):
+                    if c not in out and c not in frontier:
+                        new.add(c)
+        out |= frontier
+        frontier = new
+    return tuple(sorted(out))
+
+
+def is_normal(G, subset):
+    sub = set(subset)
+    return all(G.conj(a, b) in sub for a in sub for b in range(G.order))
 
 
 def point_nerve():
@@ -55,7 +109,7 @@ def inversion_module():
 
 def inclusion_module(big, subset):
     """(N -> G) for a normal subgroup N, with conjugation action."""
-    sub, elems = FiniteGroup.subgroup(big, subset)
+    sub, elems = subgroup(big, subset)
     pos = {g: k for k, g in enumerate(elems)}
     boundary = elems
     action = tuple(tuple(pos[big.conj(g, h)] for h in big.elements())
@@ -78,9 +132,9 @@ GROUP_POOL = [
     FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
     FiniteGroup.cyclic(5), FiniteGroup.cyclic(6), FiniteGroup.cyclic(8),
     FiniteGroup.cyclic(12), FiniteGroup.symmetric(3),
-    FiniteGroup.dihedral(4), FiniteGroup.dihedral(6),
-    FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
-    FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
+    dihedral(4), dihedral(6),
+    direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+    direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
 ]
 
 MODULE_ACTION_CASES = [(3, 2, 2), (5, 2, 4), (5, 4, 2), (7, 3, 2),
@@ -96,8 +150,8 @@ def random_crossed_module(rng, max_order=12):
         if kind == "inclusion":
             G = rng.choice([g for g in GROUP_POOL if g.order <= max_order])
             gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 2))]
-            subset = G.closure(gens)
-            if G.is_normal(subset):
+            subset = closure(G, gens)
+            if is_normal(G, subset):
                 return inclusion_module(G, subset)
             continue
         if kind == "module":
@@ -106,7 +160,7 @@ def random_crossed_module(rng, max_order=12):
                 return module_action_module(n, m, u)
             continue
         G = rng.choice([g for g in GROUP_POOL
-                        if g.order <= max_order and g.is_abelian])
+                        if g.order <= max_order and is_abelian(g)])
         H = rng.choice([g for g in GROUP_POOL if g.order <= max_order])
         boundary = (0,) * G.order  # wrong unless identity index is 0
         if H.identity != 0:
@@ -118,11 +172,11 @@ def random_crossed_module(rng, max_order=12):
 class TestFiniteGroup:
     def test_s3(self):
         S3 = FiniteGroup.symmetric(3)
-        assert S3.order == 6 and not S3.is_abelian
+        assert S3.order == 6 and not is_abelian(S3)
 
     def test_dihedral(self):
-        D4 = FiniteGroup.dihedral(4)
-        assert D4.order == 8 and not D4.is_abelian
+        D4 = dihedral(4)
+        assert D4.order == 8 and not is_abelian(D4)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -133,8 +187,8 @@ class TestFiniteGroup:
         three_cycles = [g for g in S3.elements()
                         if g != S3.identity and
                         S3.mul(g, S3.mul(g, g)) == S3.identity]
-        A3 = S3.closure(three_cycles[:1])
-        assert len(A3) == 3 and S3.is_normal(A3)
+        A3 = closure(S3, three_cycles[:1])
+        assert len(A3) == 3 and is_normal(S3, A3)
 
 
 class TestVerify:
