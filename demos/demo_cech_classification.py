@@ -42,10 +42,10 @@ print(f"torsor classes on the point: {torsor_classes(point, X).count}"
       "  (just coker)")
 
 print()
-classes, group = unit_cocycles(nerve, X)
+U, _ = unit_complex_1(X)
+classes, group = unit_cocycles(nerve, U)
 print(f"unit cocycle classes on the circle: {len(classes)}, "
       f"class group {group}")
-U, _ = unit_complex_1(X)
 print(f"classification group of the unit complex on the circle: "
       f"{classify_h0(nerve, U)}")
 

@@ -16,7 +16,6 @@ from unital import (
     pi0_order,
     pi1_order,
     point_cover,
-    triple_of_unit,
     unit_crossed_module,
     verify_crossed_module,
 )
@@ -43,14 +42,14 @@ Z3, Z2 = FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)
 inversion = CrossedModule(Z3, Z2, (0, 0, 0),
                           tuple((g, (-g) % 3) for g in range(3)))
 units, report = enumerate_units_nonabelian(inversion)
-print(f"units: {[u.key() for u in units]}  (all over the identity: "
-      "the kernel of the boundary)")
+print(f"units: {units}  (all over the identity: the kernel of the boundary)")
 
 nerve = cech_nerve(point_cover())
-triples = enumerate_unit_triples(inversion, nerve)
+triples = list(enumerate_unit_triples(inversion, nerve))
 print(f"descent triples on the point nerve: {len(triples)}")
-t = triple_of_unit(units[1], nerve)
-tt = h0_group_law(t, t, nerve)
-cell = nerve.level(0)[0]
-print(f"triple of unit {units[1].key()} squared has g' = "
-      f"{tt.gp_at()[cell]}, h = {tt.h_at()[cell]}")
+# a triple is (g, g', h) as index tuples over the cells; the triple of the
+# unit (e, g_phi) is the one with g' = g_phi on every level-0 cell
+e, g_phi = units[1]
+t = next(t for t in triples if t[1] == (g_phi,))
+g, gp, h = h0_group_law(inversion, nerve, t, t)
+print(f"triple of unit {units[1]} squared has g' = {gp[0]}, h = {h[0]}")

@@ -40,9 +40,8 @@ _EXPORTS = {
         "is_quasi_isomorphism", "kernel_model", "kernel_sum_model",
         "sum_model", "truncate_shift", "unit_complex_1", "unit_complex_2"),
     "crossed": (
-        "CrossedModule", "FiniteGroup", "NonabelianUnit", "UnitTriple",
-        "enumerate_units_nonabelian", "h0_group_law", "pi0_order",
-        "pi1_order", "triple_of_unit", "unit_crossed_module",
+        "CrossedModule", "FiniteGroup", "enumerate_units_nonabelian",
+        "h0_group_law", "pi0_order", "pi1_order", "unit_crossed_module",
         "verify_crossed_module"),
     "point_models": (
         "JKUnit", "PicardModel1", "PicardModel2", "SaavedraUnit",

@@ -149,8 +149,12 @@ def cover_of_parts(parts, intersections, containments=None):
         comps[key] = tuple(names)
     cont = {}
     for key, comp, sub, subcomp in (containments or ()):
-        cont[(frozenset(idx[p] for p in key), comp,
-              frozenset(idx[p] for p in sub))] = subcomp
+        at = (frozenset(idx[p] for p in key), comp,
+              frozenset(idx[p] for p in sub))
+        if at in cont:
+            raise ValueError(f"containment {sorted(set(key))}:{comp} in "
+                             f"{sorted(set(sub))} is declared twice")
+        cont[at] = subcomp
     return Cover(parts, comps, cont)
 
 
@@ -310,25 +314,26 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     return TorsorClasses(len(reps), reps)
 
 
-def unit_cocycles(nerve: Nerve, X: Complex2, max_states=10 ** 7):
-    """All unit cocycles modulo coboundaries.
+def unit_cocycles(nerve: Nerve, U: Complex2, max_states=10 ** 7):
+    """All unit cocycles of X modulo coboundaries, scanned on its unit
+    complex U = ``unit_complex_1(X)[0]``.
 
     A unit cocycle is a descent datum (a, a_phi, b): a in A(V_1), a_phi in
     A(V_0), b in B(V_0).  With u = (a_phi, b) in ker(lam - id), (a, u) is
-    a torsor cocycle of the unit complex U of X, so the scan is the torsor
-    scan of U.  U's differential is injective, so the one value in each
-    V_1 fiber is a = d0*(a_phi) - d1*(a_phi): finding other than one
-    cocycle per a_phi raises CocycleError.  Returns ``(classes, group)``:
-    the smallest member of each class as a coded pair (a, u), and the
-    group the classes form under pointwise tensor (expected: trivial).
+    a torsor cocycle of U, so the scan is the torsor scan of U, charged
+    |A|^|V_0| (U's degree -1 term is A).  U's differential is injective,
+    so the one value in each V_1 fiber is a = d0*(a_phi) - d1*(a_phi):
+    finding other than one cocycle per a_phi raises CocycleError.  Returns
+    ``(classes, group)``: the smallest member of each class as a coded
+    pair (a, u), and the group the classes form under pointwise tensor
+    (expected: trivial).
     """
-    if not (X.A.is_finite and X.B.is_finite):
+    if not (U.A.is_finite and U.B.is_finite):
         raise FinitenessError("unit-cocycle enumeration needs finite groups")
-    states = X.A.order() ** len(nerve.level(0))
+    states = U.A.order() ** len(nerve.level(0))
     if states > max_states:
         raise CapExceeded(f"{states} states exceed {max_states}")
-    reps, label, tables = _cocycle_classes(
-        nerve, unit_complex_1(X)[0], max_states)
+    reps, label, tables = _cocycle_classes(nerve, U, max_states)
     if len(label) != states:
         raise CocycleError(f"{len(label)} unit cocycles, one per a_phi: "
                            f"|A|^|V_0| = {states}")

@@ -37,7 +37,17 @@ cocycle-level group law
 
     (g1, g1', h1) * (g2, g2', h2) = (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2)
 
-is then closed on valid descent triples.
+is then closed on valid descent triples.  Units and descent triples have
+one coded form: a unit is the index pair (e, g_phi), and a triple
+(g, g', h) is three index tuples in cell order, g over level-1 cells and
+g', h over level-0 cells.  A triple is valid when, pointwise,
+bnd(g') h = 1 and g = d0*(g') (d1*(g'))^-1, so g' determines it.  These
+conditions mirror the abelian descent calculus multiplicatively.  For a
+2-term complex read as a crossed module with trivial action and boundary
+lam they are a tested consequence: (g, g', h) is then the unit cocycle
+(a, a_phi, -b), and the law is its pointwise tensor.  For nonabelian
+modules on non-point nerves they remain an assumption recorded by the
+validator of ``h0_group_law``, not a statement from a reference.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .abelian import MAX_CODED_ORDER, CapExceeded, FinitenessError
+from .abelian import MAX_CODED_ORDER, CapExceeded
 from .record import Record
 from .verification import Report
 
@@ -304,31 +314,6 @@ def unit_crossed_module(X: CrossedModule) -> CrossedModule:
 # point-model units
 
 
-class NonabelianUnit(Record):
-    module: CrossedModule
-    e: int       # object of the point model, an element of H
-    g_phi: int   # morphism e*e -> e, an element of G
-
-    def __post_init__(self):
-        if self.module.bnd(self.g_phi) != self.e:
-            raise ValueError("not a unit: bnd(g_phi) != e")
-
-    def key(self):
-        return (self.e, self.g_phi)
-
-
-def unique_unit_morphism(s: NonabelianUnit, t: NonabelianUnit):
-    """The only morphism s -> t: (g_t^(e_t^-1))^-1 * (g_s^(e_s^-1))."""
-    X = s.module
-    G, H = X.G, X.H
-    u = G.mul(G.inv(X.act(t.g_phi, H.inv(t.e))),
-              X.act(s.g_phi, H.inv(s.e)))
-    # phi_s then u  ==  (u (x) u) then phi_t
-    if G.mul(u, s.g_phi) != G.mul(t.g_phi, G.mul(X.act(u, t.e), u)):
-        raise AssertionError("unit-morphism square failed")
-    return u
-
-
 def _coded_units(src, f):
     """Units (e, x) with f[x] = e as index pairs, in lexicographic order;
     x |-> (f[x], x) is a bijection, so there are |src| of them."""
@@ -390,7 +375,7 @@ def unit_morphism_checks(report, G, H, bnd, act, units, key):
 
 
 def enumerate_units_nonabelian(X: CrossedModule):
-    """All units (e, g_phi), plus the contractibility report.
+    """All units as coded pairs (e, g_phi), plus the contractibility report.
 
     Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
     kernel of the boundary; ``unit_morphism_checks`` adds that every ordered
@@ -398,16 +383,15 @@ def enumerate_units_nonabelian(X: CrossedModule):
     coherently.
     """
     G, H = X.G, X.H
-    coded = _coded_units(G, X.boundary)
-    units = [NonabelianUnit(X, e, g) for e, g in coded]
+    units = _coded_units(G, X.boundary)
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
     kernel = sorted(g for g in G.elements() if X.bnd(g) == H.identity)
-    trivial_e = sorted(u.g_phi for u in units if u.e == H.identity)
+    trivial_e = sorted(g for e, g in units if e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
-    unit_morphism_checks(report, G, H, X.boundary, X.action, coded,
+    unit_morphism_checks(report, G, H, X.boundary, X.action, units,
                          lambda unit: unit)
     report.data["units"] = len(units)
     return units, report
@@ -417,148 +401,70 @@ def enumerate_units_nonabelian(X: CrossedModule):
 # descent triples and their group law
 
 
-class UnitTriple(Record):
-    """(g, g', h): g on level-1 cells, g' and h on level-0 cells.
-
-    Valid when, pointwise, bnd(g') h = 1 and g = d0*(g') * (d1* g')^-1.
-    These are the conditions obtained by mirroring the abelian descent
-    calculus multiplicatively.  For a 2-term complex read as a crossed
-    module with trivial action and boundary lam they are a tested
-    consequence: (g, g', h) is then the unit cocycle (a, a_phi, -b), and
-    ``h0_group_law`` is its pointwise tensor.  For nonabelian modules on
-    non-point nerves they remain an assumption recorded by the validator,
-    not a statement from a reference.
-    """
-
-    module: CrossedModule
-    g: tuple       # ((cell, value), ...) over level-1 cells
-    g_prime: tuple  # over level-0 cells
-    h: tuple        # over level-0 cells
-
-    @classmethod
-    def build(cls, module, nerve, g, g_prime, h):
-        return cls(module,
-                   tuple(sorted((c, g[c]) for c in nerve.level(1))),
-                   tuple(sorted((c, g_prime[c]) for c in nerve.level(0))),
-                   tuple(sorted((c, h[c]) for c in nerve.level(0))))
-
-    def g_at(self):
-        return dict(self.g)
-
-    def gp_at(self):
-        return dict(self.g_prime)
-
-    def h_at(self):
-        return dict(self.h)
-
-    def validate(self, nerve):
-        X = self.module
-        gp, hh = self.gp_at(), self.h_at()
-        for c in nerve.level(0):
-            if X.H.mul(X.bnd(gp[c]), hh[c]) != X.H.identity:
-                raise ValueError(f"membership bnd(g') h = 1 fails at {c}")
-        g = self.g_at()
-        for c in nerve.level(1):
-            want = X.G.mul(gp[nerve.face(1, 0, c)],
-                           X.G.inv(gp[nerve.face(1, 1, c)]))
-            if g[c] != want:
-                raise ValueError(
-                    f"level-1 condition g = d0*(g') (d1*(g'))^-1 fails at {c}")
-
-    def key(self):
-        return (self.g, self.g_prime, self.h)
+def _triple_of(X, faces):
+    """g' |-> (d0*(g') (d1*(g'))^-1, g', bnd(g')^-1): the descent triple
+    over a level-0 choice g', coded in cell order."""
+    mul, inv, h_inv, bnd = X.G.table, X.G.inverse, X.H.inverse, X.boundary
+    return lambda gp: (tuple(mul[gp[f0]][inv[gp[f1]]] for f0, f1 in faces),
+                       gp, tuple(h_inv[bnd[x]] for x in gp))
 
 
-def unit_triple_from_gprime(X, nerve, g_prime) -> UnitTriple:
-    """The valid triple determined by a level-0 choice of g'."""
-    h = {c: X.H.inv(X.bnd(g_prime[c])) for c in nerve.level(0)}
-    g = {c: X.G.mul(g_prime[nerve.face(1, 0, c)],
-                    X.G.inv(g_prime[nerve.face(1, 1, c)]))
-         for c in nerve.level(1)}
-    t = UnitTriple.build(X, nerve, g, g_prime, h)
-    t.validate(nerve)
-    return t
-
-
-def triple_of_unit(unit: NonabelianUnit, nerve) -> UnitTriple:
-    return unit_triple_from_gprime(
-        unit.module, nerve,
-        {c: unit.g_phi for c in nerve.level(0)})
+def _faces(nerve):
+    """(d0, d1) positions in level 0 of each level-1 cell."""
+    return list(zip(nerve.face_index(1, 0), nerve.face_index(1, 1)))
 
 
 def enumerate_unit_triples(X, nerve, max_states=10 ** 7):
-    cells = nerve.level(0)
-    if X.G.order ** len(cells) > max_states:
+    """Every descent triple (g, g', h) over the nerve, one per g' in
+    G(V_0), as index tuples in cell order: g over level 1, g' and h over
+    level 0.  The |G|^|V_0| triples are charged before any table is read,
+    and then yielded one at a time."""
+    n0 = len(nerve.level(0))
+    if X.G.order ** n0 > max_states:
         raise CapExceeded("triple enumeration exceeds the state cap")
-    out = []
-    for values in itertools.product(X.G.elements(), repeat=len(cells)):
-        out.append(unit_triple_from_gprime(X, nerve, dict(zip(cells, values))))
-    return out
+    return map(_triple_of(X, _faces(nerve)),
+               itertools.product(X.G.elements(), repeat=n0))
+
+
+def _product(X, faces, t1, t2):
+    (g1, gp1, h1), (g2, gp2, h2) = t1, t2
+    mul, act = X.G.table, X.action
+    return (tuple(mul[act[x][h2[f0]]][y]
+                  for x, (f0, _), y in zip(g1, faces, g2)),
+            tuple(mul[act[x][h]][y] for x, h, y in zip(gp1, h2, gp2)),
+            tuple(X.H.table[x][y] for x, y in zip(h1, h2)))
+
+
+def h0_group_law(X, nerve, t1, t2):
+    """(g1, g1', h1)(g2, g2', h2) = (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2) on
+    coded triples, after validating both operands: ValueError names the
+    first cell where bnd(g') h = 1 or g = d0*(g') (d1*(g'))^-1 fails."""
+    faces = _faces(nerve)
+    triple_of = _triple_of(X, faces)
+    for g, gp, h in (t1, t2):
+        want_g, _, want_h = triple_of(gp)  # bnd(g') h = 1 iff h = bnd(g')^-1
+        for c, x, y in zip(nerve.level(0), h, want_h, strict=True):
+            if x != y:
+                raise ValueError(f"membership bnd(g') h = 1 fails at {c}")
+        for c, x, y in zip(nerve.level(1), g, want_g, strict=True):
+            if x != y:
+                raise ValueError(
+                    f"level-1 condition g = d0*(g') (d1*(g'))^-1 fails at {c}")
+    return _product(X, faces, t1, t2)
 
 
 def descent_identity_check(X, nerve, max_states=10 ** 7):
     """Whether (1,1,1) is a right identity of every descent triple, checked
     on the tables; returns ``(holds, number of triples)``.
 
-    This is ``h0_group_law(t, identity_triple(X, nerve)) == t`` over
-    ``enumerate_unit_triples``, streamed over the index tuples g' with the
-    same |G|^|V0| charge first.  A triple is coded as tuples (g, g', h) in
-    cell order, built from g' as ``unit_triple_from_gprime`` builds it, so
-    it is valid; a product equal to a valid triple is valid too, which is
-    why the comparison alone decides the check.
+    Streams ``enumerate_unit_triples``, with its |G|^|V_0| charge first,
+    and compares each triple t with t (1,1,1) under the law of
+    ``h0_group_law``.  Its triples are valid by construction, so the law's
+    body runs unvalidated; a product equal to a valid triple is valid
+    too, which is why the comparison alone decides the check.
     """
-    G, H = X.G, X.H
-    n0 = len(nerve.level(0))
-    if G.order ** n0 > max_states:
-        raise CapExceeded("triple enumeration exceeds the state cap")
-    mul, inv, bnd, act = G.table, G.inverse, X.boundary, X.action
-    faces = list(zip(nerve.face_index(1, 0), nerve.face_index(1, 1)))
-
-    def triple(gp):
-        return (tuple(mul[gp[f0]][inv[gp[f1]]] for f0, f1 in faces), gp,
-                tuple(H.inverse[bnd[x]] for x in gp))
-
-    g2, gp2, h2 = triple((G.identity,) * n0)
-    twist = [h2[f0] for f0, _ in faces]  # d0* h2 on the level-1 cells
-
-    def fixed(gp):  # t (1,1,1) == t for the triple t of gp, part by part
-        g1, _, h1 = triple(gp)
-        return all(mul[act[x][h]][y] == x for x, h, y in zip(g1, twist, g2)) \
-            and all(mul[act[x][h]][y] == x for x, h, y in zip(gp, h2, gp2)) \
-            and all(H.table[x][y] == x for x, y in zip(h1, h2))
-
-    return (all(map(fixed, itertools.product(G.elements(), repeat=n0))),
-            G.order ** n0)
-
-
-def h0_group_law(t1: UnitTriple, t2: UnitTriple, nerve) -> UnitTriple:
-    """(g1, g1', h1)(g2, g2', h2) =
-    (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2), validated on the nerve."""
-    if t1.module is not t2.module and t1.module != t2.module:
-        raise ValueError("triples over different crossed modules")
-    X = t1.module
-    t1.validate(nerve)
-    t2.validate(nerve)
-    g1, gp1, h1 = t1.g_at(), t1.gp_at(), t1.h_at()
-    g2, gp2, h2 = t2.g_at(), t2.gp_at(), t2.h_at()
-    g = {c: X.G.mul(X.act(g1[c], h2[nerve.face(1, 0, c)]), g2[c])
-         for c in nerve.level(1)}
-    gp = {c: X.G.mul(X.act(gp1[c], h2[c]), gp2[c]) for c in nerve.level(0)}
-    h = {c: X.H.mul(h1[c], h2[c]) for c in nerve.level(0)}
-    out = UnitTriple.build(X, nerve, g, gp, h)
-    out.validate(nerve)
-    return out
-
-
-def identity_triple(X, nerve) -> UnitTriple:
-    return unit_triple_from_gprime(
-        X, nerve, {c: X.G.identity for c in nerve.level(0)})
-
-
-def triple_inverse_by_search(t: UnitTriple, nerve) -> UnitTriple:
-    ident = identity_triple(t.module, nerve).key()
-    for cand in enumerate_unit_triples(t.module, nerve):
-        if h0_group_law(t, cand, nerve).key() == ident and \
-                h0_group_law(cand, t, nerve).key() == ident:
-            return cand
-    raise ValueError("no inverse found")
+    triples = enumerate_unit_triples(X, nerve, max_states)
+    faces = _faces(nerve)
+    one = _triple_of(X, faces)((X.G.identity,) * len(nerve.level(0)))
+    return (all(_product(X, faces, t, one) == t for t in triples),
+            X.G.order ** len(nerve.level(0)))

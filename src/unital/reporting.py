@@ -137,14 +137,14 @@ def _cech_classify(report, X, opts):
     if isinstance(X, complexes.Complex2):
         tc = cech.torsor_classes(nerve, X, max_states=opts.max_states)
         report.data["torsor_classes"] = tc.count
-        classes, group = cech.unit_cocycles(nerve, X,
+        U, _ = complexes.unit_complex_1(X)
+        classes, group = cech.unit_cocycles(nerve, U,
                                             max_states=opts.max_states)
         report.data["unit_cocycle_classes"] = len(classes)
         report.data["unit_class_group"] = group
         report.add("unit cocycles form a single class", len(classes) == 1,
                    len(classes))
         report.add("unit class group is trivial", group.is_trivial, group)
-        U, _ = complexes.unit_complex_1(X)
     else:
         U = complexes.unit_complex_2(X)
     h0u = cech.classify_h0(nerve, U)
@@ -173,7 +173,7 @@ def _crossed_units(report, X, opts):
         report.checks += axioms.failures
         return
     units, rep = crossed.enumerate_units_nonabelian(X)
-    report.data["units"] = [u.key() for u in units]
+    report.data["units"] = units
     report.merge(rep)
     report.merge(crossed.verify_crossed_module(U), prefix="unit module: ")
     pi0, pi1 = crossed.pi0_order(U), crossed.pi1_order(U)

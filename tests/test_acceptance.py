@@ -43,15 +43,10 @@ from unital.complexes import (
     unit_complex_2,
 )
 from unital.crossed import (
-    NonabelianUnit,
     enumerate_unit_triples,
     h0_group_law,
-    identity_triple,
     pi0_order,
     pi1_order,
-    triple_inverse_by_search,
-    triple_of_unit,
-    unique_unit_morphism,
     unit_crossed_module,
     verify_crossed_module,
 )
@@ -72,7 +67,12 @@ from oracles import (
 from test_abelian import random_hom
 from test_cech import circle_cover
 from test_complexes import random_complex3
-from test_crossed import random_crossed_module
+from test_crossed import (
+    inverses_by_search,
+    oracle_one,
+    random_crossed_module,
+    unit_morphisms_by_method,
+)
 
 Z2 = FgAbGroup.cyclic(2)
 
@@ -187,10 +187,10 @@ def test_criterion_6_cech_classification():
     two_term = [random_complex2_to(rng, 16) for _ in range(6)]
     for X in two_term:
         for nerve in nerves:
-            classes, group = unit_cocycles(nerve, X)
+            U, _ = unit_complex_1(X)
+            classes, group = unit_cocycles(nerve, U)
             assert len(classes) == 1
             assert group.is_trivial
-            U, _ = unit_complex_1(X)
             assert classify_h0(nerve, U).is_trivial
     three_term = [random_complex3(rng, 16) for _ in range(3)] + \
         [random_complex3(rng, 6) for _ in range(2)]
@@ -220,31 +220,27 @@ def test_criterion_7_crossed_modules():
         U = unit_crossed_module(X)
         assert verify_crossed_module(U).passed
         assert pi0_order(U) == 1 and pi1_order(U) == 1
-        triples = enumerate_unit_triples(X, nerve)
-        ident = identity_triple(X, nerve)
+        triples = list(enumerate_unit_triples(X, nerve))
+        ident = oracle_one(X, nerve)
         for t in triples:
-            assert h0_group_law(t, ident, nerve).key() == t.key()
-            assert h0_group_law(ident, t, nerve).key() == t.key()
-            inv = triple_inverse_by_search(t, nerve)
-            assert h0_group_law(t, inv, nerve).key() == ident.key()
+            assert h0_group_law(X, nerve, t, ident) == t
+            assert h0_group_law(X, nerve, ident, t) == t
+            [inv] = inverses_by_search(X, nerve, t)
+            assert h0_group_law(X, nerve, t, inv) == ident
         sample = triples if len(triples) <= 8 else triples[:8]
         for t1, t2, t3 in itertools.product(sample, repeat=3):
-            left = h0_group_law(h0_group_law(t1, t2, nerve), t3, nerve)
-            right = h0_group_law(t1, h0_group_law(t2, t3, nerve), nerve)
-            assert left.key() == right.key()
+            left = h0_group_law(X, nerve, h0_group_law(X, nerve, t1, t2), t3)
+            right = h0_group_law(X, nerve, t1, h0_group_law(X, nerve, t2, t3))
+            assert left == right
         # the law reproduces composition of the unique unit morphisms over
-        # the identity object
-        ker = [g for g in X.G.elements() if X.bnd(g) == X.H.identity]
-        units = {a: NonabelianUnit(X, X.H.identity, a) for a in ker}
-        cell = nerve.level(0)[0]
-        for a, b in itertools.product(ker, repeat=2):
-            u = unique_unit_morphism(units[a], units[b])
-            assert u == X.G.mul(X.G.inv(b), a)
-            prod_triple = h0_group_law(
-                triple_inverse_by_search(triple_of_unit(units[b], nerve),
-                                         nerve),
-                triple_of_unit(units[a], nerve), nerve)
-            assert prod_triple.gp_at()[cell] == u
+        # the identity object; on the point, triples[g] has g' = g
+        one = X.H.identity
+        ker = [g for g in X.G.elements() if X.bnd(g) == one]
+        for (_, a), (_, b), sols, u in unit_morphisms_by_method(
+                X, [(one, g) for g in ker]):
+            assert sols == [u] == [X.G.mul(X.G.inv(b), a)]
+            [inv] = inverses_by_search(X, nerve, triples[b])
+            assert h0_group_law(X, nerve, inv, triples[a])[1] == (u,)
     _criterion(7, "nonabelian units: axioms, trivial homotopy, group law",
                started)
 

@@ -185,6 +185,11 @@ def _oracle_unit_cocycles(nerve, X):
     return reps, _group_from_orders(orders)
 
 
+def _unit_classes(nerve, X, **kwargs):
+    """``unit_cocycles`` of X, scanned on its unit complex."""
+    return unit_cocycles(nerve, unit_complex_1(X)[0], **kwargs)
+
+
 class TestNerve:
     def test_point(self):
         N = point_nerve()
@@ -421,34 +426,34 @@ class TestCodedTorsorScan:
 
 class TestUnitCocycles:
     def test_one_class_point(self):
-        classes, group = unit_cocycles(point_nerve(), c2_times2())
+        classes, group = _unit_classes(point_nerve(), c2_times2())
         assert len(classes) == 1
         assert group.is_trivial
 
     def test_one_class_circle_z3(self):
         X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
-        classes, group = unit_cocycles(circle_nerve(), X)
+        classes, group = _unit_classes(circle_nerve(), X)
         assert len(classes) == 1 and group.is_trivial
 
     def test_trivial_A(self):
         X = Complex2(TRIV, Z2, GroupHom.zero(TRIV, Z2))
-        classes, group = unit_cocycles(circle_nerve(), X)
+        classes, group = _unit_classes(circle_nerve(), X)
         assert len(classes) == 1 and group.is_trivial
         assert classes[0][1] == (0, 0, 0)  # u = (a_phi, b) is zero
 
     def test_agreement_with_point_model(self):
         # point-nerve unit classes biject with iso classes of units: both 1
         X = c2_times2()
-        classes, _ = unit_cocycles(point_nerve(), X)
+        classes, _ = _unit_classes(point_nerve(), X)
         rep = verify_contractible_1(PicardModel1(X))
         assert len(classes) == 1 and rep.passed
 
 
 def _check_unit_scan(N, X):
-    classes, group = unit_cocycles(N, X)
+    U, emb = unit_complex_1(X)
+    classes, group = unit_cocycles(N, U)
     oracle_classes, oracle_group = _oracle_unit_cocycles(N, X)
     # a coded point u of ker(lam - id) is (a_phi, b) through the embedding
-    U, emb = unit_complex_1(X)
     _, _, _, proj_a, proj_b = direct_sum(X.A, X.B)
     points = list(map(emb, U.B.elements()))
     assert [(_decoded(X.A, a), tuple(proj_a(points[k]).coords for k in u),
@@ -476,7 +481,7 @@ class TestCodedUnitScan:
             raise AssertionError("coded tables built before the cap check")
         monkeypatch.setattr(cech, "_coded", no_tables)
         with pytest.raises(CapExceeded, match="^8 states exceed 7$"):
-            unit_cocycles(circle_nerve(), X, max_states=7)
+            _unit_classes(circle_nerve(), X, max_states=7)
 
     @pytest.mark.parametrize("X", list(_complexes2((TRIV, Z2))),
                              ids=lambda X: f"{X.A}->{X.B}:{X.lam.matrix}")
@@ -490,7 +495,7 @@ ZERO_PLUS_COBOUNDARY = (r"^violated relation: cocycle \+ coboundary is a "
                         r"cocycle at \(\(0, 0, 0, 0, 0, 0, 0, 0, 0\), "
                         r"\(0, 0, 0\)\)$")
 
-SCANS = pytest.mark.parametrize("scan", [torsor_classes, unit_cocycles],
+SCANS = pytest.mark.parametrize("scan", [torsor_classes, _unit_classes],
                                 ids=["torsor", "unit"])
 
 
@@ -507,7 +512,7 @@ class TestScanSelfCheck:
         with pytest.raises(CocycleError,
                            match=r"violated relation: 64 unit cocycles, one "
                                  r"per a_phi: \|A\|\^\|V_0\| = 8$"):
-            unit_cocycles(circle_nerve(), self.X)
+            _unit_classes(circle_nerve(), self.X)
 
     @SCANS
     def test_lost_cocycles_miss_a_coboundary(self, monkeypatch, scan):
@@ -570,21 +575,22 @@ def _as_crossed_module(X):
                          [[g] * H.order for g in G.elements()])
 
 
-def _cocycle_key(t):
-    """The key of the unit cocycle (a, a_phi, b) = (g, g', -h) of a triple."""
-    G, H = t.module.G, t.module.H
-    return (tuple(G.coords(v) for _, v in t.g),
-            tuple(G.coords(v) for _, v in t.g_prime),
-            tuple(H.coords(H.inv(v)) for _, v in t.h))
+def _cocycle_key(XC, t):
+    """The key of the unit cocycle (a, a_phi, b) = (g, g', -h) of a coded
+    triple."""
+    G, H = XC.G, XC.H
+    g, gp, h = t
+    return (tuple(map(G.coords, g)), tuple(map(G.coords, gp)),
+            tuple(H.coords(H.inv(v)) for v in h))
 
 
 def _check_triples_are_unit_cocycles(N, X):
     XC = _as_crossed_module(X)
     assert verify_crossed_module(XC).passed
-    triples = enumerate_unit_triples(XC, N)
+    triples = list(enumerate_unit_triples(XC, N))
     cocycles = {_keys(*c): c for c in (unit_cocycle_from_phi(N, X, phi)
                                        for phi in _all_sections(X.A, N, 0))}
-    keys = [_cocycle_key(t) for t in triples]
+    keys = [_cocycle_key(XC, t) for t in triples]
     assert len(set(keys)) == len(triples) == len(cocycles)
     assert set(keys) == set(cocycles)
     # h0_group_law is the pointwise tensor of unit cocycles
@@ -592,8 +598,8 @@ def _check_triples_are_unit_cocycles(N, X):
     pairs = list(itertools.product(triples, repeat=2)) if len(triples) <= 8 \
         else [(rng.choice(triples), rng.choice(triples)) for _ in range(64)]
     for t1, t2 in pairs:
-        c1, c2 = cocycles[_cocycle_key(t1)], cocycles[_cocycle_key(t2)]
-        assert _cocycle_key(h0_group_law(t1, t2, N)) == \
+        c1, c2 = cocycles[_cocycle_key(XC, t1)], cocycles[_cocycle_key(XC, t2)]
+        assert _cocycle_key(XC, h0_group_law(XC, N, t1, t2)) == \
             _keys(*map(_add, c1, c2))
 
 

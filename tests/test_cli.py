@@ -253,18 +253,22 @@ class TestCliProcess:
 
     def test_descent_triples_cap_builds_no_triple(self, tmp_path, capsys,
                                                   monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a UnitTriple was built")
+        built, triple_of = [], crossed._triple_of
 
-        monkeypatch.setattr(crossed.UnitTriple, "build", refuse)
-        monkeypatch.setattr(crossed, "h0_group_law", refuse)
+        def counted(X, faces):
+            triple = triple_of(X, faces)
+            return lambda gp: built.append(gp) or triple(gp)
+
+        monkeypatch.setattr(crossed, "_triple_of", counted)
         args = ["crossed-units", "--in", self._write(tmp_path, INVERSION),
                 "--nerve", self._write(tmp_path, CIRCLE_NERVE, "n.json")]
         # |G|^|V0| = 3^3 triples
         assert main(args + ["--max-states", "26"]) == 3
         assert capsys.readouterr().err == \
             "cap exceeded: triple enumeration exceeds the state cap\n"
+        assert built == []
         assert main(args + ["--max-states", "27"]) == 0
+        assert len(built) == 27 + 1  # and (1,1,1)
         assert "PASS descent triples: (1,1,1) is the identity  [27]\n" in \
             capsys.readouterr().out
 
@@ -442,7 +446,15 @@ class TestCliProcess:
          "nerve: part names repeat: ['a', 'a']"),
         (dict(CIRCLE_NERVE, intersections=CIRCLE_NERVE["intersections"] + [
             {"parts": ["a1", "a0"], "components": ["d"]}]),
-         "nerve: intersection ['a0', 'a1'] is declared twice")])
+         "nerve: intersection ['a0', 'a1'] is declared twice"),
+        # the * component of U n V inside U:x and then inside U:y
+        ({"parts": ["U", "V"],
+          "intersections": [{"parts": ["U"], "components": ["x", "y"]},
+                            {"parts": ["U", "V"]}],
+          "containments": [
+              {"parts": ["U", "V"], "component": "*", "sub_parts": ["U"],
+               "sub_component": c} for c in ("x", "y")]},
+         "nerve: containment ['U', 'V']:* in ['U'] is declared twice")])
     @pytest.mark.parametrize("embedded", [False, True])
     def test_ambiguous_cover_exit_2(self, tmp_path, capsys, nerve, message,
                                     embedded):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,20 +10,14 @@ from unital.abelian import CapExceeded
 from unital.crossed import (
     CrossedModule,
     FiniteGroup,
-    NonabelianUnit,
     descent_identity_check,
     enumerate_unit_triples,
     enumerate_units_nonabelian,
     h0_group_law,
-    identity_triple,
     pi0_order,
     pi1_order,
-    triple_inverse_by_search,
-    triple_of_unit,
-    unique_unit_morphism,
     unit_crossed_module,
     unit_morphism_checks,
-    unit_triple_from_gprime,
     verify_crossed_module,
 )
 from unital.point_models import PicardModel1, verify_contractible_1
@@ -251,7 +246,7 @@ class TestNonabelianUnits:
     def test_inversion_units(self):
         units, rep = enumerate_units_nonabelian(inversion_module())
         assert len(units) == 3
-        assert all(u.e == 0 for u in units)
+        assert all(e == 0 for e, _ in units)
         assert rep.passed
 
     def test_s3_units(self):
@@ -270,7 +265,7 @@ class TestNonabelianUnits:
         for _ in range(10):
             X = random_crossed_module(rng)
             units, _ = enumerate_units_nonabelian(X)
-            with_e1 = sorted(u.g_phi for u in units if u.e == X.H.identity)
+            with_e1 = sorted(g for e, g in units if e == X.H.identity)
             ker = sorted(g for g in X.G.elements()
                          if X.bnd(g) == X.H.identity)
             assert with_e1 == ker
@@ -293,19 +288,18 @@ def random_tables(rng):
 
 
 def unit_morphisms_by_method(X, units):
-    """(s, t, solutions, formula) for each ordered pair of units: the unit
-    morphisms s -> t found by trying every element of G, and the formula
-    morphism (g_t^(e_t^-1))^-1 (g_s^(e_s^-1))."""
+    """(s, t, solutions, formula) for each ordered pair of units (e, g_phi):
+    the unit morphisms s -> t found by trying every element of G, and the
+    formula morphism (g_t^(e_t^-1))^-1 (g_s^(e_s^-1))."""
     G, H = X.G, X.H
     out = []
-    for s, t in itertools.product(units, repeat=2):
+    for (e_s, g_s), (e_t, g_t) in itertools.product(units, repeat=2):
         sols = [u for u in G.elements()
-                if X.bnd(u) == H.mul(H.inv(t.e), s.e)
-                and G.mul(u, s.g_phi)
-                == G.mul(t.g_phi, G.mul(X.act(u, t.e), u))]
-        formula = G.mul(G.inv(X.act(t.g_phi, H.inv(t.e))),
-                        X.act(s.g_phi, H.inv(s.e)))
-        out.append((s.key(), t.key(), sols, formula))
+                if X.bnd(u) == H.mul(H.inv(e_t), e_s)
+                and G.mul(u, g_s) == G.mul(g_t, G.mul(X.act(u, e_t), u))]
+        formula = G.mul(G.inv(X.act(g_t, H.inv(e_t))),
+                        X.act(g_s, H.inv(e_s)))
+        out.append(((e_s, g_s), (e_t, g_t), sols, formula))
     return out
 
 
@@ -331,7 +325,7 @@ class TestUnitScan:
             scan = Report("scan")
             unique = unit_morphism_checks(
                 scan, X.G, X.H, X.boundary, X.action,
-                [u.key() for u in units], lambda unit: unit)
+                units, lambda unit: unit)
             assert scan.checks == rep.checks[2:]
             assert unique == sum(len(sols) == 1 for _, _, sols, _ in pairs)
 
@@ -352,6 +346,85 @@ class TestUnitScan:
             assert len(shared) == 3 and rep.data["units"] == A.order
 
 
+# --------------------------------------------------------------------------
+# descent triples: a brute-force oracle on cells by name
+
+
+def _named(N, t):
+    """A coded triple as dicts by cell: g on level 1, g' and h on level 0."""
+    return tuple(dict(zip(N.level(k), part)) for k, part in zip((1, 0, 0), t))
+
+
+def _coded(N, t):
+    return tuple(tuple(part[c] for c in N.level(k))
+                 for k, part in zip((1, 0, 0), t))
+
+
+def oracle_triple(X, N, values):
+    """The descent triple over g' = values in cell order: h by search for
+    bnd(g') h = 1, and g = d0*(g') (d1*(g'))^-1 read off the faces."""
+    G, H = X.G, X.H
+    gp = dict(zip(N.level(0), values))
+    h = {c: next(y for y in H.elements() if H.mul(X.bnd(x), y) == H.identity)
+         for c, x in gp.items()}
+    g = {c: G.mul(gp[N.face(1, 0, c)], G.inv(gp[N.face(1, 1, c)]))
+         for c in N.level(1)}
+    return _coded(N, (g, gp, h))
+
+
+def oracle_triples(X, N):
+    """Every descent triple, in the order of g' in G(V_0)."""
+    return [oracle_triple(X, N, values) for values in
+            itertools.product(X.G.elements(), repeat=len(N.level(0)))]
+
+
+def oracle_one(X, N):
+    """The triple (1, 1, 1), over g' = 1."""
+    return oracle_triple(X, N, [X.G.identity] * len(N.level(0)))
+
+
+def oracle_law(X, N, t1, t2):
+    """(g1^(d0* h2) g2, g1'^(h2) g2', h1 h2), cell by cell."""
+    (g1, gp1, h1), (g2, gp2, h2) = _named(N, t1), _named(N, t2)
+    G, H = X.G, X.H
+    return _coded(N, (
+        {c: G.mul(X.act(g1[c], h2[N.face(1, 0, c)]), g2[c]) for c in g1},
+        {c: G.mul(X.act(gp1[c], h2[c]), gp2[c]) for c in gp1},
+        {c: H.mul(h1[c], h2[c]) for c in h1}))
+
+
+def oracle_inverse(X, N, t):
+    """The explicit inverse ((g^-1)^(d0* h^-1), (g'^-1)^(h^-1), h^-1)."""
+    g, gp, h = _named(N, t)
+    G, H = X.G, X.H
+    return _coded(N, (
+        {c: X.act(G.inv(g[c]), H.inv(h[N.face(1, 0, c)])) for c in g},
+        {c: X.act(G.inv(gp[c]), H.inv(h[c])) for c in gp},
+        {c: H.inv(h[c]) for c in h}))
+
+
+def inverses_by_search(X, N, t, triples=None):
+    """Every triple s with t s = (1,1,1) = s t under the oracle law."""
+    one = oracle_one(X, N)
+    return [s for s in triples or oracle_triples(X, N)
+            if oracle_law(X, N, t, s) == one == oracle_law(X, N, s, t)]
+
+
+def law_modules():
+    """The inversion module, whose h is always 1, then three modules whose
+    h and action both vary, so that both twists of the law matter."""
+    return [inversion_module(), conjugation_module(FiniteGroup.symmetric(3)),
+            conjugation_module(dihedral(4)),
+            inclusion_module(FiniteGroup.symmetric(3), (0, 3, 4))]  # A3
+
+
+NERVES = pytest.mark.parametrize("nerve", ["point", "circle"])
+
+
+def _nerve(name):
+    return point_nerve() if name == "point" else cech_nerve(circle_cover())
+
+
 class TestH0GroupLaw:
     def test_formula_example(self):
         # raw product formula on the inversion module, additive notation
@@ -362,90 +435,117 @@ class TestH0GroupLaw:
         h = mul_h(1, 1)
         assert (g, gp, h) == (1, 0, 0)
 
+    @NERVES
+    def test_triples_and_law_match_the_oracle(self, nerve):
+        N, rng = _nerve(nerve), random.Random(f"law{nerve}")
+        for X in law_modules()[:3] + [random_crossed_module(rng, 8)
+                                      for _ in range(4)]:
+            triples = list(enumerate_unit_triples(X, N))
+            assert triples == oracle_triples(X, N)
+            pairs = itertools.product(triples, repeat=2) \
+                if len(triples) <= 12 else \
+                [rng.sample(triples, 2) for _ in range(64)]
+            for t1, t2 in pairs:
+                assert h0_group_law(X, N, t1, t2) == \
+                    oracle_law(X, N, t1, t2)
+
     def test_identity_and_validation(self):
-        X = inversion_module()
-        N = point_nerve()
-        ident = identity_triple(X, N)
-        for t in enumerate_unit_triples(X, N):
-            assert h0_group_law(t, ident, N).key() == t.key()
-            assert h0_group_law(ident, t, N).key() == t.key()
+        # each product validates both operands on the way
+        for N, X in itertools.product(map(_nerve, ("point", "circle")),
+                                      law_modules()[:3]):
+            one = oracle_one(X, N)
+            for t in enumerate_unit_triples(X, N):
+                assert h0_group_law(X, N, t, one) == t == \
+                    h0_group_law(X, N, one, t)
 
     def test_inverses_by_search(self):
-        X = inversion_module()
-        N = point_nerve()
-        ident = identity_triple(X, N).key()
-        for t in enumerate_unit_triples(X, N):
-            inv = triple_inverse_by_search(t, N)
-            assert h0_group_law(t, inv, N).key() == ident
+        # the explicit inverse is the one triple that the search finds
+        rng = random.Random(237)
+        for N, X in itertools.product(map(_nerve, ("point", "circle")),
+                                      law_modules()[:2]):
+            one, triples = oracle_one(X, N), oracle_triples(X, N)
+            for t in rng.sample(triples, min(len(triples), 12)):
+                inv = oracle_inverse(X, N, t)
+                assert inverses_by_search(X, N, t, triples) == [inv]
+                assert h0_group_law(X, N, t, inv) == one == \
+                    h0_group_law(X, N, inv, t)
 
     def test_associative_exhaustive_point(self):
         rng = random.Random(233)
-        for _ in range(6):
-            X = random_crossed_module(rng, 8)
-            N = point_nerve()
-            triples = enumerate_unit_triples(X, N)
+        N = point_nerve()
+        for X in law_modules() + [random_crossed_module(rng, 8)
+                                  for _ in range(6)]:
+            triples = list(enumerate_unit_triples(X, N))
             for t1, t2, t3 in itertools.product(triples[:6], repeat=3):
-                left = h0_group_law(h0_group_law(t1, t2, N), t3, N)
-                right = h0_group_law(t1, h0_group_law(t2, t3, N), N)
-                assert left.key() == right.key()
+                assert h0_group_law(X, N, h0_group_law(X, N, t1, t2), t3) \
+                    == h0_group_law(X, N, t1, h0_group_law(X, N, t2, t3))
 
     def test_associative_on_circle(self):
-        X = inversion_module()
         N = cech_nerve(circle_cover())
-        triples = enumerate_unit_triples(X, N)
-        assert len(triples) == 27
         rng = random.Random(239)
-        sample = rng.sample(triples, 6)
-        for t1, t2, t3 in itertools.product(sample, repeat=3):
-            left = h0_group_law(h0_group_law(t1, t2, N), t3, N)
-            right = h0_group_law(t1, h0_group_law(t2, t3, N), N)
-            assert left.key() == right.key()
+        for X in law_modules()[:2]:
+            triples = list(enumerate_unit_triples(X, N))
+            assert len(triples) == X.G.order ** 3
+            sample = rng.sample(triples, 6)
+            for t1, t2, t3 in itertools.product(sample, repeat=3):
+                assert h0_group_law(X, N, h0_group_law(X, N, t1, t2), t3) \
+                    == h0_group_law(X, N, t1, h0_group_law(X, N, t2, t3))
 
     def test_matches_unit_morphism_composition(self):
-        # over e = identity the twist is trivial: triple products multiply
-        # g' plainly, exactly as the unique unit morphisms compose
+        # over e = identity the twist is trivial: the triple of unit b,
+        # inverted, times the triple of unit a has g' = the unit morphism
+        # a -> b, exactly as the unique unit morphisms compose
         rng = random.Random(241)
         N = point_nerve()
         for _ in range(8):
             X = random_crossed_module(rng)
-            ker = [g for g in X.G.elements() if X.bnd(g) == X.H.identity]
-            units = {a: NonabelianUnit(X, X.H.identity, a) for a in ker}
-            for a, b in itertools.product(ker, repeat=2):
-                u = unique_unit_morphism(units[a], units[b])
-                assert u == X.G.mul(X.G.inv(b), a)
-                prod = h0_group_law(
-                    triple_inverse_by_search(triple_of_unit(units[b], N), N),
-                    triple_of_unit(units[a], N), N)
-                assert prod.gp_at()[N.level(0)[0]] == u
+            one = X.H.identity
+            ker = [g for g in X.G.elements() if X.bnd(g) == one]
+            triples = list(enumerate_unit_triples(X, N))
+            for (_, a), (_, b), sols, u in unit_morphisms_by_method(
+                    X, [(one, g) for g in ker]):
+                assert sols == [u] == [X.G.mul(X.G.inv(b), a)]
+                assert triples[a][1] == (a,) and triples[b][1] == (b,)
+                [inv] = inverses_by_search(X, N, triples[b])
+                assert h0_group_law(X, N, inv, triples[a])[1] == (u,)
 
     def test_invalid_triple_rejected(self):
         X = inversion_module()
         N = point_nerve()
-        cell0 = N.level(0)[0]
-        cell1 = N.level(1)[0]
-        bad = triple_of_unit(
-            NonabelianUnit(X, 0, 1), N)
-        tampered = bad.__class__(X, ((cell1, 1),), bad.g_prime, bad.h)
+        _, gp, h = list(enumerate_unit_triples(X, N))[1]  # g' = 1: g = 0
+        tampered = ((1,), gp, h)
         with pytest.raises(ValueError, match="level-1 condition"):
-            tampered.validate(N)
+            h0_group_law(X, N, tampered, tampered)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_each_validation_error_names_its_cell(self, side):
+        X = conjugation_module(FiniteGroup.symmetric(3))
+        N = cech_nerve(circle_cover())
+        t = list(enumerate_unit_triples(X, N))[100]
+        g, gp, h = t
+        for k, cell in enumerate(N.level(0)):
+            bad = (g, gp, h[:k] + (X.H.mul(h[k], 1),) + h[k + 1:])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"membership bnd(g') h = 1 fails at {cell}")):
+                h0_group_law(X, N, *[(t, bad), (bad, t)][side])
+        for k, cell in enumerate(N.level(1)):
+            bad = (g[:k] + (X.G.mul(g[k], 1),) + g[k + 1:], gp, h)
+            with pytest.raises(ValueError, match=re.escape(
+                    "level-1 condition g = d0*(g') (d1*(g'))^-1 fails at "
+                    f"{cell}")):
+                h0_group_law(X, N, *[(t, bad), (bad, t)][side])
 
 
 # --------------------------------------------------------------------------
-# the coded descent-triple check against the UnitTriple records
+# the coded descent-triple check against the oracle
 
 
 def _identity_by_triples(X, N):
-    """Oracle: crossed-units' check on UnitTriple records.  A product the
-    validator rejects differs from the valid triple it was compared with,
-    so a ValueError reads as a failed check."""
-    triples = enumerate_unit_triples(X, N)
-    ident = identity_triple(X, N)
-    try:
-        holds = all(h0_group_law(t, ident, N).key() == t.key()
-                    for t in triples)
-    except ValueError:
-        holds = False
-    return holds, len(triples)
+    """Oracle: crossed-units' check, t (1,1,1) = t for every triple, with
+    the oracle's triples and law."""
+    triples, one = oracle_triples(X, N), oracle_one(X, N)
+    return (all(oracle_law(X, N, t, one) == t for t in triples),
+            len(triples))
 
 
 def _scrambled_action(rng, X, keep_identity):
@@ -459,10 +559,10 @@ def _scrambled_action(rng, X, keep_identity):
 
 
 class TestDescentIdentityCheck:
-    @pytest.mark.parametrize("nerve", ["point", "circle"])
+    @NERVES
     def test_matches_triples_on_random_modules(self, nerve):
         rng = random.Random(f"descent{nerve}")
-        N = point_nerve() if nerve == "point" else cech_nerve(circle_cover())
+        N = _nerve(nerve)
         for _ in range(12):
             X = random_crossed_module(rng, 12 if nerve == "point" else 8)
             assert descent_identity_check(X, N) == _identity_by_triples(X, N)

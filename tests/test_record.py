@@ -33,7 +33,6 @@ C2_TRIVIAL = crossed.CrossedModule(crossed.FiniteGroup.cyclic(2),
 CIRCLE = cech.cover_of_parts(
     ("a0", "a1", "a2"),
     [(("a0", "a1"), ("c",)), (("a1", "a2"), ("c",)), (("a0", "a2"), ("c",))])
-POINT = cech.cech_nerve(cech.point_cover())
 
 
 def _units_1():
@@ -64,9 +63,6 @@ SAMPLES = {
     "PicardModel2": lambda: [point_models.PicardModel2(X) for X in (X3, X3B)],
     "JKUnit": _units_2,
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
-    "NonabelianUnit": lambda: crossed.enumerate_units_nonabelian(
-        C3_ON_ITSELF)[0],
-    "UnitTriple": lambda: crossed.enumerate_unit_triples(C2_TRIVIAL, POINT),
     "Cover": lambda: [cech.point_cover(), CIRCLE],
     "ComplexSpecFile": lambda: [
         specfile.parse_spec(specfile.print_spec(specfile.parse_spec(text)))
@@ -124,7 +120,7 @@ def _hashed(value):
 
 
 def test_every_record_has_samples():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 15
     assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
     assert all(cls.__bases__ == (Record,) for cls in RECORDS)
 

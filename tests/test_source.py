@@ -6,13 +6,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "unital"
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
-    # `python -O` strips asserts, so library invariants must raise explicitly
+    # `python -O` strips asserts, so library invariants must raise explicitly;
+    # and an AssertionError is no named check, so nor may they raise that
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert not found, f"assert statements in src/unital: {found}"
+             if isinstance(node, ast.Assert) or isinstance(node, ast.Raise)
+             and node.exc is not None and _raises_assertion_error(node)]
+    assert not found, f"asserts or AssertionErrors in src/unital: {found}"
 
 
 def test_no_name_imports_from_lazy_modules():
