@@ -11,7 +11,6 @@ from unital import (
     Complex2,
     FgAbGroup,
     GroupHom,
-    PicardModel1,
     cech_nerve,
     classify_h0,
     cocycle_of_unit,
@@ -51,9 +50,9 @@ print(f"classification group of the unit complex on the circle: "
 
 print()
 print("== round trip between units and cocycles ==")
-unit = enumerate_units_1(PicardModel1(X))[1]
-x = cocycle_of_unit(unit, nerve)
+unit = enumerate_units_1(X)[1]
+x = cocycle_of_unit(X, unit, nerve)
 back, w = unit_of_cocycle(x, nerve, X)
-print(f"unit {unit.key()} -> constant total 0-cocycle of the unit complex "
-      f"({len(x)} block coordinates) -> unit {back.key()}")
+print(f"unit {unit} -> constant total 0-cocycle of the unit complex "
+      f"({len(x)} block coordinates) -> unit {back}")
 print(f"trivializing cochain of total degree -1: {w}")

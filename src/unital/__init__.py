@@ -14,7 +14,7 @@ through ``__getattr__``.  So ``homology``, ``unit-complex`` and ``qiso``
 execute ``complexes`` alone; ``units`` and ``contractible`` add
 ``point_models`` and ``crossed``; ``crossed-verify`` executes ``crossed``
 alone; ``cech-classify``, ``crossed-units`` and any input with a nerve
-execute all four.
+execute ``complexes``, ``crossed`` and ``cech``.
 """
 
 import importlib
@@ -44,9 +44,8 @@ _EXPORTS = {
         "h0_group_law", "pi0_order", "pi1_order", "unit_crossed_module",
         "verify_crossed_module"),
     "point_models": (
-        "JKUnit", "PicardModel1", "PicardModel2", "SaavedraUnit",
-        "enumerate_units_1", "enumerate_units_2", "tensor_units_1",
-        "tensor_units_2", "verify_contractible_1", "verify_contractible_2"),
+        "enumerate_units_1", "enumerate_units_2", "verify_contractible_1",
+        "verify_contractible_2"),
     "reporting": ("run",),
     "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
     "verification": ("Report",),

@@ -45,9 +45,7 @@ from .abelian import (
     CapExceeded, FgAbGroup, FinitenessError, GroupHom, _with_relations,
     direct_sum, solve, subquotient)
 from .complexes import Complex2, _unit_complex_2, unit_complex_1
-from .crossed import _fibers
-from .point_models import (
-    JKUnit, PicardModel1, PicardModel2, SaavedraUnit, _coded)
+from .crossed import _coded, _fibers
 from .record import Record
 
 TOP_LEVEL = 3
@@ -543,8 +541,8 @@ def _reduced_piece(X, nerve):
 
 
 def _unit_frame(X):
-    """The unit complex U of X, the inclusion of U^0 into S (+) O with that
-    sum's (inj_S, inj_O, proj_S, proj_O), and the unit constructor.
+    """The unit complex U of X, and the inclusion of U^0 into S (+) O with
+    that sum's (inj_S, inj_O, proj_S, proj_O).
 
     A unit (e, phi) of the point model of X is the point (phi, e) of U^0:
     phi lies in the structure group S and e in the object group O, which
@@ -552,23 +550,26 @@ def _unit_frame(X):
     """
     if isinstance(X, Complex2):
         (U, emb), S, O = unit_complex_1(X), X.A, X.B
-        model, unit = PicardModel1(X), SaavedraUnit
     else:
         (U, emb), S, O = _unit_complex_2(X), X.B, X.C
-        model, unit = PicardModel2(X), JKUnit
-    return U, emb, direct_sum(S, O)[1:], lambda e, phi: unit(model, e, phi)
+    return U, emb, direct_sum(S, O)[1:]
 
 
-def cocycle_of_unit(unit, nerve: Nerve):
-    """J: the constant total 0-cocycle of a point-model unit.
+def cocycle_of_unit(X, unit, nerve: Nerve):
+    """J: the constant total 0-cocycle of a unit (e, phi) of the point
+    model of X, given as a coordinate pair.
 
     It is a T^0 coordinate vector of ``total_complex_piece(U, nerve)`` for
     the unit complex U: the unit's point of U^0 on every (0, 0, cell) block
-    and zero on the other blocks.
+    and zero on the other blocks.  ValueError if lam(phi) != e.
     """
-    _, e, phi = unit._astuple(unit)  # (model, object, structure)
-    U, emb, (inj_s, inj_o, _, _), _ = _unit_frame(unit.model.base)
-    point = solve(emb, inj_s(phi) + inj_o(e)).coords
+    e, phi = unit
+    U, emb, (inj_s, inj_o, _, _) = _unit_frame(X)
+    point = solve(emb, inj_s(inj_s.source.element(phi))
+                  + inj_o(inj_o.source.element(e)))
+    if point is None:
+        raise ValueError("not a unit: lam(phi) != e")
+    point = point.coords
     layout = _TotalLayout(U, nerve, 0)
     x = [0] * len(layout.orders)
     for cell in nerve.level(0):
@@ -578,15 +579,16 @@ def cocycle_of_unit(unit, nerve: Nerve):
 
 
 def unit_of_cocycle(x, nerve: Nerve, X):
-    """K: the unit of a total 0-cocycle x of the unit complex U of X, with
-    a cochain w of T^-1 such that x - D-1 w is J(unit) modulo R0.
+    """K: the unit of a total 0-cocycle x of the unit complex U of X, as a
+    coordinate pair (e, phi), with a cochain w of T^-1 such that x - D-1 w
+    is J(unit) modulo R0.
 
     x is a T^0 coordinate vector of ``total_complex_piece(U, nerve)``; it
     is a cocycle iff D0 x lies in R1, and otherwise CocycleError names the
     first (p, q) block and cell of T^1 where it does not.  The unit is read
     off the base cell of V_0, then w is solved for exactly.
     """
-    U, emb, (_, _, proj_s, proj_o), make_unit = _unit_frame(X)
+    U, emb, (_, _, proj_s, proj_o) = _unit_frame(X)
     (lm1, l0, l1), (d_low, d_high) = total_complex_piece(U, nerve)
     if len(x) != len(l0.orders):
         raise ValueError(f"expected {len(l0.orders)} T^0 coordinates")
@@ -599,8 +601,8 @@ def unit_of_cocycle(x, nerve: Nerve, X):
                 f"total differential nonzero at bidegree ({p}, {q})", cell)
     K, off = U.group_at(0), l0.offset[(0, 0, nerve.level(0)[0])]
     point = emb(K.element(x[off:off + K.ngens]))
-    unit = make_unit(proj_o(point), proj_s(point))
-    target = [y - z for y, z in zip(x, cocycle_of_unit(unit, nerve))]
+    unit = proj_o(point).coords, proj_s(point).coords
+    target = [y - z for y, z in zip(x, cocycle_of_unit(X, unit, nerve))]
     # D-1 w + r = target with r in R0, an exact solve over the integers:
     # w then r are the coordinates of a free source
     source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))

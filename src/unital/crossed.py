@@ -205,6 +205,11 @@ class FiniteGroup:
         return cls(table, f"S{n}")
 
 
+def _coded(G):
+    """The table-coded form of a finite ``FgAbGroup``."""
+    return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
+
+
 class CrossedModule(Record):
     G: FiniteGroup
     H: FiniteGroup
@@ -438,15 +443,23 @@ def _product(X, faces, t1, t2):
 def h0_group_law(X, nerve, t1, t2):
     """(g1, g1', h1)(g2, g2', h2) = (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2) on
     coded triples, after validating both operands: ValueError names the
-    first cell where bnd(g') h = 1 or g = d0*(g') (d1*(g'))^-1 fails."""
+    part whose length or indices are off, else the first cell where
+    bnd(g') h = 1 or g = d0*(g') (d1*(g'))^-1 fails."""
     faces = _faces(nerve)
     triple_of = _triple_of(X, faces)
     for g, gp, h in (t1, t2):
+        for name, part, level, group in (("g", g, 1, X.G), ("g'", gp, 0, X.G),
+                                         ("h", h, 0, X.H)):
+            cells = len(nerve.level(level))
+            if len(part) != cells or any(x not in range(group.order)
+                                         for x in part):
+                raise ValueError(f"{name} must have length {cells}, one index "
+                                 f"below {group.order} per level-{level} cell")
         want_g, _, want_h = triple_of(gp)  # bnd(g') h = 1 iff h = bnd(g')^-1
-        for c, x, y in zip(nerve.level(0), h, want_h, strict=True):
+        for c, x, y in zip(nerve.level(0), h, want_h):
             if x != y:
                 raise ValueError(f"membership bnd(g') h = 1 fails at {c}")
-        for c, x, y in zip(nerve.level(1), g, want_g, strict=True):
+        for c, x, y in zip(nerve.level(1), g, want_g):
             if x != y:
                 raise ValueError(
                     f"level-1 condition g = d0*(g') (d1*(g'))^-1 fails at {c}")

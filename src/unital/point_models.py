@@ -23,73 +23,52 @@ independently wherever a 2-cell equation is used, which pins this sign.
 
 Exhaustive loops run on table-coded groups (``crossed.FiniteGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
-negation are lookups, and each map is an array of image indices.
-``GroupElem`` appears only in the unit objects and their keys; morphisms
-exist only as coded index pairs inside the scans.
+negation are lookups, and each map is an array of image indices.  Units
+leave the scans as coordinate pairs (e, phi); morphisms exist only as
+coded index pairs inside them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .abelian import CapExceeded, FinitenessError, GroupElem
+from .abelian import CapExceeded, FinitenessError
 from .complexes import Complex2, Complex3
-from .crossed import (FiniteGroup, _coded_units, _fibers,
-                      unit_morphism_checks)
-from .record import Record
+from .crossed import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import Report
 
 COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
 
 
-def _coded(G):
-    return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
+def _require_finite(X):
+    if not all(X.group_at(d).is_finite for d in X.degrees):
+        raise FinitenessError("point-model enumeration needs finite groups")
 
 
-class PicardModel1(Record):
-    """The strict Picard groupoid over a point presented by a 2-term complex."""
-
-    base: Complex2
-
-    def _require_finite(self):
-        if not (self.base.A.is_finite and self.base.B.is_finite):
-            raise FinitenessError("point-model enumeration needs finite groups")
+def _pairs(O, S):
+    """A coded unit (e, phi) as its coordinate pair, e in O and phi in S."""
+    return lambda unit: (O.coords(unit[0]), S.coords(unit[1]))
 
 
-class SaavedraUnit(Record):
-    model: PicardModel1
-    e: GroupElem
-    a_phi: GroupElem
-
-    def __post_init__(self):
-        if self.model.base.lam(self.a_phi) != self.e:
-            raise ValueError("not a unit: lam(a_phi) != e")
-
-    def key(self):
-        return (self.e.coords, self.a_phi.coords)
-
-
-def _tables_1(model: PicardModel1):
+def _tables_1(X: Complex2):
     """Table-coded A and B and the array of lam."""
-    model._require_finite()
-    A, B = _coded(model.base.A), _coded(model.base.B)
-    return A, B, A.image_array(model.base.lam.matrix, B)
+    _require_finite(X)
+    A, B = _coded(X.A), _coded(X.B)
+    return A, B, A.image_array(X.lam.matrix, B)
 
 
-def enumerate_units_1(model: PicardModel1):
-    """All units in lexicographic (e, a_phi) order; exactly |A| of them."""
-    A, B, lam = _tables_1(model)
-    base = model.base
-    return [SaavedraUnit(model, base.B.element(B.coords(e)),
-                         base.A.element(A.coords(a)))
-            for e, a in _coded_units(A, lam)]
+def enumerate_units_1(X: Complex2):
+    """All units (e, a_phi) as coordinate pairs, in lexicographic order;
+    exactly |A| of them."""
+    A, B, lam = _tables_1(X)
+    return list(map(_pairs(B, A), _coded_units(A, lam)))
 
 
-def count_unit_morphisms_1(model: PicardModel1):
+def count_unit_morphisms_1(X: Complex2):
     """The number of ordered pairs of units (s, t) for which
     u = a_phi(s) - a_phi(t) is a unit morphism s -> t: lam(u) = e_s - e_t
     and the unit square commutes."""
-    A, B, lam = _tables_1(model)
+    A, B, lam = _tables_1(X)
     add, neg = A.table, A.inverse
     units = _coded_units(A, lam)
     count = 0
@@ -103,16 +82,7 @@ def count_unit_morphisms_1(model: PicardModel1):
     return count
 
 
-def tensor_units_1(s: SaavedraUnit, t: SaavedraUnit) -> SaavedraUnit:
-    """Tensor of units; the structure morphism is the five-arrow composite,
-    which collapses to a_phi(s) + a_phi(t) in the strict model."""
-    if s.model != t.model:
-        raise ValueError("units live in different models")
-    return SaavedraUnit(s.model, s.e + t.e, s.a_phi + t.a_phi)
-
-
-def verify_contractible_1(model: PicardModel1,
-                          max_states=10 ** 7) -> Report:
+def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
@@ -121,19 +91,18 @@ def verify_contractible_1(model: PicardModel1,
     lam: A -> B read as a crossed module with trivial action.  The |A|^3
     coherence triples count against ``max_states`` before any scan.
     """
-    model._require_finite()
-    triples = model.base.A.order() ** 3
+    _require_finite(X)
+    triples = X.A.order() ** 3
     if triples > max_states:
         raise CapExceeded(f"coherence scan needs {triples} states (|A|^3), "
                           f"above the cap {max_states}")
     report = Report("contractibility of the unit groupoid")
-    A, B, lam = _tables_1(model)
+    A, B, lam = _tables_1(X)
     units = _coded_units(A, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     trivial = tuple((a,) * B.order for a in A.elements())
-    morphisms = unit_morphism_checks(
-        report, A, B, lam, trivial, units,
-        lambda unit: (B.coords(unit[0]), A.coords(unit[1])))
+    morphisms = unit_morphism_checks(report, A, B, lam, trivial, units,
+                                     _pairs(B, A))
     report.data["units"] = len(units)
     report.data["morphisms"] = morphisms
     return report
@@ -143,38 +112,12 @@ def verify_contractible_1(model: PicardModel1,
 # one level up
 
 
-class PicardModel2(Record):
-    """The strict Picard 2-groupoid over a point presented by a 3-term
-    complex."""
-
-    base: Complex3
-
-    def _require_finite(self):
-        if not (self.base.A.is_finite and self.base.B.is_finite
-                and self.base.C.is_finite):
-            raise FinitenessError("point-model enumeration needs finite groups")
-
-
-class JKUnit(Record):
-    model: PicardModel2
-    e: GroupElem
-    phi: GroupElem
-
-    def __post_init__(self):
-        if self.model.base.lam(self.phi) != self.e:
-            raise ValueError("not a unit: lam(phi) != e")
-
-    def key(self):
-        return (self.e.coords, self.phi.coords)
-
-
-def _tables_2(model: PicardModel2):
+def _tables_2(X: Complex3):
     """Table-coded A, B and C and the arrays of delta and lam."""
-    model._require_finite()
-    base = model.base
-    A, B, C = _coded(base.A), _coded(base.B), _coded(base.C)
-    return (A, B, C, A.image_array(base.delta.matrix, B),
-            B.image_array(base.lam.matrix, C))
+    _require_finite(X)
+    A, B, C = _coded(X.A), _coded(X.B), _coded(X.C)
+    return (A, B, C, A.image_array(X.delta.matrix, B),
+            B.image_array(X.lam.matrix, C))
 
 
 def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
@@ -192,22 +135,14 @@ def _canonical_1morphism(B, s, t):
     return B.table[s[1]][B.inverse[t[1]]], 0
 
 
-def enumerate_units_2(model: PicardModel2):
-    """All units in lexicographic (e, phi) order; exactly |B| of them."""
-    _, B, C, _, lam = _tables_2(model)
-    base = model.base
-    return [JKUnit(model, base.C.element(C.coords(e)),
-                   base.B.element(B.coords(phi)))
-            for e, phi in _coded_units(B, lam)]
+def enumerate_units_2(X: Complex3):
+    """All units (e, phi) as coordinate pairs, in lexicographic order;
+    exactly |B| of them."""
+    _, B, C, _, lam = _tables_2(X)
+    return list(map(_pairs(C, B), _coded_units(B, lam)))
 
 
-def tensor_units_2(s: JKUnit, t: JKUnit) -> JKUnit:
-    if s.model != t.model:
-        raise ValueError("units live in different models")
-    return JKUnit(s.model, s.e + t.e, s.phi + t.phi)
-
-
-def verify_contractible_2(model: PicardModel2, max_states=10 ** 7) -> Report:
+def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
     """Check that the unit 2-groupoid is contractible, exhaustively.
 
     Units exist; every ordered pair of units is connected by the unit
@@ -220,12 +155,10 @@ def verify_contractible_2(model: PicardModel2, max_states=10 ** 7) -> Report:
     on the first ``COHERENCE_BOUND`` morphisms otherwise.
     """
     report = Report("contractibility of the unit 2-groupoid")
-    A, B, C, delta, lam = _tables_2(model)
+    A, B, C, delta, lam = _tables_2(X)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-
-    def unit_key(u):
-        return (C.coords(u[0]), B.coords(u[1]))
+    unit_key = _pairs(C, B)
 
     def key(s, t, m):  # witness: (source, target, f, theta)
         return (unit_key(s), unit_key(t), B.coords(m[0]), A.coords(m[1]))

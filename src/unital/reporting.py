@@ -69,10 +69,9 @@ def _charge(G, power, formula, cap):
 def _units_1(report, X, opts):
     # count_unit_morphisms_1 scans every ordered pair of units
     _charge(X.A, 2, "|A|^2", opts.max_states)
-    model = point_models.PicardModel1(X)
-    units = point_models.enumerate_units_1(model)
-    report.data["units"] = [u.key() for u in units]
-    morphisms = point_models.count_unit_morphisms_1(model)
+    units = point_models.enumerate_units_1(X)
+    report.data["units"] = units
+    morphisms = point_models.count_unit_morphisms_1(X)
     report.data["unique_morphisms"] = morphisms
     report.add("unit count equals |A|", len(units) == X.A.order(), len(units))
     report.add("one morphism per ordered pair", morphisms == len(units) ** 2,
@@ -81,19 +80,19 @@ def _units_1(report, X, opts):
 
 def _units_2(report, X, opts):
     _charge(X.B, 1, "|B|", opts.max_states)
-    units = point_models.enumerate_units_2(point_models.PicardModel2(X))
-    report.data["units"] = [u.key() for u in units]
+    units = point_models.enumerate_units_2(X)
+    report.data["units"] = units
     report.add("unit count equals |B|", len(units) == X.B.order(), len(units))
 
 
 def _contractible_1(report, X, opts):
     report.merge(point_models.verify_contractible_1(
-        point_models.PicardModel1(X), max_states=opts.max_states))
+        X, max_states=opts.max_states))
 
 
 def _contractible_2(report, X, opts):
     report.merge(point_models.verify_contractible_2(
-        point_models.PicardModel2(X), max_states=opts.max_states))
+        X, max_states=opts.max_states))
 
 
 def _unit_complex(report, X, opts):

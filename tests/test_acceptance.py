@@ -51,8 +51,6 @@ from unital.crossed import (
     verify_crossed_module,
 )
 from unital.point_models import (
-    PicardModel1,
-    PicardModel2,
     enumerate_units_1,
     verify_contractible_1,
     verify_contractible_2,
@@ -110,7 +108,7 @@ def test_criterion_1_saavedra_contractibility():
     complexes = _saavedra_sample()
     assert len(complexes) >= 50
     for X in complexes:
-        report = verify_contractible_1(PicardModel1(X))
+        report = verify_contractible_1(X)
         assert report.passed, str(report)
         assert report.data["units"] == X.A.order()
         assert report.data["morphisms"] == X.A.order() ** 2
@@ -157,7 +155,7 @@ def test_criterion_4_jk_contractibility():
         if done >= 25:
             break
         try:
-            report = verify_contractible_2(PicardModel2(X))
+            report = verify_contractible_2(X)
         except CapExceeded:
             continue
         assert report.passed, str(report)
@@ -250,15 +248,15 @@ def test_criterion_8_kernel_parametrizes_units():
     rng = random.Random(5005)
     for _ in range(15):
         X = random_complex2_to(rng, 16)
-        units = enumerate_units_1(PicardModel1(X))
-        over_zero = [u for u in units if u.e.is_zero]
+        units = enumerate_units_1(X)
+        over_zero = [a_phi for e, a_phi in units if e == X.B.zero().coords]
         K, incl = kernel(X.lam)
         # explicit bijection: k |-> (0, incl(k)), inverted by solving
         image = {incl(k).coords for k in K.elements()}
-        assert image == {u.a_phi.coords for u in over_zero}
+        assert image == set(over_zero)
         assert len(over_zero) == K.order()
-        for u in over_zero:
-            assert solve(incl, u.a_phi) is not None
+        for a_phi in over_zero:
+            assert solve(incl, X.A.element(a_phi)) is not None
     for _ in range(10):
         Xc = random_crossed_module(rng, 12)
         ker = sorted(g for g in Xc.G.elements()

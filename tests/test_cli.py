@@ -704,8 +704,12 @@ def test_perfbench_micro_runs_on_the_library(tmp_path):
     ("homology", TIMES2, 0, {"complexes"}),
     ("crossed-verify", INVERSION, 0, {"crossed"}),
     ("units", '{"kind": "compl', 2, set()),
-    ("cech-classify", TIMES2, 0, LAZY)],
-    ids=["homology", "crossed-verify", "truncated", "cech-classify"])
+    ("units", TIMES2, 0, {"complexes", "crossed", "point_models"}),
+    ("cech-classify", TIMES2, 0, {"cech", "complexes", "crossed"}),
+    ("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
+     {"cech", "complexes", "crossed"})],
+    ids=["homology", "crossed-verify", "truncated", "units", "cech-classify",
+         "crossed-units-circle"])
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"

@@ -20,7 +20,7 @@ from unital.crossed import (
     unit_morphism_checks,
     verify_crossed_module,
 )
-from unital.point_models import PicardModel1, verify_contractible_1
+from unital.point_models import verify_contractible_1
 from unital.verification import Report
 
 from test_cech import circle_cover
@@ -334,12 +334,12 @@ class TestUnitScan:
         # the 2-term complex, so the shared checks must agree exactly
         rng = random.Random(257)
         for _ in range(20):
-            model = PicardModel1(random_complex2(rng, 64))
-            A, B, lam = point_models._tables_1(model)
+            Y = random_complex2(rng, 64)
+            A, B, lam = point_models._tables_1(Y)
             X = CrossedModule(A, B, lam,
                               tuple((a,) * B.order for a in A.elements()))
             _, rep = enumerate_units_nonabelian(X)
-            level_1 = verify_contractible_1(model)
+            level_1 = verify_contractible_1(Y)
             shared = {c.name for c in level_1.checks}
             assert [c for c in rep.checks if c.name in shared] == \
                 level_1.checks
@@ -534,6 +534,29 @@ class TestH0GroupLaw:
                     "level-1 condition g = d0*(g') (d1*(g'))^-1 fails at "
                     f"{cell}")):
                 h0_group_law(X, N, *[(t, bad), (bad, t)][side])
+        # a part of the wrong length, or with an index outside its group,
+        # is named before the triple is rebuilt from g'
+        shape_g = "g must have length 9, one index below 6 per level-1 cell"
+        shape_gp = "g' must have length 3, one index below 6 per level-0 cell"
+        shape_h = "h must have length 3, one index below 6 per level-0 cell"
+        Z3, P = conjugation_module(FiniteGroup.cyclic(3)), point_nerve()
+        one = ((0,), (0,), (0,))
+        shape_z3 = "g' must have length 1, one index below 3 per level-0 cell"
+        for M, nerve, good, bad, message in [
+                (X, N, t, (g[:-1], gp, h), shape_g),
+                (X, N, t, (g + (0,), gp, h), shape_g),
+                (X, N, t, (g[:-1] + (6,), gp, h), shape_g),
+                (X, N, t, (g, gp[:-1], h), shape_gp),
+                (X, N, t, (g, gp + (0,), h), shape_gp),
+                (X, N, t, (g, (-1,) + gp[1:], h), shape_gp),
+                (X, N, t, (g, gp, h[:-1]), shape_h),
+                (X, N, t, (g, gp, h + (0,)), shape_h),
+                (X, N, t, (g, gp, h[:-1] + (6,)), shape_h),
+                (Z3, P, one, ((0,), (), ()), shape_z3),
+                (Z3, P, one, ((0,), (5,), (0,)), shape_z3),
+                (Z3, P, one, ((0,), (0, 0), (0,)), shape_z3)]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                h0_group_law(M, nerve, *[(good, bad), (bad, good)][side])
 
 
 # --------------------------------------------------------------------------

@@ -4,18 +4,13 @@ import random
 import pytest
 
 from unital.abelian import CapExceeded, FgAbGroup, FinitenessError, GroupHom
-from unital.complexes import Complex2, Complex3, GroupElem, homology, unit_complex_1
+from unital.cech import cech_nerve, cocycle_of_unit, point_cover
+from unital.complexes import Complex2, Complex3, homology, unit_complex_1
 from unital import point_models
 from unital.point_models import (
-    JKUnit,
-    PicardModel1,
-    PicardModel2,
-    SaavedraUnit,
     count_unit_morphisms_1,
     enumerate_units_1,
     enumerate_units_2,
-    tensor_units_1,
-    tensor_units_2,
     verify_contractible_1,
     verify_contractible_2,
 )
@@ -28,36 +23,39 @@ Z3 = FgAbGroup.cyclic(3)
 Z4 = FgAbGroup.cyclic(4)
 
 
-def model_times2():
-    return PicardModel1(c2_times2())
+model_times2, model2_example = c2_times2, c3_zero_id
 
 
 def model_zero_z3():
-    return PicardModel1(Complex2(Z3, Z3, GroupHom.zero(Z3, Z3)))
+    return Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
 
 
-def model2_example():
-    return PicardModel2(c3_zero_id())
+# brute-force oracles on GroupElem arithmetic, from the definitions; a
+# unit enters them as its coordinate pair (e, phi)
 
 
-# brute-force oracles on GroupElem arithmetic, from the definitions
+def unit_elems(X, unit):
+    """The pair (e, phi) as elements: e of the object group, phi of the
+    structure group, which are B and A for a 2-term X, C and B else."""
+    objects, structure = (X.B, X.A) if isinstance(X, Complex2) else (X.C, X.B)
+    return objects.element(unit[0]), structure.element(unit[1])
 
 
-def oracle_unit_morphisms_1(s, t):
+def oracle_unit_morphisms_1(X, s, t):
     """Every a with lam(a) = e_s - e_t whose unit square commutes:
     a_phi(s) + a = a + a + a_phi(t)."""
-    X = s.model.base
+    (e_s, a_s), (e_t, a_t) = unit_elems(X, s), unit_elems(X, t)
     return [a for a in X.A.elements()
-            if X.lam(a) == s.e - t.e and s.a_phi + a == a + a + t.a_phi]
+            if X.lam(a) == e_s - e_t and a_s + a == a + a + a_t]
 
 
-def oracle_unit_1morphisms(s, t):
+def oracle_unit_1morphisms(X, s, t):
     """Every (f, theta) with lam(f) = e_s - e_t and theta filling the
     square: delta(theta) = f + phi_t - phi_s."""
-    X = s.model.base
-    return [(f, theta) for f in X.B.elements() if X.lam(f) == s.e - t.e
+    (e_s, phi_s), (e_t, phi_t) = unit_elems(X, s), unit_elems(X, t)
+    return [(f, theta) for f in X.B.elements() if X.lam(f) == e_s - e_t
             for theta in X.A.elements()
-            if X.delta(theta) == f + t.phi - s.phi]
+            if X.delta(theta) == f + phi_t - phi_s]
 
 
 def oracle_unit_2morphisms(X, m1, m2):
@@ -68,53 +66,68 @@ def oracle_unit_2morphisms(X, m1, m2):
             if X.delta(g) == f1 - f2 and g + g + theta2 == theta1 + g]
 
 
+def tensor(X, s, t):
+    """The tensor of units in the strict model, the pointwise sum: its
+    structure morphism is the five-arrow composite, which collapses to
+    phi(s) + phi(t)."""
+    (e_s, phi_s), (e_t, phi_t) = unit_elems(X, s), unit_elems(X, t)
+    return (e_s + e_t).coords, (phi_s + phi_t).coords
+
+
 class TestSaavedraUnits:
     def test_times2_units(self):
         units = enumerate_units_1(model_times2())
-        assert [u.key() for u in units] == [((0,), (0,)), ((2,), (1,))]
+        assert units == [((0,), (0,)), ((2,), (1,))]
 
     def test_zero_map_units_are_kernel(self):
         units = enumerate_units_1(model_zero_z3())
-        assert [u.key() for u in units] == \
-            [((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
+        assert units == [((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
 
     def test_trivial_A(self):
-        m = PicardModel1(Complex2(FgAbGroup.trivial(), Z4,
-                                  GroupHom.zero(FgAbGroup.trivial(), Z4)))
-        units = enumerate_units_1(m)
-        assert len(units) == 1 and units[0].e.is_zero
+        m = Complex2(FgAbGroup.trivial(), Z4,
+                     GroupHom.zero(FgAbGroup.trivial(), Z4))
+        assert enumerate_units_1(m) == [((0,), ())]
 
     def test_membership_enforced(self):
-        m = model_times2()
-        with pytest.raises(ValueError):
-            SaavedraUnit(m, Z4.element([1]), Z2.element([0]))
+        # a pair enters the library from outside only through J, which
+        # refuses it unless lam(phi) = e
+        m, N = model_times2(), cech_nerve(point_cover())
+        for pair in [((1,), (0,)), ((0,), (1,)), ((2,), (0,))]:
+            with pytest.raises(ValueError,
+                               match=r"^not a unit: lam\(phi\) != e$"):
+                cocycle_of_unit(m, pair, N)
+        assert not any(cocycle_of_unit(m, ((0,), (0,)), N))
 
     def test_infinite_guard(self):
         G = FgAbGroup.free(1)
-        m = PicardModel1(Complex2(G, G, GroupHom.identity(G)))
-        with pytest.raises(FinitenessError):
-            enumerate_units_1(m)
+        m = Complex2(G, G, GroupHom.identity(G))
+        for scan in (enumerate_units_1, count_unit_morphisms_1,
+                     verify_contractible_1):
+            with pytest.raises(FinitenessError,
+                               match="point-model enumeration needs finite"):
+                scan(m)
 
 
 class TestUnitMorphisms1:
     def test_doubling_complex(self):
         m = model_times2()
         s, t = enumerate_units_1(m)
-        (u,) = oracle_unit_morphisms_1(s, t)
+        (u,) = oracle_unit_morphisms_1(m, s, t)
         assert u.coords == (1,)
         assert count_unit_morphisms_1(m) == 4
 
     def test_identity(self):
         m = model_times2()
         s = enumerate_units_1(m)[1]
-        (u,) = oracle_unit_morphisms_1(s, s)
+        (u,) = oracle_unit_morphisms_1(m, s, s)
         assert u.is_zero
 
     def test_zero_model(self):
-        units = enumerate_units_1(model_zero_z3())
+        m = model_zero_z3()
+        units = enumerate_units_1(m)
         s = units[1]  # (0, 1)
         t = units[2]  # (0, 2)
-        (u,) = oracle_unit_morphisms_1(s, t)
+        (u,) = oracle_unit_morphisms_1(m, s, t)
         assert u.coords == (2,)
 
     def test_exhaustive_uniqueness(self):
@@ -122,56 +135,69 @@ class TestUnitMorphisms1:
         # count tests, and the count is every ordered pair
         rng = random.Random(101)
         for _ in range(15):
-            m = PicardModel1(random_complex2(rng, 12))
+            m = random_complex2(rng, 12)
             units = enumerate_units_1(m)
             for s, t in itertools.product(units, repeat=2):
-                assert oracle_unit_morphisms_1(s, t) == [s.a_phi - t.a_phi]
+                assert oracle_unit_morphisms_1(m, s, t) == \
+                    [unit_elems(m, s)[1] - unit_elems(m, t)[1]]
             assert count_unit_morphisms_1(m) == len(units) ** 2
 
     def test_morphism_sets_and_count(self):
         rng = random.Random(105)
         for _ in range(10):
-            m = PicardModel1(random_complex2(rng, 12))
-            assert count_unit_morphisms_1(m) == m.base.A.order() ** 2
+            m = random_complex2(rng, 12)
+            assert count_unit_morphisms_1(m) == m.A.order() ** 2
 
     def test_morphism_to_canonical_is_a_phi(self):
         rng = random.Random(103)
         for _ in range(10):
-            units = enumerate_units_1(PicardModel1(random_complex2(rng, 12)))
+            m = random_complex2(rng, 12)
+            units = enumerate_units_1(m)
             can = units[0]  # (0, 0), first in lexicographic order
-            assert can.key() == (can.e.group.zero().coords,
-                                 can.a_phi.group.zero().coords)
+            assert can == (m.B.zero().coords, m.A.zero().coords)
             for s in units:
-                assert oracle_unit_morphisms_1(s, can) == [s.a_phi]
+                assert oracle_unit_morphisms_1(m, s, can) == \
+                    [unit_elems(m, s)[1]]
 
 
 class TestTensor1:
     def test_self_tensor(self):
         m = model_times2()
         s = enumerate_units_1(m)[1]  # (2, 1)
-        st = tensor_units_1(s, s)
-        assert st.key() == ((0,), (0,))
+        assert tensor(m, s, s) == ((0,), (0,))
 
     def test_canonical_is_neutral(self):
-        units = enumerate_units_1(model_zero_z3())
+        m = model_zero_z3()
+        units = enumerate_units_1(m)
         for s in units:
-            assert tensor_units_1(s, units[0]).key() == s.key()
+            assert tensor(m, s, units[0]) == tensor(m, units[0], s) == s
 
     def test_z3_example(self):
-        units = enumerate_units_1(model_zero_z3())
-        assert tensor_units_1(units[1], units[2]).key() == ((0,), (0,))
+        m = model_zero_z3()
+        units = enumerate_units_1(m)
+        assert tensor(m, units[1], units[2]) == ((0,), (0,))
+
+    def test_sum_of_units_is_a_unit(self):
+        rng = random.Random(109)
+        for m in [random_complex2(rng, 9) for _ in range(5)] + \
+                [random_complex3(rng, 8) for _ in range(5)]:
+            scan = enumerate_units_1 if isinstance(m, Complex2) \
+                else enumerate_units_2
+            units = scan(m)
+            for s, t in itertools.product(units, repeat=2):
+                assert tensor(m, s, t) in units
 
     def test_tensor_functorial_on_morphisms(self):
         # unique morphism (s (x) s2 -> t (x) t2) is the sum of the uniques
         rng = random.Random(107)
         for _ in range(10):
-            m = PicardModel1(random_complex2(rng, 9))
+            m = random_complex2(rng, 9)
             units = enumerate_units_1(m)
             for s, t, s2, t2 in itertools.product(units[:4], repeat=4):
-                (u1,) = oracle_unit_morphisms_1(s, t)
-                (u2,) = oracle_unit_morphisms_1(s2, t2)
+                (u1,) = oracle_unit_morphisms_1(m, s, t)
+                (u2,) = oracle_unit_morphisms_1(m, s2, t2)
                 assert oracle_unit_morphisms_1(
-                    tensor_units_1(s, s2), tensor_units_1(t, t2)) == [u1 + u2]
+                    m, tensor(m, s, s2), tensor(m, t, t2)) == [u1 + u2]
 
 
 class TestContractible1:
@@ -183,8 +209,7 @@ class TestContractible1:
 
     def test_point(self):
         T = FgAbGroup.trivial()
-        rep = verify_contractible_1(
-            PicardModel1(Complex2(T, T, GroupHom.zero(T, T))))
+        rep = verify_contractible_1(Complex2(T, T, GroupHom.zero(T, T)))
         assert rep.passed and rep.data["units"] == 1
 
     def test_zero_z3(self):
@@ -192,8 +217,8 @@ class TestContractible1:
         assert rep.passed and rep.data["morphisms"] == 9
 
     def test_coherence_triples_count_against_max_states(self):
-        m = PicardModel1(Complex2(FgAbGroup.cyclic(8), Z2,
-                                  GroupHom.zero(FgAbGroup.cyclic(8), Z2)))
+        m = Complex2(FgAbGroup.cyclic(8), Z2,
+                     GroupHom.zero(FgAbGroup.cyclic(8), Z2))
         with pytest.raises(CapExceeded, match="512"):
             verify_contractible_1(m, max_states=511)
         assert verify_contractible_1(m, max_states=512).passed
@@ -202,7 +227,7 @@ class TestContractible1:
         rng = random.Random(109)
         for _ in range(10):
             X = random_complex2(rng, 12)
-            rep = verify_contractible_1(PicardModel1(X))
+            rep = verify_contractible_1(X)
             assert rep.passed  # one iso class
             U, _ = unit_complex_1(X)
             assert homology(U, 0).is_trivial
@@ -211,31 +236,31 @@ class TestContractible1:
 class TestJKUnits:
     def test_example_units(self):
         units = enumerate_units_2(model2_example())
-        assert [u.key() for u in units] == [((0,), (0,)), ((1,), (1,))]
+        assert units == [((0,), (0,)), ((1,), (1,))]
 
     def test_trivial_C_units_are_kernel(self):
         X = Complex3(Z2, Z4, FgAbGroup.trivial(),
                      GroupHom(Z2, Z4, [[2]]),
                      GroupHom.zero(Z4, FgAbGroup.trivial()))
-        units = enumerate_units_2(PicardModel2(X))
-        assert len(units) == 4 and all(u.e.is_zero for u in units)
+        units = enumerate_units_2(X)
+        assert len(units) == 4 and {e for e, _ in units} == {()}
 
     def test_trivial_B(self):
         X = Complex3(Z2, FgAbGroup.trivial(), Z2,
                      GroupHom.zero(Z2, FgAbGroup.trivial()),
                      GroupHom.zero(FgAbGroup.trivial(), Z2))
-        units = enumerate_units_2(PicardModel2(X))
-        assert len(units) == 1
+        units = enumerate_units_2(X)
+        assert units == [((0,), ())]
 
     def test_unit_1morphisms_example(self):
         model = model2_example()
         units = enumerate_units_2(model)
-        ms = oracle_unit_1morphisms(units[0], units[1])
+        ms = oracle_unit_1morphisms(model, units[0], units[1])
         assert sorted((f.coords, theta.coords) for f, theta in ms) == \
             [((1,), (0,)), ((1,), (1,))]
         # the coded scan finds the same pairs
         A, B, C, delta, lam = point_models._tables_2(model)
-        coded = [(C.index(u.e.coords), B.index(u.phi.coords)) for u in units]
+        coded = [(C.index(e), B.index(phi)) for e, phi in units]
         assert [(B.coords(f), A.coords(theta)) for f, theta in
                 point_models._coded_1morphisms(
                     B, C, point_models._fibers(B, C, lam),
@@ -243,15 +268,17 @@ class TestJKUnits:
             [((1,), (0,)), ((1,), (1,))]
 
     def test_unit_2morphism_example(self):
-        units = enumerate_units_2(model2_example())
-        m1, m2 = oracle_unit_1morphisms(units[0], units[1])
-        (g,) = oracle_unit_2morphisms(model2_example().base, m1, m2)
+        X = model2_example()
+        units = enumerate_units_2(X)
+        m1, m2 = oracle_unit_1morphisms(X, units[0], units[1])
+        (g,) = oracle_unit_2morphisms(X, m1, m2)
         assert g.coords == (1,)
 
     def test_identity_2morphism(self):
-        units = enumerate_units_2(model2_example())
-        m1 = oracle_unit_1morphisms(units[0], units[1])[0]
-        (g,) = oracle_unit_2morphisms(model2_example().base, m1, m1)
+        X = model2_example()
+        units = enumerate_units_2(X)
+        m1 = oracle_unit_1morphisms(X, units[0], units[1])[0]
+        (g,) = oracle_unit_2morphisms(X, m1, m1)
         assert g.is_zero
 
     def test_sigma_orientation_pins_gamma(self):
@@ -260,10 +287,9 @@ class TestJKUnits:
         rng = random.Random(113)
         for _ in range(10):
             X = random_complex3(rng, 9)
-            m = PicardModel2(X)
-            units = enumerate_units_2(m)
+            units = enumerate_units_2(X)
             for s, t in itertools.product(units[:3], repeat=2):
-                ms = oracle_unit_1morphisms(s, t)
+                ms = oracle_unit_1morphisms(X, s, t)
                 for m1, m2 in itertools.product(ms[:4], repeat=2):
                     assert oracle_unit_2morphisms(X, m1, m2) == [m1[1] - m2[1]]
 
@@ -271,10 +297,9 @@ class TestJKUnits:
         rng = random.Random(127)
         for _ in range(8):
             X = random_complex3(rng, 9)
-            m = PicardModel2(X)
-            units = enumerate_units_2(m)
+            units = enumerate_units_2(X)
             for s, t in itertools.product(units[:3], repeat=2):
-                ms = oracle_unit_1morphisms(s, t)
+                ms = oracle_unit_1morphisms(X, s, t)
                 for (f1, theta1), (f2, theta2) in \
                         itertools.product(ms[:5], repeat=2):
                     assert X.delta(theta1 - theta2) == f1 - f2
@@ -282,10 +307,11 @@ class TestJKUnits:
 
 class TestTensor2AndContractible2:
     def test_tensor_example(self):
-        units = enumerate_units_2(model2_example())
+        X = model2_example()
+        units = enumerate_units_2(X)
         u = units[1]
-        assert tensor_units_2(u, u).key() == ((0,), (0,))
-        assert tensor_units_2(u, units[0]).key() == u.key()
+        assert tensor(X, u, u) == ((0,), (0,))
+        assert tensor(X, u, units[0]) == u
 
     def test_contractible_example(self):
         rep = verify_contractible_2(model2_example())
@@ -295,7 +321,7 @@ class TestTensor2AndContractible2:
     def test_contractible_random(self):
         rng = random.Random(131)
         for _ in range(8):
-            rep = verify_contractible_2(PicardModel2(random_complex3(rng, 8)))
+            rep = verify_contractible_2(random_complex3(rng, 8))
             assert rep.passed
 
 
@@ -312,14 +338,14 @@ class TestFaultInjection:
         # solution u = a_s + a_t per pair, but these no longer compose
         tables = point_models._tables_1
 
-        def subtracting(model):
-            A, B, lam = tables(model)
+        def subtracting(X):
+            A, B, lam = tables(X)
             A.table = tuple(tuple((b - a) % 3 for b in range(3))
                             for a in range(3))
             return A, B, lam
 
         T = FgAbGroup.trivial()
-        model = PicardModel1(Complex2(Z3, T, GroupHom.zero(Z3, T)))
+        model = Complex2(Z3, T, GroupHom.zero(Z3, T))
         monkeypatch.setattr(point_models, "_tables_1", subtracting)
         rep = verify_contractible_1(model)
         assert _check(rep, "exactly one unit morphism per ordered pair").passed
@@ -332,14 +358,13 @@ class TestFaultInjection:
         # parallel unit 1-morphisms (0, theta) no longer compose vertically
         tables = point_models._tables_2
 
-        def self_inverse(model):
-            A, B, C, delta, lam = tables(model)
+        def self_inverse(X):
+            A, B, C, delta, lam = tables(X)
             A.inverse = tuple(range(A.order))
             return A, B, C, delta, lam
 
         T = FgAbGroup.trivial()
-        model = PicardModel2(Complex3(Z3, T, T, GroupHom.zero(Z3, T),
-                                      GroupHom.zero(T, T)))
+        model = Complex3(Z3, T, T, GroupHom.zero(Z3, T), GroupHom.zero(T, T))
         monkeypatch.setattr(point_models, "_tables_2", self_inverse)
         rep = verify_contractible_2(model)
         assert rep.data["unit 1-morphisms"] == 3
@@ -355,8 +380,8 @@ class TestFaultInjection:
         model = model2_example()
         tables = point_models._tables_2
 
-        def swapped(model):
-            return (*tables(model)[:4], (1, 0))
+        def swapped(X):
+            return (*tables(X)[:4], (1, 0))
 
         monkeypatch.setattr(point_models, "_tables_2", swapped)
         rep = verify_contractible_2(model)

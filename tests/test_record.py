@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from unital import abelian, cech, complexes, crossed, point_models
+from unital import abelian, cech, complexes, crossed
 from unital import specfile, verification
 from unital.record import Record
 
@@ -35,14 +35,6 @@ CIRCLE = cech.cover_of_parts(
     [(("a0", "a1"), ("c",)), (("a1", "a2"), ("c",)), (("a0", "a2"), ("c",))])
 
 
-def _units_1():
-    return point_models.enumerate_units_1(point_models.PicardModel1(X2))
-
-
-def _units_2():
-    return point_models.enumerate_units_2(point_models.PicardModel2(X3B))
-
-
 # a few library-built values of every record class, some of them equal
 SAMPLES = {
     "FgAbGroup": lambda: [Z2, Z4, abelian.FgAbGroup((2,), 0),
@@ -58,10 +50,6 @@ SAMPLES = {
     "Complex3": lambda: [X3, X3B],
     "StrictMorphism": lambda: [complexes.StrictMorphism.identity(X)
                                for X in (X2, X2B, X3)],
-    "PicardModel1": lambda: [point_models.PicardModel1(X) for X in (X2, X2B)],
-    "SaavedraUnit": _units_1,
-    "PicardModel2": lambda: [point_models.PicardModel2(X) for X in (X3, X3B)],
-    "JKUnit": _units_2,
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
     "Cover": lambda: [cech.point_cover(), CIRCLE],
     "ComplexSpecFile": lambda: [
@@ -120,7 +108,7 @@ def _hashed(value):
 
 
 def test_every_record_has_samples():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 11
     assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
     assert all(cls.__bases__ == (Record,) for cls in RECORDS)
 

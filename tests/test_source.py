@@ -33,6 +33,34 @@ def test_no_name_imports_from_lazy_modules():
     assert not found, f"names imported from lazy modules: {found}"
 
 
+def _imported_modules(path):
+    """The stems of the unital modules a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("unital")):
+            module = (node.module or "").removeprefix("unital").lstrip(".")
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("unital."))
+
+
+def test_lazy_modules_import_only_lower_layers():
+    # complexes and crossed import no lazy module, and cech and
+    # point_models only those two: so a nerve input never executes
+    # point_models, and the units commands never execute cech
+    allowed = {"complexes": set(), "crossed": set(),
+               "cech": {"complexes", "crossed"},
+               "point_models": {"complexes", "crossed"}}
+    found = [f"{stem} imports {module}" for stem, ok in allowed.items()
+             for module in set(_imported_modules(SRC / f"{stem}.py"))
+             & set(allowed) - ok]
+    assert not found, f"lazy modules importing lazy modules: {found}"
+
+
 def test_parses_as_python_3_10():
     # the requires-python floor; a newer-only syntax would break its users
     for path in sorted(SRC.glob("*.py")):
