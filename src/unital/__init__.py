@@ -36,7 +36,7 @@ _EXPORTS = {
     "complexes": (
         "Complex2", "Complex3", "StrictMorphism", "cone", "cone_comparison",
         "forgetful_morphism_1", "forgetful_morphism_2", "homology",
-        "homology_data", "identity_model", "is_acyclic",
+        "identity_model", "is_acyclic",
         "is_quasi_isomorphism", "kernel_model", "kernel_sum_model",
         "sum_model", "truncate_shift", "unit_complex_1", "unit_complex_2"),
     "crossed": (

@@ -37,6 +37,14 @@ class CapExceeded(RuntimeError):
     """An exhaustive search would exceed the configured state cap."""
 
 
+def charge(phase, states, formula, max_states):
+    """Admit a scan of ``states`` states, counted by ``formula``, or refuse
+    it before it does the work: the one place a count meets the cap."""
+    if states > max_states:
+        raise CapExceeded(f"{phase} needs {states} states ({formula}), "
+                          f"above the cap {max_states}")
+
+
 MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
 
 

@@ -42,9 +42,10 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .abelian import (
-    CapExceeded, FgAbGroup, FinitenessError, GroupHom, _with_relations,
-    direct_sum, solve, subquotient)
-from .complexes import Complex2, _unit_complex_2, unit_complex_1
+    CapExceeded, FgAbGroup, GroupHom, _with_relations, charge, direct_sum,
+    solve, subquotient)
+from .complexes import (
+    Complex2, _require_finite, _unit_complex_2, unit_complex_1)
 from .crossed import _coded, _fibers
 from .record import Record
 
@@ -285,8 +286,8 @@ def _cocycle_classes(nerve, X: Complex2, max_states):
         if label[c] is not c:
             continue
         work += len(shifts)
-        if work > max_states:
-            raise CapExceeded("coboundary quotient exceeds the state cap")
+        charge("coboundary quotient", work, "|A|^|V_0| per class swept",
+               max_states)
         for s in shifts:
             label[_add(tables, c, s)] = len(reps)
         if len(label) != count:  # a sum, or a coboundary, was added
@@ -302,12 +303,10 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     full candidate product |A|^|V_1| |B|^|V_0| up front.  Representatives
     are the smallest members of their classes, as coded pairs (a, b).
     """
-    if not (X.A.is_finite and X.B.is_finite):
-        raise FinitenessError("torsor enumeration needs finite groups")
+    _require_finite(X, "torsor enumeration")
     n0, n1 = len(nerve.level(0)), len(nerve.level(1))
-    states = X.A.order() ** n1 * X.B.order() ** n0
-    if states > max_states:
-        raise CapExceeded(f"{states} candidate cocycles exceed {max_states}")
+    charge("torsor scan", X.A.order() ** n1 * X.B.order() ** n0,
+           "|A|^|V_1| |B|^|V_0|", max_states)
     reps = _cocycle_classes(nerve, X, max_states)[0]
     return TorsorClasses(len(reps), reps)
 
@@ -326,11 +325,9 @@ def unit_cocycles(nerve: Nerve, U: Complex2, max_states=10 ** 7):
     pair (a, u), and the group the classes form under pointwise tensor
     (expected: trivial).
     """
-    if not (U.A.is_finite and U.B.is_finite):
-        raise FinitenessError("unit-cocycle enumeration needs finite groups")
+    _require_finite(U, "unit-cocycle enumeration")
     states = U.A.order() ** len(nerve.level(0))
-    if states > max_states:
-        raise CapExceeded(f"{states} states exceed {max_states}")
+    charge("unit-cocycle scan", states, "|A|^|V_0|", max_states)
     reps, label, tables = _cocycle_classes(nerve, U, max_states)
     if len(label) != states:
         raise CocycleError(f"{len(label)} unit cocycles, one per a_phi: "
@@ -512,9 +509,7 @@ def classify_h0(nerve: Nerve, X) -> FgAbGroup:
     ``subquotient``.  For the unit complex of any coefficient complex the
     group is trivial; that is the classification form of contractibility.
     """
-    for d in X.degrees:
-        if not X.group_at(d).is_finite:
-            raise FinitenessError("classification needs finite groups")
+    _require_finite(X, "classification")
     return subquotient(*_reduced_piece(X, nerve))[0]
 
 

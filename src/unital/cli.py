@@ -4,12 +4,13 @@
            [--max-states N] [--against idA|idker] [--check-acyclic]
 
 Exit codes: 0 all checks pass, 1 a check failed (the report carries the
-witness), 2 bad input, 3 a state cap was exceeded.
+witness), 2 bad input or an unwritable stdout, 3 a state cap was exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .abelian import CapExceeded, FinitenessError
@@ -79,7 +80,17 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text())
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk
+        try:
+            print(f"output error: {exc}", file=sys.stderr)
+            # what is left in the buffer would fail again in the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # stderr is unwritable too, or stdout has no fd
+            pass
+        return 2
     return 0 if report.passed else 1
 
 

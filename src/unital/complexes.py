@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .abelian import (
-    CapExceeded,
     FgAbGroup,
+    FinitenessError,
     GroupElem,
     GroupHom,
     LinearSolver,
@@ -118,6 +118,12 @@ class Complex3(Record):
         return f"[{self.A} -> {self.B} -> {self.C}]"
 
 
+def _require_finite(X, scan):
+    """FinitenessError, naming the scan, unless every term of X is finite."""
+    if not all(X.group_at(d).is_finite for d in X.degrees):
+        raise FinitenessError(f"{scan} needs finite groups")
+
+
 def _incoming(X, degree):
     if degree == X.degrees[0]:
         return GroupHom.zero(_TRIVIAL, X.group_at(degree))
@@ -177,24 +183,16 @@ def is_complex_isomorphism(f):
 
 
 class HomologyData:
-    """Homology at one degree with a deterministic cycle chooser.
+    """Homology at one degree with a cycle chooser.
 
-    ``classify`` sends a cycle to its class; ``representative`` picks the
-    lexicographically smallest reduced cycle in a class whenever the ambient
-    data is finite and small enough to scan, and an arbitrary section
-    otherwise.
+    ``classify`` sends a cycle to its class; ``representative`` picks a
+    cycle in a class, through a fixed section of the projection.
     """
 
-    _SCAN_CAP = 4096
-
     def __init__(self, X, degree):
-        out_hom = X.differential(degree)
-        in_hom = _incoming(X, degree)
-        self._cycles, self._incl = kernel(out_hom)
-        self._in_lift = lift_through(self._incl, in_hom)
-        self.group, self._proj = cokernel(self._in_lift)
-        self.degree = degree
-        self.ambient = X.group_at(degree)
+        self._incl = kernel(X.differential(degree))[1]
+        boundaries = lift_through(self._incl, _incoming(X, degree))
+        self.group, self._proj = cokernel(boundaries)
 
     @cached_property  # a Smith form, paid for on first use only
     def _incl_solver(self):
@@ -211,19 +209,10 @@ class HomologyData:
         return self._proj(z)
 
     def representative(self, h: GroupElem) -> GroupElem:
-        z0 = self._proj_solver.solve(h)
-        if z0 is None:
+        z = self._proj_solver.solve(h)
+        if z is None:
             raise ValueError("class not in the homology group")
-        boundary_src = self._in_lift.source
-        if boundary_src.is_finite and boundary_src.order() <= self._SCAN_CAP:
-            return min((self._incl(z0 + self._in_lift(t))
-                        for t in boundary_src.elements()),
-                       key=lambda e: e.coords)
-        return self._incl(z0)
-
-
-def homology_data(X, degree) -> HomologyData:
-    return HomologyData(X, degree)
+        return self._incl(z)
 
 
 def homology(X, degree) -> FgAbGroup:

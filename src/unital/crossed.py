@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .abelian import MAX_CODED_ORDER, CapExceeded
+from .abelian import MAX_CODED_ORDER, CapExceeded, charge
 from .record import Record
 from .verification import Report
 
@@ -425,8 +425,7 @@ def enumerate_unit_triples(X, nerve, max_states=10 ** 7):
     level 0.  The |G|^|V_0| triples are charged before any table is read,
     and then yielded one at a time."""
     n0 = len(nerve.level(0))
-    if X.G.order ** n0 > max_states:
-        raise CapExceeded("triple enumeration exceeds the state cap")
+    charge("triple enumeration", X.G.order ** n0, "|G|^|V_0|", max_states)
     return map(_triple_of(X, _faces(nerve)),
                itertools.product(X.G.elements(), repeat=n0))
 

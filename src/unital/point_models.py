@@ -32,17 +32,12 @@ from __future__ import annotations
 
 import itertools
 
-from .abelian import CapExceeded, FinitenessError
-from .complexes import Complex2, Complex3
+from .abelian import charge
+from .complexes import Complex2, Complex3, _require_finite
 from .crossed import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import Report
 
 COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
-
-
-def _require_finite(X):
-    if not all(X.group_at(d).is_finite for d in X.degrees):
-        raise FinitenessError("point-model enumeration needs finite groups")
 
 
 def _pairs(O, S):
@@ -52,7 +47,7 @@ def _pairs(O, S):
 
 def _tables_1(X: Complex2):
     """Table-coded A and B and the array of lam."""
-    _require_finite(X)
+    _require_finite(X, "point-model enumeration")
     A, B = _coded(X.A), _coded(X.B)
     return A, B, A.image_array(X.lam.matrix, B)
 
@@ -91,11 +86,8 @@ def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
     lam: A -> B read as a crossed module with trivial action.  The |A|^3
     coherence triples count against ``max_states`` before any scan.
     """
-    _require_finite(X)
-    triples = X.A.order() ** 3
-    if triples > max_states:
-        raise CapExceeded(f"coherence scan needs {triples} states (|A|^3), "
-                          f"above the cap {max_states}")
+    _require_finite(X, "point-model enumeration")
+    charge("coherence scan", X.A.order() ** 3, "|A|^3", max_states)
     report = Report("contractibility of the unit groupoid")
     A, B, lam = _tables_1(X)
     units = _coded_units(A, lam)
@@ -114,7 +106,7 @@ def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
 
 def _tables_2(X: Complex3):
     """Table-coded A, B and C and the arrays of delta and lam."""
-    _require_finite(X)
+    _require_finite(X, "point-model enumeration")
     A, B, C = _coded(X.A), _coded(X.B), _coded(X.C)
     return (A, B, C, A.image_array(X.delta.matrix, B),
             B.image_array(X.lam.matrix, C))
@@ -153,6 +145,11 @@ def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
     leaves its pasting equation literally unchanged.  Vertical-composition
     coherence is checked on all triples when a morphism set is small, and
     on the first ``COHERENCE_BOUND`` morphisms otherwise.
+
+    Each of the |B|^2 unit pairs has |im delta| |ker delta| = |A| unit
+    1-morphisms, so a pair is charged its |A|^2 parallel pairs plus one
+    ker(delta) fiber per 1-morphism; the total is charged before any
+    1-morphism is listed.
     """
     report = Report("contractibility of the unit 2-groupoid")
     A, B, C, delta, lam = _tables_2(X)
@@ -165,61 +162,47 @@ def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
 
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)
     fiber = theta_fibers[B.identity]  # ker(delta)
-
-    connected_failures = []
-    onemors = []
-    budget = 0
-    for s in units:
-        for t in units:
-            ms = _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t)
-            budget += len(ms) ** 2 + len(ms) * len(fiber)
-            if budget > max_states:
-                raise CapExceeded(
-                    f"2-cell verification needs more than {max_states} states")
-            if _canonical_1morphism(B, s, t) not in ms:
-                connected_failures.append((unit_key(s), unit_key(t)))
-            onemors.append((s, t, ms))
-    report.add("every unit pair is connected by a unit 1-morphism",
-               not connected_failures, connected_failures[:3] or None)
+    charge("2-cell verification",
+           B.order ** 2 * A.order * (A.order + len(fiber)),
+           "|B|^2 |A| (|A| + |ker delta|)", max_states)
 
     add_a, neg_a = A.table, A.inverse
     add_b, neg_b = B.table, B.inverse
-    pair_failures = []
-    total_pairs = 0
-    for s, t, ms in onemors:
+    connected_failures, pair_failures, coherence_failures = [], [], []
+    onemorphisms = total_pairs = 0
+    for s, t in itertools.product(units, repeat=2):
+        ms = _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t)
+        onemorphisms += len(ms)
+        if _canonical_1morphism(B, s, t) not in ms:
+            connected_failures.append((unit_key(s), unit_key(t)))
         verified_diffs = {}
-        for m1 in ms:
-            f1, theta1 = m1
-            for m2 in ms:
-                f2, theta2 = m2
-                total_pairs += 1
-                gamma0 = add_a[theta1][neg_a[theta2]]
-                diff = (add_b[f1][neg_b[f2]], gamma0)
-                if diff not in verified_diffs:
-                    # the pastings (gamma + gamma) + theta_2 and theta_1 + gamma
-                    found = [g for g in (add_a[gamma0][k] for k in fiber)
-                             if delta[g] == diff[0]
-                             and add_a[add_a[g][g]][theta2]
-                             == add_a[theta1][g]]
-                    verified_diffs[diff] = (len(found) == 1
-                                            and found[0] == gamma0)
-                if not verified_diffs[diff]:
-                    pair_failures.append((key(s, t, m1), key(s, t, m2)))
-    report.add("exactly one unit 2-morphism per parallel pair",
-               not pair_failures,
-               pair_failures[:3] if pair_failures else
-               f"{total_pairs} parallel pairs")
-
-    coherence_failures = []
-    for s, t, ms in onemors:
+        for m1, m2 in itertools.product(ms, repeat=2):
+            (f1, theta1), (f2, theta2) = m1, m2
+            total_pairs += 1
+            gamma0 = add_a[theta1][neg_a[theta2]]
+            diff = (add_b[f1][neg_b[f2]], gamma0)
+            if diff not in verified_diffs:
+                # the pastings (gamma + gamma) + theta_2 and theta_1 + gamma
+                found = [g for g in (add_a[gamma0][k] for k in fiber)
+                         if delta[g] == diff[0]
+                         and add_a[add_a[g][g]][theta2] == add_a[theta1][g]]
+                verified_diffs[diff] = len(found) == 1 and found[0] == gamma0
+            if not verified_diffs[diff]:
+                pair_failures.append((key(s, t, m1), key(s, t, m2)))
         for m1, m2, m3 in itertools.product(ms[:COHERENCE_BOUND], repeat=3):
             g12 = add_a[m1[1]][neg_a[m2[1]]]
             g23 = add_a[m2[1]][neg_a[m3[1]]]
             if add_a[g12][g23] != add_a[m1[1]][neg_a[m3[1]]]:
                 coherence_failures.append(
                     (key(s, t, m1), key(s, t, m2), key(s, t, m3)))
+    report.add("every unit pair is connected by a unit 1-morphism",
+               not connected_failures, connected_failures[:3] or None)
+    report.add("exactly one unit 2-morphism per parallel pair",
+               not pair_failures,
+               pair_failures[:3] if pair_failures else
+               f"{total_pairs} parallel pairs")
     report.add("vertical composition of unique 2-morphisms is coherent",
                not coherence_failures, coherence_failures[:3] or None)
     report.data["units"] = len(units)
-    report.data["unit 1-morphisms"] = sum(len(ms) for _, _, ms in onemors)
+    report.data["unit 1-morphisms"] = onemorphisms
     return report

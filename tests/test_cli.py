@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unital
-from unital import crossed
+from unital import cech, crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, run
 from unital.specfile import SpecError, parse_spec, print_spec
@@ -31,6 +31,10 @@ CIRCLE_NERVE = {"parts": ["a0", "a1", "a2"],
                     {"parts": ["a0", "a1"], "components": ["c"]},
                     {"parts": ["a1", "a2"], "components": ["c"]},
                     {"parts": ["a0", "a2"], "components": ["c"]}]}
+
+Z2_ZERO = {"kind": "complex2",
+           "groups": {"A": {"inv": [2]}, "B": {"inv": [2]}},
+           "maps": {"lambda": [[0]]}}
 
 # U has two components, so the faces of U n V into U need a containment
 SPLIT_U = {"parts": ["U", "V"],
@@ -265,7 +269,8 @@ class TestCliProcess:
         # |G|^|V0| = 3^3 triples
         assert main(args + ["--max-states", "26"]) == 3
         assert capsys.readouterr().err == \
-            "cap exceeded: triple enumeration exceeds the state cap\n"
+            "cap exceeded: triple enumeration needs 27 states " \
+            "(|G|^|V_0|), above the cap 26\n"
         assert built == []
         assert main(args + ["--max-states", "27"]) == 0
         assert len(built) == 27 + 1  # and (1,1,1)
@@ -333,6 +338,47 @@ class TestCliProcess:
         assert err.startswith("cap exceeded")
         assert "4096" in err
         assert main(args + ["--max-states", "4096"]) == 0
+
+    @pytest.mark.parametrize("command,doc,nerve,cap,message", [
+        ("units", TIMES2, None, 3, "unit scan needs 4 states (|A|^2)"),
+        ("units", THREE_TERM, None, 1, "unit scan needs 2 states (|B|)"),
+        ("contractible", TIMES2, None, 7,
+         "coherence scan needs 8 states (|A|^3)"),
+        ("contractible", THREE_TERM, None, 31, "2-cell verification needs "
+         "32 states (|B|^2 |A| (|A| + |ker delta|))"),
+        ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 4095,
+         "torsor scan needs 4096 states (|A|^|V_1| |B|^|V_0|)"),
+        ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 31, "coboundary quotient "
+         "needs 32 states (|A|^|V_0| per class swept)"),
+        ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 7,
+         "unit-cocycle scan needs 8 states (|A|^|V_0|)"),
+        ("crossed-units", INVERSION, CIRCLE_NERVE, 26,
+         "triple enumeration needs 27 states (|G|^|V_0|)"),
+    ], ids=["units-1", "units-2", "contractible-1", "contractible-2",
+            "torsor", "coboundary", "unit-cocycle", "triples"])
+    def test_every_state_charge_has_one_wording(self, tmp_path, capsys,
+                                                monkeypatch, command, doc,
+                                                nerve, cap, message):
+        phase = message.split(" needs")[0]
+        # on every full nerve the torsor charge bounds the coboundary sweep
+        # and the unit-cocycle scan, so it is lifted to reach them
+        torsor_classes = cech.torsor_classes
+        if phase == "coboundary quotient":
+            monkeypatch.setattr(cech, "torsor_classes",
+                                lambda N, X, max_states:
+                                cech._cocycle_classes(N, X, max_states))
+        elif phase == "unit-cocycle scan":
+            monkeypatch.setattr(cech, "torsor_classes",
+                                lambda N, X, max_states: torsor_classes(N, X))
+        args = [command, "--in", self._write(tmp_path, doc),
+                "--max-states", str(cap)]
+        if nerve:
+            args += ["--nerve", self._write(tmp_path, nerve, "n.json")]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"cap exceeded: {message}, above the cap {cap}\n"
 
     def test_group_order_cap_exit_3(self, tmp_path):
         big = {"kind": "complex2",
@@ -621,12 +667,16 @@ print(json.dumps([code, sorted(
 """
 
 
-def _run_python(*args):
+CLI = "import sys; from unital.cli import main; sys.exit(main())"
+
+
+def _run_python(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
 
 
 def _python(*args):
@@ -642,8 +692,7 @@ def test_huge_json_integer_is_bad_input(tmp_path):
     path = tmp_path / "in.json"
     path.write_text('{"kind": "complex2", "groups": {"A": {"inv": [%s]}}}'
                     % ("9" * 5000))
-    proc = _run_python("-c", "import sys; from unital.cli import main; "
-                       "sys.exit(main())", "homology", "--in", str(path))
+    proc = _run_python("-c", CLI, "homology", "--in", str(path))
     assert "Traceback" not in proc.stderr
     if getattr(sys, "get_int_max_str_digits", lambda: 0)():
         assert proc.returncode == 2
@@ -659,11 +708,42 @@ def test_huge_group_order_is_over_the_cap(tmp_path):
     path = tmp_path / "in.json"
     path.write_text('{"kind": "complex2", "groups": {"A": {"inv": [%s, %s]}}}'
                     % (d, d))
-    proc = _run_python("-c", "import sys; from unital.cli import main; "
-                       "sys.exit(main())", "homology", "--in", str(path))
+    proc = _run_python("-c", CLI, "homology", "--in", str(path))
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "cap exceeded: group of order at least 2^26568 " \
                           "exceeds the cap 256\n"
+
+
+def _assert_output_error(proc, reason):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("output error: ") and reason in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_closed_stdout_pipe_exits_2(tmp_path):
+    # the reader is gone before the report is written; Python ignores
+    # SIGPIPE, so the write raises BrokenPipeError
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(TIMES2))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_python("-c", CLI, "units", "--in", str(path),
+                           stdout=write)
+    finally:
+        os.close(write)
+    _assert_output_error(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_full_stdout_exits_2(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(TIMES2))
+    with open("/dev/full", "w") as full:
+        proc = _run_python("-c", CLI, "units", "--in", str(path), "--json",
+                           stdout=full)
+    _assert_output_error(proc, "No space left on device")
 
 
 def test_cech_classify_on_the_ring_with_order_16_terms(tmp_path):
@@ -681,8 +761,7 @@ def test_cech_classify_on_the_ring_with_order_16_terms(tmp_path):
         "kind": "complex3", "nerve": ring,
         "groups": {"A": inv, "B": inv, "C": inv},
         "maps": {"delta": zero, "lambda": identity}}))
-    proc = _run_python("-c", "import sys; from unital.cli import main; "
-                       "sys.exit(main())", "cech-classify", "--in", str(path),
+    proc = _run_python("-c", CLI, "cech-classify", "--in", str(path),
                        "--json", "--max-states", "0")
     assert proc.returncode == 0 and proc.stderr == ""
     data = json.loads(proc.stdout)["data"]

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from unital.abelian import CapExceeded, FgAbGroup, FinitenessError, GroupHom
+from unital.abelian import (
+    CapExceeded, FgAbGroup, FinitenessError, GroupHom, kernel)
 from unital.cech import cech_nerve, cocycle_of_unit, point_cover
 from unital.complexes import Complex2, Complex3, homology, unit_complex_1
 from unital import point_models
@@ -323,6 +324,46 @@ class TestTensor2AndContractible2:
         for _ in range(8):
             rep = verify_contractible_2(random_complex3(rng, 8))
             assert rep.passed
+
+
+def _level_2_states(X):
+    """|B|^2 |A| (|A| + |ker delta|), on the groups of X: |A|^2 parallel
+    pairs and |A| delta-fiber scans for each of the |B|^2 unit pairs."""
+    a, b = X.A.order(), X.B.order()
+    return b ** 2 * a * (a + kernel(X.delta)[0].order())
+
+
+class TestContractible2Charge:
+    @staticmethod
+    def complexes():
+        rng = random.Random(137)
+        return [model2_example(),  # ker delta = A
+                Complex3(Z4, Z4, Z2, GroupHom(Z4, Z4, [[2]]),
+                         GroupHom(Z4, Z2, [[1]])),  # 0 < ker delta < A
+                Complex3(Z2, Z4, Z2, GroupHom(Z2, Z4, [[2]]),
+                         GroupHom(Z4, Z2, [[1]]))  # ker delta = 0
+                ] + [random_complex3(rng, 8) for _ in range(6)]
+
+    def test_refuses_below_the_exact_count_and_passes_at_it(self):
+        kernels = set()
+        for X in self.complexes():
+            n = _level_2_states(X)
+            with pytest.raises(CapExceeded):
+                verify_contractible_2(X, max_states=n - 1)
+            assert verify_contractible_2(X, max_states=n).passed
+            kernels.add((X.A.order(), kernel(X.delta)[0].order()))
+        assert {(2, 2), (4, 2), (2, 1)} <= kernels
+
+    def test_refusal_lists_no_1morphism(self, monkeypatch):
+        listed, coded = [], point_models._coded_1morphisms
+        monkeypatch.setattr(point_models, "_coded_1morphisms",
+                            lambda *args: listed.append(args) or coded(*args))
+        X = model2_example()
+        with pytest.raises(CapExceeded):
+            verify_contractible_2(X, max_states=_level_2_states(X) - 1)
+        assert listed == []
+        verify_contractible_2(X, max_states=_level_2_states(X))
+        assert len(listed) == 4  # once per ordered pair of the 2 units
 
 
 def _check(report, name):

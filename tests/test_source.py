@@ -87,3 +87,28 @@ def test_records_not_dataclasses():
                 unchecked.append(f"{path.name}:{node.name}")
     assert not imports, f"dataclasses imported in src/unital: {imports}"
     assert not unchecked, f"__post_init__ outside a Record: {unchecked}"
+
+
+def _names_max_states(node):
+    return any(isinstance(n, ast.Name) and n.id == "max_states"
+               or isinstance(n, ast.Attribute) and n.attr == "max_states"
+               for n in ast.walk(node))
+
+
+def test_state_cap_compared_only_in_charge():
+    # one cap policy: every scan hands its count to abelian.charge, so no
+    # other code compares anything with max_states
+    found, in_charge = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        charge = {id(n) for f in tree.body if path.stem == "abelian"
+                  and isinstance(f, ast.FunctionDef) and f.name == "charge"
+                  for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and _names_max_states(node):
+                if id(node) in charge:
+                    in_charge += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"max_states compared outside abelian.charge: {found}"
+    assert in_charge == 1
