@@ -4,7 +4,8 @@
            [--max-states N] [--against idA|idker] [--check-acyclic]
 
 Exit codes: 0 all checks pass, 1 a check failed (the report carries the
-witness), 2 bad input or an unwritable stdout, 3 a state cap was exceeded.
+witness), 2 bad input or an unwritable stdout, 3 a cap was exceeded or
+memory ran out.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def main(argv=None):
         return 2
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # the state cap counts states, not bytes
+        report = None  # the scan's frames are freed once this block ends
+    if report is None:
+        print("cap exceeded: memory", file=sys.stderr)
         return 3
     try:
         print(report.to_json() if args.json else report.to_text())

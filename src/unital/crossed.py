@@ -24,9 +24,11 @@ unit morphism (e1, g1) -> (e2, g2) is
 and units with e = 1 are exactly the kernel of lam.
 
 ``unit_morphism_checks`` verifies this on tables alone, by scanning each
-morphism fiber of lam, and is the one unit-groupoid scan of the library: a
-2-term complex lam: A -> B is the crossed module with trivial action, so
-``point_models.verify_contractible_1`` runs the same scan.
+morphism fiber of lam, and is the one unit-groupoid scan of the library,
+for all three unit structures: a 2-term complex lam: A -> B is the crossed
+module with trivial action, so ``point_models.verify_contractible_1`` runs
+the same scan, and ``verify_contractible_2`` runs it on delta: A -> B,
+whose unit groupoid is each hom-groupoid of the unit 2-groupoid.
 
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
@@ -333,16 +335,19 @@ def _fibers(src, tgt, f):
     return out
 
 
-def unit_morphism_checks(report, G, H, bnd, act, units, key):
-    """Add the two checks that make a unit groupoid contractible.
+def unit_morphism_checks(G, H, bnd, act, units, key):
+    """The failures of the two checks that make a unit groupoid
+    contractible, for the caller to report, and the number of ordered
+    pairs of units with exactly one unit morphism.
 
     ``bnd`` and ``act`` are the boundary array and the action table of a
     crossed module G -> H, ``units`` its units from ``_coded_units``, and
     ``key`` names a unit in witnesses.  Every ordered pair (s, t) must carry
     exactly one unit morphism, found by scanning the fiber of bnd over
-    e_t^-1 e_s, and it must be u = (g_t^(e_t^-1))^-1 (g_s^(e_s^-1)); these
-    morphisms must compose coherently.  Returns the number of pairs with
-    exactly one unit morphism.
+    e_t^-1 e_s, and it must be u = (g_t^(e_t^-1))^-1 (g_s^(e_s^-1)); a pair
+    that fails is listed as (key(s), key(t), the morphisms found).  These
+    morphisms must compose coherently; a triple that fails is listed as
+    (key(s), key(t), key(w)).
     """
     mul, inv, h_mul, h_inv = G.table, G.inverse, H.table, H.inverse
     cols = tuple(zip(*mul))  # cols[b][a] = a * b
@@ -361,9 +366,6 @@ def unit_morphism_checks(report, G, H, bnd, act, units, key):
             morphisms += len(sols) == 1
             if sols != [u]:
                 pair_failures.append((key(s), key(t), sols))
-    report.add("exactly one unit morphism per ordered pair",
-               not pair_failures,
-               pair_failures[:3] or f"{len(units) ** 2} morphisms")
     coherence_failures = []
     for s, to_t in zip(units, unique):
         for t, u_st, to_w in zip(units, to_t, unique):
@@ -374,9 +376,7 @@ def unit_morphism_checks(report, G, H, bnd, act, units, key):
                     (key(s), key(t), key(w))
                     for w, c, u_sw in zip(units, composites, to_t)
                     if c != u_sw)
-    report.add("composition of unique morphisms is coherent",
-               not coherence_failures, coherence_failures[:3] or None)
-    return morphisms
+    return pair_failures, coherence_failures, morphisms
 
 
 def enumerate_units_nonabelian(X: CrossedModule):
@@ -396,8 +396,12 @@ def enumerate_units_nonabelian(X: CrossedModule):
     trivial_e = sorted(g for e, g in units if e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
-    unit_morphism_checks(report, G, H, X.boundary, X.action, units,
-                         lambda unit: unit)
+    pairs, coherence, _ = unit_morphism_checks(
+        G, H, X.boundary, X.action, units, lambda unit: unit)
+    report.add("exactly one unit morphism per ordered pair", not pairs,
+               pairs[:3] or f"{len(units) ** 2} morphisms")
+    report.add("composition of unique morphisms is coherent", not coherence,
+               coherence[:3] or None)
     report.data["units"] = len(units)
     return units, report
 

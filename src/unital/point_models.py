@@ -14,7 +14,11 @@ units and unit morphisms, so level-1 contractibility is
 A 3-term complex A -> B -> C presents a strict Picard 2-groupoid the same
 way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
 {alpha : delta(alpha) = b - b'}.  A unit is a pair (e, phi) with
-lam(phi) = e; morphisms of units carry a filling 2-cell.
+lam(phi) = e; morphisms of units carry a filling 2-cell.  Each
+hom-groupoid of the unit 2-groupoid is the unit groupoid of the 2-term
+complex delta: A -> B, so level-2 contractibility is the same
+``unit_morphism_checks`` scan, run once on delta after the unit
+1-morphisms are checked to be (delta(theta) + phi_s - phi_t, theta).
 
 Orientation of the filling 2-cell: theta runs from the path
 (f tensor f) ; phi_target to the path phi_source ; f, so membership reads
@@ -31,13 +35,12 @@ coded index pairs inside them.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .abelian import charge
 from .complexes import Complex2, Complex3, _require_finite
 from .crossed import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import Report
-
-COHERENCE_BOUND = 12  # unit 1-morphisms per pair in vertical-coherence triples
 
 
 def _pairs(O, S):
@@ -63,6 +66,12 @@ def count_unit_morphisms_1(X: Complex2):
     """The number of ordered pairs of units (s, t) for which
     u = a_phi(s) - a_phi(t) is a unit morphism s -> t: lam(u) = e_s - e_t
     and the unit square commutes."""
+    return units_and_morphism_count_1(X)[1]
+
+
+def units_and_morphism_count_1(X: Complex2):
+    """``enumerate_units_1`` and ``count_unit_morphisms_1`` of X, from one
+    build of the coded tables."""
     A, B, lam = _tables_1(X)
     add, neg = A.table, A.inverse
     units = _coded_units(A, lam)
@@ -74,7 +83,12 @@ def count_unit_morphisms_1(X: Complex2):
             if lam[u] == e_s_plus[B.inverse[e_t]] and \
                     add[a_s][u] == add[add[u][u]][a_t]:
                 count += 1
-    return count
+    return list(map(_pairs(B, A), units)), count
+
+
+def _trivial_action(G, H):
+    """The action table of H on G by the identity."""
+    return tuple((g,) * H.order for g in G.elements())
 
 
 def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
@@ -92,9 +106,12 @@ def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
     A, B, lam = _tables_1(X)
     units = _coded_units(A, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    trivial = tuple((a,) * B.order for a in A.elements())
-    morphisms = unit_morphism_checks(report, A, B, lam, trivial, units,
-                                     _pairs(B, A))
+    pairs, coherence, morphisms = unit_morphism_checks(
+        A, B, lam, _trivial_action(A, B), units, _pairs(B, A))
+    report.add("exactly one unit morphism per ordered pair", not pairs,
+               pairs[:3] or f"{len(units) ** 2} morphisms")
+    report.add("composition of unique morphisms is coherent", not coherence,
+               coherence[:3] or None)
     report.data["units"] = len(units)
     report.data["morphisms"] = morphisms
     return report
@@ -122,11 +139,6 @@ def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
             for theta in theta_fibers[add[add[f][phi_t]][neg[phi_s]]]]
 
 
-def _canonical_1morphism(B, s, t):
-    """(phi_s - phi_t, 0), which is always a unit 1-morphism s -> t."""
-    return B.table[s[1]][B.inverse[t[1]]], 0
-
-
 def enumerate_units_2(X: Complex3):
     """All units (e, phi) as coordinate pairs, in lexicographic order;
     exactly |B| of them."""
@@ -135,74 +147,51 @@ def enumerate_units_2(X: Complex3):
 
 
 def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
-    """Check that the unit 2-groupoid is contractible, exhaustively.
+    """Check that the unit 2-groupoid is contractible, exhaustively, by a
+    checked reduction to level 1.
 
-    Units exist; every ordered pair of units is connected by the unit
-    1-morphism (phi_s - phi_t, 0); every ordered pair of parallel unit
-    1-morphisms carries exactly one unit 2-morphism.  The 2-cell scan runs
-    over the whole delta fiber once per distinct difference class of
-    parallel pairs, which covers every pair: translating a parallel pair
-    leaves its pasting equation literally unchanged.  Vertical-composition
-    coherence is checked on all triples when a morphism set is small, and
-    on the first ``COHERENCE_BOUND`` morphisms otherwise.
-
-    Each of the |B|^2 unit pairs has |im delta| |ker delta| = |A| unit
-    1-morphisms, so a pair is charged its |A|^2 parallel pairs plus one
-    ker(delta) fiber per 1-morphism; the total is charged before any
-    1-morphism is listed.
+    Units exist, every ordered pair of units s, t is connected by the unit
+    1-morphism (phi_s - phi_t, 0), and the unit 1-morphisms s -> t, listed
+    from the fibers, are exactly (delta(theta) + phi_s - phi_t, theta), one
+    per theta in A.  A 2-cell between (., theta_1) and (., theta_2) then
+    solves the equation of a unit morphism between the units
+    (delta(theta_i), theta_i) of delta: A -> B, so one
+    ``unit_morphism_checks`` scan of delta covers every parallel pair of
+    every unit pair, and vertical coherence on every triple.  The listing
+    (|B|^2 |A|), the scan's fibers (|A|^2 |ker delta|) and its coherence
+    triples (|A|^3) are charged before any 1-morphism is listed.
     """
     report = Report("contractibility of the unit 2-groupoid")
     A, B, C, delta, lam = _tables_2(X)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    unit_key = _pairs(C, B)
-
-    def key(s, t, m):  # witness: (source, target, f, theta)
-        return (unit_key(s), unit_key(t), B.coords(m[0]), A.coords(m[1]))
-
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)
-    fiber = theta_fibers[B.identity]  # ker(delta)
+    a = A.order
     charge("2-cell verification",
-           B.order ** 2 * A.order * (A.order + len(fiber)),
-           "|B|^2 |A| (|A| + |ker delta|)", max_states)
-
-    add_a, neg_a = A.table, A.inverse
-    add_b, neg_b = B.table, B.inverse
-    connected_failures, pair_failures, coherence_failures = [], [], []
-    onemorphisms = total_pairs = 0
+           B.order ** 2 * a + a ** 2 * (a + len(theta_fibers[B.identity])),
+           "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
+    add, neg, unit_key = B.table, B.inverse, _pairs(C, B)
+    connected_failures, unlisted, onemorphisms = [], [], 0
     for s, t in itertools.product(units, repeat=2):
         ms = _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t)
         onemorphisms += len(ms)
-        if _canonical_1morphism(B, s, t) not in ms:
+        shift = add[s[1]][neg[t[1]]]  # phi_s - phi_t
+        if (shift, A.identity) not in ms:
             connected_failures.append((unit_key(s), unit_key(t)))
-        verified_diffs = {}
-        for m1, m2 in itertools.product(ms, repeat=2):
-            (f1, theta1), (f2, theta2) = m1, m2
-            total_pairs += 1
-            gamma0 = add_a[theta1][neg_a[theta2]]
-            diff = (add_b[f1][neg_b[f2]], gamma0)
-            if diff not in verified_diffs:
-                # the pastings (gamma + gamma) + theta_2 and theta_1 + gamma
-                found = [g for g in (add_a[gamma0][k] for k in fiber)
-                         if delta[g] == diff[0]
-                         and add_a[add_a[g][g]][theta2] == add_a[theta1][g]]
-                verified_diffs[diff] = len(found) == 1 and found[0] == gamma0
-            if not verified_diffs[diff]:
-                pair_failures.append((key(s, t, m1), key(s, t, m2)))
-        for m1, m2, m3 in itertools.product(ms[:COHERENCE_BOUND], repeat=3):
-            g12 = add_a[m1[1]][neg_a[m2[1]]]
-            g23 = add_a[m2[1]][neg_a[m3[1]]]
-            if add_a[g12][g23] != add_a[m1[1]][neg_a[m3[1]]]:
-                coherence_failures.append(
-                    (key(s, t, m1), key(s, t, m2), key(s, t, m3)))
+        if sorted(ms, key=itemgetter(1)) != \
+                [(add[delta[theta]][shift], theta) for theta in A.elements()]:
+            unlisted.append((unit_key(s), unit_key(t)))
+    # delta's unit (delta(theta), theta) is a 1-morphism s -> s; keyed so
+    pairs, coherence, _ = unit_morphism_checks(
+        A, B, delta, _trivial_action(A, B), _coded_units(A, delta),
+        _pairs(B, A))
+    pairs = unlisted + pairs
     report.add("every unit pair is connected by a unit 1-morphism",
                not connected_failures, connected_failures[:3] or None)
-    report.add("exactly one unit 2-morphism per parallel pair",
-               not pair_failures,
-               pair_failures[:3] if pair_failures else
-               f"{total_pairs} parallel pairs")
+    report.add("exactly one unit 2-morphism per parallel pair", not pairs,
+               pairs[:3] or f"{(B.order * a) ** 2} parallel pairs")
     report.add("vertical composition of unique 2-morphisms is coherent",
-               not coherence_failures, coherence_failures[:3] or None)
+               not coherence, coherence[:3] or None)
     report.data["units"] = len(units)
     report.data["unit 1-morphisms"] = onemorphisms
     return report

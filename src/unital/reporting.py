@@ -64,11 +64,10 @@ def _order(G):
 
 
 def _units_1(report, X, opts):
-    # count_unit_morphisms_1 scans every ordered pair of units
+    # the morphism count scans every ordered pair of units
     charge("unit scan", _order(X.A) ** 2, "|A|^2", opts.max_states)
-    units = point_models.enumerate_units_1(X)
+    units, morphisms = point_models.units_and_morphism_count_1(X)
     report.data["units"] = units
-    morphisms = point_models.count_unit_morphisms_1(X)
     report.data["unique_morphisms"] = morphisms
     report.add("unit count equals |A|", len(units) == X.A.order(), len(units))
     report.add("one morphism per ordered pair", morphisms == len(units) ** 2,

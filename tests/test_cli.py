@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import unital
 from unital import cech, crossed
@@ -344,8 +344,8 @@ class TestCliProcess:
         ("units", THREE_TERM, None, 1, "unit scan needs 2 states (|B|)"),
         ("contractible", TIMES2, None, 7,
          "coherence scan needs 8 states (|A|^3)"),
-        ("contractible", THREE_TERM, None, 31, "2-cell verification needs "
-         "32 states (|B|^2 |A| (|A| + |ker delta|))"),
+        ("contractible", THREE_TERM, None, 23, "2-cell verification needs "
+         "24 states (|B|^2 |A| + |A|^2 (|A| + |ker delta|))"),
         ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 4095,
          "torsor scan needs 4096 states (|A|^|V_1| |B|^|V_0|)"),
         ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 31, "coboundary quotient "
@@ -670,13 +670,13 @@ print(json.dumps([code, sorted(
 CLI = "import sys; from unital.cli import main; sys.exit(main())"
 
 
-def _run_python(*args, stdout=subprocess.PIPE):
+def _run_python(*args, stdout=subprocess.PIPE, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=120)
+                          timeout=120, preexec_fn=preexec_fn)
 
 
 def _python(*args):
@@ -735,6 +735,35 @@ def test_closed_stdout_pipe_exits_2(tmp_path):
     _assert_output_error(proc, "Broken pipe")
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS + [NOT_CROSSED]) | mutated_specs(),
+       st.sampled_from(COMMANDS))
+@example(TIMES2, "units").via("exit 0")
+@example(NOT_CROSSED, "crossed-verify").via("exit 1")
+def test_mutated_inputs_with_a_closed_stdout(tmp_path_factory, doc, command):
+    # a sample of the fuzzer's inputs, each run in process with an open
+    # stdout and then in a fresh process whose stdout pipe has no reader;
+    # nearly every mutated input is bad input, so the unmutated seeds (and
+    # an exit-1 input) are drawn too, to reach the report's write
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--in", str(path), "--json", "--max-states", "64"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_python("-c", CLI, *args, stdout=write)
+    finally:
+        os.close(write)
+    if code in (0, 1):
+        _assert_output_error(proc, "Broken pipe")
+    else:
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs the /dev/full device")
 def test_full_stdout_exits_2(tmp_path):
@@ -744,6 +773,37 @@ def test_full_stdout_exits_2(tmp_path):
         proc = _run_python("-c", CLI, "units", "--in", str(path), "--json",
                            stdout=full)
     _assert_output_error(proc, "No space left on device")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS as Linux enforces it")
+def test_memory_error_exits_3(tmp_path):
+    # --max-states counts states, not bytes.  Under a raised cap, the torsor
+    # scan of Z/48 -1-> Z/48 on the circle keeps its 110,592 cocycles and
+    # peaks near 62 MB of address space; a small homology input runs in
+    # under 20 MB (both measured on Linux, Python 3.11).  The limit is set
+    # in the child only, between fork and exec.
+    import resource
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (40 * 2 ** 20, 40 * 2 ** 20))
+
+    small, big, nerve = (tmp_path / name for name in
+                         ("small.json", "big.json", "nerve.json"))
+    small.write_text(json.dumps(TIMES2))
+    big.write_text(json.dumps({
+        "kind": "complex2", "groups": {"A": {"inv": [48]},
+                                       "B": {"inv": [48]}},
+        "maps": {"lambda": [[1]]}}))
+    nerve.write_text(json.dumps(CIRCLE_NERVE))
+    proc = _run_python("-c", CLI, "homology", "--in", str(small),
+                       preexec_fn=limited)
+    assert proc.returncode == 0 and proc.stderr == ""
+    proc = _run_python("-c", CLI, "cech-classify", "--in", str(big),
+                       "--nerve", str(nerve), "--max-states", str(10 ** 22),
+                       preexec_fn=limited)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (3, "", "cap exceeded: memory\n")
 
 
 def test_cech_classify_on_the_ring_with_order_16_terms(tmp_path):

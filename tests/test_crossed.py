@@ -21,7 +21,6 @@ from unital.crossed import (
     verify_crossed_module,
 )
 from unital.point_models import verify_contractible_1
-from unital.verification import Report
 
 from test_cech import circle_cover
 from test_coded_groups import is_abelian
@@ -322,11 +321,12 @@ class TestUnitScan:
             assert failures and not rep.passed
             pair = rep.checks[2]
             assert not pair.passed and pair.witness == failures[:3]
-            scan = Report("scan")
-            unique = unit_morphism_checks(
-                scan, X.G, X.H, X.boundary, X.action,
-                units, lambda unit: unit)
-            assert scan.checks == rep.checks[2:]
+            pair_failures, coherence_failures, unique = unit_morphism_checks(
+                X.G, X.H, X.boundary, X.action, units, lambda unit: unit)
+            assert pair_failures == failures
+            assert [not pair_failures, not coherence_failures] == \
+                [c.passed for c in rep.checks[2:]]
+            assert coherence_failures[:3] == (rep.checks[3].witness or [])
             assert unique == sum(len(sols) == 1 for _, _, sols, _ in pairs)
 
     def test_trivial_action_module_matches_level_1(self):

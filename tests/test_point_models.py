@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from unital.abelian import (
 from unital.cech import cech_nerve, cocycle_of_unit, point_cover
 from unital.complexes import Complex2, Complex3, homology, unit_complex_1
 from unital import point_models
+from unital.reporting import run
+from unital.specfile import parse_spec
 from unital.point_models import (
     count_unit_morphisms_1,
     enumerate_units_1,
@@ -110,6 +113,19 @@ class TestSaavedraUnits:
 
 
 class TestUnitMorphisms1:
+    def test_units_command_builds_the_coded_tables_once(self, monkeypatch):
+        calls, tables = [], point_models._tables_1
+        monkeypatch.setattr(point_models, "_tables_1",
+                            lambda X: calls.append(X) or tables(X))
+        report = run("units", parse_spec(json.dumps(
+            {"kind": "complex2", "groups": {"A": {"inv": [2]},
+                                            "B": {"inv": [4]}},
+             "maps": {"lambda": [[2]]}})))
+        assert report.passed and len(calls) == 1
+        m = model_times2()
+        assert report.data["units"] == enumerate_units_1(m)
+        assert report.data["unique_morphisms"] == count_unit_morphisms_1(m)
+
     def test_doubling_complex(self):
         m = model_times2()
         s, t = enumerate_units_1(m)
@@ -326,11 +342,77 @@ class TestTensor2AndContractible2:
             assert rep.passed
 
 
+class TestLevel2Reduction:
+    """The reduction behind ``verify_contractible_2``, checked against the
+    brute-force oracles: the unit 1-morphisms s -> t are
+    (delta(theta) + phi_s - phi_t, theta), one per theta, and every
+    hom-groupoid is the unit groupoid of delta."""
+
+    def test_every_pair_and_triple_matches_the_oracles(self):
+        rng = random.Random(139)
+        for _ in range(10):
+            X = random_complex3(rng, 8)
+            rep = verify_contractible_2(X)
+            assert rep.passed
+            A, B, C, delta, lam = point_models._tables_2(X)
+            fibers = (point_models._fibers(B, C, lam),
+                      point_models._fibers(A, B, delta))
+            listed = parallel = 0
+            for s, t in itertools.product(enumerate_units_2(X), repeat=2):
+                ms = oracle_unit_1morphisms(X, s, t)
+                coded = point_models._coded_1morphisms(
+                    B, C, *fibers, (C.index(s[0]), B.index(s[1])),
+                    (C.index(t[0]), B.index(t[1])))
+                assert [(f.coords, theta.coords) for f, theta in ms] == \
+                    [(B.coords(f), A.coords(theta)) for f, theta in coded]
+                shift = X.B.element(s[1]) - X.B.element(t[1])
+                assert sorted((f.coords, theta.coords) for f, theta in ms) \
+                    == sorted(((X.delta(theta) + shift).coords, theta.coords)
+                              for theta in X.A.elements())
+                listed += len(ms)
+                gamma = [[oracle_unit_2morphisms(X, m1, m2) for m2 in ms]
+                         for m1 in ms]
+                for (_, theta1), row in zip(ms, gamma):
+                    assert row == [[theta1 - theta2] for _, theta2 in ms]
+                parallel += len(ms) ** 2
+                # vertical composition on every triple, not a sample
+                n = range(len(ms))
+                assert all(gamma[i][j][0] + gamma[j][k][0] == gamma[i][k][0]
+                           for i in n for j in n for k in n)
+            assert rep.data["unit 1-morphisms"] == listed
+            assert _check(rep, "exactly one unit 2-morphism per parallel "
+                               "pair").witness == f"{parallel} parallel pairs"
+
+    def test_dropped_theta_fails_the_2morphism_check(self, monkeypatch):
+        # Z/2 -2-> Z/4 -1-> Z/2: theta = 1 is the whole delta fiber over 2,
+        # and every unit pair has one unit 1-morphism (f, 1) through it
+        X = Complex3(Z2, Z4, Z2, GroupHom(Z2, Z4, [[2]]),
+                     GroupHom(Z4, Z2, [[1]]))
+        fibers = point_models._fibers
+
+        def dropping(src, tgt, f):
+            out = fibers(src, tgt, f)
+            if (src.order, tgt.order) == (2, 4):  # the fibers of delta
+                out[2].remove(1)
+            return out
+
+        monkeypatch.setattr(point_models, "_fibers", dropping)
+        rep = verify_contractible_2(X)
+        pairs = _check(rep, "exactly one unit 2-morphism per parallel pair")
+        assert not pairs.passed
+        units = enumerate_units_2(X)
+        assert pairs.witness == list(itertools.product(units, repeat=2))[:3]
+        assert [c.name for c in rep.failures] == [pairs.name]
+        assert rep.data["unit 1-morphisms"] == len(units) ** 2
+
+
 def _level_2_states(X):
-    """|B|^2 |A| (|A| + |ker delta|), on the groups of X: |A|^2 parallel
-    pairs and |A| delta-fiber scans for each of the |B|^2 unit pairs."""
+    """|B|^2 |A| + |A|^2 (|A| + |ker delta|), on the groups of X: |A| unit
+    1-morphisms listed for each of the |B|^2 unit pairs, then one scan of
+    delta with a ker(delta) fiber per pair of its units and |A|^3
+    coherence triples."""
     a, b = X.A.order(), X.B.order()
-    return b ** 2 * a * (a + kernel(X.delta)[0].order())
+    return b ** 2 * a + a ** 2 * (a + kernel(X.delta)[0].order())
 
 
 class TestContractible2Charge:
