@@ -7,14 +7,19 @@ contractible structures whose representing complexes, descent cocycles and
 classification groups this package builds and verifies, together with the
 nonabelian crossed-module analogue.
 
-Each layer runs only when first used.  ``complexes``, ``crossed``,
-``point_models`` and ``cech`` are registered as lazy modules, whose bodies
-execute on the first attribute access, and the public names below resolve
-through ``__getattr__``.  So ``homology``, ``unit-complex`` and ``qiso``
-execute ``complexes`` alone; ``units`` and ``contractible`` add
-``point_models`` and ``crossed``; ``crossed-verify`` executes ``crossed``
-alone; ``cech-classify``, ``crossed-units`` and any input with a nerve
-execute ``complexes``, ``crossed`` and ``cech``.
+Each layer runs only when first used.  ``abelian``, ``complexes``,
+``crossed``, ``point_models`` and ``cech`` are registered as lazy modules,
+whose bodies execute on the first attribute access, and the public names
+below resolve through ``__getattr__``.  Every command executes ``cli``,
+``specfile``, ``reporting`` and ``verification``, and these layers on top:
+``homology``, ``unit-complex`` and ``qiso`` execute ``abelian`` and
+``complexes``; ``units`` and ``contractible`` add ``point_models`` and
+``crossed``; ``crossed-verify`` executes ``crossed`` alone;
+``cech-classify``, ``crossed-units`` and any input with a nerve execute
+``abelian``, ``complexes``, ``crossed`` and ``cech``.  An input refused
+before its first abelian group is built executes none of them.  Digests
+use the interpreter's built-in SHA-256 (see ``verification``), so no
+command loads OpenSSL.
 """
 
 import importlib
@@ -26,9 +31,9 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them
 _EXPORTS = {
     "abelian": (
-        "CapExceeded", "FgAbGroup", "FinitenessError", "GroupElem", "GroupHom",
-        "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
-        "kernel", "lift_through", "smith_normal_form", "solve"),
+        "FgAbGroup", "GroupElem", "GroupHom", "cokernel", "direct_sum",
+        "direct_sum_many", "is_isomorphism", "kernel", "lift_through",
+        "smith_normal_form", "solve"),
     "cech": (
         "CocycleError", "Cover", "Nerve", "cech_nerve", "classify_h0",
         "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
@@ -48,7 +53,7 @@ _EXPORTS = {
         "verify_contractible_2"),
     "reporting": ("run",),
     "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
-    "verification": ("Report",),
+    "verification": ("CapExceeded", "FinitenessError", "Report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = tuple(_HOME)
@@ -64,8 +69,8 @@ def _lazy(name):
     return module
 
 
-complexes, crossed, point_models, cech = map(
-    _lazy, ("complexes", "crossed", "point_models", "cech"))
+abelian, complexes, crossed, point_models, cech = map(
+    _lazy, ("abelian", "complexes", "crossed", "point_models", "cech"))
 
 
 def __getattr__(name):

@@ -12,6 +12,13 @@ composition is the matrix product.
 Everything is computed with exact integer arithmetic via the Smith normal
 form; no floating point, no fixed-width overflow.
 
+This is a lazy layer (see ``unital/__init__.py``): every command on a
+complex, and every input with a nerve, executes it, while
+``crossed-verify`` and an input refused before its first group is built
+never do.  The run contract (``CapExceeded``, ``FinitenessError``,
+``charge``, ``MAX_CODED_ORDER``) lives in ``verification`` and is
+re-exported here.
+
 >>> G = FgAbGroup.from_divisors(2, 3)
 >>> str(G)
 'Z/6'
@@ -27,25 +34,9 @@ import itertools
 from math import gcd, lcm, prod
 
 from .record import Record
-
-
-class FinitenessError(ValueError):
-    """An operation that enumerates elements was given an infinite group."""
-
-
-class CapExceeded(RuntimeError):
-    """An exhaustive search would exceed the configured state cap."""
-
-
-def charge(phase, states, formula, max_states):
-    """Admit a scan of ``states`` states, counted by ``formula``, or refuse
-    it before it does the work: the one place a count meets the cap."""
-    if states > max_states:
-        raise CapExceeded(f"{phase} needs {states} states ({formula}), "
-                          f"above the cap {max_states}")
-
-
-MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
+# the run contract: abelian raises FinitenessError and re-exports the rest
+from .verification import (
+    MAX_CODED_ORDER, CapExceeded, FinitenessError, charge)
 
 
 # --------------------------------------------------------------------------

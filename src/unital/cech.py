@@ -42,12 +42,12 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .abelian import (
-    CapExceeded, FgAbGroup, GroupHom, _with_relations, charge, direct_sum,
-    solve, subquotient)
+    FgAbGroup, GroupHom, _with_relations, direct_sum, solve, subquotient)
 from .complexes import (
     Complex2, _require_finite, _unit_complex_2, unit_complex_1)
 from .crossed import _coded, _fibers
 from .record import Record
+from .verification import CapExceeded, charge
 
 TOP_LEVEL = 3
 MAX_CELLS_PER_LEVEL = 64

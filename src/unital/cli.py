@@ -14,9 +14,9 @@ import argparse
 import os
 import sys
 
-from .abelian import CapExceeded, FinitenessError
 from .reporting import COMMANDS, run
 from .specfile import SpecError, load_json, parse_spec, _parse_cover
+from .verification import CapExceeded, FinitenessError
 
 
 def _state_cap(text):

@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 
 from .abelian import (
     FgAbGroup,
-    FinitenessError,
     GroupElem,
     GroupHom,
     LinearSolver,
@@ -37,6 +36,7 @@ from .abelian import (
     solve,
 )
 from .record import Record
+from .verification import FinitenessError
 
 _TRIVIAL = FgAbGroup.trivial()
 

@@ -57,9 +57,8 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .abelian import MAX_CODED_ORDER, CapExceeded, charge
 from .record import Record
-from .verification import Report
+from .verification import MAX_CODED_ORDER, CapExceeded, Report, charge
 
 MAX_GROUP_ORDER = 64
 

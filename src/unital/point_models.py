@@ -37,10 +37,9 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .abelian import charge
 from .complexes import Complex2, Complex3, _require_finite
 from .crossed import _coded, _coded_units, _fibers, unit_morphism_checks
-from .verification import Report
+from .verification import Report, charge
 
 
 def _pairs(O, S):

@@ -11,14 +11,12 @@ handler that fills the report for that kind.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from types import SimpleNamespace
 
 from . import cech, complexes, crossed, point_models
-from .abelian import MAX_CODED_ORDER, CapExceeded, charge
 from .specfile import ComplexSpecFile, SpecError
-from .verification import Report
+from .verification import MAX_CODED_ORDER, CapExceeded, Report, charge, sha256
 
 
 def _check_caps(spec):
@@ -204,8 +202,8 @@ def run(command, spec: ComplexSpecFile, cover=None, max_states=10 ** 7,
         raise SpecError(f"kind: command {command!r} needs one of "
                         f"{tuple(handlers)}, got {spec.kind!r}")
     started = time.monotonic()
-    report = Report(command,
-                    hashlib.sha256(spec.canonical_text().encode()).hexdigest())
+    digest = sha256(spec.canonical_text().encode()).hexdigest()
+    report = Report(command, digest)
     handlers[spec.kind](report, spec.payload, SimpleNamespace(
         cover=cover or spec.cover, max_states=max_states, against=against,
         check_acyclic=check_acyclic))

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 
-from . import cech, complexes, crossed
-from .abelian import CapExceeded, FgAbGroup, GroupHom
+from . import abelian, cech, complexes, crossed
 from .record import Record
+from .verification import CapExceeded
 
 SCHEMA = "unital/1"
 KINDS = ("complex2", "complex3", "crossed_module")
@@ -68,7 +68,7 @@ def _parse_group(doc, path):
     if not _is_int(free) or free < 0:
         raise SpecError(f"{path}.free: expected a nonnegative integer")
     try:
-        G = FgAbGroup(tuple(inv), free)
+        G = abelian.FgAbGroup(tuple(inv), free)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
     if G.ngens > MAX_GENERATORS:
@@ -90,7 +90,7 @@ def _parse_hom(mat, src, tgt, path):
     if len(rows) != tgt.ngens or any(len(r) != src.ngens for r in rows):
         raise SpecError(f"{path}: matrix must be {tgt.ngens} x {src.ngens}")
     try:
-        return GroupHom(src, tgt, rows)
+        return abelian.GroupHom(src, tgt, rows)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 

@@ -1,4 +1,4 @@
-"""Pass/fail reports, for the library's exhaustive checks and for commands.
+"""Pass/fail reports and the run contract every command shares.
 
 A report is an ordered list of named checks; a failed check carries a
 witness (a counterexample, or whatever identifies the violation).  A
@@ -6,14 +6,50 @@ command report adds the digest of its canonicalized input and result
 data.  Reports are deterministic for a fixed input: check order is fixed
 and witnesses use the library's canonical enumeration order.  Everything
 except the timing field enters the report digest.
+
+Digests are SHA-256 from the interpreter's built-in module (``_sha2``, or
+``_sha256`` before Python 3.12), so no verdict process loads OpenSSL;
+``hashlib``, which does, is the fallback only where neither exists.  The
+values are those of ``hashlib.sha256`` either way.
+
+The run contract lives here too, so that a command which builds no abelian
+group never executes ``abelian``: the two refusals a command maps to exit
+codes (``FinitenessError``, exit 2, and ``CapExceeded``, exit 3), the
+state-cap gate ``charge`` and the table-coding cap ``MAX_CODED_ORDER``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .record import Record
+
+try:  # hashlib is heavy to load: its _hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+
+class FinitenessError(ValueError):
+    """An operation that enumerates elements was given an infinite group."""
+
+
+class CapExceeded(RuntimeError):
+    """An exhaustive search would exceed the configured state cap."""
+
+
+def charge(phase, states, formula, max_states):
+    """Admit a scan of ``states`` states, counted by ``formula``, or refuse
+    it before it does the work: the one place a count meets the cap."""
+    if states > max_states:
+        raise CapExceeded(f"{phase} needs {states} states ({formula}), "
+                          f"above the cap {max_states}")
+
+
+MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
 
 
 class Check(Record):
@@ -71,7 +107,7 @@ class Report:
 
     def digest(self):
         text = json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return sha256(text.encode()).hexdigest()
 
     def to_json(self):
         out = self.body()

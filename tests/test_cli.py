@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 import unital
 from unital import cech, crossed
 from unital.cli import main
-from unital.reporting import COMMANDS, run
+from unital.reporting import COMMANDS, HANDLERS, run
 from unital.specfile import SpecError, parse_spec, print_spec
+from unital.verification import sha256
 
 TIMES2 = {"kind": "complex2",
           "groups": {"A": {"inv": [2]}, "B": {"inv": [4]}},
@@ -630,10 +632,43 @@ def mutated_specs(draw):
     return doc
 
 
-@settings(max_examples=400, deadline=None)
-@given(mutated_specs(), st.sampled_from(COMMANDS))
-def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, doc,
-                                                    command):
+def _value_slots(doc):
+    """The paths of the integers a valid input of doc's shape may vary,
+    each with the range of values to draw: invariant factors and free
+    ranks, map entries, group-table entries, and boundary and action
+    indices (boundary[g] is in H, action[g][h] in G)."""
+    order = {key: len(doc[key]["table"]) for key in ("G", "H") if key in doc}
+    ranges = {"inv": (0, 12), "free": (0, 2), "maps": (-4, 8),
+              "G": (0, order.get("G", 1) - 1),
+              "H": (0, order.get("H", 1) - 1),
+              "boundary": (0, order.get("H", 1) - 1),
+              "action": (0, order.get("G", 1) - 1)}
+    for path in _paths(doc):
+        if not path or path[0] == "nerve":
+            continue
+        value = doc
+        for key in path:
+            value = value[key]
+        if isinstance(value, int):
+            yield path, ranges[path[2] if path[0] == "groups" else path[0]]
+
+
+@st.composite
+def value_mutated_specs(draw):
+    """A seed document with one or two of its values (``_value_slots``)
+    redrawn, and a command that accepts its kind: the shape stays valid,
+    so most inputs reach the command's handler."""
+    doc = draw(st.sampled_from(FUZZ_SEEDS))
+    command = draw(st.sampled_from([c for c in COMMANDS
+                                    if doc["kind"] in HANDLERS[c]]))
+    slots = list(_value_slots(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        path, (low, high) = draw(st.sampled_from(slots))
+        doc = _replaced(doc, path, draw(st.integers(low, high)))
+    return doc, command
+
+
+def _assert_exit_code_contract(tmp_path_factory, doc, command):
     path = tmp_path_factory.mktemp("fuzz") / "in.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -648,11 +683,27 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, doc,
     assert (err.getvalue() == "") == (code in (0, 1))
 
 
+@settings(max_examples=400, deadline=None)
+@given(mutated_specs(), st.sampled_from(COMMANDS))
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory, doc,
+                                                    command):
+    _assert_exit_code_contract(tmp_path_factory, doc, command)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value_mutated_specs())
+def test_value_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory,
+                                                          doc_and_command):
+    # mutated_specs() reaches a handler in about 1% of its examples; these
+    # keep the input's shape, so most reach one
+    _assert_exit_code_contract(tmp_path_factory, *doc_and_command)
+
+
 # --------------------------------------------------------------------------
 # which modules a command executes
 
 ROOT = Path(__file__).resolve().parent.parent
-LAZY = {"cech", "complexes", "crossed", "point_models"}
+LAZY = {"abelian", "cech", "complexes", "crossed", "point_models"}
 # run cli.main, then print the unital modules whose bodies have executed
 # (a lazy module becomes a plain module when it executes)
 EXECUTED = """
@@ -840,13 +891,13 @@ def test_perfbench_micro_runs_on_the_library(tmp_path):
 
 
 @pytest.mark.parametrize("command,doc,code,executed", [
-    ("homology", TIMES2, 0, {"complexes"}),
+    ("homology", TIMES2, 0, {"abelian", "complexes"}),
     ("crossed-verify", INVERSION, 0, {"crossed"}),
     ("units", '{"kind": "compl', 2, set()),
-    ("units", TIMES2, 0, {"complexes", "crossed", "point_models"}),
-    ("cech-classify", TIMES2, 0, {"cech", "complexes", "crossed"}),
+    ("units", TIMES2, 0, {"abelian", "complexes", "crossed", "point_models"}),
+    ("cech-classify", TIMES2, 0, {"abelian", "cech", "complexes", "crossed"}),
     ("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
-     {"cech", "complexes", "crossed"})],
+     {"abelian", "cech", "complexes", "crossed"})],
     ids=["homology", "crossed-verify", "truncated", "units", "cech-classify",
          "crossed-units-circle"])
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
@@ -872,16 +923,53 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 @pytest.mark.parametrize("command,doc", [
     ("homology", TIMES2), ("units", TIMES2),
-    ("cech-classify", dict(TIMES2, nerve=CIRCLE_NERVE))],
-    ids=["homology", "units", "cech-classify-circle"])
+    ("cech-classify", dict(TIMES2, nerve=CIRCLE_NERVE)),
+    ("crossed-verify", INVERSION),
+    ("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE))],
+    ids=["homology", "units", "cech-classify-circle", "crossed-verify",
+         "crossed-units-circle"])
 def test_command_imports_no_dataclasses(tmp_path, command, doc):
-    # dataclasses, and the inspect it imports, cost 20-40 ms of start-up
+    # dataclasses, and the inspect it imports, cost 20-40 ms of start-up;
+    # hashlib loads OpenSSL through _hashlib, about 3.5 MB of peak RSS
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     code, modules = json.loads(
         _python("-c", IMPORTED, command, "--in", str(path)))
     assert code == 0
-    assert not {"dataclasses", "inspect"} & set(modules)
+    assert not {"dataclasses", "inspect", "hashlib", "_hashlib"} \
+        & set(modules)
+
+
+# the same run, with the built-in SHA-256 modules blocked
+WITHOUT_BUILTIN_SHA = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from unital.cli import main
+code = main(sys.argv[1:])
+print("hashlib" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("units", TIMES2), ("crossed-verify", INVERSION)],
+    ids=["units", "crossed-verify"])
+def test_hashlib_fallback_gives_the_same_digests(tmp_path, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    args = (command, "--in", str(path), "--json")
+    report = json.loads(_python("-c", CLI, *args))
+    *lines, fell_back = _python("-c", WITHOUT_BUILTIN_SHA, *args).splitlines()
+    assert fell_back == "True"
+    fallback = json.loads("\n".join(lines))
+    assert report["report_digest"] == fallback["report_digest"]
+    assert report["input_digest"] == fallback["input_digest"]
+
+
+@given(st.text())
+def test_sha256_is_hashlibs(text):
+    data = text.encode()
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_tracer_finds_every_module_it_wraps(tmp_path):

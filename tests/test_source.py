@@ -25,7 +25,7 @@ def test_no_assert_statements():
 def test_no_name_imports_from_lazy_modules():
     # `from .cech import x` executes cech; the modules every command
     # imports bind the lazy ones as modules and look names up when called
-    lazy = {"cech", "complexes", "crossed", "point_models"}
+    lazy = {"abelian", "cech", "complexes", "crossed", "point_models"}
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py")) if path.stem not in lazy
              for node in ast.parse(path.read_text(), str(path)).body
@@ -49,12 +49,14 @@ def _imported_modules(path):
 
 
 def test_lazy_modules_import_only_lower_layers():
-    # complexes and crossed import no lazy module, and cech and
-    # point_models only those two: so a nerve input never executes
-    # point_models, and the units commands never execute cech
-    allowed = {"complexes": set(), "crossed": set(),
-               "cech": {"complexes", "crossed"},
-               "point_models": {"complexes", "crossed"}}
+    # abelian and crossed import no lazy module, complexes only abelian,
+    # and cech and point_models only those three: so a nerve input never
+    # executes point_models, the units commands never execute cech, and
+    # crossed-verify never executes abelian
+    allowed = {"abelian": set(), "crossed": set(),
+               "complexes": {"abelian"},
+               "cech": {"abelian", "complexes", "crossed"},
+               "point_models": {"abelian", "complexes", "crossed"}}
     found = [f"{stem} imports {module}" for stem, ok in allowed.items()
              for module in set(_imported_modules(SRC / f"{stem}.py"))
              & set(allowed) - ok]
@@ -96,12 +98,12 @@ def _names_max_states(node):
 
 
 def test_state_cap_compared_only_in_charge():
-    # one cap policy: every scan hands its count to abelian.charge, so no
-    # other code compares anything with max_states
+    # one cap policy: every scan hands its count to verification.charge,
+    # so no other code compares anything with max_states
     found, in_charge = [], 0
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        charge = {id(n) for f in tree.body if path.stem == "abelian"
+        charge = {id(n) for f in tree.body if path.stem == "verification"
                   and isinstance(f, ast.FunctionDef) and f.name == "charge"
                   for n in ast.walk(f)}
         for node in ast.walk(tree):
@@ -110,5 +112,6 @@ def test_state_cap_compared_only_in_charge():
                     in_charge += 1
                 else:
                     found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"max_states compared outside abelian.charge: {found}"
+    assert not found, \
+        f"max_states compared outside verification.charge: {found}"
     assert in_charge == 1
