@@ -7,19 +7,23 @@ contractible structures whose representing complexes, descent cocycles and
 classification groups this package builds and verifies, together with the
 nonabelian crossed-module analogue.
 
-Each layer runs only when first used.  ``abelian``, ``complexes``,
-``crossed``, ``point_models`` and ``cech`` are registered as lazy modules,
-whose bodies execute on the first attribute access, and the public names
-below resolve through ``__getattr__``.  Every command executes ``cli``,
+Each layer runs only when first used.  ``groups`` (elements,
+homomorphisms and complexes as values), ``tables`` (table-coded groups
+and the unit-groupoid scan), ``abelian`` (Smith forms, kernels, direct
+sums), ``complexes`` (homology, models, unit complexes), ``crossed``,
+``point_models`` and ``cech`` are registered as lazy modules, whose
+bodies execute on the first attribute access, and the public names below
+resolve through ``__getattr__``.  Every command executes ``cli``,
 ``specfile``, ``reporting`` and ``verification``, and these layers on top:
-``homology``, ``unit-complex`` and ``qiso`` execute ``abelian`` and
-``complexes``; ``units`` and ``contractible`` add ``point_models`` and
-``crossed``; ``crossed-verify`` executes ``crossed`` alone;
-``cech-classify``, ``crossed-units`` and any input with a nerve execute
-``abelian``, ``complexes``, ``crossed`` and ``cech``.  An input refused
-before its first abelian group is built executes none of them.  Digests
-use the interpreter's built-in SHA-256 (see ``verification``), so no
-command loads OpenSSL.
+``units`` and ``contractible`` execute ``groups``, ``tables`` and
+``point_models``; ``homology``, ``unit-complex`` and ``qiso`` execute
+``groups``, ``abelian`` and ``complexes``; ``crossed-verify`` executes
+``tables`` and ``crossed``; ``crossed-units`` adds ``cech`` for its nerve;
+``cech-classify`` executes ``groups``, ``tables``, ``abelian``,
+``complexes`` and ``cech``.  An input with a nerve adds ``cech`` and
+``tables``; one refused before its first group is built executes none.
+Digests use the interpreter's built-in SHA-256 (see ``verification``), so
+no command loads OpenSSL.
 """
 
 import importlib
@@ -31,28 +35,28 @@ __version__ = "0.1.0"
 # the public names, by the module that defines them
 _EXPORTS = {
     "abelian": (
-        "FgAbGroup", "GroupElem", "GroupHom", "cokernel", "direct_sum",
-        "direct_sum_many", "is_isomorphism", "kernel", "lift_through",
-        "smith_normal_form", "solve"),
+        "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
+        "kernel", "lift_through", "smith_normal_form", "solve"),
     "cech": (
         "CocycleError", "Cover", "Nerve", "cech_nerve", "classify_h0",
         "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
         "unit_cocycles", "unit_of_cocycle"),
     "complexes": (
-        "Complex2", "Complex3", "StrictMorphism", "cone", "cone_comparison",
-        "forgetful_morphism_1", "forgetful_morphism_2", "homology",
-        "identity_model", "is_acyclic",
+        "StrictMorphism", "cone", "cone_comparison", "forgetful_morphism_1",
+        "forgetful_morphism_2", "homology", "identity_model", "is_acyclic",
         "is_quasi_isomorphism", "kernel_model", "kernel_sum_model",
         "sum_model", "truncate_shift", "unit_complex_1", "unit_complex_2"),
     "crossed": (
-        "CrossedModule", "FiniteGroup", "enumerate_units_nonabelian",
-        "h0_group_law", "pi0_order", "pi1_order", "unit_crossed_module",
+        "CrossedModule", "enumerate_units_nonabelian", "h0_group_law",
+        "pi0_order", "pi1_order", "unit_crossed_module",
         "verify_crossed_module"),
+    "groups": ("Complex2", "Complex3", "FgAbGroup", "GroupElem", "GroupHom"),
     "point_models": (
         "enumerate_units_1", "enumerate_units_2", "verify_contractible_1",
         "verify_contractible_2"),
     "reporting": ("run",),
     "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
+    "tables": ("FiniteGroup",),
     "verification": ("CapExceeded", "FinitenessError", "Report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -69,8 +73,9 @@ def _lazy(name):
     return module
 
 
-abelian, complexes, crossed, point_models, cech = map(
-    _lazy, ("abelian", "complexes", "crossed", "point_models", "cech"))
+groups, tables, abelian, complexes, crossed, point_models, cech = map(
+    _lazy, ("groups", "tables", "abelian", "complexes", "crossed",
+            "point_models", "cech"))
 
 
 def __getattr__(name):

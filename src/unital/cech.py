@@ -41,11 +41,9 @@ from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .abelian import (
-    FgAbGroup, GroupHom, _with_relations, direct_sum, solve, subquotient)
-from .complexes import (
-    Complex2, _require_finite, _unit_complex_2, unit_complex_1)
-from .crossed import _coded, _fibers
+# bound as modules: a nerve alone, as crossed-units needs it, executes none
+from . import abelian, complexes, groups
+from .tables import _coded, _fibers
 from .record import Record
 from .verification import CapExceeded, charge
 
@@ -253,7 +251,7 @@ class TorsorClasses(NamedTuple):
     representatives: list
 
 
-def _cocycle_classes(nerve, X: Complex2, max_states):
+def _cocycle_classes(nerve, X: groups.Complex2, max_states):
     """Every torsor cocycle (a, b) of X, labelled by its class.
 
     b runs over B(V_0), a over the lam-fiber of d0*(b) - d1*(b) on each V_1
@@ -296,14 +294,14 @@ def _cocycle_classes(nerve, X: Complex2, max_states):
     return reps, label, tables
 
 
-def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
+def torsor_classes(nerve: Nerve, X: groups.Complex2, max_states=10 ** 7):
     """Classes of torsor cocycles (a, b) modulo re-choice of sections.
 
     Exhaustive on the coded tables (``_cocycle_classes``), charged the
     full candidate product |A|^|V_1| |B|^|V_0| up front.  Representatives
     are the smallest members of their classes, as coded pairs (a, b).
     """
-    _require_finite(X, "torsor enumeration")
+    groups._require_finite(X, "torsor enumeration")
     n0, n1 = len(nerve.level(0)), len(nerve.level(1))
     charge("torsor scan", X.A.order() ** n1 * X.B.order() ** n0,
            "|A|^|V_1| |B|^|V_0|", max_states)
@@ -311,7 +309,7 @@ def torsor_classes(nerve: Nerve, X: Complex2, max_states=10 ** 7):
     return TorsorClasses(len(reps), reps)
 
 
-def unit_cocycles(nerve: Nerve, U: Complex2, max_states=10 ** 7):
+def unit_cocycles(nerve: Nerve, U: groups.Complex2, max_states=10 ** 7):
     """All unit cocycles of X modulo coboundaries, scanned on its unit
     complex U = ``unit_complex_1(X)[0]``.
 
@@ -325,7 +323,7 @@ def unit_cocycles(nerve: Nerve, U: Complex2, max_states=10 ** 7):
     pair (a, u), and the group the classes form under pointwise tensor
     (expected: trivial).
     """
-    _require_finite(U, "unit-cocycle enumeration")
+    groups._require_finite(U, "unit-cocycle enumeration")
     states = U.A.order() ** len(nerve.level(0))
     charge("unit-cocycle scan", states, "|A|^|V_0|", max_states)
     reps, label, tables = _cocycle_classes(nerve, U, max_states)
@@ -363,7 +361,7 @@ def _group_from_orders(orders):
             for i in range(r):
                 divisors[i] *= p
         p += 1
-    return FgAbGroup.from_divisors(*divisors)
+    return groups.FgAbGroup.from_divisors(*divisors)
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +492,7 @@ class _SparseMap:
                     self.cols[j].discard(x)
 
 
-def classify_h0(nerve: Nerve, X) -> FgAbGroup:
+def classify_h0(nerve: Nerve, X) -> groups.FgAbGroup:
     """Total-degree-0 cocycles modulo coboundaries, as a canonical group.
 
     On block coordinates this is {x : D0 x in R1} / (im D-1 + R0), with R0
@@ -509,8 +507,8 @@ def classify_h0(nerve: Nerve, X) -> FgAbGroup:
     ``subquotient``.  For the unit complex of any coefficient complex the
     group is trivial; that is the classification form of contractibility.
     """
-    _require_finite(X, "classification")
-    return subquotient(*_reduced_piece(X, nerve))[0]
+    groups._require_finite(X, "classification")
+    return abelian.subquotient(*_reduced_piece(X, nerve))[0]
 
 
 def _reduced_piece(X, nerve):
@@ -543,11 +541,11 @@ def _unit_frame(X):
     phi lies in the structure group S and e in the object group O, which
     are A and B for a 2-term X and B and C for a 3-term one.
     """
-    if isinstance(X, Complex2):
-        (U, emb), S, O = unit_complex_1(X), X.A, X.B
+    if isinstance(X, groups.Complex2):
+        (U, emb), S, O = complexes.unit_complex_1(X), X.A, X.B
     else:
-        (U, emb), S, O = _unit_complex_2(X), X.B, X.C
-    return U, emb, direct_sum(S, O)[1:]
+        (U, emb), S, O = complexes._unit_complex_2(X), X.B, X.C
+    return U, emb, abelian.direct_sum(S, O)[1:]
 
 
 def cocycle_of_unit(X, unit, nerve: Nerve):
@@ -560,8 +558,8 @@ def cocycle_of_unit(X, unit, nerve: Nerve):
     """
     e, phi = unit
     U, emb, (inj_s, inj_o, _, _) = _unit_frame(X)
-    point = solve(emb, inj_s(inj_s.source.element(phi))
-                  + inj_o(inj_o.source.element(e)))
+    point = abelian.solve(emb, inj_s(inj_s.source.element(phi))
+                          + inj_o(inj_o.source.element(e)))
     if point is None:
         raise ValueError("not a unit: lam(phi) != e")
     point = point.coords
@@ -600,11 +598,12 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     target = [y - z for y, z in zip(x, cocycle_of_unit(X, unit, nerve))]
     # D-1 w + r = target with r in R0, an exact solve over the integers:
     # w then r are the coordinates of a free source
-    source = FgAbGroup.free(len(lm1.orders) + sum(map(bool, l0.orders)))
-    ambient = FgAbGroup.free(len(l0.orders))
-    w = solve(GroupHom(source, ambient, _with_relations(
+    free = groups.FgAbGroup.free
+    source = free(len(lm1.orders) + sum(map(bool, l0.orders)))
+    ambient = free(len(l0.orders))
+    w = abelian.solve(groups.GroupHom(source, ambient, abelian._with_relations(
         _dense(d_low, range(len(lm1.orders))), l0.orders)),
-              ambient.element(target))
+        ambient.element(target))
     if w is None:
         raise CocycleError("cocycle is not cohomologous to a constant")
     return unit, list(w.coords[:len(lm1.orders)])

@@ -16,6 +16,9 @@ truncate_shift(cone(id)) ~ unit_complex_1.
 
 Sign convention for the cone of f: X -> Y: in degree n the term is
 X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
+
+``Complex2`` and ``Complex3`` live in ``groups``; ``homology``,
+``unit-complex``, ``qiso`` and ``cech-classify`` execute this lazy layer.
 """
 
 from __future__ import annotations
@@ -24,104 +27,17 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .abelian import (
-    FgAbGroup,
-    GroupElem,
-    GroupHom,
     LinearSolver,
     cokernel,
     direct_sum,
     is_isomorphism,
     kernel,
     lift_through,
-    solve,
 )
+# the complexes are values of the element layer, re-exported here
+from .groups import (
+    Complex2, Complex3, FgAbGroup, GroupElem, GroupHom, _TRIVIAL)
 from .record import Record
-from .verification import FinitenessError
-
-_TRIVIAL = FgAbGroup.trivial()
-
-
-class Complex2(Record):
-    """A -> B in degrees -1, 0."""
-
-    A: FgAbGroup
-    B: FgAbGroup
-    lam: GroupHom
-
-    def __post_init__(self):
-        if self.lam.source != self.A or self.lam.target != self.B:
-            raise ValueError("differential endpoints do not match the terms")
-
-    @property
-    def degrees(self):
-        return (-1, 0)
-
-    def group_at(self, degree):
-        if degree == -1:
-            return self.A
-        if degree == 0:
-            return self.B
-        raise ValueError(f"degree {degree} out of range")
-
-    def differential(self, degree):
-        """The map leaving the given degree (zero map out of degree 0)."""
-        if degree == -1:
-            return self.lam
-        if degree == 0:
-            return GroupHom.zero(self.B, _TRIVIAL)
-        raise ValueError(f"degree {degree} out of range")
-
-    def __str__(self):
-        return f"[{self.A} -> {self.B}]"
-
-
-class Complex3(Record):
-    """A -> B -> C in degrees -2, -1, 0 with lam . delta = 0."""
-
-    A: FgAbGroup
-    B: FgAbGroup
-    C: FgAbGroup
-    delta: GroupHom
-    lam: GroupHom
-
-    def __post_init__(self):
-        if self.delta.source != self.A or self.delta.target != self.B:
-            raise ValueError("delta endpoints do not match the terms")
-        if self.lam.source != self.B or self.lam.target != self.C:
-            raise ValueError("lam endpoints do not match the terms")
-        if not self.lam.compose(self.delta).is_zero_hom:
-            raise ValueError("not a complex: lam . delta != 0")
-
-    @property
-    def degrees(self):
-        return (-2, -1, 0)
-
-    def group_at(self, degree):
-        if degree == -2:
-            return self.A
-        if degree == -1:
-            return self.B
-        if degree == 0:
-            return self.C
-        raise ValueError(f"degree {degree} out of range")
-
-    def differential(self, degree):
-        if degree == -2:
-            return self.delta
-        if degree == -1:
-            return self.lam
-        if degree == 0:
-            return GroupHom.zero(self.C, _TRIVIAL)
-        raise ValueError(f"degree {degree} out of range")
-
-    def __str__(self):
-        return f"[{self.A} -> {self.B} -> {self.C}]"
-
-
-def _require_finite(X, scan):
-    """FinitenessError, naming the scan, unless every term of X is finite."""
-    if not all(X.group_at(d).is_finite for d in X.degrees):
-        raise FinitenessError(f"{scan} needs finite groups")
 
 
 def _incoming(X, degree):

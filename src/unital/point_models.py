@@ -9,7 +9,7 @@ lam(a) = e_s - e_t whose square commutes: a_phi(s) + a = a + a + a_phi(t).
 
 Read as a crossed module with trivial action, lam: A -> B has the same
 units and unit morphisms, so level-1 contractibility is
-``crossed.unit_morphism_checks`` on the coded tables.
+``tables.unit_morphism_checks`` on the coded tables.
 
 A 3-term complex A -> B -> C presents a strict Picard 2-groupoid the same
 way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
@@ -25,11 +25,12 @@ Orientation of the filling 2-cell: theta runs from the path
 delta(theta) = f + phi_target - phi_source.  Both pastings are re-evaluated
 independently wherever a 2-cell equation is used, which pins this sign.
 
-Exhaustive loops run on table-coded groups (``crossed.FiniteGroup``):
+Exhaustive loops run on table-coded groups (``tables.FiniteGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
 negation are lookups, and each map is an array of image indices.  Units
 leave the scans as coordinate pairs (e, phi); morphisms exist only as
-coded index pairs inside them.
+coded index pairs inside them.  This lazy layer executes ``groups`` and
+``tables`` only, never the Smith forms, homology or crossed modules.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .complexes import Complex2, Complex3, _require_finite
-from .crossed import _coded, _coded_units, _fibers, unit_morphism_checks
+from .groups import Complex2, Complex3, _require_finite
+from .tables import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import Report, charge
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from . import abelian, cech, complexes, crossed
+from . import cech, crossed, groups, tables
 from .record import Record
 from .verification import CapExceeded
 
@@ -68,7 +68,7 @@ def _parse_group(doc, path):
     if not _is_int(free) or free < 0:
         raise SpecError(f"{path}.free: expected a nonnegative integer")
     try:
-        G = abelian.FgAbGroup(tuple(inv), free)
+        G = groups.FgAbGroup(tuple(inv), free)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
     if G.ngens > MAX_GENERATORS:
@@ -90,7 +90,7 @@ def _parse_hom(mat, src, tgt, path):
     if len(rows) != tgt.ngens or any(len(r) != src.ngens for r in rows):
         raise SpecError(f"{path}: matrix must be {tgt.ngens} x {src.ngens}")
     try:
-        return abelian.GroupHom(src, tgt, rows)
+        return groups.GroupHom(src, tgt, rows)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 
@@ -139,7 +139,7 @@ def _optional_list(doc, key, path):
 def _parse_finite_group(doc, path):
     table = _parse_matrix(_need(doc, "table", path, list), f"{path}.table")
     try:
-        return crossed.FiniteGroup(table, doc.get("name", "G"))
+        return tables.FiniteGroup(table, doc.get("name", "G"))
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 
@@ -179,28 +179,28 @@ def parse_spec(text) -> ComplexSpecFile:
             if not isinstance(val, dict):
                 raise SpecError(f"{key}: expected an object")
         names = ("A", "B") if kind == "complex2" else ("A", "B", "C")
-        groups = {n: _parse_group(groups_doc.get(n, {}), f"groups.{n}")
-                  for n in names}
+        terms = {n: _parse_group(groups_doc.get(n, {}), f"groups.{n}")
+                 for n in names}
         if kind == "complex2":
-            lam = _parse_hom(maps_doc.get("lambda", _zero(groups["A"],
-                                                          groups["B"])),
-                             groups["A"], groups["B"], "maps.lambda")
-            payload = complexes.Complex2(groups["A"], groups["B"], lam)
+            lam = _parse_hom(maps_doc.get("lambda", _zero(terms["A"],
+                                                          terms["B"])),
+                             terms["A"], terms["B"], "maps.lambda")
+            payload = groups.Complex2(terms["A"], terms["B"], lam)
         else:
-            delta = _parse_hom(maps_doc.get("delta", _zero(groups["A"],
-                                                           groups["B"])),
-                               groups["A"], groups["B"], "maps.delta")
-            lam = _parse_hom(maps_doc.get("lambda", _zero(groups["B"],
-                                                          groups["C"])),
-                             groups["B"], groups["C"], "maps.lambda")
+            delta = _parse_hom(maps_doc.get("delta", _zero(terms["A"],
+                                                           terms["B"])),
+                               terms["A"], terms["B"], "maps.delta")
+            lam = _parse_hom(maps_doc.get("lambda", _zero(terms["B"],
+                                                          terms["C"])),
+                             terms["B"], terms["C"], "maps.lambda")
             composite = lam.compose(delta)
-            for j in range(groups["A"].ngens):
-                col = groups["C"].reduce(row[j] for row in composite.matrix)
+            for j in range(terms["A"].ngens):
+                col = terms["C"].reduce(row[j] for row in composite.matrix)
                 if any(col):
                     raise SpecError(
                         f"maps: composite nonzero at generator {j}")
-            payload = complexes.Complex3(groups["A"], groups["B"],
-                                         groups["C"], delta, lam)
+            payload = groups.Complex3(terms["A"], terms["B"], terms["C"],
+                                      delta, lam)
     else:
         G = _parse_finite_group(_need(doc, "G", "$", dict), "G")
         H = _parse_finite_group(_need(doc, "H", "$", dict), "H")

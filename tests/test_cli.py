@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -703,7 +704,8 @@ def test_value_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory,
 # which modules a command executes
 
 ROOT = Path(__file__).resolve().parent.parent
-LAZY = {"abelian", "cech", "complexes", "crossed", "point_models"}
+LAZY = {"abelian", "cech", "complexes", "crossed", "groups", "point_models",
+        "tables"}
 # run cli.main, then print the unital modules whose bodies have executed
 # (a lazy module becomes a plain module when it executes)
 EXECUTED = """
@@ -890,16 +892,25 @@ def test_perfbench_micro_runs_on_the_library(tmp_path):
     assert all(v > 0 for v in out.values())
 
 
+SCANS = {"groups", "tables", "point_models"}
+ALGEBRA = {"groups", "abelian", "complexes"}
+CROSSED_UNITS = {"tables", "crossed", "cech"}
+CECH = {"groups", "tables", "abelian", "complexes", "cech"}
+
+
 @pytest.mark.parametrize("command,doc,code,executed", [
-    ("homology", TIMES2, 0, {"abelian", "complexes"}),
-    ("crossed-verify", INVERSION, 0, {"crossed"}),
-    ("units", '{"kind": "compl', 2, set()),
-    ("units", TIMES2, 0, {"abelian", "complexes", "crossed", "point_models"}),
-    ("cech-classify", TIMES2, 0, {"abelian", "cech", "complexes", "crossed"}),
-    ("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
-     {"abelian", "cech", "complexes", "crossed"})],
-    ids=["homology", "crossed-verify", "truncated", "units", "cech-classify",
-         "crossed-units-circle"])
+    pytest.param(command, doc, 0, layers, id=f"{command}{suffix}")
+    for command, layers in (
+        ("homology", ALGEBRA), ("qiso", ALGEBRA), ("unit-complex", ALGEBRA),
+        ("units", SCANS), ("contractible", SCANS), ("cech-classify", CECH))
+    for doc, suffix in ((TIMES2, ""), (THREE_TERM, "-3"))] + [
+    pytest.param("crossed-verify", INVERSION, 0, {"tables", "crossed"},
+                 id="crossed-verify"),
+    pytest.param("crossed-units", INVERSION, 0, CROSSED_UNITS,
+                 id="crossed-units"),
+    pytest.param("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
+                 CROSSED_UNITS, id="crossed-units-circle"),
+    pytest.param("units", '{"kind": "compl', 2, set(), id="truncated")])
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"
@@ -908,6 +919,19 @@ def test_command_executes_only_its_layers(tmp_path, command, doc, code,
         _python("-c", EXECUTED, command, "--in", str(path)))
     assert got_code == code
     assert set(modules) & LAZY == executed
+
+
+def test_from_divisors_reaches_abelian_only_when_called():
+    # the one call from groups up into abelian goes through the lazy module
+    out = _python("-c", """
+import sys, types
+from unital import groups
+def executed():
+    return type(sys.modules["unital.abelian"]) is types.ModuleType
+Z = groups.FgAbGroup
+print(executed(), Z.from_divisors(2, 3), executed())
+""")
+    assert out.split() == ["False", "Z/6", "True"]
 
 
 # run cli.main, then print every module the interpreter has imported
@@ -972,14 +996,33 @@ def test_sha256_is_hashlibs(text):
     assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
+# perfbench names these but they are gone from the library: the tracer
+# skips them, and their metrics read 0 (both reported in CHANGES.md)
+STALE_HARNESS_NAMES = {"abelian._snf_presentation",
+                       "point_models.unit_1morphisms"}
+
+
+def _perfbench_constant(name, file):
+    tree = ast.parse((ROOT / "perfbench" / file).read_text())
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and node.targets[0].id == name)
+
+
+def _perfbench_imports(file):
+    """(module, name) for each `from unital.<module> import name`."""
+    for node in ast.parse((ROOT / "perfbench" / file).read_text()).body:
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("unital."):
+            yield from ((node.module.split(".")[1], alias.name)
+                        for alias in node.names)
+
+
 def test_tracer_finds_every_module_it_wraps(tmp_path):
     # perfbench/tracer.py reads sys.modules["unital.<m>"] for each m in
     # SPANNED right after `import unital.cli`, and wraps what vars() holds
     tracer = ROOT / "perfbench" / "tracer.py"
-    spanned = next(ast.literal_eval(node.value)
-                   for node in ast.parse(tracer.read_text()).body
-                   if isinstance(node, ast.Assign)
-                   and node.targets[0].id == "SPANNED")
+    spanned = ast.literal_eval(_perfbench_constant("SPANNED", "tracer.py"))
     loaded = _python("-c", "import sys, unital.cli; print(*sys.modules)")
     assert {f"unital.{m}" for m in spanned} <= set(loaded.split())
     path, spans = tmp_path / "in.json", tmp_path / "spans.json"
@@ -987,6 +1030,37 @@ def test_tracer_finds_every_module_it_wraps(tmp_path):
     _python(str(tracer), str(spans), "homology", "--in", str(path), "--json")
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"specfile.parse_spec", "complexes.homology"} <= names
+
+
+def test_perfbench_names_resolve_in_their_modules():
+    # a per-layer metric whose function moved to another module reads 0
+    # without an error: the tracer spans only the functions each module
+    # defines itself, and the public ones or those in PRIVATE
+    imported = {name: module for file in ("tracer.py", "micro.py")
+                for module, name in _perfbench_imports(file)}
+    for name, module in imported.items():
+        assert hasattr(sys.modules[f"unital.{module}"], name), (module, name)
+    private = {".".join(ast.literal_eval(pair)) for pair in
+               _perfbench_constant("PRIVATE", "tracer.py").elts}
+    # span names of wrapped methods: (class, attribute, name)
+    methods = set()
+    for table in ("METHODS", "COUNTED"):
+        for cls, attr, name in (t.elts for t in
+                                _perfbench_constant(table, "tracer.py").elts):
+            home = sys.modules[f"unital.{imported[cls.id]}"]
+            assert hasattr(getattr(home, cls.id), attr.value)
+            methods.add(name.value)
+    groups = ast.literal_eval(_perfbench_constant("GROUPS", "layers.py"))
+    spanned = {n for names in groups.values() for n in names} | private
+    for full in sorted(spanned - methods - STALE_HARNESS_NAMES):
+        module, name = full.split(".")
+        home = sys.modules[f"unital.{module}"]
+        assert hasattr(home, name), f"{full} is not defined"
+        assert not name.startswith("_") or full in private, full
+        value = getattr(home, name)
+        if inspect.isfunction(value):
+            assert value.__module__ == home.__name__, \
+                f"{full} is defined in {value.__module__}"
 
 
 def test_export_table():

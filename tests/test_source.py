@@ -22,14 +22,23 @@ def test_no_assert_statements():
     assert not found, f"asserts or AssertionErrors in src/unital: {found}"
 
 
+LAZY = {"abelian", "cech", "complexes", "crossed", "groups", "point_models",
+        "tables"}
+
+
+def _name_imports(path):
+    """The unital modules a source file imports names from."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            yield node.module.split(".")[0]
+
+
 def test_no_name_imports_from_lazy_modules():
     # `from .cech import x` executes cech; the modules every command
     # imports bind the lazy ones as modules and look names up when called
-    lazy = {"abelian", "cech", "complexes", "crossed", "point_models"}
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py")) if path.stem not in lazy
-             for node in ast.parse(path.read_text(), str(path)).body
-             if isinstance(node, ast.ImportFrom) and node.module in lazy]
+    found = [f"{path.name} from {module}"
+             for path in sorted(SRC.glob("*.py")) if path.stem not in LAZY
+             for module in _name_imports(path) if module in LAZY]
     assert not found, f"names imported from lazy modules: {found}"
 
 
@@ -49,18 +58,33 @@ def _imported_modules(path):
 
 
 def test_lazy_modules_import_only_lower_layers():
-    # abelian and crossed import no lazy module, complexes only abelian,
-    # and cech and point_models only those three: so a nerve input never
-    # executes point_models, the units commands never execute cech, and
-    # crossed-verify never executes abelian
-    allowed = {"abelian": set(), "crossed": set(),
-               "complexes": {"abelian"},
-               "cech": {"abelian", "complexes", "crossed"},
-               "point_models": {"abelian", "complexes", "crossed"}}
+    # groups and tables import no lazy module, except that groups binds
+    # abelian as a module for FgAbGroup.from_divisors; abelian imports
+    # groups, complexes groups and abelian, crossed tables, and
+    # point_models groups and tables: so the unit scans never execute the
+    # Smith forms, homology or crossed modules, cech-classify never
+    # executes crossed or point_models, and crossed-verify no group layer
+    allowed = {"groups": {"abelian"}, "tables": set(),
+               "abelian": {"groups"}, "complexes": {"groups", "abelian"},
+               "crossed": {"tables"},
+               "cech": {"groups", "tables", "abelian", "complexes"},
+               "point_models": {"groups", "tables"}}
+    assert set(allowed) == LAZY
     found = [f"{stem} imports {module}" for stem, ok in allowed.items()
              for module in set(_imported_modules(SRC / f"{stem}.py"))
-             & set(allowed) - ok]
+             & LAZY - ok]
     assert not found, f"lazy modules importing lazy modules: {found}"
+    # the one upward edge is a module binding, so loading groups does not
+    # execute abelian
+    assert "abelian" not in set(_name_imports(SRC / "groups.py"))
+
+
+def test_cech_binds_the_algebra_layers_as_modules():
+    # crossed-units builds a nerve, and so executes cech; with names bound
+    # from groups, abelian or complexes it would execute those too
+    found = set(_name_imports(SRC / "cech.py")) & \
+        {"groups", "abelian", "complexes"}
+    assert not found, f"cech imports names from {sorted(found)}"
 
 
 def test_parses_as_python_3_10():
