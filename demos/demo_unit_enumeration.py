@@ -16,7 +16,7 @@ from unital import (
     verify_contractible_1,
     verify_contractible_2,
 )
-from unital.point_models import count_unit_morphisms_1
+from unital.point_models import units_and_morphism_count_1
 
 Z2, Z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
 
@@ -29,7 +29,7 @@ for e, a_phi in units:
 print(f"unique morphism first -> second has u = a_phi(s) - a_phi(t) = "
       f"{X.A.element(a_s) - X.A.element(a_t)}")
 print(f"ordered pairs of units joined by that morphism: "
-      f"{count_unit_morphisms_1(X)} of {len(units) ** 2}")
+      f"{units_and_morphism_count_1(X)[1]} of {len(units) ** 2}")
 e, a_phi = X.B.element(e_t), X.A.element(a_t)
 print(f"tensor of the nontrivial unit with itself, the pointwise sum: "
       f"{((e + e).coords, (a_phi + a_phi).coords)}")

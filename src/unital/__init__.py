@@ -42,10 +42,10 @@ _EXPORTS = {
         "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
         "unit_cocycles", "unit_of_cocycle"),
     "complexes": (
-        "StrictMorphism", "cone", "cone_comparison", "forgetful_morphism_1",
-        "forgetful_morphism_2", "homology", "identity_model", "is_acyclic",
-        "is_quasi_isomorphism", "kernel_model", "kernel_sum_model",
-        "sum_model", "truncate_shift", "unit_complex_1", "unit_complex_2"),
+        "StrictMorphism", "cone", "cone_comparison", "homology",
+        "identity_model", "is_quasi_isomorphism", "kernel_model",
+        "kernel_sum_model", "sum_model", "truncate_shift", "unit_complex_1",
+        "unit_complex_2"),
     "crossed": (
         "CrossedModule", "enumerate_units_nonabelian", "h0_group_law",
         "pi0_order", "pi1_order", "unit_crossed_module",
@@ -55,7 +55,7 @@ _EXPORTS = {
         "enumerate_units_1", "enumerate_units_2", "verify_contractible_1",
         "verify_contractible_2"),
     "reporting": ("run",),
-    "specfile": ("ComplexSpecFile", "SpecError", "parse_spec", "print_spec"),
+    "specfile": ("ComplexSpecFile", "SpecError", "parse_spec"),
     "tables": ("FiniteGroup",),
     "verification": ("CapExceeded", "FinitenessError", "Report"),
 }

@@ -138,16 +138,22 @@ def cover_of_parts(parts, intersections, containments=None):
     idx = {p: i for i, p in enumerate(parts)}
     if len(idx) < len(parts):
         raise ValueError(f"part names repeat: {list(parts)}")
+
+    def indices(names):
+        for p in names:
+            if p not in idx:
+                raise ValueError(f"unknown part {p!r}")
+        return frozenset(idx[p] for p in names)
+
     for key, names in intersections:
-        key = frozenset(idx[p] for p in key)
+        key = indices(key)
         if key in comps:
             raise ValueError(f"intersection {sorted(parts[i] for i in key)} "
                              "is declared twice")
         comps[key] = tuple(names)
     cont = {}
     for key, comp, sub, subcomp in (containments or ()):
-        at = (frozenset(idx[p] for p in key), comp,
-              frozenset(idx[p] for p in sub))
+        at = (indices(key), comp, indices(sub))
         if at in cont:
             raise ValueError(f"containment {sorted(set(key))}:{comp} in "
                              f"{sorted(set(sub))} is declared twice")
@@ -539,13 +545,12 @@ def _unit_frame(X):
 
     A unit (e, phi) of the point model of X is the point (phi, e) of U^0:
     phi lies in the structure group S and e in the object group O, which
-    are A and B for a 2-term X and B and C for a 3-term one.
+    are A and B for a 2-term X and B and C for a 3-term one, the terms
+    in degrees -1 and 0.
     """
-    if isinstance(X, groups.Complex2):
-        (U, emb), S, O = complexes.unit_complex_1(X), X.A, X.B
-    else:
-        (U, emb), S, O = complexes._unit_complex_2(X), X.B, X.C
-    return U, emb, abelian.direct_sum(S, O)[1:]
+    U, emb = (complexes.unit_complex_1 if len(X.degrees) == 2
+              else complexes.unit_complex_2)(X)
+    return U, emb, abelian.direct_sum(X.group_at(-1), X.group_at(0))[1:]
 
 
 def cocycle_of_unit(X, unit, nerve: Nerve):

@@ -10,7 +10,8 @@ a complex:
 * ``unit_complex_1``: A -> ker(lam - id_B), with ker taken inside A (+) B;
 * ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C);
 
-together with explicit comparison morphisms to the smaller models built from
+each returned with the inclusion of its degree-0 kernel into the sum it is
+taken in; explicit comparison morphisms to the smaller models built from
 id_A and id_ker(lam), and a constructed isomorphism
 truncate_shift(cone(id)) ~ unit_complex_1.
 
@@ -24,7 +25,7 @@ X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .abelian import (
     LinearSolver,
@@ -74,15 +75,6 @@ class StrictMorphism(Record):
 
     def map_at(self, degree):
         return self.maps[degree - self.source.degrees[0]]
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("strict morphisms not composable")
-        return StrictMorphism(
-            other.source, self.target,
-            tuple(self.map_at(d).compose(other.map_at(d))
-                  for d in self.source.degrees))
 
     @classmethod
     def identity(cls, X):
@@ -136,10 +128,6 @@ def homology(X, degree) -> FgAbGroup:
     return HomologyData(X, degree).group
 
 
-def is_acyclic(X) -> bool:
-    return all(homology(X, d).is_trivial for d in X.degrees)
-
-
 class QuasiIsoResult(NamedTuple):
     is_qiso: bool
     induced: dict
@@ -179,14 +167,12 @@ def unit_complex_1(X: Complex2):
     return Complex2(A, K, d), incl
 
 
-def unit_complex_2(X: Complex3) -> Complex3:
-    """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units."""
-    return _unit_complex_2(X)[0]
+def unit_complex_2(X: Complex3):
+    """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units.
 
-
-def _unit_complex_2(X: Complex3):
-    """``(U, incl)``: ``unit_complex_2(X)`` and the inclusion of its
-    degree-0 term into B (+) C, as ``unit_complex_1`` returns it."""
+    Returns ``(U, embedding)`` as ``unit_complex_1`` does: ``embedding``
+    is the inclusion of the degree-0 term into B (+) C.
+    """
     A, B, C, delta, lam = X.A, X.B, X.C, X.delta, X.lam
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
     _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(B, C)
@@ -241,23 +227,6 @@ def cone_comparison(X: Complex2) -> StrictMorphism:
     return StrictMorphism(ts, U, (GroupHom.identity(X.A), deg0))
 
 
-def forgetful_morphism_1(X: Complex2) -> StrictMorphism:
-    """unit_complex_1(X) -> X by (id_A, projection to B)."""
-    U, emb = unit_complex_1(X)
-    _, _, _, _, proj_b = direct_sum(X.A, X.B)
-    return StrictMorphism(U, X,
-                          (GroupHom.identity(X.A), proj_b.compose(emb)))
-
-
-def forgetful_morphism_2(X: Complex3) -> StrictMorphism:
-    """unit_complex_2(X) -> X by (id_A, projection to B, projection to C)."""
-    U, emb = _unit_complex_2(X)
-    _, _, _, proj_b, _ = direct_sum(X.B, X.A)
-    _, _, _, _, qroj_c = direct_sum(X.B, X.C)
-    return StrictMorphism(U, X, (GroupHom.identity(X.A), proj_b,
-                                 qroj_c.compose(emb)))
-
-
 # ---- smaller models of the unit complex, with explicit comparison maps ----
 
 
@@ -266,15 +235,6 @@ def identity_model(X: Complex2):
     U, _ = unit_complex_1(X)
     idA = Complex2(X.A, X.A, GroupHom.identity(X.A))
     return idA, StrictMorphism(idA, U, (GroupHom.identity(X.A), U.lam))
-
-
-def identity_model_projection(X: Complex2) -> StrictMorphism:
-    """unit_complex_1(X) -> (A -> A), forgetting the B-coordinate."""
-    U, emb = unit_complex_1(X)
-    idA = Complex2(X.A, X.A, GroupHom.identity(X.A))
-    _, _, _, proj_a, _ = direct_sum(X.A, X.B)
-    return StrictMorphism(U, idA,
-                          (GroupHom.identity(X.A), proj_a.compose(emb)))
 
 
 def kernel_model(X: Complex2):
@@ -290,7 +250,7 @@ def kernel_model(X: Complex2):
 def sum_model(X: Complex3):
     """Alternate 3-term model A -> B (+) A -> B with its map into
     unit_complex_2(X); second differential is (b, a) |-> b - delta(a)."""
-    U, emb = _unit_complex_2(X)
+    U, emb = unit_complex_2(X)
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(X.B, X.A)
     d1 = inj_b.compose(X.delta) + inj_a
     d2 = proj_b - X.delta.compose(proj_a)
@@ -305,7 +265,7 @@ def sum_model(X: Complex3):
 def kernel_sum_model(X: Complex3):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
     into unit_complex_2(X)."""
-    U, emb = _unit_complex_2(X)
+    U, emb = unit_complex_2(X)
     Kl, kincl = kernel(X.lam)
     delta_k = lift_through(kincl, X.delta)
     _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, X.A)

@@ -62,16 +62,11 @@ def enumerate_units_1(X: Complex2):
     return list(map(_pairs(B, A), _coded_units(A, lam)))
 
 
-def count_unit_morphisms_1(X: Complex2):
-    """The number of ordered pairs of units (s, t) for which
-    u = a_phi(s) - a_phi(t) is a unit morphism s -> t: lam(u) = e_s - e_t
-    and the unit square commutes."""
-    return units_and_morphism_count_1(X)[1]
-
-
 def units_and_morphism_count_1(X: Complex2):
-    """``enumerate_units_1`` and ``count_unit_morphisms_1`` of X, from one
-    build of the coded tables."""
+    """``enumerate_units_1`` of X, and the number of ordered pairs of units
+    (s, t) for which u = a_phi(s) - a_phi(t) is a unit morphism s -> t:
+    lam(u) = e_s - e_t and the unit square commutes.  One build of the
+    coded tables serves both."""
     A, B, lam = _tables_1(X)
     add, neg = A.table, A.inverse
     units = _coded_units(A, lam)

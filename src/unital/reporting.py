@@ -90,10 +90,8 @@ def _contractible_2(report, X, opts):
 
 
 def _unit_complex(report, X, opts):
-    if isinstance(X, complexes.Complex2):
-        U = complexes.unit_complex_1(X)[0]
-    else:
-        U = complexes.unit_complex_2(X)
+    U, _ = (complexes.unit_complex_1 if isinstance(X, complexes.Complex2)
+            else complexes.unit_complex_2)(X)
     report.data["terms"] = {str(d): U.group_at(d) for d in U.degrees}
     table = _homology_table(U)
     report.data["homology"] = table
@@ -127,10 +125,13 @@ def _qiso(report, X, opts):
 def _cech_classify(report, X, opts):
     nerve = _nerve(opts)
     report.data["nerve_levels"] = [len(nerve.level(n)) for n in range(4)]
-    if isinstance(X, complexes.Complex2):
+    level_1 = isinstance(X, complexes.Complex2)
+    if level_1:  # the torsor scan is charged before any Smith form
         tc = cech.torsor_classes(nerve, X, max_states=opts.max_states)
         report.data["torsor_classes"] = tc.count
-        U, _ = complexes.unit_complex_1(X)
+    U, _ = (complexes.unit_complex_1 if level_1
+            else complexes.unit_complex_2)(X)
+    if level_1:
         classes, group = cech.unit_cocycles(nerve, U,
                                             max_states=opts.max_states)
         report.data["unit_cocycle_classes"] = len(classes)
@@ -138,8 +139,6 @@ def _cech_classify(report, X, opts):
         report.add("unit cocycles form a single class", len(classes) == 1,
                    len(classes))
         report.add("unit class group is trivial", group.is_trivial, group)
-    else:
-        U = complexes.unit_complex_2(X)
     h0u = cech.classify_h0(nerve, U)
     report.data["h0_of_unit_complex"] = h0u
     report.add("classification group of the unit complex is trivial",

@@ -226,8 +226,3 @@ def _canonical_doc(doc):
         if key != "schema":
             out[key] = doc[key]
     return out
-
-
-def print_spec(spec: ComplexSpecFile) -> str:
-    """Serialize back to canonical JSON; parse(print(s)) == s."""
-    return json.dumps(spec.raw, sort_keys=True, indent=2)

@@ -218,6 +218,16 @@ class TestNerve:
             ("U", "V"), split_u, [(("U", "V"), "*", ("U",), "y")]))
         assert N.face(1, 1, ((0, 1), "*")) == ((0,), "y")
 
+    def test_undeclared_part_names_are_value_errors(self):
+        # the error names the part; no bare KeyError escapes
+        with pytest.raises(ValueError, match=r"^unknown part 'b'$"):
+            cover_of_parts(("a",), [(("a", "b"), ("c",))])
+        declared = [(("U", "V"), ("*",))]
+        for key, sub, unknown in ((("U", "W"), ("U",), "W"),
+                                  (("U", "V"), ("z",), "z")):
+            with pytest.raises(ValueError, match=rf"^unknown part '{unknown}'$"):
+                cover_of_parts(("U", "V"), declared, [(key, "*", sub, "*")])
+
     def test_faces_drop_indices(self):
         N = circle_nerve()
         cell = ((0, 1), "c")
@@ -657,7 +667,7 @@ class TestClassifyH0:
                 assert classify_h0(N, U1).is_trivial
 
     def test_unit_complex_2_trivial(self):
-        U2 = unit_complex_2(c3_zero_id())
+        U2, _ = unit_complex_2(c3_zero_id())
         assert classify_h0(point_nerve(), U2).is_trivial
         assert classify_h0(circle_nerve(), U2).is_trivial
 
@@ -888,7 +898,7 @@ def _unreduced_h0(N, X):
 
 def _unit_complex(X):
     return unit_complex_1(X)[0] if isinstance(X, Complex2) \
-        else unit_complex_2(X)
+        else unit_complex_2(X)[0]
 
 
 def _minus_one_complex(d, terms):
@@ -971,12 +981,12 @@ class TestReducedTotalComplex:
         X = Complex3(G, G, G, GroupHom.zero(G, G), GroupHom.identity(G))
         N = ring_nerve()
         started = time.perf_counter()
-        h0, h0_unit = classify_h0(N, X), classify_h0(N, unit_complex_2(X))
+        h0, h0_unit = classify_h0(N, X), classify_h0(N, unit_complex_2(X)[0])
         assert time.perf_counter() - started < 1.0
         # X is quasi-isomorphic to A[2], which H^0 sees only through H^2
         # of the ring, a circle: nothing
         assert h0.is_trivial and h0_unit.is_trivial
-        assert cech._reduced_piece(unit_complex_2(X), N) == ([], [], [], [])
+        assert cech._reduced_piece(unit_complex_2(X)[0], N) == ([], [], [], [])
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import unital
 from unital import cech, crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, HANDLERS, run
-from unital.specfile import SpecError, parse_spec, print_spec
+from unital.specfile import SpecError, parse_spec
 from unital.verification import sha256
 
 TIMES2 = {"kind": "complex2",
@@ -88,7 +88,7 @@ class TestParse:
 
     def test_round_trip(self):
         spec = parse_spec(json.dumps(TIMES2))
-        again = parse_spec(print_spec(spec))
+        again = parse_spec(spec.canonical_text())
         assert again.raw == spec.raw
         assert again.payload == spec.payload
 
@@ -238,6 +238,30 @@ class TestCliProcess:
         assert code == 0
         assert out["schema"] == "unital-report/1"
         assert out["data"]["homology"]["0"] == "Z/2"
+
+    def test_qiso_fails_its_named_check_on_a_wrong_model(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # every model the library builds is a quasi-isomorphism, so a wrong
+        # one is patched in: the zero endomorphism of X.  X = Z/2 -2-> Z/4
+        # has H^0 = Z/2, so the induced map is the 1 x 1 zero matrix, and
+        # computing it classifies a chosen representative of each class
+        from unital import complexes
+        from unital.groups import GroupHom
+
+        def zero_model(X):
+            return X, complexes.StrictMorphism(X, X, tuple(
+                GroupHom.zero(G, G) for G in map(X.group_at, X.degrees)))
+
+        monkeypatch.setattr(complexes, "identity_model", zero_model)
+        code = main(["qiso", "--in", self._write(tmp_path, TIMES2), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(c["name"], c["status"]) for c in out["checks"]] == [
+            ("comparison with idA is a quasi-isomorphism", "fail"),
+            ("comparison with idker is a quasi-isomorphism", "pass")]
+        assert out["data"]["induced_idA"] == {
+            "-1": {"source": "0", "target": "0", "matrix": []},
+            "0": {"source": "Z/2", "target": "Z/2", "matrix": [[0]]}}
 
     def test_input_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,9 +12,9 @@ from unital import point_models
 from unital.reporting import run
 from unital.specfile import parse_spec
 from unital.point_models import (
-    count_unit_morphisms_1,
     enumerate_units_1,
     enumerate_units_2,
+    units_and_morphism_count_1,
     verify_contractible_1,
     verify_contractible_2,
 )
@@ -105,7 +105,7 @@ class TestSaavedraUnits:
     def test_infinite_guard(self):
         G = FgAbGroup.free(1)
         m = Complex2(G, G, GroupHom.identity(G))
-        for scan in (enumerate_units_1, count_unit_morphisms_1,
+        for scan in (enumerate_units_1, units_and_morphism_count_1,
                      verify_contractible_1):
             with pytest.raises(FinitenessError,
                                match="point-model enumeration needs finite"):
@@ -124,14 +124,15 @@ class TestUnitMorphisms1:
         assert report.passed and len(calls) == 1
         m = model_times2()
         assert report.data["units"] == enumerate_units_1(m)
-        assert report.data["unique_morphisms"] == count_unit_morphisms_1(m)
+        assert report.data["unique_morphisms"] == \
+            units_and_morphism_count_1(m)[1]
 
     def test_doubling_complex(self):
         m = model_times2()
         s, t = enumerate_units_1(m)
         (u,) = oracle_unit_morphisms_1(m, s, t)
         assert u.coords == (1,)
-        assert count_unit_morphisms_1(m) == 4
+        assert units_and_morphism_count_1(m)[1] == 4
 
     def test_identity(self):
         m = model_times2()
@@ -157,13 +158,13 @@ class TestUnitMorphisms1:
             for s, t in itertools.product(units, repeat=2):
                 assert oracle_unit_morphisms_1(m, s, t) == \
                     [unit_elems(m, s)[1] - unit_elems(m, t)[1]]
-            assert count_unit_morphisms_1(m) == len(units) ** 2
+            assert units_and_morphism_count_1(m)[1] == len(units) ** 2
 
     def test_morphism_sets_and_count(self):
         rng = random.Random(105)
         for _ in range(10):
             m = random_complex2(rng, 12)
-            assert count_unit_morphisms_1(m) == m.A.order() ** 2
+            assert units_and_morphism_count_1(m)[1] == m.A.order() ** 2
 
     def test_morphism_to_canonical_is_a_phi(self):
         rng = random.Random(103)

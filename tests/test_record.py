@@ -53,7 +53,7 @@ SAMPLES = {
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
     "Cover": lambda: [cech.point_cover(), CIRCLE],
     "ComplexSpecFile": lambda: [
-        specfile.parse_spec(specfile.print_spec(specfile.parse_spec(text)))
+        specfile.parse_spec(specfile.parse_spec(text).canonical_text())
         for text in ('{"kind": "complex2", "groups": {"A": {"inv": [2]}}}',
                      '{"kind": "complex3", "groups": {}, "maps": {}}')],
     "Check": lambda: [verification.Check("a", True),

@@ -139,3 +139,27 @@ def test_state_cap_compared_only_in_charge():
     assert not found, \
         f"max_states compared outside verification.charge: {found}"
     assert in_charge == 1
+
+
+# the run contract abelian re-exports from verification, and GroupElem
+# from groups, for callers that import them from abelian
+REEXPORTS = {"abelian": {"CapExceeded", "FinitenessError", "GroupElem",
+                         "MAX_CODED_ORDER", "charge"}}
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in sorted(imported.items())
+                  if name not in used | REEXPORTS.get(path.stem, set())]
+    assert not found, f"unused imports in src/unital: {found}"
