@@ -20,8 +20,10 @@ resolve through ``__getattr__``.  Every command executes ``cli``,
 ``groups``, ``abelian`` and ``complexes``; ``crossed-verify`` executes
 ``tables`` and ``crossed``; ``crossed-units`` adds ``cech`` for its nerve;
 ``cech-classify`` executes ``groups``, ``tables``, ``abelian``,
-``complexes`` and ``cech``.  An input with a nerve adds ``cech`` and
-``tables``; one refused before its first group is built executes none.
+``complexes`` and ``cech``, and on a 3-term complex all but ``tables``:
+``cech`` binds the four lower layers as modules, and only the scans of a
+2-term complex use ``tables``.  An input with a nerve adds ``cech``; one
+refused before its first group is built executes none.
 Digests use the interpreter's built-in SHA-256 (see ``verification``), so
 no command loads OpenSSL.
 """

@@ -41,9 +41,9 @@ from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-# bound as modules: a nerve alone, as crossed-units needs it, executes none
-from . import abelian, complexes, groups
-from .tables import _coded, _fibers
+# bound as modules: a nerve alone, as crossed-units needs it, executes
+# none, and a 3-term cech-classify never executes tables
+from . import abelian, complexes, groups, tables
 from .record import Record
 from .verification import CapExceeded, charge
 
@@ -246,10 +246,10 @@ def _coboundary(A, lam, faces1, alpha):
             tuple(lam[x] for x in alpha))
 
 
-def _add(tables, x, y):
+def _add(adds, x, y):
     """Pointwise sum of coded cochains, each part in its own table."""
     return tuple(tuple(add[u][v] for u, v in zip(p, q))
-                 for add, p, q in zip(tables, x, y))
+                 for add, p, q in zip(adds, x, y))
 
 
 class TorsorClasses(NamedTuple):
@@ -263,14 +263,15 @@ def _cocycle_classes(nerve, X: groups.Complex2, max_states):
     b runs over B(V_0), a over the lam-fiber of d0*(b) - d1*(b) on each V_1
     cell, and d0*(a) + d2*(a) = d1*(a) is tested on V_2.  One label sweep
     in key order, charged class by class, quotients by the coboundaries.
-    Returns the class minima, every cocycle's label, and the tables of A
-    and B.  CocycleError if a coboundary sum is not a cocycle found.
+    Returns the class minima, every cocycle's label, and the addition
+    tables of A and B.  CocycleError if a coboundary sum is not a cocycle
+    found.
     """
-    A, B = _coded(X.A), _coded(X.B)
+    A, B = tables._coded(X.A), tables._coded(X.B)
     lam, add_a, add_b = A.image_array(X.lam.matrix, B), A.table, B.table
     faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
     faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
-    fibers, n0 = _fibers(A, B, lam), len(nerve.level(0))
+    fibers, n0 = tables._fibers(A, B, lam), len(nerve.level(0))
     cocycles = []
     for b in itertools.product(B.elements(), repeat=n0):
         over = [fibers[add_b[b[f0]][B.inverse[b[f1]]]] for f0, f1 in faces1]
@@ -285,7 +286,7 @@ def _cocycle_classes(nerve, X: groups.Complex2, max_states):
     for alpha in itertools.product(A.elements(), repeat=n0):
         s = _coboundary(A, lam, faces1, alpha)
         shifts.append(label.setdefault(s, s))
-    tables, reps, work = (add_a, add_b), [], 0
+    reps, work = [], 0
     for c in label:
         if label[c] is not c:
             continue
@@ -293,11 +294,11 @@ def _cocycle_classes(nerve, X: groups.Complex2, max_states):
         charge("coboundary quotient", work, "|A|^|V_0| per class swept",
                max_states)
         for s in shifts:
-            label[_add(tables, c, s)] = len(reps)
+            label[_add((add_a, add_b), c, s)] = len(reps)
         if len(label) != count:  # a sum, or a coboundary, was added
             raise CocycleError("cocycle + coboundary is a cocycle", c)
         reps.append(c)
-    return reps, label, tables
+    return reps, label, (add_a, add_b)
 
 
 def torsor_classes(nerve: Nerve, X: groups.Complex2, max_states=10 ** 7):
@@ -332,7 +333,7 @@ def unit_cocycles(nerve: Nerve, U: groups.Complex2, max_states=10 ** 7):
     groups._require_finite(U, "unit-cocycle enumeration")
     states = U.A.order() ** len(nerve.level(0))
     charge("unit-cocycle scan", states, "|A|^|V_0|", max_states)
-    reps, label, tables = _cocycle_classes(nerve, U, max_states)
+    reps, label, adds = _cocycle_classes(nerve, U, max_states)
     if len(label) != states:
         raise CocycleError(f"{len(label)} unit cocycles, one per a_phi: "
                            f"|A|^|V_0| = {states}")
@@ -340,7 +341,7 @@ def unit_cocycles(nerve: Nerve, U: groups.Complex2, max_states=10 ** 7):
     for r in reps:
         acc, n = r, 1
         while label[acc] != 0:  # the zero cocycle is the smallest
-            acc, n = _add(tables, acc, r), n + 1
+            acc, n = _add(adds, acc, r), n + 1
         orders.append(n)
     return reps, _group_from_orders(orders)
 

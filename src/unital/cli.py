@@ -3,35 +3,89 @@
     unital <command> --in <file> [--nerve <file>] [--json|--text]
            [--max-states N] [--against idA|idker] [--check-acyclic]
 
+A command line of exactly this form is parsed without argparse: one
+command, each option at most once, a value as the next argument or after
+``=`` that is not empty and does not start with ``-``, and ``--json`` and
+``--text`` not together.  Anything else (``-h``, an abbreviated or
+repeated option, a usage error) goes to the argparse parser, which gives
+the same namespace on what both accept and argparse's help and messages
+on the rest.
+
 Exit codes: 0 all checks pass, 1 a check failed (the report carries the
-witness), 2 bad input or an unwritable stdout, 3 a cap was exceeded or
-memory ran out.
+witness), 2 bad input, a usage error or an unwritable stdout, 3 a cap was
+exceeded or memory ran out.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .reporting import COMMANDS, run
 from .specfile import SpecError, load_json, parse_spec, _parse_cover
 from .verification import CapExceeded, FinitenessError
 
+_MODELS = ("idA", "idker")
+# the fields of the options that take a value, and of the flags
+_VALUED = {"--in": "infile", "--nerve": "nervefile",
+           "--max-states": "max_states", "--against": "against"}
+_FLAGS = {"--json": "json", "--text": "text",
+          "--check-acyclic": "check_acyclic"}
+_DEFAULTS = {"nervefile": None, "json": False, "text": False,
+             "max_states": 10 ** 7, "against": None, "check_acyclic": False}
 
-def _state_cap(text):
-    """The --max-states value, a nonnegative integer."""
+
+def _cap(text):
+    """The --max-states value, a nonnegative integer; None if text is not
+    one."""
     try:
         cap = int(text)
     except ValueError:
-        cap = -1
-    if cap < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
-    return cap
+        return None
+    return cap if cap >= 0 else None
+
+
+def _parse(argv):
+    """The namespace argparse gives a command line of the documented form;
+    None for any other command line."""
+    got, tokens = {}, iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if token in _FLAGS:
+            field, value = _FLAGS[token], True
+        elif option in _VALUED:
+            field, value = _VALUED[option], value if eq else next(tokens, "")
+            if not value or value[0] == "-":
+                return None
+        elif token in COMMANDS:
+            field, value = "command", token
+        else:
+            return None
+        if field in got:
+            return None
+        got[field] = value
+    if "max_states" in got:
+        got["max_states"] = _cap(got["max_states"])
+    if {"command", "infile"} - got.keys() or {"json", "text"} <= got.keys() \
+            or got.get("max_states", 0) is None \
+            or got.get("against") not in (None, *_MODELS):
+        return None
+    return SimpleNamespace(**{**_DEFAULTS, **got})
 
 
 def _build_parser():
+    """The argparse parser of the command line, for what ``_parse``
+    declines."""
+    import argparse
+
+    def state_cap(text):
+        cap = _cap(text)
+        if cap is None:
+            raise argparse.ArgumentTypeError(
+                f"expected a nonnegative integer, got {text!r}")
+        return cap
+
     parser = argparse.ArgumentParser(
         prog="unital",
         description="exact computations with units of Picard groupoids, "
@@ -45,9 +99,10 @@ def _build_parser():
     fmt.add_argument("--json", action="store_true", help="JSON report")
     fmt.add_argument("--text", action="store_true",
                      help="plain-text report (default)")
-    parser.add_argument("--max-states", type=_state_cap, default=10 ** 7,
+    parser.add_argument("--max-states", type=state_cap,
+                        default=_DEFAULTS["max_states"],
                         help="cap on exhaustive-search states")
-    parser.add_argument("--against", choices=("idA", "idker"),
+    parser.add_argument("--against", choices=_MODELS,
                         help="which comparison model qiso should check")
     parser.add_argument("--check-acyclic", action="store_true",
                         help="unit-complex: assert all homology vanishes")
@@ -65,7 +120,8 @@ def _read(path):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         spec = parse_spec(_read(args.infile))
         cover = None

@@ -89,9 +89,7 @@ def _contractible_2(report, X, opts):
         X, max_states=opts.max_states))
 
 
-def _unit_complex(report, X, opts):
-    U, _ = (complexes.unit_complex_1 if isinstance(X, complexes.Complex2)
-            else complexes.unit_complex_2)(X)
+def _unit_complex(report, U, opts):
     report.data["terms"] = {str(d): U.group_at(d) for d in U.degrees}
     table = _homology_table(U)
     report.data["homology"] = table
@@ -102,13 +100,15 @@ def _unit_complex(report, X, opts):
         report.add("unit complex computed", True)
 
 
-def _qiso(report, X, opts):
-    if isinstance(X, complexes.Complex2):
-        builders = {"idA": complexes.identity_model,
-                    "idker": complexes.kernel_model}
-    else:
-        builders = {"idA": complexes.sum_model,
-                    "idker": complexes.kernel_sum_model}
+def _unit_complex_1(report, X, opts):
+    _unit_complex(report, complexes.unit_complex_1(X)[0], opts)
+
+
+def _unit_complex_2(report, X, opts):
+    _unit_complex(report, complexes.unit_complex_2(X)[0], opts)
+
+
+def _qiso(report, X, opts, builders):
     for name in (opts.against,) if opts.against else tuple(builders):
         if name not in builders:
             raise SpecError(f"against: unknown model {name!r}")
@@ -122,28 +122,49 @@ def _qiso(report, X, opts):
             for d, g in res.induced.items()}
 
 
-def _cech_classify(report, X, opts):
+def _qiso_1(report, X, opts):
+    _qiso(report, X, opts, {"idA": complexes.identity_model,
+                            "idker": complexes.kernel_model})
+
+
+def _qiso_2(report, X, opts):
+    _qiso(report, X, opts, {"idA": complexes.sum_model,
+                            "idker": complexes.kernel_sum_model})
+
+
+def _recorded_nerve(report, opts):
+    """``_nerve(opts)``, with the sizes of its levels in the report."""
     nerve = _nerve(opts)
     report.data["nerve_levels"] = [len(nerve.level(n)) for n in range(4)]
-    level_1 = isinstance(X, complexes.Complex2)
-    if level_1:  # the torsor scan is charged before any Smith form
-        tc = cech.torsor_classes(nerve, X, max_states=opts.max_states)
-        report.data["torsor_classes"] = tc.count
-    U, _ = (complexes.unit_complex_1 if level_1
-            else complexes.unit_complex_2)(X)
-    if level_1:
-        classes, group = cech.unit_cocycles(nerve, U,
-                                            max_states=opts.max_states)
-        report.data["unit_cocycle_classes"] = len(classes)
-        report.data["unit_class_group"] = group
-        report.add("unit cocycles form a single class", len(classes) == 1,
-                   len(classes))
-        report.add("unit class group is trivial", group.is_trivial, group)
+    return nerve
+
+
+def _classify(report, nerve, X, U):
     h0u = cech.classify_h0(nerve, U)
     report.data["h0_of_unit_complex"] = h0u
     report.add("classification group of the unit complex is trivial",
                h0u.is_trivial, h0u)
     report.data["h0_of_coefficients"] = cech.classify_h0(nerve, X)
+
+
+def _cech_classify_1(report, X, opts):
+    nerve = _recorded_nerve(report, opts)
+    # the torsor scan is charged before any Smith form
+    tc = cech.torsor_classes(nerve, X, max_states=opts.max_states)
+    report.data["torsor_classes"] = tc.count
+    U, _ = complexes.unit_complex_1(X)
+    classes, group = cech.unit_cocycles(nerve, U, max_states=opts.max_states)
+    report.data["unit_cocycle_classes"] = len(classes)
+    report.data["unit_class_group"] = group
+    report.add("unit cocycles form a single class", len(classes) == 1,
+               len(classes))
+    report.add("unit class group is trivial", group.is_trivial, group)
+    _classify(report, nerve, X, U)
+
+
+def _cech_classify_2(report, X, opts):
+    nerve = _recorded_nerve(report, opts)
+    _classify(report, nerve, X, complexes.unit_complex_2(X)[0])
 
 
 def _crossed_verify(report, X, opts):
@@ -176,14 +197,14 @@ def _crossed_units(report, X, opts):
     report.add("descent triples: (1,1,1) is the identity", holds, count)
 
 
-_COMPLEXES = ("complex2", "complex3")
 HANDLERS = {
-    "homology": dict.fromkeys(_COMPLEXES, _homology),
+    "homology": dict.fromkeys(("complex2", "complex3"), _homology),
     "units": {"complex2": _units_1, "complex3": _units_2},
     "contractible": {"complex2": _contractible_1, "complex3": _contractible_2},
-    "unit-complex": dict.fromkeys(_COMPLEXES, _unit_complex),
-    "qiso": dict.fromkeys(_COMPLEXES, _qiso),
-    "cech-classify": dict.fromkeys(_COMPLEXES, _cech_classify),
+    "unit-complex": {"complex2": _unit_complex_1, "complex3": _unit_complex_2},
+    "qiso": {"complex2": _qiso_1, "complex3": _qiso_2},
+    "cech-classify": {"complex2": _cech_classify_1,
+                      "complex3": _cech_classify_2},
     "crossed-verify": {"crossed_module": _crossed_verify},
     "crossed-units": {"crossed_module": _crossed_units},
 }

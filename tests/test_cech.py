@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import cech
+from unital import cech, tables
 from unital.abelian import (
     CapExceeded, FgAbGroup, GroupHom, direct_sum, direct_sum_many, kernel,
     solve, subquotient)
@@ -420,7 +420,7 @@ class TestCodedTorsorScan:
 
         def no_tables(G):
             raise AssertionError("coded tables built before the cap check")
-        monkeypatch.setattr(cech, "_coded", no_tables)
+        monkeypatch.setattr(tables, "_coded", no_tables)
         with pytest.raises(CapExceeded) as exc:
             torsor_classes(circle_nerve(), X, max_states=4095)
         assert str(exc.value) == "torsor scan needs 4096 states " \
@@ -491,7 +491,7 @@ class TestCodedUnitScan:
 
         def no_tables(G):
             raise AssertionError("coded tables built before the cap check")
-        monkeypatch.setattr(cech, "_coded", no_tables)
+        monkeypatch.setattr(tables, "_coded", no_tables)
         with pytest.raises(CapExceeded) as exc:
             _unit_classes(circle_nerve(), X, max_states=7)
         assert str(exc.value) == \
@@ -515,13 +515,14 @@ SCANS = pytest.mark.parametrize("scan", [torsor_classes, _unit_classes],
 
 class TestScanSelfCheck:
     """Broken scans that the CocycleError self-check catches: each
-    mutation is patched into ``cech`` for one call."""
+    mutation is patched into ``cech``, or into the ``tables`` function it
+    calls, for one call."""
 
     X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
 
     def test_fibers_ignoring_lam_give_extra_unit_cocycles(self, monkeypatch):
         # every a then fits every u: 2^9 a's over 8 u's pass the V_1 cells
-        monkeypatch.setattr(cech, "_fibers", lambda src, tgt, f: [
+        monkeypatch.setattr(tables, "_fibers", lambda src, tgt, f: [
             list(src.elements()) for _ in tgt.elements()])
         with pytest.raises(CocycleError,
                            match=r"violated relation: 64 unit cocycles, one "
@@ -530,8 +531,8 @@ class TestScanSelfCheck:
 
     @SCANS
     def test_lost_cocycles_miss_a_coboundary(self, monkeypatch, scan):
-        fibers = cech._fibers
-        monkeypatch.setattr(cech, "_fibers", lambda *args: [
+        fibers = tables._fibers
+        monkeypatch.setattr(tables, "_fibers", lambda *args: [
             f[:-1] for f in fibers(*args)])
         with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
             scan(circle_nerve(), self.X)
@@ -551,8 +552,8 @@ class TestScanSelfCheck:
     def test_broken_sum_lands_outside(self, monkeypatch, scan):
         add = cech._add
 
-        def shifted_b(tables, x, y):  # b moves at the first cell
-            a, b = add(tables, x, y)
+        def shifted_b(adds, x, y):  # b moves at the first cell
+            a, b = add(adds, x, y)
             return a, (1 - b[0],) + b[1:]
         monkeypatch.setattr(cech, "_add", shifted_b)
         with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):

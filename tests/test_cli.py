@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unital
-from unital import cech, crossed
+from unital import cech, cli, crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, HANDLERS, run
 from unital.specfile import SpecError, parse_spec
 from unital.verification import sha256
+
+from test_golden_digests import _corpus
 
 TIMES2 = {"kind": "complex2",
           "groups": {"A": {"inv": [2]}, "B": {"inv": [4]}},
@@ -725,6 +727,113 @@ def test_value_mutated_inputs_keep_the_exit_code_contract(tmp_path_factory,
 
 
 # --------------------------------------------------------------------------
+# the command line: cli._parse against the argparse parser
+
+_OPTIONS = ("--in", "--nerve", "--max-states", "--against", "--json",
+            "--text", "--check-acyclic")
+_VALUES = st.sampled_from((
+    "in.json", "idA", "idker", "idB", "0", "5", "-1", " -2", " 7", "1_0", "x",
+    "", "-", "-h", "--json", "units", "10" * 3000))
+_TOKENS = st.one_of(
+    st.sampled_from(COMMANDS + _OPTIONS),
+    st.sampled_from(_OPTIONS).map(lambda o: o[:-2]),  # --max, --ch, ...
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS), _VALUES),
+    _VALUES, st.sampled_from(("--help", "--", "-x", "units2", "-5")))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the documented form, its options in any order and
+    either spelling, then edited up to twice: a token inserted, dropped or
+    replaced by one of _TOKENS."""
+    parts = [[draw(st.sampled_from(COMMANDS))], ["--in", draw(_VALUES)]]
+    for option in ("--nerve", "--max-states", "--against"):
+        if draw(st.booleans()):
+            parts.append([option, draw(_VALUES)])
+    parts += [[flag] for flag in draw(st.sets(st.sampled_from(
+        ("--json", "--text", "--check-acyclic"))))]
+    argv = [token for part in draw(st.permutations(parts))
+            for token in (["=".join(part)] if len(part) == 2 and
+                          draw(st.booleans()) else part)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = draw(
+            st.lists(_TOKENS, max_size=1))
+    return argv
+
+
+def _argparse(argv):
+    """vars() of the argparse parser's namespace, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+@example(["units", "--in", "in.json"])
+@example(["--in=in.json", "--text", "qiso", "--against", "idker"])
+@example(["unit-complex", "--check-acyclic", "--in", "x", "--json",
+          "--max-states= 7", "--nerve", "units"])
+def test_fast_path_agrees_with_argparse(argv):
+    # wherever the fast path accepts, argparse accepts the same namespace
+    fast = cli._parse(argv)
+    if fast is not None:
+        assert vars(fast) == _argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["units", "--in", "f", "--help"],
+    ["units", "--in", "f", "--max", "5"],  # an abbreviation
+    ["units", "--in", "f", "--in", "g"], ["units", "--in", "f", "--json",
+                                          "--json"],
+    ["units", "--in", "f", "--json", "--text"],
+    ["--in", "f"], ["units"], ["units", "--in"], ["units", "--in="],
+    ["units2", "--in", "f"], ["--in", "f", "-5"],
+    ["units", "units", "--in", "f"], ["units", "--in", "f", "extra"],
+    ["units", "--in", "f", "--"], ["units", "--", "--in", "f"],
+    ["units", "--in", "-"], ["units", "--json=1", "--in", "f"],
+    ["qiso", "--in", "f", "--against", "idB"],
+    ["units", "--in", "f", "--max-states", "-1"],
+    ["units", "--in", "f", "--max-states", " -2"],
+    ["units", "--in", "f", "--max-states", "ten"]])
+def test_fast_path_declines_what_it_does_not_document(argv):
+    assert cli._parse(argv) is None
+
+
+def test_fast_path_accepts_every_corpus_command_line():
+    corpus = _corpus()
+    argvs = [[item["command"], "--in", "in.json", fmt, *item["args"]]
+             for workload in ("desk-mix", "point-enum", "descent")
+             for item in corpus.all_variants(workload)
+             for fmt in ("--json", "--text")]
+    assert len(argvs) == 2 * 544
+    declined = [argv for argv in argvs if cli._parse(argv) is None]
+    assert not declined, declined[:3]
+
+
+@pytest.mark.parametrize("args,code,out,err", [
+    (["-h"], 0, "usage: unital ", ""), (["--help"], 0, "usage: unital ", ""),
+    (["units", "--max", "5"], 0, "result: PASS", ""),
+    (["units", "--max", "3"], 3, "",
+     "cap exceeded: unit scan needs 4 states (|A|^2), above the cap 3\n"),
+    (["units", "--max-states", "-3"], 2, "",
+     "argument --max-states: expected a nonnegative integer, got '-3'\n")])
+def test_declined_command_lines_get_argparse(tmp_path, args, code, out, err):
+    # in a fresh process, as the console script runs: help and usage
+    # errors are argparse's, and an abbreviated option is still accepted
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(TIMES2))
+    proc = _run_python("-c", CLI, *args, "--in", str(path))
+    assert proc.returncode == code
+    assert out in proc.stdout and proc.stderr.endswith(err)
+    assert bool(proc.stderr) == (code >= 2)
+
+
+# --------------------------------------------------------------------------
 # which modules a command executes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -924,23 +1033,31 @@ CECH = {"groups", "tables", "abelian", "complexes", "cech"}
 
 @pytest.mark.parametrize("command,doc,code,executed", [
     pytest.param(command, doc, 0, layers, id=f"{command}{suffix}")
-    for command, layers in (
-        ("homology", ALGEBRA), ("qiso", ALGEBRA), ("unit-complex", ALGEBRA),
-        ("units", SCANS), ("contractible", SCANS), ("cech-classify", CECH))
-    for doc, suffix in ((TIMES2, ""), (THREE_TERM, "-3"))] + [
+    for command, layers, layers_3 in (
+        ("homology", ALGEBRA, ALGEBRA), ("qiso", ALGEBRA, ALGEBRA),
+        ("unit-complex", ALGEBRA, ALGEBRA), ("units", SCANS, SCANS),
+        ("contractible", SCANS, SCANS),
+        # a 3-term complex has no torsor or unit-cocycle scan
+        ("cech-classify", CECH, CECH - {"tables"}))
+    for doc, suffix, layers in ((TIMES2, "", layers),
+                                (THREE_TERM, "-3", layers_3))] + [
     pytest.param("crossed-verify", INVERSION, 0, {"tables", "crossed"},
                  id="crossed-verify"),
     pytest.param("crossed-units", INVERSION, 0, CROSSED_UNITS,
                  id="crossed-units"),
     pytest.param("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
                  CROSSED_UNITS, id="crossed-units-circle"),
-    pytest.param("units", '{"kind": "compl', 2, set(), id="truncated")])
+    pytest.param("units", '{"kind": "compl', 2, set(), id="truncated"),
+    # the torsor scan's charge refuses before any table or Smith form
+    pytest.param(("cech-classify", "--max-states", "0"), TIMES2, 3,
+                 {"groups", "cech"}, id="cech-classify-capped")])
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    args = (command,) if isinstance(command, str) else command
     got_code, modules = json.loads(
-        _python("-c", EXECUTED, command, "--in", str(path)))
+        _python("-c", EXECUTED, *args, "--in", str(path)))
     assert got_code == code
     assert set(modules) & LAZY == executed
 
@@ -969,23 +1086,30 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("command,doc", [
-    ("homology", TIMES2), ("units", TIMES2),
-    ("cech-classify", dict(TIMES2, nerve=CIRCLE_NERVE)),
-    ("crossed-verify", INVERSION),
-    ("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE))],
+@pytest.mark.parametrize("args,doc,code", [
+    (["homology"], TIMES2, 0), (["units"], TIMES2, 0),
+    (["cech-classify"], dict(TIMES2, nerve=CIRCLE_NERVE), 0),
+    (["crossed-verify"], INVERSION, 0),
+    (["crossed-units"], dict(INVERSION, nerve=CIRCLE_NERVE), 0),
+    (["contractible", "--json"], THREE_TERM, 0),
+    (["unit-complex", "--check-acyclic", "--text"], THREE_TERM, 0),
+    (["qiso", "--against=idker"], TIMES2, 0),
+    (["units", "--max-states", "3"], TIMES2, 3)],
     ids=["homology", "units", "cech-classify-circle", "crossed-verify",
-         "crossed-units-circle"])
-def test_command_imports_no_dataclasses(tmp_path, command, doc):
+         "crossed-units-circle", "contractible", "unit-complex-acyclic",
+         "qiso-idker", "units-capped"])
+def test_command_imports_no_dataclasses(tmp_path, args, doc, code):
     # dataclasses, and the inspect it imports, cost 20-40 ms of start-up;
-    # hashlib loads OpenSSL through _hashlib, about 3.5 MB of peak RSS
+    # hashlib loads OpenSSL through _hashlib, about 3.5 MB of peak RSS; and
+    # argparse, with gettext and locale, about 6 ms, which a command line
+    # of the documented form does not need
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    code, modules = json.loads(
-        _python("-c", IMPORTED, command, "--in", str(path)))
-    assert code == 0
-    assert not {"dataclasses", "inspect", "hashlib", "_hashlib"} \
-        & set(modules)
+    got_code, modules = json.loads(
+        _python("-c", IMPORTED, *args, "--in", str(path)))
+    assert got_code == code
+    assert not {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
+                "gettext", "locale"} & set(modules)
 
 
 # the same run, with the built-in SHA-256 modules blocked
