@@ -22,17 +22,21 @@ from unital import (
 from unital.crossed import CrossedModule, enumerate_unit_triples
 
 S3 = FiniteGroup.symmetric(3)
+mul, inv = S3.table, S3.inverse
 conj = CrossedModule(
     S3, S3,
     boundary=tuple(S3.elements()),
-    action=tuple(tuple(S3.conj(g, h) for h in S3.elements())
-                 for g in S3.elements()))
+    action=tuple(tuple(mul[mul[inv[h]][g]][h] for h in S3.elements())
+                 for g in S3.elements()))  # g^h = h^-1 g h
 
 print("== the conjugation crossed module on S3 ==")
 print(verify_crossed_module(conj).to_text())
 U = unit_crossed_module(conj)
 print(f"unit crossed module has |K| = {U.H.order}, "
       f"pi0 = {pi0_order(U)}, pi1 = {pi1_order(U)}")
+# K is S3 itself with the twisted product k1 * k2 = k1^(lam(k2)^-1) k2,
+# and its boundary is the inverse map
+print(f"boundary of K is the inverse map: {U.boundary == tuple(inv)}")
 units, report = enumerate_units_nonabelian(conj)
 print(report.to_text())
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 from math import lcm
 from types import MappingProxyType
-from typing import NamedTuple
 
 # bound as modules: a nerve alone, as crossed-units needs it, executes
 # none, and a 3-term cech-classify never executes tables
@@ -252,7 +251,7 @@ def _add(adds, x, y):
                  for add, p, q in zip(adds, x, y))
 
 
-class TorsorClasses(NamedTuple):
+class TorsorClasses(Record):
     count: int
     representatives: list
 

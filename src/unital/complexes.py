@@ -25,7 +25,6 @@ X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
 
 from .abelian import (
     LinearSolver,
@@ -128,7 +127,7 @@ def homology(X, degree) -> FgAbGroup:
     return HomologyData(X, degree).group
 
 
-class QuasiIsoResult(NamedTuple):
+class QuasiIsoResult(Record):
     is_qiso: bool
     induced: dict
 

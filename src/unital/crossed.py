@@ -8,7 +8,8 @@ right action of H on G, written act(g, h) for g^h, satisfying
     Peiffer        g^(lam(g')) = g'^-1 * g * g'
 
 Groups are the multiplication tables of ``tables.FiniteGroup`` (order
-capped at 64); every axiom is checked exhaustively.
+capped at 64); every axiom is checked exhaustively, as row equations on the
+tables, and a failed check names its first violation.
 
 The point model of the presented groupoid has objects H and morphisms
 g: h -> h' whenever lam(g) = h'^-1 * h; composition of g then g' is the
@@ -30,8 +31,10 @@ The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
 boundary g |-> (g^-1, lam g) and K acting through its H-coordinate.  This is
 the unique sign reading under which K is closed, the boundary is a
-homomorphism, and the crossed-module axioms hold for noncommutative H; the
-cocycle-level group law
+homomorphism, and the crossed-module axioms hold for noncommutative H.
+Since h = lam(g)^-1, K is G itself with the twisted product
+k1 * k2 = k1^(lam(k2)^-1) k2: its boundary G -> K is the inverse map of G,
+and k acts on G through lam(k)^-1.  The cocycle-level group law
 
     (g1, g1', h1) * (g2, g2', h2) = (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2)
 
@@ -53,7 +56,7 @@ from __future__ import annotations
 import itertools
 
 from .record import Record
-from .tables import FiniteGroup, _coded_units, unit_morphism_checks
+from .tables import FiniteGroup, _coded_units, _gather, unit_morphism_checks
 from .verification import Report, charge
 
 
@@ -75,91 +78,84 @@ class CrossedModule(Record):
                 any(not 0 <= g < self.G.order for r in self.action for g in r):
             raise ValueError("boundary/action values must be element indices")
 
-    def bnd(self, g):
-        return self.boundary[g]
-
-    def act(self, g, h):
-        return self.action[g][h]
-
     def __str__(self):
         return f"[{self.G} -> {self.H}]"
 
 
+def _conjugation(group):
+    """The table of b^-1 a b, row a and column b."""
+    T, inv, elements = group.table, group.inverse, group.elements()
+    return [tuple(T[T[inv[b]][a]][b] for b in elements) for a in elements]
+
+
+def _first_violation(rows):
+    """The key of the first (key, lhs, rhs) row with lhs != rhs plus the
+    first column where they differ, or None: for rows in key order, the
+    first violation in ``itertools.product`` order."""
+    return next((key + (next(c for c, (x, y) in enumerate(zip(lhs, rhs))
+                             if x != y),)
+                 for key, lhs, rhs in rows if lhs != rhs), None)
+
+
 def verify_crossed_module(X: CrossedModule) -> Report:
-    """Exhaustive axiom check; each failed check carries its first violation."""
-    G, H = X.G, X.H
+    """Exhaustive axiom check, each axiom a family of row equations on the
+    tables; each failed check carries its first violation."""
+    G, H, bnd, act = X.G, X.H, X.boundary, X.action
+    mul, h_mul, Gs, Hs = G.table, H.table, G.elements(), H.elements()
+    at_bnd, h_rows = _gather(bnd), [_gather(row) for row in h_mul]
+    columns, h_conj = tuple(zip(*act)), _conjugation(H)  # g^h at [h][g]
     report = Report(f"crossed module axioms for {X}")
-
-    def first(pred, space):
-        for w in space:
-            if not pred(*w):
-                return w
-        return None
-
-    w = first(lambda g1, g2: X.bnd(G.mul(g1, g2)) ==
-              H.mul(X.bnd(g1), X.bnd(g2)),
-              itertools.product(G.elements(), repeat=2))
-    report.add("boundary is a homomorphism", w is None, w)
-    w = first(lambda g: X.act(g, H.identity) == g,
-              ((g,) for g in G.elements()))
-    report.add("identity acts trivially", w is None, w)
-    w = first(lambda g, h1, h2: X.act(g, H.mul(h1, h2)) ==
-              X.act(X.act(g, h1), h2),
-              itertools.product(G.elements(), H.elements(), H.elements()))
-    report.add("action composes as a right action", w is None, w)
-    w = first(lambda g1, g2, h: X.act(G.mul(g1, g2), h) ==
-              G.mul(X.act(g1, h), X.act(g2, h)),
-              itertools.product(G.elements(), G.elements(), H.elements()))
-    report.add("each element acts by an endomorphism", w is None, w)
-    w = first(lambda h: len({X.act(g, h) for g in G.elements()}) == G.order,
-              ((h,) for h in H.elements()))
-    report.add("each element acts bijectively", w is None, w)
-    w = first(lambda g, h: X.bnd(X.act(g, h)) == H.conj(X.bnd(g), h),
-              itertools.product(G.elements(), H.elements()))
-    report.add("equivariance: bnd(g^h) = h^-1 bnd(g) h", w is None, w)
-    w = first(lambda g, g2: X.act(g, X.bnd(g2)) == G.conj(g, g2),
-              itertools.product(G.elements(), repeat=2))
-    report.add("Peiffer identity: g^(bnd g') = g'^-1 g g'", w is None, w)
-    report.data["|G|"] = G.order
-    report.data["|H|"] = H.order
+    for name, rows in (
+            ("boundary is a homomorphism",  # row g1, column g2
+             (((g1,), _gather(mul[g1])(bnd), at_bnd(h_mul[bnd[g1]]))
+              for g1 in Gs)),
+            ("identity acts trivially",  # column g
+             [((), columns[H.identity], tuple(Gs))]),
+            ("action composes as a right action",  # row (g, h1), column h2
+             (((g, h1), h_rows[h1](row), act[row[h1]])
+              for g, row in enumerate(act) for h1 in Hs)),
+            ("each element acts by an endomorphism",  # row (g1, g2), column h
+             (((g1, g2), act[mul[g1][g2]],
+               tuple(mul[x][y] for x, y in zip(act[g1], act[g2])))
+              for g1 in Gs for g2 in Gs)),
+            ("each element acts bijectively",  # column h
+             [((), tuple(map(len, map(set, columns))),
+               (G.order,) * H.order)]),
+            ("equivariance: bnd(g^h) = h^-1 bnd(g) h",  # row g, column h
+             (((g,), _gather(row)(bnd), h_conj[b])
+              for g, row, b in zip(Gs, act, bnd))),
+            ("Peiffer identity: g^(bnd g') = g'^-1 g g'",  # row g, column g'
+             (((g,), at_bnd(row), conj)
+              for g, row, conj in zip(Gs, act, _conjugation(G))))):
+        w = _first_violation(rows)
+        report.add(name, w is None, w)
+    report.data.update({"|G|": G.order, "|H|": H.order})
     return report
 
 
 def pi1_order(X: CrossedModule):
-    return sum(1 for g in X.G.elements() if X.bnd(g) == X.H.identity)
+    return X.boundary.count(X.H.identity)
 
 
 def pi0_order(X: CrossedModule):
-    image = {X.bnd(g) for g in X.G.elements()}
-    return X.H.order // len(image)
+    return X.H.order // len(set(X.boundary))
 
 
 def unit_crossed_module(X: CrossedModule) -> CrossedModule:
-    """The crossed module presenting the unit groupoid of X.
-
-    Carried by K = {(g, h) : bnd(g) h = 1} with the semidirect product law
-    (g1, h1)(g2, h2) = (g1^h2 g2, h1 h2), boundary g |-> (g^-1, bnd g), and
-    K acting on G through its H-coordinate.  The boundary is bijective, so
-    both homotopy groups of the result are trivial.  The result is not
-    verified here: ``crossed-units`` checks its axioms as named checks.
+    """The crossed module G -> K presenting the unit groupoid of X, with
+    K as in the module docstring: element k of G is (k, bnd(k)^-1) in K.
+    The boundary is bijective, so both homotopy groups of the result are
+    trivial.  The result is not verified here: ``crossed-units`` checks
+    its axioms as named checks.
     """
     if not verify_crossed_module(X).passed:
         raise ValueError("not a crossed module")
     G, H = X.G, X.H
-    pairs = [(g, h) for g in G.elements() for h in H.elements()
-             if H.mul(X.bnd(g), h) == H.identity]
-    index = {p: k for k, p in enumerate(pairs)}
-
-    def mul(p, q):
-        (g1, h1), (g2, h2) = p, q
-        return (G.mul(X.act(g1, h2), g2), H.mul(h1, h2))
-
-    table = [[index[mul(p, q)] for q in pairs] for p in pairs]
-    K = FiniteGroup(table, f"ker({X.G.name} semidirect {X.H.name} -> {X.H.name})")
-    boundary = tuple(index[(G.inv(g), X.bnd(g))] for g in G.elements())
-    action = tuple(tuple(X.act(g, pairs[k][1]) for k in range(len(pairs)))
-                   for g in G.elements())
-    return CrossedModule(G, K, boundary, action)
+    twisted = _gather([H.inverse[b] for b in X.boundary])
+    action = [twisted(row) for row in X.action]  # g^(bnd(k)^-1) at k
+    table = [[G.table[x][k2] for k2, x in enumerate(row)] for row in action]
+    K = FiniteGroup(table, f"ker({G.name} semidirect {H.name} -> {H.name})")
+    return CrossedModule(G, K, G.inverse, action)
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def enumerate_units_nonabelian(X: CrossedModule):
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
-    kernel = sorted(g for g in G.elements() if X.bnd(g) == H.identity)
+    kernel = [g for g, e in enumerate(X.boundary) if e == H.identity]
     trivial_e = sorted(g for e, g in units if e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))

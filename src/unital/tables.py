@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import itemgetter
 
 from .verification import MAX_CODED_ORDER, CapExceeded
 
@@ -47,27 +48,25 @@ class FiniteGroup:
         if any(x < 0 or x >= n for row in self.table for x in row):
             raise ValueError("table entries must be element indices")
         self.order = n
-        e = None
-        for a in range(n):
-            if all(self.table[a][b] == b == self.table[b][a] for b in range(n)):
-                e = a
-                break
+        # row equations: e's row and column are range(n), and (ab)c = a(bc)
+        # for all c reads row ab against row a gathered at row b
+        ident, cols = tuple(range(n)), tuple(zip(*self.table))
+        e = next((a for a in range(n)
+                  if self.table[a] == ident == cols[a]), None)
         if e is None:
             raise ValueError("no identity element")
         self.identity = e
-        self.inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    self.inverse[a] = b
-            if self.inverse[a] is None:
-                raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("table is not associative")
+        self.inverse = [next((b for b, (x, y) in enumerate(zip(row, col))
+                              if x == e == y), None)
+                        for row, col in zip(self.table, cols)]
+        if None in self.inverse:
+            raise ValueError(
+                f"element {self.inverse.index(None)} has no inverse")
+        then = [_gather(row) for row in self.table]
+        for row in self.table:
+            if any(self.table[ab] != through(row)
+                   for ab, through in zip(row, then)):
+                raise ValueError("table is not associative")
 
     @classmethod
     def from_invariant_factors(cls, factors, name=None):
@@ -99,13 +98,6 @@ class FiniteGroup:
 
     def mul(self, a, b):
         return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
-
-    def conj(self, a, b):
-        """b^-1 * a * b."""
-        return self.mul(self.mul(self.inv(b), a), b)
 
     def elements(self):
         return range(self.order)
@@ -168,6 +160,13 @@ class FiniteGroup:
         return cls(table, f"S{n}")
 
 
+def _gather(indices):
+    """The function seq |-> tuple(seq[i] for i in indices), gathering at C
+    level; ``indices`` is not empty."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
+
+
 def _coded(G):
     """The table-coded form of a finite ``FgAbGroup``."""
     return FiniteGroup.from_invariant_factors(G.invariant_factors, str(G))
@@ -212,7 +211,7 @@ def unit_morphism_checks(G, H, bnd, act, units, key):
     squares = [[mul[g][mul[act[u][e]][u]] for u in G.elements()]
                for e, g in units]
     twisted = [act[g][h_inv[e]] for e, g in units]  # g^(e^-1)
-    unique = [[mul[inv[x_t]][x_s] for x_t in twisted] for x_s in twisted]
+    unique = [tuple(mul[inv[x_t]][x_s] for x_t in twisted) for x_s in twisted]
     pair_failures, morphisms = [], 0
     for s, to_t in zip(units, unique):
         through_source, e_s = cols[s[1]], s[0]
@@ -222,11 +221,10 @@ def unit_morphism_checks(G, H, bnd, act, units, key):
             morphisms += len(sols) == 1
             if sols != [u]:
                 pair_failures.append((key(s), key(t), sols))
-    coherence_failures = []
+    coherence_failures, rows = [], [_gather(to_w) for to_w in unique]
     for s, to_t in zip(units, unique):
-        for t, u_st, to_w in zip(units, to_t, unique):
-            then = cols[u_st]  # u_st then u_tw is u_tw * u_st
-            composites = [then[u_tw] for u_tw in to_w]
+        for t, u_st, to_w in zip(units, to_t, rows):
+            composites = to_w(cols[u_st])  # u_st then u_tw is u_tw * u_st
             if composites != to_t:
                 coherence_failures.extend(
                     (key(s), key(t), key(w))

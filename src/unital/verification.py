@@ -68,6 +68,11 @@ def _jsonable(value):
     return str(value)
 
 
+def _digest(body):
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return sha256(text.encode()).hexdigest()
+
+
 class Report:
     """``command`` is the command run, or the structure a library check
     verifies; ``input_digest`` is empty for the latter.  A report is built
@@ -106,13 +111,12 @@ class Report:
                 "data": _jsonable(self.data)}
 
     def digest(self):
-        text = json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
-        return sha256(text.encode()).hexdigest()
+        return _digest(self.body())
 
     def to_json(self):
         out = self.body()
+        out["report_digest"] = _digest(out)
         out["schema"] = "unital-report/1"
-        out["report_digest"] = self.digest()
         out["timing"] = {"seconds": self.timing_seconds}
         return json.dumps(out, sort_keys=True, indent=2)
 

@@ -260,3 +260,94 @@ def oracle_torsor_classes(cells, faces, a_mods, b_mods, lam):
             if r1 != r2:
                 parent[r1] = r2
     return len({find(k) for k in range(len(pairs))})
+
+
+# --------------------------------------------------------------------------
+# Finite groups and crossed modules on plain tables, element by element.
+#
+# A group is its multiplication table T (T[a][b] = a * b on 0..n-1), and a
+# crossed module G -> H is the tables (G, H, boundary, action) with
+# action[g][h] = g^h.  Every law is tried on every tuple of elements, in
+# itertools.product order, exactly as the definitions read.
+
+def group_table_error(T):
+    """The ValueError message a square table of element indices earns, or
+    None: the identity, inverses and associativity tried one tuple at a
+    time."""
+    n = len(T)
+    e = next((a for a in range(n)
+              if all(T[a][b] == b == T[b][a] for b in range(n))), None)
+    if e is None:
+        return "no identity element"
+    for a in range(n):
+        if not any(T[a][b] == e == T[b][a] for b in range(n)):
+            return f"element {a} has no inverse"
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if T[T[a][b]][c] != T[a][T[b][c]]:
+            return "table is not associative"
+    return None
+
+
+def group_identity(T):
+    return next(e for e in range(len(T))
+                if all(T[e][x] == x == T[x][e] for x in range(len(T))))
+
+
+def group_inverses(T):
+    e = group_identity(T)
+    return [next(b for b in range(len(T)) if T[a][b] == e == T[b][a])
+            for a in range(len(T))]
+
+
+def _first(pred, *ranges):
+    return next((w for w in itertools.product(*ranges) if not pred(*w)),
+                None)
+
+
+def crossed_module_violations(G, H, bnd, act):
+    """[(axiom, first violating tuple or None)] for the seven crossed-module
+    axioms, each tested on every tuple of elements."""
+    Gs, Hs, eH = range(len(G)), range(len(H)), group_identity(H)
+    inv_g, inv_h = group_inverses(G), group_inverses(H)
+
+    def conj_g(a, b):
+        return G[G[inv_g[b]][a]][b]
+
+    def conj_h(a, b):
+        return H[H[inv_h[b]][a]][b]
+
+    return [
+        ("boundary is a homomorphism",
+         _first(lambda g1, g2: bnd[G[g1][g2]] == H[bnd[g1]][bnd[g2]],
+                Gs, Gs)),
+        ("identity acts trivially", _first(lambda g: act[g][eH] == g, Gs)),
+        ("action composes as a right action",
+         _first(lambda g, h1, h2: act[g][H[h1][h2]] == act[act[g][h1]][h2],
+                Gs, Hs, Hs)),
+        ("each element acts by an endomorphism",
+         _first(lambda g1, g2, h: act[G[g1][g2]][h] ==
+                G[act[g1][h]][act[g2][h]], Gs, Gs, Hs)),
+        ("each element acts bijectively",
+         _first(lambda h: len({act[g][h] for g in Gs}) == len(G), Hs)),
+        ("equivariance: bnd(g^h) = h^-1 bnd(g) h",
+         _first(lambda g, h: bnd[act[g][h]] == conj_h(bnd[g], h), Gs, Hs)),
+        ("Peiffer identity: g^(bnd g') = g'^-1 g g'",
+         _first(lambda g, g2: act[g][bnd[g2]] == conj_g(g, g2), Gs, Gs)),
+    ]
+
+
+def unit_module_by_search(G, H, bnd, act):
+    """(K, boundary, action) of the unit crossed module of a valid crossed
+    module: K = {(g, h) : bnd(g) h = 1} found by searching G x H, numbered
+    in that order, with (g1, h1)(g2, h2) = (g1^h2 g2, h1 h2), boundary
+    g |-> (g^-1, bnd g), and K acting on G through its H-coordinate."""
+    eH, inv_g = group_identity(H), group_inverses(G)
+    pairs = [(g, h) for g in range(len(G)) for h in range(len(H))
+             if H[bnd[g]][h] == eH]
+    index = {p: k for k, p in enumerate(pairs)}
+    K = tuple(tuple(index[(G[act[g1][h2]][g2], H[h1][h2])]
+                    for g2, h2 in pairs) for g1, h1 in pairs)
+    boundary = tuple(index[(inv_g[g], bnd[g])] for g in range(len(G)))
+    action = tuple(tuple(act[g][h] for _, h in pairs)
+                   for g in range(len(G)))
+    return K, boundary, action

@@ -232,10 +232,10 @@ def test_criterion_7_crossed_modules():
         # the law reproduces composition of the unique unit morphisms over
         # the identity object; on the point, triples[g] has g' = g
         one = X.H.identity
-        ker = [g for g in X.G.elements() if X.bnd(g) == one]
+        ker = [g for g in X.G.elements() if X.boundary[g] == one]
         for (_, a), (_, b), sols, u in unit_morphisms_by_method(
                 X, [(one, g) for g in ker]):
-            assert sols == [u] == [X.G.mul(X.G.inv(b), a)]
+            assert sols == [u] == [X.G.mul(X.G.inverse[b], a)]
             [inv] = inverses_by_search(X, nerve, triples[b])
             assert h0_group_law(X, nerve, inv, triples[a])[1] == (u,)
     _criterion(7, "nonabelian units: axioms, trivial homotopy, group law",
@@ -259,9 +259,9 @@ def test_criterion_8_kernel_parametrizes_units():
     for _ in range(10):
         Xc = random_crossed_module(rng, 12)
         ker = sorted(g for g in Xc.G.elements()
-                     if Xc.bnd(g) == Xc.H.identity)
+                     if Xc.boundary[g] == Xc.H.identity)
         units = sorted(g for g in Xc.G.elements()
-                       if Xc.bnd(g) == Xc.H.identity)
+                       if Xc.boundary[g] == Xc.H.identity)
         assert ker == units  # units over the identity are (e=1, g), g in ker
     _criterion(8, "kernel of the differential parametrizes units over 0",
                started)

@@ -596,7 +596,7 @@ def _cocycle_key(XC, t):
     G, H = XC.G, XC.H
     g, gp, h = t
     return (tuple(map(G.coords, g)), tuple(map(G.coords, gp)),
-            tuple(H.coords(H.inv(v)) for v in h))
+            tuple(H.coords(H.inverse[v]) for v in h))
 
 
 def _check_triples_are_unit_cocycles(N, X):

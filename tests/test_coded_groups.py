@@ -62,7 +62,7 @@ def test_tables_agree_with_element_arithmetic(G, data):
     elems = list(G.elements())
     assert elems[T.identity].is_zero
     for k, x in enumerate(elems):
-        assert elems[T.inv(k)] == -x
+        assert elems[T.inverse[k]] == -x
     # every row of small tables, 16 drawn rows of large ones
     rows = range(T.order) if T.order <= 64 else \
         data.draw(st.lists(st.integers(0, T.order - 1), min_size=16,

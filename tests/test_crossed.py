@@ -3,7 +3,9 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from unital import point_models
 from unital.cech import cech_nerve, point_cover
 from unital.abelian import CapExceeded
@@ -21,10 +23,12 @@ from unital.crossed import (
     verify_crossed_module,
 )
 from unital.point_models import verify_contractible_1
+from unital.specfile import SpecError, parse_spec
 
 from test_cech import circle_cover
 from test_coded_groups import is_abelian
 from test_complexes import random_complex2
+from test_golden_digests import _corpus
 
 
 # ---- finite groups by table that only the tests build ----
@@ -60,6 +64,11 @@ def subgroup(big, subset, name=None):
     return FiniteGroup(table, name or f"sub({big.name})"), subset
 
 
+def conj(G, a, b):
+    """b^-1 a b, read off the table."""
+    return G.table[G.table[G.inverse[b]][a]][b]
+
+
 def closure(G, gens):
     out = {G.identity}
     frontier = set(gens) | {G.identity}
@@ -67,7 +76,7 @@ def closure(G, gens):
         new = set()
         for a in frontier:
             for b in list(out) + list(gens):
-                for c in (G.mul(a, b), G.mul(b, a), G.inv(a)):
+                for c in (G.mul(a, b), G.mul(b, a), G.inverse[a]):
                     if c not in out and c not in frontier:
                         new.add(c)
         out |= frontier
@@ -77,7 +86,7 @@ def closure(G, gens):
 
 def is_normal(G, subset):
     sub = set(subset)
-    return all(G.conj(a, b) in sub for a in sub for b in range(G.order))
+    return all(conj(G, a, b) in sub for a in sub for b in range(G.order))
 
 
 def point_nerve():
@@ -87,7 +96,7 @@ def point_nerve():
 def conjugation_module(G, name=None):
     """(id: G -> G) with right conjugation action g^h = h^-1 g h."""
     boundary = tuple(G.elements())
-    action = tuple(tuple(G.conj(g, h) for h in G.elements())
+    action = tuple(tuple(conj(G, g, h) for h in G.elements())
                    for g in G.elements())
     return CrossedModule(G, G, boundary, action)
 
@@ -106,7 +115,7 @@ def inclusion_module(big, subset):
     sub, elems = subgroup(big, subset)
     pos = {g: k for k, g in enumerate(elems)}
     boundary = elems
-    action = tuple(tuple(pos[big.conj(g, h)] for h in big.elements())
+    action = tuple(tuple(pos[conj(big, g, h)] for h in big.elements())
                    for g in elems)
     return CrossedModule(sub, big, boundary, action)
 
@@ -185,6 +194,39 @@ class TestFiniteGroup:
         assert len(A3) == 3 and is_normal(S3, A3)
 
 
+def _assert_table_agrees(table):
+    """FiniteGroup accepts the table with the oracle's identity and
+    inverses, or refuses it with the oracle's message."""
+    want = oracles.group_table_error(table)
+    if want is None:
+        G = FiniteGroup(table)
+        assert (G.identity, list(G.inverse)) == (
+            oracles.group_identity(table), oracles.group_inverses(table))
+    else:
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(table)
+        assert str(exc.value) == want
+
+
+class TestTableValidation:
+    def test_every_magma_up_to_order_3(self):
+        for n in range(1, 4):
+            for entries in itertools.product(range(n), repeat=n * n):
+                _assert_table_agrees([entries[k:k + n]
+                                      for k in range(0, n * n, n)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([FiniteGroup.symmetric(3), FiniteGroup.cyclic(5),
+                            dihedral(4), dihedral(6),
+                            FiniteGroup.symmetric(4)]), st.data())
+    def test_one_entry_perturbations(self, G, data):
+        n = G.order
+        table = [list(row) for row in G.table]
+        a, b, x = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[a][b] = x
+        _assert_table_agrees(table)
+
+
 class TestVerify:
     def test_conjugation_passes(self):
         rep = verify_crossed_module(conjugation_module(
@@ -221,7 +263,7 @@ class TestUnitCrossedModule:
         assert U.H.order == 6
         assert pi0_order(U) == 1 and pi1_order(U) == 1
         # boundary is injective and surjective, an isomorphism onto K
-        assert len({U.bnd(g) for g in U.G.elements()}) == U.G.order == U.H.order
+        assert len(set(U.boundary)) == U.G.order == U.H.order
 
     def test_inversion_module(self):
         U = unit_crossed_module(inversion_module())
@@ -239,6 +281,136 @@ class TestUnitCrossedModule:
             U = unit_crossed_module(random_crossed_module(rng))
             assert verify_crossed_module(U).passed
             assert pi0_order(U) == 1 and pi1_order(U) == 1
+
+
+# --------------------------------------------------------------------------
+# the row checks and the unit module against the element-by-element oracles
+
+
+def quotient_module(n, m):
+    """(Z/n -> Z/m, g |-> g mod m) with the trivial action, for m | n."""
+    G, H = FiniteGroup.cyclic(n), FiniteGroup.cyclic(m)
+    return CrossedModule(G, H, [g % m for g in G.elements()],
+                         [(g,) * m for g in G.elements()])
+
+
+ORACLE_MODULES = [
+    conjugation_module(FiniteGroup.symmetric(3)),
+    conjugation_module(dihedral(4)),
+    module_action_module(7, 3, 2),  # Z/7 semidirect Z/3
+    quotient_module(8, 4),
+    inversion_module(),
+    inclusion_module(FiniteGroup.symmetric(3), (0, 3, 4)),  # A3 in S3
+    inclusion_module(dihedral(4), range(4)),  # the rotations in D4
+    conjugation_module(FiniteGroup.trivial()),
+    quotient_module(6, 3),
+]
+
+
+def _relabeled(X, pG, pH):
+    """X with each element a of G renamed pG[a] and h of H renamed pH[h]."""
+    def renamed(group, p):
+        table = [[0] * group.order for _ in p]
+        for a, row in enumerate(group.table):
+            for b, x in enumerate(row):
+                table[p[a]][p[b]] = p[x]
+        return FiniteGroup(table, group.name)
+
+    boundary, action = [0] * X.G.order, [[0] * X.H.order for _ in pG]
+    for g, row in enumerate(X.action):
+        boundary[pG[g]] = pH[X.boundary[g]]
+        for h, x in enumerate(row):
+            action[pG[g]][pH[h]] = pG[x]
+    return CrossedModule(renamed(X.G, pG), renamed(X.H, pH), boundary,
+                         action)
+
+
+@st.composite
+def drawn_modules(draw):
+    """A relabeled module of ORACLE_MODULES, and, in most draws, one entry
+    of its action or boundary moved to another element."""
+    X = draw(st.sampled_from(ORACLE_MODULES))
+    X = _relabeled(X, draw(st.permutations(range(X.G.order))),
+                   draw(st.permutations(range(X.H.order))))
+    boundary, action = list(X.boundary), [list(r) for r in X.action]
+    where = draw(st.sampled_from(["none", "action", "boundary"]))
+    g = draw(st.integers(0, X.G.order - 1))
+    if where == "action" and X.G.order > 1:
+        h = draw(st.integers(0, X.H.order - 1))
+        action[g][h] = (action[g][h] + draw(st.integers(1, X.G.order - 1))) \
+            % X.G.order
+    if where == "boundary" and X.H.order > 1:
+        boundary[g] = (boundary[g] + draw(st.integers(1, X.H.order - 1))) \
+            % X.H.order
+    return CrossedModule(X.G, X.H, boundary, action)
+
+
+def _oracle_body(X):
+    """The report body of ``verify_crossed_module`` from the oracle."""
+    found = oracles.crossed_module_violations(X.G.table, X.H.table,
+                                              X.boundary, X.action)
+    return {"command": f"crossed module axioms for {X}", "input_digest": "",
+            "checks": [{"name": name, "status": "fail" if w else "pass",
+                        "witness": list(w) if w else None}
+                       for name, w in found],
+            "data": {"|G|": X.G.order, "|H|": X.H.order}}
+
+
+def _assert_matches_oracles(X):
+    body = verify_crossed_module(X).body()
+    assert body == _oracle_body(X)
+    if any(c["status"] == "fail" for c in body["checks"]):
+        with pytest.raises(ValueError, match="not a crossed module"):
+            unit_crossed_module(X)
+        return
+    U = unit_crossed_module(X)
+    assert (U.G, U.H.table, U.boundary, U.action) == \
+        (X.G, *oracles.unit_module_by_search(X.G.table, X.H.table,
+                                            X.boundary, X.action))
+    assert U.H.name == f"ker({X.G.name} semidirect {X.H.name} -> {X.H.name})"
+    assert verify_crossed_module(U).body() == _oracle_body(U)
+    assert (pi0_order(U), pi1_order(U)) == (1, 1)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_modules())
+    def test_drawn_modules(self, X):
+        _assert_matches_oracles(X)
+
+    @pytest.mark.parametrize("X", ORACLE_MODULES, ids=str)
+    def test_every_one_entry_mutation(self, X):
+        # each boundary and action entry moved to every other element: a
+        # first violation in the last row or the last column is among them
+        _assert_matches_oracles(X)
+        for g, h, x in itertools.product(X.G.elements(), X.H.elements(),
+                                         X.G.elements()):
+            if x != X.action[g][h]:
+                action = [list(r) for r in X.action]
+                action[g][h] = x
+                _assert_matches_oracles(
+                    CrossedModule(X.G, X.H, X.boundary, action))
+        for g, e in itertools.product(X.G.elements(), X.H.elements()):
+            if e != X.boundary[g]:
+                boundary = list(X.boundary)
+                boundary[g] = e
+                _assert_matches_oracles(
+                    CrossedModule(X.G, X.H, boundary, X.action))
+
+    def test_corpus_crossed_modules(self):
+        # every crossed-module input of the benchmark corpus that parses
+        corpus, checked = _corpus(), 0
+        for workload in corpus.WORKLOADS:
+            for item in corpus.all_variants(workload):
+                if '"crossed_module"' not in item["spec"]:
+                    continue
+                try:
+                    X = parse_spec(item["spec"]).payload
+                except SpecError:
+                    continue
+                _assert_matches_oracles(X)
+                checked += 1
+        assert checked == 120
 
 
 class TestNonabelianUnits:
@@ -266,7 +438,7 @@ class TestNonabelianUnits:
             units, _ = enumerate_units_nonabelian(X)
             with_e1 = sorted(g for e, g in units if e == X.H.identity)
             ker = sorted(g for g in X.G.elements()
-                         if X.bnd(g) == X.H.identity)
+                         if X.boundary[g] == X.H.identity)
             assert with_e1 == ker
 
     def test_random_contractible(self):
@@ -294,10 +466,10 @@ def unit_morphisms_by_method(X, units):
     out = []
     for (e_s, g_s), (e_t, g_t) in itertools.product(units, repeat=2):
         sols = [u for u in G.elements()
-                if X.bnd(u) == H.mul(H.inv(e_t), e_s)
-                and G.mul(u, g_s) == G.mul(g_t, G.mul(X.act(u, e_t), u))]
-        formula = G.mul(G.inv(X.act(g_t, H.inv(e_t))),
-                        X.act(g_s, H.inv(e_s)))
+                if X.boundary[u] == H.mul(H.inverse[e_t], e_s)
+                and G.mul(u, g_s) == G.mul(g_t, G.mul(X.action[u][e_t], u))]
+        formula = G.mul(G.inverse[X.action[g_t][H.inverse[e_t]]],
+                        X.action[g_s][H.inverse[e_s]])
         out.append(((e_s, g_s), (e_t, g_t), sols, formula))
     return out
 
@@ -365,9 +537,10 @@ def oracle_triple(X, N, values):
     bnd(g') h = 1, and g = d0*(g') (d1*(g'))^-1 read off the faces."""
     G, H = X.G, X.H
     gp = dict(zip(N.level(0), values))
-    h = {c: next(y for y in H.elements() if H.mul(X.bnd(x), y) == H.identity)
+    h = {c: next(y for y in H.elements()
+                 if H.mul(X.boundary[x], y) == H.identity)
          for c, x in gp.items()}
-    g = {c: G.mul(gp[N.face(1, 0, c)], G.inv(gp[N.face(1, 1, c)]))
+    g = {c: G.mul(gp[N.face(1, 0, c)], G.inverse[gp[N.face(1, 1, c)]])
          for c in N.level(1)}
     return _coded(N, (g, gp, h))
 
@@ -388,8 +561,9 @@ def oracle_law(X, N, t1, t2):
     (g1, gp1, h1), (g2, gp2, h2) = _named(N, t1), _named(N, t2)
     G, H = X.G, X.H
     return _coded(N, (
-        {c: G.mul(X.act(g1[c], h2[N.face(1, 0, c)]), g2[c]) for c in g1},
-        {c: G.mul(X.act(gp1[c], h2[c]), gp2[c]) for c in gp1},
+        {c: G.mul(X.action[g1[c]][h2[N.face(1, 0, c)]], g2[c])
+         for c in g1},
+        {c: G.mul(X.action[gp1[c]][h2[c]], gp2[c]) for c in gp1},
         {c: H.mul(h1[c], h2[c]) for c in h1}))
 
 
@@ -398,9 +572,10 @@ def oracle_inverse(X, N, t):
     g, gp, h = _named(N, t)
     G, H = X.G, X.H
     return _coded(N, (
-        {c: X.act(G.inv(g[c]), H.inv(h[N.face(1, 0, c)])) for c in g},
-        {c: X.act(G.inv(gp[c]), H.inv(h[c])) for c in gp},
-        {c: H.inv(h[c]) for c in h}))
+        {c: X.action[G.inverse[g[c]]][H.inverse[h[N.face(1, 0, c)]]]
+         for c in g},
+        {c: X.action[G.inverse[gp[c]]][H.inverse[h[c]]] for c in gp},
+        {c: H.inverse[h[c]] for c in h}))
 
 
 def inverses_by_search(X, N, t, triples=None):
@@ -429,9 +604,9 @@ class TestH0GroupLaw:
     def test_formula_example(self):
         # raw product formula on the inversion module, additive notation
         X = inversion_module()
-        act, mul_g, mul_h = X.act, X.G.mul, X.H.mul
-        g = mul_g(act(1, 1), 2)       # g1^(h2) * g2 with g1=1, g2=2, h2=1
-        gp = mul_g(act(2, 1), 2)      # g1'^(h2) * g2' with g1'=g2'=2
+        act, mul_g, mul_h = X.action, X.G.mul, X.H.mul
+        g = mul_g(act[1][1], 2)       # g1^(h2) * g2 with g1=1, g2=2, h2=1
+        gp = mul_g(act[2][1], 2)      # g1'^(h2) * g2' with g1'=g2'=2
         h = mul_h(1, 1)
         assert (g, gp, h) == (1, 0, 0)
 
@@ -500,11 +675,11 @@ class TestH0GroupLaw:
         for _ in range(8):
             X = random_crossed_module(rng)
             one = X.H.identity
-            ker = [g for g in X.G.elements() if X.bnd(g) == one]
+            ker = [g for g in X.G.elements() if X.boundary[g] == one]
             triples = list(enumerate_unit_triples(X, N))
             for (_, a), (_, b), sols, u in unit_morphisms_by_method(
                     X, [(one, g) for g in ker]):
-                assert sols == [u] == [X.G.mul(X.G.inv(b), a)]
+                assert sols == [u] == [X.G.mul(X.G.inverse[b], a)]
                 assert triples[a][1] == (a,) and triples[b][1] == (b,)
                 [inv] = inverses_by_search(X, N, triples[b])
                 assert h0_group_law(X, N, inv, triples[a])[1] == (u,)

@@ -52,6 +52,13 @@ SAMPLES = {
                                for X in (X2, X2B, X3)],
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
     "Cover": lambda: [cech.point_cover(), CIRCLE],
+    "TorsorClasses": lambda: [
+        cech.torsor_classes(cech.cech_nerve(cover), X)
+        for cover, X in ((cech.point_cover(), X2), (CIRCLE, X2),
+                         (cech.point_cover(), X2B))],
+    "QuasiIsoResult": lambda: [
+        complexes.is_quasi_isomorphism(complexes.StrictMorphism.identity(X))
+        for X in (X2, X2B)],
     "ComplexSpecFile": lambda: [
         specfile.parse_spec(specfile.parse_spec(text).canonical_text())
         for text in ('{"kind": "complex2", "groups": {"A": {"inv": [2]}}}',
@@ -108,7 +115,7 @@ def _hashed(value):
 
 
 def test_every_record_has_samples():
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 13
     assert {cls.__name__ for cls in RECORDS} == set(SAMPLES)
     assert all(cls.__bases__ == (Record,) for cls in RECORDS)
 

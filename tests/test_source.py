@@ -117,6 +117,23 @@ def test_records_not_dataclasses():
     assert not unchecked, f"__post_init__ outside a Record: {unchecked}"
 
 
+def test_records_are_the_one_value_record():
+    # importing typing costs a verdict milliseconds, and a NamedTuple or
+    # namedtuple is a second kind of value record beside Record
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "typing" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").split(".")[0] == "typing" \
+                    or isinstance(node, (ast.Name, ast.Attribute)) \
+                    and getattr(node, "id", getattr(node, "attr", None)) \
+                    in ("namedtuple", "NamedTuple"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"typing or named tuples in src/unital: {found}"
+
+
 def _names_max_states(node):
     return any(isinstance(n, ast.Name) and n.id == "max_states"
                or isinstance(n, ast.Attribute) and n.attr == "max_states"
