@@ -8,7 +8,7 @@ every nerve -- contractibility in descent form.
 """
 
 from unital import (
-    Complex2,
+    Complex,
     FgAbGroup,
     GroupHom,
     cech_nerve,
@@ -33,7 +33,7 @@ nerve = cech_nerve(circle)
 print(f"point nerve: {point}")
 print(f"circle nerve: {nerve}")
 
-X = Complex2(Z2, Z2, GroupHom.zero(Z2, Z2))
+X = Complex((Z2, Z2), (GroupHom.zero(Z2, Z2),))
 print()
 print(f"torsor classes on the circle for {X}: "
       f"{torsor_classes(nerve, X).count}  (H^1 x H^0 of the circle)")

@@ -5,8 +5,7 @@ homology of small complexes; everything is integer-exact.
 """
 
 from unital import (
-    Complex2,
-    Complex3,
+    Complex,
     FgAbGroup,
     GroupHom,
     cokernel,
@@ -41,9 +40,9 @@ print(f"doubling Z/2 -> Z/4 has cokernel {Q}")
 
 print()
 print("== homology of complexes ==")
-X = Complex2(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), g)
+X = Complex((FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)), (g,))
 print(f"X = {X}: H^-1 = {homology(X, -1)}, H^0 = {homology(X, 0)}")
 Z2 = FgAbGroup.cyclic(2)
-Y = Complex3(Z2, Z2, Z2, GroupHom.zero(Z2, Z2), GroupHom.identity(Z2))
+Y = Complex((Z2, Z2, Z2), (GroupHom.zero(Z2, Z2), GroupHom.identity(Z2)))
 print(f"Y = {Y}: " + ", ".join(f"H^{d} = {homology(Y, d)}"
                                for d in Y.degrees))

@@ -8,8 +8,7 @@ comparison morphisms; the same happens one level up.
 """
 
 from unital import (
-    Complex2,
-    Complex3,
+    Complex,
     FgAbGroup,
     GroupHom,
     StrictMorphism,
@@ -27,7 +26,7 @@ from unital import (
 )
 
 Z2, Z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
-X = Complex2(Z2, Z4, GroupHom(Z2, Z4, [[2]]))
+X = Complex((Z2, Z4), (GroupHom(Z2, Z4, [[2]]),))
 print(f"X = {X}")
 U, emb = unit_complex_1(X)
 print(f"unit complex: {U}")
@@ -47,7 +46,7 @@ for name, build in (("id on A", identity_model),
           f"{is_quasi_isomorphism(mor).is_qiso}")
 
 print()
-Y = Complex3(Z2, Z2, Z2, GroupHom.zero(Z2, Z2), GroupHom.identity(Z2))
+Y = Complex((Z2, Z2, Z2), (GroupHom.zero(Z2, Z2), GroupHom.identity(Z2)))
 print(f"Y = {Y}")
 U2, _ = unit_complex_2(Y)
 print(f"unit complex one level up: {U2}")

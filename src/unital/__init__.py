@@ -52,7 +52,7 @@ _EXPORTS = {
         "CrossedModule", "enumerate_units_nonabelian", "h0_group_law",
         "pi0_order", "pi1_order", "unit_crossed_module",
         "verify_crossed_module"),
-    "groups": ("Complex2", "Complex3", "FgAbGroup", "GroupElem", "GroupHom"),
+    "groups": ("Complex", "FgAbGroup", "GroupElem", "GroupHom"),
     "point_models": (
         "enumerate_units_1", "enumerate_units_2", "verify_contractible_1",
         "verify_contractible_2"),

@@ -89,6 +89,9 @@ class Cover(Record):
             names = tuple(names)
             if not names:
                 raise ValueError("declare at least one component or omit the set")
+            if len(set(names)) < len(names):
+                raise ValueError(f"component names repeat in {sorted(key)}: "
+                                 f"{list(names)}")
             comps[key] = names
         for i in range(len(self.parts)):
             comps.setdefault(frozenset([i]), ("*",))
@@ -101,10 +104,21 @@ class Cover(Record):
                         raise ValueError(
                             f"inconsistent table: {sorted(key)} is nonempty "
                             f"but {list(sub)} is not declared")
-        for (_, _, target), comp in self.containments.items():
-            if comp not in comps.get(target, ()):
-                raise ValueError(f"containment target {sorted(target)}:{comp} "
+        # a face drops one index, so a containment is consulted only from a
+        # declared component into the intersection with one part fewer
+        for (source, comp, target), sub_comp in self.containments.items():
+            if comp not in comps.get(source, ()):
+                raise ValueError(f"containment source {sorted(source)}:{comp} "
                                  f"is not a declared component")
+            if not target < source or len(source - target) > 1:
+                raise ValueError(
+                    f"containment {sorted(source)}:{comp} in {sorted(target)} "
+                    f"is never consulted: {sorted(target)} is not "
+                    f"{sorted(source)} less one part")
+            if sub_comp not in comps.get(target, ()):
+                raise ValueError(
+                    f"containment target {sorted(target)}:{sub_comp} is not "
+                    f"a declared component")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "containments", dict(self.containments))
 
@@ -256,7 +270,7 @@ class TorsorClasses(Record):
     representatives: list
 
 
-def _cocycle_classes(nerve, X: groups.Complex2, max_states):
+def _cocycle_classes(nerve, X: groups.Complex, max_states):
     """Every torsor cocycle (a, b) of X, labelled by its class.
 
     b runs over B(V_0), a over the lam-fiber of d0*(b) - d1*(b) on each V_1
@@ -266,8 +280,8 @@ def _cocycle_classes(nerve, X: groups.Complex2, max_states):
     tables of A and B.  CocycleError if a coboundary sum is not a cocycle
     found.
     """
-    A, B = tables._coded(X.A), tables._coded(X.B)
-    lam, add_a, add_b = A.image_array(X.lam.matrix, B), A.table, B.table
+    A, B = map(tables._coded, X.terms)
+    lam, add_a, add_b = A.image_array(X.maps[0].matrix, B), A.table, B.table
     faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
     faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
     fibers, n0 = tables._fibers(A, B, lam), len(nerve.level(0))
@@ -300,7 +314,7 @@ def _cocycle_classes(nerve, X: groups.Complex2, max_states):
     return reps, label, (add_a, add_b)
 
 
-def torsor_classes(nerve: Nerve, X: groups.Complex2, max_states=10 ** 7):
+def torsor_classes(nerve: Nerve, X: groups.Complex, max_states=10 ** 7):
     """Classes of torsor cocycles (a, b) modulo re-choice of sections.
 
     Exhaustive on the coded tables (``_cocycle_classes``), charged the
@@ -309,13 +323,14 @@ def torsor_classes(nerve: Nerve, X: groups.Complex2, max_states=10 ** 7):
     """
     groups._require_finite(X, "torsor enumeration")
     n0, n1 = len(nerve.level(0)), len(nerve.level(1))
-    charge("torsor scan", X.A.order() ** n1 * X.B.order() ** n0,
+    A, B = X.terms
+    charge("torsor scan", A.order() ** n1 * B.order() ** n0,
            "|A|^|V_1| |B|^|V_0|", max_states)
     reps = _cocycle_classes(nerve, X, max_states)[0]
     return TorsorClasses(len(reps), reps)
 
 
-def unit_cocycles(nerve: Nerve, U: groups.Complex2, max_states=10 ** 7):
+def unit_cocycles(nerve: Nerve, U: groups.Complex, max_states=10 ** 7):
     """All unit cocycles of X modulo coboundaries, scanned on its unit
     complex U = ``unit_complex_1(X)[0]``.
 
@@ -330,7 +345,7 @@ def unit_cocycles(nerve: Nerve, U: groups.Complex2, max_states=10 ** 7):
     (expected: trivial).
     """
     groups._require_finite(U, "unit-cocycle enumeration")
-    states = U.A.order() ** len(nerve.level(0))
+    states = U.terms[0].order() ** len(nerve.level(0))
     charge("unit-cocycle scan", states, "|A|^|V_0|", max_states)
     reps, label, adds = _cocycle_classes(nerve, U, max_states)
     if len(label) != states:
@@ -548,7 +563,7 @@ def _unit_frame(X):
     are A and B for a 2-term X and B and C for a 3-term one, the terms
     in degrees -1 and 0.
     """
-    U, emb = (complexes.unit_complex_1 if len(X.degrees) == 2
+    U, emb = (complexes.unit_complex_1 if len(X.terms) == 2
               else complexes.unit_complex_2)(X)
     return U, emb, abelian.direct_sum(X.group_at(-1), X.group_at(0))[1:]
 

@@ -2,7 +2,8 @@
 
 Complexes sit in nonpositive cohomological degrees: a 2-term complex is
 A -> B in degrees (-1, 0), a 3-term complex is A -> B -> C in degrees
-(-2, -1, 0).  The module provides homology with deterministic cycle
+(-2, -1, 0); both are ``Complex`` records, unpacked as ``X.terms`` and
+``X.maps``.  The module provides homology with deterministic cycle
 representatives, strict morphisms, mapping cones, soft truncation, and the
 complexes that represent the groupoid of units of the structure presented by
 a complex:
@@ -18,8 +19,8 @@ truncate_shift(cone(id)) ~ unit_complex_1.
 Sign convention for the cone of f: X -> Y: in degree n the term is
 X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 
-``Complex2`` and ``Complex3`` live in ``groups``; ``homology``,
-``unit-complex``, ``qiso`` and ``cech-classify`` execute this lazy layer.
+``Complex`` lives in ``groups``; ``homology``, ``unit-complex``, ``qiso``
+and ``cech-classify`` execute this lazy layer.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .abelian import (
     lift_through,
 )
 # the complexes are values of the element layer, re-exported here
-from .groups import (
-    Complex2, Complex3, FgAbGroup, GroupElem, GroupHom, _TRIVIAL)
+from .groups import Complex, FgAbGroup, GroupElem, GroupHom, _TRIVIAL
 from .record import Record
 
 
@@ -52,8 +52,8 @@ class StrictMorphism(Record):
     Every square is required to commute; this is checked at construction.
     """
 
-    source: Complex2 | Complex3
-    target: Complex2 | Complex3
+    source: Complex
+    target: Complex
     maps: tuple[GroupHom, ...]  # ascending degree
 
     def __post_init__(self):
@@ -151,28 +151,28 @@ def is_quasi_isomorphism(f: StrictMorphism) -> QuasiIsoResult:
 # unit complexes and their comparisons
 
 
-def unit_complex_1(X: Complex2):
+def unit_complex_1(X: Complex):
     """The 2-term complex A -> ker(lam - id_B) presenting the units.
 
     Returns ``(U, embedding)`` where the degree-0 term is realized as the
     kernel of (a, b) |-> lam(a) - b on A (+) B and ``embedding`` is its
     inclusion into A (+) B, kept for cocycle coordinates downstream.
     """
-    A, B, lam = X.A, X.B, X.lam
+    (A, B), (lam,) = X.terms, X.maps
     _, inj_a, inj_b, proj_a, proj_b = direct_sum(A, B)
     K, incl = kernel(lam.compose(proj_a) - proj_b)
     graph = inj_a + inj_b.compose(lam)  # a |-> (a, lam a)
     d = lift_through(incl, graph)
-    return Complex2(A, K, d), incl
+    return Complex((A, K), (d,)), incl
 
 
-def unit_complex_2(X: Complex3):
+def unit_complex_2(X: Complex):
     """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units.
 
     Returns ``(U, embedding)`` as ``unit_complex_1`` does: ``embedding``
     is the inclusion of the degree-0 term into B (+) C.
     """
-    A, B, C, delta, lam = X.A, X.B, X.C, X.delta, X.lam
+    (A, B, C), (delta, lam) = X.terms, X.maps
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
     _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(B, C)
     K, incl = kernel(lam.compose(qroj_b) - qroj_c)
@@ -181,10 +181,10 @@ def unit_complex_2(X: Complex3):
     to_bc = jnj_b.compose(proj_b - delta.compose(proj_a)) \
         + jnj_c.compose(lam.compose(proj_b))
     d2 = lift_through(incl, to_bc)
-    return Complex3(A, d1.target, K, d1, d2), incl
+    return Complex((A, d1.target, K), (d1, d2)), incl
 
 
-def cone(f: StrictMorphism) -> Complex3:
+def cone(f: StrictMorphism) -> Complex:
     """Mapping cone of a morphism of 2-term complexes.
 
     Degree n is X^(n+1) (+) Y^n with differential
@@ -193,22 +193,22 @@ def cone(f: StrictMorphism) -> Complex3:
     X, Y = f.source, f.target
     if X.degrees != (-1, 0):
         raise ValueError("cone is implemented for 2-term complexes")
-    _, inj_b, inj_a, proj_b, proj_a = direct_sum(X.B, Y.A)
-    d_low = inj_b.compose(-X.lam) + inj_a.compose(f.map_at(-1))
-    d_high = f.map_at(0).compose(proj_b) + Y.lam.compose(proj_a)
-    return Complex3(X.A, d_low.target, Y.B, d_low, d_high)
+    _, inj_b, inj_a, proj_b, proj_a = direct_sum(X.terms[1], Y.terms[0])
+    d_low = inj_b.compose(-X.maps[0]) + inj_a.compose(f.map_at(-1))
+    d_high = f.map_at(0).compose(proj_b) + Y.maps[0].compose(proj_a)
+    return Complex((X.terms[0], d_low.target, Y.terms[1]), (d_low, d_high))
 
 
-def truncate_shift(X: Complex3) -> Complex2:
+def truncate_shift(X: Complex) -> Complex:
     """Soft truncation below degree 0, shifted back into degrees (-1, 0).
 
     The degree-0 term becomes ker(B -> C) and the differential is induced.
     """
-    K, incl = kernel(X.lam)
-    return Complex2(X.A, K, lift_through(incl, X.delta))
+    K, incl = kernel(X.maps[1])
+    return Complex((X.terms[0], K), (lift_through(incl, X.maps[0]),))
 
 
-def cone_comparison(X: Complex2) -> StrictMorphism:
+def cone_comparison(X: Complex) -> StrictMorphism:
     """Isomorphism truncate_shift(cone(id_X)) -> unit_complex_1(X).
 
     The cone's kernel consists of pairs (b, a) with b = -lam(a); the unit
@@ -217,63 +217,67 @@ def cone_comparison(X: Complex2) -> StrictMorphism:
     """
     C = cone(StrictMorphism.identity(X))
     ts = truncate_shift(C)
-    _, incl_t = kernel(C.lam)  # same kernel truncate_shift used
+    _, incl_t = kernel(C.maps[1])  # same kernel truncate_shift used
     U, emb = unit_complex_1(X)
-    _, inj_a, inj_b, _, _ = direct_sum(X.A, X.B)
-    _, _, _, proj_b2, proj_a2 = direct_sum(X.B, X.A)
+    A, B = X.terms
+    _, inj_a, inj_b, _, _ = direct_sum(A, B)
+    _, _, _, proj_b2, proj_a2 = direct_sum(B, A)
     swap = inj_a.compose(proj_a2) - inj_b.compose(proj_b2)
     deg0 = lift_through(emb, swap.compose(incl_t))
-    return StrictMorphism(ts, U, (GroupHom.identity(X.A), deg0))
+    return StrictMorphism(ts, U, (GroupHom.identity(A), deg0))
 
 
 # ---- smaller models of the unit complex, with explicit comparison maps ----
 
 
-def identity_model(X: Complex2):
+def identity_model(X: Complex):
     """(A -> A, morphism into unit_complex_1) with a |-> (a, (a, lam a))."""
     U, _ = unit_complex_1(X)
-    idA = Complex2(X.A, X.A, GroupHom.identity(X.A))
-    return idA, StrictMorphism(idA, U, (GroupHom.identity(X.A), U.lam))
+    idA = GroupHom.identity(X.terms[0])
+    model = Complex((idA.source,) * 2, (idA,))
+    return model, StrictMorphism(model, U, (idA, U.maps[0]))
 
 
-def kernel_model(X: Complex2):
+def kernel_model(X: Complex):
     """(ker lam -> ker lam, morphism into unit_complex_1)."""
     U, emb = unit_complex_1(X)
-    Kl, kincl = kernel(X.lam)
-    idK = Complex2(Kl, Kl, GroupHom.identity(Kl))
-    _, inj_a, _, _, _ = direct_sum(X.A, X.B)
+    Kl, kincl = kernel(X.maps[0])
+    idK = Complex((Kl, Kl), (GroupHom.identity(Kl),))
+    _, inj_a, _, _, _ = direct_sum(*X.terms)
     deg0 = lift_through(emb, inj_a.compose(kincl))
     return idK, StrictMorphism(idK, U, (kincl, deg0))
 
 
-def sum_model(X: Complex3):
+def sum_model(X: Complex):
     """Alternate 3-term model A -> B (+) A -> B with its map into
     unit_complex_2(X); second differential is (b, a) |-> b - delta(a)."""
     U, emb = unit_complex_2(X)
-    _, inj_b, inj_a, proj_b, proj_a = direct_sum(X.B, X.A)
-    d1 = inj_b.compose(X.delta) + inj_a
-    d2 = proj_b - X.delta.compose(proj_a)
-    alt = Complex3(X.A, d1.target, X.B, d1, d2)
-    _, jnj_b, jnj_c, _, _ = direct_sum(X.B, X.C)
-    deg0 = lift_through(emb, jnj_b + jnj_c.compose(X.lam))  # b |-> (b, lam b)
-    mor = StrictMorphism(alt, U, (GroupHom.identity(X.A),
+    (A, B, C), (delta, lam) = X.terms, X.maps
+    _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
+    d1 = inj_b.compose(delta) + inj_a
+    d2 = proj_b - delta.compose(proj_a)
+    alt = Complex((A, d1.target, B), (d1, d2))
+    _, jnj_b, jnj_c, _, _ = direct_sum(B, C)
+    deg0 = lift_through(emb, jnj_b + jnj_c.compose(lam))  # b |-> (b, lam b)
+    mor = StrictMorphism(alt, U, (GroupHom.identity(A),
                                   GroupHom.identity(d1.target), deg0))
     return alt, mor
 
 
-def kernel_sum_model(X: Complex3):
+def kernel_sum_model(X: Complex):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
     into unit_complex_2(X)."""
     U, emb = unit_complex_2(X)
-    Kl, kincl = kernel(X.lam)
-    delta_k = lift_through(kincl, X.delta)
-    _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, X.A)
+    (A, B, C), (delta, lam) = X.terms, X.maps
+    Kl, kincl = kernel(lam)
+    delta_k = lift_through(kincl, delta)
+    _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, A)
     d1 = inj_k.compose(delta_k) + inj_a
     d2 = proj_k - delta_k.compose(proj_a)
-    alt = Complex3(X.A, d1.target, Kl, d1, d2)
-    _, jnj_b, jnj_c, _, _ = direct_sum(X.B, X.C)
-    _, binj_b, binj_a, _, _ = direct_sum(X.B, X.A)
+    alt = Complex((A, d1.target, Kl), (d1, d2))
+    _, jnj_b, jnj_c, _, _ = direct_sum(B, C)
+    _, binj_b, binj_a, _, _ = direct_sum(B, A)
     mid = binj_b.compose(kincl.compose(proj_k)) + binj_a.compose(proj_a)
     deg0 = lift_through(emb, jnj_b.compose(kincl))  # k |-> (k, 0)
-    mor = StrictMorphism(alt, U, (GroupHom.identity(X.A), mid, deg0))
+    mor = StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))
     return alt, mor

@@ -7,8 +7,9 @@ A group is stored in invariant-factor canonical form
 elements are integer coordinate vectors (torsion coordinates reduced into
 [0, d_i)), and homomorphisms are integer matrices acting on coordinates:
 columns are indexed by source generators, rows by target generators, and
-composition is the matrix product.  ``Complex2`` and ``Complex3`` hold
-the 2- and 3-term complexes built from them.
+composition is the matrix product.  ``Complex`` holds a complex built
+from them, its length being data: 2 terms present a Picard groupoid, 3 a
+Picard 2-groupoid.
 
 This is the bottom lazy layer (see ``unital/__init__.py``): every command
 on a complex executes it.  Smith forms, kernels and direct sums live in
@@ -269,10 +270,6 @@ class GroupHom(Record):
     def __sub__(self, other):
         return self + (-other)
 
-    @property
-    def is_zero_hom(self):
-        return all(all(x == 0 for x in row) for row in self.matrix)
-
     def __str__(self):
         return f"{self.source} -> {self.target}"
 
@@ -283,81 +280,52 @@ class GroupHom(Record):
 _TRIVIAL = FgAbGroup.trivial()
 
 
-class Complex2(Record):
-    """A -> B in degrees -1, 0."""
+class Complex(Record):
+    """terms[0] -> ... -> terms[-1] in degrees -n..0: ``maps[i]`` goes
+    from ``terms[i]`` to ``terms[i + 1]``, and consecutive maps compose
+    to zero."""
 
-    A: FgAbGroup
-    B: FgAbGroup
-    lam: GroupHom
+    terms: tuple[FgAbGroup, ...]
+    maps: tuple[GroupHom, ...]
 
     def __post_init__(self):
-        if self.lam.source != self.A or self.lam.target != self.B:
-            raise ValueError("differential endpoints do not match the terms")
+        terms, maps = tuple(self.terms), tuple(self.maps)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "maps", maps)
+        if len(terms) != len(maps) + 1:
+            raise ValueError("need one term more than maps")
+        for degree, f, S, T in zip(self.degrees, maps, terms, terms[1:]):
+            if f.source != S or f.target != T:
+                raise ValueError(f"map at degree {degree} does not match "
+                                 f"the terms")
+        for f, g in zip(maps, maps[1:]):
+            rows = g.compose(f).matrix  # reduced, so zero means zero
+            for j in range(f.source.ngens):
+                if any(row[j] for row in rows):
+                    raise ValueError(f"composite nonzero at generator {j}")
 
     @property
     def degrees(self):
-        return (-1, 0)
+        return tuple(range(-len(self.maps), 1))
+
+    def _index(self, degree):
+        index = degree + len(self.maps)
+        if not 0 <= index <= len(self.maps):
+            raise ValueError(f"degree {degree} out of range")
+        return index
 
     def group_at(self, degree):
-        if degree == -1:
-            return self.A
-        if degree == 0:
-            return self.B
-        raise ValueError(f"degree {degree} out of range")
+        return self.terms[self._index(degree)]
 
     def differential(self, degree):
         """The map leaving the given degree (zero map out of degree 0)."""
-        if degree == -1:
-            return self.lam
-        if degree == 0:
-            return GroupHom.zero(self.B, _TRIVIAL)
-        raise ValueError(f"degree {degree} out of range")
+        index = self._index(degree)
+        if index == len(self.maps):
+            return GroupHom.zero(self.terms[-1], _TRIVIAL)
+        return self.maps[index]
 
     def __str__(self):
-        return f"[{self.A} -> {self.B}]"
-
-
-class Complex3(Record):
-    """A -> B -> C in degrees -2, -1, 0 with lam . delta = 0."""
-
-    A: FgAbGroup
-    B: FgAbGroup
-    C: FgAbGroup
-    delta: GroupHom
-    lam: GroupHom
-
-    def __post_init__(self):
-        if self.delta.source != self.A or self.delta.target != self.B:
-            raise ValueError("delta endpoints do not match the terms")
-        if self.lam.source != self.B or self.lam.target != self.C:
-            raise ValueError("lam endpoints do not match the terms")
-        if not self.lam.compose(self.delta).is_zero_hom:
-            raise ValueError("not a complex: lam . delta != 0")
-
-    @property
-    def degrees(self):
-        return (-2, -1, 0)
-
-    def group_at(self, degree):
-        if degree == -2:
-            return self.A
-        if degree == -1:
-            return self.B
-        if degree == 0:
-            return self.C
-        raise ValueError(f"degree {degree} out of range")
-
-    def differential(self, degree):
-        if degree == -2:
-            return self.delta
-        if degree == -1:
-            return self.lam
-        if degree == 0:
-            return GroupHom.zero(self.C, _TRIVIAL)
-        raise ValueError(f"degree {degree} out of range")
-
-    def __str__(self):
-        return f"[{self.A} -> {self.B} -> {self.C}]"
+        return f"[{' -> '.join(map(str, self.terms))}]"
 
 
 def _require_finite(X, scan):

@@ -27,10 +27,11 @@ independently wherever a 2-cell equation is used, which pins this sign.
 
 Exhaustive loops run on table-coded groups (``tables.FiniteGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
-negation are lookups, and each map is an array of image indices.  Units
-leave the scans as coordinate pairs (e, phi); morphisms exist only as
-coded index pairs inside them.  This lazy layer executes ``groups`` and
-``tables`` only, never the Smith forms, homology or crossed modules.
+negation are lookups, and each map is an array of image indices; one
+builder, ``_tables``, codes a complex of either length.  Units leave the
+scans as coordinate pairs (e, phi); morphisms exist only as coded index
+pairs inside them.  This lazy layer executes ``groups`` and ``tables``
+only, never the Smith forms, homology or crossed modules.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .groups import Complex2, Complex3, _require_finite
+from .groups import Complex, _require_finite
 from .tables import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import Report, charge
 
@@ -48,26 +49,27 @@ def _pairs(O, S):
     return lambda unit: (O.coords(unit[0]), S.coords(unit[1]))
 
 
-def _tables_1(X: Complex2):
-    """Table-coded A and B and the array of lam."""
+def _tables(X: Complex):
+    """The table-coded terms of X and the image array of each map."""
     _require_finite(X, "point-model enumeration")
-    A, B = _coded(X.A), _coded(X.B)
-    return A, B, A.image_array(X.lam.matrix, B)
+    coded = [_coded(G) for G in X.terms]
+    return coded, [S.image_array(f.matrix, T)
+                   for S, T, f in zip(coded, coded[1:], X.maps)]
 
 
-def enumerate_units_1(X: Complex2):
+def enumerate_units_1(X: Complex):
     """All units (e, a_phi) as coordinate pairs, in lexicographic order;
     exactly |A| of them."""
-    A, B, lam = _tables_1(X)
+    (A, B), (lam,) = _tables(X)
     return list(map(_pairs(B, A), _coded_units(A, lam)))
 
 
-def units_and_morphism_count_1(X: Complex2):
+def units_and_morphism_count_1(X: Complex):
     """``enumerate_units_1`` of X, and the number of ordered pairs of units
     (s, t) for which u = a_phi(s) - a_phi(t) is a unit morphism s -> t:
     lam(u) = e_s - e_t and the unit square commutes.  One build of the
     coded tables serves both."""
-    A, B, lam = _tables_1(X)
+    (A, B), (lam,) = _tables(X)
     add, neg = A.table, A.inverse
     units = _coded_units(A, lam)
     count = 0
@@ -86,7 +88,7 @@ def _trivial_action(G, H):
     return tuple((g,) * H.order for g in G.elements())
 
 
-def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
+def verify_contractible_1(X: Complex, max_states=10 ** 7) -> Report:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
@@ -96,9 +98,9 @@ def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
     coherence triples count against ``max_states`` before any scan.
     """
     _require_finite(X, "point-model enumeration")
-    charge("coherence scan", X.A.order() ** 3, "|A|^3", max_states)
+    charge("coherence scan", X.terms[0].order() ** 3, "|A|^3", max_states)
     report = Report("contractibility of the unit groupoid")
-    A, B, lam = _tables_1(X)
+    (A, B), (lam,) = _tables(X)
     units = _coded_units(A, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     pairs, coherence, morphisms = unit_morphism_checks(
@@ -116,14 +118,6 @@ def verify_contractible_1(X: Complex2, max_states=10 ** 7) -> Report:
 # one level up
 
 
-def _tables_2(X: Complex3):
-    """Table-coded A, B and C and the arrays of delta and lam."""
-    _require_finite(X, "point-model enumeration")
-    A, B, C = _coded(X.A), _coded(X.B), _coded(X.C)
-    return (A, B, C, A.image_array(X.delta.matrix, B),
-            B.image_array(X.lam.matrix, C))
-
-
 def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
     """The unit 1-morphisms s -> t as (f, theta) index pairs, in
     lexicographic order: lam(f) = e_s - e_t, and theta lies over the
@@ -134,14 +128,14 @@ def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
             for theta in theta_fibers[add[add[f][phi_t]][neg[phi_s]]]]
 
 
-def enumerate_units_2(X: Complex3):
+def enumerate_units_2(X: Complex):
     """All units (e, phi) as coordinate pairs, in lexicographic order;
     exactly |B| of them."""
-    _, B, C, _, lam = _tables_2(X)
+    (_, B, C), (_, lam) = _tables(X)
     return list(map(_pairs(C, B), _coded_units(B, lam)))
 
 
-def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
+def verify_contractible_2(X: Complex, max_states=10 ** 7) -> Report:
     """Check that the unit 2-groupoid is contractible, exhaustively, by a
     checked reduction to level 1.
 
@@ -157,7 +151,7 @@ def verify_contractible_2(X: Complex3, max_states=10 ** 7) -> Report:
     triples (|A|^3) are charged before any 1-morphism is listed.
     """
     report = Report("contractibility of the unit 2-groupoid")
-    A, B, C, delta, lam = _tables_2(X)
+    (A, B, C), (delta, lam) = _tables(X)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)

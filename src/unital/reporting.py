@@ -22,8 +22,7 @@ from .verification import MAX_CODED_ORDER, CapExceeded, Report, charge, sha256
 def _check_caps(spec):
     if spec.kind == "crossed_module":  # its tables are capped when parsed
         return
-    X = spec.payload
-    for G in map(X.group_at, X.degrees):
+    for G in spec.payload.terms:
         # every group a command accepts can be table-coded for enumeration
         if G.is_finite and G.order() > MAX_CODED_ORDER:
             bits = G.order().bit_length()
@@ -63,20 +62,22 @@ def _order(G):
 
 def _units_1(report, X, opts):
     # the morphism count scans every ordered pair of units
-    charge("unit scan", _order(X.A) ** 2, "|A|^2", opts.max_states)
+    A = X.terms[0]
+    charge("unit scan", _order(A) ** 2, "|A|^2", opts.max_states)
     units, morphisms = point_models.units_and_morphism_count_1(X)
     report.data["units"] = units
     report.data["unique_morphisms"] = morphisms
-    report.add("unit count equals |A|", len(units) == X.A.order(), len(units))
+    report.add("unit count equals |A|", len(units) == A.order(), len(units))
     report.add("one morphism per ordered pair", morphisms == len(units) ** 2,
                morphisms)
 
 
 def _units_2(report, X, opts):
-    charge("unit scan", _order(X.B), "|B|", opts.max_states)
+    B = X.terms[1]
+    charge("unit scan", _order(B), "|B|", opts.max_states)
     units = point_models.enumerate_units_2(X)
     report.data["units"] = units
-    report.add("unit count equals |B|", len(units) == X.B.order(), len(units))
+    report.add("unit count equals |B|", len(units) == B.order(), len(units))
 
 
 def _contractible_1(report, X, opts):

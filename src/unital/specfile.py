@@ -8,8 +8,13 @@ The format is versioned UTF-8 JSON.  Matrices are row-major integer arrays
      "groups": {"A": {"inv": [2]}, "B": {"inv": [4]}},
      "maps": {"lambda": [[2]]}}
 
-Groups are given by invariant factors plus an optional free rank and must
-already be in canonical form, since the matrices refer to their generators.
+A 3-term complex (kind "complex3") adds a group C and names its maps
+delta: A -> B and lambda: B -> C.  ``COMPLEX_KINDS`` lists each kind's
+groups and maps, and one path parses both into a ``groups.Complex``: a
+missing group is trivial, a missing map is zero, and the record refuses a
+nonzero composite.  Groups are given by invariant factors plus an
+optional free rank and must already be in canonical form, since the
+matrices refer to their generators.
 A cover may be attached under "nerve" (parts plus intersection table), or
 supplied separately.  Errors carry the JSON path of the offending field.
 """
@@ -23,7 +28,10 @@ from .record import Record
 from .verification import CapExceeded
 
 SCHEMA = "unital/1"
-KINDS = ("complex2", "complex3", "crossed_module")
+# per complex kind, the names of its terms and of the maps between them
+COMPLEX_KINDS = {"complex2": (("A", "B"), ("lambda",)),
+                 "complex3": (("A", "B", "C"), ("delta", "lambda"))}
+KINDS = (*COMPLEX_KINDS, "crossed_module")
 # per group: qiso on a 3-term complex of free rank 64 takes about 6 s on a
 # 2-core Xeon, and a default zero map of n generators is an n x n matrix
 MAX_GENERATORS = 64
@@ -35,7 +43,7 @@ class SpecError(ValueError):
 
 class ComplexSpecFile(Record):
     kind: str
-    payload: object           # Complex2 | Complex3 | CrossedModule
+    payload: object           # Complex | CrossedModule
     cover: cech.Cover | None
     raw: dict                 # canonicalized source document
 
@@ -173,34 +181,20 @@ def parse_spec(text) -> ComplexSpecFile:
 
     cover = _parse_cover(doc["nerve"], "nerve") if "nerve" in doc else None
 
-    if kind in ("complex2", "complex3"):
+    if kind in COMPLEX_KINDS:
         groups_doc, maps_doc = doc.get("groups", {}), doc.get("maps", {})
         for key, val in (("groups", groups_doc), ("maps", maps_doc)):
             if not isinstance(val, dict):
                 raise SpecError(f"{key}: expected an object")
-        names = ("A", "B") if kind == "complex2" else ("A", "B", "C")
-        terms = {n: _parse_group(groups_doc.get(n, {}), f"groups.{n}")
-                 for n in names}
-        if kind == "complex2":
-            lam = _parse_hom(maps_doc.get("lambda", _zero(terms["A"],
-                                                          terms["B"])),
-                             terms["A"], terms["B"], "maps.lambda")
-            payload = groups.Complex2(terms["A"], terms["B"], lam)
-        else:
-            delta = _parse_hom(maps_doc.get("delta", _zero(terms["A"],
-                                                           terms["B"])),
-                               terms["A"], terms["B"], "maps.delta")
-            lam = _parse_hom(maps_doc.get("lambda", _zero(terms["B"],
-                                                          terms["C"])),
-                             terms["B"], terms["C"], "maps.lambda")
-            composite = lam.compose(delta)
-            for j in range(terms["A"].ngens):
-                col = terms["C"].reduce(row[j] for row in composite.matrix)
-                if any(col):
-                    raise SpecError(
-                        f"maps: composite nonzero at generator {j}")
-            payload = groups.Complex3(terms["A"], terms["B"], terms["C"],
-                                      delta, lam)
+        names, map_names = COMPLEX_KINDS[kind]
+        terms = [_parse_group(groups_doc.get(n, {}), f"groups.{n}")
+                 for n in names]
+        maps = [_parse_hom(maps_doc.get(m, _zero(S, T)), S, T, f"maps.{m}")
+                for m, S, T in zip(map_names, terms, terms[1:])]
+        try:  # the endpoints match, so only a composite can be refused
+            payload = groups.Complex(terms, maps)
+        except ValueError as exc:
+            raise SpecError(f"maps: {exc}") from None
     else:
         G = _parse_finite_group(_need(doc, "G", "$", dict), "G")
         H = _parse_finite_group(_need(doc, "H", "$", dict), "H")

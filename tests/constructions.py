@@ -8,8 +8,7 @@ independent answers.
 
 from unital.abelian import direct_sum
 from unital.complexes import (
-    Complex2, Complex3, StrictMorphism, homology, unit_complex_1,
-    unit_complex_2)
+    Complex, StrictMorphism, homology, unit_complex_1, unit_complex_2)
 from unital.groups import GroupHom
 
 
@@ -26,27 +25,28 @@ def compose(g: StrictMorphism, f: StrictMorphism) -> StrictMorphism:
         tuple(g.map_at(d).compose(f.map_at(d)) for d in g.source.degrees))
 
 
-def forgetful_morphism_1(X: Complex2) -> StrictMorphism:
+def forgetful_morphism_1(X: Complex) -> StrictMorphism:
     """unit_complex_1(X) -> X by (id_A, projection to B)."""
     U, emb = unit_complex_1(X)
-    _, _, _, _, proj_b = direct_sum(X.A, X.B)
-    return StrictMorphism(U, X,
-                          (GroupHom.identity(X.A), proj_b.compose(emb)))
+    A, B = X.terms
+    _, _, _, _, proj_b = direct_sum(A, B)
+    return StrictMorphism(U, X, (GroupHom.identity(A), proj_b.compose(emb)))
 
 
-def forgetful_morphism_2(X: Complex3) -> StrictMorphism:
+def forgetful_morphism_2(X: Complex) -> StrictMorphism:
     """unit_complex_2(X) -> X by (id_A, projection to B, projection to C)."""
     U, emb = unit_complex_2(X)
-    _, _, _, proj_b, _ = direct_sum(X.B, X.A)
-    _, _, _, _, qroj_c = direct_sum(X.B, X.C)
-    return StrictMorphism(U, X, (GroupHom.identity(X.A), proj_b,
+    A, B, C = X.terms
+    _, _, _, proj_b, _ = direct_sum(B, A)
+    _, _, _, _, qroj_c = direct_sum(B, C)
+    return StrictMorphism(U, X, (GroupHom.identity(A), proj_b,
                                  qroj_c.compose(emb)))
 
 
-def identity_model_projection(X: Complex2) -> StrictMorphism:
+def identity_model_projection(X: Complex) -> StrictMorphism:
     """unit_complex_1(X) -> (A -> A), forgetting the B-coordinate."""
     U, emb = unit_complex_1(X)
-    idA = Complex2(X.A, X.A, GroupHom.identity(X.A))
-    _, _, _, proj_a, _ = direct_sum(X.A, X.B)
-    return StrictMorphism(U, idA,
-                          (GroupHom.identity(X.A), proj_a.compose(emb)))
+    A, B = X.terms
+    idA = Complex((A, A), (GroupHom.identity(A),))
+    _, _, _, proj_a, _ = direct_sum(A, B)
+    return StrictMorphism(U, idA, (GroupHom.identity(A), proj_a.compose(emb)))

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -85,8 +86,8 @@ class TestParse:
     def test_times2(self):
         spec = parse_spec(json.dumps(TIMES2))
         assert spec.kind == "complex2"
-        assert str(spec.payload.A) == "Z/2"
-        assert spec.payload.lam.matrix == ((2,),)
+        assert str(spec.payload.terms[0]) == "Z/2"
+        assert spec.payload.maps[0].matrix == ((2,),)
 
     def test_round_trip(self):
         spec = parse_spec(json.dumps(TIMES2))
@@ -97,7 +98,8 @@ class TestParse:
     def test_empty_groups_is_trivial_complex(self):
         spec = parse_spec(json.dumps({"kind": "complex2", "groups": {},
                                       "maps": {}}))
-        assert spec.payload.A.is_trivial and spec.payload.B.is_trivial
+        assert all(G.is_trivial for G in spec.payload.terms)
+        assert len(spec.payload.terms) == 2
 
     def test_composite_nonzero_rejected(self):
         doc = {"kind": "complex3",
@@ -529,7 +531,29 @@ class TestCliProcess:
           "containments": [
               {"parts": ["U", "V"], "component": "*", "sub_parts": ["U"],
                "sub_component": c} for c in ("x", "y")]},
-         "nerve: containment ['U', 'V']:* in ['U'] is declared twice")])
+         "nerve: containment ['U', 'V']:* in ['U'] is declared twice"),
+        # two components named alike would be one nerve cell twice
+        ({"parts": ["U", "V"],
+          "intersections": [{"parts": ["U", "V"], "components": ["x", "x"]}]},
+         "nerve: component names repeat in [0, 1]: ['x', 'x']"),
+        # a containment out of a component U n V does not have
+        ({"parts": ["U", "V"], "intersections": [{"parts": ["U", "V"]}],
+          "containments": [{"parts": ["U", "V"], "component": "q",
+                            "sub_parts": ["U"], "sub_component": "*"}]},
+         "nerve: containment source [0, 1]:q is not a declared component"),
+        # a face drops one part: never into a smaller intersection
+        ({"parts": ["U", "V"], "intersections": [{"parts": ["U", "V"]}],
+          "containments": [{"parts": ["U"], "component": "*",
+                            "sub_parts": ["U", "V"], "sub_component": "*"}]},
+         "nerve: containment [0]:* in [0, 1] is never consulted: [0, 1] is "
+         "not [0] less one part"),
+        # nor past the intersection with one part fewer
+        (dict(CIRCLE_NERVE, intersections=CIRCLE_NERVE["intersections"] + [
+            {"parts": ["a0", "a1", "a2"], "components": ["t"]}],
+            containments=[{"parts": ["a0", "a1", "a2"], "component": "t",
+                           "sub_parts": ["a0"], "sub_component": "*"}]),
+         "nerve: containment [0, 1, 2]:t in [0] is never consulted: [0] is "
+         "not [0, 1, 2] less one part")])
     @pytest.mark.parametrize("embedded", [False, True])
     def test_ambiguous_cover_exit_2(self, tmp_path, capsys, nerve, message,
                                     embedded):
@@ -919,6 +943,60 @@ def test_closed_stdout_pipe_exits_2(tmp_path):
     finally:
         os.close(write)
     _assert_output_error(proc, "Broken pipe")
+
+
+@st.composite
+def nerves(draw):
+    """Nerve documents of 1-3 parts with component names from a two-letter
+    alphabet, so that names repeat, and optional containments, each into
+    a face of its intersection; some leave a face ambiguous."""
+    parts = ["p0", "p1", "p2"][:draw(st.integers(1, 3))]
+    names = st.sampled_from("xy")
+    components = {}
+    for r in range(1, len(parts) + 1):
+        for s in itertools.combinations(parts, r):
+            # declared only once every subset is nonempty
+            if all(len(t) < 2 or t in components
+                   for t in itertools.combinations(s, r - 1)) \
+                    and draw(st.booleans()):
+                components[s] = draw(st.lists(names, min_size=1, max_size=2))
+    containments = [
+        {"parts": list(s), "component": draw(st.sampled_from(comps)),
+         "sub_parts": list(draw(st.sampled_from(
+             list(itertools.combinations(s, len(s) - 1))))),
+         "sub_component": draw(names | st.just("*"))}
+        for s, comps in components.items()
+        if len(s) > 1 and draw(st.booleans())]
+    return {"parts": parts,
+            "intersections": [{"parts": list(s), "components": comps}
+                              for s, comps in components.items()],
+            "containments": containments}
+
+
+UNIT_SEEDS = [Z2_ZERO, _replaced(Z2_ZERO, ("maps", "lambda"), [[1]]),
+              _replaced(THREE_TERM, ("maps",), {"delta": [[1]],
+                                                "lambda": [[0]]})]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nerves())
+@example({"parts": ["U", "V"], "intersections": [
+    {"parts": ["U", "V"], "components": ["x", "x"]}]}).via("repeated names")
+def test_unit_checks_hold_on_every_nerve(tmp_path_factory, nerve):
+    # the rows of the double complex of an acyclic unit complex are
+    # acyclic, so the unit checks of cech-classify are theorems on any
+    # nerve: a cover exits 0, 2 as bad input or 3 over the state cap, but
+    # never 1; a repeated component name is bad input
+    repeats = any(len(set(i["components"])) < len(i["components"])
+                  for i in nerve["intersections"])
+    path = tmp_path_factory.mktemp("nerve") / "in.json"
+    for doc in UNIT_SEEDS:
+        path.write_text(json.dumps(dict(doc, nerve=nerve)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["cech-classify", "--in", str(path), "--json"])
+        assert code != 1
+        assert code == 2 or not repeats
 
 
 @settings(max_examples=25, deadline=None)

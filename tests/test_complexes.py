@@ -4,8 +4,7 @@ import pytest
 
 from unital.abelian import FgAbGroup, GroupHom, is_isomorphism, kernel
 from unital.complexes import (
-    Complex2,
-    Complex3,
+    Complex,
     HomologyData,
     StrictMorphism,
     cone,
@@ -38,11 +37,12 @@ TRIV = FgAbGroup.trivial()
 
 
 def c2_times2():
-    return Complex2(Z2, Z4, GroupHom(Z2, Z4, [[2]]))
+    return Complex((Z2, Z4), (GroupHom(Z2, Z4, [[2]]),))
 
 
 def c3_zero_id():
-    return Complex3(Z2, Z2, Z2, GroupHom.zero(Z2, Z2), GroupHom.identity(Z2))
+    return Complex((Z2, Z2, Z2),
+                   (GroupHom.zero(Z2, Z2), GroupHom.identity(Z2)))
 
 
 def brute_homology_order(X, degree):
@@ -69,7 +69,7 @@ def brute_homology_order(X, degree):
 def random_complex2(rng, max_order=16):
     A = random_group(rng, max_order)
     B = random_group(rng, max_order)
-    return Complex2(A, B, random_hom(rng, A, B))
+    return Complex((A, B), (random_hom(rng, A, B),))
 
 
 def random_complex3(rng, max_order=16):
@@ -81,14 +81,79 @@ def random_complex3(rng, max_order=16):
     lam = random_hom(rng, B, C)
     K, incl = kernel(lam)
     delta = incl.compose(random_hom(rng, A, K))
-    return Complex3(A, B, C, delta, lam)
+    return Complex((A, B, C), (delta, lam))
 
 
 class TestComplexValidation:
     def test_rejects_non_complex(self):
         with pytest.raises(ValueError):
-            Complex3(Z2, Z2, Z2, GroupHom.identity(Z2),
-                     GroupHom.identity(Z2))
+            Complex((Z2, Z2, Z2),
+                    (GroupHom.identity(Z2), GroupHom.identity(Z2)))
+
+    def test_composite_names_its_generator(self):
+        # generator 0 of Z/2 x Z/2 maps to zero, generator 1 does not
+        A = FgAbGroup.from_divisors(2, 2)
+        delta = GroupHom(A, Z2, [[0, 1]])
+        X = Complex((A, Z2, Z3), (delta, GroupHom.zero(Z2, Z3)))
+        assert X.degrees == (-2, -1, 0)
+        with pytest.raises(ValueError,
+                           match="^composite nonzero at generator 1$"):
+            Complex((A, Z2, Z2), (delta, GroupHom.identity(Z2)))
+
+    def test_wrong_endpoint_at_each_degree(self):
+        good = (GroupHom.zero(Z2, Z4), GroupHom.zero(Z4, Z3))
+        bad = (GroupHom.zero(Z3, Z4), GroupHom.zero(Z4, Z2))
+        for k, degree in enumerate((-2, -1)):
+            maps = list(good)
+            maps[k] = bad[k]
+            with pytest.raises(ValueError, match=f"^map at degree {degree} "
+                                                 "does not match the terms$"):
+                Complex((Z2, Z4, Z3), maps)
+        with pytest.raises(ValueError, match="^map at degree -1 "):
+            Complex((Z2, Z4), (GroupHom.zero(Z4, Z2),))
+
+    def test_one_term_more_than_maps(self):
+        for terms, maps in (((Z2, Z2), ()), ((), ()),
+                            ((Z2,), (GroupHom.zero(Z2, Z2),))):
+            with pytest.raises(ValueError, match="one term more than maps"):
+                Complex(terms, maps)
+
+    @pytest.mark.parametrize("X", [c2_times2(), c3_zero_id()],
+                             ids=["2-term", "3-term"])
+    def test_degrees_out_of_range(self, X):
+        # below the lowest degree no negative index wraps round to a term,
+        # and above degree 0 no IndexError escapes
+        low = X.degrees[0]
+        assert X.degrees == tuple(range(low, 1))
+        assert [X.group_at(d) for d in X.degrees] == list(X.terms)
+        assert [X.differential(d) for d in X.degrees[:-1]] == list(X.maps)
+        assert X.differential(0) == GroupHom.zero(X.terms[-1], TRIV)
+        for degree in (low - 1, low - 2, 1, 2):
+            for method in (X.group_at, X.differential):
+                with pytest.raises(ValueError,
+                                   match=f"^degree {degree} out of range$"):
+                    method(degree)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        lam = GroupHom(Z2, Z4, [[2]])
+        X = Complex([Z2, Z4], [lam])
+        assert X.terms == (Z2, Z4) and X.maps == (lam,)
+        assert X == c2_times2() and hash(X) == hash(c2_times2())
+        assert X != Complex((Z2, Z4), (GroupHom.zero(Z2, Z4),))
+        assert c3_zero_id() == c3_zero_id()
+        assert hash(c3_zero_id()) == hash(c3_zero_id())
+        assert X != c3_zero_id()
+        assert str(X) == "[Z/2 -> Z/4]"
+        assert str(c3_zero_id()) == "[Z/2 -> Z/2 -> Z/2]"
+
+    def test_strict_morphism_needs_equal_lengths(self):
+        X, Y = c2_times2(), c3_zero_id()
+        with pytest.raises(ValueError, match="different lengths"):
+            StrictMorphism(X, Y, (GroupHom.zero(Z2, Z2),
+                                  GroupHom.zero(Z4, Z2)))
+        with pytest.raises(ValueError, match="different lengths"):
+            StrictMorphism(Y, X, (GroupHom.zero(Z2, Z2),
+                                  GroupHom.zero(Z2, Z4)))
 
     def test_strict_morphism_square_checked(self):
         X = c2_times2()
@@ -105,7 +170,7 @@ class TestHomology:
 
     def test_identity_acyclic(self):
         for G in (Z4, FgAbGroup.from_divisors(2, 6)):
-            X = Complex2(G, G, GroupHom.identity(G))
+            X = Complex((G, G), (GroupHom.identity(G),))
             assert is_acyclic(X)
 
     def test_three_term(self):
@@ -141,24 +206,24 @@ class TestHomology:
 class TestUnitComplex1:
     def test_times2(self):
         U, emb = unit_complex_1(c2_times2())
-        assert U.A == Z2 and U.B == Z2
+        assert U.terms == (Z2, Z2)
         assert is_acyclic(U)
         # kernel of (a,b) |-> lam(a) - b is {(0,0), (1,2)}
-        members = sorted(emb(k).coords for k in U.B.elements())
+        members = sorted(emb(k).coords for k in U.terms[1].elements())
         assert members == [(0, 0), (1, 2)]
 
     def test_trivial_A(self):
-        X = Complex2(TRIV, Z4, GroupHom.zero(TRIV, Z4))
+        X = Complex((TRIV, Z4), (GroupHom.zero(TRIV, Z4),))
         U, _ = unit_complex_1(X)
-        assert U.A.is_trivial and U.B.is_trivial
+        assert U.terms == (TRIV, TRIV)
 
     def test_zero_map(self):
-        X = Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
+        X = Complex((Z3, Z3), (GroupHom.zero(Z3, Z3),))
         U, emb = unit_complex_1(X)
-        assert U.B == Z3
-        assert is_isomorphism(U.lam)
+        assert U.terms[1] == Z3
+        assert is_isomorphism(U.maps[0])
         # kernel members are the pairs (a, 0)
-        assert all(emb(k).coords[1] == 0 for k in U.B.elements())
+        assert all(emb(k).coords[1] == 0 for k in U.terms[1].elements())
 
     def test_always_acyclic(self):
         rng = random.Random(31)
@@ -173,14 +238,13 @@ class TestUnitComplex2:
         assert is_acyclic(U)
 
     def test_all_trivial(self):
-        X = Complex3(TRIV, TRIV, TRIV, GroupHom.zero(TRIV, TRIV),
-                     GroupHom.zero(TRIV, TRIV))
+        X = Complex((TRIV,) * 3, (GroupHom.zero(TRIV, TRIV),) * 2)
         U, _ = unit_complex_2(X)
-        assert U.A.is_trivial and U.B.is_trivial and U.C.is_trivial
+        assert U.terms == (TRIV, TRIV, TRIV)
 
     def test_id_then_zero(self):
-        X = Complex3(Z4, Z4, Z2, GroupHom.identity(Z4),
-                     GroupHom.zero(Z4, Z2))
+        X = Complex((Z4, Z4, Z2),
+                    (GroupHom.identity(Z4), GroupHom.zero(Z4, Z2)))
         assert is_acyclic(unit_complex_2(X)[0])
 
     def test_always_acyclic(self):
@@ -192,12 +256,12 @@ class TestUnitComplex2:
 class TestCone:
     def test_cone_of_identity_acyclic(self):
         for X in (c2_times2(),
-                  Complex2(TRIV, Z3, GroupHom.zero(TRIV, Z3))):
+                  Complex((TRIV, Z3), (GroupHom.zero(TRIV, Z3),))):
             assert is_acyclic(cone(StrictMorphism.identity(X)))
 
     def test_cone_from_zero_complex(self):
         X = c2_times2()
-        Z = Complex2(TRIV, TRIV, GroupHom.zero(TRIV, TRIV))
+        Z = Complex((TRIV, TRIV), (GroupHom.zero(TRIV, TRIV),))
         f = StrictMorphism(Z, X, (GroupHom.zero(TRIV, Z2),
                                   GroupHom.zero(TRIV, Z4)))
         C = cone(f)
@@ -206,14 +270,14 @@ class TestCone:
         assert homology(C, 0) == homology(X, 0)
 
     def test_truncate_shift_zero_differentials(self):
-        X = Complex3(Z2, Z4, TRIV, GroupHom.zero(Z2, Z4),
-                     GroupHom.zero(Z4, TRIV))
+        X = Complex((Z2, Z4, TRIV),
+                    (GroupHom.zero(Z2, Z4), GroupHom.zero(Z4, TRIV)))
         T = truncate_shift(X)
-        assert T.A == Z2 and T.B == Z4
+        assert T.terms == (Z2, Z4)
 
     def test_truncate_shift_forced_trivial(self):
         T = truncate_shift(c3_zero_id())
-        assert T.B.is_trivial
+        assert T.terms[1].is_trivial
 
     def test_cone_comparison_is_isomorphism(self):
         rng = random.Random(51)
@@ -237,8 +301,8 @@ class TestQuasiIsomorphism:
         assert is_quasi_isomorphism(StrictMorphism.identity(X)).is_qiso
 
     def test_failing_case(self):
-        Y = Complex2(TRIV, Z2, GroupHom.zero(TRIV, Z2))
-        Z = Complex2(TRIV, TRIV, GroupHom.zero(TRIV, TRIV))
+        Y = Complex((TRIV, Z2), (GroupHom.zero(TRIV, Z2),))
+        Z = Complex((TRIV, TRIV), (GroupHom.zero(TRIV, TRIV),))
         f = StrictMorphism(Y, Z, (GroupHom.zero(TRIV, TRIV),
                                   GroupHom.zero(Z2, TRIV)))
         assert not is_quasi_isomorphism(f).is_qiso
@@ -287,16 +351,17 @@ class TestForgetful:
         mor = forgetful_morphism_1(X)
         U, emb = unit_complex_1(X)
         # exhaustive square check on elements
-        for a in X.A.elements():
-            assert mor.map_at(0)(U.lam(a)) == X.lam(mor.map_at(-1)(a))
+        for a in X.terms[0].elements():
+            assert mor.map_at(0)(U.maps[0](a)) == \
+                X.maps[0](mor.map_at(-1)(a))
         # projection of the kernel member (1, 2) is 2
-        one = [k for k in U.B.elements() if emb(k).coords == (1, 2)]
+        one = [k for k in U.terms[1].elements() if emb(k).coords == (1, 2)]
         assert mor.map_at(0)(one[0]).coords == (2,)
 
     def test_trivial(self):
-        X = Complex2(TRIV, TRIV, GroupHom.zero(TRIV, TRIV))
+        X = Complex((TRIV, TRIV), (GroupHom.zero(TRIV, TRIV),))
         mor = forgetful_morphism_1(X)
-        assert mor.map_at(0).is_zero_hom
+        assert mor.map_at(0) == GroupHom.zero(TRIV, TRIV)
 
     def test_three_term_squares(self):
         X = c3_zero_id()

@@ -507,7 +507,7 @@ class TestUnitScan:
         rng = random.Random(257)
         for _ in range(20):
             Y = random_complex2(rng, 64)
-            A, B, lam = point_models._tables_1(Y)
+            (A, B), (lam,) = point_models._tables(Y)
             X = CrossedModule(A, B, lam,
                               tuple((a,) * B.order for a in A.elements()))
             _, rep = enumerate_units_nonabelian(X)

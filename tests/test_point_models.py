@@ -7,7 +7,7 @@ import pytest
 from unital.abelian import (
     CapExceeded, FgAbGroup, FinitenessError, GroupHom, kernel)
 from unital.cech import cech_nerve, cocycle_of_unit, point_cover
-from unital.complexes import Complex2, Complex3, homology, unit_complex_1
+from unital.complexes import Complex, homology, unit_complex_1
 from unital import point_models
 from unital.reporting import run
 from unital.specfile import parse_spec
@@ -31,7 +31,7 @@ model_times2, model2_example = c2_times2, c3_zero_id
 
 
 def model_zero_z3():
-    return Complex2(Z3, Z3, GroupHom.zero(Z3, Z3))
+    return Complex((Z3, Z3), (GroupHom.zero(Z3, Z3),))
 
 
 # brute-force oracles on GroupElem arithmetic, from the definitions; a
@@ -41,7 +41,7 @@ def model_zero_z3():
 def unit_elems(X, unit):
     """The pair (e, phi) as elements: e of the object group, phi of the
     structure group, which are B and A for a 2-term X, C and B else."""
-    objects, structure = (X.B, X.A) if isinstance(X, Complex2) else (X.C, X.B)
+    objects, structure = X.group_at(0), X.group_at(-1)
     return objects.element(unit[0]), structure.element(unit[1])
 
 
@@ -49,25 +49,28 @@ def oracle_unit_morphisms_1(X, s, t):
     """Every a with lam(a) = e_s - e_t whose unit square commutes:
     a_phi(s) + a = a + a + a_phi(t)."""
     (e_s, a_s), (e_t, a_t) = unit_elems(X, s), unit_elems(X, t)
-    return [a for a in X.A.elements()
-            if X.lam(a) == e_s - e_t and a_s + a == a + a + a_t]
+    (A, _), (lam,) = X.terms, X.maps
+    return [a for a in A.elements()
+            if lam(a) == e_s - e_t and a_s + a == a + a + a_t]
 
 
 def oracle_unit_1morphisms(X, s, t):
     """Every (f, theta) with lam(f) = e_s - e_t and theta filling the
     square: delta(theta) = f + phi_t - phi_s."""
     (e_s, phi_s), (e_t, phi_t) = unit_elems(X, s), unit_elems(X, t)
-    return [(f, theta) for f in X.B.elements() if X.lam(f) == e_s - e_t
-            for theta in X.A.elements()
-            if X.delta(theta) == f + phi_t - phi_s]
+    (A, B, _), (delta, lam) = X.terms, X.maps
+    return [(f, theta) for f in B.elements() if lam(f) == e_s - e_t
+            for theta in A.elements()
+            if delta(theta) == f + phi_t - phi_s]
 
 
 def oracle_unit_2morphisms(X, m1, m2):
     """Every gamma with delta(gamma) = f_1 - f_2 whose two pastings agree:
     (gamma + gamma) + theta_2 = theta_1 + gamma."""
     (f1, theta1), (f2, theta2) = m1, m2
-    return [g for g in X.A.elements()
-            if X.delta(g) == f1 - f2 and g + g + theta2 == theta1 + g]
+    A, delta = X.terms[0], X.maps[0]
+    return [g for g in A.elements()
+            if delta(g) == f1 - f2 and g + g + theta2 == theta1 + g]
 
 
 def tensor(X, s, t):
@@ -88,8 +91,8 @@ class TestSaavedraUnits:
         assert units == [((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
 
     def test_trivial_A(self):
-        m = Complex2(FgAbGroup.trivial(), Z4,
-                     GroupHom.zero(FgAbGroup.trivial(), Z4))
+        m = Complex((FgAbGroup.trivial(), Z4),
+                    (GroupHom.zero(FgAbGroup.trivial(), Z4),))
         assert enumerate_units_1(m) == [((0,), ())]
 
     def test_membership_enforced(self):
@@ -104,7 +107,7 @@ class TestSaavedraUnits:
 
     def test_infinite_guard(self):
         G = FgAbGroup.free(1)
-        m = Complex2(G, G, GroupHom.identity(G))
+        m = Complex((G, G), (GroupHom.identity(G),))
         for scan in (enumerate_units_1, units_and_morphism_count_1,
                      verify_contractible_1):
             with pytest.raises(FinitenessError,
@@ -114,8 +117,8 @@ class TestSaavedraUnits:
 
 class TestUnitMorphisms1:
     def test_units_command_builds_the_coded_tables_once(self, monkeypatch):
-        calls, tables = [], point_models._tables_1
-        monkeypatch.setattr(point_models, "_tables_1",
+        calls, tables = [], point_models._tables
+        monkeypatch.setattr(point_models, "_tables",
                             lambda X: calls.append(X) or tables(X))
         report = run("units", parse_spec(json.dumps(
             {"kind": "complex2", "groups": {"A": {"inv": [2]},
@@ -164,7 +167,7 @@ class TestUnitMorphisms1:
         rng = random.Random(105)
         for _ in range(10):
             m = random_complex2(rng, 12)
-            assert units_and_morphism_count_1(m)[1] == m.A.order() ** 2
+            assert units_and_morphism_count_1(m)[1] == m.terms[0].order() ** 2
 
     def test_morphism_to_canonical_is_a_phi(self):
         rng = random.Random(103)
@@ -172,7 +175,7 @@ class TestUnitMorphisms1:
             m = random_complex2(rng, 12)
             units = enumerate_units_1(m)
             can = units[0]  # (0, 0), first in lexicographic order
-            assert can == (m.B.zero().coords, m.A.zero().coords)
+            assert can == (m.terms[1].zero().coords, m.terms[0].zero().coords)
             for s in units:
                 assert oracle_unit_morphisms_1(m, s, can) == \
                     [unit_elems(m, s)[1]]
@@ -199,7 +202,7 @@ class TestTensor1:
         rng = random.Random(109)
         for m in [random_complex2(rng, 9) for _ in range(5)] + \
                 [random_complex3(rng, 8) for _ in range(5)]:
-            scan = enumerate_units_1 if isinstance(m, Complex2) \
+            scan = enumerate_units_1 if len(m.terms) == 2 \
                 else enumerate_units_2
             units = scan(m)
             for s, t in itertools.product(units, repeat=2):
@@ -227,7 +230,7 @@ class TestContractible1:
 
     def test_point(self):
         T = FgAbGroup.trivial()
-        rep = verify_contractible_1(Complex2(T, T, GroupHom.zero(T, T)))
+        rep = verify_contractible_1(Complex((T, T), (GroupHom.zero(T, T),)))
         assert rep.passed and rep.data["units"] == 1
 
     def test_zero_z3(self):
@@ -235,8 +238,8 @@ class TestContractible1:
         assert rep.passed and rep.data["morphisms"] == 9
 
     def test_coherence_triples_count_against_max_states(self):
-        m = Complex2(FgAbGroup.cyclic(8), Z2,
-                     GroupHom.zero(FgAbGroup.cyclic(8), Z2))
+        m = Complex((FgAbGroup.cyclic(8), Z2),
+                    (GroupHom.zero(FgAbGroup.cyclic(8), Z2),))
         with pytest.raises(CapExceeded, match="512"):
             verify_contractible_1(m, max_states=511)
         assert verify_contractible_1(m, max_states=512).passed
@@ -257,16 +260,16 @@ class TestJKUnits:
         assert units == [((0,), (0,)), ((1,), (1,))]
 
     def test_trivial_C_units_are_kernel(self):
-        X = Complex3(Z2, Z4, FgAbGroup.trivial(),
-                     GroupHom(Z2, Z4, [[2]]),
-                     GroupHom.zero(Z4, FgAbGroup.trivial()))
+        X = Complex((Z2, Z4, FgAbGroup.trivial()),
+                    (GroupHom(Z2, Z4, [[2]]),
+                     GroupHom.zero(Z4, FgAbGroup.trivial())))
         units = enumerate_units_2(X)
         assert len(units) == 4 and {e for e, _ in units} == {()}
 
     def test_trivial_B(self):
-        X = Complex3(Z2, FgAbGroup.trivial(), Z2,
-                     GroupHom.zero(Z2, FgAbGroup.trivial()),
-                     GroupHom.zero(FgAbGroup.trivial(), Z2))
+        X = Complex((Z2, FgAbGroup.trivial(), Z2),
+                    (GroupHom.zero(Z2, FgAbGroup.trivial()),
+                     GroupHom.zero(FgAbGroup.trivial(), Z2)))
         units = enumerate_units_2(X)
         assert units == [((0,), ())]
 
@@ -277,7 +280,7 @@ class TestJKUnits:
         assert sorted((f.coords, theta.coords) for f, theta in ms) == \
             [((1,), (0,)), ((1,), (1,))]
         # the coded scan finds the same pairs
-        A, B, C, delta, lam = point_models._tables_2(model)
+        (A, B, C), (delta, lam) = point_models._tables(model)
         coded = [(C.index(e), B.index(phi)) for e, phi in units]
         assert [(B.coords(f), A.coords(theta)) for f, theta in
                 point_models._coded_1morphisms(
@@ -320,7 +323,7 @@ class TestJKUnits:
                 ms = oracle_unit_1morphisms(X, s, t)
                 for (f1, theta1), (f2, theta2) in \
                         itertools.product(ms[:5], repeat=2):
-                    assert X.delta(theta1 - theta2) == f1 - f2
+                    assert X.maps[0](theta1 - theta2) == f1 - f2
 
 
 class TestTensor2AndContractible2:
@@ -355,7 +358,7 @@ class TestLevel2Reduction:
             X = random_complex3(rng, 8)
             rep = verify_contractible_2(X)
             assert rep.passed
-            A, B, C, delta, lam = point_models._tables_2(X)
+            (A, B, C), (delta, lam) = point_models._tables(X)
             fibers = (point_models._fibers(B, C, lam),
                       point_models._fibers(A, B, delta))
             listed = parallel = 0
@@ -366,10 +369,10 @@ class TestLevel2Reduction:
                     (C.index(t[0]), B.index(t[1])))
                 assert [(f.coords, theta.coords) for f, theta in ms] == \
                     [(B.coords(f), A.coords(theta)) for f, theta in coded]
-                shift = X.B.element(s[1]) - X.B.element(t[1])
+                shift = X.terms[1].element(s[1]) - X.terms[1].element(t[1])
                 assert sorted((f.coords, theta.coords) for f, theta in ms) \
-                    == sorted(((X.delta(theta) + shift).coords, theta.coords)
-                              for theta in X.A.elements())
+                    == sorted(((X.maps[0](theta) + shift).coords, theta.coords)
+                              for theta in X.terms[0].elements())
                 listed += len(ms)
                 gamma = [[oracle_unit_2morphisms(X, m1, m2) for m2 in ms]
                          for m1 in ms]
@@ -387,8 +390,8 @@ class TestLevel2Reduction:
     def test_dropped_theta_fails_the_2morphism_check(self, monkeypatch):
         # Z/2 -2-> Z/4 -1-> Z/2: theta = 1 is the whole delta fiber over 2,
         # and every unit pair has one unit 1-morphism (f, 1) through it
-        X = Complex3(Z2, Z4, Z2, GroupHom(Z2, Z4, [[2]]),
-                     GroupHom(Z4, Z2, [[1]]))
+        X = Complex((Z2, Z4, Z2),
+                    (GroupHom(Z2, Z4, [[2]]), GroupHom(Z4, Z2, [[1]])))
         fibers = point_models._fibers
 
         def dropping(src, tgt, f):
@@ -412,19 +415,20 @@ def _level_2_states(X):
     1-morphisms listed for each of the |B|^2 unit pairs, then one scan of
     delta with a ker(delta) fiber per pair of its units and |A|^3
     coherence triples."""
-    a, b = X.A.order(), X.B.order()
-    return b ** 2 * a + a ** 2 * (a + kernel(X.delta)[0].order())
+    a, b = (G.order() for G in X.terms[:2])
+    return b ** 2 * a + a ** 2 * (a + kernel(X.maps[0])[0].order())
 
 
 class TestContractible2Charge:
     @staticmethod
     def complexes():
         rng = random.Random(137)
+        onto_z2 = GroupHom(Z4, Z2, [[1]])
         return [model2_example(),  # ker delta = A
-                Complex3(Z4, Z4, Z2, GroupHom(Z4, Z4, [[2]]),
-                         GroupHom(Z4, Z2, [[1]])),  # 0 < ker delta < A
-                Complex3(Z2, Z4, Z2, GroupHom(Z2, Z4, [[2]]),
-                         GroupHom(Z4, Z2, [[1]]))  # ker delta = 0
+                # 0 < ker delta < A
+                Complex((Z4, Z4, Z2), (GroupHom(Z4, Z4, [[2]]), onto_z2)),
+                # ker delta = 0
+                Complex((Z2, Z4, Z2), (GroupHom(Z2, Z4, [[2]]), onto_z2))
                 ] + [random_complex3(rng, 8) for _ in range(6)]
 
     def test_refuses_below_the_exact_count_and_passes_at_it(self):
@@ -434,7 +438,7 @@ class TestContractible2Charge:
             with pytest.raises(CapExceeded):
                 verify_contractible_2(X, max_states=n - 1)
             assert verify_contractible_2(X, max_states=n).passed
-            kernels.add((X.A.order(), kernel(X.delta)[0].order()))
+            kernels.add((X.terms[0].order(), kernel(X.maps[0])[0].order()))
         assert {(2, 2), (4, 2), (2, 1)} <= kernels
 
     def test_refusal_lists_no_1morphism(self, monkeypatch):
@@ -460,17 +464,17 @@ class TestFaultInjection:
     def test_incoherent_composition_fails_level_1(self, monkeypatch):
         # Z/3 -> 0 with b - a in place of a + b: the square still has one
         # solution u = a_s + a_t per pair, but these no longer compose
-        tables = point_models._tables_1
+        tables = point_models._tables
 
         def subtracting(X):
-            A, B, lam = tables(X)
+            (A, B), maps = tables(X)
             A.table = tuple(tuple((b - a) % 3 for b in range(3))
                             for a in range(3))
-            return A, B, lam
+            return (A, B), maps
 
         T = FgAbGroup.trivial()
-        model = Complex2(Z3, T, GroupHom.zero(Z3, T))
-        monkeypatch.setattr(point_models, "_tables_1", subtracting)
+        model = Complex((Z3, T), (GroupHom.zero(Z3, T),))
+        monkeypatch.setattr(point_models, "_tables", subtracting)
         rep = verify_contractible_1(model)
         assert _check(rep, "exactly one unit morphism per ordered pair").passed
         coherence = _check(rep, "composition of unique morphisms is coherent")
@@ -480,16 +484,17 @@ class TestFaultInjection:
     def test_incoherent_vertical_composition_fails_level_2(self, monkeypatch):
         # Z/3 -> 0 -> 0 with every element its own inverse: the three
         # parallel unit 1-morphisms (0, theta) no longer compose vertically
-        tables = point_models._tables_2
+        tables = point_models._tables
 
         def self_inverse(X):
-            A, B, C, delta, lam = tables(X)
+            (A, B, C), maps = tables(X)
             A.inverse = tuple(range(A.order))
-            return A, B, C, delta, lam
+            return (A, B, C), maps
 
         T = FgAbGroup.trivial()
-        model = Complex3(Z3, T, T, GroupHom.zero(Z3, T), GroupHom.zero(T, T))
-        monkeypatch.setattr(point_models, "_tables_2", self_inverse)
+        model = Complex((Z3, T, T),
+                        (GroupHom.zero(Z3, T), GroupHom.zero(T, T)))
+        monkeypatch.setattr(point_models, "_tables", self_inverse)
         rep = verify_contractible_2(model)
         assert rep.data["unit 1-morphisms"] == 3
         coherence = _check(
@@ -502,12 +507,13 @@ class TestFaultInjection:
         # swapping lam on Z/2 makes (phi_s - phi_t, 0) miss the fiber of
         # e_s - e_t for every pair of units
         model = model2_example()
-        tables = point_models._tables_2
+        tables = point_models._tables
 
         def swapped(X):
-            return (*tables(X)[:4], (1, 0))
+            coded, (delta, _) = tables(X)
+            return coded, (delta, (1, 0))
 
-        monkeypatch.setattr(point_models, "_tables_2", swapped)
+        monkeypatch.setattr(point_models, "_tables", swapped)
         rep = verify_contractible_2(model)
         connected = _check(
             rep, "every unit pair is connected by a unit 1-morphism")

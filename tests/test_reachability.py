@@ -58,8 +58,7 @@ UNREACHED = {
     "complexes.sum_model": PERFBENCH_PIN,
     "complexes.truncate_shift": EPOCH_B,
     "crossed.h0_group_law": PERFBENCH_PIN,
-    "groups.Complex2.__str__": VALUE_API,
-    "groups.Complex3.__str__": VALUE_API,
+    "groups.Complex.__str__": VALUE_API,
     "groups.FgAbGroup.__repr__": VALUE_API,
     "groups.FgAbGroup.cyclic": VALUE_API,
     "groups.FgAbGroup.elements": PERFBENCH_PIN,
