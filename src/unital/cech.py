@@ -81,17 +81,20 @@ class Cover(Record):
     containments: dict = MappingProxyType({})
 
     def __post_init__(self):
-        comps = {}
+        comps, indices = {}, set(range(len(self.parts)))
         for key, names in self.components.items():
             key = frozenset(int(i) for i in key)
-            if not key or not (key <= set(range(len(self.parts)))):
+            if not key:
+                raise ValueError("an intersection names no part")
+            if not key <= indices:
                 raise ValueError(f"bad intersection key {set(key)}")
             names = tuple(names)
             if not names:
-                raise ValueError("declare at least one component or omit the set")
+                raise ValueError(f"declare at least one component of "
+                                 f"{self._named(key)} or omit the set")
             if len(set(names)) < len(names):
-                raise ValueError(f"component names repeat in {sorted(key)}: "
-                                 f"{list(names)}")
+                raise ValueError(f"component names repeat in "
+                                 f"{self._named(key)}: {list(names)}")
             comps[key] = names
         for i in range(len(self.parts)):
             comps.setdefault(frozenset([i]), ("*",))
@@ -102,23 +105,25 @@ class Cover(Record):
                 for sub in itertools.combinations(sorted(key), r):
                     if frozenset(sub) not in comps:
                         raise ValueError(
-                            f"inconsistent table: {sorted(key)} is nonempty "
-                            f"but {list(sub)} is not declared")
+                            f"inconsistent table: {self._named(key)} is "
+                            f"nonempty but {self._named(sub)} is not declared")
         # a face drops one index, so a containment is consulted only from a
         # declared component into the intersection with one part fewer
         for (source, comp, target), sub_comp in self.containments.items():
+            if not source | target <= indices:
+                raise ValueError(f"bad containment key {set(source)} in "
+                                 f"{set(target)}")
+            src, tgt = self._named(source), self._named(target)
             if comp not in comps.get(source, ()):
-                raise ValueError(f"containment source {sorted(source)}:{comp} "
-                                 f"is not a declared component")
+                raise ValueError(f"containment source {src}:{comp} is not a "
+                                 f"declared component")
             if not target < source or len(source - target) > 1:
                 raise ValueError(
-                    f"containment {sorted(source)}:{comp} in {sorted(target)} "
-                    f"is never consulted: {sorted(target)} is not "
-                    f"{sorted(source)} less one part")
+                    f"containment {src}:{comp} in {tgt} is never consulted: "
+                    f"{tgt} is not {src} less one part")
             if sub_comp not in comps.get(target, ()):
-                raise ValueError(
-                    f"containment target {sorted(target)}:{sub_comp} is not "
-                    f"a declared component")
+                raise ValueError(f"containment target {tgt}:{sub_comp} is not "
+                                 f"a declared component")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "containments", dict(self.containments))
 
@@ -133,8 +138,13 @@ class Cover(Record):
         if key in self.containments:
             return self.containments[key]
         raise ValueError(
-            f"ambiguous component containment {sorted(source_set)}:{comp} -> "
-            f"{sorted(target_set)}; declare it explicitly")
+            f"ambiguous component containment {self._named(source_set)}:"
+            f"{comp} -> {self._named(target_set)}; declare it explicitly")
+
+    def _named(self, key):
+        """The part names of an index set, sorted as cover_of_parts sorts
+        them in its own messages."""
+        return sorted(self.parts[i] for i in key)
 
 
 def point_cover():

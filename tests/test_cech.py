@@ -212,7 +212,7 @@ class TestNerve:
 
     def test_undeclared_containment_target_rejected(self):
         split_u = [(("U",), ("x", "y")), (("U", "V"), ("*",))]
-        with pytest.raises(ValueError, match=r"target \[0\]:z is not"):
+        with pytest.raises(ValueError, match=r"target \['U'\]:z is not"):
             cover_of_parts(("U", "V"), split_u, [(("U", "V"), "*", ("U",), "z")])
         N = cech_nerve(cover_of_parts(
             ("U", "V"), split_u, [(("U", "V"), "*", ("U",), "y")]))
@@ -220,29 +220,46 @@ class TestNerve:
 
     @pytest.mark.parametrize("intersections,containments,message", [
         ([(("U", "V"), ("x", "x"))], [],
-         r"^component names repeat in \[0, 1\]: \['x', 'x'\]$"),
+         r"^component names repeat in \['U', 'V'\]: \['x', 'x'\]$"),
         ([(("U",), ("y", "x", "y"))], [],
-         r"^component names repeat in \[0\]: \['y', 'x', 'y'\]$"),
+         r"^component names repeat in \['U'\]: \['y', 'x', 'y'\]$"),
         # out of a component U n V does not have, or has not at all
         ([(("U", "V"), ("*",))], [(("U", "V"), "x", ("U",), "*")],
-         r"^containment source \[0, 1\]:x is not a declared component$"),
+         r"^containment source \['U', 'V'\]:x is not a declared component$"),
         ([], [(("U", "V"), "*", ("U",), "*")],
-         r"^containment source \[0, 1\]:\* is not a declared component$"),
+         r"^containment source \['U', 'V'\]:\* is not a declared "
+         r"component$"),
         # a face drops one part: not none, not one added, not two
         ([(("U", "V"), ("*",))], [(("U", "V"), "*", ("U", "V"), "*")],
-         r"^containment \[0, 1\]:\* in \[0, 1\] is never consulted: "
-         r"\[0, 1\] is not \[0, 1\] less one part$"),
+         r"^containment \['U', 'V'\]:\* in \['U', 'V'\] is never consulted: "
+         r"\['U', 'V'\] is not \['U', 'V'\] less one part$"),
         ([(("U", "V"), ("*",))], [(("U",), "*", ("U", "V"), "*")],
-         r"^containment \[0\]:\* in \[0, 1\] is never consulted: "
-         r"\[0, 1\] is not \[0\] less one part$"),
+         r"^containment \['U'\]:\* in \['U', 'V'\] is never consulted: "
+         r"\['U', 'V'\] is not \['U'\] less one part$"),
         ([(("U", "V"), ("*",)), (("U", "W"), ("*",)), (("V", "W"), ("*",)),
           (("U", "V", "W"), ("*",))], [(("U", "V", "W"), "*", ("W",), "*")],
-         r"^containment \[0, 1, 2\]:\* in \[2\] is never consulted: "
-         r"\[2\] is not \[0, 1, 2\] less one part$")])
+         r"^containment \['U', 'V', 'W'\]:\* in \['W'\] is never "
+         r"consulted: \['W'\] is not \['U', 'V', 'W'\] less one part$")])
     def test_unconsulted_cover_data_rejected(self, intersections,
                                              containments, message):
         with pytest.raises(ValueError, match=message):
             cover_of_parts(("U", "V", "W"), intersections, containments)
+
+    @pytest.mark.parametrize("parts,intersections,message", [
+        (("U",), [((), ("c",))], r"^an intersection names no part$"),
+        (("U", "V"), [(("V", "U"), ())],
+         r"^declare at least one component of \['U', 'V'\] or omit the set$"),
+        (("W", "V", "U"), [(("U", "V", "W"), ("c",))],
+         r"^inconsistent table: \['U', 'V', 'W'\] is nonempty but "
+         r"\['V', 'W'\] is not declared$")])
+    def test_cover_errors_name_the_parts(self, parts, intersections, message):
+        with pytest.raises(ValueError, match=message):
+            cover_of_parts(parts, intersections)
+
+    def test_containment_indices_past_the_parts_are_value_errors(self):
+        with pytest.raises(ValueError,
+                           match=r"^bad containment key \{0, 1\} in \{0\}$"):
+            Cover(("U",), {}, {(frozenset({0, 1}), "x", frozenset({0})): "y"})
 
     def test_undeclared_part_names_are_value_errors(self):
         # the error names the part; no bare KeyError escapes

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -495,11 +497,12 @@ class TestCliProcess:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nerve,message", [
-        (SPLIT_U, "nerve: ambiguous component containment [0, 1]:* -> [0]"),
+        (SPLIT_U,
+         "nerve: ambiguous component containment ['U', 'V']:* -> ['U']"),
         (dict(SPLIT_U, containments=[{"parts": ["U", "V"], "component": "*",
                                       "sub_parts": ["U"],
                                       "sub_component": "z"}]),
-         "nerve: containment target [0]:z is not a declared component")])
+         "nerve: containment target ['U']:z is not a declared component")])
     @pytest.mark.parametrize("command,doc", [
         ("cech-classify", TIMES2), ("crossed-units", INVERSION)])
     @pytest.mark.parametrize("embedded", [False, True])
@@ -535,25 +538,25 @@ class TestCliProcess:
         # two components named alike would be one nerve cell twice
         ({"parts": ["U", "V"],
           "intersections": [{"parts": ["U", "V"], "components": ["x", "x"]}]},
-         "nerve: component names repeat in [0, 1]: ['x', 'x']"),
+         "nerve: component names repeat in ['U', 'V']: ['x', 'x']"),
         # a containment out of a component U n V does not have
         ({"parts": ["U", "V"], "intersections": [{"parts": ["U", "V"]}],
           "containments": [{"parts": ["U", "V"], "component": "q",
                             "sub_parts": ["U"], "sub_component": "*"}]},
-         "nerve: containment source [0, 1]:q is not a declared component"),
+         "nerve: containment source ['U', 'V']:q is not a declared component"),
         # a face drops one part: never into a smaller intersection
         ({"parts": ["U", "V"], "intersections": [{"parts": ["U", "V"]}],
           "containments": [{"parts": ["U"], "component": "*",
                             "sub_parts": ["U", "V"], "sub_component": "*"}]},
-         "nerve: containment [0]:* in [0, 1] is never consulted: [0, 1] is "
-         "not [0] less one part"),
+         "nerve: containment ['U']:* in ['U', 'V'] is never consulted: "
+         "['U', 'V'] is not ['U'] less one part"),
         # nor past the intersection with one part fewer
         (dict(CIRCLE_NERVE, intersections=CIRCLE_NERVE["intersections"] + [
             {"parts": ["a0", "a1", "a2"], "components": ["t"]}],
             containments=[{"parts": ["a0", "a1", "a2"], "component": "t",
                            "sub_parts": ["a0"], "sub_component": "*"}]),
-         "nerve: containment [0, 1, 2]:t in [0] is never consulted: [0] is "
-         "not [0, 1, 2] less one part")])
+         "nerve: containment ['a0', 'a1', 'a2']:t in ['a0'] is never "
+         "consulted: ['a0'] is not ['a0', 'a1', 'a2'] less one part")])
     @pytest.mark.parametrize("embedded", [False, True])
     def test_ambiguous_cover_exit_2(self, tmp_path, capsys, nerve, message,
                                     embedded):
@@ -1164,18 +1167,28 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("args,doc,code", [
-    (["homology"], TIMES2, 0), (["units"], TIMES2, 0),
-    (["cech-classify"], dict(TIMES2, nerve=CIRCLE_NERVE), 0),
-    (["crossed-verify"], INVERSION, 0),
-    (["crossed-units"], dict(INVERSION, nerve=CIRCLE_NERVE), 0),
-    (["contractible", "--json"], THREE_TERM, 0),
-    (["unit-complex", "--check-acyclic", "--text"], THREE_TERM, 0),
-    (["qiso", "--against=idker"], TIMES2, 0),
-    (["units", "--max-states", "3"], TIMES2, 3)],
-    ids=["homology", "units", "cech-classify-circle", "crossed-verify",
-         "crossed-units-circle", "contractible", "unit-complex-acyclic",
-         "qiso-idker", "units-capped"])
+# one verdict per command, and one refused by its state cap
+VERDICTS = [
+    pytest.param(["homology"], TIMES2, 0, id="homology"),
+    pytest.param(["units"], TIMES2, 0, id="units"),
+    pytest.param(["cech-classify"], dict(TIMES2, nerve=CIRCLE_NERVE), 0,
+                 id="cech-classify-circle"),
+    pytest.param(["crossed-verify"], INVERSION, 0, id="crossed-verify"),
+    pytest.param(["crossed-units"], dict(INVERSION, nerve=CIRCLE_NERVE), 0,
+                 id="crossed-units-circle"),
+    pytest.param(["contractible", "--json"], THREE_TERM, 0,
+                 id="contractible"),
+    pytest.param(["unit-complex", "--check-acyclic", "--text"], THREE_TERM,
+                 0, id="unit-complex-acyclic"),
+    pytest.param(["qiso", "--against=idker"], TIMES2, 0, id="qiso-idker"),
+    pytest.param(["units", "--max-states", "3"], TIMES2, 3,
+                 id="units-capped")]
+# the same, and one input of the wrong kind
+EVERY_EXIT = VERDICTS + [
+    pytest.param(["crossed-verify"], TIMES2, 2, id="wrong-kind")]
+
+
+@pytest.mark.parametrize("args,doc,code", VERDICTS)
 def test_command_imports_no_dataclasses(tmp_path, args, doc, code):
     # dataclasses, and the inspect it imports, cost 20-40 ms of start-up;
     # hashlib loads OpenSSL through _hashlib, about 3.5 MB of peak RSS; and
@@ -1188,6 +1201,93 @@ def test_command_imports_no_dataclasses(tmp_path, args, doc, code):
     assert got_code == code
     assert not {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
                 "gettext", "locale"} & set(modules)
+
+
+def _verdict_args(tmp_path, args, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return [*args, "--in", str(path)]
+
+
+@pytest.mark.parametrize("args,doc,code", EVERY_EXIT)
+def test_in_process_main_freezes_and_leaks_nothing(tmp_path, capsys, args,
+                                                   doc, code):
+    # main's exit hook freezes the collector only when the interpreter
+    # exits, so a caller in process keeps a collectable heap; and the
+    # objects a freeze at exit would skip leave nothing to the collector
+    # that warns or stays uncollectable
+    argv = _verdict_args(tmp_path, args, doc)
+    gc.collect()
+    frozen = gc.get_freeze_count()  # 375 objects of its own on 3.12.1
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main(argv) == code
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    assert not unraisable and not gc.garbage
+
+
+# main twice, with gc.freeze counting its calls, which come at exit
+TWICE = """
+import contextlib, gc, io, sys
+from unital.cli import main
+freeze, frozen = gc.freeze, gc.get_freeze_count()
+
+def counted():
+    print("freeze", gc.get_freeze_count() == frozen)
+    freeze()
+
+gc.freeze = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+    main(sys.argv[1:])
+print("exit")
+"""
+
+# a verdict whose exit hook is taken back before the interpreter exits
+UNHOOKED = """
+import atexit, gc, sys
+from unital.cli import main
+code = main()
+atexit.unregister(gc.freeze)
+sys.exit(code)
+"""
+
+
+def test_main_registers_one_exit_hook(tmp_path):
+    out = _python("-c", TWICE, *_verdict_args(tmp_path, ["units"], TIMES2))
+    assert out.splitlines() == ["exit", "freeze True"]
+
+
+def _timing_masked(text):
+    return re.sub(r'("seconds": |time: )[0-9.e-]+', r"\1", text)
+
+
+@pytest.mark.parametrize("args,doc,code", EVERY_EXIT)
+def test_exit_hook_changes_no_output(tmp_path, args, doc, code):
+    argv = _verdict_args(tmp_path, args, doc)
+    runs = [_run_python("-c", child, *argv) for child in (CLI, UNHOOKED)]
+    hooked, unhooked = ((proc.returncode, _timing_masked(proc.stdout),
+                         proc.stderr) for proc in runs)
+    assert hooked == unhooked
+    assert hooked[0] == code
+
+
+@pytest.mark.parametrize("args,doc,code",
+                         [p for p in VERDICTS if p.values[2] == 0])
+def test_verdict_exits_without_warnings_in_dev_mode(tmp_path, args, doc,
+                                                    code):
+    # development mode shows ResourceWarning and the warnings of shutdown,
+    # and -W error makes each one an `Exception ignored` report on stderr
+    proc = _run_python("-X", "dev", "-W", "error", "-c", CLI,
+                       *_verdict_args(tmp_path, args, doc))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # the same run, with the built-in SHA-256 modules blocked

@@ -30,6 +30,8 @@ QISO = "qiso's check path: runs only when a model is not a quasi-isomorphism"
 FAILING = "runs only when a check fails"
 IMPORT_TIME = "called at import time, before any command runs"
 EXPORTS = "the package's lazy export table, for `from unital import name`"
+NAMED_COVER = ("names the parts of a cover with containments or of a "
+               "refused one, and the corpus has neither")
 FALLBACK = ("argparse's parser: only a command line that cli._parse "
             "declines gets here")
 
@@ -40,6 +42,7 @@ UNREACHED = {
     "abelian.smith_normal_form": PERFBENCH_PIN,
     "abelian.solve": EPOCH_B,
     "cech.CocycleError.__init__": FAILING,
+    "cech.Cover._named": NAMED_COVER,
     "cech.Nerve.__str__": VALUE_API,
     "cech._group_from_orders.killed": FAILING,
     "cech._unit_frame": EPOCH_B,

@@ -134,6 +134,20 @@ def test_records_are_the_one_value_record():
     assert not found, f"typing or named tuples in src/unital: {found}"
 
 
+def test_only_cli_touches_the_collector():
+    # the collector and the exit hooks are the process's, not the library's:
+    # cli.main, which owns the process it runs in, freezes the heap at exit,
+    # and no module a library caller imports may change either
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import) and any(
+                 a.name in ("gc", "atexit") for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and node.module in ("gc", "atexit")]
+    assert not found, f"gc or atexit imported outside cli.py: {found}"
+
+
 def _names_max_states(node):
     return any(isinstance(n, ast.Name) and n.id == "max_states"
                or isinstance(n, ast.Attribute) and n.attr == "max_states"
