@@ -8,22 +8,23 @@ classification groups this package builds and verifies, together with the
 nonabelian crossed-module analogue.
 
 Each layer runs only when first used.  ``groups`` (elements,
-homomorphisms and complexes as values), ``tables`` (table-coded groups
-and the unit-groupoid scan), ``abelian`` (Smith forms, kernels, direct
-sums), ``complexes`` (homology, models, unit complexes), ``crossed``,
-``point_models`` and ``cech`` are registered as lazy modules, whose
-bodies execute on the first attribute access, and the public names below
-resolve through ``__getattr__``.  Every command executes ``cli``,
-``specfile``, ``reporting`` and ``verification``, and these layers on top:
-``units`` and ``contractible`` execute ``groups``, ``tables`` and
-``point_models``; ``homology``, ``unit-complex`` and ``qiso`` execute
-``groups``, ``abelian`` and ``complexes``; ``crossed-verify`` executes
-``tables`` and ``crossed``; ``crossed-units`` adds ``cech`` for its nerve;
-``cech-classify`` executes ``groups``, ``tables``, ``abelian``,
-``complexes`` and ``cech``, and on a 3-term complex all but ``tables``:
-``cech`` binds the four lower layers as modules, and only the scans of a
-2-term complex use ``tables``.  An input with a nerve adds ``cech``; one
-refused before its first group is built executes none.
+homomorphisms and complexes as values), ``tables`` (table-coded groups,
+crossed modules, the unit-groupoid scan), ``covers``, ``abelian`` (Smith
+forms, kernels, direct sums), ``complexes`` (homology, models, unit
+complexes), ``crossed``, ``point_models`` and ``cech`` are registered as
+lazy modules, whose bodies execute on the first attribute access, and the
+public names below resolve through ``__getattr__``.  Every command
+executes ``cli``, ``specfile``, ``reporting`` and ``verification``, and
+these layers on top: ``units`` and ``contractible`` execute ``groups``,
+``tables`` and ``point_models``; ``homology``, ``unit-complex`` and
+``qiso`` execute ``groups``, ``abelian`` and ``complexes``;
+``crossed-verify`` executes ``tables`` and ``crossed``; ``crossed-units``
+adds ``covers`` and ``cech`` for its nerve; ``cech-classify`` executes
+``groups``, ``tables``, ``covers``, ``abelian``, ``complexes`` and
+``cech``, and on a 3-term complex all but ``tables``, which only the
+scans of a 2-term complex use.  Parsing executes no other layer than
+``groups``, ``tables`` and ``covers``: an input with a nerve adds
+``covers``, and one refused before it builds a group or cover executes none.
 Digests use the interpreter's built-in SHA-256 (see ``verification``), so
 no command loads OpenSSL.
 """
@@ -40,25 +41,25 @@ _EXPORTS = {
         "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
         "kernel", "lift_through", "smith_normal_form", "solve"),
     "cech": (
-        "CocycleError", "Cover", "Nerve", "cech_nerve", "classify_h0",
-        "cocycle_of_unit", "cover_of_parts", "point_cover", "torsor_classes",
-        "unit_cocycles", "unit_of_cocycle"),
+        "CocycleError", "Nerve", "cech_nerve", "classify_h0",
+        "cocycle_of_unit", "torsor_classes", "unit_cocycles",
+        "unit_of_cocycle"),
     "complexes": (
         "StrictMorphism", "cone", "cone_comparison", "homology",
         "identity_model", "is_quasi_isomorphism", "kernel_model",
         "kernel_sum_model", "sum_model", "truncate_shift", "unit_complex_1",
         "unit_complex_2"),
+    "covers": ("Cover", "cover_of_parts", "point_cover"),
     "crossed": (
-        "CrossedModule", "enumerate_units_nonabelian", "h0_group_law",
-        "pi0_order", "pi1_order", "unit_crossed_module",
-        "verify_crossed_module"),
+        "enumerate_units_nonabelian", "h0_group_law", "pi0_order",
+        "pi1_order", "unit_crossed_module", "verify_crossed_module"),
     "groups": ("Complex", "FgAbGroup", "GroupElem", "GroupHom"),
     "point_models": (
         "enumerate_units_1", "enumerate_units_2", "verify_contractible_1",
         "verify_contractible_2"),
     "reporting": ("run",),
     "specfile": ("ComplexSpecFile", "SpecError", "parse_spec"),
-    "tables": ("FiniteGroup",),
+    "tables": ("CrossedModule", "FiniteGroup"),
     "verification": ("CapExceeded", "FinitenessError", "Report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -75,8 +76,8 @@ def _lazy(name):
     return module
 
 
-groups, tables, abelian, complexes, crossed, point_models, cech = map(
-    _lazy, ("groups", "tables", "abelian", "complexes", "crossed",
+groups, tables, covers, abelian, complexes, crossed, point_models, cech = map(
+    _lazy, ("groups", "tables", "covers", "abelian", "complexes", "crossed",
             "point_models", "cech"))
 
 

@@ -15,7 +15,7 @@ Exit codes: 0 all checks pass, 1 a check failed (the report carries the
 witness), 2 bad input, a usage error or an unwritable stdout, 3 a cap was
 exceeded or memory ran out.
 
-``main`` registers ``gc.freeze`` as an exit hook, once per process.  At
+``main`` registers ``gc.freeze`` as an exit hook on its first call.  At
 interpreter exit it moves every live object out of the collector's reach,
 so the collections of finalization skip the heap of a finished verdict
 (3-7 ms of a verdict's exit) instead of sweeping it.  Finalization still
@@ -46,6 +46,9 @@ _FLAGS = {"--json": "json", "--text": "text",
           "--check-acyclic": "check_acyclic"}
 _DEFAULTS = {"nervefile": None, "json": False, "text": False,
              "max_states": 10 ** 7, "against": None, "check_acyclic": False}
+# whether main has registered its exit hook; the interpreter's exit table
+# is process-wide, and registering again would add a slot to it per call
+_hooked = False
 
 
 def _cap(text):
@@ -132,9 +135,10 @@ def _read(path):
 
 
 def main(argv=None):
-    # once per process, however often main runs: see the module docstring
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    global _hooked
+    if not _hooked:  # once per process: see the module docstring
+        atexit.register(gc.freeze)
+        _hooked = True
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv) or _build_parser().parse_args(argv)
     try:

@@ -7,9 +7,9 @@ right action of H on G, written act(g, h) for g^h, satisfying
     equivariance   lam(g^h) = h^-1 * lam(g) * h
     Peiffer        g^(lam(g')) = g'^-1 * g * g'
 
-Groups are the multiplication tables of ``tables.FiniteGroup`` (order
-capped at 64); every axiom is checked exhaustively, as row equations on the
-tables, and a failed check names its first violation.
+A ``tables.CrossedModule`` holds its groups as ``tables.FiniteGroup``
+tables (order capped at 64); every axiom is checked exhaustively, as row
+equations on the tables, and a failed check names its first violation.
 
 The point model of the presented groupoid has objects H and morphisms
 g: h -> h' whenever lam(g) = h'^-1 * h; composition of g then g' is the
@@ -25,7 +25,7 @@ and units with e = 1 are exactly the kernel of lam.
 ``tables.unit_morphism_checks`` verifies this on tables alone, by
 scanning each morphism fiber of lam; the point models run the same scan.
 This lazy layer executes ``tables`` and no other: ``crossed-verify`` and
-``crossed-units`` execute it, the commands on a complex never do.
+``crossed-units`` execute it; parsing and the commands on a complex never do.
 
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
@@ -55,31 +55,9 @@ from __future__ import annotations
 
 import itertools
 
-from .record import Record
-from .tables import FiniteGroup, _coded_units, _gather, unit_morphism_checks
+from .tables import (
+    CrossedModule, FiniteGroup, _coded_units, _gather, unit_morphism_checks)
 from .verification import Report, charge
-
-
-class CrossedModule(Record):
-    G: FiniteGroup
-    H: FiniteGroup
-    boundary: tuple  # boundary[g] in H
-    action: tuple    # action[g][h] = g^h, an element of G
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        object.__setattr__(self, "action",
-                           tuple(tuple(r) for r in self.action))
-        if len(self.boundary) != self.G.order or \
-                any(len(r) != self.H.order for r in self.action) or \
-                len(self.action) != self.G.order:
-            raise ValueError("boundary/action tables have wrong shapes")
-        if any(not 0 <= h < self.H.order for h in self.boundary) or \
-                any(not 0 <= g < self.G.order for r in self.action for g in r):
-            raise ValueError("boundary/action values must be element indices")
-
-    def __str__(self):
-        return f"[{self.G} -> {self.H}]"
 
 
 def _conjugation(group):

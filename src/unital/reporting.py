@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from types import SimpleNamespace
 
-from . import cech, complexes, crossed, point_models
+from . import cech, complexes, covers, crossed, point_models
 from .specfile import ComplexSpecFile, SpecError
 from .verification import MAX_CODED_ORDER, CapExceeded, Report, charge, sha256
 
@@ -40,7 +40,7 @@ def _homology_table(X):
 def _nerve(opts):
     """The nerve of the --nerve cover, else of the input's, else a point."""
     try:
-        return cech.cech_nerve(opts.cover or cech.point_cover())
+        return cech.cech_nerve(opts.cover or covers.point_cover())
     except ValueError as exc:  # faces the cover's containments cannot resolve
         raise SpecError(f"nerve: {exc}") from None
 

@@ -17,13 +17,14 @@ optional free rank and must already be in canonical form, since the
 matrices refer to their generators.
 A cover may be attached under "nerve" (parts plus intersection table), or
 supplied separately.  Errors carry the JSON path of the offending field.
+Parsing builds values of ``groups``, ``tables`` and ``covers`` only.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import cech, crossed, groups, tables
+from . import covers, groups, tables
 from .record import Record
 from .verification import CapExceeded
 
@@ -44,7 +45,7 @@ class SpecError(ValueError):
 class ComplexSpecFile(Record):
     kind: str
     payload: object           # Complex | CrossedModule
-    cover: cech.Cover | None
+    cover: covers.Cover | None
     raw: dict                 # canonicalized source document
 
     def canonical_text(self):
@@ -124,7 +125,7 @@ def _parse_cover(doc, path):
                       _part_names(entry, "sub_parts", epath, parts),
                       _need(entry, "sub_component", epath, str)))
     try:
-        return cech.cover_of_parts(parts, inters, conts)
+        return covers.cover_of_parts(parts, inters, conts)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
 
@@ -203,7 +204,7 @@ def parse_spec(text) -> ComplexSpecFile:
             raise SpecError("boundary: expected a list of integers")
         action = _parse_matrix(_need(doc, "action", "$", list), "action")
         try:
-            payload = crossed.CrossedModule(G, H, boundary, action)
+            payload = tables.CrossedModule(G, H, boundary, action)
         except ValueError as exc:
             raise SpecError(f"$: {exc}") from None
 

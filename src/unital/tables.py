@@ -1,9 +1,10 @@
-"""Finite groups as multiplication tables, and the one unit-groupoid scan.
+"""Finite groups and crossed modules by table, and the unit-groupoid scan.
 
 ``FiniteGroup`` holds a group of order up to 64 by its table, every axiom
 checked; ``FiniteGroup.from_invariant_factors`` codes a finite abelian
 group, numbering elements in the order of ``FgAbGroup.elements()``, so
 addition is a lookup and a homomorphism an array of image indices.
+``CrossedModule`` checks the shapes of its tables, ``crossed`` its axioms.
 
 ``unit_morphism_checks`` scans the units of a crossed module on its
 tables, in the conventions of ``crossed``.  It is the library's one
@@ -12,7 +13,7 @@ action (level 1) and on delta: A -> B (level 2), and ``crossed`` on a
 crossed module.
 
 This lazy layer imports no other; the unit scans, the crossed-module
-commands and ``cech-classify`` execute it.
+commands, ``cech-classify`` and parsing a crossed module execute it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 from math import prod
 from operator import itemgetter
 
+from .record import Record
 from .verification import MAX_CODED_ORDER, CapExceeded
 
 MAX_GROUP_ORDER = 64
@@ -158,6 +160,28 @@ class FiniteGroup:
 
         table = [[index[mul(p, q)] for q in elems] for p in elems]
         return cls(table, f"S{n}")
+
+
+class CrossedModule(Record):
+    G: FiniteGroup
+    H: FiniteGroup
+    boundary: tuple  # boundary[g] in H
+    action: tuple    # action[g][h] = g^h, an element of G
+
+    def __post_init__(self):
+        object.__setattr__(self, "boundary", tuple(self.boundary))
+        object.__setattr__(self, "action",
+                           tuple(tuple(r) for r in self.action))
+        if len(self.boundary) != self.G.order or \
+                any(len(r) != self.H.order for r in self.action) or \
+                len(self.action) != self.G.order:
+            raise ValueError("boundary/action tables have wrong shapes")
+        if any(not 0 <= h < self.H.order for h in self.boundary) or \
+                any(not 0 <= g < self.G.order for r in self.action for g in r):
+            raise ValueError("boundary/action values must be element indices")
+
+    def __str__(self):
+        return f"[{self.G} -> {self.H}]"
 
 
 def _gather(indices):

@@ -23,7 +23,6 @@ from unital.abelian import (
 from unital.cech import (
     cech_nerve,
     classify_h0,
-    point_cover,
     torsor_classes,
     unit_cocycles,
 )
@@ -40,6 +39,7 @@ from unital.complexes import (
     unit_complex_1,
     unit_complex_2,
 )
+from unital.covers import point_cover
 from unital.crossed import (
     enumerate_unit_triples,
     h0_group_law,

@@ -13,13 +13,10 @@ from unital.abelian import (
 from unital.cech import (
     MAX_CELLS_PER_LEVEL,
     CocycleError,
-    Cover,
     Nerve,
     cech_nerve,
     classify_h0,
     cocycle_of_unit,
-    cover_of_parts,
-    point_cover,
     torsor_classes,
     total_complex_piece,
     unit_cocycles,
@@ -27,6 +24,7 @@ from unital.cech import (
     _group_from_orders,
 )
 from unital.complexes import Complex, homology, unit_complex_1, unit_complex_2
+from unital.covers import Cover, cover_of_parts, point_cover
 from unital.crossed import (
     CrossedModule,
     FiniteGroup,

@@ -1,4 +1,5 @@
 import ast
+import atexit
 import contextlib
 import gc
 import hashlib
@@ -864,8 +865,8 @@ def test_declined_command_lines_get_argparse(tmp_path, args, code, out, err):
 # which modules a command executes
 
 ROOT = Path(__file__).resolve().parent.parent
-LAZY = {"abelian", "cech", "complexes", "crossed", "groups", "point_models",
-        "tables"}
+LAZY = {"abelian", "cech", "complexes", "covers", "crossed", "groups",
+        "point_models", "tables"}
 # run cli.main, then print the unital modules whose bodies have executed
 # (a lazy module becomes a plain module when it executes)
 EXECUTED = """
@@ -1108,8 +1109,8 @@ def test_perfbench_micro_runs_on_the_library(tmp_path):
 
 SCANS = {"groups", "tables", "point_models"}
 ALGEBRA = {"groups", "abelian", "complexes"}
-CROSSED_UNITS = {"tables", "crossed", "cech"}
-CECH = {"groups", "tables", "abelian", "complexes", "cech"}
+CROSSED_UNITS = {"tables", "crossed", "covers", "cech"}
+CECH = {"groups", "tables", "abelian", "complexes", "covers", "cech"}
 
 
 @pytest.mark.parametrize("command,doc,code,executed", [
@@ -1129,9 +1130,19 @@ CECH = {"groups", "tables", "abelian", "complexes", "cech"}
     pytest.param("crossed-units", dict(INVERSION, nerve=CIRCLE_NERVE), 0,
                  CROSSED_UNITS, id="crossed-units-circle"),
     pytest.param("units", '{"kind": "compl', 2, set(), id="truncated"),
+    # parsing a nerve executes covers and no Cech calculus
+    pytest.param("units", dict(TIMES2, nerve=CIRCLE_NERVE), 0,
+                 SCANS | {"covers"}, id="units-circle"),
+    # refused by Cover itself, before any group is built
+    pytest.param("units", dict(TIMES2, nerve=_replaced(
+        CIRCLE_NERVE, ["intersections", 0, "components"], ["c", "c"])), 2,
+                 {"covers"}, id="repeated-component"),
+    # refused by CrossedModule itself, before any axiom is checked
+    pytest.param("crossed-verify", _replaced(INVERSION, ["boundary", 2], 5),
+                 2, {"tables"}, id="boundary-out-of-range"),
     # the torsor scan's charge refuses before any table or Smith form
     pytest.param(("cech-classify", "--max-states", "0"), TIMES2, 3,
-                 {"groups", "cech"}, id="cech-classify-capped")])
+                 {"groups", "covers", "cech"}, id="cech-classify-capped")])
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"
@@ -1141,6 +1152,40 @@ def test_command_executes_only_its_layers(tmp_path, command, doc, code,
         _python("-c", EXECUTED, *args, "--in", str(path)))
     assert got_code == code
     assert set(modules) & LAZY == executed
+
+
+# parse every corpus spec in one fresh process, then print the lazy
+# unital modules whose bodies have executed
+PARSED = """
+import json, sys, types
+import unital.cli
+from unital.specfile import SpecError, parse_spec
+from unital.verification import CapExceeded
+with open(sys.argv[1], encoding="utf-8") as fh:
+    texts = json.load(fh)
+for text in texts:
+    try:
+        parse_spec(text)
+    except (SpecError, CapExceeded):
+        pass
+print(json.dumps(sorted(
+    name.split(".")[1] for name, module in sys.modules.items()
+    if name.startswith("unital.") and type(module) is types.ModuleType)))
+"""
+
+
+def test_parsing_executes_only_the_value_layers(tmp_path):
+    # every command parses its input, so the layers parsing executes are
+    # compiled by every verdict: groups, tables and covers, never a Smith
+    # form, a Cech calculus or a crossed-module axiom
+    corpus = _corpus()
+    texts = [item["spec"] for workload in corpus.WORKLOADS
+             for item in corpus.all_variants(workload)]
+    assert len(texts) == 544
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps(texts))
+    executed = set(json.loads(_python("-c", PARSED, str(path)))) & LAZY
+    assert executed <= {"groups", "tables", "covers"}
 
 
 def test_from_divisors_reaches_abelian_only_when_called():
@@ -1263,6 +1308,18 @@ sys.exit(code)
 def test_main_registers_one_exit_hook(tmp_path):
     out = _python("-c", TWICE, *_verdict_args(tmp_path, ["units"], TIMES2))
     assert out.splitlines() == ["exit", "freeze True"]
+
+
+def test_main_grows_no_exit_table(tmp_path, capsys):
+    # the exit hook is registered on main's first call only, so calling
+    # main again adds no slot to the interpreter's table of exit hooks
+    argv = _verdict_args(tmp_path, ["units"], TIMES2)
+    assert main(argv) == 0
+    hooks = atexit._ncallbacks()
+    for _ in range(3):
+        assert main(argv) == 0
+        assert atexit._ncallbacks() == hooks
+    capsys.readouterr()
 
 
 def _timing_masked(text):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from unital import point_models
-from unital.cech import cech_nerve, point_cover
+from unital.cech import cech_nerve
+from unital.covers import point_cover
 from unital.abelian import CapExceeded
 from unital.crossed import (
     CrossedModule,

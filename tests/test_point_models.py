@@ -6,7 +6,8 @@ import pytest
 
 from unital.abelian import (
     CapExceeded, FgAbGroup, FinitenessError, GroupHom, kernel)
-from unital.cech import cech_nerve, cocycle_of_unit, point_cover
+from unital.cech import cech_nerve, cocycle_of_unit
+from unital.covers import point_cover
 from unital.complexes import Complex, homology, unit_complex_1
 from unital import point_models
 from unital.reporting import run

@@ -42,7 +42,6 @@ UNREACHED = {
     "abelian.smith_normal_form": PERFBENCH_PIN,
     "abelian.solve": EPOCH_B,
     "cech.CocycleError.__init__": FAILING,
-    "cech.Cover._named": NAMED_COVER,
     "cech.Nerve.__str__": VALUE_API,
     "cech._group_from_orders.killed": FAILING,
     "cech._unit_frame": EPOCH_B,
@@ -60,6 +59,7 @@ UNREACHED = {
     "complexes.is_complex_isomorphism": EPOCH_B,
     "complexes.sum_model": PERFBENCH_PIN,
     "complexes.truncate_shift": EPOCH_B,
+    "covers.Cover._named": NAMED_COVER,
     "crossed.h0_group_law": PERFBENCH_PIN,
     "groups.Complex.__str__": VALUE_API,
     "groups.FgAbGroup.__repr__": VALUE_API,

@@ -12,7 +12,8 @@ import itertools
 
 import pytest
 
-from unital import abelian, cech, complexes, crossed
+import unital
+from unital import abelian, cech, complexes, covers, crossed
 from unital import specfile, verification
 from unital.record import Record
 
@@ -30,7 +31,7 @@ C3_ON_ITSELF = crossed.CrossedModule(Z3, Z3, range(3),
 C2_TRIVIAL = crossed.CrossedModule(crossed.FiniteGroup.cyclic(2),
                                    crossed.FiniteGroup.cyclic(2), (0, 0),
                                    ((0, 0), (1, 1)))
-CIRCLE = cech.cover_of_parts(
+CIRCLE = covers.cover_of_parts(
     ("a0", "a1", "a2"),
     [(("a0", "a1"), ("c",)), (("a1", "a2"), ("c",)), (("a0", "a2"), ("c",))])
 
@@ -51,11 +52,11 @@ SAMPLES = {
     "StrictMorphism": lambda: [complexes.StrictMorphism.identity(X)
                                for X in (X2, X2B, X3)],
     "CrossedModule": lambda: [C3_ON_ITSELF, C2_TRIVIAL],
-    "Cover": lambda: [cech.point_cover(), CIRCLE],
+    "Cover": lambda: [covers.point_cover(), CIRCLE],
     "TorsorClasses": lambda: [
         cech.torsor_classes(cech.cech_nerve(cover), X)
-        for cover, X in ((cech.point_cover(), X2), (CIRCLE, X2),
-                         (cech.point_cover(), X2B))],
+        for cover, X in ((covers.point_cover(), X2), (CIRCLE, X2),
+                         (covers.point_cover(), X2B))],
     "QuasiIsoResult": lambda: [
         complexes.is_quasi_isomorphism(complexes.StrictMorphism.identity(X))
         for X in (X2, X2B)],
@@ -77,6 +78,9 @@ def _records(cls=Record):
         yield from _records(sub)
 
 
+# a lazy module defines its record classes only once it executes
+for name in unital.__all__:
+    getattr(unital, name)
 RECORDS = sorted(_records(), key=lambda cls: cls.__name__)
 
 

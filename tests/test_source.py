@@ -22,8 +22,8 @@ def test_no_assert_statements():
     assert not found, f"asserts or AssertionErrors in src/unital: {found}"
 
 
-LAZY = {"abelian", "cech", "complexes", "crossed", "groups", "point_models",
-        "tables"}
+LAZY = {"abelian", "cech", "complexes", "covers", "crossed", "groups",
+        "point_models", "tables"}
 
 
 def _name_imports(path):
@@ -58,16 +58,17 @@ def _imported_modules(path):
 
 
 def test_lazy_modules_import_only_lower_layers():
-    # groups and tables import no lazy module, except that groups binds
-    # abelian as a module for FgAbGroup.from_divisors; abelian imports
-    # groups, complexes groups and abelian, crossed tables, and
-    # point_models groups and tables: so the unit scans never execute the
-    # Smith forms, homology or crossed modules, cech-classify never
-    # executes crossed or point_models, and crossed-verify no group layer
-    allowed = {"groups": {"abelian"}, "tables": set(),
+    # groups, tables and covers import no lazy module, except that groups
+    # binds abelian as a module for FgAbGroup.from_divisors; abelian
+    # imports groups, complexes groups and abelian, crossed tables, cech
+    # covers, and point_models groups and tables: so the unit scans never
+    # execute the Smith forms, homology or crossed modules, cech-classify
+    # never executes crossed or point_models, and crossed-verify no group
+    # layer
+    allowed = {"groups": {"abelian"}, "tables": set(), "covers": set(),
                "abelian": {"groups"}, "complexes": {"groups", "abelian"},
                "crossed": {"tables"},
-               "cech": {"groups", "tables", "abelian", "complexes"},
+               "cech": {"groups", "tables", "covers", "abelian", "complexes"},
                "point_models": {"groups", "tables"}}
     assert set(allowed) == LAZY
     found = [f"{stem} imports {module}" for stem, ok in allowed.items()
@@ -87,6 +88,18 @@ def test_cech_binds_the_algebra_layers_as_modules():
     found = set(_name_imports(SRC / "cech.py")) & \
         {"groups", "tables", "abelian", "complexes"}
     assert not found, f"cech imports names from {sorted(found)}"
+
+
+def test_parsing_binds_only_the_value_layers():
+    # every input is parsed, so a computation layer that specfile binds
+    # would be compiled by every command that reaches it, whether it runs
+    # that layer or not; and covers, which every input with a nerve
+    # executes, executes no other lazy layer
+    found = set(_imported_modules(SRC / "specfile.py")) & \
+        {"cech", "crossed", "abelian", "complexes", "point_models"}
+    assert not found, f"specfile binds computation layers {sorted(found)}"
+    found = set(_imported_modules(SRC / "covers.py")) & LAZY
+    assert not found, f"covers imports lazy layers {sorted(found)}"
 
 
 def test_parses_as_python_3_10():
