@@ -12,21 +12,21 @@ homomorphisms and complexes as values), ``tables`` (table-coded groups,
 crossed modules, the unit-groupoid scan), ``covers``, ``abelian`` (Smith
 forms, kernels, direct sums), ``complexes`` (homology, models, unit
 complexes), ``crossed``, ``point_models`` and ``cech`` are registered as
-lazy modules, whose bodies execute on the first attribute access, and the
-public names below resolve through ``__getattr__``.  Every command
-executes ``cli``, ``specfile``, ``reporting`` and ``verification``, and
-these layers on top: ``units`` and ``contractible`` execute ``groups``,
-``tables`` and ``point_models``; ``homology``, ``unit-complex`` and
-``qiso`` execute ``groups``, ``abelian`` and ``complexes``;
-``crossed-verify`` executes ``tables`` and ``crossed``; ``crossed-units``
-adds ``covers`` and ``cech`` for its nerve; ``cech-classify`` executes
-``groups``, ``tables``, ``covers``, ``abelian``, ``complexes`` and
-``cech``, and on a 3-term complex all but ``tables``, which only the
-scans of a 2-term complex use.  Parsing executes no other layer than
-``groups``, ``tables`` and ``covers``: an input with a nerve adds
-``covers``, and one refused before it builds a group or cover executes none.
-Digests use the interpreter's built-in SHA-256 (see ``verification``), so
-no command loads OpenSSL.
+lazy modules from ``_LAYERS``, which says what each imports; their bodies
+execute on first attribute access, and the public names below resolve
+through ``__getattr__``.  Every command executes ``cli``, ``specfile``,
+``reporting`` and ``verification``, and these layers on top: ``units`` and
+``contractible`` execute ``groups``, ``tables`` and ``point_models``;
+``homology``, ``unit-complex`` and ``qiso`` execute ``groups``, ``abelian``
+and ``complexes``; ``crossed-verify`` executes ``tables`` and ``crossed``;
+``crossed-units`` adds ``covers`` and ``cech`` for its nerve;
+``cech-classify`` executes ``groups``, ``tables``, ``covers``, ``abelian``,
+``complexes`` and ``cech``, and on a 3-term complex all but ``tables``,
+which only the scans of a 2-term complex use.  Parsing executes no other
+layer than ``groups``, ``tables`` and ``covers``: an input with a nerve
+adds ``covers``, and one refused before it builds a group or cover executes
+none.  Digests use the interpreter's built-in SHA-256 (see
+``verification``), so no command loads OpenSSL.
 """
 
 import importlib
@@ -34,6 +34,19 @@ import importlib.util
 import sys
 
 __version__ = "0.1.0"
+
+# the lazy layers, lowest first, each with the layers it imports names from
+# (executed with it) and those it binds as modules (executed on first use)
+_LAYERS = {
+    "groups": ((), ("abelian",)),
+    "tables": ((), ()),
+    "covers": ((), ()),
+    "abelian": (("groups",), ()),
+    "complexes": (("groups", "abelian"), ()),
+    "crossed": (("tables",), ()),
+    "point_models": (("groups", "tables"), ()),
+    "cech": (("covers",), ("groups", "tables", "abelian", "complexes")),
+}
 
 # the public names, by the module that defines them
 _EXPORTS = {
@@ -76,9 +89,7 @@ def _lazy(name):
     return module
 
 
-groups, tables, covers, abelian, complexes, crossed, point_models, cech = map(
-    _lazy, ("groups", "tables", "covers", "abelian", "complexes", "crossed",
-            "point_models", "cech"))
+globals().update({name: _lazy(name) for name in _LAYERS})
 
 
 def __getattr__(name):

@@ -7,7 +7,7 @@ indexed by source generators.  Everything here is computed with exact
 integer arithmetic via the Smith normal form; no floating point, no
 fixed-width overflow.
 
-This is a lazy layer (see ``unital/__init__.py``): ``homology``,
+This is a lazy layer (see ``unital._LAYERS``): ``homology``,
 ``unit-complex``, ``qiso`` and ``cech-classify`` execute it, the unit
 scans and the crossed-module commands never do.  It re-exports the
 element arithmetic of ``groups`` and the run contract of

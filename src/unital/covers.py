@@ -4,8 +4,8 @@
 part names, as input files give it, and ``point_cover`` is the one-part
 cover of a point.  The nerve and its cocycle calculus are in ``cech``.
 
-This lazy layer imports no other, so parsing an input with a nerve
-executes it and no Cech calculus.
+This lazy layer imports none (see ``unital._LAYERS``), so parsing an
+input with a nerve executes it and no Cech calculus.
 """
 
 from __future__ import annotations

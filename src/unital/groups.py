@@ -11,7 +11,7 @@ composition is the matrix product.  ``Complex`` holds a complex built
 from them, its length being data: 2 terms present a Picard groupoid, 3 a
 Picard 2-groupoid.
 
-This is the bottom lazy layer (see ``unital/__init__.py``): every command
+This is the bottom lazy layer (see ``unital._LAYERS``): every command
 on a complex executes it.  Smith forms, kernels and direct sums live in
 ``abelian``, which re-exports these names; ``FgAbGroup.from_divisors``
 is the one call up into it, made through the lazy module, so loading

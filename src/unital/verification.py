@@ -21,16 +21,17 @@ state-cap gate ``charge`` and the table-coding cap ``MAX_CODED_ORDER``.
 from __future__ import annotations
 
 import json
+import sys
 
 from .record import Record
 
 try:  # hashlib is heavy to load: its _hashlib loads OpenSSL
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without the module
+    from hashlib import sha256
 
 
 class FinitenessError(ValueError):

@@ -865,17 +865,19 @@ def test_declined_command_lines_get_argparse(tmp_path, args, code, out, err):
 # which modules a command executes
 
 ROOT = Path(__file__).resolve().parent.parent
-LAZY = {"abelian", "cech", "complexes", "covers", "crossed", "groups",
-        "point_models", "tables"}
-# run cli.main, then print the unital modules whose bodies have executed
-# (a lazy module becomes a plain module when it executes)
+LAZY = set(unital._LAYERS)
+MODULES = {path.stem for path in (ROOT / "src" / "unital").glob("*.py")
+           if path.stem != "__init__"}
+# run cli.main, then print its exit code, every module the interpreter has
+# imported, and the unital modules whose bodies have executed (a lazy
+# module becomes a plain module when it executes)
 EXECUTED = """
 import contextlib, io, json, sys, types
 import unital.cli
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = unital.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(
+print(json.dumps([code, sorted(sys.modules), sorted(
     name.split(".")[1] for name, module in sys.modules.items()
     if name.startswith("unital.") and type(module) is types.ModuleType)]))
 """
@@ -1113,7 +1115,8 @@ CROSSED_UNITS = {"tables", "crossed", "covers", "cech"}
 CECH = {"groups", "tables", "abelian", "complexes", "covers", "cech"}
 
 
-@pytest.mark.parametrize("command,doc,code,executed", [
+# each command's layers, written out: the claim the layer table must keep
+LAYER_CASES = [
     pytest.param(command, doc, 0, layers, id=f"{command}{suffix}")
     for command, layers, layers_3 in (
         ("homology", ALGEBRA, ALGEBRA), ("qiso", ALGEBRA, ALGEBRA),
@@ -1142,16 +1145,23 @@ CECH = {"groups", "tables", "abelian", "complexes", "covers", "cech"}
                  2, {"tables"}, id="boundary-out-of-range"),
     # the torsor scan's charge refuses before any table or Smith form
     pytest.param(("cech-classify", "--max-states", "0"), TIMES2, 3,
-                 {"groups", "covers", "cech"}, id="cech-classify-capped")])
+                 {"groups", "covers", "cech"}, id="cech-classify-capped")]
+
+
+@pytest.mark.parametrize("command,doc,code,executed", LAYER_CASES)
 def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     args = (command,) if isinstance(command, str) else command
-    got_code, modules = json.loads(
+    got_code, _, modules = json.loads(
         _python("-c", EXECUTED, *args, "--in", str(path)))
     assert got_code == code
     assert set(modules) & LAZY == executed
+    # every module outside the layer table runs in every command, and a
+    # layer that imports names from another executes it too
+    assert set(modules) | LAZY == MODULES
+    assert all(set(unital._LAYERS[layer][0]) <= executed for layer in executed)
 
 
 # parse every corpus spec in one fresh process, then print the lazy
@@ -1201,17 +1211,6 @@ print(executed(), Z.from_divisors(2, 3), executed())
     assert out.split() == ["False", "Z/6", "True"]
 
 
-# run cli.main, then print every module the interpreter has imported
-IMPORTED = """
-import contextlib, io, json, sys
-import unital.cli
-with contextlib.redirect_stdout(io.StringIO()), \\
-        contextlib.redirect_stderr(io.StringIO()):
-    code = unital.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
-"""
-
-
 # one verdict per command, and one refused by its state cap
 VERDICTS = [
     pytest.param(["homology"], TIMES2, 0, id="homology"),
@@ -1239,10 +1238,8 @@ def test_command_imports_no_dataclasses(tmp_path, args, doc, code):
     # hashlib loads OpenSSL through _hashlib, about 3.5 MB of peak RSS; and
     # argparse, with gettext and locale, about 6 ms, which a command line
     # of the documented form does not need
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
-    got_code, modules = json.loads(
-        _python("-c", IMPORTED, *args, "--in", str(path)))
+    got_code, modules, _ = json.loads(
+        _python("-c", EXECUTED, *_verdict_args(tmp_path, args, doc)))
     assert got_code == code
     assert not {"dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
                 "gettext", "locale"} & set(modules)
@@ -1356,6 +1353,15 @@ code = main(sys.argv[1:])
 print("hashlib" in sys.modules)
 sys.exit(code)
 """
+
+
+def test_builtin_sha_is_picked_by_version():
+    # a failed import of the other version's module would search sys.path
+    # in every verdict
+    spy = ("import sys\nclass Spy:\n    def find_spec(name, *_): print(name)"
+           "\nsys.meta_path.insert(0, Spy)\nimport unital.verification")
+    sought = set(_python("-c", spy).split()) & {"_sha2", "_sha256"}
+    assert sought == {"_sha2" if sys.version_info >= (3, 12) else "_sha256"}
 
 
 @pytest.mark.parametrize("command,doc", [

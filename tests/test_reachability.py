@@ -25,7 +25,7 @@ PACKAGE = Path(unital.__file__).resolve().parent
 
 VALUE_API = "value-type API: building, printing or hashing a value"
 PERFBENCH_PIN = "perfbench binds or times it by name"
-EPOCH_B = "epoch-B check candidate (ROADMAP items 6 and 8)"
+EPOCH_B = "epoch-B check candidate (ROADMAP items 7, 8, 9, 11 and 12)"
 QISO = "qiso's check path: runs only when a model is not a quasi-isomorphism"
 FAILING = "runs only when a check fails"
 IMPORT_TIME = "called at import time, before any command runs"

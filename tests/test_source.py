@@ -1,7 +1,10 @@
 """Static checks over the library source."""
 
 import ast
+import re
 from pathlib import Path
+
+import unital
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "unital"
 
@@ -22,15 +25,26 @@ def test_no_assert_statements():
     assert not found, f"asserts or AssertionErrors in src/unital: {found}"
 
 
-LAZY = {"abelian", "cech", "complexes", "covers", "crossed", "groups",
-        "point_models", "tables"}
+LAYERS = unital._LAYERS
+LAZY = set(LAYERS)
 
 
-def _name_imports(path):
-    """The unital modules a source file imports names from."""
-    for node in ast.parse(path.read_text(), str(path)).body:
-        if isinstance(node, ast.ImportFrom) and node.level and node.module:
-            yield node.module.split(".")[0]
+def _imports(path):
+    """The unital modules a source file imports names from, and those it
+    binds as modules."""
+    by_name, as_module = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("unital")):
+            module = (node.module or "").removeprefix("unital").lstrip(".")
+            if module:
+                by_name.add(module.split(".")[0])
+            else:
+                as_module.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            as_module.update(alias.name.split(".")[1] for alias in node.names
+                             if alias.name.startswith("unital."))
+    return by_name, as_module
 
 
 def test_no_name_imports_from_lazy_modules():
@@ -38,68 +52,46 @@ def test_no_name_imports_from_lazy_modules():
     # imports bind the lazy ones as modules and look names up when called
     found = [f"{path.name} from {module}"
              for path in sorted(SRC.glob("*.py")) if path.stem not in LAZY
-             for module in _name_imports(path) if module in LAZY]
+             for module in _imports(path)[0] & LAZY]
     assert not found, f"names imported from lazy modules: {found}"
 
 
-def _imported_modules(path):
-    """The stems of the unital modules a source file imports."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").startswith("unital")):
-            module = (node.module or "").removeprefix("unital").lstrip(".")
-            if module:
-                yield module.split(".")[0]
-            else:
-                yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[1] for alias in node.names
-                        if alias.name.startswith("unital."))
-
-
 def test_lazy_modules_import_only_lower_layers():
-    # groups, tables and covers import no lazy module, except that groups
-    # binds abelian as a module for FgAbGroup.from_divisors; abelian
-    # imports groups, complexes groups and abelian, crossed tables, cech
-    # covers, and point_models groups and tables: so the unit scans never
-    # execute the Smith forms, homology or crossed modules, cech-classify
-    # never executes crossed or point_models, and crossed-verify no group
-    # layer
-    allowed = {"groups": {"abelian"}, "tables": set(), "covers": set(),
-               "abelian": {"groups"}, "complexes": {"groups", "abelian"},
-               "crossed": {"tables"},
-               "cech": {"groups", "tables", "covers", "abelian", "complexes"},
-               "point_models": {"groups", "tables"}}
-    assert set(allowed) == LAZY
-    found = [f"{stem} imports {module}" for stem, ok in allowed.items()
-             for module in set(_imported_modules(SRC / f"{stem}.py"))
-             & LAZY - ok]
-    assert not found, f"lazy modules importing lazy modules: {found}"
-    # the one upward edge is a module binding, so loading groups does not
-    # execute abelian
-    assert "abelian" not in set(_name_imports(SRC / "groups.py"))
-
-
-def test_cech_binds_the_algebra_layers_as_modules():
-    # crossed-units builds a nerve, and so executes cech; with names bound
-    # from groups, tables, abelian or complexes it would execute those too,
-    # and a 3-term cech-classify, which calls nothing in tables, would
-    # execute tables
-    found = set(_name_imports(SRC / "cech.py")) & \
-        {"groups", "tables", "abelian", "complexes"}
-    assert not found, f"cech imports names from {sorted(found)}"
+    # each lazy module imports the lazy modules its _LAYERS row lists, no
+    # more and no fewer, and those it imports names from are lower layers
+    found = []
+    for rank, (stem, (by_name, as_module)) in enumerate(LAYERS.items()):
+        names, modules = (got & LAZY for got in _imports(SRC / f"{stem}.py"))
+        if (names, modules - names) != (set(by_name), set(as_module)):
+            found.append(f"{stem} imports names from {sorted(names)} and "
+                         f"modules {sorted(modules - names)}")
+        found += [f"{stem} imports names from higher layer {module}"
+                  for module in by_name if module not in list(LAYERS)[:rank]]
+    assert not found, f"imports off the layer table: {found}"
 
 
 def test_parsing_binds_only_the_value_layers():
     # every input is parsed, so a computation layer that specfile binds
     # would be compiled by every command that reaches it, whether it runs
-    # that layer or not; and covers, which every input with a nerve
-    # executes, executes no other lazy layer
-    found = set(_imported_modules(SRC / "specfile.py")) & \
-        {"cech", "crossed", "abelian", "complexes", "point_models"}
+    # that layer or not
+    found = set().union(*_imports(SRC / "specfile.py")) & LAZY - \
+        {"groups", "tables", "covers"}
     assert not found, f"specfile binds computation layers {sorted(found)}"
-    found = set(_imported_modules(SRC / "covers.py")) & LAZY
-    assert not found, f"covers imports lazy layers {sorted(found)}"
+
+
+def _layer_sentence(text, quote):
+    """The modules a document names, in order, before `as lazy modules`."""
+    sentence = next(s for s in re.split(r"(?<=\.) ", " ".join(text.split()))
+                    if "as lazy modules" in s).split("as lazy modules")[0]
+    return re.findall(rf"{quote}(\w+){quote}", sentence)
+
+
+def test_docs_name_the_layers_in_table_order():
+    # README's layer paragraph and the package docstring list the lazy
+    # modules as _LAYERS registers them
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert _layer_sentence(readme, "`") == list(LAYERS)
+    assert _layer_sentence(unital.__doc__, "``") == list(LAYERS)
 
 
 def test_parses_as_python_3_10():
