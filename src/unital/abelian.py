@@ -1,11 +1,11 @@
-"""Smith normal forms, kernels, cokernels and direct sums of finitely
-generated abelian groups.
+"""Smith normal forms, kernels, cokernels, homology and direct sums of
+finitely generated abelian groups.
 
 Groups, elements and homomorphisms are those of ``groups``: canonical
 invariant factors, coordinate vectors and integer matrices with columns
-indexed by source generators.  Everything here is computed with exact
-integer arithmetic via the Smith normal form; no floating point, no
-fixed-width overflow.
+indexed by source generators.  Everything here is exact integer
+arithmetic on Smith normal forms, and ``subquotient`` is the one homology
+routine: ``kernel`` and ``complexes.homology`` each make one call to it.
 
 This is a lazy layer (see ``unital._LAYERS``): ``homology``,
 ``unit-complex``, ``qiso`` and ``cech-classify`` execute it, the unit
@@ -255,12 +255,11 @@ def subquotient(d_in, orders, d_out, out_orders):
     between the stages; the cycle lattice contains R, so this changes
     nothing but keeps the integers small.
 
-    Returns ``(group, gens, from_can)``: ``gens`` are the cycle generators
-    as vectors of Z^n, and column j of ``from_can`` writes canonical
-    generator j in terms of them.
+    Returns ``(group, reps)``: column j of ``reps`` (n x ngens, by rows)
+    is a cycle in the class of canonical generator j.
 
-    >>> str(subquotient([[], []], [2, 3], [], [])[0])  # Z/2 x Z/3
-    'Z/6'
+    >>> subquotient([[], []], [2, 4], [[1, 1]], [2])  # ker Z/2 x Z/4 -> Z/2
+    (FgAbGroup([4], 0), [[1], [1]])
     """
     n = len(orders)
     gens, seen = [], set()
@@ -278,7 +277,8 @@ def subquotient(d_in, orders, d_out, out_orders):
     # entry-bounded elimination
     group, _, from_can = _canonicalize_presentation(
         _int_kernel(M, len(M[0]) if M else s)[:s], _exponent(orders))
-    return group, gens, from_can
+    B = [[g[i] for g in gens] for i in range(n)]  # n x s
+    return group, _matmul(B, from_can, n, s, group.ngens)
 
 
 def kernel(f):
@@ -287,12 +287,9 @@ def kernel(f):
     Returns ``(K, incl)`` where ``incl`` is injective, ``f . incl = 0`` and
     every element killed by ``f`` factors through ``incl``.
     """
-    n = f.source.ngens
-    K, gens, from_can = subquotient([[]] * n, f.source.orders, f.matrix,
-                                    f.target.orders)
-    B = [[g[i] for g in gens] for i in range(n)]  # n x s
-    incl_rows = _matmul(B, from_can, n, len(gens), K.ngens)
-    return K, GroupHom(K, f.source, incl_rows)
+    K, reps = subquotient([[]] * f.source.ngens, f.source.orders, f.matrix,
+                          f.target.orders)
+    return K, GroupHom(K, f.source, reps)
 
 
 def cokernel(f):

@@ -4,9 +4,10 @@ Complexes sit in nonpositive cohomological degrees: a 2-term complex is
 A -> B in degrees (-1, 0), a 3-term complex is A -> B -> C in degrees
 (-2, -1, 0); both are ``Complex`` records, unpacked as ``X.terms`` and
 ``X.maps``.  The module provides homology with deterministic cycle
-representatives, strict morphisms, mapping cones, soft truncation, and the
-complexes that represent the groupoid of units of the structure presented by
-a complex:
+representatives (one ``abelian.subquotient`` call per degree, on the
+incoming and outgoing differentials), strict morphisms, mapping cones,
+soft truncation, and the complexes that represent the groupoid of units
+of the structure presented by a complex:
 
 * ``unit_complex_1``: A -> ker(lam - id_B), with ker taken inside A (+) B;
 * ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C);
@@ -29,21 +30,15 @@ from functools import cached_property
 
 from .abelian import (
     LinearSolver,
-    cokernel,
     direct_sum,
     is_isomorphism,
     kernel,
     lift_through,
+    subquotient,
 )
 # the complexes are values of the element layer, re-exported here
-from .groups import Complex, FgAbGroup, GroupElem, GroupHom, _TRIVIAL
+from .groups import Complex, FgAbGroup, GroupElem, GroupHom, _matvec
 from .record import Record
-
-
-def _incoming(X, degree):
-    if degree == X.degrees[0]:
-        return GroupHom.zero(_TRIVIAL, X.group_at(degree))
-    return X.differential(degree - 1)
 
 
 class StrictMorphism(Record):
@@ -90,36 +85,34 @@ def is_complex_isomorphism(f):
 
 
 class HomologyData:
-    """Homology at one degree with a cycle chooser.
-
-    ``classify`` sends a cycle to its class; ``representative`` picks a
-    cycle in a class, through a fixed section of the projection.
+    """Homology at one degree with a cycle chooser: ``representative``
+    uses the cycles ``subquotient`` fixes for the canonical generators.
     """
 
     def __init__(self, X, degree):
-        self._incl = kernel(X.differential(degree))[1]
-        boundaries = lift_through(self._incl, _incoming(X, degree))
-        self.group, self._proj = cokernel(boundaries)
+        self._term, out = X.group_at(degree), X.differential(degree)
+        self._in = X.differential(degree - 1).matrix \
+            if degree > X.degrees[0] else [[]] * self._term.ngens
+        self.group, self._reps = subquotient(
+            self._in, self._term.orders, out.matrix, out.target.orders)
 
     @cached_property  # a Smith form, paid for on first use only
-    def _incl_solver(self):
-        return LinearSolver(self._incl)
-
-    @cached_property
-    def _proj_solver(self):
-        return LinearSolver(self._proj)
+    def _solver(self):  # reps . h plus a boundary has class h
+        rows = [r + list(b) for r, b in zip(self._reps, self._in)]
+        free = FgAbGroup.free(len(rows[0]) if rows else 0)
+        return LinearSolver(GroupHom(free, self._term, rows))
 
     def classify(self, x: GroupElem) -> GroupElem:
-        z = self._incl_solver.solve(x)
+        z = self._solver.solve(x)
         if z is None:
             raise ValueError("element is not a cycle")
-        return self._proj(z)
+        return self.group.element(z.coords[:self.group.ngens])
 
     def representative(self, h: GroupElem) -> GroupElem:
-        z = self._proj_solver.solve(h)
-        if z is None:
+        if h.group != self.group:
             raise ValueError("class not in the homology group")
-        return self._incl(z)
+        return self._term.element(_matvec(self._reps, h.coords,
+                                          self._term.ngens, self.group.ngens))
 
 
 def homology(X, degree) -> FgAbGroup:

@@ -41,7 +41,9 @@ from unital.point_models import (
 from oracles import oracle_circle_nerve, oracle_point_nerve, oracle_torsor_classes
 from test_abelian import random_group, random_hom
 from test_coded_groups import finite_groups, homs
-from test_complexes import c2_times2, c3_zero_id, random_complex2, random_complex3
+from test_complexes import (
+    MIXED_PRIMES, OracleHomology, c2_times2, c3_zero_id, random_complex2,
+    random_complex3, random_free_complex)
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -780,9 +782,6 @@ class TestClassifyH0:
 # classify_h0 and of the block differential
 
 
-MIXED_PRIMES = [(), (2,), (3,), (4,), (6,), (9,)]
-
-
 def _mixed_prime_complex(rng, terms, pool=MIXED_PRIMES):
     A, B, C = (FgAbGroup(rng.choice(pool)) for _ in range(3))
     if terms == 2:
@@ -900,40 +899,19 @@ class TestBlockDifferential:
 class TestSubquotient:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_homology(self, seed):
-        # free ranks included: Z^r next to torsion in every term
+        # free ranks included: Z^r next to torsion in every term; homology
+        # itself is one subquotient call, so the oracle is the kernel,
+        # lift and cokernel construction
         rng = random.Random(f"subquotient{seed}")
-        for X in (_free_complex(rng, 2), _free_complex(rng, 3)):
+        for X in (random_free_complex(rng, 2), random_free_complex(rng, 3)):
             for d in X.degrees:
                 G = X.group_at(d)
                 d_in = X.differential(d - 1).matrix \
                     if d > X.degrees[0] else [[]] * G.ngens
                 out = X.differential(d)
                 assert subquotient(d_in, G.orders, out.matrix,
-                                   out.target.orders)[0] == homology(X, d)
-
-
-def _free_group(rng):
-    return FgAbGroup(rng.choice(MIXED_PRIMES), rng.randrange(3))
-
-
-def _free_hom(rng, A, B):
-    """A random well-defined hom: a torsion generator of order d goes to an
-    element killed by d, a free one anywhere."""
-    images = []
-    for d in A.orders:
-        steps = [1 if d == 0 else e // gcd(d, e) if e else 0
-                 for e in B.orders]
-        images.append(B.element(rng.randrange(-3, 4) * k for k in steps))
-    return GroupHom.from_images(A, B, images)
-
-
-def _free_complex(rng, terms):
-    A, B, C = (_free_group(rng) for _ in range(3))
-    if terms == 2:
-        return Complex((A, B), (_free_hom(rng, A, B),))
-    lam = _free_hom(rng, B, C)
-    K, incl = kernel(lam)
-    return Complex((A, B, C), (incl.compose(_free_hom(rng, A, K)), lam))
+                                   out.target.orders)[0] == \
+                    OracleHomology(X, d).group
 
 
 # --------------------------------------------------------------------------
@@ -1008,7 +986,7 @@ class TestReducedTotalComplex:
         # free pivots must be exactly +-1; subquotient is the oracle
         rng = random.Random(f"reduced-free{terms}")
         for _ in range(8):
-            X = _free_complex(rng, terms)
+            X = random_free_complex(rng, terms)
             (_, l0, l1), (d_low, d_high) = dense_piece(X, point_nerve())
             piece = cech._reduced_piece(X, point_nerve())
             assert subquotient(*piece)[0] == \

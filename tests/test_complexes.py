@@ -1,8 +1,13 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unital.abelian import FgAbGroup, GroupHom, is_isomorphism, kernel
+from unital import abelian
+from unital.abelian import (
+    FgAbGroup, GroupHom, cokernel, is_isomorphism, kernel, lift_through,
+    solve)
 from unital.complexes import (
     Complex,
     HomologyData,
@@ -82,6 +87,50 @@ def random_complex3(rng, max_order=16):
     K, incl = kernel(lam)
     delta = incl.compose(random_hom(rng, A, K))
     return Complex((A, B, C), (delta, lam))
+
+
+MIXED_PRIMES = [(), (2,), (3,), (4,), (6,), (9,)]
+
+
+def _free_group(rng):
+    return FgAbGroup(rng.choice(MIXED_PRIMES), rng.randrange(3))
+
+
+def _free_hom(rng, A, B):
+    """A random well-defined hom: a torsion generator of order d goes to an
+    element killed by d, a free one anywhere."""
+    images = []
+    for d in A.orders:
+        steps = [1 if d == 0 else e // gcd(d, e) if e else 0
+                 for e in B.orders]
+        images.append(B.element(rng.randrange(-3, 4) * k for k in steps))
+    return GroupHom.from_images(A, B, images)
+
+
+def random_free_complex(rng, terms):
+    """A 2- or 3-term complex, torsion and free rank up to 2 in each term."""
+    A, B, C = (_free_group(rng) for _ in range(3))
+    if terms == 2:
+        return Complex((A, B), (_free_hom(rng, A, B),))
+    lam = _free_hom(rng, B, C)
+    K, incl = kernel(lam)
+    return Complex((A, B, C), (incl.compose(_free_hom(rng, A, K)), lam))
+
+
+class OracleHomology:
+    """Homology at one degree by a second construction, the oracle of
+    HomologyData: the cycles K = ker(outgoing), the boundaries lifted into
+    K, and the cokernel of that lift, with classification through it."""
+
+    def __init__(self, X, degree):
+        G = X.group_at(degree)
+        incoming = X.differential(degree - 1) if degree > X.degrees[0] \
+            else GroupHom.zero(TRIV, G)
+        self.incl = kernel(X.differential(degree))[1]
+        self.group, self.proj = cokernel(lift_through(self.incl, incoming))
+
+    def classify(self, x):
+        return self.proj(solve(self.incl, x))
 
 
 class TestComplexValidation:
@@ -196,11 +245,62 @@ class TestHomology:
 
     def test_representative_is_a_cycle_in_its_class(self):
         rng = random.Random(131)
-        for X in [c2_times2()] + [random_complex2(rng) for _ in range(10)]:
+        for X in [c2_times2(), c3_zero_id()] \
+                + [random_complex2(rng) for _ in range(10)] \
+                + [random_complex3(rng, 8) for _ in range(10)]:
             for d in X.degrees:
                 hd = HomologyData(X, d)
                 for h in hd.group.elements():
-                    assert hd.classify(hd.representative(h)) == h
+                    x = hd.representative(h)
+                    assert X.differential(d)(x).is_zero
+                    assert hd.classify(x) == h
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3]))
+    def test_matches_the_kernel_cokernel_oracle(self, rng, terms):
+        X = random_free_complex(rng, terms)
+
+        def draw(G):
+            return G.element(rng.randrange(-4, 5) for _ in range(G.ngens))
+
+        for d in X.degrees:
+            hd, oracle = HomologyData(X, d), OracleHomology(X, d)
+            H = hd.group
+            assert H == oracle.group
+            # the isomorphism fixed on generators: the oracle's class of
+            # each generator's cycle
+            phi = GroupHom.from_images(H, H, [
+                oracle.classify(hd.representative(H.generator(i)))
+                for i in range(H.ngens)])
+            assert is_isomorphism(phi)
+            for _ in range(4):
+                h = draw(H)
+                assert hd.classify(hd.representative(h)) == h
+                x = oracle.incl(draw(oracle.incl.source))  # any cycle
+                assert phi(hd.classify(x)) == oracle.classify(x)
+            if d > X.degrees[0]:
+                inc = X.differential(d - 1)
+                for y in [draw(inc.source) for _ in range(4)] + [
+                        inc.source.generator(j)
+                        for j in range(inc.source.ngens)]:
+                    assert hd.classify(inc(y)).is_zero
+
+    def test_at_most_three_smith_forms_per_degree(self, monkeypatch):
+        # one subquotient call: a kernel, the relations of the cycle
+        # generators and the quotient's canonical form; in degree 0 the
+        # outgoing map has no rows, so the first kernel needs no Smith form
+        rng = random.Random(197)
+        complexes = [c2_times2(), c3_zero_id()] + [
+            random_free_complex(rng, terms) for terms in (2, 3) * 6]
+        calls = []
+        snf = abelian._snf_full
+        monkeypatch.setattr(abelian, "_snf_full",
+                            lambda *a, **k: calls.append(1) or snf(*a, **k))
+        for X in complexes:
+            for d in X.degrees:
+                calls.clear()
+                homology(X, d)
+                assert len(calls) <= (2 if d == 0 else 3)
 
 
 class TestUnitComplex1:

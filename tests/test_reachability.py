@@ -49,8 +49,7 @@ UNREACHED = {
     "cech.unit_of_cocycle": EPOCH_B,
     "cli._build_parser": FALLBACK,
     "cli._build_parser.state_cap": FALLBACK,
-    "complexes.HomologyData._incl_solver": QISO,
-    "complexes.HomologyData._proj_solver": QISO,
+    "complexes.HomologyData._solver": QISO,
     "complexes.HomologyData.classify": QISO,
     "complexes.HomologyData.representative": QISO,
     "complexes.StrictMorphism.identity": EPOCH_B,
