@@ -4,7 +4,9 @@ finitely generated abelian groups.
 Groups, elements and homomorphisms are those of ``groups``: canonical
 invariant factors, coordinate vectors and integer matrices with columns
 indexed by source generators.  Everything here is exact integer
-arithmetic on Smith normal forms, and ``subquotient`` is the one homology
+arithmetic on Smith normal forms, all from one elimination, ``_snf_full``:
+elementary row and column steps around the smallest pivot, over Z or
+modulo a certified exponent.  ``subquotient`` is the one homology
 routine: ``kernel`` and ``complexes.homology`` each make one call to it.
 
 This is a lazy layer (see ``unital._LAYERS``): ``homology``,
@@ -26,7 +28,7 @@ element arithmetic of ``groups`` and the run contract of
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 # GroupElem and the run contract are re-exported
 from .groups import (
@@ -57,11 +59,25 @@ def _snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
     Returns ``(U, Ui, D, V)`` with ``U * M * V == D`` and ``Ui`` the inverse
     of ``U``; transforms not asked for come back None.
 
+    Every step is elementary: a swap, a negated row, or a multiple of one
+    row or column added to another.  Each pass moves the smallest nonzero
+    |entry| of the remaining block to the corner (the first in row order on
+    a tie).  Every row below loses the nearest multiple of the pivot row,
+    and every column to the right the nearest multiple of the pivot column,
+    so each remainder is at most half the pivot; a nonzero one is a smaller
+    pivot for the next pass.  Once the pivot's row and column are clear, a
+    row with an entry that the pivot does not divide is added to the pivot
+    row, whose next column pass leaves a remainder.  So the pivot strictly
+    decreases until it divides the whole block.  Pivoting on the smallest
+    entry keeps the transforms small (Havas and Majewski, J. Symb. Comput.
+    24, 1997).
+
     A nonzero ``modulus`` e runs the same steps with every entry that a step
-    touches reduced into [0, e), so the two equations hold modulo e.  Each
-    reduction adjoins a vector of e * Z^m, so ``D`` then presents the
-    quotient by the columns together with e * Z^m (see
-    ``_canonicalize_presentation``).
+    touches reduced into [0, e), so the two equations hold modulo e.  Its
+    quotients are floors, so a remainder is the least residue modulo the
+    pivot, again smaller.  Each reduction adjoins a vector of e * Z^m, so
+    ``D`` then presents the quotient by the columns together with e * Z^m
+    (see ``_canonicalize_presentation``).
     """
     e = modulus
     A = [[int(x) % e if e else int(x) for x in row] for row in M]
@@ -70,116 +86,64 @@ def _snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
     # Row i of W is row i of A followed by row i of U, and the rows of V
-    # follow, so that one step on two rows or two columns of W carries the
-    # transforms along.  Ui takes the inverse row steps on its columns, so
-    # it is held transposed.
+    # follow, so that a row step on W carries U along and a column step V.
+    # Ui takes the inverse row steps on its columns, so it is held
+    # transposed.
     W = ([row + u for row, u in zip(A, _identity(m))] if want_u else A) \
         + (_identity(n) if want_v else [])
     UiT = _identity(m) if want_ui else None
 
-    def lin(p, q, x, y, u, v):
-        # (p, q) <- (x p + y q, u p + v q) in place, with x v - y u = 1;
-        # y = 0 comes with x = v = 1 and changes q only
-        if y:
-            for s in range(len(p)):
-                a, b = p[s], q[s]
-                p[s] = (x * a + y * b) % e if e else x * a + y * b
-                q[s] = (u * a + v * b) % e if e else u * a + v * b
-        else:
-            for s in range(len(p)):
-                q[s] = (q[s] + u * p[s]) % e if e else q[s] + u * p[s]
+    def axpy(p, q, r):  # p + q * r, reduced
+        return [(x + q * y) % e for x, y in zip(p, r)] if e \
+            else [x + q * y for x, y in zip(p, r)]
 
-    def row_step(t, i, x, y, u, v):  # lin on rows t and i
-        lin(W[t], W[i], x, y, u, v)
-        if UiT is not None:  # Ui times the inverse block
-            lin(UiT[i], UiT[t], x, -y, -u, v)
+    def add_row(i, k, q):  # row k += q * row i
+        W[k] = axpy(W[k], q, W[i])
+        if UiT is not None:  # Ui times the inverse step
+            UiT[i] = axpy(UiT[i], -q, UiT[k])
 
-    def col_step(t, j, x, y, u, v):  # lin on columns t and j
-        if y:
-            for r in W:
-                a, b = r[t], r[j]
-                r[t] = (x * a + y * b) % e if e else x * a + y * b
-                r[j] = (u * a + v * b) % e if e else u * a + v * b
-        else:
-            for r in W:
-                r[j] = (r[j] + u * r[t]) % e if e else r[j] + u * r[t]
+    def quot(b, a):  # the floor mod e; over Z the nearest, for either sign
+        return b // a if e else (2 * b + a) // (2 * a)
 
     t = 0
     while t < m and t < n:
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = W[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    v = -v if v < 0 else v
-                    if best is None or v < best:
-                        piv, best = (i, j), v
-                        if v == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
+        v, i = min((min(map(abs, filter(None, W[i][t:n])), default=inf), i)
+                   for i in range(t, m))
+        if v == inf:
             break
-        i, j = piv
-        if i != t:
-            W[t], W[i] = W[i], W[t]
-            if UiT is not None:
-                UiT[t], UiT[i] = UiT[i], UiT[t]
-        if j != t:
-            for r in W:
-                r[t], r[j] = r[j], r[t]
-        while True:
-            # a divisible entry is cleared by one addition, any other by one
-            # unimodular step that leaves (gcd, 0)
-            for i in range(t + 1, m):
-                b = W[i][t]
-                if b:
-                    a = W[t][t]
-                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
-                    row_step(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, n):
-                b = W[t][j]
-                if b:
-                    a = W[t][t]
-                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
-                    col_step(t, j, x, y, -(b // g), a // g)
-            if all(W[i][t] == 0 for i in range(t + 1, m)):
-                break
-        if W[t][t] < 0:  # never with a modulus
+        j = next(j for j in range(t, n) if abs(W[i][j]) == v)
+        W[t], W[i] = W[i], W[t]
+        if UiT is not None:
+            UiT[t], UiT[i] = UiT[i], UiT[t]
+        for r in W:
+            r[t], r[j] = r[j], r[t]
+        a = W[t][t]
+        for i in range(t + 1, m):
+            if W[i][t]:
+                add_row(t, i, -quot(W[i][t], a))
+        for j in range(t + 1, n):
+            if W[t][j]:
+                q = quot(W[t][j], a)
+                for r in W:
+                    r[j] = (r[j] - q * r[t]) % e if e else r[j] - q * r[t]
+        if any(W[i][t] for i in range(t + 1, m)) or any(W[t][t + 1:n]):
+            continue
+        if a < 0:  # never with a modulus
             W[t] = [-x for x in W[t]]
             if UiT is not None:
                 UiT[t] = [-x for x in UiT[t]]
-        d = W[t][t]
-        bad = None if d == 1 else next(  # a unit pivot divides everything
+            a = -a
+        bad = None if a == 1 else next(  # a unit pivot divides everything
             (i for i in range(t + 1, m) for j in range(t + 1, n)
-             if W[i][j] % d), None)
+             if W[i][j] % a), None)
         if bad is not None:
-            # add the offending row to row t, so that the next pass replaces
-            # the pivot with a proper divisor; the pivot strictly decreases
-            row_step(bad, t, 1, 0, 1, 1)
+            add_row(bad, t, 1)
             continue
         t += 1
     return ([r[n:] for r in W[:m]] if want_u else None,
             [list(c) for c in zip(*UiT)] if want_ui else None,
             [r[:n] for r in W[:m]],
             W[m:] if want_v else None)
-
-
-def _xgcd(a, b):
-    """g = gcd(a, b) > 0 with x*a + y*b = g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def _canonicalize_presentation(R, exponent=None):

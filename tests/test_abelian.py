@@ -1,5 +1,5 @@
 import random
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,8 @@ from unital.abelian import (
     smith_normal_form,
     solve,
     _canonicalize_presentation,
+    _identity,
+    _snf_full,
 )
 
 from oracles import (
@@ -87,6 +89,9 @@ class TestSmithNormalForm:
             check_snf(M)
 
     def test_against_determinantal_divisors(self):
+        # the smallest entry reaches the corner by a row and a column swap
+        for M in ([[0, 2], [3, 0]], [[5, 0, 0], [0, 0, 2]]):
+            assert check_snf(M) == invariant_factors_from_minors(M)
         rng = random.Random(7)
         for _ in range(60):
             m = rng.randint(1, 4)
@@ -142,6 +147,194 @@ class TestCanonicalForm:
             list(FgAbGroup.free(1).elements())
         with pytest.raises(FinitenessError):
             FgAbGroup((2,), 1).order()
+
+
+# the flags with which the library calls _snf_full: smith_normal_form and
+# LinearSolver, _canonicalize_presentation, _int_kernel, and the default
+CALLER_FLAGS = [(True, False, True), (True, True, False), (False, False, True),
+                (True, True, True)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+class TestElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices(), st.sampled_from([0, 2, 4, 6, 8, 12, 36, 64]),
+           st.sampled_from(CALLER_FLAGS))
+    def test_matches_the_extended_gcd_oracle(self, M, e, flags):
+        m, n = len(M), len(M[0]) if M else 0
+        full = _snf_full(M, modulus=e)
+        # a transform not asked for is dropped, and nothing else changes
+        wanted = (flags[0], flags[1], True, flags[2])
+        assert _snf_full(M, *flags, modulus=e) == tuple(
+            x if want else None for x, want in zip(full, wanted))
+        U, Ui, D, V = full
+        _, _, D0, _ = oracle_snf_full(M, modulus=e)
+        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        if e:
+            assert [gcd(D[i][i], e) for i in range(min(m, n))] == \
+                [gcd(D0[i][i], e) for i in range(min(m, n))]
+        else:
+            assert D == D0
+            assert abs(det(U)) == 1 and abs(det(V)) == 1
+
+        def red(A):
+            return [[x % e for x in row] for row in A] if e else A
+        assert red(mat_mul(mat_mul(U, M), V)) == red(D)
+        assert red(mat_mul(U, Ui)) == red(_identity(m))
+
+    def test_transforms_stay_small_on_dense_matrices(self):
+        # extended-gcd steps give entries of 9,033 to 456,738 bits here
+        for seed in range(1, 5):
+            rng = random.Random(seed)
+            M = [[rng.randint(-9, 9) for _ in range(45)] for _ in range(30)]
+            U, Ui, _, V = _snf_full(M)
+            assert max(abs(x).bit_length()
+                       for T in (U, Ui, V) for row in T for x in row) <= 2048
+
+
+# --------------------------------------------------------------------------
+# the elimination that smallest-entry pivoting replaced, kept as the oracle
+# of _snf_full
+
+
+def oracle_snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
+    """``abelian._snf_full`` by extended-gcd steps: an entry that the pivot
+    does not divide is cleared by a unimodular 2 x 2 step on its row (or
+    column) and the pivot's, which leaves (gcd, 0).  Its transforms grow
+    quickly on dense matrices, but its D is the reference.
+
+    Returns ``(U, Ui, D, V)`` with ``U * M * V == D`` and ``Ui`` the inverse
+    of ``U``; transforms not asked for come back None.
+
+    A nonzero ``modulus`` e runs the same steps with every entry that a step
+    touches reduced into [0, e), so the two equations hold modulo e.  Each
+    reduction adjoins a vector of e * Z^m, so ``D`` then presents the
+    quotient by the columns together with e * Z^m (see
+    ``_canonicalize_presentation``).
+    """
+    e = modulus
+    A = [[int(x) % e if e else int(x) for x in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    # Row i of W is row i of A followed by row i of U, and the rows of V
+    # follow, so that one step on two rows or two columns of W carries the
+    # transforms along.  Ui takes the inverse row steps on its columns, so
+    # it is held transposed.
+    W = ([row + u for row, u in zip(A, _identity(m))] if want_u else A) \
+        + (_identity(n) if want_v else [])
+    UiT = _identity(m) if want_ui else None
+
+    def lin(p, q, x, y, u, v):
+        # (p, q) <- (x p + y q, u p + v q) in place, with x v - y u = 1;
+        # y = 0 comes with x = v = 1 and changes q only
+        if y:
+            for s in range(len(p)):
+                a, b = p[s], q[s]
+                p[s] = (x * a + y * b) % e if e else x * a + y * b
+                q[s] = (u * a + v * b) % e if e else u * a + v * b
+        else:
+            for s in range(len(p)):
+                q[s] = (q[s] + u * p[s]) % e if e else q[s] + u * p[s]
+
+    def row_step(t, i, x, y, u, v):  # lin on rows t and i
+        lin(W[t], W[i], x, y, u, v)
+        if UiT is not None:  # Ui times the inverse block
+            lin(UiT[i], UiT[t], x, -y, -u, v)
+
+    def col_step(t, j, x, y, u, v):  # lin on columns t and j
+        if y:
+            for r in W:
+                a, b = r[t], r[j]
+                r[t] = (x * a + y * b) % e if e else x * a + y * b
+                r[j] = (u * a + v * b) % e if e else u * a + v * b
+        else:
+            for r in W:
+                r[j] = (r[j] + u * r[t]) % e if e else r[j] + u * r[t]
+
+    t = 0
+    while t < m and t < n:
+        piv = None
+        best = None
+        for i in range(t, m):
+            row = W[i]
+            for j in range(t, n):
+                v = row[j]
+                if v:
+                    v = -v if v < 0 else v
+                    if best is None or v < best:
+                        piv, best = (i, j), v
+                        if v == 1:
+                            break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            W[t], W[i] = W[i], W[t]
+            if UiT is not None:
+                UiT[t], UiT[i] = UiT[i], UiT[t]
+        if j != t:
+            for r in W:
+                r[t], r[j] = r[j], r[t]
+        while True:
+            # a divisible entry is cleared by one addition, any other by one
+            # unimodular step that leaves (gcd, 0)
+            for i in range(t + 1, m):
+                b = W[i][t]
+                if b:
+                    a = W[t][t]
+                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
+                    row_step(t, i, x, y, -(b // g), a // g)
+            for j in range(t + 1, n):
+                b = W[t][j]
+                if b:
+                    a = W[t][t]
+                    g, x, y = (a, 1, 0) if b % a == 0 else _xgcd(a, b)
+                    col_step(t, j, x, y, -(b // g), a // g)
+            if all(W[i][t] == 0 for i in range(t + 1, m)):
+                break
+        if W[t][t] < 0:  # never with a modulus
+            W[t] = [-x for x in W[t]]
+            if UiT is not None:
+                UiT[t] = [-x for x in UiT[t]]
+        d = W[t][t]
+        bad = None if d == 1 else next(  # a unit pivot divides everything
+            (i for i in range(t + 1, m) for j in range(t + 1, n)
+             if W[i][j] % d), None)
+        if bad is not None:
+            # add the offending row to row t, so that the next pass replaces
+            # the pivot with a proper divisor; the pivot strictly decreases
+            row_step(bad, t, 1, 0, 1, 1)
+            continue
+        t += 1
+    return ([r[n:] for r in W[:m]] if want_u else None,
+            [list(c) for c in zip(*UiT)] if want_ui else None,
+            [r[:n] for r in W[:m]],
+            W[m:] if want_v else None)
+
+
+def _xgcd(a, b):
+    """g = gcd(a, b) > 0 with x*a + y*b = g."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return g, x, y
 
 
 @st.composite

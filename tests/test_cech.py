@@ -735,14 +735,12 @@ class TestClassifyH0:
     def test_matches_packed_route(self, nerve, terms, count):
         # Z/6 and Z/9 next to Z/2, Z/3 and Z/4 make the canonical sums of
         # the packed route merge primary parts; block coordinates never do.
-        # Beyond the point, the packed route's integer eliminations run
-        # for over a minute on two-generator terms such as Z/3 x Z/9, so
-        # the circles get cyclic ones.
+        # Over the circles, two-generator terms such as Z/3 x Z/9 give the
+        # packed route dense integer kernels of about 60 x 90
         rng = random.Random(f"packed{terms}{nerve}")
         N = {"point": point_nerve, "circle": circle_nerve,
              "ring4": ring_nerve}[nerve]()
-        pool = MIXED_PRIMES + [(2, 6), (3, 9)] if nerve == "point" \
-            else MIXED_PRIMES
+        pool = MIXED_PRIMES + [(2, 6), (3, 9)]
         for _ in range(count):
             X = _mixed_prime_complex(rng, terms, pool)
             assert classify_h0(N, X) == _packed_h0(N, X)
@@ -751,8 +749,7 @@ class TestClassifyH0:
     def test_zero_maps_split_by_degree(self, nerve):
         # with zero differentials H^0(Tot X) is the sum of the H^(-p) of
         # the nerve, a circle, with coefficients X^p: X^0 from H^0, X^-1
-        # from H^1, and nothing from H^2.  The packed route ran for over a
-        # minute on the first of these over the circle
+        # from H^1, and nothing from H^2
         N = circle_nerve() if nerve == "circle" else ring_nerve()
         for inv in [((4,), (3, 9), (2,)), ((2, 6), (3, 9), (9,)),
                     ((2, 2, 2, 2), (16,), (2, 2, 2, 2)),
@@ -766,15 +763,23 @@ class TestClassifyH0:
                                         *B.invariant_factors)
 
     def test_matches_packed_route_ring4_three_term(self):
-        # fixed complexes: the packed route runs for more than 15 s on some
-        # random ones here, such as Z/4 -3-> Z/6 -1-> Z/3
-        Z3, Z6, Z9 = (FgAbGroup.cyclic(n) for n in (3, 6, 9))
+        Z3, Z4, Z6, Z9 = (FgAbGroup.cyclic(n) for n in (3, 4, 6, 9))
         N = ring_nerve()
         for X in (Complex((Z3, Z6, Z2), (GroupHom(Z3, Z6, [[2]]),
                                          GroupHom(Z6, Z2, [[1]]))),
                   Complex((Z9, Z3, Z6), (GroupHom(Z9, Z3, [[1]]),
-                                         GroupHom.zero(Z3, Z6)))):
+                                         GroupHom.zero(Z3, Z6))),
+                  Complex((Z4, Z6, Z3), (GroupHom(Z4, Z6, [[3]]),
+                                         GroupHom(Z6, Z3, [[1]])))):
             assert classify_h0(N, X) == _packed_h0(N, X)
+
+    def test_matches_packed_route_circle_zero_maps(self):
+        # the packed T^0 -> T^1 map is 63 x 87 with its relation columns
+        A, B = FgAbGroup.cyclic(4), FgAbGroup((3, 9))
+        X = Complex((A, B, Z2), (GroupHom.zero(A, B), GroupHom.zero(B, Z2)))
+        N = circle_nerve()
+        assert classify_h0(N, X) == _packed_h0(N, X) == \
+            FgAbGroup.from_divisors(3, 9, 2)
 
 
 # --------------------------------------------------------------------------
