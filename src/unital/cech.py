@@ -44,7 +44,7 @@ from math import lcm
 from . import abelian, complexes, groups, tables
 from .covers import Cover
 from .record import Record
-from .verification import CapExceeded, charge
+from .verification import MAX_STATES, CapExceeded, charge
 
 TOP_LEVEL = 3
 MAX_CELLS_PER_LEVEL = 64
@@ -206,7 +206,7 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
     return reps, label, (add_a, add_b)
 
 
-def torsor_classes(nerve: Nerve, X: groups.Complex, max_states=10 ** 7):
+def torsor_classes(nerve: Nerve, X: groups.Complex, max_states=MAX_STATES):
     """Classes of torsor cocycles (a, b) modulo re-choice of sections.
 
     Exhaustive on the coded tables (``_cocycle_classes``), charged the
@@ -222,7 +222,7 @@ def torsor_classes(nerve: Nerve, X: groups.Complex, max_states=10 ** 7):
     return TorsorClasses(len(reps), reps)
 
 
-def unit_cocycles(nerve: Nerve, U: groups.Complex, max_states=10 ** 7):
+def unit_cocycles(nerve: Nerve, U: groups.Complex, max_states=MAX_STATES):
     """All unit cocycles of X modulo coboundaries, scanned on its unit
     complex U = ``unit_complex_1(X)[0]``.
 

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from .reporting import COMMANDS, run
 from .specfile import SpecError, load_json, parse_spec, _parse_cover
-from .verification import CapExceeded, FinitenessError
+from .verification import MAX_STATES, CapExceeded, FinitenessError
 
 _MODELS = ("idA", "idker")
 # the fields of the options that take a value, and of the flags
@@ -45,7 +45,7 @@ _VALUED = {"--in": "infile", "--nerve": "nervefile",
 _FLAGS = {"--json": "json", "--text": "text",
           "--check-acyclic": "check_acyclic"}
 _DEFAULTS = {"nervefile": None, "json": False, "text": False,
-             "max_states": 10 ** 7, "against": None, "check_acyclic": False}
+             "max_states": MAX_STATES, "against": None, "check_acyclic": False}
 # whether main has registered its exit hook; the interpreter's exit table
 # is process-wide, and registering again would add a slot to it per call
 _hooked = False

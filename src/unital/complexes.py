@@ -10,12 +10,13 @@ soft truncation, and the complexes that represent the groupoid of units
 of the structure presented by a complex:
 
 * ``unit_complex_1``: A -> ker(lam - id_B), with ker taken inside A (+) B;
-* ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C);
+* ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C), built on
+  ``unit_complex_1`` of lam: B -> C;
 
 each returned with the inclusion of its degree-0 kernel into the sum it is
 taken in; explicit comparison morphisms to the smaller models built from
-id_A and id_ker(lam), and a constructed isomorphism
-truncate_shift(cone(id)) ~ unit_complex_1.
+id_A and id_ker(lam), one construction per level over a subgroup, and a
+constructed isomorphism truncate_shift(cone(id)) ~ unit_complex_1.
 
 Sign convention for the cone of f: X -> Y: in degree n the term is
 X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
@@ -162,19 +163,16 @@ def unit_complex_1(X: Complex):
 def unit_complex_2(X: Complex):
     """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units.
 
-    Returns ``(U, embedding)`` as ``unit_complex_1`` does: ``embedding``
-    is the inclusion of the degree-0 term into B (+) C.
+    Built on V = ``unit_complex_1`` of lam: B -> C.  Degree 0 and the
+    returned embedding into B (+) C are V's, and the last differential is
+    V's after (b, a) |-> b - delta(a).
     """
-    (A, B, C), (delta, lam) = X.terms, X.maps
+    (A, B, _), (delta, _) = X.terms, X.maps
+    V, incl = unit_complex_1(Complex(X.terms[1:], X.maps[1:]))
     _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
-    _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(B, C)
-    K, incl = kernel(lam.compose(qroj_b) - qroj_c)
     d1 = inj_b.compose(delta) + inj_a  # a |-> (delta a, a)
-    # (b, a) |-> (b - delta a, lam b), landing in the kernel
-    to_bc = jnj_b.compose(proj_b - delta.compose(proj_a)) \
-        + jnj_c.compose(lam.compose(proj_b))
-    d2 = lift_through(incl, to_bc)
-    return Complex((A, d1.target, K), (d1, d2)), incl
+    d2 = V.maps[0].compose(proj_b - delta.compose(proj_a))
+    return Complex((A, d1.target, V.terms[1]), (d1, d2)), incl
 
 
 def cone(f: StrictMorphism) -> Complex:
@@ -223,54 +221,49 @@ def cone_comparison(X: Complex) -> StrictMorphism:
 # ---- smaller models of the unit complex, with explicit comparison maps ----
 
 
+def _identity_model_on(X: Complex, incl: GroupHom):
+    """(S -> S by the identity, morphism (incl, d incl) into
+    unit_complex_1(X)) for incl: S -> A, where d is the unit complex's
+    differential a |-> (a, lam a)."""
+    U, _ = unit_complex_1(X)
+    model = Complex((incl.source,) * 2, (GroupHom.identity(incl.source),))
+    return model, StrictMorphism(model, U, (incl, U.maps[0].compose(incl)))
+
+
 def identity_model(X: Complex):
     """(A -> A, morphism into unit_complex_1) with a |-> (a, (a, lam a))."""
-    U, _ = unit_complex_1(X)
-    idA = GroupHom.identity(X.terms[0])
-    model = Complex((idA.source,) * 2, (idA,))
-    return model, StrictMorphism(model, U, (idA, U.maps[0]))
+    return _identity_model_on(X, GroupHom.identity(X.terms[0]))
 
 
 def kernel_model(X: Complex):
     """(ker lam -> ker lam, morphism into unit_complex_1)."""
-    U, emb = unit_complex_1(X)
-    Kl, kincl = kernel(X.maps[0])
-    idK = Complex((Kl, Kl), (GroupHom.identity(Kl),))
-    _, inj_a, _, _, _ = direct_sum(*X.terms)
-    deg0 = lift_through(emb, inj_a.compose(kincl))
-    return idK, StrictMorphism(idK, U, (kincl, deg0))
+    return _identity_model_on(X, kernel(X.maps[0])[1])
+
+
+def _sum_model_on(X: Complex, incl: GroupHom, delta_s: GroupHom):
+    """(A -> S (+) A -> S, morphism into unit_complex_2(X)) for
+    incl: S -> B with delta = incl delta_s; the differentials are
+    a |-> (delta_s a, a) and (s, a) |-> s - delta_s(a), and the morphism is
+    (id_A, incl (+) id_A, s |-> d2(incl s, 0)), d2 the unit complex's."""
+    U, _ = unit_complex_2(X)
+    A, B, S = X.terms[0], X.terms[1], incl.source
+    _, inj_s, inj_a, proj_s, proj_a = direct_sum(S, A)
+    d1 = inj_s.compose(delta_s) + inj_a
+    alt = Complex((A, d1.target, S), (d1, proj_s - delta_s.compose(proj_a)))
+    _, binj_b, binj_a, _, _ = direct_sum(B, A)
+    mid = binj_b.compose(incl.compose(proj_s)) + binj_a.compose(proj_a)
+    deg0 = U.maps[1].compose(binj_b.compose(incl))
+    return alt, StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))
 
 
 def sum_model(X: Complex):
     """Alternate 3-term model A -> B (+) A -> B with its map into
     unit_complex_2(X); second differential is (b, a) |-> b - delta(a)."""
-    U, emb = unit_complex_2(X)
-    (A, B, C), (delta, lam) = X.terms, X.maps
-    _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
-    d1 = inj_b.compose(delta) + inj_a
-    d2 = proj_b - delta.compose(proj_a)
-    alt = Complex((A, d1.target, B), (d1, d2))
-    _, jnj_b, jnj_c, _, _ = direct_sum(B, C)
-    deg0 = lift_through(emb, jnj_b + jnj_c.compose(lam))  # b |-> (b, lam b)
-    mor = StrictMorphism(alt, U, (GroupHom.identity(A),
-                                  GroupHom.identity(d1.target), deg0))
-    return alt, mor
+    return _sum_model_on(X, GroupHom.identity(X.terms[1]), X.maps[0])
 
 
 def kernel_sum_model(X: Complex):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
     into unit_complex_2(X)."""
-    U, emb = unit_complex_2(X)
-    (A, B, C), (delta, lam) = X.terms, X.maps
-    Kl, kincl = kernel(lam)
-    delta_k = lift_through(kincl, delta)
-    _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, A)
-    d1 = inj_k.compose(delta_k) + inj_a
-    d2 = proj_k - delta_k.compose(proj_a)
-    alt = Complex((A, d1.target, Kl), (d1, d2))
-    _, jnj_b, jnj_c, _, _ = direct_sum(B, C)
-    _, binj_b, binj_a, _, _ = direct_sum(B, A)
-    mid = binj_b.compose(kincl.compose(proj_k)) + binj_a.compose(proj_a)
-    deg0 = lift_through(emb, jnj_b.compose(kincl))  # k |-> (k, 0)
-    mor = StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))
-    return alt, mor
+    _, kincl = kernel(X.maps[1])
+    return _sum_model_on(X, kincl, lift_through(kincl, X.maps[0]))

@@ -56,8 +56,9 @@ from __future__ import annotations
 import itertools
 
 from .tables import (
-    CrossedModule, FiniteGroup, _coded_units, _gather, unit_morphism_checks)
-from .verification import Report, charge
+    CrossedModule, FiniteGroup, _coded_units, _gather, _is_index,
+    unit_morphism_checks)
+from .verification import MAX_STATES, Report, charge
 
 
 def _conjugation(group):
@@ -184,7 +185,7 @@ def _faces(nerve):
     return list(zip(nerve.face_index(1, 0), nerve.face_index(1, 1)))
 
 
-def enumerate_unit_triples(X, nerve, max_states=10 ** 7):
+def enumerate_unit_triples(X, nerve, max_states=MAX_STATES):
     """Every descent triple (g, g', h) over the nerve, one per g' in
     G(V_0), as index tuples in cell order: g over level 1, g' and h over
     level 0.  The |G|^|V_0| triples are charged before any table is read,
@@ -215,8 +216,8 @@ def h0_group_law(X, nerve, t1, t2):
         for name, part, level, group in (("g", g, 1, X.G), ("g'", gp, 0, X.G),
                                          ("h", h, 0, X.H)):
             cells = len(nerve.level(level))
-            if len(part) != cells or any(x not in range(group.order)
-                                         for x in part):
+            if len(part) != cells or not all(_is_index(x, group.order)
+                                             for x in part):
                 raise ValueError(f"{name} must have length {cells}, one index "
                                  f"below {group.order} per level-{level} cell")
         want_g, _, want_h = triple_of(gp)  # bnd(g') h = 1 iff h = bnd(g')^-1
@@ -230,7 +231,7 @@ def h0_group_law(X, nerve, t1, t2):
     return _product(X, faces, t1, t2)
 
 
-def descent_identity_check(X, nerve, max_states=10 ** 7):
+def descent_identity_check(X, nerve, max_states=MAX_STATES):
     """Whether (1,1,1) is a right identity of every descent triple, checked
     on the tables; returns ``(holds, number of triples)``.
 

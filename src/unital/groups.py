@@ -38,9 +38,9 @@ def _identity(n):
 
 
 def _matmul(A, B, m, k, n):
-    """Product of an m-by-k and a k-by-n matrix."""
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
-            for i in range(m)]
+    """Product of an m-by-k and a k-by-n matrix; zeros of A are skipped."""
+    return [[sum(a * B[t][j] for t, a in nz) for j in range(n)] for nz in
+            ([(t, a) for t, a in zip(range(k), A[i]) if a] for i in range(m))]
 
 
 def _matvec(A, v, m, k):

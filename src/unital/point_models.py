@@ -41,7 +41,7 @@ from operator import itemgetter
 
 from .groups import Complex, _require_finite
 from .tables import _coded, _coded_units, _fibers, unit_morphism_checks
-from .verification import Report, charge
+from .verification import MAX_STATES, Report, charge
 
 
 def _pairs(O, S):
@@ -88,7 +88,7 @@ def _trivial_action(G, H):
     return tuple((g,) * H.order for g in G.elements())
 
 
-def verify_contractible_1(X: Complex, max_states=10 ** 7) -> Report:
+def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
@@ -130,12 +130,12 @@ def _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t):
 
 def enumerate_units_2(X: Complex):
     """All units (e, phi) as coordinate pairs, in lexicographic order;
-    exactly |B| of them."""
-    (_, B, C), (_, lam) = _tables(X)
-    return list(map(_pairs(C, B), _coded_units(B, lam)))
+    exactly |B| of them: the level-1 units of lam: B -> C."""
+    _require_finite(X, "point-model enumeration")
+    return enumerate_units_1(Complex(X.terms[1:], X.maps[1:]))
 
 
-def verify_contractible_2(X: Complex, max_states=10 ** 7) -> Report:
+def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     """Check that the unit 2-groupoid is contractible, exhaustively, by a
     checked reduction to level 1.
 

@@ -16,7 +16,8 @@ from types import SimpleNamespace
 
 from . import cech, complexes, covers, crossed, point_models
 from .specfile import ComplexSpecFile, SpecError
-from .verification import MAX_CODED_ORDER, CapExceeded, Report, charge, sha256
+from .verification import (
+    MAX_CODED_ORDER, MAX_STATES, CapExceeded, Report, charge, sha256)
 
 
 def _check_caps(spec):
@@ -212,7 +213,7 @@ HANDLERS = {
 COMMANDS = tuple(HANDLERS)
 
 
-def run(command, spec: ComplexSpecFile, cover=None, max_states=10 ** 7,
+def run(command, spec: ComplexSpecFile, cover=None, max_states=MAX_STATES,
         against=None, check_acyclic=False) -> Report:
     """Execute one command against a parsed input; returns the report."""
     if command not in HANDLERS:

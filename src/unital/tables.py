@@ -40,14 +40,14 @@ class FiniteGroup:
     radix = None  # invariant factors of a table-coded abelian group
 
     def __init__(self, table, name="G"):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         self.name = name
         n = len(self.table)
         if n > MAX_GROUP_ORDER:
             raise CapExceeded(f"group order {n} exceeds {MAX_GROUP_ORDER}")
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table must be square")
-        if any(x < 0 or x >= n for row in self.table for x in row):
+        if not all(_is_index(x, n) for row in self.table for x in row):
             raise ValueError("table entries must be element indices")
         self.order = n
         # row equations: e's row and column are range(n), and (ab)c = a(bc)
@@ -176,12 +176,19 @@ class CrossedModule(Record):
                 any(len(r) != self.H.order for r in self.action) or \
                 len(self.action) != self.G.order:
             raise ValueError("boundary/action tables have wrong shapes")
-        if any(not 0 <= h < self.H.order for h in self.boundary) or \
-                any(not 0 <= g < self.G.order for r in self.action for g in r):
+        if not all(_is_index(h, self.H.order) for h in self.boundary) or \
+                not all(_is_index(g, self.G.order)
+                        for r in self.action for g in r):
             raise ValueError("boundary/action values must be element indices")
 
     def __str__(self):
         return f"[{self.G} -> {self.H}]"
+
+
+def _is_index(x, n):
+    """Whether x is an element index below n: an int, not a bool or a
+    float that compares equal to one (JSON true is 1)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _gather(indices):

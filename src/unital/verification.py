@@ -15,7 +15,8 @@ values are those of ``hashlib.sha256`` either way.
 The run contract lives here too, so that a command which builds no abelian
 group never executes ``abelian``: the two refusals a command maps to exit
 codes (``FinitenessError``, exit 2, and ``CapExceeded``, exit 3), the
-state-cap gate ``charge`` and the table-coding cap ``MAX_CODED_ORDER``.
+state-cap gate ``charge`` with the default cap ``MAX_STATES``, and the
+table-coding cap ``MAX_CODED_ORDER``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def charge(phase, states, formula, max_states):
                           f"above the cap {max_states}")
 
 
+MAX_STATES = 10 ** 7  # the default cap of every scan and of --max-states
 MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
 
 

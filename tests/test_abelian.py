@@ -4,6 +4,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unital.groups import _matmul
 from unital.abelian import (
     FgAbGroup,
     FinitenessError,
@@ -160,6 +161,35 @@ def sparse_matrices(draw):
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     entry = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
     return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+def triple_sum_matmul(A, B, m, k, n):
+    """The plain triple sum over every index, the oracle of ``_matmul``."""
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+@st.composite
+def matmul_shapes(draw):
+    """(A, B, m, k, n) with A m-by-k and B k-by-n, any dimension 0, and
+    most entries 0."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
+    A, B = ([draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+            for r, c in ((m, k), (k, n)))
+    return A, B, m, k, n
+
+
+class TestMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(matmul_shapes())
+    def test_matches_the_triple_sum(self, shapes):
+        assert _matmul(*shapes) == triple_sum_matmul(*shapes)
+
+    def test_zero_rows_and_columns(self):
+        assert _matmul([[], []], [], 2, 0, 3) == [[0] * 3] * 2
+        assert _matmul([], [[1, 2]], 0, 1, 2) == []
+        assert _matmul([[0, 5]], [[], []], 1, 2, 0) == [[]]
 
 
 class TestElimination:

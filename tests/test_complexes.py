@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unital import abelian
+from unital import complexes as complexes_module
 from unital.abelian import (
-    FgAbGroup, GroupHom, cokernel, is_isomorphism, kernel, lift_through,
-    solve)
+    FgAbGroup, GroupHom, cokernel, direct_sum, is_isomorphism, kernel,
+    lift_through, solve)
 from unital.complexes import (
     Complex,
     HomologyData,
@@ -131,6 +132,89 @@ class OracleHomology:
 
     def classify(self, x):
         return self.proj(solve(self.incl, x))
+
+
+# The direct constructions of level 2 and of the comparison models: each
+# degree-0 map is a lift through the unit complex's embedding, and level 2
+# solves its own kernel in B (+) C.  The library builds level 2 on
+# unit_complex_1 of lam and each pair of models from one construction;
+# these are its oracles.
+
+
+def direct_unit_complex_2(X):
+    (A, B, C), (delta, lam) = X.terms, X.maps
+    _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
+    _, jnj_b, jnj_c, qroj_b, qroj_c = direct_sum(B, C)
+    K, incl = kernel(lam.compose(qroj_b) - qroj_c)
+    d1 = inj_b.compose(delta) + inj_a  # a |-> (delta a, a)
+    # (b, a) |-> (b - delta a, lam b), landing in the kernel
+    to_bc = jnj_b.compose(proj_b - delta.compose(proj_a)) \
+        + jnj_c.compose(lam.compose(proj_b))
+    d2 = lift_through(incl, to_bc)
+    return Complex((A, d1.target, K), (d1, d2)), incl
+
+
+def direct_identity_model(X):
+    U, _ = unit_complex_1(X)
+    idA = GroupHom.identity(X.terms[0])
+    model = Complex((idA.source,) * 2, (idA,))
+    return model, StrictMorphism(model, U, (idA, U.maps[0]))
+
+
+def direct_kernel_model(X):
+    U, emb = unit_complex_1(X)
+    Kl, kincl = kernel(X.maps[0])
+    idK = Complex((Kl, Kl), (GroupHom.identity(Kl),))
+    _, inj_a, _, _, _ = direct_sum(*X.terms)
+    deg0 = lift_through(emb, inj_a.compose(kincl))
+    return idK, StrictMorphism(idK, U, (kincl, deg0))
+
+
+def direct_sum_model(X):
+    U, emb = direct_unit_complex_2(X)
+    (A, B, C), (delta, lam) = X.terms, X.maps
+    _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
+    d1 = inj_b.compose(delta) + inj_a
+    d2 = proj_b - delta.compose(proj_a)
+    alt = Complex((A, d1.target, B), (d1, d2))
+    _, jnj_b, jnj_c, _, _ = direct_sum(B, C)
+    deg0 = lift_through(emb, jnj_b + jnj_c.compose(lam))  # b |-> (b, lam b)
+    mor = StrictMorphism(alt, U, (GroupHom.identity(A),
+                                  GroupHom.identity(d1.target), deg0))
+    return alt, mor
+
+
+def direct_kernel_sum_model(X):
+    U, emb = direct_unit_complex_2(X)
+    (A, B, C), (delta, lam) = X.terms, X.maps
+    Kl, kincl = kernel(lam)
+    delta_k = lift_through(kincl, delta)
+    _, inj_k, inj_a, proj_k, proj_a = direct_sum(Kl, A)
+    d1 = inj_k.compose(delta_k) + inj_a
+    d2 = proj_k - delta_k.compose(proj_a)
+    alt = Complex((A, d1.target, Kl), (d1, d2))
+    _, jnj_b, _, _, _ = direct_sum(B, C)
+    _, binj_b, binj_a, _, _ = direct_sum(B, A)
+    mid = binj_b.compose(kincl.compose(proj_k)) + binj_a.compose(proj_a)
+    deg0 = lift_through(emb, jnj_b.compose(kincl))  # k |-> (k, 0)
+    mor = StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))
+    return alt, mor
+
+
+# per length, each builder with its direct oracle
+DIRECT = {2: ((identity_model, direct_identity_model),
+              (kernel_model, direct_kernel_model)),
+          3: ((unit_complex_2, direct_unit_complex_2),
+              (sum_model, direct_sum_model),
+              (kernel_sum_model, direct_kernel_sum_model))}
+
+
+def drawn_complex(rng, terms, free):
+    """A random complex of the given length: torsion only, or with free
+    ranks (``random_free_complex``)."""
+    if free:
+        return random_free_complex(rng, terms)
+    return random_complex2(rng) if terms == 2 else random_complex3(rng, 9)
 
 
 class TestComplexValidation:
@@ -471,3 +555,49 @@ class TestForgetful:
             for x in U.group_at(d).elements():
                 assert mor.map_at(d + 1)(U.differential(d)(x)) == \
                     X.differential(d)(mor.map_at(d)(x))
+
+
+class TestLevelTwoFromLevelOne:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+           st.booleans())
+    def test_builders_equal_their_direct_oracles(self, rng, terms, free):
+        X = drawn_complex(rng, terms, free)
+        for build, oracle in DIRECT[terms]:
+            assert build(X) == oracle(X), build.__name__
+
+    def test_no_builder_makes_more_smith_forms(self, monkeypatch):
+        # kernel_model and kernel_sum_model drop a direct sum and a lift
+        # through the embedding, the other builders at least break even
+        rng = random.Random(229)
+        complexes = {terms: [drawn_complex(rng, terms, k % 3 == 0)
+                             for k in range(12)] for terms in (2, 3)}
+        calls = []
+        snf = abelian._snf_full
+        monkeypatch.setattr(abelian, "_snf_full",
+                            lambda *a, **k: calls.append(1) or snf(*a, **k))
+
+        def count(f, X):
+            calls.clear()
+            f(X)
+            return len(calls)
+
+        fewer = {kernel_model, kernel_sum_model}
+        for terms, builders in DIRECT.items():
+            for build, oracle in builders:
+                pairs = [(count(build, X), count(oracle, X))
+                         for X in complexes[terms]]
+                assert all(n <= m for n, m in pairs), build.__name__
+                if build in fewer:
+                    assert sum(n for n, _ in pairs) < \
+                        sum(m for _, m in pairs), build.__name__
+
+    def test_level_two_calls_level_one_of_lam(self, monkeypatch):
+        seen = []
+        level1 = complexes_module.unit_complex_1
+        monkeypatch.setattr(complexes_module, "unit_complex_1",
+                            lambda X: seen.append(X) or level1(X))
+        X = c3_zero_id()
+        U, emb = complexes_module.unit_complex_2(X)
+        assert seen == [Complex(X.terms[1:], X.maps[1:])]
+        assert emb == unit_complex_1(seen[0])[1]

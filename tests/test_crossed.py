@@ -228,6 +228,29 @@ class TestTableValidation:
         _assert_table_agrees(table)
 
 
+class TestIntegerIndices:
+    """The tables take element indices as ints only, as an input file
+    does: int() would read 1.5 as 1, and a float equal to an index passes
+    a range check and fails later as an index."""
+
+    def test_group_table_refuses_a_float(self):
+        with pytest.raises(ValueError, match="must be element indices"):
+            FiniteGroup([[0, 1.5], [1.5, 0]])
+
+    def test_crossed_module_refuses_a_float(self):
+        Z3, one = FiniteGroup.cyclic(3), FiniteGroup.trivial()
+        for boundary, action in [([0.0, 0, 0], [[0], [1], [2]]),
+                                 ([0, 0, 0], [[0], [1.0], [2]])]:
+            with pytest.raises(ValueError, match="must be element indices"):
+                CrossedModule(Z3, one, boundary, action)
+
+    def test_group_law_refuses_a_float(self):
+        X, one = conjugation_module(FiniteGroup.cyclic(3)), ((0,),) * 3
+        with pytest.raises(ValueError, match=re.escape(
+                "g' must have length 1, one index below 3 per level-0 cell")):
+            h0_group_law(X, point_nerve(), one, ((0,), (1.0,), (0,)))
+
+
 class TestVerify:
     def test_conjugation_passes(self):
         rep = verify_crossed_module(conjugation_module(

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unital.abelian import (
     CapExceeded, FgAbGroup, FinitenessError, GroupHom, kernel)
@@ -21,7 +22,8 @@ from unital.point_models import (
 )
 
 from test_abelian import random_group, random_hom
-from test_complexes import c2_times2, c3_zero_id, random_complex2, random_complex3
+from test_complexes import (
+    c2_times2, c3_zero_id, drawn_complex, random_complex2, random_complex3)
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -109,11 +111,14 @@ class TestSaavedraUnits:
     def test_infinite_guard(self):
         G = FgAbGroup.free(1)
         m = Complex((G, G), (GroupHom.identity(G),))
-        for scan in (enumerate_units_1, units_and_morphism_count_1,
-                     verify_contractible_1):
+        # lam's units are finite at level 2, but the input as a whole is not
+        m2 = Complex((G, Z2, Z2),
+                     (GroupHom.zero(G, Z2), GroupHom.identity(Z2)))
+        for scan, X in [(enumerate_units_1, m), (units_and_morphism_count_1, m),
+                        (verify_contractible_1, m), (enumerate_units_2, m2)]:
             with pytest.raises(FinitenessError,
                                match="point-model enumeration needs finite"):
-                scan(m)
+                scan(X)
 
 
 class TestUnitMorphisms1:
@@ -345,6 +350,40 @@ class TestTensor2AndContractible2:
         for _ in range(8):
             rep = verify_contractible_2(random_complex3(rng, 8))
             assert rep.passed
+
+
+def direct_enumerate_units_2(X):
+    """The units of X read off the coded tables of all three terms: the
+    oracle of ``enumerate_units_2``, which takes the level-1 units of
+    lam."""
+    (_, B, C), (_, lam) = point_models._tables(X)
+    return list(map(point_models._pairs(C, B),
+                    point_models._coded_units(B, lam)))
+
+
+class TestUnits2FromLevelOne:
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_equals_the_direct_oracle(self, rng, free):
+        X = drawn_complex(rng, 3, free)
+        try:
+            want = direct_enumerate_units_2(X)
+        except FinitenessError:
+            with pytest.raises(FinitenessError,
+                               match="point-model enumeration needs finite"):
+                enumerate_units_2(X)
+        else:
+            assert enumerate_units_2(X) == want
+
+    def test_reads_the_units_of_lam(self, monkeypatch):
+        seen, level1 = [], point_models.enumerate_units_1
+        monkeypatch.setattr(point_models, "enumerate_units_1",
+                            lambda X: seen.append(X) or level1(X))
+        X = Complex((Z2, Z4, Z2),
+                    (GroupHom(Z2, Z4, [[2]]), GroupHom(Z4, Z2, [[1]])))
+        assert enumerate_units_2(X) == level1(Complex(X.terms[1:],
+                                                      X.maps[1:]))
+        assert seen == [Complex(X.terms[1:], X.maps[1:])]
 
 
 class TestLevel2Reduction:

@@ -77,7 +77,6 @@ UNREACHED = {
     "groups.GroupElem.scale": VALUE_API,
     "groups.GroupHom.__call__": PERFBENCH_PIN,
     "groups.GroupHom.__str__": VALUE_API,
-    "point_models.enumerate_units_1": PERFBENCH_PIN,
     "record.Record.__delattr__": VALUE_API,
     "record.Record.__hash__": VALUE_API,
     "record.Record.__init_subclass__": IMPORT_TIME,
