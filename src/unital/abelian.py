@@ -8,13 +8,16 @@ arithmetic on Smith normal forms, all from one elimination, ``_snf_full``:
 elementary row and column steps around the smallest pivot, over Z or
 modulo a certified exponent.  ``subquotient`` is the one homology
 routine: ``kernel`` and ``complexes.homology`` each make one call to it.
+``LinearSolver`` answers in coordinates: it takes a target coordinate
+tuple and returns a source one, and ``lift_through`` assembles its
+matrix from the solved columns.
 
 This is a lazy layer (see ``unital._LAYERS``): ``homology``,
 ``unit-complex``, ``qiso`` and ``cech-classify`` execute it, the unit
-scans and the crossed-module commands never do.  It re-exports the
-element arithmetic of ``groups`` and the run contract of
-``verification`` (``CapExceeded``, ``FinitenessError``, ``charge``,
-``MAX_CODED_ORDER``).
+scans and the crossed-module commands never do.  It re-exports
+``GroupElem`` of ``groups``, which nothing here builds, and the run
+contract of ``verification`` (``CapExceeded``, ``FinitenessError``,
+``charge``, ``MAX_CODED_ORDER``).
 
 >>> G = FgAbGroup.from_divisors(2, 3)
 >>> str(G)
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, inf, lcm
 
-# GroupElem and the run contract are re-exported
+# GroupElem, for perfbench's tracer, and the run contract are re-exported
 from .groups import (
     FgAbGroup, GroupElem, GroupHom, _freeze, _identity, _matmul, _matvec)
 from .record import Record
@@ -284,13 +287,14 @@ class LinearSolver:
         self._U, _, self._D, self._V = _snf_full(M, want_ui=False)
 
     def solve(self, y):
-        """One preimage of y, or None if y is not in the image."""
-        if y.group != self.f.target:
-            raise ValueError("element not in the target group")
+        """Source coordinates of one preimage of the target coordinates
+        y, or None if y is not in the image; both are reduced as
+        ``FgAbGroup.reduce`` reduces."""
+        y = self.f.target.reduce(y)
         if self._m == 0:
-            return self.f.source.zero()
+            return (0,) * self._n
         m, N = self._m, self._N
-        w = _matvec(self._U, list(y.coords), m, m)
+        w = _matvec(self._U, y, m, m)
         zp = [0] * N
         for i in range(m):
             d = self._D[i][i] if i < N else 0
@@ -301,11 +305,12 @@ class LinearSolver:
             elif w[i]:
                 return None
         z = _matvec(self._V, zp, N, N)
-        return self.f.source.element(z[:self._n])
+        return self.f.source.reduce(z[:self._n])
 
 
 def solve(f, y):
-    """One preimage of y under f, or None if y is not in the image."""
+    """Source coordinates of one preimage of the target coordinates y
+    under f, or None if y is not in the image."""
     return LinearSolver(f).solve(y)
 
 
@@ -316,15 +321,17 @@ def is_isomorphism(f):
 
 
 def lift_through(incl, f):
-    """Factor f through an injective hom: h with incl . h == f."""
+    """Factor f through an injective hom: h with incl . h == f, one solve
+    per column of f."""
+    if f.target != incl.target:
+        raise ValueError("homomorphisms have different targets")
     solver = LinearSolver(incl)
-    images = []
-    for j in range(f.source.ngens):
-        x = solver.solve(f.target.element(row[j] for row in f.matrix))
-        if x is None:
-            raise ValueError("homomorphism does not factor through the inclusion")
-        images.append(x)
-    return GroupHom.from_images(f.source, incl.source, images)
+    cols = [solver.solve([row[j] for row in f.matrix])
+            for j in range(f.source.ngens)]
+    if None in cols:
+        raise ValueError("homomorphism does not factor through the inclusion")
+    return GroupHom(f.source, incl.source,
+                    [[c[i] for c in cols] for i in range(incl.source.ngens)])
 
 
 class DirectSum(Record):

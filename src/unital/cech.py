@@ -470,11 +470,13 @@ def cocycle_of_unit(X, unit, nerve: Nerve):
     """
     e, phi = unit
     U, emb, (inj_s, inj_o, _, _) = _unit_frame(X)
-    point = abelian.solve(emb, inj_s(inj_s.source.element(phi))
-                          + inj_o(inj_o.source.element(e)))
+    # (phi, e) |-> inj_S phi + inj_O e, the injections side by side
+    both = [s + o for s, o in zip(inj_s.matrix, inj_o.matrix)]
+    point = abelian.solve(emb, groups._matvec(
+        both, inj_s.source.reduce(phi) + inj_o.source.reduce(e),
+        len(both), inj_s.source.ngens + inj_o.source.ngens))
     if point is None:
         raise ValueError("not a unit: lam(phi) != e")
-    point = point.coords
     layout = _TotalLayout(U, nerve, 0)
     x = [0] * len(layout.orders)
     for cell in nerve.level(0):
@@ -505,8 +507,9 @@ def unit_of_cocycle(x, nerve: Nerve, X):
             raise CocycleError(
                 f"total differential nonzero at bidegree ({p}, {q})", cell)
     K, off = U.group_at(0), l0.offset[(0, 0, nerve.level(0)[0])]
-    point = emb(K.element(x[off:off + K.ngens]))
-    unit = proj_o(point).coords, proj_s(point).coords
+    unit = tuple(p.target.reduce(groups._matvec(
+        p.matrix, x[off:off + K.ngens], p.target.ngens, K.ngens))
+        for p in (proj_o.compose(emb), proj_s.compose(emb)))
     target = [y - z for y, z in zip(x, cocycle_of_unit(X, unit, nerve))]
     # D-1 w + r = target with r in R0, an exact solve over the integers:
     # w then r are the coordinates of a free source
@@ -514,8 +517,7 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     source = free(len(lm1.orders) + sum(map(bool, l0.orders)))
     ambient = free(len(l0.orders))
     w = abelian.solve(groups.GroupHom(source, ambient, abelian._with_relations(
-        _dense(d_low, range(len(lm1.orders))), l0.orders)),
-        ambient.element(target))
+        _dense(d_low, range(len(lm1.orders))), l0.orders)), target)
     if w is None:
         raise CocycleError("cocycle is not cohomologous to a constant")
-    return unit, list(w.coords[:len(lm1.orders)])
+    return unit, list(w[:len(lm1.orders)])

@@ -5,7 +5,8 @@ A -> B in degrees (-1, 0), a 3-term complex is A -> B -> C in degrees
 (-2, -1, 0); both are ``Complex`` records, unpacked as ``X.terms`` and
 ``X.maps``.  The module provides homology with deterministic cycle
 representatives (one ``abelian.subquotient`` call per degree, on the
-incoming and outgoing differentials), strict morphisms, mapping cones,
+incoming and outgoing differentials; classes and cycles are coordinate
+tuples), strict morphisms, mapping cones,
 soft truncation, and the complexes that represent the groupoid of units
 of the structure presented by a complex:
 
@@ -38,7 +39,7 @@ from .abelian import (
     subquotient,
 )
 # the complexes are values of the element layer, re-exported here
-from .groups import Complex, FgAbGroup, GroupElem, GroupHom, _matvec
+from .groups import Complex, FgAbGroup, GroupHom, _identity, _matvec
 from .record import Record
 
 
@@ -88,6 +89,7 @@ def is_complex_isomorphism(f):
 class HomologyData:
     """Homology at one degree with a cycle chooser: ``representative``
     uses the cycles ``subquotient`` fixes for the canonical generators.
+    Classes and cycles are coordinate tuples.
     """
 
     def __init__(self, X, degree):
@@ -103,17 +105,19 @@ class HomologyData:
         free = FgAbGroup.free(len(rows[0]) if rows else 0)
         return LinearSolver(GroupHom(free, self._term, rows))
 
-    def classify(self, x: GroupElem) -> GroupElem:
+    def classify(self, x):
+        """The homology coordinates of the class of the cycle with term
+        coordinates x; ValueError if x is not a cycle."""
         z = self._solver.solve(x)
         if z is None:
             raise ValueError("element is not a cycle")
-        return self.group.element(z.coords[:self.group.ngens])
+        return self.group.reduce(z[:self.group.ngens])
 
-    def representative(self, h: GroupElem) -> GroupElem:
-        if h.group != self.group:
-            raise ValueError("class not in the homology group")
-        return self._term.element(_matvec(self._reps, h.coords,
-                                          self._term.ngens, self.group.ngens))
+    def representative(self, h):
+        """The term coordinates of the fixed cycle in the class with
+        homology coordinates h."""
+        return self._term.reduce(_matvec(self._reps, self.group.reduce(h),
+                                         self._term.ngens, self.group.ngens))
 
 
 def homology(X, degree) -> FgAbGroup:
@@ -127,11 +131,15 @@ class QuasiIsoResult(Record):
 
 
 def induced_on_homology(f: StrictMorphism, degree) -> GroupHom:
+    """Column j is the class of f applied to the cycle of generator j."""
     hs = HomologyData(f.source, degree)
     ht = HomologyData(f.target, degree)
-    images = [ht.classify(f.map_at(degree)(hs.representative(g)))
-              for g in (hs.group.generator(i) for i in range(hs.group.ngens))]
-    return GroupHom.from_images(hs.group, ht.group, images)
+    g = f.map_at(degree)
+    cols = [ht.classify(_matvec(g.matrix, hs.representative(e),
+                                g.target.ngens, g.source.ngens))
+            for e in _identity(hs.group.ngens)]
+    return GroupHom(hs.group, ht.group,
+                    [[c[i] for c in cols] for i in range(ht.group.ngens)])
 
 
 def is_quasi_isomorphism(f: StrictMorphism) -> QuasiIsoResult:
@@ -250,7 +258,8 @@ def _sum_model_on(X: Complex, incl: GroupHom, delta_s: GroupHom):
     _, inj_s, inj_a, proj_s, proj_a = direct_sum(S, A)
     d1 = inj_s.compose(delta_s) + inj_a
     alt = Complex((A, d1.target, S), (d1, proj_s - delta_s.compose(proj_a)))
-    _, binj_b, binj_a, _, _ = direct_sum(B, A)
+    # sum_model's S is B, whose sum with A is then built once
+    binj_b, binj_a = (inj_s, inj_a) if S == B else direct_sum(B, A)[1:3]
     mid = binj_b.compose(incl.compose(proj_s)) + binj_a.compose(proj_a)
     deg0 = U.maps[1].compose(binj_b.compose(incl))
     return alt, StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))

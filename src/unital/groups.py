@@ -11,6 +11,10 @@ composition is the matrix product.  ``Complex`` holds a complex built
 from them, its length being data: 2 terms present a Picard groupoid, 3 a
 Picard 2-groupoid.
 
+The computing layers work on coordinate tuples.  ``GroupElem``, a tuple
+with its group, is value API for printing and arithmetic by hand, and
+only this module builds one.
+
 This is the bottom lazy layer (see ``unital._LAYERS``): every command
 on a complex executes it.  Smith forms, kernels and direct sums live in
 ``abelian``, which re-exports these names; ``FgAbGroup.from_divisors``
@@ -44,7 +48,9 @@ def _matmul(A, B, m, k, n):
 
 
 def _matvec(A, v, m, k):
-    return [sum(A[i][t] * v[t] for t in range(k)) for i in range(m)]
+    """An m-by-k matrix times a vector; zeros of v are skipped."""
+    nz = [(t, x) for t, x in zip(range(k), v) if x]
+    return [sum(A[i][t] * x for t, x in nz) for i in range(m)]
 
 
 def _freeze(A):
@@ -226,17 +232,6 @@ class GroupHom(Record):
     def zero(cls, source, target):
         return cls(source, target,
                    [[0] * source.ngens for _ in range(target.ngens)])
-
-    @classmethod
-    def from_images(cls, source, target, images):
-        """Homomorphism sending generator i of the source to images[i]."""
-        if len(images) != source.ngens:
-            raise ValueError("need one image per source generator")
-        for y in images:
-            if y.group != target:
-                raise ValueError("image in wrong group")
-        rows = [[y.coords[i] for y in images] for i in range(target.ngens)]
-        return cls(source, target, rows)
 
     def __call__(self, x):
         if x.group != self.source:

@@ -15,7 +15,7 @@ import time
 from types import SimpleNamespace
 
 from . import cech, complexes, covers, crossed, point_models
-from .specfile import ComplexSpecFile, SpecError
+from .specfile import ComplexSpecFile, SpecError, _built
 from .verification import (
     MAX_CODED_ORDER, MAX_STATES, CapExceeded, Report, charge, sha256)
 
@@ -40,10 +40,9 @@ def _homology_table(X):
 
 def _nerve(opts):
     """The nerve of the --nerve cover, else of the input's, else a point."""
-    try:
-        return cech.cech_nerve(opts.cover or covers.point_cover())
-    except ValueError as exc:  # faces the cover's containments cannot resolve
-        raise SpecError(f"nerve: {exc}") from None
+    # cech_nerve refuses faces the cover's containments cannot resolve
+    return _built("nerve", cech.cech_nerve,
+                  opts.cover or covers.point_cover())
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,14 @@ def _need(doc, key, path, kind=None):
     return val
 
 
+def _built(path, make, *args):
+    """make(*args), with its ValueError refused as a SpecError at path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from None
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)  # JSON true is 1
 
@@ -76,10 +84,7 @@ def _parse_group(doc, path):
         raise SpecError(f"{path}.inv: expected a list of integers")
     if not _is_int(free) or free < 0:
         raise SpecError(f"{path}.free: expected a nonnegative integer")
-    try:
-        G = groups.FgAbGroup(tuple(inv), free)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+    G = _built(path, groups.FgAbGroup, tuple(inv), free)
     if G.ngens > MAX_GENERATORS:
         raise CapExceeded(f"{path}: {G.ngens} generators exceed the cap "
                           f"{MAX_GENERATORS}")
@@ -98,10 +103,7 @@ def _parse_hom(mat, src, tgt, path):
     rows = _parse_matrix(mat, path)
     if len(rows) != tgt.ngens or any(len(r) != src.ngens for r in rows):
         raise SpecError(f"{path}: matrix must be {tgt.ngens} x {src.ngens}")
-    try:
-        return groups.GroupHom(src, tgt, rows)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+    return _built(path, groups.GroupHom, src, tgt, rows)
 
 
 def _parse_cover(doc, path):
@@ -124,10 +126,7 @@ def _parse_cover(doc, path):
                       _need(entry, "component", epath, str),
                       _part_names(entry, "sub_parts", epath, parts),
                       _need(entry, "sub_component", epath, str)))
-    try:
-        return covers.cover_of_parts(parts, inters, conts)
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+    return _built(path, covers.cover_of_parts, parts, inters, conts)
 
 
 def _part_names(entry, key, epath, parts):
@@ -147,10 +146,7 @@ def _optional_list(doc, key, path):
 
 def _parse_finite_group(doc, path):
     table = _parse_matrix(_need(doc, "table", path, list), f"{path}.table")
-    try:
-        return tables.FiniteGroup(table, doc.get("name", "G"))
-    except ValueError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+    return _built(path, tables.FiniteGroup, table, doc.get("name", "G"))
 
 
 def load_json(text, path="$"):
@@ -192,10 +188,8 @@ def parse_spec(text) -> ComplexSpecFile:
                  for n in names]
         maps = [_parse_hom(maps_doc.get(m, _zero(S, T)), S, T, f"maps.{m}")
                 for m, S, T in zip(map_names, terms, terms[1:])]
-        try:  # the endpoints match, so only a composite can be refused
-            payload = groups.Complex(terms, maps)
-        except ValueError as exc:
-            raise SpecError(f"maps: {exc}") from None
+        # the endpoints match, so only a composite can be refused
+        payload = _built("maps", groups.Complex, terms, maps)
     else:
         G = _parse_finite_group(_need(doc, "G", "$", dict), "G")
         H = _parse_finite_group(_need(doc, "H", "$", dict), "H")
@@ -203,10 +197,7 @@ def parse_spec(text) -> ComplexSpecFile:
         if not all(_is_int(h) for h in boundary):
             raise SpecError("boundary: expected a list of integers")
         action = _parse_matrix(_need(doc, "action", "$", list), "action")
-        try:
-            payload = tables.CrossedModule(G, H, boundary, action)
-        except ValueError as exc:
-            raise SpecError(f"$: {exc}") from None
+        payload = _built("$", tables.CrossedModule, G, H, boundary, action)
 
     return ComplexSpecFile(kind, payload, cover, _canonical_doc(doc))
 

@@ -4,7 +4,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital.groups import _matmul
+from unital.groups import _matmul, _matvec
 from unital.abelian import (
     FgAbGroup,
     FinitenessError,
@@ -22,6 +22,7 @@ from unital.abelian import (
     _snf_full,
 )
 
+from constructions import from_images
 from oracles import (
     cokernel_order_2x2_bruteforce,
     invariant_factors_from_minors,
@@ -190,6 +191,33 @@ class TestMatmul:
         assert _matmul([[], []], [], 2, 0, 3) == [[0] * 3] * 2
         assert _matmul([], [[1, 2]], 0, 1, 2) == []
         assert _matmul([[0, 5]], [[], []], 1, 2, 0) == [[]]
+
+
+def plain_sum_matvec(A, v, m, k):
+    """The plain sum over every index, the oracle of ``_matvec``."""
+    return [sum(A[i][t] * v[t] for t in range(k)) for i in range(m)]
+
+
+@st.composite
+def matvec_shapes(draw):
+    """(A, v, m, k) with A m-by-k, any dimension 0, and most entries of v
+    and A 0."""
+    m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
+    A = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    return A, draw(st.lists(entry, min_size=k, max_size=k)), m, k
+
+
+class TestMatvec:
+    @settings(max_examples=300, deadline=None)
+    @given(matvec_shapes())
+    def test_matches_the_plain_sum(self, shapes):
+        assert _matvec(*shapes) == plain_sum_matvec(*shapes)
+
+    def test_zero_rows_and_columns(self):
+        assert _matvec([[], []], [], 2, 0) == [0, 0]
+        assert _matvec([], [3, 0], 0, 2) == []
+        assert _matvec([[7, 5]], [0, 0], 1, 2) == [0]
 
 
 class TestElimination:
@@ -492,12 +520,20 @@ class TestHoms:
             B = random_group(rng, 36)
             f = random_hom(rng, A, B)
             image = {f(x).coords for x in A.elements()}
-            for y in B.elements():
+            for y in (y.coords for y in B.elements()):
                 x = solve(f, y)
-                if y.coords in image:
-                    assert x is not None and f(x) == y
+                if y in image:
+                    # source coordinates, reduced, of a preimage
+                    assert x == A.reduce(x) and f(A.element(x)).coords == y
                 else:
                     assert x is None
+
+    def test_solve_reduces_its_argument(self):
+        f = GroupHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [[2]])
+        assert solve(f, (6,)) == solve(f, (2,)) == (1,)
+        assert solve(f, (5,)) is None
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            solve(f, (2, 0))
 
     def test_lift_through(self):
         f = GroupHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [[2]])
@@ -505,6 +541,10 @@ class TestHoms:
                                   [[1]]))
         lifted = lift_through(incl, f)
         assert incl.compose(lifted) == f
+        with pytest.raises(ValueError, match="does not factor"):
+            lift_through(incl, GroupHom.identity(FgAbGroup.cyclic(4)))
+        with pytest.raises(ValueError, match="different targets"):
+            lift_through(incl, GroupHom.identity(FgAbGroup.cyclic(2)))
 
 
 class TestDirectSum:
@@ -580,4 +620,4 @@ def random_hom(rng, A, B):
     for d in A.invariant_factors:
         pool = [y for y in B.elements() if y.scale(d).is_zero]
         images.append(rng.choice(pool))
-    return GroupHom.from_images(A, B, images)
+    return from_images(A, B, images)

@@ -38,6 +38,7 @@ from unital.point_models import (
     verify_contractible_1,
 )
 
+from constructions import from_images
 from oracles import oracle_circle_nerve, oracle_point_nerve, oracle_torsor_classes
 from test_abelian import random_group, random_hom
 from test_coded_groups import finite_groups, homs
@@ -438,7 +439,7 @@ def _complexes2(groups):
         pools = [[y for y in B.elements() if y.scale(d).is_zero]
                  for d in A.invariant_factors]
         for images in itertools.product(*pools):
-            yield Complex((A, B), (GroupHom.from_images(A, B, list(images)),))
+            yield Complex((A, B), (from_images(A, B, list(images)),))
 
 
 def _complex2(a_factors, b_factors, lam):
@@ -852,7 +853,7 @@ def _packed_differential(X, nerve, source, target):
         for val, inj in zip(values, target.inj):
             out = out + inj(val)
         images.append(out)
-    return GroupHom.from_images(source.group, target.group, images)
+    return from_images(source.group, target.group, images)
 
 
 def _packed_h0(nerve, X):
@@ -1054,12 +1055,14 @@ def _block_coder(N, X):
     _, inj_a, inj_b, _, _ = direct_sum(*X.terms)
 
     def code(a, a_phi, b):
-        points = [solve(emb, inj_a(f) + inj_b(y)) for f, y in zip(a_phi, b)]
+        points = [solve(emb, (inj_a(f) + inj_b(y)).coords)
+                  for f, y in zip(a_phi, b)]
         if any(k is None for k in points):
             return None
-        value = dict(zip([(-1, 1, c) for c in N.level(1)], a))
+        value = dict(zip([(-1, 1, c) for c in N.level(1)],
+                         (x.coords for x in a)))
         value.update(zip([(0, 0, c) for c in N.level(0)], points))
-        return [v for block in l0.blocks for v in value[block].coords]
+        return [v for block in l0.blocks for v in value[block]]
     return code
 
 

@@ -6,8 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital.abelian import CapExceeded, FgAbGroup, GroupHom
+from unital.abelian import CapExceeded, FgAbGroup
 from unital.crossed import FiniteGroup
+
+from constructions import from_images
 
 
 @st.composite
@@ -32,7 +34,7 @@ def homs(draw, max_order=256):
         coords = [draw(st.integers(0, b - 1)) * (b // gcd(b, d))
                   for b in B.invariant_factors]
         images.append(B.element(coords))
-    return GroupHom.from_images(A, B, images)
+    return from_images(A, B, images)
 
 
 def coded(G):

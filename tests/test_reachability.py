@@ -63,6 +63,7 @@ UNREACHED = {
     "groups.Complex.__str__": VALUE_API,
     "groups.FgAbGroup.__repr__": VALUE_API,
     "groups.FgAbGroup.cyclic": VALUE_API,
+    "groups.FgAbGroup.element": VALUE_API,
     "groups.FgAbGroup.elements": PERFBENCH_PIN,
     "groups.FgAbGroup.free": VALUE_API,
     "groups.FgAbGroup.generator": VALUE_API,
@@ -70,6 +71,7 @@ UNREACHED = {
     "groups.FgAbGroup.zero": VALUE_API,
     "groups.GroupElem.__add__": PERFBENCH_PIN,
     "groups.GroupElem.__neg__": PERFBENCH_PIN,
+    "groups.GroupElem.__post_init__": VALUE_API,
     "groups.GroupElem.__str__": VALUE_API,
     "groups.GroupElem.__sub__": PERFBENCH_PIN,
     "groups.GroupElem._check": VALUE_API,

@@ -201,3 +201,26 @@ def test_no_unused_imports():
                   for name, line in sorted(imported.items())
                   if name not in used | REEXPORTS.get(path.stem, set())]
     assert not found, f"unused imports in src/unital: {found}"
+
+
+def _builds_an_element(node):
+    """A call of GroupElem, of an ``element`` or ``generator`` method, or
+    of ``zero`` with no arguments (``FgAbGroup.zero``; ``GroupHom.zero``
+    takes its endpoints)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = getattr(func, "id", getattr(func, "attr", None))
+    return name == "GroupElem" or isinstance(func, ast.Attribute) and (
+        name in ("element", "generator")
+        or name == "zero" and not node.args and not node.keywords)
+
+
+def test_only_groups_builds_element_objects():
+    # the algebra computes on coordinate tuples; GroupElem is value API
+    # that groups defines, not a second value form for the computing paths
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.stem != "groups"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _builds_an_element(node)]
+    assert not found, f"element objects built outside groups: {found}"
