@@ -8,25 +8,30 @@ classification groups this package builds and verifies, together with the
 nonabelian crossed-module analogue.
 
 Each layer runs only when first used.  ``groups`` (elements,
-homomorphisms and complexes as values), ``tables`` (table-coded groups,
-crossed modules, the unit-groupoid scan), ``covers``, ``abelian`` (Smith
-forms, kernels, direct sums), ``complexes`` (homology, models, unit
-complexes), ``crossed``, ``point_models`` and ``cech`` are registered as
-lazy modules from ``_LAYERS``, which says what each imports; their bodies
-execute on first attribute access, and the public names below resolve
-through ``__getattr__``.  Every command executes ``cli``, ``specfile``,
-``reporting`` and ``verification``, and these layers on top: ``units`` and
-``contractible`` execute ``groups``, ``tables`` and ``point_models``;
-``homology``, ``unit-complex`` and ``qiso`` execute ``groups``, ``abelian``
-and ``complexes``; ``crossed-verify`` executes ``tables`` and ``crossed``;
-``crossed-units`` adds ``covers`` and ``cech`` for its nerve;
-``cech-classify`` executes ``groups``, ``tables``, ``covers``, ``abelian``,
-``complexes`` and ``cech``, and on a 3-term complex all but ``tables``,
-which only the scans of a 2-term complex use.  Parsing executes no other
-layer than ``groups``, ``tables`` and ``covers``: an input with a nerve
-adds ``covers``, and one refused before it builds a group or cover executes
-none.  Digests use the interpreter's built-in SHA-256 (see
-``verification``), so no command loads OpenSSL.
+homomorphisms and complexes as values), ``tables`` (finite groups and
+crossed modules by table, as parsed), ``coded`` (table-coded abelian
+groups, the unit-groupoid scan), ``covers``, ``console`` (text output and
+the argparse fallback), ``abelian`` (Smith forms, kernels, direct sums),
+``complexes`` (homology, models, unit complexes), ``crossed``,
+``point_models`` and ``cech`` are registered as lazy modules from
+``_LAYERS``, which says what each imports; their bodies execute on first
+attribute access, and the public names below resolve through
+``__getattr__``.  Every command executes ``cli``, ``specfile``,
+``reporting`` and ``verification``, and these layers on top, where its
+report handlers live too: ``units`` and ``contractible`` execute
+``groups``, ``coded`` and ``point_models``; ``homology``, ``unit-complex``
+and ``qiso`` execute ``groups``, ``abelian`` and ``complexes``;
+``crossed-verify`` executes ``tables`` and ``crossed``; ``crossed-units``
+adds ``coded`` for its unit scan, and ``covers`` and ``cech`` for its
+nerve; ``cech-classify`` executes ``groups``, ``coded``, ``covers``,
+``abelian``, ``complexes`` and ``cech``, and on a 3-term complex all but
+``coded``, which only the scans of a 2-term complex use.  Only ``--text``
+output and a command line that ``cli`` leaves to argparse execute
+``console``.  Parsing executes no other layer than ``groups``, ``tables``
+and ``covers``: an input with a nerve adds ``covers``, and one refused
+before it builds a group or cover executes none.  Digests use the
+interpreter's built-in SHA-256 (see ``verification``), so no command loads
+OpenSSL.
 """
 
 import importlib
@@ -40,12 +45,14 @@ __version__ = "0.1.0"
 _LAYERS = {
     "groups": ((), ("abelian",)),
     "tables": ((), ()),
+    "coded": ((), ()),
     "covers": ((), ()),
+    "console": ((), ()),
     "abelian": (("groups",), ()),
     "complexes": (("groups", "abelian"), ()),
-    "crossed": (("tables",), ()),
-    "point_models": (("groups", "tables"), ()),
-    "cech": (("covers",), ("groups", "tables", "abelian", "complexes")),
+    "crossed": (("tables",), ("coded", "cech")),
+    "point_models": (("groups", "coded"), ()),
+    "cech": (("covers",), ("groups", "abelian", "complexes", "coded")),
 }
 
 # the public names, by the module that defines them

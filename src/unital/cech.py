@@ -32,6 +32,9 @@ torsor cocycles (a, b), taking a from the lam-fibers over the Cech
 differential of b, and quotients them by the coboundaries.  Unit cocycles
 are the torsor cocycles (a, (a_phi, b)) of the unit complex, so the same
 scan checks contractibility at sheaf level.
+
+The report handlers of ``cech-classify``, and the nerve that
+``crossed-units`` reads, are at the end of the module.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ import itertools
 from math import lcm
 
 # bound as modules: a nerve alone, as crossed-units needs it, executes
-# none, and a 3-term cech-classify never executes tables
-from . import abelian, complexes, groups, tables
-from .covers import Cover
+# none, and a 3-term cech-classify never executes coded
+from . import abelian, coded, complexes, groups
+from .covers import Cover, point_cover
 from .record import Record
+from .specfile import _built
 from .verification import MAX_STATES, CapExceeded, charge
 
 TOP_LEVEL = 3
@@ -172,11 +176,11 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
     tables of A and B.  CocycleError if a coboundary sum is not a cocycle
     found.
     """
-    A, B = map(tables._coded, X.terms)
+    A, B = map(coded._coded, X.terms)
     lam, add_a, add_b = A.image_array(X.maps[0].matrix, B), A.table, B.table
     faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
     faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
-    fibers, n0 = tables._fibers(A, B, lam), len(nerve.level(0))
+    fibers, n0 = coded._fibers(A, B, lam), len(nerve.level(0))
     cocycles = []
     for b in itertools.product(B.elements(), repeat=n0):
         over = [fibers[add_b[b[f0]][B.inverse[b[f1]]]] for f0, f1 in faces1]
@@ -521,3 +525,49 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     if w is None:
         raise CocycleError("cocycle is not cohomologous to a constant")
     return unit, list(w[:len(lm1.orders)])
+
+
+# --------------------------------------------------------------------------
+# the report handlers of cech-classify (see reporting)
+
+
+def _nerve(opts):
+    """The nerve of the --nerve cover, else of the input's, else a point;
+    ``crossed-units`` reads its nerve here too."""
+    # cech_nerve refuses faces the cover's containments cannot resolve
+    return _built("nerve", cech_nerve, opts.cover or point_cover())
+
+
+def _recorded_nerve(report, opts):
+    """``_nerve(opts)``, with the sizes of its levels in the report."""
+    nerve = _nerve(opts)
+    report.data["nerve_levels"] = [len(nerve.level(n)) for n in range(4)]
+    return nerve
+
+
+def _classify(report, nerve, X, U):
+    h0u = classify_h0(nerve, U)
+    report.data["h0_of_unit_complex"] = h0u
+    report.add("classification group of the unit complex is trivial",
+               h0u.is_trivial, h0u)
+    report.data["h0_of_coefficients"] = classify_h0(nerve, X)
+
+
+def _cech_classify_1(report, X, opts):
+    nerve = _recorded_nerve(report, opts)
+    # the torsor scan is charged before any Smith form
+    tc = torsor_classes(nerve, X, max_states=opts.max_states)
+    report.data["torsor_classes"] = tc.count
+    U, _ = complexes.unit_complex_1(X)
+    classes, group = unit_cocycles(nerve, U, max_states=opts.max_states)
+    report.data["unit_cocycle_classes"] = len(classes)
+    report.data["unit_class_group"] = group
+    report.add("unit cocycles form a single class", len(classes) == 1,
+               len(classes))
+    report.add("unit class group is trivial", group.is_trivial, group)
+    _classify(report, nerve, X, U)
+
+
+def _cech_classify_2(report, X, opts):
+    nerve = _recorded_nerve(report, opts)
+    _classify(report, nerve, X, complexes.unit_complex_2(X)[0])

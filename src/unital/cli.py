@@ -34,11 +34,11 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .reporting import COMMANDS, run
-from .specfile import SpecError, load_json, parse_spec, _parse_cover
-from .verification import MAX_STATES, CapExceeded, FinitenessError
+from . import console, covers
+from .reporting import COMMANDS, MODELS, run
+from .specfile import SpecError, load_json, parse_spec
+from .verification import MAX_STATES, CapExceeded, FinitenessError, read_cap
 
-_MODELS = ("idA", "idker")
 # the fields of the options that take a value, and of the flags
 _VALUED = {"--in": "infile", "--nerve": "nervefile",
            "--max-states": "max_states", "--against": "against"}
@@ -49,16 +49,6 @@ _DEFAULTS = {"nervefile": None, "json": False, "text": False,
 # whether main has registered its exit hook; the interpreter's exit table
 # is process-wide, and registering again would add a slot to it per call
 _hooked = False
-
-
-def _cap(text):
-    """The --max-states value, a nonnegative integer; None if text is not
-    one."""
-    try:
-        cap = int(text)
-    except ValueError:
-        return None
-    return cap if cap >= 0 else None
 
 
 def _parse(argv):
@@ -81,47 +71,12 @@ def _parse(argv):
             return None
         got[field] = value
     if "max_states" in got:
-        got["max_states"] = _cap(got["max_states"])
+        got["max_states"] = read_cap(got["max_states"])
     if {"command", "infile"} - got.keys() or {"json", "text"} <= got.keys() \
             or got.get("max_states", 0) is None \
-            or got.get("against") not in (None, *_MODELS):
+            or got.get("against") not in (None, *MODELS):
         return None
     return SimpleNamespace(**{**_DEFAULTS, **got})
-
-
-def _build_parser():
-    """The argparse parser of the command line, for what ``_parse``
-    declines."""
-    import argparse
-
-    def state_cap(text):
-        cap = _cap(text)
-        if cap is None:
-            raise argparse.ArgumentTypeError(
-                f"expected a nonnegative integer, got {text!r}")
-        return cap
-
-    parser = argparse.ArgumentParser(
-        prog="unital",
-        description="exact computations with units of Picard groupoids, "
-                    "2-groupoids, and their nonabelian relatives")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--in", dest="infile", required=True,
-                        help="input JSON file")
-    parser.add_argument("--nerve", dest="nervefile",
-                        help="JSON cover description overriding the input's")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report")
-    fmt.add_argument("--text", action="store_true",
-                     help="plain-text report (default)")
-    parser.add_argument("--max-states", type=state_cap,
-                        default=_DEFAULTS["max_states"],
-                        help="cap on exhaustive-search states")
-    parser.add_argument("--against", choices=_MODELS,
-                        help="which comparison model qiso should check")
-    parser.add_argument("--check-acyclic", action="store_true",
-                        help="unit-complex: assert all homology vanishes")
-    return parser
 
 
 def _read(path):
@@ -140,13 +95,13 @@ def main(argv=None):
         atexit.register(gc.freeze)
         _hooked = True
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse(argv) or _build_parser().parse_args(argv)
+    args = _parse(argv) or console._build_parser().parse_args(argv)
     try:
         spec = parse_spec(_read(args.infile))
         cover = None
         if args.nervefile:
-            cover = _parse_cover(load_json(_read(args.nervefile), "nerve"),
-                                 "nerve")
+            cover = covers._parse_cover(
+                load_json(_read(args.nervefile), "nerve"), "nerve")
         report = run(args.command, spec, cover=cover,
                      max_states=args.max_states, against=args.against,
                      check_acyclic=args.check_acyclic)

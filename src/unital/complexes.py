@@ -23,7 +23,8 @@ Sign convention for the cone of f: X -> Y: in degree n the term is
 X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 
 ``Complex`` lives in ``groups``; ``homology``, ``unit-complex``, ``qiso``
-and ``cech-classify`` execute this lazy layer.
+and ``cech-classify`` execute this lazy layer.  The report handlers of the
+first three are at the end of the module.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .abelian import (
 # the complexes are values of the element layer, re-exported here
 from .groups import Complex, FgAbGroup, GroupHom, _identity, _matvec
 from .record import Record
+from .specfile import SpecError
 
 
 class StrictMorphism(Record):
@@ -276,3 +278,57 @@ def kernel_sum_model(X: Complex):
     into unit_complex_2(X)."""
     _, kincl = kernel(X.maps[1])
     return _sum_model_on(X, kincl, lift_through(kincl, X.maps[0]))
+
+
+# --------------------------------------------------------------------------
+# the report handlers of homology, unit-complex and qiso (see reporting)
+
+
+def _homology_table(X):
+    return {str(d): homology(X, d) for d in X.degrees}
+
+
+def _homology(report, X, opts):
+    report.data["homology"] = _homology_table(X)
+    report.add("complex is well formed", True)
+
+
+def _unit_complex(report, U, opts):
+    report.data["terms"] = {str(d): U.group_at(d) for d in U.degrees}
+    table = _homology_table(U)
+    report.data["homology"] = table
+    if opts.check_acyclic:
+        for d, H in table.items():
+            report.add(f"homology in degree {d} is trivial", H.is_trivial, H)
+    else:
+        report.add("unit complex computed", True)
+
+
+def _unit_complex_1(report, X, opts):
+    _unit_complex(report, unit_complex_1(X)[0], opts)
+
+
+def _unit_complex_2(report, X, opts):
+    _unit_complex(report, unit_complex_2(X)[0], opts)
+
+
+def _qiso(report, X, opts, builders):
+    for name in (opts.against,) if opts.against else tuple(builders):
+        if name not in builders:
+            raise SpecError(f"against: unknown model {name!r}")
+        _, mor = builders[name](X)
+        res = is_quasi_isomorphism(mor)
+        report.add(f"comparison with {name} is a quasi-isomorphism",
+                   res.is_qiso)
+        report.data[f"induced_{name}"] = {
+            str(d): {"source": g.source, "target": g.target,
+                     "matrix": [list(r) for r in g.matrix]}
+            for d, g in res.induced.items()}
+
+
+def _qiso_1(report, X, opts):
+    _qiso(report, X, opts, {"idA": identity_model, "idker": kernel_model})
+
+
+def _qiso_2(report, X, opts):
+    _qiso(report, X, opts, {"idA": sum_model, "idker": kernel_sum_model})

@@ -2,10 +2,14 @@
 
 ``Cover`` checks its table when built; ``cover_of_parts`` builds one from
 part names, as input files give it, and ``point_cover`` is the one-part
-cover of a point.  The nerve and its cocycle calculus are in ``cech``.
+cover of a point.  ``_parse_cover`` reads the JSON form of a cover for
+``specfile`` and the ``--nerve`` option, refusing with ``SpecError`` at
+the path of the offending field.  The nerve and its cocycle calculus are
+in ``cech``.
 
 This lazy layer imports none (see ``unital._LAYERS``), so parsing an
-input with a nerve executes it and no Cech calculus.
+input with a nerve executes it and no Cech calculus, and parsing one
+without a nerve does not execute it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 from types import MappingProxyType
 
 from .record import Record
+from .specfile import SpecError, _built, _need
 
 
 class Cover(Record):
@@ -132,3 +137,45 @@ def cover_of_parts(parts, intersections, containments=None):
                              f"{sorted(set(sub))} is declared twice")
         cont[at] = subcomp
     return Cover(parts, comps, cont)
+
+
+# --------------------------------------------------------------------------
+# a cover as input files give it (see specfile)
+
+
+def _parse_cover(doc, path):
+    parts = _need(doc, "parts", path, list)
+    if not parts or not all(isinstance(p, str) for p in parts):
+        raise SpecError(f"{path}.parts: expected a nonempty list of names")
+    inters = []
+    for k, entry in enumerate(_optional_list(doc, "intersections", path)):
+        epath = f"{path}.intersections[{k}]"
+        names = _part_names(entry, "parts", epath, parts)
+        comps = entry.get("components", ["*"])
+        if not isinstance(comps, list) or \
+                not all(isinstance(c, str) for c in comps):
+            raise SpecError(f"{epath}.components: expected a list of names")
+        inters.append((names, tuple(comps)))
+    conts = []
+    for k, entry in enumerate(_optional_list(doc, "containments", path)):
+        epath = f"{path}.containments[{k}]"
+        conts.append((_part_names(entry, "parts", epath, parts),
+                      _need(entry, "component", epath, str),
+                      _part_names(entry, "sub_parts", epath, parts),
+                      _need(entry, "sub_component", epath, str)))
+    return _built(path, cover_of_parts, parts, inters, conts)
+
+
+def _part_names(entry, key, epath, parts):
+    names = _need(entry, key, epath, list)
+    for p in names:
+        if p not in parts:
+            raise SpecError(f"{epath}: unknown part {p!r}")
+    return tuple(names)
+
+
+def _optional_list(doc, key, path):
+    val = doc.get(key, [])
+    if not isinstance(val, list):
+        raise SpecError(f"{path}.{key}: expected a list")
+    return val

@@ -22,10 +22,13 @@ unit morphism (e1, g1) -> (e2, g2) is
 
 and units with e = 1 are exactly the kernel of lam.
 
-``tables.unit_morphism_checks`` verifies this on tables alone, by
+``coded.unit_morphism_checks`` verifies this on tables alone, by
 scanning each morphism fiber of lam; the point models run the same scan.
-This lazy layer executes ``tables`` and no other: ``crossed-verify`` and
-``crossed-units`` execute it; parsing and the commands on a complex never do.
+This lazy layer executes ``tables`` with it, and binds ``coded`` and
+``cech`` as modules: ``crossed-verify`` executes no other layer, and
+``crossed-units`` executes both for its unit scan and its nerve.  Parsing
+and the commands on a complex never execute it.  The report handlers of
+both commands are at the end of the module.
 
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
@@ -55,9 +58,9 @@ from __future__ import annotations
 
 import itertools
 
-from .tables import (
-    CrossedModule, FiniteGroup, _coded_units, _gather, _is_index,
-    unit_morphism_checks)
+from . import cech, coded
+from .record import _gather
+from .tables import CrossedModule, FiniteGroup, _is_index
 from .verification import MAX_STATES, Report, charge
 
 
@@ -150,7 +153,7 @@ def enumerate_units_nonabelian(X: CrossedModule):
     coherently.
     """
     G, H = X.G, X.H
-    units = _coded_units(G, X.boundary)
+    units = coded._coded_units(G, X.boundary)
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
@@ -158,7 +161,7 @@ def enumerate_units_nonabelian(X: CrossedModule):
     trivial_e = sorted(g for e, g in units if e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
-    pairs, coherence, _ = unit_morphism_checks(
+    pairs, coherence, _ = coded.unit_morphism_checks(
         G, H, X.boundary, X.action, units, lambda unit: unit)
     report.add("exactly one unit morphism per ordered pair", not pairs,
                pairs[:3] or f"{len(units) ** 2} morphisms")
@@ -246,3 +249,37 @@ def descent_identity_check(X, nerve, max_states=MAX_STATES):
     one = _triple_of(X, faces)((X.G.identity,) * len(nerve.level(0)))
     return (all(_product(X, faces, t, one) == t for t in triples),
             X.G.order ** len(nerve.level(0)))
+
+
+# --------------------------------------------------------------------------
+# the report handlers of crossed-verify and crossed-units (see reporting)
+
+
+def _crossed_verify(report, X, opts):
+    report.merge(verify_crossed_module(X))
+
+
+def _crossed_units(report, X, opts):
+    """Units of X and their contractibility, the axioms and homotopy groups
+    of the unit module U, and the identity law of the descent triples over
+    the nerve, checked on the tables (``descent_identity_check``).  X's
+    axioms are checked once, by the guard of ``unit_crossed_module``; only
+    when it refuses X are they checked again, to name the failures."""
+    try:  # its guard is the one axiom check of X
+        U = unit_crossed_module(X)
+    except ValueError:  # name the failed axioms; nothing more to build
+        axioms = verify_crossed_module(X)
+        if axioms.passed:
+            raise
+        report.checks += axioms.failures
+        return
+    units, rep = enumerate_units_nonabelian(X)
+    report.data["units"] = units
+    report.merge(rep)
+    report.merge(verify_crossed_module(U), prefix="unit module: ")
+    pi0, pi1 = pi0_order(U), pi1_order(U)
+    report.add("unit module has trivial pi0", pi0 == 1, pi0)
+    report.add("unit module has trivial pi1", pi1 == 1, pi1)
+    holds, count = descent_identity_check(
+        X, cech._nerve(opts), max_states=opts.max_states)
+    report.add("descent triples: (1,1,1) is the identity", holds, count)

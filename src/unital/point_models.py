@@ -9,7 +9,7 @@ lam(a) = e_s - e_t whose square commutes: a_phi(s) + a = a + a + a_phi(t).
 
 Read as a crossed module with trivial action, lam: A -> B has the same
 units and unit morphisms, so level-1 contractibility is
-``tables.unit_morphism_checks`` on the coded tables.
+``coded.unit_morphism_checks`` on the coded tables.
 
 A 3-term complex A -> B -> C presents a strict Picard 2-groupoid the same
 way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
@@ -25,13 +25,14 @@ Orientation of the filling 2-cell: theta runs from the path
 delta(theta) = f + phi_target - phi_source.  Both pastings are re-evaluated
 independently wherever a 2-cell equation is used, which pins this sign.
 
-Exhaustive loops run on table-coded groups (``tables.FiniteGroup``):
+Exhaustive loops run on table-coded groups (``coded.CodedGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
 negation are lookups, and each map is an array of image indices; one
 builder, ``_tables``, codes a complex of either length.  Units leave the
 scans as coordinate pairs (e, phi); morphisms exist only as coded index
-pairs inside them.  This lazy layer executes ``groups`` and ``tables``
-only, never the Smith forms, homology or crossed modules.
+pairs inside them.  This lazy layer executes ``groups`` and ``coded``
+only, never the Smith forms, homology or crossed modules.  The report
+handlers of ``units`` and ``contractible`` are at the end of the module.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
+from .coded import _coded, _coded_units, _fibers, unit_morphism_checks
 from .groups import Complex, _require_finite
-from .tables import _coded, _coded_units, _fibers, unit_morphism_checks
 from .verification import MAX_STATES, Report, charge
 
 
@@ -184,3 +185,41 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     report.data["units"] = len(units)
     report.data["unit 1-morphisms"] = onemorphisms
     return report
+
+
+# --------------------------------------------------------------------------
+# the report handlers of units and contractible (see reporting)
+
+
+def _order(G):
+    """|G| for a unit scan's charge; an infinite G charges nothing here
+    and is refused by the scan itself."""
+    return G.order() if G.is_finite else 0
+
+
+def _units_1(report, X, opts):
+    # the morphism count scans every ordered pair of units
+    A = X.terms[0]
+    charge("unit scan", _order(A) ** 2, "|A|^2", opts.max_states)
+    units, morphisms = units_and_morphism_count_1(X)
+    report.data["units"] = units
+    report.data["unique_morphisms"] = morphisms
+    report.add("unit count equals |A|", len(units) == A.order(), len(units))
+    report.add("one morphism per ordered pair", morphisms == len(units) ** 2,
+               morphisms)
+
+
+def _units_2(report, X, opts):
+    B = X.terms[1]
+    charge("unit scan", _order(B), "|B|", opts.max_states)
+    units = enumerate_units_2(X)
+    report.data["units"] = units
+    report.add("unit count equals |B|", len(units) == B.order(), len(units))
+
+
+def _contractible_1(report, X, opts):
+    report.merge(verify_contractible_1(X, max_states=opts.max_states))
+
+
+def _contractible_2(report, X, opts):
+    report.merge(verify_contractible_2(X, max_states=opts.max_states))

@@ -22,15 +22,15 @@ AttributeError: cannot assign to field 'x'
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
-def _getter(fields):
-    """A function from a record to the tuple of its field values."""
-    if len(fields) == 1:
-        get = attrgetter(fields[0])
-        return staticmethod(lambda record: (get(record),))
-    return attrgetter(*fields)
+def _gather(keys, getter=itemgetter):
+    """The function x |-> tuple(x[k] for k in keys), or with ``attrgetter``
+    the tuple of x's attributes named by keys, gathering at C level;
+    ``keys`` is not empty."""
+    get = getter(*keys)
+    return get if len(keys) > 1 else lambda x: (get(x),)
 
 
 class Record:
@@ -46,7 +46,8 @@ class Record:
         required = len(fields)
         while required and hasattr(cls, fields[required - 1]):
             required -= 1
-        cls._fields, cls._astuple = fields, _getter(fields)
+        cls._fields, cls._astuple = fields, staticmethod(
+            _gather(fields, attrgetter))
         # all that a construction reads, in one lookup
         cls._init = (fields, required,
                      tuple(getattr(cls, n) for n in fields[required:]),

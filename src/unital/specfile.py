@@ -16,7 +16,8 @@ nonzero composite.  Groups are given by invariant factors plus an
 optional free rank and must already be in canonical form, since the
 matrices refer to their generators.
 A cover may be attached under "nerve" (parts plus intersection table), or
-supplied separately.  Errors carry the JSON path of the offending field.
+supplied separately; ``covers._parse_cover`` reads it, with this module's
+``SpecError``.  Errors carry the JSON path of the offending field.
 Parsing builds values of ``groups``, ``tables`` and ``covers`` only.
 """
 
@@ -106,44 +107,6 @@ def _parse_hom(mat, src, tgt, path):
     return _built(path, groups.GroupHom, src, tgt, rows)
 
 
-def _parse_cover(doc, path):
-    parts = _need(doc, "parts", path, list)
-    if not parts or not all(isinstance(p, str) for p in parts):
-        raise SpecError(f"{path}.parts: expected a nonempty list of names")
-    inters = []
-    for k, entry in enumerate(_optional_list(doc, "intersections", path)):
-        epath = f"{path}.intersections[{k}]"
-        names = _part_names(entry, "parts", epath, parts)
-        comps = entry.get("components", ["*"])
-        if not isinstance(comps, list) or \
-                not all(isinstance(c, str) for c in comps):
-            raise SpecError(f"{epath}.components: expected a list of names")
-        inters.append((names, tuple(comps)))
-    conts = []
-    for k, entry in enumerate(_optional_list(doc, "containments", path)):
-        epath = f"{path}.containments[{k}]"
-        conts.append((_part_names(entry, "parts", epath, parts),
-                      _need(entry, "component", epath, str),
-                      _part_names(entry, "sub_parts", epath, parts),
-                      _need(entry, "sub_component", epath, str)))
-    return _built(path, covers.cover_of_parts, parts, inters, conts)
-
-
-def _part_names(entry, key, epath, parts):
-    names = _need(entry, key, epath, list)
-    for p in names:
-        if p not in parts:
-            raise SpecError(f"{epath}: unknown part {p!r}")
-    return tuple(names)
-
-
-def _optional_list(doc, key, path):
-    val = doc.get(key, [])
-    if not isinstance(val, list):
-        raise SpecError(f"{path}.{key}: expected a list")
-    return val
-
-
 def _parse_finite_group(doc, path):
     table = _parse_matrix(_need(doc, "table", path, list), f"{path}.table")
     return _built(path, tables.FiniteGroup, table, doc.get("name", "G"))
@@ -176,7 +139,9 @@ def parse_spec(text) -> ComplexSpecFile:
     if kind not in KINDS:
         raise SpecError(f"kind: expected one of {KINDS}")
 
-    cover = _parse_cover(doc["nerve"], "nerve") if "nerve" in doc else None
+    cover = None
+    if "nerve" in doc:
+        cover = covers._parse_cover(doc["nerve"], "nerve")
 
     if kind in COMPLEX_KINDS:
         groups_doc, maps_doc = doc.get("groups", {}), doc.get("maps", {})

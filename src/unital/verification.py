@@ -5,7 +5,8 @@ witness (a counterexample, or whatever identifies the violation).  A
 command report adds the digest of its canonicalized input and result
 data.  Reports are deterministic for a fixed input: check order is fixed
 and witnesses use the library's canonical enumeration order.  Everything
-except the timing field enters the report digest.
+except the timing field enters the report digest.  ``Report.to_text`` is
+rendered by the lazy ``console``, which no ``--json`` verdict executes.
 
 Digests are SHA-256 from the interpreter's built-in module (``_sha2``, or
 ``_sha256`` before Python 3.12), so no verdict process loads OpenSSL;
@@ -15,8 +16,9 @@ values are those of ``hashlib.sha256`` either way.
 The run contract lives here too, so that a command which builds no abelian
 group never executes ``abelian``: the two refusals a command maps to exit
 codes (``FinitenessError``, exit 2, and ``CapExceeded``, exit 3), the
-state-cap gate ``charge`` with the default cap ``MAX_STATES``, and the
-table-coding cap ``MAX_CODED_ORDER``.
+state-cap gate ``charge`` with the default cap ``MAX_STATES``, the
+table-coding cap ``MAX_CODED_ORDER``, and ``read_cap``, which reads a
+``--max-states`` value for both command-line parsers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import sys
 
+from . import console
 from .record import Record
 
 try:  # hashlib is heavy to load: its _hashlib loads OpenSSL
@@ -53,6 +56,16 @@ def charge(phase, states, formula, max_states):
 
 MAX_STATES = 10 ** 7  # the default cap of every scan and of --max-states
 MAX_CODED_ORDER = 256  # the command cap; a 256 x 256 table has 65k entries
+
+
+def read_cap(text):
+    """A --max-states value, a nonnegative integer; None if text is not
+    one."""
+    try:
+        cap = int(text)
+    except ValueError:
+        return None
+    return cap if cap >= 0 else None
 
 
 class Check(Record):
@@ -124,15 +137,4 @@ class Report:
         return json.dumps(out, sort_keys=True, indent=2)
 
     def to_text(self):
-        lines = [f"unital {self.command}",
-                 f"input digest {self.input_digest[:16]}"]
-        for c in self.checks:
-            line = f"  {'PASS' if c.passed else 'FAIL'} {c.name}"
-            if c.witness is not None:
-                line += f"  [{_jsonable(c.witness)}]"
-            lines.append(line)
-        for key, val in self.data.items():
-            lines.append(f"  {key}: {json.dumps(_jsonable(val), sort_keys=True)}")
-        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        lines.append(f"time: {self.timing_seconds:.3f}s")
-        return "\n".join(lines)
+        return console.report_text(self)

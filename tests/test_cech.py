@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import cech, tables
+from unital import cech, coded
 from unital.abelian import (
     CapExceeded, FgAbGroup, GroupHom, direct_sum, direct_sum_many, kernel,
     solve, subquotient)
@@ -27,7 +27,6 @@ from unital.complexes import Complex, homology, unit_complex_1, unit_complex_2
 from unital.covers import Cover, cover_of_parts, point_cover
 from unital.crossed import (
     CrossedModule,
-    FiniteGroup,
     enumerate_unit_triples,
     h0_group_law,
     verify_crossed_module,
@@ -470,7 +469,7 @@ class TestCodedTorsorScan:
 
         def no_tables(G):
             raise AssertionError("coded tables built before the cap check")
-        monkeypatch.setattr(tables, "_coded", no_tables)
+        monkeypatch.setattr(coded, "_coded", no_tables)
         with pytest.raises(CapExceeded) as exc:
             torsor_classes(circle_nerve(), X, max_states=4095)
         assert str(exc.value) == "torsor scan needs 4096 states " \
@@ -543,7 +542,7 @@ class TestCodedUnitScan:
 
         def no_tables(G):
             raise AssertionError("coded tables built before the cap check")
-        monkeypatch.setattr(tables, "_coded", no_tables)
+        monkeypatch.setattr(coded, "_coded", no_tables)
         with pytest.raises(CapExceeded) as exc:
             _unit_classes(circle_nerve(), X, max_states=7)
         assert str(exc.value) == \
@@ -567,14 +566,14 @@ SCANS = pytest.mark.parametrize("scan", [torsor_classes, _unit_classes],
 
 class TestScanSelfCheck:
     """Broken scans that the CocycleError self-check catches: each
-    mutation is patched into ``cech``, or into the ``tables`` function it
+    mutation is patched into ``cech``, or into the ``coded`` function it
     calls, for one call."""
 
     X = Complex((Z2, Z2), (GroupHom.zero(Z2, Z2),))
 
     def test_fibers_ignoring_lam_give_extra_unit_cocycles(self, monkeypatch):
         # every a then fits every u: 2^9 a's over 8 u's pass the V_1 cells
-        monkeypatch.setattr(tables, "_fibers", lambda src, tgt, f: [
+        monkeypatch.setattr(coded, "_fibers", lambda src, tgt, f: [
             list(src.elements()) for _ in tgt.elements()])
         with pytest.raises(CocycleError,
                            match=r"violated relation: 64 unit cocycles, one "
@@ -583,8 +582,8 @@ class TestScanSelfCheck:
 
     @SCANS
     def test_lost_cocycles_miss_a_coboundary(self, monkeypatch, scan):
-        fibers = tables._fibers
-        monkeypatch.setattr(tables, "_fibers", lambda *args: [
+        fibers = coded._fibers
+        monkeypatch.setattr(coded, "_fibers", lambda *args: [
             f[:-1] for f in fibers(*args)])
         with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
             scan(circle_nerve(), self.X)
@@ -636,8 +635,8 @@ def test_group_from_its_element_orders(G):
 def _as_crossed_module(X):
     """A 2-term complex read as a crossed module: boundary lam, trivial
     action."""
-    G = FiniteGroup.from_invariant_factors(X.terms[0].invariant_factors)
-    H = FiniteGroup.from_invariant_factors(X.terms[1].invariant_factors)
+    G = coded.CodedGroup(X.terms[0].invariant_factors)
+    H = coded.CodedGroup(X.terms[1].invariant_factors)
     return CrossedModule(G, H, G.image_array(X.maps[0].matrix, H),
                          [[g] * H.order for g in G.elements()])
 

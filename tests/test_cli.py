@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unital
-from unital import cech, cli, crossed
+from unital import cech, cli, console, crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, HANDLERS, run
 from unital.specfile import SpecError, parse_spec
@@ -795,7 +795,7 @@ def _argparse(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._build_parser().parse_args(argv))
+            return vars(console._build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code
 
@@ -1109,13 +1109,15 @@ def test_perfbench_micro_runs_on_the_library(tmp_path):
     assert all(v > 0 for v in out.values())
 
 
-SCANS = {"groups", "tables", "point_models"}
+SCANS = {"groups", "coded", "point_models"}
 ALGEBRA = {"groups", "abelian", "complexes"}
-CROSSED_UNITS = {"tables", "crossed", "covers", "cech"}
-CECH = {"groups", "tables", "abelian", "complexes", "covers", "cech"}
+CROSSED_UNITS = {"tables", "coded", "crossed", "covers", "cech"}
+CECH = {"groups", "coded", "abelian", "complexes", "covers", "cech"}
 
 
-# each command's layers, written out: the claim the layer table must keep
+# each command's layers, written out: the claim the layer table must keep.
+# Every command line here asks for --json, as the benchmark's do, unless
+# it names its format
 LAYER_CASES = [
     pytest.param(command, doc, 0, layers, id=f"{command}{suffix}")
     for command, layers, layers_3 in (
@@ -1123,7 +1125,7 @@ LAYER_CASES = [
         ("unit-complex", ALGEBRA, ALGEBRA), ("units", SCANS, SCANS),
         ("contractible", SCANS, SCANS),
         # a 3-term complex has no torsor or unit-cocycle scan
-        ("cech-classify", CECH, CECH - {"tables"}))
+        ("cech-classify", CECH, CECH - {"coded"}))
     for doc, suffix, layers in ((TIMES2, "", layers),
                                 (THREE_TERM, "-3", layers_3))] + [
     pytest.param("crossed-verify", INVERSION, 0, {"tables", "crossed"},
@@ -1144,8 +1146,14 @@ LAYER_CASES = [
     pytest.param("crossed-verify", _replaced(INVERSION, ["boundary", 2], 5),
                  2, {"tables"}, id="boundary-out-of-range"),
     # the torsor scan's charge refuses before any table or Smith form
-    pytest.param(("cech-classify", "--max-states", "0"), TIMES2, 3,
-                 {"groups", "covers", "cech"}, id="cech-classify-capped")]
+    pytest.param(("cech-classify", "--max-states", "0", "--json"), TIMES2, 3,
+                 {"groups", "covers", "cech"}, id="cech-classify-capped"),
+    # text output, and a command line that cli._parse declines (an
+    # abbreviated option), are the console's
+    pytest.param(("units", "--text"), TIMES2, 0, SCANS | {"console"},
+                 id="units-text"),
+    pytest.param(("units", "--max", "5", "--json"), TIMES2, 0,
+                 SCANS | {"console"}, id="units-argparse")]
 
 
 @pytest.mark.parametrize("command,doc,code,executed", LAYER_CASES)
@@ -1153,7 +1161,7 @@ def test_command_executes_only_its_layers(tmp_path, command, doc, code,
                                           executed):
     path = tmp_path / "in.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    args = (command,) if isinstance(command, str) else command
+    args = (command, "--json") if isinstance(command, str) else command
     got_code, _, modules = json.loads(
         _python("-c", EXECUTED, *args, "--in", str(path)))
     assert got_code == code
@@ -1162,6 +1170,43 @@ def test_command_executes_only_its_layers(tmp_path, command, doc, code,
     # layer that imports names from another executes it too
     assert set(modules) | LAZY == MODULES
     assert all(set(unital._LAYERS[layer][0]) <= executed for layer in executed)
+
+
+def _nodes(module):
+    """The AST node count of a unital module's source file."""
+    path = ROOT / "src" / "unital" / f"{module}.py"
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+
+
+# the ceiling on the AST nodes of unital source that each verdict compiles:
+# the files of the package and of every module it executes.  At the
+# commit before each command's handlers moved into its own layer these
+# verdicts compiled 10,762 (units, contractible), 18,745 (cech-classify),
+# 9,245 (crossed-verify) and 5,502 (the refusal) nodes
+COMPILED = [
+    pytest.param(("units",), TIMES2, 0, 8700, id="units"),
+    pytest.param(("units",), THREE_TERM, 0, 8700, id="units-3"),
+    pytest.param(("contractible",), TIMES2, 0, 8700, id="contractible"),
+    pytest.param(("contractible",), THREE_TERM, 0, 8700,
+                 id="contractible-3"),
+    pytest.param(("cech-classify",), TIMES2, 0, 17500, id="cech-classify"),
+    pytest.param(("crossed-verify",), INVERSION, 0, 6800,
+                 id="crossed-verify"),
+    pytest.param(("units",), '{"kind": "compl', 2, 4000, id="truncated")]
+
+
+@pytest.mark.parametrize("args,doc,code,ceiling", COMPILED)
+def test_verdict_compiles_only_its_own_code(tmp_path, args, doc, code,
+                                            ceiling):
+    # compiling its own source is most of what a verdict costs in unital
+    # when bytecode is not written, and the count is deterministic
+    path = tmp_path / "in.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    got_code, _, modules = json.loads(
+        _python("-c", EXECUTED, *args, "--json", "--in", str(path)))
+    assert got_code == code
+    assert "console" not in modules
+    assert sum(map(_nodes, ["__init__", *modules])) <= ceiling
 
 
 # parse every corpus spec in one fresh process, then print the lazy
@@ -1415,10 +1460,16 @@ def test_tracer_finds_every_module_it_wraps(tmp_path):
     loaded = _python("-c", "import sys, unital.cli; print(*sys.modules)")
     assert {f"unital.{m}" for m in spanned} <= set(loaded.split())
     path, spans = tmp_path / "in.json", tmp_path / "spans.json"
-    path.write_text(json.dumps(TIMES2))
-    _python(str(tracer), str(spans), "homology", "--in", str(path), "--json")
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert {"specfile.parse_spec", "complexes.homology"} <= names
+    for command, doc, own in (
+            ("homology", TIMES2, "complexes.homology"),
+            ("units", TIMES2, "point_models.units_and_morphism_count_1"),
+            ("cech-classify", TIMES2, "cech.torsor_classes"),
+            ("crossed-verify", INVERSION, "crossed.verify_crossed_module")):
+        path.write_text(json.dumps(doc))
+        _python(str(tracer), str(spans), command, "--in", str(path),
+                "--json")
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert {"specfile.parse_spec", own} <= names, command
 
 
 def test_perfbench_names_resolve_in_their_modules():

@@ -1,4 +1,4 @@
-"""Table-coded finite abelian groups (``FiniteGroup.from_invariant_factors``)
+"""Table-coded finite abelian groups (``coded.CodedGroup``)
 against the coordinate arithmetic of ``FgAbGroup`` and ``GroupHom``."""
 
 from math import gcd
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unital.abelian import CapExceeded, FgAbGroup
+from unital.coded import CodedGroup
 from unital.crossed import FiniteGroup
 
 from constructions import from_images
@@ -38,7 +39,7 @@ def homs(draw, max_order=256):
 
 
 def coded(G):
-    return FiniteGroup.from_invariant_factors(G.invariant_factors)
+    return CodedGroup(G.invariant_factors)
 
 
 def is_abelian(G):
@@ -85,7 +86,7 @@ def test_image_arrays_agree_with_hom_application(f):
 
 def test_small_coded_tables_pass_the_full_group_checks():
     for factors in [(), (2,), (6,), (2, 4), (2, 2, 2), (4, 16)]:
-        T = FiniteGroup.from_invariant_factors(factors)
+        T = CodedGroup(factors)
         checked = FiniteGroup(T.table)
         assert checked.identity == T.identity
         assert tuple(checked.inverse) == T.inverse
@@ -93,20 +94,20 @@ def test_small_coded_tables_pass_the_full_group_checks():
 
 
 def test_order_caps():
-    assert FiniteGroup.from_invariant_factors((2, 128)).order == 256
+    assert CodedGroup((2, 128)).order == 256
     with pytest.raises(CapExceeded):
-        FiniteGroup.from_invariant_factors((2, 256))
+        CodedGroup((2, 256))
     cyclic_65 = [[(a + b) % 65 for b in range(65)] for a in range(65)]
     with pytest.raises(CapExceeded):
         FiniteGroup(cyclic_65)
 
 
 def test_name_defaults_to_the_factors():
-    assert FiniteGroup.from_invariant_factors((2, 4)).name == "Z/2 x Z/4"
-    assert FiniteGroup.from_invariant_factors(()).name == "0"
+    assert CodedGroup((2, 4)).name == "Z/2 x Z/4"
+    assert CodedGroup(()).name == "0"
 
 
 def test_index_reduces_coordinates():
-    T = FiniteGroup.from_invariant_factors((2, 4))
+    T = CodedGroup((2, 4))
     assert T.index((3, -1)) == T.index((1, 3)) == 7
     assert T.coords(7) == (1, 3)

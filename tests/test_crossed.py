@@ -20,9 +20,9 @@ from unital.crossed import (
     pi0_order,
     pi1_order,
     unit_crossed_module,
-    unit_morphism_checks,
     verify_crossed_module,
 )
+from unital.coded import unit_morphism_checks
 from unital.point_models import verify_contractible_1
 from unital.specfile import SpecError, parse_spec
 

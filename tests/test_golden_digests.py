@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from unital.cli import _build_parser
+from unital.console import _build_parser
 from unital.reporting import HANDLERS, run
 from unital.specfile import parse_spec
 

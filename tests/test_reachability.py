@@ -47,8 +47,6 @@ UNREACHED = {
     "cech._unit_frame": EPOCH_B,
     "cech.cocycle_of_unit": EPOCH_B,
     "cech.unit_of_cocycle": EPOCH_B,
-    "cli._build_parser": FALLBACK,
-    "cli._build_parser.state_cap": FALLBACK,
     "complexes.HomologyData._solver": QISO,
     "complexes.HomologyData.classify": QISO,
     "complexes.HomologyData.representative": QISO,
@@ -58,6 +56,8 @@ UNREACHED = {
     "complexes.is_complex_isomorphism": EPOCH_B,
     "complexes.sum_model": PERFBENCH_PIN,
     "complexes.truncate_shift": EPOCH_B,
+    "console._build_parser": FALLBACK,
+    "console._build_parser.state_cap": FALLBACK,
     "covers.Cover._named": NAMED_COVER,
     "crossed.h0_group_law": PERFBENCH_PIN,
     "groups.Complex.__str__": VALUE_API,
@@ -85,7 +85,6 @@ UNREACHED = {
     "record.Record.__repr__": VALUE_API,
     "record.Record.__setattr__": VALUE_API,
     "record.Record._bind": VALUE_API,
-    "record._getter": IMPORT_TIME,
     "tables.FiniteGroup.cyclic": VALUE_API,
     "tables.FiniteGroup.mul": PERFBENCH_PIN,
     "tables.FiniteGroup.symmetric": PERFBENCH_PIN,
