@@ -6,6 +6,9 @@ each has.  Its Cech nerve has, at level n, one cell per (n+1)-tuple of part
 indices (with repetition) and per connected component of the corresponding
 intersection; face maps drop indices.  Levels 0..3 are kept, which is
 exactly enough to state the degree-0 and degree-1 cocycle conditions.
+Everything below names a cell by its position in its level, and reads
+its faces from the one table of positions the nerve builds
+(``Nerve.faces``).
 
 The double complex of a coefficient complex X has K^(p,q) = X^p(V_q); the
 total differential used throughout is
@@ -19,19 +22,19 @@ chosen so that for a 2-term complex the component equations of a total
 
 and the coboundary of alpha in A(V_0) acts by a += d0*alpha - d1*alpha,
 b += lambda(alpha).  Total cochains live on block coordinates: one block of
-X^p coordinates per (p, q, cell), each term presented by the orders of its
-coordinates, and the differential is one integer block matrix, held as
-sparse rows.  Classification groups are H^0 of this total complex: the
-+-1 entries between coordinates of equal order, most of them Cech faces,
-are cancelled by Gaussian elimination first, and the small remainder is
-computed exactly and put in canonical form only at the end.  Units of the
-point model are the total 0-cocycles of the unit complex up to
-coboundaries (J and K below); for a 2-term complex these are the descent
-data (a, a_phi, b).  One exhaustive scan on table-coded groups finds the
-torsor cocycles (a, b), taking a from the lam-fibers over the Cech
-differential of b, and quotients them by the coboundaries.  Unit cocycles
-are the torsor cocycles (a, (a_phi, b)) of the unit complex, so the same
-scan checks contractibility at sheaf level.
+X^p coordinates per (p, q, k), k a cell's position in V_q, each term
+presented by the orders of its coordinates, and the differential is one
+integer block matrix, held as sparse rows.  Classification groups are H^0
+of this total complex: the +-1 entries between coordinates of equal
+order, most of them Cech faces, are cancelled by Gaussian elimination
+first, and the small remainder is computed exactly and put in canonical
+form only at the end.  Units of the point model are the total 0-cocycles
+of the unit complex up to coboundaries (J and K below); for a 2-term
+complex these are the descent data (a, a_phi, b).  One exhaustive scan on
+table-coded groups finds the torsor cocycles (a, b), taking a from the
+lam-fibers over the Cech differential of b, and quotients them by the
+coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b)) of
+the unit complex, so the same scan checks contractibility at sheaf level.
 
 The report handlers of ``cech-classify``, and the nerve that
 ``crossed-units`` reads, are at the end of the module.
@@ -73,12 +76,17 @@ class CocycleError(ValueError):
 class Nerve:
     """Truncated simplicial set of a cover, levels 0..3.
 
-    Cells are (index tuple, component name) pairs, sorted; ``face(n, i, c)``
-    drops index i.  The simplicial identities d_i d_j = d_(j-1) d_i for
-    i < j are verified exhaustively at construction.
-    Level n+1 extends level-n index tuples by one index while the index
-    set is declared; declared sets are closed under subsets, so no cell is
-    missed.
+    ``level(n)`` holds the level-n cells, (index tuple, component name)
+    pairs, sorted.  Level n+1 extends level-n index tuples by one index
+    while the index set is declared; declared sets are closed under
+    subsets, so no cell is missed.  Callers name a cell by its position
+    in its level.  ``faces(n)`` is the one face table: entry k holds the
+    positions in level n-1 of the faces d_0..d_n of the k-th level-n
+    cell, d_i dropping index i (a level-0 cell has none).  Faces resolve
+    level by level, then by i, then cell by cell, so a cover is refused
+    at its first ambiguous containment; the simplicial identities
+    d_i d_j = d_(j-1) d_i for i < j are then verified exhaustively on
+    the table.
     """
 
     def __init__(self, cover: Cover):
@@ -96,39 +104,33 @@ class Nerve:
                     f"level {n} has {len(level)} cells (cap "
                     f"{MAX_CELLS_PER_LEVEL})")
             self._cells.append(tuple(level))
-        self._faces = {}
+        self._faces = [((),) * len(self._cells[0])]
         for n in range(1, TOP_LEVEL + 1):
+            position = {cell: k for k, cell in enumerate(self._cells[n - 1])}
+            columns = []
             for i in range(n + 1):
-                fm = {}
+                column = []
                 for tup, comp in self._cells[n]:
                     sub = tup[:i] + tup[i + 1:]
-                    sub_comp = cover.component_in(frozenset(tup), comp,
-                                                  frozenset(sub))
-                    fm[(tup, comp)] = (sub, sub_comp)
-                self._faces[(n, i)] = fm
+                    column.append(position[sub, cover.component_in(
+                        frozenset(tup), comp, frozenset(sub))])
+                columns.append(column)
+            self._faces.append(tuple(zip(*columns)))
         self._verify_simplicial_identities()
 
     def level(self, n):
         return self._cells[n]
 
-    def face(self, n, i, cell):
-        """i-th face of a level-n cell (a cell at level n-1)."""
-        return self._faces[(n, i)][cell]
-
-    def face_index(self, n, i):
-        """d_i on positions: entry k is the position in level n-1 of the
-        i-th face of the k-th cell of level n."""
-        position = {cell: k for k, cell in enumerate(self._cells[n - 1])}
-        return [position[self.face(n, i, c)] for c in self._cells[n]]
+    def faces(self, n):
+        return self._faces[n]
 
     def _verify_simplicial_identities(self):
         for n in range(2, TOP_LEVEL + 1):
+            below = self._faces[n - 1]
             for j in range(n + 1):
                 for i in range(j):
-                    for cell in self._cells[n]:
-                        left = self.face(n - 1, i, self.face(n, j, cell))
-                        right = self.face(n - 1, j - 1, self.face(n, i, cell))
-                        if left != right:
+                    for cell, f in zip(self._cells[n], self._faces[n]):
+                        if below[f[j]][i] != below[f[i]][j - 1]:
                             raise ValueError(
                                 f"simplicial identity d_{i} d_{j} = "
                                 f"d_{j - 1} d_{i} fails at {cell}")
@@ -178,8 +180,7 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
     """
     A, B = map(coded._coded, X.terms)
     lam, add_a, add_b = A.image_array(X.maps[0].matrix, B), A.table, B.table
-    faces1 = list(zip(*(nerve.face_index(1, i) for i in range(2))))
-    faces2 = list(zip(*(nerve.face_index(2, i) for i in range(3))))
+    faces1, faces2 = nerve.faces(1), nerve.faces(2)
     fibers, n0 = coded._fibers(A, B, lam), len(nerve.level(0))
     cocycles = []
     for b in itertools.product(B.elements(), repeat=n0):
@@ -287,41 +288,41 @@ def _group_from_orders(orders):
 
 class _TotalLayout:
     """The total-degree-n part of the double complex X^p(V_q) on block
-    coordinates: one block per (p, q, cell) holding the coordinates of
-    X^p, each of the order it has there (0 for a free one).  The term is
-    the product of its blocks, presented by the diagonal lattice of
-    ``orders``; no canonical form is taken."""
+    coordinates: one block per (p, q, k), k a cell's position in level q,
+    holding the coordinates of X^p, each of the order it has there (0 for
+    a free one).  The term is the product of its blocks, presented by the
+    diagonal lattice of ``orders``; no canonical form is taken."""
 
     def __init__(self, X, nerve, total_degree):
-        self.blocks = []  # (p, q, cell)
+        self.blocks = []  # (p, q, k)
         self.offset = {}  # block -> its first coordinate
         self.orders = []
         for p in X.degrees:
             q = total_degree - p
             if 0 <= q <= TOP_LEVEL:
-                for cell in nerve.level(q):
-                    self.blocks.append((p, q, cell))
-                    self.offset[(p, q, cell)] = len(self.orders)
+                for k in range(len(nerve.level(q))):
+                    self.blocks.append((p, q, k))
+                    self.offset[(p, q, k)] = len(self.orders)
                     self.orders += X.group_at(p).orders
 
 
 def _block_differential(X, nerve, source, target):
     """D = d_X + (-1)^(p+1) cech as sparse rows {column: nonzero entry}:
-    d_X from (p-1, q, c) to (p, q, c), and (-1)^(p+1+i) times the identity
-    from (p, q-1, d_i c) to (p, q, c)."""
+    d_X from (p-1, q, k) to (p, q, k), and (-1)^(p+1+i) times the identity
+    from (p, q-1, d_i k) to (p, q, k)."""
     rows = []
-    for p, q, cell in target.blocks:
+    for p, q, k in target.blocks:
         block = [{} for _ in range(X.group_at(p).ngens)]
-        off = source.offset.get((p - 1, q, cell))
+        off = source.offset.get((p - 1, q, k))
         if off is not None:
             for row, d_row in zip(block, X.differential(p - 1).matrix):
                 row.update((off + j, v) for j, v in enumerate(d_row) if v)
-        for i in range(q + 1 if q else 0):
-            off = source.offset[(p, q - 1, nerve.face(q, i, cell))]
-            for k, row in enumerate(block):
-                v = row.pop(off + k, 0) + (-1) ** (p + 1 + i)
+        for i, face in enumerate(nerve.faces(q)[k]):
+            off = source.offset[(p, q - 1, face)]
+            for g, row in enumerate(block):
+                v = row.pop(off + g, 0) + (-1) ** (p + 1 + i)
                 if v:
-                    row[off + k] = v
+                    row[off + g] = v
         rows += block
     return rows
 
@@ -469,7 +470,7 @@ def cocycle_of_unit(X, unit, nerve: Nerve):
     model of X, given as a coordinate pair.
 
     It is a T^0 coordinate vector of ``total_complex_piece(U, nerve)`` for
-    the unit complex U: the unit's point of U^0 on every (0, 0, cell) block
+    the unit complex U: the unit's point of U^0 on every (0, 0, k) block
     and zero on the other blocks.  ValueError if lam(phi) != e.
     """
     e, phi = unit
@@ -483,8 +484,8 @@ def cocycle_of_unit(X, unit, nerve: Nerve):
         raise ValueError("not a unit: lam(phi) != e")
     layout = _TotalLayout(U, nerve, 0)
     x = [0] * len(layout.orders)
-    for cell in nerve.level(0):
-        off = layout.offset[(0, 0, cell)]
+    for k in range(len(nerve.level(0))):
+        off = layout.offset[(0, 0, k)]
         x[off:off + len(point)] = point
     return x
 
@@ -506,11 +507,11 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     for i, (row, d) in enumerate(zip(d_high, l1.orders)):
         value = sum(c * x[j] for j, c in row.items())
         if value % d if d else value:
-            p, q, cell = next(b for b in reversed(l1.blocks)
-                              if l1.offset[b] <= i)
-            raise CocycleError(
-                f"total differential nonzero at bidegree ({p}, {q})", cell)
-    K, off = U.group_at(0), l0.offset[(0, 0, nerve.level(0)[0])]
+            p, q, k = next(b for b in reversed(l1.blocks)
+                           if l1.offset[b] <= i)
+            raise CocycleError(f"total differential nonzero at bidegree "
+                               f"({p}, {q})", nerve.level(q)[k])
+    K, off = U.group_at(0), l0.offset[(0, 0, 0)]
     unit = tuple(p.target.reduce(groups._matvec(
         p.matrix, x[off:off + K.ngens], p.target.ngens, K.ngens))
         for p in (proj_o.compose(emb), proj_s.compose(emb)))

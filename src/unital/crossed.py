@@ -183,11 +183,6 @@ def _triple_of(X, faces):
                        gp, tuple(h_inv[bnd[x]] for x in gp))
 
 
-def _faces(nerve):
-    """(d0, d1) positions in level 0 of each level-1 cell."""
-    return list(zip(nerve.face_index(1, 0), nerve.face_index(1, 1)))
-
-
 def enumerate_unit_triples(X, nerve, max_states=MAX_STATES):
     """Every descent triple (g, g', h) over the nerve, one per g' in
     G(V_0), as index tuples in cell order: g over level 1, g' and h over
@@ -195,7 +190,7 @@ def enumerate_unit_triples(X, nerve, max_states=MAX_STATES):
     and then yielded one at a time."""
     n0 = len(nerve.level(0))
     charge("triple enumeration", X.G.order ** n0, "|G|^|V_0|", max_states)
-    return map(_triple_of(X, _faces(nerve)),
+    return map(_triple_of(X, nerve.faces(1)),
                itertools.product(X.G.elements(), repeat=n0))
 
 
@@ -213,7 +208,7 @@ def h0_group_law(X, nerve, t1, t2):
     coded triples, after validating both operands: ValueError names the
     part whose length or indices are off, else the first cell where
     bnd(g') h = 1 or g = d0*(g') (d1*(g'))^-1 fails."""
-    faces = _faces(nerve)
+    faces = nerve.faces(1)
     triple_of = _triple_of(X, faces)
     for g, gp, h in (t1, t2):
         for name, part, level, group in (("g", g, 1, X.G), ("g'", gp, 0, X.G),
@@ -245,7 +240,7 @@ def descent_identity_check(X, nerve, max_states=MAX_STATES):
     too, which is why the comparison alone decides the check.
     """
     triples = enumerate_unit_triples(X, nerve, max_states)
-    faces = _faces(nerve)
+    faces = nerve.faces(1)
     one = _triple_of(X, faces)((X.G.identity,) * len(nerve.level(0)))
     return (all(_product(X, faces, t, one) == t for t in triples),
             X.G.order ** len(nerve.level(0)))

@@ -84,9 +84,13 @@ def units_and_morphism_count_1(X: Complex):
     return list(map(_pairs(B, A), units)), count
 
 
-def _trivial_action(G, H):
-    """The action table of H on G by the identity."""
-    return tuple((g,) * H.order for g in G.elements())
+def _unit_scan(A, B, f):
+    """The coded units of f: A -> B, and ``unit_morphism_checks`` on f read
+    as a crossed module with trivial action, its units keyed as
+    coordinate pairs."""
+    units = _coded_units(A, f)
+    action = tuple((g,) * B.order for g in A.elements())
+    return units, unit_morphism_checks(A, B, f, action, units, _pairs(B, A))
 
 
 def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
@@ -102,10 +106,8 @@ def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
     charge("coherence scan", X.terms[0].order() ** 3, "|A|^3", max_states)
     report = Report("contractibility of the unit groupoid")
     (A, B), (lam,) = _tables(X)
-    units = _coded_units(A, lam)
+    units, (pairs, coherence, morphisms) = _unit_scan(A, B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    pairs, coherence, morphisms = unit_morphism_checks(
-        A, B, lam, _trivial_action(A, B), units, _pairs(B, A))
     report.add("exactly one unit morphism per ordered pair", not pairs,
                pairs[:3] or f"{len(units) ** 2} morphisms")
     report.add("composition of unique morphisms is coherent", not coherence,
@@ -149,17 +151,19 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     ``unit_morphism_checks`` scan of delta covers every parallel pair of
     every unit pair, and vertical coherence on every triple.  The listing
     (|B|^2 |A|), the scan's fibers (|A|^2 |ker delta|) and its coherence
-    triples (|A|^3) are charged before any 1-morphism is listed.
+    triples (|A|^3) are charged on the coded tables alone, |ker delta|
+    read off delta's image array, before the units, the fibers or any
+    1-morphism is built.
     """
     report = Report("contractibility of the unit 2-groupoid")
     (A, B, C), (delta, lam) = _tables(X)
+    a = A.order
+    charge("2-cell verification",
+           B.order ** 2 * a + a ** 2 * (a + delta.count(B.identity)),
+           "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)
-    a = A.order
-    charge("2-cell verification",
-           B.order ** 2 * a + a ** 2 * (a + len(theta_fibers[B.identity])),
-           "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
     add, neg, unit_key = B.table, B.inverse, _pairs(C, B)
     connected_failures, unlisted, onemorphisms = [], [], 0
     for s, t in itertools.product(units, repeat=2):
@@ -172,9 +176,7 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
                 [(add[delta[theta]][shift], theta) for theta in A.elements()]:
             unlisted.append((unit_key(s), unit_key(t)))
     # delta's unit (delta(theta), theta) is a 1-morphism s -> s; keyed so
-    pairs, coherence, _ = unit_morphism_checks(
-        A, B, delta, _trivial_action(A, B), _coded_units(A, delta),
-        _pairs(B, A))
+    _, (pairs, coherence, _) = _unit_scan(A, B, delta)
     pairs = unlisted + pairs
     report.add("every unit pair is connected by a unit 1-morphism",
                not connected_failures, connected_failures[:3] or None)

@@ -191,6 +191,21 @@ def oracle_circle_nerve():
     return cells, faces
 
 
+def oracle_face(cover, cell, i):
+    """The i-th face of a nerve cell (index tuple, component), read off the
+    cover's tables: index i dropped, in the same component when the
+    index set stays, else in the smaller intersection's only component
+    or the one its declared containment names."""
+    tup, comp = cell
+    sub = tup[:i] + tup[i + 1:]
+    source, target = frozenset(tup), frozenset(sub)
+    if source == target:
+        return sub, comp
+    names = cover.components[target]
+    return sub, names[0] if len(names) == 1 else \
+        cover.containments[(source, comp, target)]
+
+
 def _mod_add(u, v, mods):
     return tuple((a + b) % m for a, b, m in zip(u, v, mods))
 

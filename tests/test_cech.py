@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from math import gcd, lcm
 
@@ -38,7 +39,8 @@ from unital.point_models import (
 )
 
 from constructions import from_images
-from oracles import oracle_circle_nerve, oracle_point_nerve, oracle_torsor_classes
+from oracles import (oracle_circle_nerve, oracle_face, oracle_point_nerve,
+                     oracle_torsor_classes)
 from test_abelian import random_group, random_hom
 from test_coded_groups import finite_groups, homs
 from test_complexes import (
@@ -76,6 +78,22 @@ def ring_nerve(k=4):
 NERVES = {"point": point_nerve, "circle": circle_nerve, "ring4": ring_nerve}
 
 
+def _face(nerve, n, i, cell):
+    """d_i of a level-n cell, read from the nerve's face table."""
+    return nerve.level(n - 1)[nerve.faces(n)[nerve.level(n).index(cell)][i]]
+
+
+def assert_faces_match_oracle(nerve):
+    """The face table holds, for each cell, the positions of the cells the
+    cover's own tables give as its faces."""
+    assert nerve.faces(0) == ((),) * len(nerve.level(0))
+    for n in range(1, 4):
+        assert len(nerve.faces(n)) == len(nerve.level(n))
+        for cell, faces in zip(nerve.level(n), nerve.faces(n)):
+            assert [nerve.level(n - 1)[k] for k in faces] == \
+                [oracle_face(nerve.cover, cell, i) for i in range(n + 1)]
+
+
 def dense_piece(X, nerve):
     """``total_complex_piece`` with its sparse rows written out densely."""
     layouts, matrices = total_complex_piece(X, nerve)
@@ -97,7 +115,7 @@ def _all_sections(group, nerve, level):
 def _pull(nerve, s, level, i):
     """d_i^*: the section over ``level`` whose value at each cell is the
     value of s, a section one level down, at the cell's i-th face."""
-    return tuple(s[k] for k in nerve.face_index(level, i))
+    return tuple(s[faces[i]] for faces in nerve.faces(level))
 
 
 def _add(s, t):
@@ -192,8 +210,12 @@ class TestNerve:
     def test_point(self):
         N = point_nerve()
         assert [len(N.level(n)) for n in range(4)] == [1, 1, 1, 1]
-        c1 = N.level(1)[0]
-        assert N.face(1, 0, c1) == N.level(0)[0]
+        assert [N.faces(n) for n in range(4)] == \
+            [((),), ((0, 0),), ((0, 0, 0),), ((0, 0, 0, 0),)]
+
+    @pytest.mark.parametrize("name", NERVES)
+    def test_face_table_matches_the_cell_oracle(self, name):
+        assert_faces_match_oracle(NERVES[name]())
 
     def test_circle_counts(self):
         N = circle_nerve()
@@ -216,7 +238,7 @@ class TestNerve:
             cover_of_parts(("U", "V"), split_u, [(("U", "V"), "*", ("U",), "z")])
         N = cech_nerve(cover_of_parts(
             ("U", "V"), split_u, [(("U", "V"), "*", ("U",), "y")]))
-        assert N.face(1, 1, ((0, 1), "*")) == ((0,), "y")
+        assert _face(N, 1, 1, ((0, 1), "*")) == ((0,), "y")
 
     @pytest.mark.parametrize("intersections,containments,message", [
         ([(("U", "V"), ("x", "x"))], [],
@@ -271,11 +293,27 @@ class TestNerve:
             with pytest.raises(ValueError, match=rf"^unknown part '{unknown}'$"):
                 cover_of_parts(("U", "V"), declared, [(key, "*", sub, "*")])
 
+    def test_failed_identity_names_its_first_cell(self, monkeypatch):
+        # U n V sits in U:x and U n W in U:y, so the two routes from
+        # (1, 2, 0) down to its U vertex disagree; a triple intersection
+        # puts 82 cells at level 3, so the cap is raised to reach the check
+        monkeypatch.setattr(cech, "MAX_CELLS_PER_LEVEL", 82)
+        cover = cover_of_parts(
+            ("U", "V", "W"),
+            [(("U",), ("x", "y")), (("U", "V"), ("*",)),
+             (("U", "W"), ("*",)), (("V", "W"), ("*",)),
+             (("U", "V", "W"), ("*",))],
+            [(("U", "V"), "*", ("U",), "x"), (("U", "W"), "*", ("U",), "y")])
+        with pytest.raises(ValueError, match=re.escape(
+                "simplicial identity d_0 d_1 = d_0 d_0 fails at "
+                "((1, 2, 0), '*')")):
+            Nerve(cover)
+
     def test_faces_drop_indices(self):
         N = circle_nerve()
         cell = ((0, 1), "c")
-        assert N.face(1, 0, cell)[0] == (1,)
-        assert N.face(1, 1, cell)[0] == (0,)
+        assert _face(N, 1, 0, cell)[0] == (1,)
+        assert _face(N, 1, 1, cell)[0] == (0,)
 
     def test_point_and_circle_against_oracles(self):
         for N, (cells, faces), name in (
@@ -285,7 +323,8 @@ class TestNerve:
                 assert [name(t) for t, _ in N.level(n)] == cells[n]
             for (n, i), face in faces.items():
                 for cell in N.level(n):
-                    assert name(N.face(n, i, cell)[0]) == face[name(cell[0])]
+                    assert name(_face(N, n, i, cell)[0]) == \
+                        face[name(cell[0])]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -312,12 +351,7 @@ class TestNerve:
             return
         N = Nerve(cover)
         assert [list(N.level(n)) for n in range(4)] == levels
-        for n in range(1, 4):
-            for i in range(n + 1):
-                for k, (tup, comp) in enumerate(N.level(n)):
-                    face = N.face(n, i, (tup, comp))
-                    assert face[0] == tup[:i] + tup[i + 1:]
-                    assert N.level(n - 1)[N.face_index(n, i)[k]] == face
+        assert_faces_match_oracle(N)
 
     def test_many_disjoint_parts_build_fast(self):
         cover = cover_of_parts([f"p{i}" for i in range(64)], [])
@@ -342,7 +376,7 @@ class TestSections:
         s = tuple(Z2.element([i % 2]) for i in range(len(N.level(0))))
         p0 = _pull(N, s, 1, 0)
         for k, c in enumerate(N.level(1)):
-            assert p0[k] == s[N.level(0).index(N.face(1, 0, c))]
+            assert p0[k] == s[N.level(0).index(oracle_face(N.cover, c, 0))]
 
 
 class TestTorsorClasses:
@@ -816,11 +850,17 @@ class _PackedLayout:
         return comps
 
 
-def _unpack(X, layout, coords):
+def _cell_blocks(nerve, layout):
+    """The (p, q, k) blocks of a layout as (p, q, cell)."""
+    return [(p, q, nerve.level(q)[k]) for p, q, k in layout.blocks]
+
+
+def _unpack(X, nerve, layout, coords):
     """{(p, q): {cell: element}} of a block coordinate vector."""
     comps = {}
-    for p, q, cell in layout.blocks:
-        G, off = X.group_at(p), layout.offset[(p, q, cell)]
+    for block, (p, q, cell) in zip(layout.blocks,
+                                   _cell_blocks(nerve, layout)):
+        G, off = X.group_at(p), layout.offset[block]
         comps.setdefault((p, q), {})[cell] = G.element(
             coords[off:off + G.ngens])
     return comps
@@ -836,7 +876,8 @@ def _differential_by_sections(X, nerve, comps, blocks):
         if (p, q - 1) in comps:
             acc = X.group_at(p).zero()
             for i in range(q + 1):
-                face_val = comps[(p, q - 1)][nerve.face(q, i, cell)]
+                face = oracle_face(nerve.cover, cell, i)
+                face_val = comps[(p, q - 1)][face]
                 acc = acc + face_val if i % 2 == 0 else acc - face_val
             val = val + (acc if p % 2 else -acc)
         yield val
@@ -893,8 +934,8 @@ class TestBlockDifferential:
                 for j in range(len(source.orders)):  # the image of e_j
                     e_j = [int(i == j) for i in range(len(source.orders))]
                     image = [x for val in _differential_by_sections(
-                        X, N, _unpack(X, source, e_j), target.blocks)
-                        for x in val.coords]
+                        X, N, _unpack(X, N, source, e_j),
+                        _cell_blocks(N, target)) for x in val.coords]
                     assert _zero_mod([[row[j] - y] for row, y in
                                       zip(D, image)], target.orders)
             assert _zero_mod(_matmul(matrices[1], matrices[0]),
@@ -1058,9 +1099,8 @@ def _block_coder(N, X):
                   for f, y in zip(a_phi, b)]
         if any(k is None for k in points):
             return None
-        value = dict(zip([(-1, 1, c) for c in N.level(1)],
-                         (x.coords for x in a)))
-        value.update(zip([(0, 0, c) for c in N.level(0)], points))
+        value = {(-1, 1, k): x.coords for k, x in enumerate(a)}
+        value.update(((0, 0, k), point) for k, point in enumerate(points))
         return [v for block in l0.blocks for v in value[block]]
     return code
 
@@ -1102,8 +1142,9 @@ class TestUnitCocycleRoundTrip:
         (_, l0, _), _ = _unit_piece(X, N)
         x = cocycle_of_unit(X, _units(X)[1], N)
         for block, bidegree, cell in [
-                ((0, 0, N.level(0)[0]), (0, 1), ((0, 1), "c")),
-                ((-1, 1, ((0, 1), "c")), (-1, 2), ((0, 1, 0), "c"))]:
+                ((0, 0, 0), (0, 1), ((0, 1), "c")),
+                ((-1, 1, N.level(1).index(((0, 1), "c"))), (-1, 2),
+                 ((0, 1, 0), "c"))]:
             bad = list(x)
             bad[l0.offset[block]] += 1
             with pytest.raises(CocycleError) as info:

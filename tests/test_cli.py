@@ -557,7 +557,14 @@ class TestCliProcess:
             containments=[{"parts": ["a0", "a1", "a2"], "component": "t",
                            "sub_parts": ["a0"], "sub_component": "*"}]),
          "nerve: containment ['a0', 'a1', 'a2']:t in ['a0'] is never "
-         "consulted: ['a0'] is not ['a0', 'a1', 'a2'] less one part")])
+         "consulted: ['a0'] is not ['a0', 'a1', 'a2'] less one part"),
+        # every part in two components: the first face resolved, d_0 of
+        # the first cell of U n V, already needs a containment
+        ({"parts": ["U", "V"],
+          "intersections": [{"parts": p, "components": ["x", "y"]}
+                            for p in (["U"], ["V"], ["U", "V"])]},
+         "nerve: ambiguous component containment ['U', 'V']:x -> ['V']; "
+         "declare it explicitly")])
     @pytest.mark.parametrize("embedded", [False, True])
     def test_ambiguous_cover_exit_2(self, tmp_path, capsys, nerve, message,
                                     embedded):

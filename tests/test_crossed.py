@@ -556,6 +556,11 @@ def _coded(N, t):
                  for k, part in zip((1, 0, 0), t))
 
 
+def _d(N, i, c):
+    """d_i of a level-1 cell, from the cover's own tables."""
+    return oracles.oracle_face(N.cover, c, i)
+
+
 def oracle_triple(X, N, values):
     """The descent triple over g' = values in cell order: h by search for
     bnd(g') h = 1, and g = d0*(g') (d1*(g'))^-1 read off the faces."""
@@ -564,7 +569,7 @@ def oracle_triple(X, N, values):
     h = {c: next(y for y in H.elements()
                  if H.mul(X.boundary[x], y) == H.identity)
          for c, x in gp.items()}
-    g = {c: G.mul(gp[N.face(1, 0, c)], G.inverse[gp[N.face(1, 1, c)]])
+    g = {c: G.mul(gp[_d(N, 0, c)], G.inverse[gp[_d(N, 1, c)]])
          for c in N.level(1)}
     return _coded(N, (g, gp, h))
 
@@ -585,7 +590,7 @@ def oracle_law(X, N, t1, t2):
     (g1, gp1, h1), (g2, gp2, h2) = _named(N, t1), _named(N, t2)
     G, H = X.G, X.H
     return _coded(N, (
-        {c: G.mul(X.action[g1[c]][h2[N.face(1, 0, c)]], g2[c])
+        {c: G.mul(X.action[g1[c]][h2[_d(N, 0, c)]], g2[c])
          for c in g1},
         {c: G.mul(X.action[gp1[c]][h2[c]], gp2[c]) for c in gp1},
         {c: H.mul(h1[c], h2[c]) for c in h1}))
@@ -596,7 +601,7 @@ def oracle_inverse(X, N, t):
     g, gp, h = _named(N, t)
     G, H = X.G, X.H
     return _coded(N, (
-        {c: X.action[G.inverse[g[c]]][H.inverse[h[N.face(1, 0, c)]]]
+        {c: X.action[G.inverse[g[c]]][H.inverse[h[_d(N, 0, c)]]]
          for c in g},
         {c: X.action[G.inverse[gp[c]]][H.inverse[h[c]]] for c in gp},
         {c: H.inverse[h[c]] for c in h}))

@@ -482,15 +482,22 @@ class TestContractible2Charge:
         assert {(2, 2), (4, 2), (2, 1)} <= kernels
 
     def test_refusal_lists_no_1morphism(self, monkeypatch):
-        listed, coded = [], point_models._coded_1morphisms
-        monkeypatch.setattr(point_models, "_coded_1morphisms",
-                            lambda *args: listed.append(args) or coded(*args))
+        # nor does it build the units or the fiber arrays first
+        called = []
+        for name in ("_coded_units", "_fibers", "_coded_1morphisms"):
+            monkeypatch.setattr(
+                point_models, name, lambda *args, name=name,
+                real=getattr(point_models, name): called.append(name) or
+                real(*args))
         X = model2_example()
         with pytest.raises(CapExceeded):
             verify_contractible_2(X, max_states=_level_2_states(X) - 1)
-        assert listed == []
+        assert called == []
         verify_contractible_2(X, max_states=_level_2_states(X))
-        assert len(listed) == 4  # once per ordered pair of the 2 units
+        # units of lam and of delta, both fiber arrays, and one listing
+        # per ordered pair of the 2 units
+        assert sorted(called) == ["_coded_1morphisms"] * 4 + \
+            ["_coded_units"] * 2 + ["_fibers"] * 2
 
 
 def _check(report, name):
