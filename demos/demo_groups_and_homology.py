@@ -7,6 +7,7 @@ homology of small complexes; everything is integer-exact.
 from unital import (
     Complex,
     FgAbGroup,
+    GroupElem,
     GroupHom,
     cokernel,
     homology,
@@ -33,7 +34,7 @@ print("== kernel and cokernel ==")
 f = GroupHom(FgAbGroup.cyclic(4), FgAbGroup.cyclic(2), [[1]])
 K, incl = kernel(f)
 print(f"reduction Z/4 -> Z/2 has kernel {K}, "
-      f"embedded by 1 |-> {incl(K.element([1])).coords[0]}")
+      f"embedded by 1 |-> {incl(GroupElem(K, [1])).coords[0]}")
 g = GroupHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [[2]])
 Q, _ = cokernel(g)
 print(f"doubling Z/2 -> Z/4 has cokernel {Q}")

@@ -9,6 +9,7 @@ a Picard 2-groupoid whose units are unique up to a unique 2-morphism.
 from unital import (
     Complex,
     FgAbGroup,
+    GroupElem,
     GroupHom,
     enumerate_units_1,
     enumerate_units_2,
@@ -26,10 +27,10 @@ for e, a_phi in units:
     print(f"  unit: e = {e}, a_phi = {a_phi}")
 (_, a_s), (e_t, a_t) = units
 print(f"unique morphism first -> second has u = a_phi(s) - a_phi(t) = "
-      f"{Z2.element(a_s) - Z2.element(a_t)}")
+      f"{(GroupElem(Z2, a_s) - GroupElem(Z2, a_t)).coords}")
 print(f"ordered pairs of units joined by that morphism: "
       f"{units_and_morphism_count_1(X)[1]} of {len(units) ** 2}")
-e, a_phi = Z4.element(e_t), Z2.element(a_t)
+e, a_phi = GroupElem(Z4, e_t), GroupElem(Z2, a_t)
 print(f"tensor of the nontrivial unit with itself, the pointwise sum: "
       f"{((e + e).coords, (a_phi + a_phi).coords)}")
 print(verify_contractible_1(X).to_text())

@@ -15,9 +15,8 @@ matrix from the solved columns.
 This is a lazy layer (see ``unital._LAYERS``): ``homology``,
 ``unit-complex``, ``qiso`` and ``cech-classify`` execute it, the unit
 scans and the crossed-module commands never do.  It re-exports
-``GroupElem`` of ``groups``, which nothing here builds, and the run
-contract of ``verification`` (``CapExceeded``, ``FinitenessError``,
-``charge``, ``MAX_CODED_ORDER``).
+``GroupElem`` of ``groups``, which nothing here builds, for the
+benchmark's tracer; the run contract is imported from ``verification``.
 
 >>> G = FgAbGroup.from_divisors(2, 3)
 >>> str(G)
@@ -33,12 +32,10 @@ from __future__ import annotations
 import itertools
 from math import gcd, inf, lcm
 
-# GroupElem, for perfbench's tracer, and the run contract are re-exported
+# GroupElem is re-exported for perfbench's tracer
 from .groups import (
     FgAbGroup, GroupElem, GroupHom, _freeze, _identity, _matmul, _matvec)
 from .record import Record
-from .verification import (
-    MAX_CODED_ORDER, CapExceeded, FinitenessError, charge)
 
 
 def smith_normal_form(M):

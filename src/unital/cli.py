@@ -116,6 +116,12 @@ def main(argv=None):
     if report is None:
         print("cap exceeded: memory", file=sys.stderr)
         return 3
+    # an exact group may have more digits than the interpreter's
+    # int-to-string limit (0: none) lets it print, so the limit is lifted
+    # while the report renders; load_json still refuses such an integer
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         print(report.to_json() if args.json else report.to_text())
         sys.stdout.flush()
@@ -127,6 +133,9 @@ def main(argv=None):
         except OSError:  # stderr is unwritable too, or stdout has no fd
             pass
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0 if report.passed else 1
 
 

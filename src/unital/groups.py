@@ -12,8 +12,10 @@ from them, its length being data: 2 terms present a Picard groupoid, 3 a
 Picard 2-groupoid.
 
 The computing layers work on coordinate tuples.  ``GroupElem``, a tuple
-with its group, is value API for printing and arithmetic by hand, and
-only this module builds one.
+with its group, keeps only what the benchmark's tracer and microbenchmark
+bind by name: its addition, negation and subtraction, with
+``FgAbGroup.elements`` and ``GroupHom.__call__``.  Only this module
+builds one.
 
 This is the bottom lazy layer (see ``unital._LAYERS``): every command
 on a complex executes it.  Smith forms, kernels and direct sums live in
@@ -127,17 +129,6 @@ class FgAbGroup(Record):
             coords[i] %= d
         return tuple(coords)
 
-    def element(self, coords):
-        return GroupElem(self, self.reduce(coords))
-
-    def zero(self):
-        return GroupElem(self, (0,) * self.ngens)
-
-    def generator(self, i):
-        coords = [0] * self.ngens
-        coords[i] = 1
-        return self.element(coords)
-
     def elements(self):
         """All elements in lexicographic coordinate order (finite only)."""
         if not self.is_finite:
@@ -185,16 +176,6 @@ class GroupElem(Record):
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, n):
-        return GroupElem(self.group, tuple(n * a for a in self.coords))
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __str__(self):
-        return f"({', '.join(map(str, self.coords))})"
-
 
 class GroupHom(Record):
     """Homomorphism given by an integer matrix on canonical generators.
@@ -236,8 +217,8 @@ class GroupHom(Record):
     def __call__(self, x):
         if x.group != self.source:
             raise ValueError("element not in the source group")
-        return self.target.element(
-            _matvec(self.matrix, x.coords, self.target.ngens, self.source.ngens))
+        return GroupElem(self.target, _matvec(
+            self.matrix, x.coords, self.target.ngens, self.source.ngens))
 
     def compose(self, other):
         """self after other (matrix product)."""

@@ -13,28 +13,27 @@ from unital.groups import GroupHom
 
 
 def from_images(source, target, images) -> GroupHom:
-    """The homomorphism sending generator i of the source to the element
-    images[i] of the target."""
+    """The homomorphism sending generator i of the source to the target
+    element with coordinates images[i]."""
     if len(images) != source.ngens:
         raise ValueError("need one image per source generator")
-    for y in images:
-        if y.group != target:
-            raise ValueError("image in wrong group")
-    rows = [[y.coords[i] for y in images] for i in range(target.ngens)]
+    if any(len(y) != target.ngens for y in images):
+        raise ValueError("image coordinates of the wrong length")
+    rows = [[y[i] for y in images] for i in range(target.ngens)]
     return GroupHom(source, target, rows)
 
 
 def lift_by_images(incl: GroupHom, f: GroupHom) -> GroupHom:
     """The per-column route to ``lift_through``, its oracle: each column
-    of f solved through incl into an element, and the images assembled
-    by ``from_images``."""
+    of f solved through incl, and the solutions assembled by
+    ``from_images``."""
     images = []
     for j in range(f.source.ngens):
         x = solve(incl, [row[j] for row in f.matrix])
         if x is None:
             raise ValueError(
                 "homomorphism does not factor through the inclusion")
-        images.append(incl.source.element(x))
+        images.append(x)
     return from_images(f.source, incl.source, images)
 
 

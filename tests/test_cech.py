@@ -3,13 +3,14 @@ import random
 import re
 import time
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import cech, coded
+from unital import cech, coded, point_models
 from unital.abelian import (
-    CapExceeded, FgAbGroup, GroupHom, direct_sum, direct_sum_many, kernel,
+    FgAbGroup, GroupElem, GroupHom, direct_sum, direct_sum_many, kernel,
     solve, subquotient)
 from unital.cech import (
     MAX_CELLS_PER_LEVEL,
@@ -28,6 +29,7 @@ from unital.complexes import Complex, homology, unit_complex_1, unit_complex_2
 from unital.covers import Cover, cover_of_parts, point_cover
 from unital.crossed import (
     CrossedModule,
+    FiniteGroup,
     enumerate_unit_triples,
     h0_group_law,
     verify_crossed_module,
@@ -37,11 +39,12 @@ from unital.point_models import (
     enumerate_units_2,
     verify_contractible_1,
 )
+from unital.verification import CapExceeded, Report
 
 from constructions import from_images
 from oracles import (oracle_circle_nerve, oracle_face, oracle_point_nerve,
                      oracle_torsor_classes)
-from test_abelian import random_group, random_hom
+from test_abelian import killed_by, random_group, random_hom
 from test_coded_groups import finite_groups, homs
 from test_complexes import (
     MIXED_PRIMES, OracleHomology, c2_times2, c3_zero_id, random_complex2,
@@ -373,7 +376,7 @@ class TestSections:
 
     def test_pullback_along_faces(self):
         N = circle_nerve()
-        s = tuple(Z2.element([i % 2]) for i in range(len(N.level(0))))
+        s = tuple(GroupElem(Z2, [i % 2]) for i in range(len(N.level(0))))
         p0 = _pull(N, s, 1, 0)
         for k, c in enumerate(N.level(1)):
             assert p0[k] == s[N.level(0).index(oracle_face(N.cover, c, 0))]
@@ -419,7 +422,7 @@ class TestTorsorClasses:
         X = Complex((Z2, Z2), (GroupHom.zero(Z2, Z2),))
         rng = random.Random(29)
         A, B = X.terms
-        a, b, al1, al2 = (tuple(G.element([rng.randrange(2)])
+        a, b, al1, al2 = (tuple(GroupElem(G, [rng.randrange(2)])
                                 for _ in N.level(level))
                           for G, level in ((A, 1), (B, 0), (A, 0), (A, 0)))
         a1, b1 = _coboundary_action(N, X, *_coboundary_action(N, X, a, b, al1),
@@ -454,7 +457,7 @@ def _check_coded_scan(N, oracle_nerve, X):
     assert [(_decoded(A, a), _decoded(B, b))
             for a, b in res.representatives] == _filter_torsor_classes(N, X)
     cells, faces = oracle_nerve
-    lam = lambda a: X.maps[0](A.element(a)).coords  # noqa: E731
+    lam = lambda a: X.maps[0](GroupElem(A, a)).coords  # noqa: E731
     assert res.count == oracle_torsor_classes(
         cells, faces, A.invariant_factors, B.invariant_factors, lam)
     # two ways to one number: torsor classes and |H^0(Tot X)|
@@ -469,10 +472,9 @@ def _complex_id(X):
 def _complexes2(groups):
     """Every 2-term complex with both terms from ``groups``."""
     for A, B in itertools.product(groups, repeat=2):
-        pools = [[y for y in B.elements() if y.scale(d).is_zero]
-                 for d in A.invariant_factors]
+        pools = [killed_by(d, B) for d in A.invariant_factors]
         for images in itertools.product(*pools):
-            yield Complex((A, B), (from_images(A, B, list(images)),))
+            yield Complex((A, B), (from_images(A, B, images),))
 
 
 def _complex2(a_factors, b_factors, lam):
@@ -517,6 +519,72 @@ class TestCodedTorsorScan:
             cech._cocycle_classes(circle_nerve(), X, 31)
         assert str(exc.value) == "coboundary quotient needs 32 states " \
             "(|A|^|V_0| per class swept), above the cap 31"
+
+
+# Scans whose charge does not come before all of their work, and why;
+# every other charged scan is a case of test_charge_comes_first
+CHARGED_DURING_THE_WORK = {
+    "verify_contractible_2": "codes its tables first, to read |ker delta| "
+                             "off delta's image array",
+    "_cocycle_classes": "charges its coboundary sweep class by class",
+    "classify_h0": "uncharged, as are the unit-complex eliminations "
+                   "(ROADMAP item 3)",
+    "crossed-units": "runs its unit scan and axiom checks uncharged, "
+                     "bounded only by tables.MAX_GROUP_ORDER = 64",
+}
+
+
+def _charged_scans():
+    """(name, run(max_states), the charge) of each scan charged up front:
+    every charge formula's value on one small input."""
+    Z4 = FgAbGroup.cyclic(4)
+    onto = Complex((Z4, Z2), (GroupHom(Z4, Z2, [[1]]),))
+    level2 = Complex((Z2, Z4, Z2), (GroupHom(Z2, Z4, [[2]]),
+                                    GroupHom(Z4, Z2, [[1]])))
+    zero2 = Complex((Z2, Z2), (GroupHom.zero(Z2, Z2),))
+    Z3t, Z2t = FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)
+    trivial = CrossedModule(Z3t, Z2t, (0, 0, 0),
+                            [(g, g) for g in Z3t.elements()])
+
+    def handler(scan, X):
+        return lambda cap: scan(Report("scan"), X,
+                                SimpleNamespace(max_states=cap))
+
+    return [
+        ("_units_1", handler(point_models._units_1, onto), 4 ** 2),  # |A|^2
+        ("_units_2", handler(point_models._units_2, level2), 4),  # |B|
+        ("verify_contractible_1",
+         lambda cap: verify_contractible_1(onto, cap), 4 ** 3),  # |A|^3
+        # |A|^|V_1| |B|^|V_0|, with 9 cells at level 1 and 3 at level 0
+        ("torsor_classes",
+         lambda cap: torsor_classes(circle_nerve(), zero2, cap), 2 ** 12),
+        ("unit_cocycles",  # |A|^|V_0|
+         lambda cap: unit_cocycles(circle_nerve(),
+                                   unit_complex_1(zero2)[0], cap), 2 ** 3),
+        ("enumerate_unit_triples",  # |G|^|V_0|
+         lambda cap: list(enumerate_unit_triples(trivial, circle_nerve(),
+                                                 cap)), 3 ** 3),
+    ]
+
+
+@pytest.mark.parametrize("name, scan, states", [
+    pytest.param(*case, id=case[0]) for case in _charged_scans()])
+def test_charge_comes_first(monkeypatch, name, scan, states):
+    # refused one state below its charge, a scan has built no coded table;
+    # at its charge it runs
+    assert name not in CHARGED_DURING_THE_WORK
+    builds = []
+    real = coded.CodedGroup.__init__
+    monkeypatch.setattr(coded.CodedGroup, "__init__",
+                        lambda self, *args: builds.append(args) or
+                        real(self, *args))
+    with pytest.raises(CapExceeded, match=f" needs {states} states "):
+        scan(states - 1)
+    assert builds == []
+    scan(states)
+    # the spy sees the tables of each abelian scan; the triples read the
+    # crossed module's own tables
+    assert bool(builds) == (name != "enumerate_unit_triples")
 
 
 class TestUnitCocycles:
@@ -861,8 +929,8 @@ def _unpack(X, nerve, layout, coords):
     for block, (p, q, cell) in zip(layout.blocks,
                                    _cell_blocks(nerve, layout)):
         G, off = X.group_at(p), layout.offset[block]
-        comps.setdefault((p, q), {})[cell] = G.element(
-            coords[off:off + G.ngens])
+        comps.setdefault((p, q), {})[cell] = GroupElem(
+            G, coords[off:off + G.ngens])
     return comps
 
 
@@ -870,11 +938,12 @@ def _differential_by_sections(X, nerve, comps, blocks):
     """d_X + (-1)^(p+1) cech of the components {(p, q): {cell: element}}
     at each (p, q, cell) of ``blocks``, in GroupElem arithmetic."""
     for p, q, cell in blocks:
-        val = X.group_at(p).zero()
+        G = X.group_at(p)
+        val = zero = GroupElem(G, (0,) * G.ngens)
         if (p - 1, q) in comps:
             val = val + X.differential(p - 1)(comps[(p - 1, q)][cell])
         if (p, q - 1) in comps:
-            acc = X.group_at(p).zero()
+            acc = zero
             for i in range(q + 1):
                 face = oracle_face(nerve.cover, cell, i)
                 face_val = comps[(p, q - 1)][face]
@@ -885,15 +954,17 @@ def _differential_by_sections(X, nerve, comps, blocks):
 
 def _packed_differential(X, nerve, source, target):
     """The packed total differential, generator by generator."""
+    S, T = source.group, target.group
     images = []
-    for g in range(source.group.ngens):
-        out = target.group.zero()
+    for g in range(S.ngens):
+        generator = GroupElem(S, [int(j == g) for j in range(S.ngens)])
+        out = GroupElem(T, (0,) * T.ngens)
         values = _differential_by_sections(
-            X, nerve, source.unpack(source.group.generator(g)), target.blocks)
+            X, nerve, source.unpack(generator), target.blocks)
         for val, inj in zip(values, target.inj):
             out = out + inj(val)
-        images.append(out)
-    return from_images(source.group, target.group, images)
+        images.append(out.coords)
+    return from_images(S, T, images)
 
 
 def _packed_h0(nerve, X):
@@ -1113,8 +1184,9 @@ class TestUnitCocycleRoundTrip:
         N = point_nerve()
         x = cocycle_of_unit(X, unit, N)
         A, B = X.terms
-        assert x == _block_coder(N, X)((A.zero(),), (A.element([1]),),
-                                       (B.element([2]),))
+        assert x == _block_coder(N, X)((GroupElem(A, [0]),),
+                                       (GroupElem(A, [1]),),
+                                       (GroupElem(B, [2]),))
         assert unit_of_cocycle(x, N, X)[0] == unit
 
     def test_zero_unit(self):
@@ -1124,7 +1196,7 @@ class TestUnitCocycleRoundTrip:
     def test_nonconstant_cocycle_decodes_to_connected_unit(self):
         N = circle_nerve()
         X = Complex((Z3, Z3), (GroupHom.zero(Z3, Z3),))
-        phi = tuple(Z3.element([i % 3]) for i in range(len(N.level(0))))
+        phi = tuple(GroupElem(Z3, [i % 3]) for i in range(len(N.level(0))))
         x = _block_coder(N, X)(*unit_cocycle_from_phi(N, X, phi))
         unit, w = unit_of_cocycle(x, N, X)
         # K reads the base cell, and w carries x onto the constant cocycle
@@ -1202,7 +1274,7 @@ class TestUnitCocycleRoundTrip:
         (_, _, l1), (_, d_high) = _unit_piece(X, N)
         code, rng = _block_coder(N, X), random.Random(str(X))
         A, B = X.terms
-        elems, g, h = list(A.elements()), A.generator(0), B.generator(0)
+        elems, g, h = list(A.elements()), GroupElem(A, [1]), GroupElem(B, [1])
         for a_phi in _all_sections(A, N, 0):
             a, _, b = unit_cocycle_from_phi(N, X, a_phi)
             k = rng.randrange(len(a))

@@ -937,6 +937,35 @@ def test_huge_group_order_is_over_the_cap(tmp_path):
                           "exceeds the cap 256\n"
 
 
+def _decimal(digits):
+    """The integer of a decimal string, read in 1,000-digit pieces so that
+    no conversion meets the interpreter's int-string digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.mark.parametrize("form", ["--json", "--text"])
+def test_exact_group_past_the_digit_limit_prints(tmp_path, capsys, form):
+    # each entry has about 2,200 digits, so the input parses; H^0 is
+    # Z/(2^7300 3^4610), about 4,400 digits, past the interpreter's
+    # int-string digit limit (4300 from Python 3.11), which main lifts
+    # while it renders and restores afterwards
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "kind": "complex2", "groups": {"A": {"free": 2}, "B": {"free": 2}},
+        "maps": {"lambda": [[2 ** 7300, 1], [0, 3 ** 4610]]}}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["homology", "--in", str(path), form]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    out, err = capsys.readouterr()
+    assert err == ""
+    factor = re.search(r'"0": "Z/(\d+)"', out).group(1)
+    assert _decimal(factor) == 2 ** 7300 * 3 ** 4610
+
+
 def _assert_output_error(proc, reason):
     assert proc.returncode == 2
     assert proc.stderr.startswith("output error: ") and reason in proc.stderr

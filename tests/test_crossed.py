@@ -9,7 +9,6 @@ import oracles
 from unital import point_models
 from unital.cech import cech_nerve
 from unital.covers import point_cover
-from unital.abelian import CapExceeded
 from unital.crossed import (
     CrossedModule,
     FiniteGroup,
@@ -25,6 +24,7 @@ from unital.crossed import (
 from unital.coded import unit_morphism_checks
 from unital.point_models import verify_contractible_1
 from unital.specfile import SpecError, parse_spec
+from unital.verification import CapExceeded
 
 from test_cech import circle_cover
 from test_coded_groups import is_abelian

@@ -63,20 +63,14 @@ UNREACHED = {
     "groups.Complex.__str__": VALUE_API,
     "groups.FgAbGroup.__repr__": VALUE_API,
     "groups.FgAbGroup.cyclic": VALUE_API,
-    "groups.FgAbGroup.element": VALUE_API,
     "groups.FgAbGroup.elements": PERFBENCH_PIN,
     "groups.FgAbGroup.free": VALUE_API,
-    "groups.FgAbGroup.generator": VALUE_API,
     "groups.FgAbGroup.trivial": IMPORT_TIME,
-    "groups.FgAbGroup.zero": VALUE_API,
     "groups.GroupElem.__add__": PERFBENCH_PIN,
     "groups.GroupElem.__neg__": PERFBENCH_PIN,
     "groups.GroupElem.__post_init__": VALUE_API,
-    "groups.GroupElem.__str__": VALUE_API,
     "groups.GroupElem.__sub__": PERFBENCH_PIN,
     "groups.GroupElem._check": VALUE_API,
-    "groups.GroupElem.is_zero": VALUE_API,
-    "groups.GroupElem.scale": VALUE_API,
     "groups.GroupHom.__call__": PERFBENCH_PIN,
     "groups.GroupHom.__str__": VALUE_API,
     "record.Record.__delattr__": VALUE_API,

@@ -41,7 +41,7 @@ SAMPLES = {
     "FgAbGroup": lambda: [Z2, Z4, abelian.FgAbGroup((2,), 0),
                           abelian.FgAbGroup((2, 4), 1)],
     "GroupElem": lambda: [*abelian.FgAbGroup((2, 4), 0).elements()][:4]
-    + [Z2.zero(), Z4.zero()],
+    + [abelian.GroupElem(Z2, (0,)), abelian.GroupElem(Z4, (0,))],
     "GroupHom": lambda: [abelian.GroupHom(Z2, Z4, [[2]]),
                          abelian.GroupHom.identity(Z4),
                          abelian.GroupHom.zero(Z4, Z4)],

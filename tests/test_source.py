@@ -179,10 +179,8 @@ def test_state_cap_compared_only_in_charge():
     assert in_charge == 1
 
 
-# the run contract abelian re-exports from verification, and GroupElem
-# from groups, for callers that import them from abelian
-REEXPORTS = {"abelian": {"CapExceeded", "FinitenessError", "GroupElem",
-                         "MAX_CODED_ORDER", "charge"}}
+# GroupElem, which abelian re-exports from groups for perfbench's tracer
+REEXPORTS = {"abelian": {"GroupElem"}}
 
 
 def test_no_unused_imports():
