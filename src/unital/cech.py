@@ -320,7 +320,9 @@ def _block_differential(X, nerve, source, target):
         for i, face in enumerate(nerve.faces(q)[k]):
             off = source.offset[(p, q - 1, face)]
             for g, row in enumerate(block):
-                v = row.pop(off + g, 0) + (-1) ** (p + 1 + i)
+                # an int sign: p + 1 + i may be negative, and a negative
+                # power of -1 is a float
+                v = row.pop(off + g, 0) + (-1) ** ((p + 1 + i) % 2)
                 if v:
                     row[off + g] = v
         rows += block
@@ -498,7 +500,8 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     x is a T^0 coordinate vector of ``total_complex_piece(U, nerve)``; it
     is a cocycle iff D0 x lies in R1, and otherwise CocycleError names the
     first (p, q) block and cell of T^1 where it does not.  The unit is read
-    off the base cell of V_0, then w is solved for exactly.
+    off the point of U^0 on the base cell of V_0, whose constant cocycle is
+    J(unit), then w is solved for exactly.
     """
     U, emb, (_, _, proj_s, proj_o) = _unit_frame(X)
     (lm1, l0, l1), (d_low, d_high) = total_complex_piece(U, nerve)
@@ -512,10 +515,14 @@ def unit_of_cocycle(x, nerve: Nerve, X):
             raise CocycleError(f"total differential nonzero at bidegree "
                                f"({p}, {q})", nerve.level(q)[k])
     K, off = U.group_at(0), l0.offset[(0, 0, 0)]
+    point = K.reduce(x[off:off + K.ngens])
     unit = tuple(p.target.reduce(groups._matvec(
-        p.matrix, x[off:off + K.ngens], p.target.ngens, K.ngens))
+        p.matrix, point, p.target.ngens, K.ngens))
         for p in (proj_o.compose(emb), proj_s.compose(emb)))
-    target = [y - z for y, z in zip(x, cocycle_of_unit(X, unit, nerve))]
+    target = list(x)  # x - J(unit): the point off every (0, 0, k) block
+    for k in range(len(nerve.level(0))):
+        off = l0.offset[(0, 0, k)]
+        target[off:off + K.ngens] = [y - z for y, z in zip(x[off:], point)]
     # D-1 w + r = target with r in R0, an exact solve over the integers:
     # w then r are the coordinates of a free source
     free = groups.FgAbGroup.free

@@ -24,7 +24,10 @@ X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
 
 ``Complex`` lives in ``groups``; ``homology``, ``unit-complex``, ``qiso``
 and ``cech-classify`` execute this lazy layer.  The report handlers of the
-first three are at the end of the module.
+first three are at the end of the module, one per command for both
+lengths: each reads the level from ``len(X.maps)`` and calls the unit
+complex or model builders of that level by their module names when it
+runs.
 """
 
 from __future__ import annotations
@@ -293,7 +296,8 @@ def _homology(report, X, opts):
     report.add("complex is well formed", True)
 
 
-def _unit_complex(report, U, opts):
+def _unit_complex(report, X, opts):
+    U, _ = (unit_complex_1 if len(X.maps) == 1 else unit_complex_2)(X)
     report.data["terms"] = {str(d): U.group_at(d) for d in U.degrees}
     table = _homology_table(U)
     report.data["homology"] = table
@@ -304,15 +308,10 @@ def _unit_complex(report, U, opts):
         report.add("unit complex computed", True)
 
 
-def _unit_complex_1(report, X, opts):
-    _unit_complex(report, unit_complex_1(X)[0], opts)
-
-
-def _unit_complex_2(report, X, opts):
-    _unit_complex(report, unit_complex_2(X)[0], opts)
-
-
-def _qiso(report, X, opts, builders):
+def _qiso(report, X, opts):
+    # built per call from the module's names, so a rebound builder is seen
+    builders = {"idA": identity_model, "idker": kernel_model} \
+        if len(X.maps) == 1 else {"idA": sum_model, "idker": kernel_sum_model}
     for name in (opts.against,) if opts.against else tuple(builders):
         if name not in builders:
             raise SpecError(f"against: unknown model {name!r}")
@@ -324,11 +323,3 @@ def _qiso(report, X, opts, builders):
             str(d): {"source": g.source, "target": g.target,
                      "matrix": [list(r) for r in g.matrix]}
             for d, g in res.induced.items()}
-
-
-def _qiso_1(report, X, opts):
-    _qiso(report, X, opts, {"idA": identity_model, "idker": kernel_model})
-
-
-def _qiso_2(report, X, opts):
-    _qiso(report, X, opts, {"idA": sum_model, "idker": kernel_sum_model})

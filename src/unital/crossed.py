@@ -144,15 +144,17 @@ def unit_crossed_module(X: CrossedModule) -> CrossedModule:
 # point-model units
 
 
-def enumerate_units_nonabelian(X: CrossedModule):
+def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     """All units as coded pairs (e, g_phi), plus the contractibility report.
 
     Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
     kernel of the boundary; ``unit_morphism_checks`` adds that every ordered
     pair carries exactly one unit morphism and that these compose
-    coherently.
+    coherently.  Its |G|^3 coherence triples count against ``max_states``
+    before any unit is built.
     """
     G, H = X.G, X.H
+    charge("coherence scan", G.order ** 3, "|G|^3", max_states)
     units = coded._coded_units(G, X.boundary)
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
@@ -268,7 +270,7 @@ def _crossed_units(report, X, opts):
             raise
         report.checks += axioms.failures
         return
-    units, rep = enumerate_units_nonabelian(X)
+    units, rep = enumerate_units_nonabelian(X, max_states=opts.max_states)
     report.data["units"] = units
     report.merge(rep)
     report.merge(verify_crossed_module(U), prefix="unit module: ")

@@ -7,7 +7,9 @@ A group is stored in invariant-factor canonical form
 elements are integer coordinate vectors (torsion coordinates reduced into
 [0, d_i)), and homomorphisms are integer matrices acting on coordinates:
 columns are indexed by source generators, rows by target generators, and
-composition is the matrix product.  ``Complex`` holds a complex built
+composition is the matrix product.  Invariant factors, free ranks and
+matrix entries must be integers by ``record._is_int``: a float or a bool
+is refused with ValueError, never rounded.  ``Complex`` holds a complex built
 from them, its length being data: 2 terms present a Picard groupoid, 3 a
 Picard 2-groupoid.
 
@@ -30,7 +32,7 @@ import itertools
 from math import prod
 
 from . import abelian  # lazy: only from_divisors reaches into it
-from .record import Record
+from .record import Record, _is_int
 from .verification import FinitenessError
 
 
@@ -69,8 +71,11 @@ class FgAbGroup(Record):
     free_rank: int = 0
 
     def __post_init__(self):
-        inv = tuple(int(d) for d in self.invariant_factors)
+        inv = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", inv)
+        if not all(map(_is_int, inv + (self.free_rank,))):
+            raise ValueError("invariant factors and free rank must be "
+                             "integers")
         if any(d < 2 for d in inv):
             raise ValueError("invariant factors must be >= 2")
         if any(inv[i + 1] % inv[i] for i in range(len(inv) - 1)):
@@ -189,7 +194,9 @@ class GroupHom(Record):
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = [[int(x) for x in row] for row in self.matrix]
+        rows = [list(row) for row in self.matrix]
+        if not all(_is_int(x) for row in rows for x in row):
+            raise ValueError("matrix entries must be integers")
         if len(rows) != self.target.ngens or \
                 any(len(r) != self.source.ngens for r in rows):
             raise ValueError(

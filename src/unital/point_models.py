@@ -32,7 +32,9 @@ builder, ``_tables``, codes a complex of either length.  Units leave the
 scans as coordinate pairs (e, phi); morphisms exist only as coded index
 pairs inside them.  This lazy layer executes ``groups`` and ``coded``
 only, never the Smith forms, homology or crossed modules.  The report
-handlers of ``units`` and ``contractible`` are at the end of the module.
+handlers of ``units`` and ``contractible`` are at the end of the module:
+one per level for ``units``, and one for ``contractible``, which calls
+``verify_contractible_1`` or ``_2`` by the length of the complex.
 """
 
 from __future__ import annotations
@@ -219,9 +221,7 @@ def _units_2(report, X, opts):
     report.add("unit count equals |B|", len(units) == B.order(), len(units))
 
 
-def _contractible_1(report, X, opts):
-    report.merge(verify_contractible_1(X, max_states=opts.max_states))
-
-
-def _contractible_2(report, X, opts):
-    report.merge(verify_contractible_2(X, max_states=opts.max_states))
+def _contractible(report, X, opts):
+    verify = verify_contractible_1 if len(X.maps) == 1 \
+        else verify_contractible_2
+    report.merge(verify(X, max_states=opts.max_states))

@@ -33,6 +33,12 @@ def _gather(keys, getter=itemgetter):
     return get if len(keys) > 1 else lambda x: (get(x),)
 
 
+def _is_int(x):
+    """Whether x is an integer: an int, not a bool (JSON true is 1) or a
+    float that compares equal to one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Record:
     """Base of the library's immutable values (see the module docstring)."""
 

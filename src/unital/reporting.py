@@ -12,6 +12,11 @@ layer its command runs (``point_models``, ``complexes``, ``cech`` or
 ``crossed``), so a verdict compiles no other command's layer, and the
 handler is looked up only when the command runs.  A handler is called as
 ``handler(report, payload, opts)``, with the run's options in ``opts``.
+Where only the level differs, one handler serves every kind of
+``specfile.COMPLEX_KINDS`` and reads the level from ``len(X.maps)``: so
+for ``homology``, ``contractible``, ``unit-complex`` and ``qiso``.
+``units`` and ``cech-classify`` keep one handler per kind, since their
+checks, data and charges differ by level.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import time
 from types import SimpleNamespace
 
 from . import cech, complexes, crossed, point_models
-from .specfile import ComplexSpecFile, SpecError
+from .specfile import COMPLEX_KINDS, ComplexSpecFile, SpecError
 from .verification import (
     MAX_CODED_ORDER, MAX_STATES, CapExceeded, Report, sha256)
 
@@ -40,16 +45,14 @@ def _check_caps(spec):
 
 
 HANDLERS = {
-    "homology": dict.fromkeys(("complex2", "complex3"),
-                              (complexes, "_homology")),
+    "homology": dict.fromkeys(COMPLEX_KINDS, (complexes, "_homology")),
     "units": {"complex2": (point_models, "_units_1"),
               "complex3": (point_models, "_units_2")},
-    "contractible": {"complex2": (point_models, "_contractible_1"),
-                     "complex3": (point_models, "_contractible_2")},
-    "unit-complex": {"complex2": (complexes, "_unit_complex_1"),
-                     "complex3": (complexes, "_unit_complex_2")},
-    "qiso": {"complex2": (complexes, "_qiso_1"),
-             "complex3": (complexes, "_qiso_2")},
+    "contractible": dict.fromkeys(COMPLEX_KINDS,
+                                  (point_models, "_contractible")),
+    "unit-complex": dict.fromkeys(COMPLEX_KINDS,
+                                  (complexes, "_unit_complex")),
+    "qiso": dict.fromkeys(COMPLEX_KINDS, (complexes, "_qiso")),
     "cech-classify": {"complex2": (cech, "_cech_classify_1"),
                       "complex3": (cech, "_cech_classify_2")},
     "crossed-verify": {"crossed_module": (crossed, "_crossed_verify")},

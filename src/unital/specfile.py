@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from . import covers, groups, tables
-from .record import Record
+from .record import Record, _is_int
 from .verification import CapExceeded
 
 SCHEMA = "unital/1"
@@ -70,10 +70,6 @@ def _built(path, make, *args):
         return make(*args)
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from None
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is 1
 
 
 def _parse_group(doc, path):
@@ -164,16 +160,8 @@ def parse_spec(text) -> ComplexSpecFile:
         action = _parse_matrix(_need(doc, "action", "$", list), "action")
         payload = _built("$", tables.CrossedModule, G, H, boundary, action)
 
-    return ComplexSpecFile(kind, payload, cover, _canonical_doc(doc))
+    return ComplexSpecFile(kind, payload, cover, {**doc, "schema": SCHEMA})
 
 
 def _zero(src, tgt):
     return [[0] * src.ngens for _ in range(tgt.ngens)]
-
-
-def _canonical_doc(doc):
-    out = {"schema": SCHEMA}
-    for key in sorted(doc):
-        if key != "schema":
-            out[key] = doc[key]
-    return out

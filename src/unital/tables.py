@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .record import Record, _gather
+from .record import Record, _gather, _is_int
 from .verification import CapExceeded
 
 MAX_GROUP_ORDER = 64
@@ -115,6 +115,5 @@ class CrossedModule(Record):
 
 
 def _is_index(x, n):
-    """Whether x is an element index below n: an int, not a bool or a
-    float that compares equal to one (JSON true is 1)."""
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+    """Whether x is an element index below n, an integer by ``_is_int``."""
+    return _is_int(x) and 0 <= x < n

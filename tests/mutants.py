@@ -1,0 +1,190 @@
+"""The mutation catalogue: small faults that named tests must catch.
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` is (name, file under ``src/unital``, an exact
+source fragment, its replacement, the ids of the tests that must fail).
+For each mutant the runner copies ``src/``, ``tests/``, ``perfbench/``
+(which the golden-digest and perfbench-name tests read), ``README.md``
+and ``pyproject.toml`` into a temporary directory, applies the mutant to
+the copy and runs the named tests there with pytest; the tests find the
+copy's ``src/`` from their own path.  A mutant is killed when every named
+test fails, and it survives otherwise.  A fragment that does not occur
+exactly once is an error, checked for every entry before any test runs,
+so the catalogue cannot go stale silently.
+
+``CONTROL`` changes only a comment and runs every catalogued test.  It
+must survive: that shows the runner can report a survivor, and that the
+named tests pass on the unmutated code.  The exit status is 0 when every
+mutant is killed and the control survives, 1 otherwise, and 2 for a
+stale fragment.  Only the standard library and pytest are needed;
+pytest does not collect this file, and no test imports it.
+
+Later work adds its mutants here, with the tests that kill them.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+
+MUTANTS = [
+    # the elimination, ROADMAP item 15's seed
+    ("snf-divisibility-repair-skipped", "abelian.py",
+     "        if bad is not None:\n",
+     "        if False:\n",
+     ["tests/test_abelian.py::TestSmithNormalForm::"
+      "test_against_determinantal_divisors"]),
+    ("snf-add-row-drops-the-UiT-update", "abelian.py",
+     "            UiT[i] = axpy(UiT[i], -q, UiT[k])\n",
+     "            pass\n",
+     ["tests/test_abelian.py::TestElimination::"
+      "test_matches_the_extended_gcd_oracle"]),
+    ("classify-solver-without-incoming-columns", "complexes.py",
+     "rows = [r + list(b) for r, b in zip(self._reps, self._in)]",
+     "rows = [list(r) for r in self._reps]",
+     ["tests/test_complexes.py::TestHomology::"
+      "test_matches_the_kernel_cokernel_oracle"]),
+    ("unit-complex-2-d2-plus-delta", "complexes.py",
+     "d2 = V.maps[0].compose(proj_b - delta.compose(proj_a))",
+     "d2 = V.maps[0].compose(proj_b + delta.compose(proj_a))",
+     ["tests/test_complexes.py::TestUnitComplex2::test_always_acyclic",
+      "tests/test_complexes.py::TestLevelTwoFromLevelOne::"
+      "test_builders_equal_their_direct_oracles"]),
+    ("enumerate-units-2-reads-delta", "point_models.py",
+     "return enumerate_units_1(Complex(X.terms[1:], X.maps[1:]))",
+     "return enumerate_units_1(Complex(X.terms[:2], X.maps[:1]))",
+     ["tests/test_point_models.py::TestUnits2FromLevelOne::"
+      "test_equals_the_direct_oracle"]),
+    ("layer-table-drops-covers", "__init__.py",
+     '    "covers": ((), ()),\n',
+     "",
+     ["tests/test_source.py::test_lazy_modules_import_only_lower_layers",
+      "tests/test_source.py::test_docs_name_the_layers_in_table_order"]),
+    # one report handler per command
+    ("qiso-3-term-gets-level-1-builders", "complexes.py",
+     "if len(X.maps) == 1 else {\"idA\": sum_model",
+     "if len(X.maps) else {\"idA\": sum_model",
+     ["tests/test_cli.py::TestRun::test_qiso_both_models_three_term"]),
+    # exact integers in the value layer
+    ("cech-sign-a-float-again", "cech.py",
+     "(-1) ** ((p + 1 + i) % 2)",
+     "(-1) ** (p + 1 + i)",
+     ["tests/test_cech.py::TestClassifyH0::"
+      "test_three_term_total_complex_holds_only_ints",
+      "tests/test_cech.py::TestUnitCocycleRoundTrip::"
+      "test_jk_constant_total_cocycle"]),
+    ("group-takes-non-integers", "groups.py",
+     "        if not all(map(_is_int, inv + (self.free_rank,))):\n",
+     "        if False:\n",
+     ["tests/test_abelian.py::TestCanonicalForm::test_refuses_non_integers"]),
+    ("hom-takes-non-integer-entries", "groups.py",
+     "        if not all(_is_int(x) for row in rows for x in row):\n",
+     "        if False:\n",
+     ["tests/test_abelian.py::TestHoms::test_refuses_non_integer_entries"]),
+    # charges come first and count every factor (ROADMAP item 16)
+    ("torsor-charge-drops-the-B-factor", "cech.py",
+     'charge("torsor scan", A.order() ** n1 * B.order() ** n0,',
+     'charge("torsor scan", A.order() ** n1,',
+     ["tests/test_cech.py::test_charge_comes_first[torsor_classes]"]),
+    ("crossed-unit-scan-charged-after-it-runs", "crossed.py",
+     '    charge("coherence scan", G.order ** 3, "|G|^3", max_states)\n'
+     "    units = coded._coded_units(G, X.boundary)\n",
+     "    units = coded._coded_units(G, X.boundary)\n"
+     "    coded.unit_morphism_checks(\n"
+     "        G, H, X.boundary, X.action, units, lambda unit: unit)\n"
+     '    charge("coherence scan", G.order ** 3, "|G|^3", max_states)\n',
+     ["tests/test_cli.py::TestCliProcess::test_unit_scan_cap_builds_no_unit",
+      "tests/test_cech.py::test_charge_comes_first"
+      "[enumerate_units_nonabelian]"]),
+]
+
+CONTROL = ("control-comment-only", "cech.py",
+           "# an int sign: p + 1 + i may be negative",
+           "# the sign as an int: p + 1 + i may be negative",
+           sorted({t for *_, tests in MUTANTS for t in tests}))
+
+
+def _stale(mutant):
+    """Why the mutant no longer applies, or None."""
+    name, path, fragment, replacement, tests = mutant
+    count = (ROOT / "src" / "unital" / path).read_text().count(fragment)
+    if count != 1:
+        return f"{name}: the fragment occurs {count} times in {path}"
+    if fragment == replacement or not tests:
+        return f"{name}: changes nothing, or names no test"
+    return None
+
+
+def _failed(output):
+    """The test ids pytest's short summary lists as failed."""
+    return [m.group(1) for m in re.finditer(
+        r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", output, re.M)]
+
+
+def _caught(test, failed):
+    """Whether a failed id is the named test or lies inside it."""
+    return any(f == test or f.startswith((test + "::", test + "["))
+               for f in failed)
+
+
+def run(mutant):
+    """The named tests that passed with the mutant applied, and pytest's
+    output: no test passing means the mutant is killed, and None that
+    pytest could not run them."""
+    name, path, fragment, replacement, tests = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for item in COPIED:
+            source, copy = ROOT / item, Path(tmp) / item
+            if source.is_dir():
+                shutil.copytree(source, copy, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy(source, copy)
+        target = Path(tmp) / "src" / "unital" / path
+        target.write_text(target.read_text().replace(fragment, replacement))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE",
+             "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    output = proc.stdout + proc.stderr
+    if proc.returncode not in (0, 1):  # a usage error, or no test found
+        return None, output
+    failed = _failed(output)
+    return [t for t in tests if not _caught(t, failed)], output
+
+
+def main():
+    stale = [why for why in map(_stale, [CONTROL, *MUTANTS]) if why]
+    if stale:
+        print("\n".join(stale), file=sys.stderr)
+        return 2
+    bad = []
+    for mutant in [CONTROL, *MUTANTS]:
+        started = time.monotonic()
+        passed, output = run(mutant)
+        verdict = ("not run" if passed is None
+                   else "survived" if passed == list(mutant[4])
+                   else "killed" if not passed else "partly killed")
+        ok = verdict == ("survived" if mutant is CONTROL else "killed")
+        print(f"{'ok ' if ok else 'BAD'} {verdict:13} {mutant[0]} "
+              f"({time.monotonic() - started:.1f} s)")
+        if not ok:
+            bad.append(mutant[0])
+            print(f"    still passing: {passed}\n" + output[-2000:])
+    print(f"{len(MUTANTS)} mutants and the control: "
+          f"{'all as expected' if not bad else 'unexpected: ' + str(bad)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

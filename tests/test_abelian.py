@@ -124,6 +124,14 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             FgAbGroup((1,), 0)
 
+    @pytest.mark.parametrize("factors, free", [
+        ((2.5,), 0), ((4,), 1.5), ((2.0,), 0), ((4,), 1.0), ((True, 2), 0),
+        ((2,), True)])
+    def test_refuses_non_integers(self, factors, free):
+        # int() would read (2.5,) as Z/2 and keep a free rank of 1.5
+        with pytest.raises(ValueError, match="must be integers"):
+            FgAbGroup(factors, free)
+
     def test_idempotent(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -457,6 +465,12 @@ class TestHoms:
     def test_ill_defined_rejected(self):
         with pytest.raises(ValueError):
             GroupHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [[1]])
+
+    @pytest.mark.parametrize("entry", [2.7, 2.0, -1.0, True])
+    def test_refuses_non_integer_entries(self, entry):
+        # int() would read [[2.7]] as the matrix ((2,),)
+        with pytest.raises(ValueError, match="must be integers"):
+            GroupHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), [[entry]])
 
     def test_apply_respects_composition(self):
         rng = random.Random(3)

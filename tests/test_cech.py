@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import cech, coded, point_models
+from unital import abelian, cech, coded, complexes, point_models
 from unital.abelian import (
     FgAbGroup, GroupElem, GroupHom, direct_sum, direct_sum_many, kernel,
     solve, subquotient)
@@ -31,6 +31,7 @@ from unital.crossed import (
     CrossedModule,
     FiniteGroup,
     enumerate_unit_triples,
+    enumerate_units_nonabelian,
     h0_group_law,
     verify_crossed_module,
 )
@@ -529,8 +530,8 @@ CHARGED_DURING_THE_WORK = {
     "_cocycle_classes": "charges its coboundary sweep class by class",
     "classify_h0": "uncharged, as are the unit-complex eliminations "
                    "(ROADMAP item 3)",
-    "crossed-units": "runs its unit scan and axiom checks uncharged, "
-                     "bounded only by tables.MAX_GROUP_ORDER = 64",
+    "crossed-units": "checks the crossed-module axioms uncharged, bounded "
+                     "at parse time by tables.MAX_GROUP_ORDER = 64",
 }
 
 
@@ -564,26 +565,31 @@ def _charged_scans():
         ("enumerate_unit_triples",  # |G|^|V_0|
          lambda cap: list(enumerate_unit_triples(trivial, circle_nerve(),
                                                  cap)), 3 ** 3),
+        ("enumerate_units_nonabelian",  # |G|^3
+         lambda cap: enumerate_units_nonabelian(trivial, cap), 3 ** 3),
     ]
 
 
 @pytest.mark.parametrize("name, scan, states", [
     pytest.param(*case, id=case[0]) for case in _charged_scans()])
 def test_charge_comes_first(monkeypatch, name, scan, states):
-    # refused one state below its charge, a scan has built no coded table;
-    # at its charge it runs
+    # refused one state below its charge, a scan has built no coded table
+    # and no coded unit; at its charge it runs
     assert name not in CHARGED_DURING_THE_WORK
     builds = []
-    real = coded.CodedGroup.__init__
+    real, real_units = coded.CodedGroup.__init__, coded._coded_units
     monkeypatch.setattr(coded.CodedGroup, "__init__",
                         lambda self, *args: builds.append(args) or
                         real(self, *args))
+    monkeypatch.setattr(coded, "_coded_units",
+                        lambda *args: builds.append(args) or
+                        real_units(*args))
     with pytest.raises(CapExceeded, match=f" needs {states} states "):
         scan(states - 1)
     assert builds == []
     scan(states)
-    # the spy sees the tables of each abelian scan; the triples read the
-    # crossed module's own tables
+    # the spy sees the tables of each abelian scan and the units of the
+    # crossed one; the triples read the crossed module's own tables
     assert bool(builds) == (name != "enumerate_unit_triples")
 
 
@@ -830,6 +836,14 @@ class TestClassifyH0:
         (_, _, l1), (d_low, d_high) = dense_piece(c3_zero_id(),
                                                   circle_nerve())
         assert _zero_mod(_matmul(d_high, d_low), l1.orders)
+
+    @pytest.mark.parametrize("nerve", list(NERVES))
+    def test_three_term_total_complex_holds_only_ints(self, nerve):
+        # the Cech sign (-1)^(p+1+i) has a negative exponent at p = -2,
+        # i = 0, where a float -1.0 once entered the rows
+        _, matrices = total_complex_piece(c3_zero_id(), NERVES[nerve]())
+        entries = [v for D in matrices for row in D for v in row.values()]
+        assert entries and {type(v) for v in entries} == {int}
 
     @pytest.mark.parametrize("nerve,terms,count", [
         ("point", 2, 8), ("point", 3, 8), ("circle", 2, 3), ("circle", 3, 3),
@@ -1224,6 +1238,31 @@ class TestUnitCocycleRoundTrip:
             assert info.value.relation == \
                 f"total differential nonzero at bidegree {bidegree}"
             assert info.value.where == cell
+
+    def test_k_builds_its_frame_once(self, monkeypatch):
+        # K subtracts the constant cocycle of the base-cell point itself,
+        # rather than rebuilding the unit complex and layout through J
+        N = circle_nerve()
+        X = Complex((Z3, Z3), (GroupHom.zero(Z3, Z3),))
+        unit = _units(X)[1]
+        x = cocycle_of_unit(X, unit, N)
+        calls = {}
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(complexes, "unit_complex_1")
+        spy(abelian, "_snf_full")
+        spy(abelian, "solve")
+        spy(cech._TotalLayout, "__init__")
+        assert unit_of_cocycle(x, N, X) == (unit, [0] * 3)
+        assert calls == {"unit_complex_1": 1, "_snf_full": 7, "solve": 1,
+                         "__init__": 3}
 
     def test_jk_constant_total_cocycle(self):
         X = c3_zero_id()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unital
-from unital import cech, cli, console, crossed
+from unital import cech, cli, coded, console, crossed
 from unital.cli import main
 from unital.reporting import COMMANDS, HANDLERS, run
 from unital.specfile import SpecError, parse_spec
@@ -40,6 +40,12 @@ CIRCLE_NERVE = {"parts": ["a0", "a1", "a2"],
                     {"parts": ["a0", "a1"], "components": ["c"]},
                     {"parts": ["a1", "a2"], "components": ["c"]},
                     {"parts": ["a0", "a2"], "components": ["c"]}]}
+
+# four parts in a cycle: levels [4, 12, 28, 60]
+RING_NERVE = {"parts": ["a0", "a1", "a2", "a3"],
+              "intersections": [
+                  {"parts": ["a0", "a1"]}, {"parts": ["a1", "a2"]},
+                  {"parts": ["a2", "a3"]}, {"parts": ["a0", "a3"]}]}
 
 Z2_ZERO = {"kind": "complex2",
            "groups": {"A": {"inv": [2]}, "B": {"inv": [2]}},
@@ -299,17 +305,38 @@ class TestCliProcess:
 
         monkeypatch.setattr(crossed, "_triple_of", counted)
         args = ["crossed-units", "--in", self._write(tmp_path, INVERSION),
+                "--nerve", self._write(tmp_path, RING_NERVE, "n.json")]
+        # |G|^|V0| = 3^4 triples; the unit scan's |G|^3 = 27 is admitted
+        assert main(args + ["--max-states", "80"]) == 3
+        assert capsys.readouterr().err == \
+            "cap exceeded: triple enumeration needs 81 states " \
+            "(|G|^|V_0|), above the cap 80\n"
+        assert built == []
+        assert main(args + ["--max-states", "81"]) == 0
+        assert len(built) == 81 + 1  # and (1,1,1)
+        assert "PASS descent triples: (1,1,1) is the identity  [81]\n" in \
+            capsys.readouterr().out
+
+    def test_unit_scan_cap_builds_no_unit(self, tmp_path, capsys,
+                                          monkeypatch):
+        scanned, real = [], coded.unit_morphism_checks
+
+        def counted(*args):
+            scanned.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coded, "unit_morphism_checks", counted)
+        args = ["crossed-units", "--in", self._write(tmp_path, INVERSION),
                 "--nerve", self._write(tmp_path, CIRCLE_NERVE, "n.json")]
-        # |G|^|V0| = 3^3 triples
+        # |G|^3 = 27 coherence triples, charged before the 27 descent
+        # triples of the circle
         assert main(args + ["--max-states", "26"]) == 3
         assert capsys.readouterr().err == \
-            "cap exceeded: triple enumeration needs 27 states " \
-            "(|G|^|V_0|), above the cap 26\n"
-        assert built == []
+            "cap exceeded: coherence scan needs 27 states (|G|^3), " \
+            "above the cap 26\n"
+        assert scanned == []
         assert main(args + ["--max-states", "27"]) == 0
-        assert len(built) == 27 + 1  # and (1,1,1)
-        assert "PASS descent triples: (1,1,1) is the identity  [27]\n" in \
-            capsys.readouterr().out
+        assert len(scanned) == 1
 
     def test_cap_exceeded_exit_3(self, tmp_path):
         code = main(["cech-classify", "--in", self._write(tmp_path, TIMES2),
@@ -386,10 +413,13 @@ class TestCliProcess:
          "needs 32 states (|A|^|V_0| per class swept)"),
         ("cech-classify", Z2_ZERO, CIRCLE_NERVE, 7,
          "unit-cocycle scan needs 8 states (|A|^|V_0|)"),
-        ("crossed-units", INVERSION, CIRCLE_NERVE, 26,
-         "triple enumeration needs 27 states (|G|^|V_0|)"),
+        ("crossed-units", INVERSION, RING_NERVE, 80,
+         "triple enumeration needs 81 states (|G|^|V_0|)"),
+        ("crossed-units", INVERSION, None, 26,
+         "coherence scan needs 27 states (|G|^3)"),
     ], ids=["units-1", "units-2", "contractible-1", "contractible-2",
-            "torsor", "coboundary", "unit-cocycle", "triples"])
+            "torsor", "coboundary", "unit-cocycle", "triples",
+            "crossed-unit-scan"])
     def test_every_state_charge_has_one_wording(self, tmp_path, capsys,
                                                 monkeypatch, command, doc,
                                                 nerve, cap, message):
