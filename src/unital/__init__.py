@@ -22,8 +22,8 @@ report handlers live too: ``units`` and ``contractible`` execute
 ``groups``, ``coded`` and ``point_models``; ``homology``, ``unit-complex``
 and ``qiso`` execute ``groups``, ``abelian`` and ``complexes``;
 ``crossed-verify`` executes ``tables`` and ``crossed``; ``crossed-units``
-adds ``coded`` for its unit scan, and ``covers`` and ``cech`` for its
-nerve; ``cech-classify`` executes ``groups``, ``coded``, ``covers``,
+adds ``coded`` for its unit scan and ``covers`` for its nerve, and no
+Cech calculus; ``cech-classify`` executes ``groups``, ``coded``, ``covers``,
 ``abelian``, ``complexes`` and ``cech``, and on a 3-term complex all but
 ``coded``, which only the scans of a 2-term complex use.  Only ``--text``
 output and a command line that ``cli`` leaves to argparse execute
@@ -50,7 +50,7 @@ _LAYERS = {
     "console": ((), ()),
     "abelian": (("groups",), ()),
     "complexes": (("groups", "abelian"), ()),
-    "crossed": (("tables",), ("coded", "cech")),
+    "crossed": (("tables",), ("coded", "covers")),
     "point_models": (("groups", "coded"), ()),
     "cech": (("covers",), ("groups", "abelian", "complexes", "coded")),
 }
@@ -61,7 +61,7 @@ _EXPORTS = {
         "cokernel", "direct_sum", "direct_sum_many", "is_isomorphism",
         "kernel", "lift_through", "smith_normal_form", "solve"),
     "cech": (
-        "CocycleError", "Nerve", "cech_nerve", "classify_h0",
+        "CocycleError", "cech_nerve", "classify_h0",
         "cocycle_of_unit", "torsor_classes", "unit_cocycles",
         "unit_of_cocycle"),
     "complexes": (
@@ -69,7 +69,7 @@ _EXPORTS = {
         "identity_model", "is_quasi_isomorphism", "kernel_model",
         "kernel_sum_model", "sum_model", "truncate_shift", "unit_complex_1",
         "unit_complex_2"),
-    "covers": ("Cover", "cover_of_parts", "point_cover"),
+    "covers": ("Cover", "Nerve", "cover_of_parts", "point_cover"),
     "crossed": (
         "enumerate_units_nonabelian", "h0_group_law", "pi0_order",
         "pi1_order", "unit_crossed_module", "verify_crossed_module"),

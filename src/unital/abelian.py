@@ -35,7 +35,7 @@ from math import gcd, inf, lcm
 # GroupElem is re-exported for perfbench's tracer
 from .groups import (
     FgAbGroup, GroupElem, GroupHom, _freeze, _identity, _matmul, _matvec)
-from .record import Record
+from .record import Record, _ints
 
 
 def smith_normal_form(M):
@@ -80,7 +80,7 @@ def _snf_full(M, want_u=True, want_ui=True, want_v=True, modulus=0):
     (see ``_canonicalize_presentation``).
     """
     e = modulus
-    A = [[int(x) % e if e else int(x) for x in row] for row in M]
+    A = [[x % e if e else x for x in _ints(r, "matrix entries")] for r in M]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):

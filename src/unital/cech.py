@@ -6,9 +6,10 @@ each has.  Its Cech nerve has, at level n, one cell per (n+1)-tuple of part
 indices (with repetition) and per connected component of the corresponding
 intersection; face maps drop indices.  Levels 0..3 are kept, which is
 exactly enough to state the degree-0 and degree-1 cocycle conditions.
-Everything below names a cell by its position in its level, and reads
-its faces from the one table of positions the nerve builds
-(``Nerve.faces``).
+The nerve is ``covers.Nerve``, which ``cech_nerve`` builds for
+``cech-classify``.  Everything below names a cell by its position in its
+level, and reads its faces from the one table of positions the nerve
+builds (``Nerve.faces``).
 
 The double complex of a coefficient complex X has K^(p,q) = X^p(V_q); the
 total differential used throughout is
@@ -36,8 +37,7 @@ lam-fibers over the Cech differential of b, and quotients them by the
 coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b)) of
 the unit complex, so the same scan checks contractibility at sheaf level.
 
-The report handlers of ``cech-classify``, and the nerve that
-``crossed-units`` reads, are at the end of the module.
+The report handlers of ``cech-classify`` are at the end of the module.
 """
 
 from __future__ import annotations
@@ -45,16 +45,12 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-# bound as modules: a nerve alone, as crossed-units needs it, executes
-# none, and a 3-term cech-classify never executes coded
+# bound as modules: a 3-term cech-classify never executes coded
 from . import abelian, coded, complexes, groups
-from .covers import Cover, point_cover
+from .covers import TOP_LEVEL, Cover, Nerve, point_cover
 from .record import Record
 from .specfile import _built
-from .verification import MAX_STATES, CapExceeded, charge
-
-TOP_LEVEL = 3
-MAX_CELLS_PER_LEVEL = 64
+from .verification import MAX_STATES, charge
 
 
 class CocycleError(ValueError):
@@ -70,74 +66,7 @@ class CocycleError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# nerves
-
-
-class Nerve:
-    """Truncated simplicial set of a cover, levels 0..3.
-
-    ``level(n)`` holds the level-n cells, (index tuple, component name)
-    pairs, sorted.  Level n+1 extends level-n index tuples by one index
-    while the index set is declared; declared sets are closed under
-    subsets, so no cell is missed.  Callers name a cell by its position
-    in its level.  ``faces(n)`` is the one face table: entry k holds the
-    positions in level n-1 of the faces d_0..d_n of the k-th level-n
-    cell, d_i dropping index i (a level-0 cell has none).  Faces resolve
-    level by level, then by i, then cell by cell, so a cover is refused
-    at its first ambiguous containment; the simplicial identities
-    d_i d_j = d_(j-1) d_i for i < j are then verified exhaustively on
-    the table.
-    """
-
-    def __init__(self, cover: Cover):
-        self.cover = cover
-        nparts = len(cover.parts)
-        self._cells = []
-        tuples = [()]
-        for n in range(TOP_LEVEL + 1):
-            tuples = [t + (j,) for t in tuples for j in range(nparts)
-                      if frozenset(t + (j,)) in cover.components]
-            level = sorted((t, comp) for t in tuples
-                           for comp in cover.components[frozenset(t)])
-            if len(level) > MAX_CELLS_PER_LEVEL:
-                raise CapExceeded(
-                    f"level {n} has {len(level)} cells (cap "
-                    f"{MAX_CELLS_PER_LEVEL})")
-            self._cells.append(tuple(level))
-        self._faces = [((),) * len(self._cells[0])]
-        for n in range(1, TOP_LEVEL + 1):
-            position = {cell: k for k, cell in enumerate(self._cells[n - 1])}
-            columns = []
-            for i in range(n + 1):
-                column = []
-                for tup, comp in self._cells[n]:
-                    sub = tup[:i] + tup[i + 1:]
-                    column.append(position[sub, cover.component_in(
-                        frozenset(tup), comp, frozenset(sub))])
-                columns.append(column)
-            self._faces.append(tuple(zip(*columns)))
-        self._verify_simplicial_identities()
-
-    def level(self, n):
-        return self._cells[n]
-
-    def faces(self, n):
-        return self._faces[n]
-
-    def _verify_simplicial_identities(self):
-        for n in range(2, TOP_LEVEL + 1):
-            below = self._faces[n - 1]
-            for j in range(n + 1):
-                for i in range(j):
-                    for cell, f in zip(self._cells[n], self._faces[n]):
-                        if below[f[j]][i] != below[f[i]][j - 1]:
-                            raise ValueError(
-                                f"simplicial identity d_{i} d_{j} = "
-                                f"d_{j - 1} d_{i} fails at {cell}")
-
-    def __str__(self):
-        sizes = ", ".join(str(len(lv)) for lv in self._cells)
-        return f"Nerve(levels [{sizes}] of cover {list(self.cover.parts)})"
+# the nerves cech-classify builds (the class is in covers)
 
 
 def cech_nerve(cover: Cover) -> Nerve:
@@ -539,16 +468,11 @@ def unit_of_cocycle(x, nerve: Nerve, X):
 # the report handlers of cech-classify (see reporting)
 
 
-def _nerve(opts):
-    """The nerve of the --nerve cover, else of the input's, else a point;
-    ``crossed-units`` reads its nerve here too."""
-    # cech_nerve refuses faces the cover's containments cannot resolve
-    return _built("nerve", cech_nerve, opts.cover or point_cover())
-
-
 def _recorded_nerve(report, opts):
-    """``_nerve(opts)``, with the sizes of its levels in the report."""
-    nerve = _nerve(opts)
+    """The nerve of the --nerve cover, else of the input's, else a point,
+    with the sizes of its levels in the report."""
+    # cech_nerve refuses faces the cover's containments cannot resolve
+    nerve = _built("nerve", cech_nerve, opts.cover or point_cover())
     report.data["nerve_levels"] = [len(nerve.level(n)) for n in range(4)]
     return nerve
 

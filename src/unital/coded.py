@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .record import _gather
+from .record import _gather, _ints
 from .verification import MAX_CODED_ORDER, CapExceeded
 
 
@@ -35,7 +35,7 @@ class CodedGroup:
     """
 
     def __init__(self, factors, name=None):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple(_ints(factors, "cyclic factors"))
         if any(d < 1 for d in factors):
             raise ValueError("cyclic factors must be positive")
         n = prod(factors)

@@ -1,15 +1,18 @@
-"""Covers: finite lists of named parts with an intersection table.
+"""Covers: finite lists of named parts with an intersection table, and
+their truncated Cech nerves.
 
 ``Cover`` checks its table when built; ``cover_of_parts`` builds one from
 part names, as input files give it, and ``point_cover`` is the one-part
-cover of a point.  ``_parse_cover`` reads the JSON form of a cover for
-``specfile`` and the ``--nerve`` option, refusing with ``SpecError`` at
-the path of the offending field.  The nerve and its cocycle calculus are
-in ``cech``.
+cover of a point.  ``Nerve`` is the nerve of a cover at levels 0..3,
+built from the cover alone: ``crossed-units`` builds its descent triples
+on it, and ``cech.cech_nerve`` builds the nerves of ``cech-classify``,
+whose cocycle calculus is in ``cech``.  ``_parse_cover`` reads the JSON
+form of a cover for ``specfile`` and the ``--nerve`` option, refusing with
+``SpecError`` at the path of the offending field.
 
 This lazy layer imports none (see ``unital._LAYERS``), so parsing an
-input with a nerve executes it and no Cech calculus, and parsing one
-without a nerve does not execute it.
+input with a nerve, or building the nerve, executes it and no Cech
+calculus, and parsing an input without a nerve does not execute it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,12 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 
-from .record import Record
+from .record import Record, _ints
 from .specfile import SpecError, _built, _need
+from .verification import CapExceeded
+
+TOP_LEVEL = 3
+MAX_CELLS_PER_LEVEL = 64
 
 
 class Cover(Record):
@@ -38,7 +45,7 @@ class Cover(Record):
     def __post_init__(self):
         comps, indices = {}, set(range(len(self.parts)))
         for key, names in self.components.items():
-            key = frozenset(int(i) for i in key)
+            key = frozenset(_ints(key, "part indices"))
             if not key:
                 raise ValueError("an intersection names no part")
             if not key <= indices:
@@ -137,6 +144,77 @@ def cover_of_parts(parts, intersections, containments=None):
                              f"{sorted(set(sub))} is declared twice")
         cont[at] = subcomp
     return Cover(parts, comps, cont)
+
+
+# --------------------------------------------------------------------------
+# nerves
+
+
+class Nerve:
+    """Truncated simplicial set of a cover, levels 0..3.
+
+    ``level(n)`` holds the level-n cells, (index tuple, component name)
+    pairs, sorted.  Level n+1 extends level-n index tuples by one index
+    while the index set is declared; declared sets are closed under
+    subsets, so no cell is missed.  Callers name a cell by its position
+    in its level.  ``faces(n)`` is the one face table: entry k holds the
+    positions in level n-1 of the faces d_0..d_n of the k-th level-n
+    cell, d_i dropping index i (a level-0 cell has none).  Faces resolve
+    level by level, then by i, then cell by cell, so a cover is refused
+    at its first ambiguous containment; the simplicial identities
+    d_i d_j = d_(j-1) d_i for i < j are then verified exhaustively on
+    the table.
+    """
+
+    def __init__(self, cover: Cover):
+        self.cover = cover
+        nparts = len(cover.parts)
+        self._cells = []
+        tuples = [()]
+        for n in range(TOP_LEVEL + 1):
+            tuples = [t + (j,) for t in tuples for j in range(nparts)
+                      if frozenset(t + (j,)) in cover.components]
+            level = sorted((t, comp) for t in tuples
+                           for comp in cover.components[frozenset(t)])
+            if len(level) > MAX_CELLS_PER_LEVEL:
+                raise CapExceeded(
+                    f"level {n} has {len(level)} cells (cap "
+                    f"{MAX_CELLS_PER_LEVEL})")
+            self._cells.append(tuple(level))
+        self._faces = [((),) * len(self._cells[0])]
+        for n in range(1, TOP_LEVEL + 1):
+            position = {cell: k for k, cell in enumerate(self._cells[n - 1])}
+            columns = []
+            for i in range(n + 1):
+                column = []
+                for tup, comp in self._cells[n]:
+                    sub = tup[:i] + tup[i + 1:]
+                    column.append(position[sub, cover.component_in(
+                        frozenset(tup), comp, frozenset(sub))])
+                columns.append(column)
+            self._faces.append(tuple(zip(*columns)))
+        self._verify_simplicial_identities()
+
+    def level(self, n):
+        return self._cells[n]
+
+    def faces(self, n):
+        return self._faces[n]
+
+    def _verify_simplicial_identities(self):
+        for n in range(2, TOP_LEVEL + 1):
+            below = self._faces[n - 1]
+            for j in range(n + 1):
+                for i in range(j):
+                    for cell, f in zip(self._cells[n], self._faces[n]):
+                        if below[f[j]][i] != below[f[i]][j - 1]:
+                            raise ValueError(
+                                f"simplicial identity d_{i} d_{j} = "
+                                f"d_{j - 1} d_{i} fails at {cell}")
+
+    def __str__(self):
+        sizes = ", ".join(str(len(lv)) for lv in self._cells)
+        return f"Nerve(levels [{sizes}] of cover {list(self.cover.parts)})"
 
 
 # --------------------------------------------------------------------------

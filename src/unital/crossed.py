@@ -25,10 +25,10 @@ and units with e = 1 are exactly the kernel of lam.
 ``coded.unit_morphism_checks`` verifies this on tables alone, by
 scanning each morphism fiber of lam; the point models run the same scan.
 This lazy layer executes ``tables`` with it, and binds ``coded`` and
-``cech`` as modules: ``crossed-verify`` executes no other layer, and
-``crossed-units`` executes both for its unit scan and its nerve.  Parsing
-and the commands on a complex never execute it.  The report handlers of
-both commands are at the end of the module.
+``covers`` as modules: ``crossed-verify`` executes no other layer, and
+``crossed-units`` executes both, for its unit scan and its nerve, and no
+Cech calculus.  Parsing and the commands on a complex never execute it.
+The report handlers of both commands are at the end of the module.
 
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
 right-action semidirect product (g1, h1)(g2, h2) = (g1^h2 * g2, h1 h2), with
@@ -58,8 +58,9 @@ from __future__ import annotations
 
 import itertools
 
-from . import cech, coded
+from . import coded, covers
 from .record import _gather
+from .specfile import _built
 from .tables import CrossedModule, FiniteGroup, _is_index
 from .verification import MAX_STATES, Report, charge
 
@@ -277,6 +278,7 @@ def _crossed_units(report, X, opts):
     pi0, pi1 = pi0_order(U), pi1_order(U)
     report.add("unit module has trivial pi0", pi0 == 1, pi0)
     report.add("unit module has trivial pi1", pi1 == 1, pi1)
-    holds, count = descent_identity_check(
-        X, cech._nerve(opts), max_states=opts.max_states)
+    # the nerve of the --nerve cover, else of the input's, else a point
+    nerve = _built("nerve", covers.Nerve, opts.cover or covers.point_cover())
+    holds, count = descent_identity_check(X, nerve, opts.max_states)
     report.add("descent triples: (1,1,1) is the identity", holds, count)

@@ -7,11 +7,11 @@ A group is stored in invariant-factor canonical form
 elements are integer coordinate vectors (torsion coordinates reduced into
 [0, d_i)), and homomorphisms are integer matrices acting on coordinates:
 columns are indexed by source generators, rows by target generators, and
-composition is the matrix product.  Invariant factors, free ranks and
-matrix entries must be integers by ``record._is_int``: a float or a bool
-is refused with ValueError, never rounded.  ``Complex`` holds a complex built
-from them, its length being data: 2 terms present a Picard groupoid, 3 a
-Picard 2-groupoid.
+composition is the matrix product.  Invariant factors, free ranks,
+matrix entries, coordinates and cyclic orders must be integers by
+``record._is_int``: a float or a bool is refused with ValueError, never
+rounded.  ``Complex`` holds a complex built from them, its length being
+data: 2 terms present a Picard groupoid, 3 a Picard 2-groupoid.
 
 The computing layers work on coordinate tuples.  ``GroupElem``, a tuple
 with its group, keeps only what the benchmark's tracer and microbenchmark
@@ -32,7 +32,7 @@ import itertools
 from math import prod
 
 from . import abelian  # lazy: only from_divisors reaches into it
-from .record import Record, _is_int
+from .record import Record, _ints, _is_int
 from .verification import FinitenessError
 
 
@@ -104,7 +104,7 @@ class FgAbGroup(Record):
         >>> FgAbGroup.from_divisors(2, 3).invariant_factors
         (6,)
         """
-        divisors = [int(d) for d in divisors]
+        divisors = _ints(divisors, "cyclic orders")
         group, _, _ = abelian._canonicalize_presentation(
             abelian._with_relations([[]] * len(divisors), divisors))
         return group
@@ -127,7 +127,7 @@ class FgAbGroup(Record):
         return prod(self.invariant_factors)
 
     def reduce(self, coords):
-        coords = [int(c) for c in coords]
+        coords = _ints(coords, "coordinates")
         if len(coords) != self.ngens:
             raise ValueError("coordinate length mismatch")
         for i, d in enumerate(self.invariant_factors):

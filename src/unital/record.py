@@ -39,6 +39,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _ints(values, what):
+    """``values`` as a list, refused with ValueError unless each is an
+    integer by ``_is_int``: a float or a bool is never rounded."""
+    values = list(values)
+    if not all(map(_is_int, values)):
+        raise ValueError(f"{what} must be integers")
+    return values
+
+
 class Record:
     """Base of the library's immutable values (see the module docstring)."""
 

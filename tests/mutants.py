@@ -89,6 +89,13 @@ MUTANTS = [
      "        if not all(_is_int(x) for row in rows for x in row):\n",
      "        if False:\n",
      ["tests/test_abelian.py::TestHoms::test_refuses_non_integer_entries"]),
+    ("reduce-rounds-coordinates-again", "groups.py",
+     '        coords = _ints(coords, "coordinates")\n',
+     "        coords = [int(c) for c in coords]\n",
+     ["tests/test_abelian.py::TestCanonicalForm::"
+      "test_constructions_refuse_non_integers[2.5-reduce]",
+      "tests/test_abelian.py::TestCanonicalForm::"
+      "test_constructions_refuse_non_integers[True-reduce]"]),
     # charges come first and count every factor (ROADMAP item 16)
     ("torsor-charge-drops-the-B-factor", "cech.py",
      'charge("torsor scan", A.order() ** n1 * B.order() ** n0,',
@@ -104,6 +111,23 @@ MUTANTS = [
      ["tests/test_cli.py::TestCliProcess::test_unit_scan_cap_builds_no_unit",
       "tests/test_cech.py::test_charge_comes_first"
       "[enumerate_units_nonabelian]"]),
+    # the crossed module's own tables, so only the enumeration spy sees it
+    ("triple-charge-after-the-enumeration", "crossed.py",
+     '    charge("triple enumeration", X.G.order ** n0, "|G|^|V_0|", '
+     "max_states)\n"
+     "    return map(_triple_of(X, nerve.faces(1)),\n"
+     "               itertools.product(X.G.elements(), repeat=n0))\n",
+     "    triples = itertools.product(X.G.elements(), repeat=n0)\n"
+     '    charge("triple enumeration", X.G.order ** n0, "|G|^|V_0|", '
+     "max_states)\n"
+     "    return map(_triple_of(X, nerve.faces(1)), triples)\n",
+     ["tests/test_cech.py::test_charge_comes_first[enumerate_unit_triples]"]),
+    # the nerve that crossed-units builds for itself
+    ("crossed-units-reads-the-point-nerve", "crossed.py",
+     "opts.cover or covers.point_cover()",
+     "covers.point_cover()",
+     ["tests/test_golden_digests.py::test_other_report_digest_is_unchanged"
+      "[descent:triples-circle-s3#0]"]),
 ]
 
 CONTROL = ("control-comment-only", "cech.py",

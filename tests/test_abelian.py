@@ -4,6 +4,8 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unital.coded import CodedGroup
+from unital.covers import Cover
 from unital.groups import _matmul, _matvec
 from unital.verification import FinitenessError
 from unital.abelian import (
@@ -131,6 +133,20 @@ class TestCanonicalForm:
         # int() would read (2.5,) as Z/2 and keep a free rank of 1.5
         with pytest.raises(ValueError, match="must be integers"):
             FgAbGroup(factors, free)
+
+    # int() read 2.5 as 2 and True as 1 at each of these: a coordinate, a
+    # cyclic order, a table-coded factor, a matrix entry and a part index
+    @pytest.mark.parametrize("build", [
+        lambda v: FgAbGroup.cyclic(4).reduce([v]),
+        lambda v: FgAbGroup.from_divisors(v, 3),
+        lambda v: CodedGroup((v,)),
+        lambda v: _snf_full([[v]]),
+        lambda v: Cover(("U", "V"), {(0, v): ("*",)})],
+        ids=["reduce", "from_divisors", "CodedGroup", "_snf_full", "Cover"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_constructions_refuse_non_integers(self, build, value):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(value)
 
     def test_idempotent(self):
         rng = random.Random(11)

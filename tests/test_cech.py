@@ -8,12 +8,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import abelian, cech, coded, complexes, point_models
+from unital import abelian, cech, coded, complexes, covers, point_models
 from unital.abelian import (
     FgAbGroup, GroupElem, GroupHom, direct_sum, direct_sum_many, kernel,
     solve, subquotient)
 from unital.cech import (
-    MAX_CELLS_PER_LEVEL,
     CocycleError,
     Nerve,
     cech_nerve,
@@ -26,7 +25,8 @@ from unital.cech import (
     _group_from_orders,
 )
 from unital.complexes import Complex, homology, unit_complex_1, unit_complex_2
-from unital.covers import Cover, cover_of_parts, point_cover
+from unital.covers import (
+    MAX_CELLS_PER_LEVEL, Cover, cover_of_parts, point_cover)
 from unital.crossed import (
     CrossedModule,
     FiniteGroup,
@@ -301,7 +301,7 @@ class TestNerve:
         # U n V sits in U:x and U n W in U:y, so the two routes from
         # (1, 2, 0) down to its U vertex disagree; a triple intersection
         # puts 82 cells at level 3, so the cap is raised to reach the check
-        monkeypatch.setattr(cech, "MAX_CELLS_PER_LEVEL", 82)
+        monkeypatch.setattr(covers, "MAX_CELLS_PER_LEVEL", 82)
         cover = cover_of_parts(
             ("U", "V", "W"),
             [(("U",), ("x", "y")), (("U", "V"), ("*",)),
@@ -574,23 +574,30 @@ def _charged_scans():
     pytest.param(*case, id=case[0]) for case in _charged_scans()])
 def test_charge_comes_first(monkeypatch, name, scan, states):
     # refused one state below its charge, a scan has built no coded table
-    # and no coded unit; at its charge it runs
+    # and no coded unit, and enumerated nothing; at its charge it runs
     assert name not in CHARGED_DURING_THE_WORK
-    builds = []
+    builds, products = [], []
     real, real_units = coded.CodedGroup.__init__, coded._coded_units
+    real_product = itertools.product
     monkeypatch.setattr(coded.CodedGroup, "__init__",
                         lambda self, *args: builds.append(args) or
                         real(self, *args))
     monkeypatch.setattr(coded, "_coded_units",
                         lambda *args: builds.append(args) or
                         real_units(*args))
+    monkeypatch.setattr(itertools, "product",
+                        lambda *args, **kw: products.append(args) or
+                        real_product(*args, **kw))
     with pytest.raises(CapExceeded, match=f" needs {states} states "):
         scan(states - 1)
-    assert builds == []
+    assert builds == [] and products == []
     scan(states)
     # the spy sees the tables of each abelian scan and the units of the
-    # crossed one; the triples read the crossed module's own tables
+    # crossed one; the triples read the crossed module's own tables, so
+    # only the enumeration spy sees them, as it sees the Cech scans
     assert bool(builds) == (name != "enumerate_unit_triples")
+    assert bool(products) == (name in {
+        "torsor_classes", "unit_cocycles", "enumerate_unit_triples"})
 
 
 class TestUnitCocycles:

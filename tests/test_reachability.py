@@ -42,7 +42,6 @@ UNREACHED = {
     "abelian.smith_normal_form": PERFBENCH_PIN,
     "abelian.solve": EPOCH_B,
     "cech.CocycleError.__init__": FAILING,
-    "cech.Nerve.__str__": VALUE_API,
     "cech._group_from_orders.killed": FAILING,
     "cech._unit_frame": EPOCH_B,
     "cech.cocycle_of_unit": EPOCH_B,
@@ -59,6 +58,7 @@ UNREACHED = {
     "console._build_parser": FALLBACK,
     "console._build_parser.state_cap": FALLBACK,
     "covers.Cover._named": NAMED_COVER,
+    "covers.Nerve.__str__": VALUE_API,
     "crossed.h0_group_law": PERFBENCH_PIN,
     "groups.Complex.__str__": VALUE_API,
     "groups.FgAbGroup.__repr__": VALUE_API,
