@@ -3,14 +3,17 @@ finitely generated abelian groups.
 
 Groups, elements and homomorphisms are those of ``groups``: canonical
 invariant factors, coordinate vectors and integer matrices with columns
-indexed by source generators.  Everything here is exact integer
-arithmetic on Smith normal forms, all from one elimination, ``_snf_full``:
-elementary row and column steps around the smallest pivot, over Z or
-modulo a certified exponent.  ``subquotient`` is the one homology
-routine: ``kernel`` and ``complexes.homology`` each make one call to it.
-``LinearSolver`` answers in coordinates: it takes a target coordinate
-tuple and returns a source one, and ``lift_through`` assembles its
-matrix from the solved columns.
+indexed by source generators.  Every elimination of the package is
+here, all exact integer arithmetic.  Smith normal forms come from one
+elimination, ``_snf_full``: elementary row and column steps around the
+smallest pivot, over Z or modulo a certified exponent.  ``subquotient``
+is the one homology routine: ``kernel``, ``complexes.homology`` and
+``cech.classify_h0`` each make one call to it.  It first cancels the
++-1 pivots between coordinates of equal order by Gaussian elimination
+on sparse rows (``_SparseMap``), so that only the remainder reaches
+``_snf_full``.  ``LinearSolver`` answers in coordinates: it takes a
+target coordinate tuple and returns a source one, and ``lift_through``
+assembles its matrix from the solved columns.
 
 This is a lazy layer (see ``unital._LAYERS``): ``homology``,
 ``unit-complex``, ``qiso`` and ``cech-classify`` execute it, the unit
@@ -203,45 +206,155 @@ def _exponent(orders):
     return lcm(*orders) if orders and all(orders) else None
 
 
-def subquotient(d_in, orders, d_out, out_orders):
-    """Homology at the middle of  Z^k -> Z^n / R -> Z^m / R',  canonical.
+class _SparseMap:
+    """An integer matrix into Z^m / R, R diagonal with the row ``orders``,
+    as sparse rows reduced modulo their orders, with a column index."""
 
-    R and R' are the diagonal lattices of the coordinate orders ``orders``
-    and ``out_orders`` (0 marks a free coordinate).  ``d_out`` (m x n) and
-    ``d_in`` (n x k) are integer matrices, by rows, of well-defined maps
-    with ``d_out . d_in`` in R'.  The result is
+    def __init__(self, rows, orders):
+        self.orders = orders
+        self.rows, self.cols = {}, {}
+        for i, (row, d) in enumerate(zip(rows, orders)):
+            reduced = ((j, v % d if d else v) for j, v in row.items())
+            self.rows[i] = {j: v for j, v in reduced if v}
+            for j in self.rows[i]:
+                self.cols.setdefault(j, set()).add(i)
 
-        {x : d_out x in R'} / (im d_in + R),
+    def drop_row(self, i):
+        for j in self.rows.pop(i):
+            self.cols[j].discard(i)
 
-    found without a canonical form of either term: one integer kernel gives
-    generators of the cycle lattice, a second one their relations, and only
-    the quotient is canonicalized.  Cycle generators are reduced modulo R
-    between the stages; the cycle lattice contains R, so this changes
-    nothing but keeps the integers small.
+    def drop_col(self, j):
+        for i in self.cols.pop(j, ()):
+            del self.rows[i][j]
+
+    def cancel_units(self, col_orders):
+        """Cancel every pair (column c, row r) of equal order d whose entry
+        is u = +-1 mod d, an isomorphism Z/d -> Z/d: each other row x
+        loses D[x][c] u times row r, reduced mod orders[x], and row r and
+        column c go.  Yields ``(r, c, u, row)``, with row r as it stood,
+        less column c.  A new unit pivot can appear in a column already
+        passed over, so the sweep repeats until none does.
+        """
+        found = True
+        while found:
+            found = False
+            for c in sorted(self.cols, key=lambda j: len(self.cols[j])):
+                d, best = col_orders[c], None
+                for r in self.cols.get(c, ()):
+                    v = self.rows[r][c]  # reduced: -1 is d - 1, or -1 free
+                    u = 1 if v == 1 else -1 if v in (-1, d - 1) else 0
+                    if u and self.orders[r] == d and (best is None or len(
+                            self.rows[r]) < len(self.rows[best[0]])):
+                        best = r, u
+                if best:
+                    found = True
+                    yield best[0], c, best[1], self._pivot(c, *best)
+
+    def _pivot(self, c, r, u):
+        pivot_row = self.rows[r]
+        self.drop_row(r)
+        del pivot_row[c]
+        for x in self.cols.pop(c):
+            row, d = self.rows[x], self.orders[x]
+            f = row.pop(c) * u
+            for j, v in pivot_row.items():
+                w = row.pop(j, 0) - f * v
+                if d:
+                    w %= d
+                if w:
+                    row[j] = w
+                    self.cols[j].add(x)
+                else:
+                    self.cols[j].discard(x)
+        return pivot_row
+
+
+def _dense(rows, columns):
+    """Sparse rows as dense ones over the given columns."""
+    return [[row.get(j, 0) for j in columns] for row in rows]
+
+
+def _sparse(matrix):
+    """Dense rows as sparse ones."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
+def subquotient(d_in, in_orders, orders, d_out, out_orders):
+    """Homology at the middle of  Z^k / R0 -> Z^n / R -> Z^m / R',
+    canonical.
+
+    R0, R and R' are the diagonal lattices of the coordinate orders
+    ``in_orders``, ``orders`` and ``out_orders`` (0 marks a free
+    coordinate).  ``d_in`` (n rows) and ``d_out`` (m rows) are sparse
+    integer rows {column: entry} of well-defined maps with ``d_out . d_in``
+    in R'.  The result is
+
+        {x : d_out x in R'} / (im d_in + R).
+
+    First the complex is reduced by Gaussian elimination (Kaczynski,
+    Mischaikow and Mrozek, *Computational Homology*, 2004): a component
+    Z/d -> Z/d of either map with entry +-1 is an isomorphism, and
+    cancelling it (``_SparseMap.cancel_units``) leaves a homotopy
+    equivalent complex.  A pair of ``d_in`` also takes its middle
+    coordinate out of ``d_out``'s columns, and a pair of ``d_out`` out of
+    ``d_in``'s rows.  The dense remainder, without the ``d_out`` rows and
+    ``d_in`` columns left all zero, goes to ``_dense_subquotient``.  Its
+    cycles lift back through the cancellations, the last first: a middle
+    coordinate cancelled against ``d_in`` is 0, and one cancelled against
+    a row of ``d_out`` is solved from that row as it stood at its pivot.
 
     Returns ``(group, reps)``: column j of ``reps`` (n x ngens, by rows)
-    is a cycle in the class of canonical generator j.
+    is a cycle in the class of canonical generator j.  The kernel of
+    Z/2 x Z/4 -> Z/2, (a, b) |-> a + b, is Z/4: a is cancelled against
+    the one row, and lifted from b = 1 as a = -b = 1 mod 2.
 
-    >>> subquotient([[], []], [2, 4], [[1, 1]], [2])  # ker Z/2 x Z/4 -> Z/2
+    >>> subquotient([{}, {}], (), [2, 4], [{0: 1, 1: 1}], [2])
     (FgAbGroup([4], 0), [[1], [1]])
     """
+    low, high = _SparseMap(d_in, orders), _SparseMap(d_out, out_orders)
+    for r, *_ in low.cancel_units(in_orders):
+        high.drop_col(r)
+    lifts = list(high.cancel_units(orders))
+    for _, c, _, _ in lifts:
+        low.drop_row(c)
+    t0 = sorted(low.rows)
+    t1 = sorted(i for i, row in high.rows.items() if row)
+    group, part = _dense_subquotient(
+        _dense([low.rows[i] for i in t0],
+               sorted(j for j, rows in low.cols.items() if rows)),
+        [orders[i] for i in t0],
+        _dense([high.rows[x] for x in t1], t0), [out_orders[x] for x in t1])
+    reps = dict(zip(t0, part))
+    for _, c, u, row in reversed(lifts):  # x_c = -u (row . x), mod its order
+        x = [-u * sum(v * reps[j][g] for j, v in row.items())
+             for g in range(group.ngens)]
+        reps[c] = [y % orders[c] for y in x] if orders[c] else x
+    zero = [0] * group.ngens  # a coordinate cancelled against d_in
+    return group, [list(reps.get(i, zero)) for i in range(len(orders))]
+
+
+def _dense_subquotient(d_in, orders, d_out, out_orders):
+    """``subquotient`` on dense matrices, by rows, without cancellation.
+
+    One integer kernel gives generators of the cycle lattice, a second one
+    their relations, and only the quotient is canonicalized; neither term
+    is put in canonical form.  Cycle generators are reduced modulo R
+    between the stages; the cycle lattice contains R, so this changes
+    nothing but keeps the integers small.
+    """
     n = len(orders)
-    gens, seen = [], set()
     K = _int_kernel(_with_relations(d_out, out_orders),
                     n + sum(map(bool, out_orders)))
-    for col in zip(*K[:n]):
-        v = tuple(x % d if d else x for x, d in zip(col, orders))
-        if any(v) and v not in seen:
-            seen.add(v)
-            gens.append(v)
+    cycles = (tuple(x % d if d else x for x, d in zip(col, orders))
+              for col in zip(*K[:n]))
+    gens = list(dict.fromkeys(v for v in cycles if any(v)))  # distinct
     s = len(gens)
-    M = _with_relations([[g[i] for g in gens] + list(row)
-                         for i, row in enumerate(d_in)], orders)
+    B = [[g[i] for g in gens] for i in range(n)]  # n x s
+    M = _with_relations([b + list(row) for b, row in zip(B, d_in)], orders)
     # the exponent of Z^n / R annihilates every cycle class, certifying the
     # entry-bounded elimination
     group, _, from_can = _canonicalize_presentation(
         _int_kernel(M, len(M[0]) if M else s)[:s], _exponent(orders))
-    B = [[g[i] for g in gens] for i in range(n)]  # n x s
     return group, _matmul(B, from_can, n, s, group.ngens)
 
 
@@ -251,8 +364,8 @@ def kernel(f):
     Returns ``(K, incl)`` where ``incl`` is injective, ``f . incl = 0`` and
     every element killed by ``f`` factors through ``incl``.
     """
-    K, reps = subquotient([[]] * f.source.ngens, f.source.orders, f.matrix,
-                          f.target.orders)
+    K, reps = subquotient([{}] * f.source.ngens, (), f.source.orders,
+                          _sparse(f.matrix), f.target.orders)
     return K, GroupHom(K, f.source, reps)
 
 

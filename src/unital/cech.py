@@ -26,15 +26,13 @@ b += lambda(alpha).  Total cochains live on block coordinates: one block of
 X^p coordinates per (p, q, k), k a cell's position in V_q, each term
 presented by the orders of its coordinates, and the differential is one
 integer block matrix, held as sparse rows.  Classification groups are H^0
-of this total complex: the +-1 entries between coordinates of equal
-order, most of them Cech faces, are cancelled by Gaussian elimination
-first, and the small remainder is computed exactly and put in canonical
-form only at the end.  Units of the point model are the total 0-cocycles
-of the unit complex up to coboundaries (J and K below); for a 2-term
-complex these are the descent data (a, a_phi, b).  One exhaustive scan on
-table-coded groups finds the torsor cocycles (a, b), taking a from the
-lam-fibers over the Cech differential of b, and quotients them by the
-coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b)) of
+of this total complex, which ``abelian.subquotient`` computes from those
+rows: this module builds the complex and eliminates nothing.  Units of
+the point model are the total 0-cocycles of the unit complex up to
+coboundaries (J and K below); for a 2-term complex these are the descent
+data (a, a_phi, b).  One exhaustive scan on table-coded groups finds the
+torsor cocycles (a, b), taking a from the lam-fibers over the Cech
+differential of b, and quotients them by the coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b)) of
 the unit complex, so the same scan checks contractibility at sheaf level.
 
 The report handlers of ``cech-classify`` are at the end of the module.
@@ -258,11 +256,6 @@ def _block_differential(X, nerve, source, target):
     return rows
 
 
-def _dense(rows, columns):
-    """Sparse rows as dense ones over the given columns."""
-    return [[row.get(j, 0) for j in columns] for row in rows]
-
-
 def total_complex_piece(X, nerve):
     """The total complex T^-1 -> T^0 -> T^1 on block coordinates.
 
@@ -276,106 +269,20 @@ def total_complex_piece(X, nerve):
                      _block_differential(X, nerve, *layouts[1:]))
 
 
-class _SparseMap:
-    """An integer matrix into Z^m / R, R diagonal with the row ``orders``,
-    as sparse rows reduced modulo their orders, with a column index."""
-
-    def __init__(self, rows, orders):
-        self.orders = orders
-        self.rows, self.cols = {}, {}
-        for i, (row, d) in enumerate(zip(rows, orders)):
-            reduced = ((j, v % d if d else v) for j, v in row.items())
-            self.rows[i] = {j: v for j, v in reduced if v}
-            for j in self.rows[i]:
-                self.cols.setdefault(j, set()).add(i)
-
-    def drop_row(self, i):
-        for j in self.rows.pop(i):
-            self.cols[j].discard(i)
-
-    def drop_col(self, j):
-        for i in self.cols.pop(j, ()):
-            del self.rows[i][j]
-
-    def cancel_units(self, col_orders):
-        """Cancel every pair (column c, row r) of equal order d whose entry
-        is u = +-1 mod d, an isomorphism Z/d -> Z/d, and yield it: each
-        other row x loses D[x][c] u times row r, reduced mod orders[x],
-        and row r and column c go.  A new unit pivot can appear in a
-        column already passed over, so the sweep repeats until none does.
-        """
-        found = True
-        while found:
-            found = False
-            for c in sorted(self.cols, key=lambda j: len(self.cols[j])):
-                d, best = col_orders[c], None
-                for r in self.cols.get(c, ()):
-                    v = self.rows[r][c]  # reduced: -1 is d - 1, or -1 free
-                    u = 1 if v == 1 else -1 if v in (-1, d - 1) else 0
-                    if u and self.orders[r] == d and (best is None or len(
-                            self.rows[r]) < len(self.rows[best[0]])):
-                        best = r, u
-                if best:
-                    self._pivot(c, *best)
-                    found = True
-                    yield best[0], c
-
-    def _pivot(self, c, r, u):
-        pivot_row = self.rows.pop(r)
-        for j in pivot_row:
-            self.cols[j].discard(r)
-        del pivot_row[c]
-        for x in self.cols.pop(c):
-            row, d = self.rows[x], self.orders[x]
-            f = row.pop(c) * u
-            for j, v in pivot_row.items():
-                w = row.get(j, 0) - f * v
-                if d:
-                    w %= d
-                if w:
-                    if j not in row:
-                        self.cols[j].add(x)
-                    row[j] = w
-                elif j in row:
-                    del row[j]
-                    self.cols[j].discard(x)
-
-
 def classify_h0(nerve: Nerve, X) -> groups.FgAbGroup:
     """Total-degree-0 cocycles modulo coboundaries, as a canonical group.
 
     On block coordinates this is {x : D0 x in R1} / (im D-1 + R0), with R0
-    and R1 the relation lattices of T^0 and T^1 (``abelian.subquotient``).
-    Before that runs, the complex is reduced by Gaussian elimination: a
-    component Z/d -> Z/d of D-1 or D0 with entry +-1 is an isomorphism, and
-    cancelling it (``_SparseMap.cancel_units``) leaves a homotopy
-    equivalent complex.  A T^-1 - T^0 pair also takes its T^0 coordinate
-    out of D0's columns, and a T^0 - T^1 pair out of D-1's rows.  Most of
-    the Cech face entries are such units, so only a small dense remainder,
-    without the T^1 rows and T^-1 columns left all zero, reaches
-    ``subquotient``.  For the unit complex of any coefficient complex the
-    group is trivial; that is the classification form of contractibility.
+    and R1 the relation lattices of T^0 and T^1: ``abelian.subquotient`` of
+    the rows ``total_complex_piece`` builds.  Most of the Cech face entries
+    are +-1 between coordinates of equal order, which its Gaussian
+    elimination cancels, so only a small dense remainder is put in Smith
+    form.  For the unit complex of any coefficient complex the group is
+    trivial; that is the classification form of contractibility.
     """
     groups._require_finite(X, "classification")
-    return abelian.subquotient(*_reduced_piece(X, nerve))[0]
-
-
-def _reduced_piece(X, nerve):
-    """The total complex after cancelling unit pivots, as the dense
-    arguments ``(d_in, orders, d_out, out_orders)`` of ``subquotient``."""
-    (lm1, l0, l1), (d_low, d_high) = total_complex_piece(X, nerve)
-    low, high = _SparseMap(d_low, l0.orders), _SparseMap(d_high, l1.orders)
-    for r, _ in low.cancel_units(lm1.orders):
-        high.drop_col(r)
-    for _, c in high.cancel_units(l0.orders):
-        low.drop_row(c)
-    t0 = sorted(low.rows)
-    t_m1 = sorted(j for j, rows in low.cols.items() if rows)
-    t1 = sorted(i for i, row in high.rows.items() if row)
-    return (_dense([low.rows[i] for i in t0], t_m1),
-            [l0.orders[i] for i in t0],
-            _dense([high.rows[x] for x in t1], t0),
-            [l1.orders[x] for x in t1])
+    (lm1, l0, l1), (low, high) = total_complex_piece(X, nerve)
+    return abelian.subquotient(low, lm1.orders, l0.orders, high, l1.orders)[0]
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +365,7 @@ def unit_of_cocycle(x, nerve: Nerve, X):
     source = free(len(lm1.orders) + sum(map(bool, l0.orders)))
     ambient = free(len(l0.orders))
     w = abelian.solve(groups.GroupHom(source, ambient, abelian._with_relations(
-        _dense(d_low, range(len(lm1.orders))), l0.orders)), target)
+        abelian._dense(d_low, range(len(lm1.orders))), l0.orders)), target)
     if w is None:
         raise CocycleError("cocycle is not cohomologous to a constant")
     return unit, list(w[:len(lm1.orders)])

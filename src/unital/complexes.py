@@ -36,6 +36,7 @@ from functools import cached_property
 
 from .abelian import (
     LinearSolver,
+    _sparse,
     direct_sum,
     is_isomorphism,
     kernel,
@@ -99,10 +100,11 @@ class HomologyData:
 
     def __init__(self, X, degree):
         self._term, out = X.group_at(degree), X.differential(degree)
-        self._in = X.differential(degree - 1).matrix \
-            if degree > X.degrees[0] else [[]] * self._term.ngens
+        inc = X.differential(degree - 1) if degree > X.degrees[0] else None
+        self._in = inc.matrix if inc else [[]] * self._term.ngens
         self.group, self._reps = subquotient(
-            self._in, self._term.orders, out.matrix, out.target.orders)
+            _sparse(self._in), inc.source.orders if inc else (),
+            self._term.orders, _sparse(out.matrix), out.target.orders)
 
     @cached_property  # a Smith form, paid for on first use only
     def _solver(self):  # reps . h plus a boundary has class h

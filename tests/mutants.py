@@ -122,6 +122,27 @@ MUTANTS = [
      "max_states)\n"
      "    return map(_triple_of(X, nerve.faces(1)), triples)\n",
      ["tests/test_cech.py::test_charge_comes_first[enumerate_unit_triples]"]),
+    # subquotient's Gaussian reduction and the lift of its cycles
+    ("subquotient-lift-skipped", "abelian.py",
+     "    for _, c, u, row in reversed(lifts):",
+     "    for _, c, u, row in lifts[:0]:",
+     ["tests/test_cech.py::TestSubquotient::"
+      "test_chained_pivots_lift_last_first",
+      "tests/test_cech.py::TestSubquotient::"
+      "test_matches_the_dense_oracle_on_planted_pieces",
+      "tests/test_cech.py::TestSubquotient::test_kernel_with_planted_units",
+      "tests/test_cech.py::TestSubquotient::"
+      "test_homology_classifies_its_representatives"]),
+    ("subquotient-lift-first-pivot-first", "abelian.py",
+     "    for _, c, u, row in reversed(lifts):",
+     "    for _, c, u, row in lifts:",
+     ["tests/test_cech.py::TestSubquotient::"
+      "test_chained_pivots_lift_last_first"]),
+    ("cancel-units-ignores-the-row-order", "abelian.py",
+     "if u and self.orders[r] == d and (",
+     "if u and (",
+     ["tests/test_cech.py::TestReducedTotalComplex::"
+      "test_unequal_orders_are_not_cancelled"]),
     # the nerve that crossed-units builds for itself
     ("crossed-units-reads-the-point-nerve", "crossed.py",
      "opts.cover or covers.point_cover()",

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written from scratch against the mathematical
 definitions (determinant expansions, exhaustive enumeration, union-find on
-boxes) and shares no code path with the library it checks.
+boxes) and shares no code path with the library it checks, with one
+exception at the end: ``oracle_dense_subquotient`` is the whole-matrix
+pipeline that ``abelian.subquotient`` ran before it cancelled unit pivots,
+kept on the library's elimination so that it checks the cancellation and
+the lift alone.
 """
 
 from __future__ import annotations
@@ -366,3 +370,34 @@ def unit_module_by_search(G, H, bnd, act):
     action = tuple(tuple(act[g][h] for _, h in pairs)
                    for g in range(len(G)))
     return K, boundary, action
+
+
+# --------------------------------------------------------------------------
+# subquotient without the Gaussian reduction
+
+
+def oracle_dense_subquotient(d_in, orders, d_out, out_orders):
+    """{x : d_out x in R'} / (im d_in + R) from the whole dense matrices,
+    by rows: one integer kernel gives the cycle generators, a second one
+    their relations, and the quotient is canonicalized.  Returns
+    ``(group, reps)`` as ``abelian.subquotient`` does; no coordinate is
+    cancelled first."""
+    from unital.abelian import (
+        _canonicalize_presentation, _exponent, _int_kernel, _with_relations)
+    from unital.groups import _matmul
+    n = len(orders)
+    gens, seen = [], set()
+    K = _int_kernel(_with_relations(d_out, out_orders),
+                    n + sum(map(bool, out_orders)))
+    for col in zip(*K[:n]):
+        v = tuple(x % d if d else x for x, d in zip(col, orders))
+        if any(v) and v not in seen:
+            seen.add(v)
+            gens.append(v)
+    s = len(gens)
+    M = _with_relations([[g[i] for g in gens] + list(row)
+                         for i, row in enumerate(d_in)], orders)
+    group, _, from_can = _canonicalize_presentation(
+        _int_kernel(M, len(M[0]) if M else s)[:s], _exponent(orders))
+    B = [[g[i] for g in gens] for i in range(n)]  # n x s
+    return group, _matmul(B, from_can, n, s, group.ngens)

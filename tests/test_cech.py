@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from unital import abelian, cech, coded, complexes, covers, point_models
 from unital.abelian import (
-    FgAbGroup, GroupElem, GroupHom, direct_sum, direct_sum_many, kernel,
-    solve, subquotient)
+    FgAbGroup, GroupElem, GroupHom, _sparse, direct_sum, direct_sum_many,
+    kernel, solve, subquotient)
 from unital.cech import (
     CocycleError,
     Nerve,
@@ -35,6 +35,7 @@ from unital.crossed import (
     h0_group_law,
     verify_crossed_module,
 )
+from unital.groups import _identity
 from unital.point_models import (
     enumerate_units_1,
     enumerate_units_2,
@@ -43,13 +44,13 @@ from unital.point_models import (
 from unital.verification import CapExceeded, Report
 
 from constructions import from_images
-from oracles import (oracle_circle_nerve, oracle_face, oracle_point_nerve,
-                     oracle_torsor_classes)
+from oracles import (oracle_circle_nerve, oracle_dense_subquotient,
+                     oracle_face, oracle_point_nerve, oracle_torsor_classes)
 from test_abelian import killed_by, random_group, random_hom
 from test_coded_groups import finite_groups, homs
 from test_complexes import (
-    MIXED_PRIMES, OracleHomology, c2_times2, c3_zero_id, random_complex2,
-    random_complex3, random_free_complex)
+    MIXED_PRIMES, OracleHomology, _free_hom, c2_times2, c3_zero_id,
+    random_complex2, random_complex3, random_free_complex)
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -1034,7 +1035,139 @@ class TestBlockDifferential:
                              layouts[2].orders)
 
 
+# --------------------------------------------------------------------------
+# subquotient: its Gaussian reduction, the dense stage and the lift
+
+
+def _unit(rng, d):
+    """+-1 on a coordinate of order d; -1 on Z/d is sometimes d - 1."""
+    return rng.choice([1, -1, d - 1] if d else [1, -1])
+
+
+def _with_units(rng, f):
+    """f with about half of its entries between coordinates of equal
+    order set to +-1, which keeps it well defined."""
+    rows = [list(r) for r in f.matrix]
+    for x, e in enumerate(f.target.orders):
+        for i, d in enumerate(f.source.orders):
+            if d == e and rng.random() < 0.5:
+                rows[x][i] = _unit(rng, d)
+    return GroupHom(f.source, f.target, rows)
+
+
+def _planted_group(rng):
+    """Torsion from {2, 3, 4, 6, 9}, so equal orders recur, and free rank
+    up to 2."""
+    G = FgAbGroup.from_divisors(
+        *rng.choices((2, 3, 4, 6, 9), k=rng.randrange(4)))
+    return FgAbGroup(G.invariant_factors, rng.randrange(3))
+
+
+def _shear(rng, orders, incoming=None, outgoing=None):
+    """The automorphism e_i -> e_i + k e_j of a term with these coordinate
+    orders, well defined when k o_i = 0 mod o_j: row j of the incoming
+    matrix gains k times row i, and column i of the outgoing one loses k
+    times column j."""
+    i, j = rng.sample(range(len(orders)), 2)
+    if orders[j] == 0 and orders[i]:
+        return
+    k = rng.choice([-2, -1, 1, 2]) * (
+        orders[j] // gcd(orders[i], orders[j]) if orders[j] else 1)
+    if incoming is not None:
+        incoming[j] = [a + k * b for a, b in zip(incoming[j], incoming[i])]
+    for row in outgoing or ():
+        row[i] -= k * row[j]
+
+
+def _planted_piece(rng):
+    """A dense middle piece ``(d_in, in_orders, orders, d_out,
+    out_orders)`` of a random 3-term complex with torsion and free terms,
+    summed with pieces Z/d -(+-1)-> Z/d (Z for d = 0) at either map, then
+    sheared in each term and shuffled, so that unit pivots sit anywhere
+    and some chain."""
+    X = random_free_complex(rng, 3)
+    in_o, o, out_o = (list(G.orders) for G in X.terms)
+    d_in, d_out = ([list(r) for r in f.matrix] for f in X.maps)
+    for _ in range(rng.randrange(1, 5)):
+        d = rng.choice((0, 2, 3, 4, 6, 8, 9))
+        u = _unit(rng, d)
+        d_out = [r + [0] for r in d_out]  # the new middle coordinate
+        if rng.random() < 0.5:  # Z/d -u-> Z/d at d_in
+            d_in = [r + [0] for r in d_in] + [[0] * len(in_o) + [u]]
+            in_o.append(d)
+        else:  # at d_out
+            d_in.append([0] * len(in_o))
+            d_out.append([0] * len(o) + [u])
+            out_o.append(d)
+        o.append(d)
+    for _ in range(rng.randrange(6)):
+        term = rng.randrange(3)
+        orders = (in_o, o, out_o)[term]
+        if len(orders) > 1:
+            _shear(rng, orders, (None, d_in, d_out)[term],
+                   (d_in, d_out, None)[term])
+    for orders, rows, cols in ((in_o, None, d_in), (o, d_in, d_out),
+                               (out_o, d_out, None)):
+        perm = list(range(len(orders)))
+        rng.shuffle(perm)
+        orders[:] = [orders[k] for k in perm]
+        if rows is not None:
+            rows[:] = [rows[k] for k in perm]
+        for row in cols or ():
+            row[:] = [row[k] for k in perm]
+    return d_in, in_o, o, d_out, out_o
+
+
 class TestSubquotient:
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_dense_oracle_on_planted_pieces(self, rng):
+        d_in, in_orders, orders, d_out, out_orders = _planted_piece(rng)
+        group, reps = subquotient(_sparse(d_in), in_orders, orders,
+                                  _sparse(d_out), out_orders)
+        assert group == oracle_dense_subquotient(
+            d_in, orders, d_out, out_orders)[0]
+        assert len(reps) == len(orders)
+        for rep in zip(*reps):  # each a cycle
+            assert _zero_mod([[v] for v in _matvec(d_out, rep)], out_orders)
+
+    def test_chained_pivots_lift_last_first(self):
+        # ker of Z^3 -> Z^2, (x, y, z) |-> (x + y, y + 2z): column 0 is
+        # cancelled against row 0, whose rest is y, and then column 1
+        # against row 1, whose rest is 2z; so y must be lifted before x
+        group, reps = subquotient([{}] * 3, (), [0, 0, 0],
+                                  [{0: 1, 1: 1}, {1: 1, 2: 2}], [0, 0])
+        assert group == FgAbGroup.free(1)
+        assert reps == [[2], [-2], [1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_kernel_with_planted_units(self, rng):
+        G, H = _planted_group(rng), _planted_group(rng)
+        f = _with_units(rng, _free_hom(rng, G, H))
+        K, incl = kernel(f)
+        assert K == oracle_dense_subquotient(
+            [[]] * G.ngens, G.orders, f.matrix, H.orders)[0]
+        assert f.compose(incl) == GroupHom.zero(K, H)
+        assert kernel(incl)[0].is_trivial
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3]))
+    def test_homology_classifies_its_representatives(self, rng, terms):
+        A, B, C = (_planted_group(rng) for _ in range(3))
+        lam = _with_units(rng, _free_hom(rng, B, C))
+        if terms == 2:
+            X = Complex((B, C), (lam,))
+        else:
+            K, incl = kernel(lam)
+            delta = incl.compose(_free_hom(rng, A, K))
+            X = Complex((A, B, C), (delta, lam))
+        for d in X.degrees:
+            hd = complexes.HomologyData(X, d)
+            assert hd.group == OracleHomology(X, d).group
+            for e in _identity(hd.group.ngens):
+                assert hd.classify(hd.representative(e)) == tuple(e)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_homology(self, seed):
         # free ranks included: Z^r next to torsion in every term; homology
@@ -1044,11 +1177,12 @@ class TestSubquotient:
         for X in (random_free_complex(rng, 2), random_free_complex(rng, 3)):
             for d in X.degrees:
                 G = X.group_at(d)
-                d_in = X.differential(d - 1).matrix \
-                    if d > X.degrees[0] else [[]] * G.ngens
+                inc = X.differential(d - 1) if d > X.degrees[0] \
+                    else GroupHom.zero(TRIV, G)
                 out = X.differential(d)
-                assert subquotient(d_in, G.orders, out.matrix,
-                                   out.target.orders)[0] == \
+                assert subquotient(
+                    _sparse(inc.matrix), inc.source.orders, G.orders,
+                    _sparse(out.matrix), out.target.orders)[0] == \
                     OracleHomology(X, d).group
 
 
@@ -1057,10 +1191,20 @@ class TestSubquotient:
 
 
 def _unreduced_h0(N, X):
-    """Oracle: subquotient on the whole block matrices, as classify_h0 ran
-    before it cancelled unit pivots."""
+    """Oracle: the dense subquotient on the whole block matrices, as
+    classify_h0 ran before unit pivots were cancelled."""
     (_, l0, l1), (d_low, d_high) = dense_piece(X, N)
-    return subquotient(d_low, l0.orders, d_high, l1.orders)[0]
+    return oracle_dense_subquotient(d_low, l0.orders, d_high, l1.orders)[0]
+
+
+@pytest.fixture
+def dense_stage(monkeypatch):
+    """The arguments ``(d_in, orders, d_out, out_orders)`` that each
+    subquotient call hands its dense stage, in call order."""
+    pieces, dense = [], abelian._dense_subquotient
+    monkeypatch.setattr(abelian, "_dense_subquotient",
+                        lambda *piece: pieces.append(piece) or dense(*piece))
+    return pieces
 
 
 def _unit_complex(X):
@@ -1090,11 +1234,28 @@ def _assert_reduced(piece):
     assert all(any(col) for col in zip(*d_in))
 
 
+@pytest.mark.parametrize("path", ["classify_h0", "kernel", "homology"])
+def test_every_path_cancels_before_its_dense_stage(path, monkeypatch,
+                                                   dense_stage):
+    # Z/3 -(-1)-> Z/3: one unit pivot on each path, which leaves the dense
+    # stage, and so _snf_full, nothing to eliminate
+    X = _minus_one_complex(3, 2)
+    N, pivots, pivot = point_nerve(), [], abelian._SparseMap._pivot
+    monkeypatch.setattr(abelian._SparseMap, "_pivot",
+                        lambda *args: pivots.append(args) or pivot(*args))
+    {"classify_h0": lambda: classify_h0(N, X),
+     "kernel": lambda: kernel(X.maps[0]),
+     "homology": lambda: complexes.HomologyData(X, 0)}[path]()
+    assert pivots
+    assert dense_stage == [([], [], [], [])]
+
+
 class TestReducedTotalComplex:
     @pytest.mark.parametrize("terms", [2, 3])
     @pytest.mark.parametrize("nerve,count", [
         ("point", 10), ("circle", 5), ("ring4", 3)])
-    def test_matches_unreduced_subquotient(self, nerve, count, terms):
+    def test_matches_unreduced_subquotient(self, nerve, count, terms,
+                                           dense_stage):
         rng = random.Random(f"reduced{terms}{nerve}")
         N = NERVES[nerve]()
         make = random_complex2 if terms == 2 else random_complex3
@@ -1102,12 +1263,14 @@ class TestReducedTotalComplex:
             # the unreduced oracle is slow on the ring beyond order 6
             X = make(rng, 6 if nerve == "ring4" else 8)
             for Y in (X, _unit_complex(X)):
+                dense_stage.clear()
                 assert classify_h0(N, Y) == _unreduced_h0(N, Y)
-                _assert_reduced(cech._reduced_piece(Y, N))
+                [piece] = dense_stage
+                _assert_reduced(piece)
 
     @pytest.mark.parametrize("nerve", list(NERVES))
     @pytest.mark.parametrize("terms", [2, 3])
-    def test_minus_one_entries(self, terms, nerve):
+    def test_minus_one_entries(self, terms, nerve, dense_stage):
         # -1 on Z/d is stored as d-1, and the Cech faces add -1 entries
         N = NERVES[nerve]()
         for d in (3, 4, 5, 8):
@@ -1116,20 +1279,23 @@ class TestReducedTotalComplex:
                 assert classify_h0(N, Y) == _unreduced_h0(N, Y)
         # over the point Z/5 -(4)-> Z/5 cancels to nothing: both D-1 pivots
         # are stored as 4
-        assert cech._reduced_piece(_minus_one_complex(5, 2),
-                                   point_nerve()) == ([], [], [], [])
+        X, N = _minus_one_complex(5, 2), point_nerve()
+        dense_stage.clear()
+        classify_h0(N, X)
+        assert dense_stage == [([], [], [], [])]
 
     @pytest.mark.parametrize("terms", [2, 3])
-    def test_free_coordinates(self, terms):
-        # free pivots must be exactly +-1; subquotient is the oracle
+    def test_free_coordinates(self, terms, dense_stage):
+        # free pivots must be exactly +-1; the dense subquotient is the
+        # oracle (classify_h0 itself refuses free groups)
         rng = random.Random(f"reduced-free{terms}")
         for _ in range(8):
             X = random_free_complex(rng, terms)
-            (_, l0, l1), (d_low, d_high) = dense_piece(X, point_nerve())
-            piece = cech._reduced_piece(X, point_nerve())
-            assert subquotient(*piece)[0] == \
-                subquotient(d_low, l0.orders, d_high, l1.orders)[0]
-            _assert_reduced(piece)
+            (lm1, l0, l1), (low, high) = total_complex_piece(X, point_nerve())
+            dense_stage.clear()
+            assert subquotient(low, lm1.orders, l0.orders, high,
+                               l1.orders)[0] == _unreduced_h0(point_nerve(), X)
+            _assert_reduced(dense_stage[0])
 
     def test_unequal_orders_are_not_cancelled(self):
         # Z/4 -1-> Z/2 is onto but not an isomorphism; over the point H^0
@@ -1141,19 +1307,22 @@ class TestReducedTotalComplex:
         assert classify_h0(circle_nerve(), X) == Z2 == \
             _unreduced_h0(circle_nerve(), X)
 
-    def test_found_ring_input_is_fast(self):
+    def test_found_ring_input_is_fast(self, dense_stage):
         # (Z/2)^4 -0-> (Z/2)^4 -id-> (Z/2)^4 over the 4-part ring: one
         # unreduced call took 2.3-2.7 s on a 2-core Xeon
         G = FgAbGroup.from_divisors(2, 2, 2, 2)
         X = Complex((G, G, G), (GroupHom.zero(G, G), GroupHom.identity(G)))
         N = ring_nerve()
         started = time.perf_counter()
-        h0, h0_unit = classify_h0(N, X), classify_h0(N, unit_complex_2(X)[0])
+        h0, U = classify_h0(N, X), unit_complex_2(X)[0]
+        dense_stage.clear()
+        h0_unit = classify_h0(N, U)
         assert time.perf_counter() - started < 1.0
         # X is quasi-isomorphic to A[2], which H^0 sees only through H^2
         # of the ring, a circle: nothing
         assert h0.is_trivial and h0_unit.is_trivial
-        assert cech._reduced_piece(unit_complex_2(X)[0], N) == ([], [], [], [])
+        # the unit complex cancels to nothing before any Smith form
+        assert dense_stage == [([], [], [], [])]
 
 
 # --------------------------------------------------------------------------
@@ -1268,7 +1437,7 @@ class TestUnitCocycleRoundTrip:
         spy(abelian, "solve")
         spy(cech._TotalLayout, "__init__")
         assert unit_of_cocycle(x, N, X) == (unit, [0] * 3)
-        assert calls == {"unit_complex_1": 1, "_snf_full": 7, "solve": 1,
+        assert calls == {"unit_complex_1": 1, "_snf_full": 6, "solve": 1,
                          "__init__": 3}
 
     def test_jk_constant_total_cocycle(self):

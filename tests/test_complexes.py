@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -26,6 +27,8 @@ from unital.complexes import (
     unit_complex_1,
     unit_complex_2,
 )
+from unital.reporting import run
+from unital.specfile import parse_spec
 
 from constructions import (
     compose,
@@ -548,6 +551,26 @@ class TestQuasiIsomorphism:
             roundabout = compose(compose(back, iso),
                                  StrictMorphism.identity(iso.source))
             assert is_quasi_isomorphism(roundabout).is_qiso
+
+    def test_z64_tripwire_cancels_before_its_smith_forms(self, monkeypatch):
+        # the scale tripwire's qiso input, Z^64 -delta-> Z^64 -0-> Z^64: the
+        # +-1 graph entries of the unit complex are cancelled before any
+        # Smith form; eliminating the whole matrices took 62 _snf_full
+        # calls on 290,816 entries
+        r = random.Random(64)
+        delta = [[r.randint(-9, 9) for _ in range(64)] for _ in range(64)]
+        spec = parse_spec(json.dumps({
+            "kind": "complex3",
+            "groups": {"A": {"free": 64}, "B": {"free": 64},
+                       "C": {"free": 64}},
+            "maps": {"delta": delta}}))
+        entries, snf = [], abelian._snf_full
+        monkeypatch.setattr(abelian, "_snf_full", lambda M, *a, **k: (
+            entries.append(len(M) * len(M[0]) if M else 0) or snf(M, *a, **k)))
+        report = run("qiso", spec)
+        assert len(entries) <= 40 and sum(entries) <= 40_000
+        assert report.digest() == ("8811db88b0cb8ee3b8c2c92ead24bd68"
+                                   "a2844c9c9aad52594ebfe26f6a9000c6")
 
     def test_three_term_alternates(self):
         rng = random.Random(81)
