@@ -151,8 +151,10 @@ def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
     kernel of the boundary; ``unit_morphism_checks`` adds that every ordered
     pair carries exactly one unit morphism and that these compose
-    coherently.  Its |G|^3 coherence triples count against ``max_states``
-    before any unit is built.
+    coherently, the latter as the group law of G on its ``generators``,
+    every element of a parsed table: |G|^2 row gathers.  The charge, made
+    before any unit is built, is still |G|^3, the coherence triples once
+    scanned, so it over-counts the work.
     """
     G, H = X.G, X.H
     charge("coherence scan", G.order ** 3, "|G|^3", max_states)

@@ -101,8 +101,10 @@ def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
     (i) units exist, (ii) every ordered pair of units carries exactly one
     unit morphism (scanning each morphism fiber), (iii) the unique morphisms
     compose coherently.  (ii) and (iii) are ``unit_morphism_checks`` on
-    lam: A -> B read as a crossed module with trivial action.  The |A|^3
-    coherence triples count against ``max_states`` before any scan.
+    lam: A -> B read as a crossed module with trivial action; (iii) is the
+    group law of A on its k cyclic generators, k |A|^2 table reads.  The
+    charge, made before any scan, is still |A|^3, the coherence triples
+    that (iii) once scanned, so it over-counts the work.
     """
     _require_finite(X, "point-model enumeration")
     charge("coherence scan", X.terms[0].order() ** 3, "|A|^3", max_states)
@@ -151,11 +153,13 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     solves the equation of a unit morphism between the units
     (delta(theta_i), theta_i) of delta: A -> B, so one
     ``unit_morphism_checks`` scan of delta covers every parallel pair of
-    every unit pair, and vertical coherence on every triple.  The listing
-    (|B|^2 |A|), the scan's fibers (|A|^2 |ker delta|) and its coherence
-    triples (|A|^3) are charged on the coded tables alone, |ker delta|
-    read off delta's image array, before the units, the fibers or any
-    1-morphism is built.
+    every unit pair, and vertical coherence on every triple, as the group
+    law of A.  The listing (|B|^2 |A|), the scan's fibers
+    (|A|^2 |ker delta|) and the |A|^3 coherence triples that the scan no
+    longer visits are charged on the coded tables alone, |ker delta| read
+    off delta's image array, before the units, the fibers or any
+    1-morphism is built; the cube term over-counts the group law's
+    k |A|^2 table reads.
     """
     report = Report("contractibility of the unit 2-groupoid")
     (A, B, C), (delta, lam) = _tables(X)

@@ -33,6 +33,27 @@ def _gather(keys, getter=itemgetter):
     return get if len(keys) > 1 else lambda x: (get(x),)
 
 
+def _group_law(table, e, inverse, generators):
+    """The first failure of the group law on a table of tuples
+    (``table[a][b]`` is a * b), or None.  Element by element, e is a
+    two-sided identity, witness ("identity", a), and ``inverse[a]`` a
+    two-sided inverse of a, witness ("inverse", a); then, for each s in
+    ``generators``, (x s) y = x (s y) for all x and y, witness
+    ("associativity", x, s).  When the generators generate the table, the
+    last is Light's test that it is associative (Clifford and Preston,
+    The Algebraic Theory of Semigroups, vol. 1, 1961, section 1.2):
+    k generators cost k |G| row gathers, not the |G|^3 of every triple."""
+    for a, (b, row) in enumerate(zip(inverse, table)):
+        if not table[e][a] == a == row[e]:
+            return "identity", a
+        if not row[b] == e == table[b][a]:
+            return "inverse", a
+    return next((("associativity", x, s) for s in generators
+                 for through in [_gather(table[s])]  # x (s y) from row x
+                 for x, row in enumerate(table)
+                 if table[row[s]] != through(row)), None)
+
+
 def _is_int(x):
     """Whether x is an integer: an int, not a bool (JSON true is 1) or a
     float that compares equal to one."""

@@ -143,6 +143,29 @@ MUTANTS = [
      "if u and (",
      ["tests/test_cech.py::TestReducedTotalComplex::"
       "test_unequal_orders_are_not_cancelled"]),
+    # coherence as the group law of the scanned table (ROADMAP item 18)
+    ("coded-table-one-wrong-entry", "coded.py",
+     "        self.table, self.inverse, self.generators = table, inverse, "
+     "generators\n",
+     "        self.table, self.inverse, self.generators = table[:-1] + (\n"
+     "            table[-1][:-1] + (n - 1,),), inverse, generators\n",
+     ["tests/test_crossed.py::TestCoherenceOracle::"
+      "test_every_one_entry_corruption",
+      "tests/test_point_models.py::TestContractible1::test_zero_z3"]),
+    ("group-law-associativity-over-no-generator", "record.py",
+     '    return next((("associativity", x, s) for s in generators\n',
+     '    return next((("associativity", x, s) for s in ()\n',
+     ["tests/test_crossed.py::TestCoherenceOracle::"
+      "test_every_one_entry_corruption",
+      "tests/test_crossed.py::TestTableValidation::"
+      "test_every_magma_up_to_order_3"]),
+    ("group-law-drops-the-inverse-law", "record.py",
+     "        if not row[b] == e == table[b][a]:\n",
+     "        if False:\n",
+     ["tests/test_point_models.py::TestFaultInjection::"
+      "test_incoherent_vertical_composition_fails_level_2",
+      "tests/test_crossed.py::TestCoherenceOracle::"
+      "test_every_one_entry_corruption"]),
     # the nerve that crossed-units builds for itself
     ("crossed-units-reads-the-point-nerve", "crossed.py",
      "opts.cover or covers.point_cover()",

@@ -372,6 +372,20 @@ def unit_module_by_search(G, H, bnd, act):
     return K, boundary, action
 
 
+def coherence_triple_failures(T, inv, h_inv, act, units):
+    """The triples (s, t, w) of units (e, g) of the crossed module with
+    G-table T and action act, where the unique unit morphisms do not
+    compose: u_tw * u_st != u_sw, with u_st = x_t^-1 x_s and
+    x_s = g_s^(e_s^-1), read with the inverse arrays inv of G and h_inv
+    of H.  This is the triple scan of the unit groupoid, tried on every
+    triple; the library checks the group law of G in its place."""
+    x = [act[g][h_inv[e]] for e, g in units]
+    u = [[T[inv[x_t]][x_s] for x_t in x] for x_s in x]
+    return [(units[s], units[t], units[w])
+            for s, t, w in itertools.product(range(len(units)), repeat=3)
+            if T[u[t][w]][u[s][t]] != u[s][w]]
+
+
 # --------------------------------------------------------------------------
 # subquotient without the Gaussian reduction
 

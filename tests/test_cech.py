@@ -6,7 +6,7 @@ from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unital import abelian, cech, coded, complexes, covers, point_models
 from unital.abelian import (
@@ -1121,6 +1121,11 @@ def _planted_piece(rng):
 class TestSubquotient:
     @settings(max_examples=80, deadline=None)
     @given(st.randoms(use_true_random=False))
+    # seeded draws whose representatives are cycles only after the lift
+    @example(random.Random(15))
+    @example(random.Random(23))
+    @example(random.Random(36))
+    @example(random.Random(44))
     def test_matches_the_dense_oracle_on_planted_pieces(self, rng):
         d_in, in_orders, orders, d_out, out_orders = _planted_piece(rng)
         group, reps = subquotient(_sparse(d_in), in_orders, orders,
@@ -1142,6 +1147,11 @@ class TestSubquotient:
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
+    # seeded draws on which f . incl = 0 only after the lift
+    @example(random.Random(0))
+    @example(random.Random(5))
+    @example(random.Random(9))
+    @example(random.Random(14))
     def test_kernel_with_planted_units(self, rng):
         G, H = _planted_group(rng), _planted_group(rng)
         f = _with_units(rng, _free_hom(rng, G, H))
@@ -1153,6 +1163,12 @@ class TestSubquotient:
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from([2, 3]))
+    # seeded draws whose representatives need the lift: without it, they
+    # are not cycles, which few hypothesis draws show
+    @example(random.Random(11), 3)
+    @example(random.Random(18), 3)
+    @example(random.Random(47), 3)
+    @example(random.Random(59), 3)
     def test_homology_classifies_its_representatives(self, rng, terms):
         A, B, C = (_planted_group(rng) for _ in range(3))
         lam = _with_units(rng, _free_hom(rng, B, C))

@@ -1,12 +1,14 @@
+import copy
 import itertools
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from unital import point_models
+from unital import coded, point_models
+from unital.abelian import kernel
 from unital.cech import cech_nerve
 from unital.covers import point_cover
 from unital.crossed import (
@@ -21,13 +23,15 @@ from unital.crossed import (
     unit_crossed_module,
     verify_crossed_module,
 )
-from unital.coded import unit_morphism_checks
+from unital.coded import CodedGroup, unit_morphism_checks
+from unital.complexes import Complex
 from unital.point_models import verify_contractible_1
 from unital.specfile import SpecError, parse_spec
 from unital.verification import CapExceeded
 
 from test_cech import circle_cover
-from test_coded_groups import is_abelian
+from test_abelian import random_hom
+from test_coded_groups import finite_groups, homs, is_abelian
 from test_complexes import random_complex2
 from test_golden_digests import _corpus
 
@@ -540,6 +544,90 @@ class TestUnitScan:
             assert [c for c in rep.checks if c.name in shared] == \
                 level_1.checks
             assert len(shared) == 3 and rep.data["units"] == A.order
+
+
+@st.composite
+def unit_scan_modules(draw):
+    """What one unit scan reads, as a crossed module: lam of a drawn 2-term
+    complex or delta of a 3-term one, terms up to order 64, on coded
+    tables with the trivial action; a ``drawn_modules`` module; or
+    ``random_tables``, whose pair check fails."""
+    kind = draw(st.sampled_from(["complex2", "complex3", "module", "tables"]))
+    if kind == "module":
+        return draw(drawn_modules())
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "tables":
+        return random_tables(rng)
+    f = draw(homs(max_order=64))
+    Y = Complex((f.source, f.target), (f,))
+    if kind == "complex3":  # delta: A -> ker(lam), then lam = f
+        A, (K, incl) = draw(finite_groups(max_order=64)), kernel(f)
+        Y = Complex((A, *Y.terms), (incl.compose(random_hom(rng, A, K)), f))
+    (A, B, *_), (f, *_) = point_models._tables(Y)
+    return CrossedModule(A, B, f, tuple((a,) * B.order for a in A.elements()))
+
+
+def _coherence(X, G=None):
+    """Whether the unit scan of X passes its pair check, whether it finds
+    its unit morphisms coherent, and whether the triple-scan oracle does,
+    with G's tables in place of X.G's."""
+    G = G or X.G
+    units = coded._coded_units(G, X.boundary)
+    pairs, failures, _ = unit_morphism_checks(
+        G, X.H, X.boundary, X.action, units, lambda unit: unit)
+    return not pairs, not failures, not oracles.coherence_triple_failures(
+        G.table, G.inverse, X.H.inverse, X.action, units)
+
+
+def _one_entry_moved(G, a, b, x):
+    """A copy of G with its table entry a * b set to x, or, for b = None,
+    the inverse of a."""
+    G = copy.copy(G)
+    if b is None:
+        G.inverse = tuple(x if c == a else y for c, y in enumerate(G.inverse))
+    else:
+        G.table = tuple(tuple(x if (r, c) == (a, b) else y
+                              for c, y in enumerate(row))
+                        for r, row in enumerate(G.table))
+    return G
+
+
+class TestCoherenceOracle:
+    """The coherence check of the unit scan, the group law of G on its
+    generators, against the triple scan it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_scan_modules(), st.data())
+    def test_agrees_with_the_triple_scan(self, X, data):
+        # on a group table both pass, whatever the pair check finds; with
+        # one entry moved the group law fails wherever the triples do
+        pairs, *coherent = _coherence(X)
+        event(f"pair check {'passes' if pairs else 'fails'}")
+        assert coherent == [True, True]
+        n = X.G.order
+        if n > 1:
+            a, b = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+            b = data.draw(st.sampled_from([b, None]))
+            was = X.G.table[a][b] if b is not None else X.G.inverse[a]
+            x = (was + data.draw(st.integers(1, n - 1))) % n
+            _, new, oracle = _coherence(X, _one_entry_moved(X.G, a, b, x))
+            assert oracle or not new
+
+    @pytest.mark.parametrize("G", [
+        CodedGroup((4,)), CodedGroup((2, 2)), CodedGroup((2, 4)),
+        CodedGroup((3, 3)), FiniteGroup.symmetric(3)], ids=lambda G: G.name)
+    def test_every_one_entry_corruption(self, G):
+        # G -> 1 with the trivial action, whose units (1, g) run over all
+        # of G: every entry of the table or of the inverse array moved
+        # fails the triples, and the group law on the generators with them
+        T = FiniteGroup.trivial()
+        X = CrossedModule(G, T, (0,) * G.order, [(g,) for g in G.elements()])
+        assert _coherence(X)[1:] == (True, True)  # S3 fails Peiffer
+        for a, b, x in itertools.product(G.elements(), [*G.elements(), None],
+                                         G.elements()):
+            if x != (G.table[a][b] if b is not None else G.inverse[a]):
+                assert _coherence(X, _one_entry_moved(G, a, b, x))[1:] == \
+                    (False, False)
 
 
 # --------------------------------------------------------------------------

@@ -244,6 +244,8 @@ class TestContractible1:
         assert rep.passed and rep.data["morphisms"] == 9
 
     def test_coherence_triples_count_against_max_states(self):
+        # the charge still counts the |A|^3 = 512 coherence triples, which
+        # the scan no longer visits: it checks the group law of A instead
         m = Complex((FgAbGroup.cyclic(8), Z2),
                     (GroupHom.zero(FgAbGroup.cyclic(8), Z2),))
         with pytest.raises(CapExceeded, match="512"):
@@ -454,8 +456,9 @@ class TestLevel2Reduction:
 def _level_2_states(X):
     """|B|^2 |A| + |A|^2 (|A| + |ker delta|), on the groups of X: |A| unit
     1-morphisms listed for each of the |B|^2 unit pairs, then one scan of
-    delta with a ker(delta) fiber per pair of its units and |A|^3
-    coherence triples."""
+    delta with a ker(delta) fiber per pair of its units, and the |A|^3
+    coherence triples that the charge still counts, though the scan
+    checks the group law of A in their place."""
     a, b = (G.order() for G in X.terms[:2])
     return b ** 2 * a + a ** 2 * (a + kernel(X.maps[0])[0].order())
 
