@@ -32,8 +32,10 @@ the point model are the total 0-cocycles of the unit complex up to
 coboundaries (J and K below); for a 2-term complex these are the descent
 data (a, a_phi, b).  One exhaustive scan on table-coded groups finds the
 torsor cocycles (a, b), taking a from the lam-fibers over the Cech
-differential of b, and quotients them by the coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b)) of
-the unit complex, so the same scan checks contractibility at sheaf level.
+differential of b (``coded._cech_differential``), and quotients them by
+the coboundaries.  Unit cocycles are the torsor cocycles (a, (a_phi, b))
+of the unit complex, so the same scan checks contractibility at sheaf
+level.
 
 The report handlers of ``cech-classify`` are at the end of the module.
 """
@@ -76,14 +78,6 @@ def cech_nerve(cover: Cover) -> Nerve:
 # element indices of its cells, and sorts like its coordinates
 
 
-def _coboundary(A, lam, faces1, alpha):
-    """Re-choosing the local sections by alpha in A(V_0) adds
-    d0*(alpha) - d1*(alpha) to a and lam(alpha) to b."""
-    return (tuple(A.table[alpha[f0]][A.inverse[alpha[f1]]]
-                  for f0, f1 in faces1),
-            tuple(lam[x] for x in alpha))
-
-
 def _add(adds, x, y):
     """Pointwise sum of coded cochains, each part in its own table."""
     return tuple(tuple(add[u][v] for u, v in zip(p, q))
@@ -100,7 +94,9 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
 
     b runs over B(V_0), a over the lam-fiber of d0*(b) - d1*(b) on each V_1
     cell, and d0*(a) + d2*(a) = d1*(a) is tested on V_2.  One label sweep
-    in key order, charged class by class, quotients by the coboundaries.
+    in key order, charged class by class, quotients by the coboundaries
+    (d0*(alpha) - d1*(alpha), lam(alpha)) of alpha in A(V_0).  Both Cech
+    differentials are ``coded._cech_differential``, on B and on A.
     Returns the class minima, every cocycle's label, and the addition
     tables of A and B.  CocycleError if a coboundary sum is not a cocycle
     found.
@@ -109,9 +105,10 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
     lam, add_a, add_b = A.image_array(X.maps[0].matrix, B), A.table, B.table
     faces1, faces2 = nerve.faces(1), nerve.faces(2)
     fibers, n0 = coded._fibers(A, B, lam), len(nerve.level(0))
+    d_a, d_b = (coded._cech_differential(G, faces1) for G in (A, B))
     cocycles = []
     for b in itertools.product(B.elements(), repeat=n0):
-        over = [fibers[add_b[b[f0]][B.inverse[b[f1]]]] for f0, f1 in faces1]
+        over = [fibers[x] for x in d_b(b)]
         cocycles += ((a, b) for a in itertools.product(*over) if all(
             add_a[a[f0]][a[f2]] == a[f1] for f0, f1, f2 in faces2))
     cocycles.sort()
@@ -121,7 +118,7 @@ def _cocycle_classes(nerve, X: groups.Complex, max_states):
     del cocycles
     shifts = []
     for alpha in itertools.product(A.elements(), repeat=n0):
-        s = _coboundary(A, lam, faces1, alpha)
+        s = d_a(alpha), tuple(lam[x] for x in alpha)
         shifts.append(label.setdefault(s, s))
     reps, work = [], 0
     for c in label:

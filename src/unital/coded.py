@@ -21,6 +21,11 @@ checks that law, ``record._group_law`` on the ``generators`` (k |G| row
 gathers for k cyclic factors), and a table that breaks it fails
 coherence.
 
+``_cech_differential`` is the one Cech differential d0*(x) (d1*(x))^-1
+of a coded section x over a nerve's face table: the torsor scans of
+``cech`` take the lam-fibers over it and their coboundaries from it, and
+the descent triples of ``crossed`` their level-1 part.
+
 This lazy layer imports no other; the unit scans, ``crossed-units`` and
 the torsor scans of ``cech-classify`` execute it.
 """
@@ -97,6 +102,16 @@ class CodedGroup:
 def _coded(G):
     """The table-coded form of a finite ``FgAbGroup``."""
     return CodedGroup(G.invariant_factors, str(G))
+
+
+def _cech_differential(G, faces):
+    """The Cech differential x |-> d0*(x) (d1*(x))^-1 of a coded section x
+    of G, in cell order, over ``faces``: per level-1 cell, the positions
+    (d0, d1) of its faces (``Nerve.faces(1)``).  G is a ``CodedGroup`` or
+    a parsed table.  It returns a function of x, with G's tables looked
+    up once, here, not per section."""
+    mul, inv = G.table, G.inverse
+    return lambda x: tuple([mul[x[f0]][inv[x[f1]]] for f0, f1 in faces])
 
 
 def _fibers(src, tgt, f):

@@ -11,13 +11,16 @@ soft truncation, and the complexes that represent the groupoid of units
 of the structure presented by a complex:
 
 * ``unit_complex_1``: A -> ker(lam - id_B), with ker taken inside A (+) B;
-* ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C), built on
-  ``unit_complex_1`` of lam: B -> C;
+* ``unit_complex_2``: A -> B (+) A -> ker(lam - id_C), ``unit_complex_1``
+  of lam: B -> C glued along delta;
 
 each returned with the inclusion of its degree-0 kernel into the sum it is
 taken in; explicit comparison morphisms to the smaller models built from
-id_A and id_ker(lam), one construction per level over a subgroup, and a
-constructed isomorphism truncate_shift(cone(id)) ~ unit_complex_1.
+id_A and id_ker(lam), and a constructed isomorphism
+truncate_shift(cone(id)) ~ unit_complex_1.  Level 2 is level 1 glued: one
+function (``_glue``) turns a 2-term complex S -> T and a map A -> S into
+A -> S (+) A -> T, and the two level-2 models, with their maps into
+``unit_complex_2``, are the level-1 models of lam glued the same way.
 
 Sign convention for the cone of f: X -> Y: in degree n the term is
 X^(n+1) (+) Y^n and the differential is (x, y) |-> (-d x, f(x) + d y).
@@ -175,19 +178,29 @@ def unit_complex_1(X: Complex):
     return Complex((A, K), (d,)), incl
 
 
-def unit_complex_2(X: Complex):
-    """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units.
+def _glue(Y: Complex, delta_s: GroupHom):
+    """Y = S -d-> T glued along delta_s: A -> S.
 
-    Built on V = ``unit_complex_1`` of lam: B -> C.  Degree 0 and the
-    returned embedding into B (+) C are V's, and the last differential is
-    V's after (b, a) |-> b - delta(a).
+    Returns the 3-term complex A -> S (+) A -> T with differentials
+    a |-> (delta_s a, a) and (s, a) |-> d(s - delta_s a), and the sum's
+    ``(inj_s, inj_a, proj_s, proj_a)``.  Every level-2 complex here is a
+    level-1 one glued: the unit complex, and the two models.
     """
-    (A, B, _), (delta, _) = X.terms, X.maps
+    (S, T), (d,) = Y.terms, Y.maps
+    SA, inj_s, inj_a, proj_s, proj_a = direct_sum(S, delta_s.source)
+    d1 = inj_s.compose(delta_s) + inj_a
+    d2 = d.compose(proj_s - delta_s.compose(proj_a))
+    return (Complex((delta_s.source, SA, T), (d1, d2)),
+            (inj_s, inj_a, proj_s, proj_a))
+
+
+def unit_complex_2(X: Complex):
+    """The 3-term complex A -> B (+) A -> ker(lam - id_C) for 2-level units:
+    V = ``unit_complex_1`` of lam: B -> C glued along delta.  Degree 0 and
+    the returned embedding into B (+) C are V's.
+    """
     V, incl = unit_complex_1(Complex(X.terms[1:], X.maps[1:]))
-    _, inj_b, inj_a, proj_b, proj_a = direct_sum(B, A)
-    d1 = inj_b.compose(delta) + inj_a  # a |-> (delta a, a)
-    d2 = V.maps[0].compose(proj_b - delta.compose(proj_a))
-    return Complex((A, d1.target, V.terms[1]), (d1, d2)), incl
+    return _glue(V, X.maps[0])[0], incl
 
 
 def cone(f: StrictMorphism) -> Complex:
@@ -255,34 +268,32 @@ def kernel_model(X: Complex):
     return _identity_model_on(X, kernel(X.maps[0])[1])
 
 
-def _sum_model_on(X: Complex, incl: GroupHom, delta_s: GroupHom):
-    """(A -> S (+) A -> S, morphism into unit_complex_2(X)) for
-    incl: S -> B with delta = incl delta_s; the differentials are
-    a |-> (delta_s a, a) and (s, a) |-> s - delta_s(a), and the morphism is
-    (id_A, incl (+) id_A, s |-> d2(incl s, 0)), d2 the unit complex's."""
-    U, _ = unit_complex_2(X)
-    A, B, S = X.terms[0], X.terms[1], incl.source
-    _, inj_s, inj_a, proj_s, proj_a = direct_sum(S, A)
-    d1 = inj_s.compose(delta_s) + inj_a
-    alt = Complex((A, d1.target, S), (d1, proj_s - delta_s.compose(proj_a)))
-    # sum_model's S is B, whose sum with A is then built once
-    binj_b, binj_a = (inj_s, inj_a) if S == B else direct_sum(B, A)[1:3]
-    mid = binj_b.compose(incl.compose(proj_s)) + binj_a.compose(proj_a)
-    deg0 = U.maps[1].compose(binj_b.compose(incl))
-    return alt, StrictMorphism(alt, U, (GroupHom.identity(A), mid, deg0))
+def _glued_model(X: Complex, model, f, delta_s):
+    """A level-1 model of lam and its map f into V = unit_complex_1(lam),
+    glued: the model along delta_s, and V along delta = f_-1 delta_s into
+    unit_complex_2(X), with the map (id_A, f_-1 (+) id_A, f_0)."""
+    glued, (_, _, proj_s, proj_a) = _glue(model, delta_s)
+    U, (inj_b, inj_a, _, _) = _glue(f.target, X.maps[0])
+    incl, f0 = f.maps
+    mid = inj_b.compose(incl.compose(proj_s)) + inj_a.compose(proj_a)
+    return glued, StrictMorphism(
+        glued, U, (GroupHom.identity(X.terms[0]), mid, f0))
 
 
 def sum_model(X: Complex):
     """Alternate 3-term model A -> B (+) A -> B with its map into
-    unit_complex_2(X); second differential is (b, a) |-> b - delta(a)."""
-    return _sum_model_on(X, GroupHom.identity(X.terms[1]), X.maps[0])
+    unit_complex_2(X): ``identity_model`` of lam glued along delta, so the
+    second differential is (b, a) |-> b - delta(a)."""
+    model, f = identity_model(Complex(X.terms[1:], X.maps[1:]))
+    return _glued_model(X, model, f, X.maps[0])
 
 
 def kernel_sum_model(X: Complex):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
-    into unit_complex_2(X)."""
-    _, kincl = kernel(X.maps[1])
-    return _sum_model_on(X, kincl, lift_through(kincl, X.maps[0]))
+    into unit_complex_2(X): ``kernel_model`` of lam glued along delta
+    lifted through ker(lam)."""
+    model, f = kernel_model(Complex(X.terms[1:], X.maps[1:]))
+    return _glued_model(X, model, f, lift_through(f.maps[0], X.maps[0]))
 
 
 # --------------------------------------------------------------------------

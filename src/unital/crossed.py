@@ -182,10 +182,11 @@ def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
 
 def _triple_of(X, faces):
     """g' |-> (d0*(g') (d1*(g'))^-1, g', bnd(g')^-1): the descent triple
-    over a level-0 choice g', coded in cell order."""
-    mul, inv, h_inv, bnd = X.G.table, X.G.inverse, X.H.inverse, X.boundary
-    return lambda gp: (tuple(mul[gp[f0]][inv[gp[f1]]] for f0, f1 in faces),
-                       gp, tuple(h_inv[bnd[x]] for x in gp))
+    over a level-0 choice g', coded in cell order.  Its g is the Cech
+    differential of g' (``coded._cech_differential``) on the table of G."""
+    d = coded._cech_differential(X.G, faces)
+    h_inv, bnd = X.H.inverse, X.boundary
+    return lambda gp: (d(gp), gp, tuple(h_inv[bnd[x]] for x in gp))
 
 
 def enumerate_unit_triples(X, nerve, max_states=MAX_STATES):

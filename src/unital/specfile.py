@@ -147,7 +147,8 @@ def parse_spec(text) -> ComplexSpecFile:
         names, map_names = COMPLEX_KINDS[kind]
         terms = [_parse_group(groups_doc.get(n, {}), f"groups.{n}")
                  for n in names]
-        maps = [_parse_hom(maps_doc.get(m, _zero(S, T)), S, T, f"maps.{m}")
+        maps = [_parse_hom(maps_doc[m], S, T, f"maps.{m}") if m in maps_doc
+                else groups.GroupHom.zero(S, T)
                 for m, S, T in zip(map_names, terms, terms[1:])]
         # the endpoints match, so only a composite can be refused
         payload = _built("maps", groups.Complex, terms, maps)
@@ -161,7 +162,3 @@ def parse_spec(text) -> ComplexSpecFile:
         payload = _built("$", tables.CrossedModule, G, H, boundary, action)
 
     return ComplexSpecFile(kind, payload, cover, {**doc, "schema": SCHEMA})
-
-
-def _zero(src, tgt):
-    return [[0] * src.ngens for _ in range(tgt.ngens)]

@@ -52,9 +52,11 @@ MUTANTS = [
      "rows = [list(r) for r in self._reps]",
      ["tests/test_complexes.py::TestHomology::"
       "test_matches_the_kernel_cokernel_oracle"]),
-    ("unit-complex-2-d2-plus-delta", "complexes.py",
-     "d2 = V.maps[0].compose(proj_b - delta.compose(proj_a))",
-     "d2 = V.maps[0].compose(proj_b + delta.compose(proj_a))",
+    # level 2 is level 1 glued: one gluing builds the unit complex and
+    # both models, so its sign reaches all three
+    ("glue-d2-plus-delta-s", "complexes.py",
+     "d2 = d.compose(proj_s - delta_s.compose(proj_a))",
+     "d2 = d.compose(proj_s + delta_s.compose(proj_a))",
      ["tests/test_complexes.py::TestUnitComplex2::test_always_acyclic",
       "tests/test_complexes.py::TestLevelTwoFromLevelOne::"
       "test_builders_equal_their_direct_oracles"]),
@@ -166,6 +168,15 @@ MUTANTS = [
       "test_incoherent_vertical_composition_fails_level_2",
       "tests/test_crossed.py::TestCoherenceOracle::"
       "test_every_one_entry_corruption"]),
+    # the one Cech differential of a coded section, for the torsor scans
+    # and the descent triples
+    ("cech-differential-d1-before-d0", "coded.py",
+     "mul[x[f0]][inv[x[f1]]]",
+     "mul[x[f1]][inv[x[f0]]]",
+     ["tests/test_cech.py::TestSections::"
+      "test_coded_cech_differential_is_d0_minus_d1",
+      "tests/test_crossed.py::TestH0GroupLaw::"
+      "test_triples_and_law_match_the_oracle"]),
     # the nerve that crossed-units builds for itself
     ("crossed-units-reads-the-point-nerve", "crossed.py",
      "opts.cover or covers.point_cover()",

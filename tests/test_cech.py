@@ -376,6 +376,20 @@ class TestSections:
         assert any(map(any, d_low))
         assert _zero_mod(_matmul(d_high, d_low), l1.orders)
 
+    @pytest.mark.parametrize("factors", [(3,), (4,), (2, 4)],
+                             ids=["Z/3", "Z/4", "Z/2 x Z/4"])
+    def test_coded_cech_differential_is_d0_minus_d1(self, factors):
+        # every section over the circle and the ring; each G has an element
+        # of order above 2, on which d0* - d1* and d1* - d0* differ
+        G = FgAbGroup.from_divisors(*factors)
+        C, elems = coded._coded(G), list(G.elements())
+        for N in (circle_nerve(), ring_nerve()):
+            d = coded._cech_differential(C, N.faces(1))
+            for x in itertools.product(C.elements(), repeat=len(N.level(0))):
+                s = tuple(elems[k] for k in x)
+                want = _sub(_pull(N, s, 1, 0), _pull(N, s, 1, 1))
+                assert _decoded(G, d(x)) == tuple(w.coords for w in want)
+
     def test_pullback_along_faces(self):
         N = circle_nerve()
         s = tuple(GroupElem(Z2, [i % 2]) for i in range(len(N.level(0))))
@@ -706,12 +720,12 @@ class TestScanSelfCheck:
 
     @SCANS
     def test_broken_coboundary_is_no_cocycle(self, monkeypatch, scan):
-        coboundary = cech._coboundary
+        differential = coded._cech_differential
 
-        def shifted_b(A, lam, faces1, alpha):  # b moves at the first cell
-            a, b = coboundary(A, lam, faces1, alpha)
-            return a, (1 - b[0],) + b[1:]
-        monkeypatch.setattr(cech, "_coboundary", shifted_b)
+        def moved(G, faces):  # a nonzero section moves at its first cell,
+            d = differential(G, faces)  # so the zero cocycle is still found
+            return lambda x: (1 - d(x)[0],) + d(x)[1:] if any(x) else d(x)
+        monkeypatch.setattr(coded, "_cech_differential", moved)
         with pytest.raises(CocycleError, match=ZERO_PLUS_COBOUNDARY):
             scan(circle_nerve(), self.X)
 

@@ -110,6 +110,19 @@ class TestParse:
         assert all(G.is_trivial for G in spec.payload.terms)
         assert len(spec.payload.terms) == 2
 
+    def test_missing_map_is_zero_and_null_is_refused(self):
+        doc = {"kind": "complex3",
+               "groups": {"A": {"inv": [2]}, "B": {"inv": [4]},
+                          "C": {"free": 1}},
+               "maps": {"delta": [[2]]}}
+        X = parse_spec(json.dumps(doc)).payload
+        assert (X.maps[1].source, X.maps[1].target) == X.terms[1:]
+        assert X.maps[1].matrix == ((0,),)
+        doc["maps"]["lambda"] = None
+        with pytest.raises(SpecError, match=r"^maps\.lambda: expected a "
+                                            r"row-major integer matrix$"):
+            parse_spec(json.dumps(doc))
+
     def test_composite_nonzero_rejected(self):
         doc = {"kind": "complex3",
                "groups": {"A": {"inv": [2]}, "B": {"inv": [2]},

@@ -644,13 +644,35 @@ class TestLevelTwoFromLevelOne:
                 if build in fewer:
                     assert sum(n for n, _ in pairs) < \
                         sum(m for _, m in pairs), build.__name__
-        # while _sum_model_on built B (+) A beside S (+) A even for S == B,
-        # sum_model made 395 Smith forms over these 50 complexes and
-        # kernel_sum_model 580
+        # each level-2 model glues a level-1 model of lam and the unit
+        # complex of lam, one direct sum each: over these 50 complexes
+        # sum_model makes 309 Smith forms and kernel_sum_model 465
         rng = random.Random(12)
         drawn = [drawn_complex(rng, 3, k % 3 == 0) for k in range(50)]
-        assert sum(count(sum_model, X) for X in drawn) < 395
-        assert sum(count(kernel_sum_model, X) for X in drawn) <= 580
+        assert sum(count(sum_model, X) for X in drawn) <= 309
+        assert sum(count(kernel_sum_model, X) for X in drawn) <= 465
+
+    @pytest.mark.parametrize("build,level1", [
+        ("sum_model", "identity_model"),
+        ("kernel_sum_model", "kernel_model")])
+    def test_level_two_models_glue_a_level_one_model_of_lam(
+            self, monkeypatch, build, level1):
+        seen, second = [], []
+        for name in ("identity_model", "kernel_model"):
+            real = getattr(complexes_module, name)
+            monkeypatch.setattr(complexes_module, name, lambda X, name=name,
+                                real=real: seen.append((name, X)) or real(X))
+        unit2 = complexes_module.unit_complex_2
+        monkeypatch.setattr(complexes_module, "unit_complex_2",
+                            lambda X: second.append(X) or unit2(X))
+        rng = random.Random(39)
+        for X in (c3_zero_id(), *(drawn_complex(rng, 3, k % 2 == 0)
+                                  for k in range(4))):
+            seen.clear()
+            _, mor = getattr(complexes_module, build)(X)
+            assert seen == [(level1, Complex(X.terms[1:], X.maps[1:]))]
+            assert mor.target == unit2(X)[0]
+        assert second == []
 
     def test_level_two_calls_level_one_of_lam(self, monkeypatch):
         seen = []
