@@ -13,13 +13,15 @@ scans read of either: ``table``, ``inverse``, ``identity``, ``order``,
 tables, in the conventions of ``crossed``.  It is the library's one
 unit-groupoid scan: ``point_models`` runs it on lam: A -> B with trivial
 action (level 1) and on delta: A -> B (level 2), and ``crossed`` on a
-crossed module.  Coherence needs no scan of its own.  The one morphism
-of each ordered pair of units is u_st = x_t^-1 x_s, with x_s the twisted
-g_s^(e_s^-1), so u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw on every
-triple of units once the table of G obeys the group law.  So the scan
-checks that law, ``record._group_law`` on the ``generators`` (k |G| row
-gathers for k cyclic factors), and a table that breaks it fails
-coherence.
+crossed module.  It derives the units it checks from the boundary and
+returns them, so no caller builds a unit list for it; level 2 compares
+each pair's 1-morphisms with the delta units it returns.  Coherence
+needs no scan of its own.  The one morphism of each ordered pair of
+units is u_st = x_t^-1 x_s, with x_s the twisted g_s^(e_s^-1), so
+u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw on every triple of units once
+the table of G obeys the group law.  So the scan checks that law,
+``record._group_law`` on the ``generators`` (k |G| row gathers for k
+cyclic factors), and a table that breaks it fails coherence.
 
 ``_cech_differential`` is the one Cech differential d0*(x) (d1*(x))^-1
 of a coded section x over a nerve's face table: the torsor scans of
@@ -132,14 +134,15 @@ def _coded_units(src, f):
     return sorted((f[x], x) for x in src.elements())
 
 
-def unit_morphism_checks(G, H, bnd, act, units, key):
-    """The failures of the two checks that make a unit groupoid
-    contractible, for the caller to report, and the number of ordered
-    pairs of units with exactly one unit morphism.
+def unit_morphism_checks(G, H, bnd, act, key):
+    """The units of a crossed module, the failures of the two checks that
+    make its unit groupoid contractible, for the caller to report, and the
+    number of ordered pairs of units with exactly one unit morphism.
 
     ``bnd`` and ``act`` are the boundary array and the action table of a
-    crossed module G -> H, ``units`` its units from ``_coded_units``, and
-    ``key`` names a unit in witnesses.  Every ordered pair (s, t) must carry
+    crossed module G -> H, and ``key`` names a unit in witnesses.  The
+    units are derived from ``bnd`` (``_coded_units``), one per element of
+    G, and returned as coded pairs.  Every ordered pair (s, t) must carry
     exactly one unit morphism, found by scanning the fiber of bnd over
     e_t^-1 e_s, and it must be u = (g_t^(e_t^-1))^-1 (g_s^(e_s^-1)); a pair
     that fails is listed as (key(s), key(t), the morphisms found).  These
@@ -149,7 +152,7 @@ def unit_morphism_checks(G, H, bnd, act, units, key):
     """
     mul, inv, h_mul, h_inv = G.table, G.inverse, H.table, H.inverse
     cols = tuple(zip(*mul))  # cols[b][a] = a * b
-    fibers = _fibers(G, H, bnd)
+    units, fibers = _coded_units(G, bnd), _fibers(G, H, bnd)
     # over u: phi_s then u is cols[g_s][u], (u (x) u) then phi_t squares[t][u]
     squares = [[mul[g][mul[act[u][e]][u]] for u in G.elements()]
                for e, g in units]
@@ -165,4 +168,4 @@ def unit_morphism_checks(G, H, bnd, act, units, key):
             if sols != [u]:
                 pair_failures.append((key(s), key(t), sols))
     law = _group_law(mul, G.identity, inv, G.generators)
-    return pair_failures, [law] if law else [], morphisms
+    return units, pair_failures, [law] if law else [], morphisms

@@ -268,11 +268,12 @@ def kernel_model(X: Complex):
     return _identity_model_on(X, kernel(X.maps[0])[1])
 
 
-def _glued_model(X: Complex, model, f, delta_s):
-    """A level-1 model of lam and its map f into V = unit_complex_1(lam),
-    glued: the model along delta_s, and V along delta = f_-1 delta_s into
-    unit_complex_2(X), with the map (id_A, f_-1 (+) id_A, f_0)."""
-    glued, (_, _, proj_s, proj_a) = _glue(model, delta_s)
+def _glued_model(X: Complex, f, delta_s):
+    """The map f from a level-1 model of lam into V = unit_complex_1(lam),
+    glued: its source, the model, along delta_s, and V along
+    delta = f_-1 delta_s into unit_complex_2(X), with the map
+    (id_A, f_-1 (+) id_A, f_0)."""
+    glued, (_, _, proj_s, proj_a) = _glue(f.source, delta_s)
     U, (inj_b, inj_a, _, _) = _glue(f.target, X.maps[0])
     incl, f0 = f.maps
     mid = inj_b.compose(incl.compose(proj_s)) + inj_a.compose(proj_a)
@@ -284,16 +285,16 @@ def sum_model(X: Complex):
     """Alternate 3-term model A -> B (+) A -> B with its map into
     unit_complex_2(X): ``identity_model`` of lam glued along delta, so the
     second differential is (b, a) |-> b - delta(a)."""
-    model, f = identity_model(Complex(X.terms[1:], X.maps[1:]))
-    return _glued_model(X, model, f, X.maps[0])
+    _, f = identity_model(Complex(X.terms[1:], X.maps[1:]))
+    return _glued_model(X, f, X.maps[0])
 
 
 def kernel_sum_model(X: Complex):
     """Alternate 3-term model A -> ker(lam) (+) A -> ker(lam) with its map
     into unit_complex_2(X): ``kernel_model`` of lam glued along delta
     lifted through ker(lam)."""
-    model, f = kernel_model(Complex(X.terms[1:], X.maps[1:]))
-    return _glued_model(X, model, f, lift_through(f.maps[0], X.maps[0]))
+    _, f = kernel_model(Complex(X.terms[1:], X.maps[1:]))
+    return _glued_model(X, f, lift_through(f.maps[0], X.maps[0]))
 
 
 # --------------------------------------------------------------------------

@@ -148,17 +148,19 @@ def unit_crossed_module(X: CrossedModule) -> CrossedModule:
 def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     """All units as coded pairs (e, g_phi), plus the contractibility report.
 
-    Units are lam(g) |-> (lam(g), g) for g in G; those with e = 1 are the
-    kernel of the boundary; ``unit_morphism_checks`` adds that every ordered
-    pair carries exactly one unit morphism and that these compose
-    coherently, the latter as the group law of G on its ``generators``,
-    every element of a parsed table: |G|^2 row gathers.  The charge, made
-    before any unit is built, is still |G|^3, the coherence triples once
-    scanned, so it over-counts the work.
+    ``unit_morphism_checks`` derives the units, lam(g) |-> (lam(g), g) for
+    g in G, and checks that every ordered pair carries exactly one unit
+    morphism and that these compose coherently, the latter as the group
+    law of G on its ``generators``, every element of a parsed table:
+    |G|^2 row gathers.  Here the units with e = 1 are checked to be the
+    kernel of the boundary.  The charge, made before the scan builds any
+    unit, is still |G|^3, the coherence triples once scanned, so it
+    over-counts the work.
     """
     G, H = X.G, X.H
     charge("coherence scan", G.order ** 3, "|G|^3", max_states)
-    units = coded._coded_units(G, X.boundary)
+    units, pairs, coherence, _ = coded.unit_morphism_checks(
+        G, H, X.boundary, X.action, lambda unit: unit)
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
@@ -166,8 +168,6 @@ def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     trivial_e = sorted(g for e, g in units if e == H.identity)
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
-    pairs, coherence, _ = coded.unit_morphism_checks(
-        G, H, X.boundary, X.action, units, lambda unit: unit)
     report.add("exactly one unit morphism per ordered pair", not pairs,
                pairs[:3] or f"{len(units) ** 2} morphisms")
     report.add("composition of unique morphisms is coherent", not coherence,

@@ -16,9 +16,10 @@ way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
 {alpha : delta(alpha) = b - b'}.  A unit is a pair (e, phi) with
 lam(phi) = e; morphisms of units carry a filling 2-cell.  Each
 hom-groupoid of the unit 2-groupoid is the unit groupoid of the 2-term
-complex delta: A -> B, so level-2 contractibility is the same
-``unit_morphism_checks`` scan, run once on delta after the unit
-1-morphisms are checked to be (delta(theta) + phi_s - phi_t, theta).
+complex delta: A -> B shifted by phi_s - phi_t, so level-2
+contractibility is the same ``unit_morphism_checks`` scan, run once on
+delta, and the unit 1-morphisms s -> t, shifted back by
+(phi_s - phi_t, 0), are checked to be the delta units it returns.
 
 Orientation of the filling 2-cell: theta runs from the path
 (f tensor f) ; phi_target to the path phi_source ; f, so membership reads
@@ -40,7 +41,6 @@ one per level for ``units``, and one for ``contractible``, which calls
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .coded import _coded, _coded_units, _fibers, unit_morphism_checks
 from .groups import Complex, _require_finite
@@ -87,12 +87,12 @@ def units_and_morphism_count_1(X: Complex):
 
 
 def _unit_scan(A, B, f):
-    """The coded units of f: A -> B, and ``unit_morphism_checks`` on f read
-    as a crossed module with trivial action, its units keyed as
-    coordinate pairs."""
-    units = _coded_units(A, f)
+    """``unit_morphism_checks`` on f: A -> B read as a crossed module with
+    trivial action, its units keyed as coordinate pairs in witnesses: the
+    coded units of f, which the scan derives, the pair and coherence
+    failures, and the morphism count."""
     action = tuple((g,) * B.order for g in A.elements())
-    return units, unit_morphism_checks(A, B, f, action, units, _pairs(B, A))
+    return unit_morphism_checks(A, B, f, action, _pairs(B, A))
 
 
 def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
@@ -110,7 +110,7 @@ def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
     charge("coherence scan", X.terms[0].order() ** 3, "|A|^3", max_states)
     report = Report("contractibility of the unit groupoid")
     (A, B), (lam,) = _tables(X)
-    units, (pairs, coherence, morphisms) = _unit_scan(A, B, lam)
+    units, pairs, coherence, morphisms = _unit_scan(A, B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     report.add("exactly one unit morphism per ordered pair", not pairs,
                pairs[:3] or f"{len(units) ** 2} morphisms")
@@ -146,20 +146,23 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     """Check that the unit 2-groupoid is contractible, exhaustively, by a
     checked reduction to level 1.
 
-    Units exist, every ordered pair of units s, t is connected by the unit
-    1-morphism (phi_s - phi_t, 0), and the unit 1-morphisms s -> t, listed
-    from the fibers, are exactly (delta(theta) + phi_s - phi_t, theta), one
-    per theta in A.  A 2-cell between (., theta_1) and (., theta_2) then
-    solves the equation of a unit morphism between the units
-    (delta(theta_i), theta_i) of delta: A -> B, so one
-    ``unit_morphism_checks`` scan of delta covers every parallel pair of
-    every unit pair, and vertical coherence on every triple, as the group
-    law of A.  The listing (|B|^2 |A|), the scan's fibers
-    (|A|^2 |ker delta|) and the |A|^3 coherence triples that the scan no
-    longer visits are charged on the coded tables alone, |ker delta| read
-    off delta's image array, before the units, the fibers or any
-    1-morphism is built; the cube term over-counts the group law's
-    k |A|^2 table reads.
+    Each hom-groupoid of the unit 2-groupoid is the unit groupoid of
+    delta: A -> B shifted by the level-1 morphism phi_s - phi_t.  So one
+    ``unit_morphism_checks`` scan of delta runs first, and its units
+    (delta(theta), theta) are the reference list: units exist, every
+    ordered pair of units s, t is connected by the unit 1-morphism
+    (phi_s - phi_t, 0), and the unit 1-morphisms s -> t, listed from the
+    fibers and shifted back by (phi_s - phi_t, 0), are exactly delta's
+    units, one per theta in A.  A 2-cell between (., theta_1) and
+    (., theta_2) then solves the equation of a unit morphism between the
+    units (delta(theta_i), theta_i) of delta, so the one scan covers every
+    parallel pair of every unit pair, and vertical coherence on every
+    triple, as the group law of A.  The listing (|B|^2 |A|), the scan's
+    fibers (|A|^2 |ker delta|) and the |A|^3 coherence triples that the
+    scan no longer visits are charged on the coded tables alone,
+    |ker delta| read off delta's image array, before the units, the
+    fibers or any 1-morphism is built; the cube term over-counts the group
+    law's k |A|^2 table reads.
     """
     report = Report("contractibility of the unit 2-groupoid")
     (A, B, C), (delta, lam) = _tables(X)
@@ -169,20 +172,20 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
            "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
+    # delta's unit (delta(theta), theta) is a 1-morphism s -> s; keyed so
+    thetas, pairs, coherence, _ = _unit_scan(A, B, delta)
     f_fibers, theta_fibers = _fibers(B, C, lam), _fibers(A, B, delta)
     add, neg, unit_key = B.table, B.inverse, _pairs(C, B)
     connected_failures, unlisted, onemorphisms = [], [], 0
     for s, t in itertools.product(units, repeat=2):
         ms = _coded_1morphisms(B, C, f_fibers, theta_fibers, s, t)
         onemorphisms += len(ms)
-        shift = add[s[1]][neg[t[1]]]  # phi_s - phi_t
-        if (shift, A.identity) not in ms:
+        back = add[t[1]][neg[s[1]]]  # phi_t - phi_s
+        shifted = sorted([(add[f][back], theta) for f, theta in ms])
+        if (B.identity, A.identity) not in shifted:  # (phi_s - phi_t, 0) back
             connected_failures.append((unit_key(s), unit_key(t)))
-        if sorted(ms, key=itemgetter(1)) != \
-                [(add[delta[theta]][shift], theta) for theta in A.elements()]:
+        if shifted != thetas:
             unlisted.append((unit_key(s), unit_key(t)))
-    # delta's unit (delta(theta), theta) is a 1-morphism s -> s; keyed so
-    _, (pairs, coherence, _) = _unit_scan(A, B, delta)
     pairs = unlisted + pairs
     report.add("every unit pair is connected by a unit 1-morphism",
                not connected_failures, connected_failures[:3] or None)

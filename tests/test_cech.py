@@ -503,6 +503,83 @@ ORDER_AT_MOST_4 = (TRIV, Z2, Z3, FgAbGroup.cyclic(4),
                    FgAbGroup.from_divisors(2, 2))
 
 
+# --------------------------------------------------------------------------
+# every cocycle the coded scan labels, against the definitions: sections
+# are dicts by cell, faces come from the cover's own tables
+# (``oracle_face``), and arithmetic is that of the groups' coordinates
+
+
+def _pulled(nerve, s, level, i):
+    """d_i^* of s, a dict on the cells one level below ``level``."""
+    return {c: s[oracle_face(nerve.cover, c, i)] for c in nerve.level(level)}
+
+
+def _is_torsor_cocycle(nerve, X, a, b):
+    """d0*(b) = d1*(b) + lam(a) on V_1, d0*(a) + d2*(a) = d1*(a) on V_2."""
+    lam = X.maps[0]
+    (b0, b1), (a0, a1, a2) = ([_pulled(nerve, s, n, i) for i in range(n + 1)]
+                              for s, n in ((b, 1), (a, 2)))
+    return all(b0[c] == b1[c] + lam(a[c]) for c in nerve.level(1)) and \
+        all(a0[c] + a2[c] == a1[c] for c in nerve.level(2))
+
+
+def _as_coordinates(nerve, cocycles):
+    """Cocycles, each a on V_1 then sections on V_0, dicts by cell, as
+    coordinate tuples in cell order; and the same set with a negated."""
+    def coords(a, *rest):
+        return tuple(tuple(s[c].coords for c in nerve.level(n))
+                     for s, n in zip((a, *rest), (1,) + (0,) * len(rest)))
+
+    return ({coords(*c) for c in cocycles},
+            {coords({c: -x for c, x in a.items()}, *rest)
+             for a, *rest in cocycles})
+
+
+def _torsor_cocycles_by_definition(nerve, X):
+    """Every torsor cocycle (a, b) of X, by ``_as_coordinates``.  b runs
+    over B(V_0), and a over the lam-preimages of d0*(b) - d1*(b), cell by
+    cell: no candidate outside them is formed."""
+    (A, B), (lam,) = X.terms, X.maps
+    V0, V1 = nerve.level(0), nerve.level(1)
+    preimages = {}
+    for x in A.elements():
+        preimages.setdefault(lam(x), []).append(x)
+    cocycles = []
+    for values in itertools.product(list(B.elements()), repeat=len(V0)):
+        b = dict(zip(V0, values))
+        b0, b1 = _pulled(nerve, b, 1, 0), _pulled(nerve, b, 1, 1)
+        over = [preimages.get(b0[c] - b1[c], []) for c in V1]
+        for choice in itertools.product(*over):
+            a = dict(zip(V1, choice))
+            if _is_torsor_cocycle(nerve, X, a, b):
+                cocycles.append((a, b))
+    return _as_coordinates(nerve, cocycles)
+
+
+def _unit_cocycles_by_definition(nerve, X):
+    """Every unit cocycle (a, a_phi, b) of X, by ``_as_coordinates``: one
+    per a_phi in A(V_0), with b = lam(a_phi) and
+    a = d0*(a_phi) - d1*(a_phi), each checked to be a torsor cocycle."""
+    (A, _), (lam,) = X.terms, X.maps
+    V0 = nerve.level(0)
+    cocycles = []
+    for values in itertools.product(list(A.elements()), repeat=len(V0)):
+        a_phi = dict(zip(V0, values))
+        b = {c: lam(x) for c, x in a_phi.items()}
+        p0, p1 = _pulled(nerve, a_phi, 1, 0), _pulled(nerve, a_phi, 1, 1)
+        a = {c: p0[c] - p1[c] for c in nerve.level(1)}
+        assert _is_torsor_cocycle(nerve, X, a, b)
+        cocycles.append((a, a_phi, b))
+    return _as_coordinates(nerve, cocycles)
+
+
+# circle inputs with lam != 0 and an element of order above 2, where a sign
+# error in the Cech differential moves the cocycles; Z/3 -1-> Z/3 alone
+# has 3^12 = 531,441 candidate pairs (a, b) on the circle
+SIGN_SEEING = [_complex2((3,), (3,), [[1]]), _complex2((4,), (4,), [[1]]),
+               _complex2((3,), (6,), [[2]])]
+
+
 class TestCodedTorsorScan:
     @settings(max_examples=40, deadline=None)
     @given(homs(max_order=12))
@@ -515,6 +592,15 @@ class TestCodedTorsorScan:
     def test_circle_against_filter_and_oracles(self, X):
         # every complex with |A|, |B| <= 2: Z/2 -> Z/2 is 4096 candidates
         _check_coded_scan(circle_nerve(), oracle_circle_nerve(), X)
+
+    @pytest.mark.parametrize("X", SIGN_SEEING, ids=_complex_id)
+    def test_every_cocycle_against_the_definitions(self, X):
+        N = circle_nerve()
+        want, negated = _torsor_cocycles_by_definition(N, X)
+        assert want != negated  # the comparison sees the sign of the scan
+        _, label, _ = cech._cocycle_classes(N, X, 10 ** 6)
+        A, B = X.terms
+        assert {(_decoded(A, a), _decoded(B, b)) for a, b in label} == want
 
     def test_cap_refuses_before_any_table(self, monkeypatch):
         X = Complex((Z2, Z2), (GroupHom.zero(Z2, Z2),))
@@ -677,6 +763,22 @@ class TestCodedUnitScan:
             _unit_classes(circle_nerve(), X, max_states=7)
         assert str(exc.value) == \
             "unit-cocycle scan needs 8 states (|A|^|V_0|), above the cap 7"
+
+    @pytest.mark.parametrize("N", [circle_nerve(), ring_nerve()],
+                             ids=["circle", "ring4"])
+    @pytest.mark.parametrize("X", SIGN_SEEING, ids=_complex_id)
+    def test_every_cocycle_against_the_definitions(self, X, N):
+        want, negated = _unit_cocycles_by_definition(N, X)
+        assert want != negated  # the comparison sees the sign of the scan
+        U, emb = unit_complex_1(X)
+        _, label, _ = cech._cocycle_classes(N, U, 10 ** 6)
+        # a coded point u of ker(lam - id) is (a_phi, b) through emb
+        _, _, _, proj_a, proj_b = direct_sum(*X.terms)
+        points = list(map(emb, U.terms[1].elements()))
+        assert {(_decoded(X.terms[0], a),
+                 tuple(proj_a(points[k]).coords for k in u),
+                 tuple(proj_b(points[k]).coords for k in u))
+                for a, u in label} == want
 
     @pytest.mark.parametrize("X", list(_complexes2((TRIV, Z2))),
                              ids=_complex_id)

@@ -573,9 +573,21 @@ class TestQuasiIsomorphism:
                                    "a2844c9c9aad52594ebfe26f6a9000c6")
 
     def test_three_term_alternates(self):
-        rng = random.Random(81)
-        for _ in range(10):
-            X = random_complex3(rng, 9)
+        # seed 81 draws deltas of order at most 2, where s + delta_s a and
+        # s - delta_s a agree; seed 29's draws and the two built complexes
+        # have an image element of order > 2, so they see the gluing's sign
+        rng, signed = random.Random(81), random.Random(29)
+        Z8 = FgAbGroup.cyclic(8)
+        built = [Complex((Z3, Z3, Z2), (GroupHom.identity(Z3),
+                                        GroupHom.zero(Z3, Z2))),
+                 Complex((Z8, Z8, Z2), (GroupHom(Z8, Z8, [[2]]),
+                                        GroupHom(Z8, Z2, [[1]])))]
+        drawn = [random_complex3(signed, 9) for _ in range(10)]
+        seen = [X for X in drawn + built
+                if any(X.maps[0](a) != -X.maps[0](a)
+                       for a in X.terms[0].elements())]
+        assert len(seen) == 5
+        for X in [random_complex3(rng, 9) for _ in range(10)] + drawn + built:
             for build in (sum_model, kernel_sum_model):
                 alt, mor = build(X)
                 assert is_acyclic(alt)

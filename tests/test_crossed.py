@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from unital import coded, point_models
+from unital import point_models
 from unital.abelian import kernel
 from unital.cech import cech_nerve
 from unital.covers import point_cover
@@ -521,9 +521,10 @@ class TestUnitScan:
             assert failures and not rep.passed
             pair = rep.checks[2]
             assert not pair.passed and pair.witness == failures[:3]
-            pair_failures, coherence_failures, unique = unit_morphism_checks(
-                X.G, X.H, X.boundary, X.action, units, lambda unit: unit)
-            assert pair_failures == failures
+            scanned, pair_failures, coherence_failures, unique = \
+                unit_morphism_checks(X.G, X.H, X.boundary, X.action,
+                                     lambda unit: unit)
+            assert scanned == units and pair_failures == failures
             assert [not pair_failures, not coherence_failures] == \
                 [c.passed for c in rep.checks[2:]]
             assert coherence_failures[:3] == (rep.checks[3].witness or [])
@@ -572,9 +573,8 @@ def _coherence(X, G=None):
     its unit morphisms coherent, and whether the triple-scan oracle does,
     with G's tables in place of X.G's."""
     G = G or X.G
-    units = coded._coded_units(G, X.boundary)
-    pairs, failures, _ = unit_morphism_checks(
-        G, X.H, X.boundary, X.action, units, lambda unit: unit)
+    units, pairs, failures, _ = unit_morphism_checks(
+        G, X.H, X.boundary, X.action, lambda unit: unit)
     return not pairs, not failures, not oracles.coherence_triple_failures(
         G.table, G.inverse, X.H.inverse, X.action, units)
 
