@@ -46,9 +46,16 @@ def _identity(n):
 
 
 def _matmul(A, B, m, k, n):
-    """Product of an m-by-k and a k-by-n matrix; zeros of A are skipped."""
-    return [[sum(a * B[t][j] for t, a in nz) for j in range(n)] for nz in
-            ([(t, a) for t, a in zip(range(k), A[i]) if a] for i in range(m))]
+    """Product of an m-by-k and a k-by-n matrix; zeros of both factors are
+    skipped, so it costs one multiplication per pair of nonzero entries
+    A[i][t], B[t][j] that meet."""
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = [[0] * n for _ in range(m)]
+    for row, a_row in zip(out, A):
+        for a, b_row in zip(a_row, nonzero):
+            for j, b in b_row if a else ():
+                row[j] += a * b
+    return out
 
 
 def _matvec(A, v, m, k):

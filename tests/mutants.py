@@ -197,6 +197,34 @@ MUTANTS = [
      "        key = (source_set, comp, source_set - {max(source_set)})\n",
      ["tests/test_change_of_basis.py::"
       "test_cech_classify_survives_relabelled_covers[split]"]),
+    # level 2 by translation: each hypothesis of the argument is checked,
+    # and the listing of the oracles sees each one go
+    ("level-2-drops-lam-delta-zero", "point_models.py",
+     "if lam[delta[x]] != C.identity]",
+     "if False]",
+     ["tests/test_point_models.py::TestLevel2Translation::"
+      "test_every_corruption_the_listing_fails_fails_here",
+      "tests/test_point_models.py::TestFaultInjection::"
+      "test_fault_injected_contractible_exits_1"]),
+    ("level-2-additivity-on-no-generator", "point_models.py",
+     "((b, g) for g in B.generators",
+     "((b, g) for g in ()",
+     ["tests/test_point_models.py::TestLevel2Translation::"
+      "test_every_corruption_the_listing_fails_fails_here",
+      "tests/test_point_models.py::TestFaultInjection::"
+      "test_missing_canonical_1morphism_fails_named_check"]),
+    ("level-2-shift-with-the-wrong-sign", "point_models.py",
+     "add[s[1]][neg[phi_c]]",
+     "add[phi_c][neg[s[1]]]",
+     ["tests/test_point_models.py::TestLevel2Translation::"
+      "test_agrees_with_the_pair_listing"]),
+    # integer products skip the zeros of both factors
+    ("matmul-drops-the-last-column", "groups.py",
+     "[(j, b) for j, b in enumerate(row) if b]",
+     "[(j, b) for j, b in enumerate(row[:-1]) if b]",
+     ["tests/test_abelian.py::TestMatmul::test_matches_the_triple_sum",
+      "tests/test_complexes.py::TestQuasiIsomorphism::"
+      "test_z64_tripwire_products_cost_their_nonzeros"]),
     # the nerve that crossed-units builds for itself
     ("crossed-units-reads-the-point-nerve", "crossed.py",
      "opts.cover or covers.point_cover()",

@@ -387,6 +387,60 @@ def coherence_triple_failures(T, inv, h_inv, act, units):
 
 
 # --------------------------------------------------------------------------
+# Level-2 contractibility pair by pair: the listing that
+# ``point_models.verify_contractible_2`` ran before it checked the
+# hypotheses of the translation argument in its place.  It reads table-coded
+# groups (``table``, ``inverse``, ``identity``, ``order``) and image arrays,
+# trusting none of them, so corrupted tables give what they give.
+
+def _preimages(f, n):
+    """The preimages under the array f of each of 0..n-1, ascending."""
+    out = [[] for _ in range(n)]
+    for x, y in enumerate(f):
+        out[y].append(x)
+    return out
+
+
+def unit_1morphism_lister(B, C, delta, lam):
+    """A function of two units s = (e_s, phi_s), t of A -delta-> B -lam-> C,
+    as index pairs, giving the unit 1-morphisms s -> t as (f, theta) index
+    pairs in lexicographic order: lam(f) = e_s - e_t, and theta lies over
+    f + phi_t - phi_s."""
+    f_fibers = _preimages(lam, C.order)
+    theta_fibers = _preimages(delta, B.order)
+    add, neg = B.table, B.inverse
+
+    def listing(s, t):
+        (e_s, phi_s), (e_t, phi_t) = s, t
+        return [(f, theta) for f in f_fibers[C.table[e_s][C.inverse[e_t]]]
+                for theta in theta_fibers[add[add[f][phi_t]][neg[phi_s]]]]
+    return listing
+
+
+def level2_pair_listing(A, B, C, delta, lam):
+    """Every ordered pair of units (s, t), s = (lam(phi), phi), with its unit
+    1-morphisms listed and shifted back by (phi_t - phi_s, 0).  Returns the
+    units, the pairs whose list lacks (phi_s - phi_t, 0), the pairs whose
+    shifted list is not delta's graph {(delta(theta), theta)}, and the
+    number of parallel pairs of 1-morphisms, summed over the unit pairs."""
+    listing = unit_1morphism_lister(B, C, delta, lam)
+    add, neg = B.table, B.inverse
+    units = sorted((lam[phi], phi) for phi in range(B.order))
+    graph = sorted((delta[theta], theta) for theta in range(A.order))
+    unconnected, unlisted, parallel = [], [], 0
+    for s, t in itertools.product(units, repeat=2):
+        ms = listing(s, t)
+        back = add[t[1]][neg[s[1]]]
+        shifted = sorted((add[f][back], theta) for f, theta in ms)
+        if (B.identity, A.identity) not in shifted:
+            unconnected.append((s, t))
+        if shifted != graph:
+            unlisted.append((s, t))
+        parallel += len(ms) ** 2
+    return units, unconnected, unlisted, parallel
+
+
+# --------------------------------------------------------------------------
 # subquotient without the Gaussian reduction
 
 

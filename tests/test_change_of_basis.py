@@ -15,8 +15,8 @@ model, ``cech-classify`` over the point nerve, ``units`` and
 ``contractible``; ``cech-classify`` also over the circle and the ring, on
 terms of order up to 8.  Unit lists move with the basis: a unit (e, phi)
 of X is the unit (P e, P phi) of X'.  ``contractible`` also keeps the
-counts its verifier records and its report leaves out: units, morphisms
-and unit 1-morphisms.
+counts its verifier records and its report leaves out: units, and at
+level 1 morphisms.
 
 Relabelled covers.  Permuting the parts of a cover, its lists of
 intersections and of containments, and the parts within each entry gives

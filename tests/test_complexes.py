@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unital import abelian
+from unital import abelian, groups
 from unital import complexes as complexes_module
 from unital.abelian import (
     FgAbGroup, GroupElem, GroupHom, cokernel, direct_sum, is_isomorphism,
@@ -45,6 +45,10 @@ Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
 Z4 = FgAbGroup.cyclic(4)
 TRIV = FgAbGroup.trivial()
+
+
+TRIPWIRE_QISO_DIGEST = ("8811db88b0cb8ee3b8c2c92ead24bd68"
+                        "a2844c9c9aad52594ebfe26f6a9000c6")
 
 
 def c2_times2():
@@ -552,25 +556,51 @@ class TestQuasiIsomorphism:
                                  StrictMorphism.identity(iso.source))
             assert is_quasi_isomorphism(roundabout).is_qiso
 
-    def test_z64_tripwire_cancels_before_its_smith_forms(self, monkeypatch):
-        # the scale tripwire's qiso input, Z^64 -delta-> Z^64 -0-> Z^64: the
-        # +-1 graph entries of the unit complex are cancelled before any
-        # Smith form; eliminating the whole matrices took 62 _snf_full
-        # calls on 290,816 entries
+    @staticmethod
+    def z64_tripwire():
+        """The scale tripwire's qiso input, Z^64 -delta-> Z^64 -0-> Z^64."""
         r = random.Random(64)
         delta = [[r.randint(-9, 9) for _ in range(64)] for _ in range(64)]
-        spec = parse_spec(json.dumps({
+        return parse_spec(json.dumps({
             "kind": "complex3",
             "groups": {"A": {"free": 64}, "B": {"free": 64},
                        "C": {"free": 64}},
             "maps": {"delta": delta}}))
+
+    def test_z64_tripwire_cancels_before_its_smith_forms(self, monkeypatch):
+        # the +-1 graph entries of the unit complex are cancelled before any
+        # Smith form; eliminating the whole matrices took 62 _snf_full
+        # calls on 290,816 entries
         entries, snf = [], abelian._snf_full
         monkeypatch.setattr(abelian, "_snf_full", lambda M, *a, **k: (
             entries.append(len(M) * len(M[0]) if M else 0) or snf(M, *a, **k)))
-        report = run("qiso", spec)
+        report = run("qiso", self.z64_tripwire())
         assert len(entries) <= 40 and sum(entries) <= 40_000
-        assert report.digest() == ("8811db88b0cb8ee3b8c2c92ead24bd68"
-                                   "a2844c9c9aad52594ebfe26f6a9000c6")
+        assert report.digest() == TRIPWIRE_QISO_DIGEST
+
+    def test_z64_tripwire_products_cost_their_nonzeros(self, monkeypatch):
+        # every integer matrix product (groups._matmul, which abelian binds
+        # too) multiplies only the nonzero entries that meet: 110,788
+        # multiplications, where the dense products did 4,704,128.  The
+        # left factor's entries count each product they take part in
+        count = [0]
+
+        class Counted(int):
+            def __mul__(self, other):
+                count[0] += 1
+                return int(self) * other
+            __rmul__ = __mul__
+
+        matmul = groups._matmul
+
+        def counting(A, B, m, k, n):
+            return matmul([[Counted(x) for x in row] for row in A], B, m, k, n)
+
+        monkeypatch.setattr(groups, "_matmul", counting)
+        monkeypatch.setattr(abelian, "_matmul", counting)
+        report = run("qiso", self.z64_tripwire())
+        assert 0 < count[0] <= 150_000
+        assert report.digest() == TRIPWIRE_QISO_DIGEST
 
     def test_three_term_alternates(self):
         # seed 81 draws deltas of order at most 2, where s + delta_s a and

@@ -3,13 +3,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unital.abelian import FgAbGroup, GroupElem, GroupHom, kernel
 from unital.cech import cech_nerve, cocycle_of_unit
 from unital.covers import point_cover
 from unital.complexes import Complex, homology, unit_complex_1
-from unital import point_models
+from unital import coded, point_models
+from unital.cli import main
 from unital.reporting import run
 from unital.specfile import parse_spec
 from unital.point_models import (
@@ -21,13 +22,16 @@ from unital.point_models import (
 )
 from unital.verification import CapExceeded, FinitenessError
 
+import oracles
 from test_abelian import random_group, random_hom
+from test_crossed import _one_entry_moved
 from test_complexes import (
     c2_times2, c3_zero_id, drawn_complex, random_complex2, random_complex3)
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
 Z4 = FgAbGroup.cyclic(4)
+Z64 = FgAbGroup.cyclic(64)
 
 
 model_times2, model2_example = c2_times2, c3_zero_id
@@ -287,13 +291,11 @@ class TestJKUnits:
         ms = oracle_unit_1morphisms(model, units[0], units[1])
         assert sorted((f.coords, theta.coords) for f, theta in ms) == \
             [((1,), (0,)), ((1,), (1,))]
-        # the coded scan finds the same pairs
+        # the coded per-pair listing of the oracles finds the same pairs
         (A, B, C), (delta, lam) = point_models._tables(model)
-        coded = [(C.index(e), B.index(phi)) for e, phi in units]
+        pair = [(C.index(e), B.index(phi)) for e, phi in units]
         assert [(B.coords(f), A.coords(theta)) for f, theta in
-                point_models._coded_1morphisms(
-                    B, C, point_models._fibers(B, C, lam),
-                    point_models._fibers(A, B, delta), *coded)] == \
+                oracles.unit_1morphism_lister(B, C, delta, lam)(*pair)] == \
             [((1,), (0,)), ((1,), (1,))]
 
     def test_unit_2morphism_example(self):
@@ -389,8 +391,8 @@ class TestUnits2FromLevelOne:
 
 
 class TestLevel2Reduction:
-    """The reduction behind ``verify_contractible_2``, checked against the
-    brute-force oracles: the unit 1-morphisms s -> t are
+    """The translation argument behind ``verify_contractible_2``, checked
+    against the brute-force oracles: the unit 1-morphisms s -> t are
     (delta(theta) + phi_s - phi_t, theta), one per theta, and every
     hom-groupoid is the unit groupoid of delta."""
 
@@ -401,22 +403,20 @@ class TestLevel2Reduction:
             rep = verify_contractible_2(X)
             assert rep.passed
             (A, B, C), (delta, lam) = point_models._tables(X)
-            fibers = (point_models._fibers(B, C, lam),
-                      point_models._fibers(A, B, delta))
-            listed = parallel = 0
-            for s, t in itertools.product(enumerate_units_2(X), repeat=2):
+            listing = oracles.unit_1morphism_lister(B, C, delta, lam)
+            units = enumerate_units_2(X)
+            parallel = 0
+            for s, t in itertools.product(units, repeat=2):
                 ms = oracle_unit_1morphisms(X, s, t)
-                coded = point_models._coded_1morphisms(
-                    B, C, *fibers, (C.index(s[0]), B.index(s[1])),
-                    (C.index(t[0]), B.index(t[1])))
+                listed = listing((C.index(s[0]), B.index(s[1])),
+                                 (C.index(t[0]), B.index(t[1])))
                 assert [(f.coords, theta.coords) for f, theta in ms] == \
-                    [(B.coords(f), A.coords(theta)) for f, theta in coded]
+                    [(B.coords(f), A.coords(theta)) for f, theta in listed]
                 shift = GroupElem(X.terms[1], s[1]) - \
                     GroupElem(X.terms[1], t[1])
                 assert sorted((f.coords, theta.coords) for f, theta in ms) \
                     == sorted(((X.maps[0](theta) + shift).coords, theta.coords)
                               for theta in X.terms[0].elements())
-                listed += len(ms)
                 gamma = [[oracle_unit_2morphisms(X, m1, m2) for m2 in ms]
                          for m1 in ms]
                 for (_, theta1), row in zip(ms, gamma):
@@ -426,16 +426,17 @@ class TestLevel2Reduction:
                 n = range(len(ms))
                 assert all(gamma[i][j][0] + gamma[j][k][0] == gamma[i][k][0]
                            for i in n for j in n for k in n)
-            assert rep.data["unit 1-morphisms"] == listed
+            assert parallel == (len(units) * A.order) ** 2
             assert _check(rep, "exactly one unit 2-morphism per parallel "
                                "pair").witness == f"{parallel} parallel pairs"
 
     def test_dropped_theta_fails_the_2morphism_check(self, monkeypatch):
         # Z/2 -2-> Z/4 -1-> Z/2: theta = 1 is the whole delta fiber over 2,
-        # and every unit pair has one unit 1-morphism (f, 1) through it
+        # which the scan of delta reads for every pair of delta's units
+        # (delta(theta), theta) lying over e_s - e_t = 2
         X = Complex((Z2, Z4, Z2),
                     (GroupHom(Z2, Z4, [[2]]), GroupHom(Z4, Z2, [[1]])))
-        fibers = point_models._fibers
+        fibers = coded._fibers
 
         def dropping(src, tgt, f):
             out = fibers(src, tgt, f)
@@ -443,14 +444,160 @@ class TestLevel2Reduction:
                 out[2].remove(1)
             return out
 
-        monkeypatch.setattr(point_models, "_fibers", dropping)
+        monkeypatch.setattr(coded, "_fibers", dropping)
         rep = verify_contractible_2(X)
         pairs = _check(rep, "exactly one unit 2-morphism per parallel pair")
         assert not pairs.passed
-        units = enumerate_units_2(X)
-        assert pairs.witness == list(itertools.product(units, repeat=2))[:3]
+        zero, two = ((0,), (0,)), ((2,), (1,))
+        assert pairs.witness == [(zero, two, []), (two, zero, [])]
         assert [c.name for c in rep.failures] == [pairs.name]
-        assert rep.data["unit 1-morphisms"] == len(units) ** 2
+
+
+ORDERS_TO_64 = [(), (2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (9,),
+                (3, 3), (12,), (2, 6), (16,), (2, 8), (4, 4), (2, 2, 2),
+                (27,), (32,), (2, 16), (4, 8), (2, 2, 8), (64,), (8, 8),
+                (4, 16), (2, 32)]
+
+
+@st.composite
+def complexes3_to_64(draw):
+    """A 3-term complex with every term of order at most 64: lam drawn
+    first, and delta factored through its kernel."""
+    rng = draw(st.randoms(use_true_random=False))
+    A, B, C = (FgAbGroup(draw(st.sampled_from(ORDERS_TO_64)))
+               for _ in range(3))
+    lam = random_hom(rng, B, C)
+    K, incl = kernel(lam)
+    return Complex((A, B, C), (incl.compose(random_hom(rng, A, K)), lam))
+
+
+LEVEL2_CHECKS = ("unit set nonempty",
+                 "every unit pair is connected by a unit 1-morphism",
+                 "exactly one unit 2-morphism per parallel pair",
+                 "vertical composition of unique 2-morphisms is coherent")
+
+
+def _listed_checks(tables):
+    """The status of each check of ``verify_contractible_2`` by the per-pair
+    listing of the oracles, with the witness of each that passes: the
+    oracle that the hypotheses of the translation argument replace.
+    Coherence and the 2-morphisms of delta come from the same scan."""
+    (A, B, C), (delta, lam) = tables
+    units, unconnected, unlisted, parallel = oracles.level2_pair_listing(
+        A, B, C, delta, lam)
+    _, pairs, coherence, _ = point_models._unit_scan(A, B, delta)
+    return [(bool(units), f"{len(units)} units"), (not unconnected, None),
+            (not (unlisted or pairs), f"{parallel} parallel pairs"),
+            (not coherence, None)]
+
+
+def _checks_of(report):
+    """The status of each check of a level-2 report, with the witness of
+    each that passes, in ``LEVEL2_CHECKS`` order."""
+    assert [c.name for c in report.checks] == list(LEVEL2_CHECKS)
+    return [(c.passed, c.witness) if c.passed else (False, None)
+            for c in report.checks]
+
+
+def _moved(array, size):
+    """Each copy of the array with one entry moved to another of 0..size-1,
+    named by its position and new value."""
+    for x, was in enumerate(array):
+        for y in range(size):
+            if y != was:
+                yield (x, y), array[:x] + [y] + array[x + 1:]
+
+
+def _corrupted_tables():
+    """(name, complex, coded tables) for every corruption: the tables of
+    ``TestFaultInjection`` at level 2, and each complex below with one
+    entry of lam, of delta or of B's table or inverse array moved.  The
+    complexes have elements of order 3 and 4, so a sign shows, and a delta
+    into Z/2 x Z/2 whose moved entries are homomorphisms that lam does not
+    kill."""
+    T = FgAbGroup.trivial()
+    Z3zero = Complex((Z3, T, T), (GroupHom.zero(Z3, T), GroupHom.zero(T, T)))
+    tables = point_models._tables
+    (A, B, C), maps = tables(Z3zero)
+    A.inverse = tuple(range(3))
+    yield "self-inverse A", Z3zero, ((A, B, C), maps)
+    (A, B, C), maps = tables(Z3zero)
+    A.table = tuple(tuple((b - a) % 3 for b in range(3)) for a in range(3))
+    yield "subtracting A", Z3zero, ((A, B, C), maps)
+    terms, (delta, _) = tables(model2_example())
+    yield "swapped lam", model2_example(), (terms, (delta, [1, 0]))
+    V4 = FgAbGroup.from_divisors(2, 2)
+    for name, X in [
+            ("Z/2 -0-> Z/2 -1-> Z/2", model2_example()),
+            ("Z/2 -2-> Z/4 -1-> Z/2",
+             Complex((Z2, Z4, Z2), (GroupHom(Z2, Z4, [[2]]),
+                                    GroupHom(Z4, Z2, [[1]])))),
+            ("Z/3 -1-> Z/3 -0-> Z/3",
+             Complex((Z3, Z3, Z3), (GroupHom.identity(Z3),
+                                    GroupHom.zero(Z3, Z3)))),
+            ("Z/4 -2-> Z/4 -1-> Z/2",
+             Complex((Z4, Z4, Z2), (GroupHom(Z4, Z4, [[2]]),
+                                    GroupHom(Z4, Z2, [[1]])))),
+            ("Z/4 -0-> Z/4 -1-> Z/4",
+             Complex((Z4, Z4, Z4), (GroupHom.zero(Z4, Z4),
+                                    GroupHom.identity(Z4)))),
+            ("Z/2 -(1,0)-> Z/2 x Z/2 -(0,1)-> Z/2",
+             Complex((Z2, V4, Z2), (GroupHom(Z2, V4, [[1], [0]]),
+                                    GroupHom(V4, Z2, [[0, 1]]))))]:
+        (A, B, C), (delta, lam) = tables(X)
+        for at, moved in _moved(lam, C.order):
+            yield f"{name}: lam{at}", X, ((A, B, C), (delta, moved))
+        for at, moved in _moved(delta, B.order):
+            yield f"{name}: delta{at}", X, ((A, B, C), (moved, lam))
+        n = B.order
+        for a, b, x in itertools.product(range(n), [*range(n), None],
+                                         range(n)):
+            if x != (B.table[a][b] if b is not None else B.inverse[a]):
+                yield (f"{name}: B{(a, b, x)}", X,
+                       ((A, _one_entry_moved(B, a, b, x), C), (delta, lam)))
+
+
+class TestLevel2Translation:
+    """``verify_contractible_2`` checks the hypotheses of the translation
+    argument where it once listed the unit 1-morphisms of every unit pair;
+    that listing, kept in the oracles, is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(complexes3_to_64())
+    @example(Complex((Z64, Z64, Z64), (GroupHom.identity(Z64),
+                                       GroupHom.zero(Z64, Z64))))
+    @example(Complex((Z4, Z4, Z4), (GroupHom.zero(Z4, Z4),
+                                    GroupHom.identity(Z4))))
+    def test_agrees_with_the_pair_listing(self, X):
+        # the Z/4 example has units lying over e of order 4, where a shift
+        # (phi_c - phi_s, 0) taken the wrong way lies over -e_s
+        assert _checks_of(verify_contractible_2(X)) == \
+            _listed_checks(point_models._tables(X))
+
+    def test_every_corruption_the_listing_fails_fails_here(self,
+                                                           monkeypatch):
+        # and the disagreements are named: the listing passes some tables
+        # of B that are not a group, mostly with one inverse moved, whose
+        # first failed hypothesis here is the group law of B
+        missed, stricter, cases = [], [], 0
+        for name, X, tables in _corrupted_tables():
+            monkeypatch.setattr(point_models, "_tables", lambda X: tables)
+            report = verify_contractible_2(X)
+            new = [passed for passed, _ in _checks_of(report)]
+            listed = [passed for passed, _ in _listed_checks(tables)]
+            missed += [(name, check) for check, n, o in
+                       zip(LEVEL2_CHECKS, new, listed) if n and not o]
+            stricter += [(name, check.name, check.witness[0][0])
+                         for check, n, o in zip(report.checks, new, listed)
+                         if o and not n]
+            cases += 1
+        assert cases == 349
+        assert missed == []
+        assert {(name.split(": ")[-1][0], hypothesis)
+                for name, _, hypothesis in stricter} == \
+            {("B", "B is a group")}, stricter
+        assert len({name for name, _, _ in stricter}) == 23
+        assert len(stricter) == 29  # 6 of the 23 fail both checks here
 
 
 def _level_2_states(X):
@@ -485,23 +632,25 @@ class TestContractible2Charge:
             kernels.add((X.terms[0].order(), kernel(X.maps[0])[0].order()))
         assert {(2, 2), (4, 2), (2, 1)} <= kernels
 
-    def test_refusal_lists_no_1morphism(self, monkeypatch):
-        # nor does it build the units or the fiber arrays first
+    def test_refusal_builds_nothing_and_fibers_are_built_once(self,
+                                                              monkeypatch):
+        # a refusal builds no unit, no fiber array and checks no hypothesis
         called = []
-        for name in ("_coded_units", "_fibers", "_coded_1morphisms"):
+        for module, name in ((point_models, "_coded_units"),
+                             (coded, "_fibers"),
+                             (point_models, "_group_law")):
             monkeypatch.setattr(
-                point_models, name, lambda *args, name=name,
-                real=getattr(point_models, name): called.append(name) or
+                module, name, lambda *args, name=name,
+                real=getattr(module, name): called.append(name) or
                 real(*args))
         X = model2_example()
         with pytest.raises(CapExceeded):
             verify_contractible_2(X, max_states=_level_2_states(X) - 1)
         assert called == []
         verify_contractible_2(X, max_states=_level_2_states(X))
-        # units of lam (delta's are derived inside the scan), both fiber
-        # arrays, and one listing per ordered pair of the 2 units
-        assert sorted(called) == ["_coded_1morphisms"] * 4 + \
-            ["_coded_units"] + ["_fibers"] * 2
+        # the units of lam (delta's are derived inside the scan), the
+        # fibers of delta once, inside the scan, and the group law of B
+        assert sorted(called) == ["_coded_units", "_fibers", "_group_law"]
 
 
 def _check(report, name):
@@ -547,7 +696,9 @@ class TestFaultInjection:
                         (GroupHom.zero(Z3, T), GroupHom.zero(T, T)))
         monkeypatch.setattr(point_models, "_tables", self_inverse)
         rep = verify_contractible_2(model)
-        assert rep.data["unit 1-morphisms"] == 3
+        assert [c.name for c in rep.failures] == [
+            "exactly one unit 2-morphism per parallel pair",
+            "vertical composition of unique 2-morphisms is coherent"]
         coherence = _check(
             rep, "vertical composition of unique 2-morphisms is coherent")
         assert not coherence.passed
@@ -556,7 +707,8 @@ class TestFaultInjection:
     def test_missing_canonical_1morphism_fails_named_check(self,
                                                            monkeypatch):
         # swapping lam on Z/2 makes (phi_s - phi_t, 0) miss the fiber of
-        # e_s - e_t for every pair of units
+        # e_s - e_t for every pair of units, and lam(0 + 1) = 0 is not
+        # lam(0) + lam(1) = 1: the witness names the additivity that failed
         model = model2_example()
         tables = point_models._tables
 
@@ -569,5 +721,36 @@ class TestFaultInjection:
         connected = _check(
             rep, "every unit pair is connected by a unit 1-morphism")
         assert not connected.passed
-        key = (((0,), (1,)), ((0,), (1,)))
-        assert connected.witness[0] == key
+        # and the base unit (0, 1) is no longer joined to itself by (0, 0)
+        assert connected.witness == [("lam is additive", (0, 1)),
+                                     ("every unit lies over its e", (0, 1))]
+        assert _check(rep, "exactly one unit 2-morphism per parallel pair"
+                      ).witness == connected.witness + [("lam delta = 0", 0)]
+        (A, B, C), (delta, lam) = swapped(model)
+        _, unconnected, _, _ = oracles.level2_pair_listing(A, B, C, delta, lam)
+        assert len(unconnected) == 4  # the listing misses every pair
+
+    def test_fault_injected_contractible_exits_1(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # the CLI names the failing hypothesis: delta(1) moved to (0, 1),
+        # which lam = (0, 1) does not kill, though delta is still additive
+        V4 = FgAbGroup.from_divisors(2, 2)
+        tables = point_models._tables
+
+        def moved(X):
+            terms, (delta, lam) = tables(X)
+            return terms, ([delta[0], terms[1].index((0, 1))], lam)
+
+        monkeypatch.setattr(point_models, "_tables", moved)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({
+            "kind": "complex3", "groups": {"A": {"inv": [2]},
+                                           "B": {"inv": [2, 2]},
+                                           "C": {"inv": [2]}},
+            "maps": {"delta": [[1], [0]], "lambda": [[0, 1]]}}))
+        assert parse_spec(path.read_text()).payload.terms[1] == V4
+        assert main(["contractible", "--in", str(path), "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["status"], c["witness"]) for c in checks] == [
+            ("pass", "4 units"), ("pass", None),
+            ("fail", [["lam delta = 0", 1]]), ("pass", None)]
