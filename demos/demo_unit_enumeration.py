@@ -28,7 +28,7 @@ for e, a_phi in units:
 (_, a_s), (e_t, a_t) = units
 print(f"unique morphism first -> second has u = a_phi(s) - a_phi(t) = "
       f"{(GroupElem(Z2, a_s) - GroupElem(Z2, a_t)).coords}")
-print(f"ordered pairs of units joined by that morphism: "
+print(f"ordered pairs of units with exactly one unit morphism: "
       f"{units_and_morphism_count_1(X)[1]} of {len(units) ** 2}")
 e, a_phi = GroupElem(Z4, e_t), GroupElem(Z2, a_t)
 print(f"tensor of the nontrivial unit with itself, the pointwise sum: "

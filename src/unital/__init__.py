@@ -10,7 +10,7 @@ nonabelian crossed-module analogue.
 Each layer runs only when first used.  ``groups`` (elements,
 homomorphisms and complexes as values), ``tables`` (finite groups and
 crossed modules by table, as parsed), ``coded`` (table-coded abelian
-groups, the unit-groupoid scan), ``covers``, ``console`` (text output and
+groups, the unit-groupoid check), ``covers``, ``console`` (text output and
 the argparse fallback), ``abelian`` (Smith forms, kernels, direct sums),
 ``complexes`` (homology, models, unit complexes), ``crossed``,
 ``point_models`` and ``cech`` are registered as lazy modules from
@@ -22,7 +22,7 @@ report handlers live too: ``units`` and ``contractible`` execute
 ``groups``, ``coded`` and ``point_models``; ``homology``, ``unit-complex``
 and ``qiso`` execute ``groups``, ``abelian`` and ``complexes``;
 ``crossed-verify`` executes ``tables`` and ``crossed``; ``crossed-units``
-adds ``coded`` for its unit scan and ``covers`` for its nerve, and no
+adds ``coded`` for its unit check and ``covers`` for its nerve, and no
 Cech calculus; ``cech-classify`` executes ``groups``, ``coded``, ``covers``,
 ``abelian``, ``complexes`` and ``cech``, and on a 3-term complex all but
 ``coded``, which only the scans of a 2-term complex use.  Only ``--text``

@@ -1,4 +1,4 @@
-"""Table-coded finite abelian groups, and the unit-groupoid scan.
+"""Table-coded finite abelian groups, and the unit-groupoid check.
 
 ``CodedGroup`` codes Z/d_1 x ... x Z/d_k as an addition table on
 0..n-1, numbering elements in the order of ``FgAbGroup.elements()``, so
@@ -9,27 +9,34 @@ scans read of either: ``table``, ``inverse``, ``identity``, ``order``,
 ``generators`` (the unit vectors here, every element there) and
 ``elements()``.
 
-``unit_morphism_checks`` scans the units of a crossed module on its
-tables, in the conventions of ``crossed``.  It is the library's one
-unit-groupoid scan: ``point_models`` runs it on lam: A -> B with trivial
-action (level 1) and on delta: A -> B (level 2), and ``crossed`` on a
-crossed module.  It derives the units it checks from the boundary and
-returns them, so no caller builds a unit list for it; level 2 compares
-each pair's 1-morphisms with the delta units it returns.  Coherence
-needs no scan of its own.  The one morphism of each ordered pair of
-units is u_st = x_t^-1 x_s, with x_s the twisted g_s^(e_s^-1), so
-u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw on every triple of units once
-the table of G obeys the group law.  So the scan checks that law,
-``record._group_law`` on the ``generators`` (k |G| row gathers for k
-cyclic factors), and a table that breaks it fails coherence.
+``unit_morphism_checks`` is the library's one unit-groupoid check, on the
+tables of a crossed module in the conventions of ``crossed``:
+``point_models`` runs it on lam: A -> B with the trivial action (level 1,
+``units`` and ``contractible``) and on delta: A -> B (level 2), and
+``crossed`` on a crossed module (``crossed-units``).  It derives the units
+it checks from the boundary and returns them, so no caller builds a unit
+list for it.  It visits no pair of units and no fiber.  That each ordered
+pair carries exactly one unit morphism is cancellation in a group (Kock
+[MR2388233]; Joyal and Kock, 2009): the Peiffer identity reduces the unit
+square to x g_s = x g_t x, whose one solution g_t^-1 g_s lies in the right
+fiber because the boundary is a homomorphism.  So the check tests those
+premises on the tables, each on every element: the group law of G
+(``record._group_law`` on the ``generators``, k |G| row gathers for k
+cyclic factors), the additivity of the boundary, and the Peiffer
+identity, which under the trivial action is the commutativity of G.
+Coherence needs no scan of its own either.  The one morphism of each
+ordered pair of units is u_st = x_t^-1 x_s, with x_s the twisted
+g_s^(e_s^-1), so u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw on every
+triple of units once G is a group, and a table that breaks the group law
+fails both checks.
 
 ``_cech_differential`` is the one Cech differential d0*(x) (d1*(x))^-1
 of a coded section x over a nerve's face table: the torsor scans of
 ``cech`` take the lam-fibers over it and their coboundaries from it, and
 the descent triples of ``crossed`` their level-1 part.
 
-This lazy layer imports no other; the unit scans, ``crossed-units`` and
-the torsor scans of ``cech-classify`` execute it.
+This lazy layer imports no other; ``units``, ``contractible``,
+``crossed-units`` and the torsor scans of ``cech-classify`` execute it.
 """
 
 from __future__ import annotations
@@ -125,7 +132,7 @@ def _fibers(src, tgt, f):
 
 
 # --------------------------------------------------------------------------
-# units and the unit-groupoid scan
+# units and the unit-groupoid check
 
 
 def _coded_units(src, f):
@@ -134,38 +141,69 @@ def _coded_units(src, f):
     return sorted((f[x], x) for x in src.elements())
 
 
-def unit_morphism_checks(G, H, bnd, act, key):
-    """The units of a crossed module, the failures of the two checks that
-    make its unit groupoid contractible, for the caller to report, and the
-    number of ordered pairs of units with exactly one unit morphism.
+def unit_morphism_checks(G, H, bnd, act=None, names=("G", "bnd")):
+    """The units of a crossed module, and the failed hypotheses of the two
+    checks that make its unit groupoid contractible, for the caller to
+    report.
 
     ``bnd`` and ``act`` are the boundary array and the action table of a
-    crossed module G -> H, and ``key`` names a unit in witnesses.  The
-    units are derived from ``bnd`` (``_coded_units``), one per element of
-    G, and returned as coded pairs.  Every ordered pair (s, t) must carry
-    exactly one unit morphism, found by scanning the fiber of bnd over
-    e_t^-1 e_s, and it must be u = (g_t^(e_t^-1))^-1 (g_s^(e_s^-1)); a pair
-    that fails is listed as (key(s), key(t), the morphisms found).  These
-    morphisms must compose coherently, u_tw u_st = u_sw for every triple:
-    the group law of G on its generators (see the module docstring),
-    whose first failure, from ``record._group_law``, is listed.
+    crossed module G -> H, ``act`` None for the trivial action, and
+    ``names`` name G and bnd in witnesses.  The units are derived from
+    ``bnd`` (``_coded_units``), one per element of G, and returned as
+    coded pairs.  Every ordered pair of units (s, t) carries exactly one
+    unit morphism, an x in G with bnd(x) = e_t^-1 e_s and
+    x g_s = g_t x^(e_t) x (Kock [MR2388233]; Joyal and Kock, 2009), by
+    cancellation:
+
+    - e_t = bnd(g_t), so the Peiffer identity turns x^(e_t) into
+      g_t^-1 x g_t and the square into x g_s = x g_t x, whose one
+      solution in the group G is x = g_t^-1 g_s, which is the
+      (g_t^(e_t^-1))^-1 g_s^(e_s^-1) of the module docstring of
+      ``crossed``, since g^(bnd(g^-1)) = g;
+    - it lies over e_t^-1 e_s because bnd is a homomorphism.
+
+    So no pair is visited.  The hypotheses are checked on the tables, each
+    on every element and, where it says so, on each of G's
+    ``generators``; H is trusted to be a group, as a ``CodedGroup`` is by
+    construction and a ``tables.FiniteGroup`` by its own check:
+
+    - G is a group: ``record._group_law`` on its generators (k |G| row
+      gathers for k cyclic factors, |G|^2 on a parsed table, whose every
+      element is a generator), and every element is a product of them,
+      witness ("generation", a) for the least that is not, which Light's
+      associativity test inside ``_group_law`` needs;
+    - bnd is additive: bnd(x s) = bnd(x) bnd(s) for every x and each
+      generator s;
+    - the Peiffer identity g^(bnd s) = s^-1 g s, read as
+      s g^(bnd s) = g s, for every g and each generator s: every element
+      of a parsed table.  Under the trivial action it says that G is
+      commutative, and the generators suffice, since the centre of a
+      group is a subgroup.
+
+    The failed ones are returned in this order, each with its first
+    failing element in coded indices (the group law's as ``_group_law``
+    gives it): "exactly one unit morphism per ordered pair" rests on all
+    three.  The morphisms compose coherently, u_tw u_st = u_sw on every
+    triple of units, once G is a group: u_st = x_t^-1 x_s with
+    x_s = g_s^(e_s^-1), so u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw.
+    The group law's failure, if any, is returned a second time, as the
+    one failure of coherence.
     """
-    mul, inv, h_mul, h_inv = G.table, G.inverse, H.table, H.inverse
-    cols = tuple(zip(*mul))  # cols[b][a] = a * b
-    units, fibers = _coded_units(G, bnd), _fibers(G, H, bnd)
-    # over u: phi_s then u is cols[g_s][u], (u (x) u) then phi_t squares[t][u]
-    squares = [[mul[g][mul[act[u][e]][u]] for u in G.elements()]
-               for e, g in units]
-    twisted = [act[g][h_inv[e]] for e, g in units]  # g^(e^-1)
-    unique = [tuple(mul[inv[x_t]][x_s] for x_t in twisted) for x_s in twisted]
-    pair_failures, morphisms = [], 0
-    for s, to_t in zip(units, unique):
-        through_source, e_s = cols[s[1]], s[0]
-        for t, square, u in zip(units, squares, to_t):
-            sols = [x for x in fibers[h_mul[h_inv[t[0]]][e_s]]
-                    if through_source[x] == square[x]]
-            morphisms += len(sols) == 1
-            if sols != [u]:
-                pair_failures.append((key(s), key(t), sols))
-    law = _group_law(mul, G.identity, inv, G.generators)
-    return units, pair_failures, [law] if law else [], morphisms
+    (group, boundary), mul, h_mul, gens = names, G.table, H.table, G.generators
+    products = new = {G.identity}  # the products of generators
+    while new:
+        new = {mul[x][s] for x in new for s in gens} - products
+        products |= new
+    law = _group_law(mul, G.identity, G.inverse, gens) or next(
+        (("generation", a) for a in G.elements() if a not in products), None)
+    failed = [h for h in [  # each failure is a tuple, or None
+        (f"{group} is a group", law),
+        (f"{boundary} is additive",
+         next(((x, s) for s in gens for x, row in enumerate(mul)
+               if bnd[row[s]] != h_mul[bnd[x]][bnd[s]]), None)),
+        # Peiffer as s g^(bnd s) = g s, which is s g = g s for g^h = g
+        (f"{group} is commutative" if act is None else "Peiffer identity",
+         next(((x, s) for s in gens for x, row in enumerate(mul)
+               if mul[s][act[x][bnd[s]] if act else x] != row[s]), None))]
+        if h[1]]
+    return _coded_units(G, bnd), failed, [law] if law else []

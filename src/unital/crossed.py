@@ -22,12 +22,15 @@ unit morphism (e1, g1) -> (e2, g2) is
 
 and units with e = 1 are exactly the kernel of lam.
 
-``coded.unit_morphism_checks`` verifies this on tables alone, by
-scanning each morphism fiber of lam; the point models run the same scan.
-This lazy layer executes ``tables`` with it, and binds ``coded`` and
+``coded.unit_morphism_checks`` verifies this on tables alone, with no
+fiber scanned: by the Peiffer identity the unit square reduces to
+x g1 = x g2 x, so by cancellation in G its one solution is g2^-1 g1, which
+equals u, and it lies in the right fiber since lam is a homomorphism.  It
+checks those premises, and the point models run the same check.  This
+lazy layer executes ``tables`` with it, and binds ``coded`` and
 ``covers`` as modules: ``crossed-verify`` executes no other layer, and
-``crossed-units`` executes both, for its unit scan and its nerve, and no
-Cech calculus.  Parsing and the commands on a complex never execute it.
+``crossed-units`` executes both, for its unit check and its nerve, and
+no Cech calculus.  Parsing and the commands on a complex never execute it.
 The report handlers of both commands are at the end of the module.
 
 The unit crossed module lives on K = {(g, h) : lam(g) * h = 1} inside the
@@ -148,19 +151,24 @@ def unit_crossed_module(X: CrossedModule) -> CrossedModule:
 def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     """All units as coded pairs (e, g_phi), plus the contractibility report.
 
-    ``unit_morphism_checks`` derives the units, lam(g) |-> (lam(g), g) for
-    g in G, and checks that every ordered pair carries exactly one unit
-    morphism and that these compose coherently, the latter as the group
-    law of G on its ``generators``, every element of a parsed table:
-    |G|^2 row gathers.  Here the units with e = 1 are checked to be the
-    kernel of the boundary.  The charge, made before the scan builds any
-    unit, is still |G|^3, the coherence triples once scanned, so it
-    over-counts the work.
+    ``coded.unit_morphism_checks`` derives the units, lam(g) |-> (lam(g), g)
+    for g in G, and checks the hypotheses under which every ordered pair
+    carries exactly one unit morphism (Kock [MR2388233]; Joyal and Kock,
+    2009): G is a group, lam is a homomorphism and the Peiffer identity
+    holds, each on every element of the parsed tables, |G|^2 reads apiece.
+    By the Peiffer identity the unit square x g_s = g_t x^(e_t) x is
+    x g_s = x g_t x, so by cancellation x = g_t^-1 g_s is its one
+    solution, and it lies over e_t^-1 e_s since lam is a homomorphism.
+    The morphisms then compose coherently because G is a group.  A failed
+    pair check lists the failed hypotheses, each with its first failing
+    element.  Here the units with e = 1 are checked to be the kernel of
+    the boundary.  The charge, made before any unit is built, is still
+    |G|^3, the coherence triples once scanned, so it over-counts the work.
     """
     G, H = X.G, X.H
     charge("coherence scan", G.order ** 3, "|G|^3", max_states)
-    units, pairs, coherence, _ = coded.unit_morphism_checks(
-        G, H, X.boundary, X.action, lambda unit: unit)
+    units, pairs, coherence = coded.unit_morphism_checks(
+        G, H, X.boundary, X.action)
     report = Report("contractibility of the nonabelian unit groupoid")
     report.add("unit set nonempty", len(units) == G.order,
                f"{len(units)} units")
@@ -169,9 +177,9 @@ def enumerate_units_nonabelian(X: CrossedModule, max_states=MAX_STATES):
     report.add("units over the identity are the kernel of the boundary",
                trivial_e == kernel, (trivial_e, kernel))
     report.add("exactly one unit morphism per ordered pair", not pairs,
-               pairs[:3] or f"{len(units) ** 2} morphisms")
+               pairs or f"{len(units) ** 2} morphisms")
     report.add("composition of unique morphisms is coherent", not coherence,
-               coherence[:3] or None)
+               coherence or None)
     report.data["units"] = len(units)
     return units, report
 

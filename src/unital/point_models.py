@@ -9,7 +9,14 @@ lam(a) = e_s - e_t whose square commutes: a_phi(s) + a = a + a + a_phi(t).
 
 Read as a crossed module with trivial action, lam: A -> B has the same
 units and unit morphisms, so level-1 contractibility is
-``coded.unit_morphism_checks`` on the coded tables.
+``coded.unit_morphism_checks`` on the coded tables, and so is the count of
+``units``.  Each ordered pair of units has exactly one unit morphism,
+u = a_phi(s) - a_phi(t), by cancellation: in a commutative group A,
+cancelling a from the square a_phi(s) + a = a + a + a_phi(t) leaves
+a = a_phi(s) - a_phi(t), and u lies over e_s - e_t once lam is additive
+(Kock [MR2388233]; Joyal and Kock, 2009).  So the check tests that A is a
+group, that lam is additive and that A is commutative, each on every
+element and each of A's generators, and visits no pair of units.
 
 A 3-term complex A -> B -> C presents a strict Picard 2-groupoid the same
 way one level up: objects C, 1-morphisms {b : lam(b) = c - c'}, 2-morphisms
@@ -21,7 +28,7 @@ translation by (phi_t - phi_s, 0) maps the unit 1-morphisms s -> t onto
 delta's graph {(delta(theta), theta)}, since B is a group, lam is
 additive, each unit lies over its e and lam delta = 0.  So level-2
 contractibility checks those hypotheses on the coded tables, each on
-every element, and runs the same ``unit_morphism_checks`` scan once, on
+every element, and runs the same ``unit_morphism_checks`` once, on
 delta; no unit pair is visited.
 
 Orientation of the filling 2-cell: theta runs from the path
@@ -29,15 +36,15 @@ Orientation of the filling 2-cell: theta runs from the path
 delta(theta) = f + phi_target - phi_source.  Both pastings are re-evaluated
 independently wherever a 2-cell equation is used, which pins this sign.
 
-Exhaustive loops run on table-coded groups (``coded.CodedGroup``):
+Exhaustive checks run on table-coded groups (``coded.CodedGroup``):
 element k is the k-th element of ``FgAbGroup.elements()``, addition and
 negation are lookups, and each map is an array of image indices; one
 builder, ``_tables``, codes a complex of either length.  Units leave the
-scans as coordinate pairs (e, phi); morphisms exist only as coded index
-pairs inside them.  This lazy layer executes ``groups`` and ``coded``
-only, never the Smith forms, homology or crossed modules.  The report
-handlers of ``units`` and ``contractible`` are at the end of the module:
-one per level for ``units``, and one for ``contractible``, which calls
+checks as coordinate pairs (e, phi); no morphism is ever built.  This
+lazy layer executes ``groups`` and ``coded`` only, never the Smith forms,
+homology or crossed modules.  The report handlers of ``units`` and
+``contractible`` are at the end of the module: one per level for
+``units``, and one for ``contractible``, which calls
 ``verify_contractible_1`` or ``_2`` by the length of the complex.
 """
 
@@ -70,56 +77,55 @@ def enumerate_units_1(X: Complex):
 
 
 def units_and_morphism_count_1(X: Complex):
-    """``enumerate_units_1`` of X, and the number of ordered pairs of units
-    (s, t) for which u = a_phi(s) - a_phi(t) is a unit morphism s -> t:
-    lam(u) = e_s - e_t and the unit square commutes.  One build of the
-    coded tables serves both."""
+    """``enumerate_units_1`` of X, the number of ordered pairs of units
+    (s, t) with exactly one unit morphism s -> t, and the failed
+    hypotheses of that count, from one build of the coded tables.
+
+    The count is ``coded.unit_morphism_checks`` on lam: A -> B with the
+    trivial action: every ordered pair has exactly one, u = a_s - a_t,
+    once A is a group, lam is additive and A is commutative, each checked
+    on every element and each of A's k cyclic generators (k |A| row
+    gathers for the group law, k |A| reads for each of the others).  So
+    it is |A|^2 when no hypothesis fails, and None when one does, since
+    the proof then counts nothing; the failures name each hypothesis with
+    its first failing element in coded indices.
+    """
     (A, B), (lam,) = _tables(X)
-    add, neg = A.table, A.inverse
-    units = _coded_units(A, lam)
-    count = 0
-    for e_s, a_s in units:
-        e_s_plus = B.table[e_s]
-        for e_t, a_t in units:
-            u = add[a_s][neg[a_t]]
-            if lam[u] == e_s_plus[B.inverse[e_t]] and \
-                    add[a_s][u] == add[add[u][u]][a_t]:
-                count += 1
-    return list(map(_pairs(B, A), units)), count
-
-
-def _unit_scan(A, B, f):
-    """``unit_morphism_checks`` on f: A -> B read as a crossed module with
-    trivial action, its units keyed as coordinate pairs in witnesses: the
-    coded units of f, which the scan derives, the pair and coherence
-    failures, and the morphism count."""
-    action = tuple((g,) * B.order for g in A.elements())
-    return unit_morphism_checks(A, B, f, action, _pairs(B, A))
+    units, failed, _ = unit_morphism_checks(A, B, lam, names=("A", "lam"))
+    return (list(map(_pairs(B, A), units)),
+            None if failed else len(units) ** 2, failed)
 
 
 def verify_contractible_1(X: Complex, max_states=MAX_STATES) -> Report:
     """Check that the unit groupoid is contractible, exhaustively.
 
     (i) units exist, (ii) every ordered pair of units carries exactly one
-    unit morphism (scanning each morphism fiber), (iii) the unique morphisms
-    compose coherently.  (ii) and (iii) are ``unit_morphism_checks`` on
-    lam: A -> B read as a crossed module with trivial action; (iii) is the
-    group law of A on its k cyclic generators, k |A|^2 table reads.  The
-    charge, made before any scan, is still |A|^3, the coherence triples
-    that (iii) once scanned, so it over-counts the work.
+    unit morphism, (iii) the unique morphisms compose coherently.  Both
+    (ii) and (iii) are ``coded.unit_morphism_checks`` on lam: A -> B read
+    as a crossed module with the trivial action (Kock [MR2388233]; Joyal
+    and Kock, 2009).  By cancellation, (ii) rests on three hypotheses,
+    each checked on every element and each of A's k cyclic generators: A
+    is a group, lam is additive and A is commutative (the Peiffer
+    identity under the trivial action); a failure lists those that fail,
+    each with its first failing element in coded indices.  (iii) is the
+    group law of A.  So no pair or triple of units is visited, and the
+    checks read k |A|^2 + (3 k + 2) |A| table entries.  The charge, made
+    before any table is built, is still |A|^3, the coherence triples that
+    (iii) once scanned, so it over-counts the work.
     """
     _require_finite(X, "point-model enumeration")
     charge("coherence scan", X.terms[0].order() ** 3, "|A|^3", max_states)
     report = Report("contractibility of the unit groupoid")
     (A, B), (lam,) = _tables(X)
-    units, pairs, coherence, morphisms = _unit_scan(A, B, lam)
+    units, pairs, coherence = unit_morphism_checks(A, B, lam,
+                                                   names=("A", "lam"))
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     report.add("exactly one unit morphism per ordered pair", not pairs,
-               pairs[:3] or f"{len(units) ** 2} morphisms")
+               pairs or f"{len(units) ** 2} morphisms")
     report.add("composition of unique morphisms is coherent", not coherence,
-               coherence[:3] or None)
+               coherence or None)
     report.data["units"] = len(units)
-    report.data["morphisms"] = morphisms
+    report.data["morphisms"] = None if pairs else len(units) ** 2
     return report
 
 
@@ -164,21 +170,23 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
 
     The first two make lam a homomorphism, and with the third every pair
     s, t has the 1-morphism (phi_s - phi_t, 0), so "every unit pair is
-    connected" rests on those three.  With the fourth, the translate of the 1-morphisms s -> t is
-    all of delta's graph, and one ``unit_morphism_checks`` scan of delta
-    covers every parallel pair of every unit pair, and vertical coherence
-    on every triple as the group law of A: "exactly one unit 2-morphism
-    per parallel pair" rests on all four and the scan.  A failing check
-    lists its failed hypotheses in this order, then the scan's failures,
-    at most three, each with the first element that breaks it in the
-    indices of the coded tables (the group law's as ``_group_law`` gives
-    it).
+    connected" rests on those three.  With the fourth, the translate of
+    the 1-morphisms s -> t is all of delta's graph, and one
+    ``unit_morphism_checks`` of delta covers every parallel pair of every
+    unit pair, by cancellation in A (A a group, delta additive and A
+    commutative, each on every element and each generator of A), and
+    vertical coherence on every triple as the group law of A: "exactly
+    one unit 2-morphism per parallel pair" rests on all four and that
+    check.  A failing check lists its failed hypotheses in this order,
+    then those of the delta check, at most three, each with the first
+    element that breaks it in the indices of the coded tables (the group
+    law's as ``_group_law`` gives it).
 
     The charge is still that of the per-pair listing this replaced,
-    |B|^2 |A| 1-morphisms, plus the scan's fibers (|A|^2 |ker delta|) and
-    the |A|^3 coherence triples, made on the coded tables alone,
-    |ker delta| read off delta's image array, before any unit or fiber is
-    built; it over-counts the work.
+    |B|^2 |A| 1-morphisms, plus the fibers of delta that the delta check
+    once scanned (|A|^2 |ker delta|) and the |A|^3 coherence triples,
+    made on the coded tables alone, |ker delta| read off delta's image
+    array, before any unit is built; it over-counts the work.
     """
     report = Report("contractibility of the unit 2-groupoid")
     (A, B, C), (delta, lam) = _tables(X)
@@ -188,7 +196,8 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
            "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
     units = _coded_units(B, lam)
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
-    _, pairs, coherence, _ = _unit_scan(A, B, delta)
+    _, pairs, coherence = unit_morphism_checks(A, B, delta,
+                                               names=("A", "delta"))
     add, neg, (e_c, phi_c) = B.table, B.inverse, units[0]  # the base unit c
     shifts = [(s, add[s[1]][neg[phi_c]]) for s in units]  # phi_s - phi_c
     joined = [h for h in [  # each failure is a tuple, or None
@@ -207,7 +216,7 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
                not (joined or graph or pairs), (joined + graph + pairs)[:3]
                or f"{(B.order * a) ** 2} parallel pairs")
     report.add("vertical composition of unique 2-morphisms is coherent",
-               not coherence, coherence[:3] or None)
+               not coherence, coherence or None)
     report.data["units"] = len(units)
     return report
 
@@ -223,15 +232,15 @@ def _order(G):
 
 
 def _units_1(report, X, opts):
-    # the morphism count scans every ordered pair of units
+    # the charge still counts every ordered pair of units
     A = X.terms[0]
     charge("unit scan", _order(A) ** 2, "|A|^2", opts.max_states)
-    units, morphisms = units_and_morphism_count_1(X)
+    units, morphisms, failed = units_and_morphism_count_1(X)
     report.data["units"] = units
     report.data["unique_morphisms"] = morphisms
     report.add("unit count equals |A|", len(units) == A.order(), len(units))
-    report.add("one morphism per ordered pair", morphisms == len(units) ** 2,
-               morphisms)
+    report.add("one morphism per ordered pair", not failed,
+               failed or morphisms)
 
 
 def _units_2(report, X, opts):

@@ -3,7 +3,7 @@
 ``FiniteGroup`` holds a group of order up to 64 by its table, every axiom
 checked.  ``CrossedModule`` checks the shapes of its tables, ``crossed``
 its axioms.  The table-coded abelian groups of the scans, which need no
-axiom check, and the unit-groupoid scan are in ``coded``.
+axiom check, and the unit-groupoid check are in ``coded``.
 
 This lazy layer imports no other; the crossed-module commands and parsing
 a crossed module execute it.
@@ -25,7 +25,7 @@ class FiniteGroup:
     Closure, identity, inverses and associativity are all verified at
     construction; the order is capped so exhaustive checks stay cheap.
     Associativity is ``record._group_law`` with every element as one of
-    the ``generators``, |G|^2 row gathers, as in the unit scan of
+    the ``generators``, |G|^2 row gathers, as in the unit check of
     ``coded``.
     """
 

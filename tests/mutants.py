@@ -107,10 +107,10 @@ MUTANTS = [
      ["tests/test_cech.py::test_charge_comes_first[torsor_classes]"]),
     ("crossed-unit-scan-charged-after-it-runs", "crossed.py",
      '    charge("coherence scan", G.order ** 3, "|G|^3", max_states)\n'
-     "    units, pairs, coherence, _ = coded.unit_morphism_checks(\n"
-     "        G, H, X.boundary, X.action, lambda unit: unit)\n",
-     "    units, pairs, coherence, _ = coded.unit_morphism_checks(\n"
-     "        G, H, X.boundary, X.action, lambda unit: unit)\n"
+     "    units, pairs, coherence = coded.unit_morphism_checks(\n"
+     "        G, H, X.boundary, X.action)\n",
+     "    units, pairs, coherence = coded.unit_morphism_checks(\n"
+     "        G, H, X.boundary, X.action)\n"
      '    charge("coherence scan", G.order ** 3, "|G|^3", max_states)\n',
      ["tests/test_cli.py::TestCliProcess::test_unit_scan_cap_builds_no_unit",
       "tests/test_cech.py::test_charge_comes_first"
@@ -218,6 +218,33 @@ MUTANTS = [
      "add[phi_c][neg[s[1]]]",
      ["tests/test_point_models.py::TestLevel2Translation::"
       "test_agrees_with_the_pair_listing"]),
+    # one morphism per pair of units by cancellation: each hypothesis of
+    # the argument is checked, and the pair scan of the oracles sees each
+    # one go
+    ("unit-check-commutativity-on-no-generator", "coded.py",
+     "((x, s) for s in gens for x, row in enumerate(mul)\n"
+     "               if mul[s]",
+     "((x, s) for s in () for x, row in enumerate(mul)\n"
+     "               if mul[s]",
+     ["tests/test_crossed.py::TestUnitPairHypotheses::"
+      "test_every_corruption_the_pair_scan_fails_fails_here",
+      "tests/test_point_models.py::TestFaultInjection::"
+      "test_units_fails_on_a_table_that_is_not_a_commutative_group"]),
+    ("unit-check-drops-bnd-additivity", "coded.py",
+     "if bnd[row[s]] != h_mul[bnd[x]][bnd[s]]",
+     "if False",
+     ["tests/test_crossed.py::TestUnitPairHypotheses::"
+      "test_every_corruption_the_pair_scan_fails_fails_here"]),
+    ("unit-check-skips-generation", "coded.py",
+     "if a not in products), None)",
+     "if False), None)",
+     ["tests/test_crossed.py::TestUnitPairHypotheses::"
+      "test_every_corruption_the_pair_scan_fails_fails_here"]),
+    ("unit-check-drops-peiffer-for-crossed-units", "coded.py",
+     "if mul[s][act[x][bnd[s]] if act else x] != row[s]",
+     "if act is None and mul[s][x] != row[s]",
+     ["tests/test_crossed.py::TestUnitPairHypotheses::"
+      "test_every_corruption_the_pair_scan_fails_fails_here"]),
     # integer products skip the zeros of both factors
     ("matmul-drops-the-last-column", "groups.py",
      "[(j, b) for j, b in enumerate(row) if b]",

@@ -387,11 +387,15 @@ def coherence_triple_failures(T, inv, h_inv, act, units):
 
 
 # --------------------------------------------------------------------------
-# Level-2 contractibility pair by pair: the listing that
+# The unit groupoid pair by pair: the fiber scan that
+# ``coded.unit_morphism_checks`` ran, and the loop that ``units`` counted
+# with, before the hypotheses of the cancellation argument were checked in
+# their place; then level-2 contractibility pair by pair, the listing that
 # ``point_models.verify_contractible_2`` ran before it checked the
-# hypotheses of the translation argument in its place.  It reads table-coded
-# groups (``table``, ``inverse``, ``identity``, ``order``) and image arrays,
-# trusting none of them, so corrupted tables give what they give.
+# hypotheses of the translation argument.  They read table-coded or parsed
+# groups (``table``, ``inverse``, ``identity``, ``order``), image arrays
+# and action tables, trusting none of them, so corrupted tables give what
+# they give.
 
 def _preimages(f, n):
     """The preimages under the array f of each of 0..n-1, ascending."""
@@ -399,6 +403,44 @@ def _preimages(f, n):
     for x, y in enumerate(f):
         out[y].append(x)
     return out
+
+
+def unit_pair_scan(G, H, bnd, act=None):
+    """Every ordered pair (s, t) of the units (bnd(g), g) of the crossed
+    module G -> H with boundary array bnd and action table act (None for
+    the trivial action), as index pairs: the x in the fiber of bnd over
+    e_t^-1 e_s whose unit square x g_s = g_t x^(e_t) x commutes, each
+    tried, against the formula u = (g_t^(e_t^-1))^-1 g_s^(e_s^-1).
+    Returns the units, the pairs (s, t, the x found) where the x found are
+    not [u], and the number of pairs with exactly one x."""
+    mul, inv, h_mul, h_inv = G.table, G.inverse, H.table, H.inverse
+    twist = (lambda g, h: g) if act is None else (lambda g, h: act[g][h])
+    units = sorted((bnd[g], g) for g in range(G.order))
+    fibers = _preimages(bnd, H.order)
+    failures, morphisms = [], 0
+    for (e_s, g_s), (e_t, g_t) in itertools.product(units, repeat=2):
+        found = [x for x in fibers[h_mul[h_inv[e_t]][e_s]]
+                 if mul[x][g_s] == mul[g_t][mul[twist(x, e_t)][x]]]
+        u = mul[inv[twist(g_t, h_inv[e_t])]][twist(g_s, h_inv[e_s])]
+        morphisms += len(found) == 1
+        if found != [u]:
+            failures.append(((e_s, g_s), (e_t, g_t), found))
+    return units, failures, morphisms
+
+
+def unit_pair_loop(A, B, lam):
+    """The count ``units`` once reported for lam: A -> B: the ordered pairs
+    of units (s, t) for which u = a_s - a_t is a unit morphism s -> t,
+    lam(u) = e_s - e_t and a_s + u = (u + u) + a_t.  It never looks for a
+    second morphism, so on every abelian group it counts every pair."""
+    add, neg = A.table, A.inverse
+    units = sorted((lam[a], a) for a in range(A.order))
+    count = 0
+    for (e_s, a_s), (e_t, a_t) in itertools.product(units, repeat=2):
+        u = add[a_s][neg[a_t]]
+        count += lam[u] == B.table[e_s][B.inverse[e_t]] and \
+            add[a_s][u] == add[add[u][u]][a_t]
+    return count
 
 
 def unit_1morphism_lister(B, C, delta, lam):

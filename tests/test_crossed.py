@@ -4,11 +4,11 @@ import random
 import re
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from unital import point_models
-from unital.abelian import kernel
+from unital.abelian import FgAbGroup, GroupHom, kernel
 from unital.cech import cech_nerve
 from unital.covers import point_cover
 from unital.crossed import (
@@ -502,6 +502,9 @@ def unit_morphisms_by_method(X, units):
     return out
 
 
+HYPOTHESES = ("G is a group", "bnd is additive", "Peiffer identity")
+
+
 class TestUnitScan:
     CHECKS = ["unit set nonempty",
               "units over the identity are the kernel of the boundary",
@@ -519,16 +522,19 @@ class TestUnitScan:
             failures = [(s, t, sols) for s, t, sols, u in pairs
                         if sols != [u]]
             assert failures and not rep.passed
+            # the pair scan of the oracles finds the same failures, and the
+            # pair check names the hypotheses of cancellation that fail
+            assert oracles.unit_pair_scan(X.G, X.H, X.boundary, X.action) \
+                == (units, failures,
+                    sum(len(sols) == 1 for _, _, sols, _ in pairs))
+            scanned, failed, coherence = unit_morphism_checks(
+                X.G, X.H, X.boundary, X.action)
+            assert scanned == units and failed
+            assert {name for name, _ in failed} <= set(HYPOTHESES)
             pair = rep.checks[2]
-            assert not pair.passed and pair.witness == failures[:3]
-            scanned, pair_failures, coherence_failures, unique = \
-                unit_morphism_checks(X.G, X.H, X.boundary, X.action,
-                                     lambda unit: unit)
-            assert scanned == units and pair_failures == failures
-            assert [not pair_failures, not coherence_failures] == \
-                [c.passed for c in rep.checks[2:]]
-            assert coherence_failures[:3] == (rep.checks[3].witness or [])
-            assert unique == sum(len(sols) == 1 for _, _, sols, _ in pairs)
+            assert not pair.passed and pair.witness == failed
+            assert [not coherence, coherence or None] == \
+                [rep.checks[3].passed, rep.checks[3].witness]
 
     def test_trivial_action_module_matches_level_1(self):
         # lam: A -> B with trivial action presents the Picard groupoid of
@@ -549,14 +555,19 @@ class TestUnitScan:
 
 @st.composite
 def unit_scan_modules(draw):
-    """What one unit scan reads, as a crossed module: lam of a drawn 2-term
+    """What one unit check reads, as a crossed module: lam of a drawn 2-term
     complex or delta of a 3-term one, terms up to order 64, on coded
-    tables with the trivial action; a ``drawn_modules`` module; or
-    ``random_tables``, whose pair check fails."""
-    kind = draw(st.sampled_from(["complex2", "complex3", "module", "tables"]))
+    tables with the trivial action; a ``drawn_modules`` module of
+    ``TestAgainstOracles``; a ``random_crossed_module`` of
+    ``TestNonabelianUnits``; or ``random_tables``, whose pair check
+    fails."""
+    kind = draw(st.sampled_from(["complex2", "complex3", "module",
+                                 "nonabelian", "tables"]))
     if kind == "module":
         return draw(drawn_modules())
     rng = draw(st.randoms(use_true_random=False))
+    if kind == "nonabelian":
+        return random_crossed_module(rng)
     if kind == "tables":
         return random_tables(rng)
     f = draw(homs(max_order=64))
@@ -573,8 +584,8 @@ def _coherence(X, G=None):
     its unit morphisms coherent, and whether the triple-scan oracle does,
     with G's tables in place of X.G's."""
     G = G or X.G
-    units, pairs, failures, _ = unit_morphism_checks(
-        G, X.H, X.boundary, X.action, lambda unit: unit)
+    units, pairs, failures = unit_morphism_checks(G, X.H, X.boundary,
+                                                  X.action)
     return not pairs, not failures, not oracles.coherence_triple_failures(
         G.table, G.inverse, X.H.inverse, X.action, units)
 
@@ -628,6 +639,135 @@ class TestCoherenceOracle:
             if x != (G.table[a][b] if b is not None else G.inverse[a]):
                 assert _coherence(X, _one_entry_moved(G, a, b, x))[1:] == \
                     (False, False)
+
+
+# --------------------------------------------------------------------------
+# the unit-pair check against the pair scan it replaced
+
+
+def _pair_verdicts(G, H, bnd, act):
+    """Whether the unit check passes its pair check and its coherence
+    check, then whether the pair scan and the triple scan of the oracles
+    pass them, on the tables of G -> H (act None for the trivial action),
+    and the hypotheses that the check finds failed."""
+    units, failed, coherence = unit_morphism_checks(G, H, bnd, act)
+    twisted = act or [(g,) * H.order for g in G.elements()]
+    return ((not failed, not coherence),
+            (not oracles.unit_pair_scan(G, H, bnd, act)[1],
+             not oracles.coherence_triple_failures(
+                 G.table, G.inverse, H.inverse, twisted, units)), failed)
+
+
+def _coded_input(f):
+    """The coded tables of the hom f as (G, H, boundary, None)."""
+    (A, B), (image,) = point_models._tables(Complex((f.source, f.target),
+                                                    (f,)))
+    return A, B, image, None
+
+
+def _small_inputs():
+    """(name, G, H, boundary, action) for the six small inputs whose
+    corruptions are checked: four coded 2-term complexes with the trivial
+    action, with elements of order 3 and 4 and two generators, and two
+    crossed modules with a nontrivial action."""
+    Z2, Z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    V4 = FgAbGroup.from_divisors(2, 2)
+    T = FgAbGroup.trivial()
+    for name, f in [
+            ("Z/3 -0-> 0", GroupHom.zero(FgAbGroup.cyclic(3), T)),
+            ("Z/2 -2-> Z/4", GroupHom(Z2, Z4, [[2]])),
+            ("Z/4 -1-> Z/2", GroupHom(Z4, Z2, [[1]])),
+            ("Z/2 x Z/2 -(1,0)-> Z/2", GroupHom(V4, Z2, [[1, 0]]))]:
+        yield (name, *_coded_input(f))
+    for name, X in [
+            ("Z/3 -> Z/2 by inversion", inversion_module()),
+            ("S3 -id-> S3 by conjugation",
+             conjugation_module(FiniteGroup.symmetric(3)))]:
+        yield name, X.G, X.H, X.boundary, X.action
+
+
+def _corrupted_inputs():
+    """(name, G, H, boundary, action) for every corruption: the tables of
+    the fault injections of ``test_point_models`` that the check reads, a
+    table of Z/4 that its generator does not generate, S3 with the
+    trivial action, and each small input with one entry of its boundary,
+    of G's table or inverse array, or of its action moved."""
+    Z3, T = CodedGroup((3,)), CodedGroup(())
+    for name, table, inverse in [
+            ("subtracting A", tuple(tuple((b - a) % 3 for b in range(3))
+                                    for a in range(3)), Z3.inverse),
+            ("self-inverse A", Z3.table, (0, 1, 2)),
+            ("self-inverse non-associative A",
+             ((0, 1, 2), (1, 0, 2), (2, 1, 0)), (0, 1, 2)),
+            ("left-absorbing A", ((0, 1, 2), (1, 1, 1), (2, 2, 2)),
+             Z3.inverse),
+            # commutative and not associative, but associative through 1,
+            # which generates only 0 and 1
+            ("A beyond its generator",
+             ((0, 1, 2, 3), (1, 0, 2, 3), (2, 2, 3, 0), (3, 3, 0, 2)),
+             (0, 1, 3, 2))]:
+        G = copy.copy(CodedGroup((len(table),)))
+        G.table, G.inverse = table, inverse
+        yield name, G, T, (0,) * G.order, None
+    S3 = FiniteGroup.symmetric(3)
+    yield "S3 with the trivial action", S3, FiniteGroup.trivial(), \
+        (0,) * 6, None
+    for name, G, H, bnd, act in _small_inputs():
+        for g, h in itertools.product(G.elements(), H.elements()):
+            if h != bnd[g]:
+                moved = list(bnd)
+                moved[g] = h
+                yield f"{name}: bnd{(g, h)}", G, H, moved, act
+        for a, b, x in itertools.product(G.elements(), [*G.elements(), None],
+                                         G.elements()):
+            if x != (G.table[a][b] if b is not None else G.inverse[a]):
+                yield (f"{name}: G{(a, b, x)}", _one_entry_moved(G, a, b, x),
+                       H, bnd, act)
+        for g, h, x in itertools.product(G.elements(), H.elements(),
+                                         G.elements()):
+            if act is not None and x != act[g][h]:
+                moved = [list(row) for row in act]
+                moved[g][h] = x
+                yield f"{name}: act{(g, h, x)}", G, H, bnd, moved
+
+
+class TestUnitPairHypotheses:
+    """The unit check tests the hypotheses of cancellation where it once
+    scanned a fiber for every ordered pair of units: the pair scan and
+    the triple scan of the oracles are the reference.  Every check that
+    they fail fails here too; on the inputs the commands pass, a complex
+    or a crossed module, the two agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_scan_modules())
+    @example(inversion_module())
+    @example(conjugation_module(FiniteGroup.symmetric(3)))
+    @example(conjugation_module(FiniteGroup.trivial()))
+    def test_every_check_the_pair_scan_fails_fails_here(self, X):
+        # a complex's coded tables go in with the trivial action as None,
+        # as the point models pass them
+        act = None if isinstance(X.G, CodedGroup) else X.action
+        new, oracle, _ = _pair_verdicts(X.G, X.H, X.boundary, act)
+        assert all(n or not o for n, o in zip(new, oracle))
+        if new != oracle:  # a module with one entry moved, or random tables
+            event("stricter than the pair scan")
+            assert not verify_crossed_module(X).passed
+
+    def test_every_corruption_the_pair_scan_fails_fails_here(self):
+        # and the disagreements are named: the one table on which the pair
+        # scan finds one solution per pair, the subtracting A, is not a
+        # group, which the pair check rests on, so it fails here
+        missed, stricter, cases = [], [], 0
+        for name, *args in _corrupted_inputs():
+            new, oracle, failed = _pair_verdicts(*args)
+            missed += [(name, check) for check, n, o in
+                       zip(("pair", "coherence"), new, oracle) if n and not o]
+            if new != oracle:
+                stricter.append((name, failed[0][0]))
+            cases += 1
+        assert cases == 629
+        assert missed == []
+        assert stricter == [("subtracting A", "G is a group")]
 
 
 # --------------------------------------------------------------------------

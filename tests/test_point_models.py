@@ -432,25 +432,24 @@ class TestLevel2Reduction:
 
     def test_dropped_theta_fails_the_2morphism_check(self, monkeypatch):
         # Z/2 -2-> Z/4 -1-> Z/2: theta = 1 is the whole delta fiber over 2,
-        # which the scan of delta reads for every pair of delta's units
-        # (delta(theta), theta) lying over e_s - e_t = 2
+        # and moving delta(1) to 1 drops it: delta's graph leaves ker lam
+        # and delta is no longer additive, and the witness names both
         X = Complex((Z2, Z4, Z2),
                     (GroupHom(Z2, Z4, [[2]]), GroupHom(Z4, Z2, [[1]])))
-        fibers = coded._fibers
-
-        def dropping(src, tgt, f):
-            out = fibers(src, tgt, f)
-            if (src.order, tgt.order) == (2, 4):  # the fibers of delta
-                out[2].remove(1)
-            return out
-
-        monkeypatch.setattr(coded, "_fibers", dropping)
+        terms, (delta, lam) = point_models._tables(X)
+        assert delta == [0, 2]
+        monkeypatch.setattr(point_models, "_tables",
+                            lambda X: (terms, ([0, 1], lam)))
         rep = verify_contractible_2(X)
         pairs = _check(rep, "exactly one unit 2-morphism per parallel pair")
         assert not pairs.passed
-        zero, two = ((0,), (0,)), ((2,), (1,))
-        assert pairs.witness == [(zero, two, []), (two, zero, [])]
+        assert pairs.witness == [("lam delta = 0", 1),
+                                 ("delta is additive", (1, 1))]
         assert [c.name for c in rep.failures] == [pairs.name]
+        # the listing of the oracles misses every unit 1-morphism with
+        # theta = 1, which no longer fills the square
+        _, _, unlisted, _ = oracles.level2_pair_listing(*terms, [0, 1], lam)
+        assert len(unlisted) == 16
 
 
 ORDERS_TO_64 = [(), (2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (9,),
@@ -480,12 +479,16 @@ LEVEL2_CHECKS = ("unit set nonempty",
 def _listed_checks(tables):
     """The status of each check of ``verify_contractible_2`` by the per-pair
     listing of the oracles, with the witness of each that passes: the
-    oracle that the hypotheses of the translation argument replace.
-    Coherence and the 2-morphisms of delta come from the same scan."""
+    oracle that the hypotheses of the translation argument replace.  The
+    2-morphisms of delta come from the pair scan of the oracles, and
+    coherence from their triple scan."""
     (A, B, C), (delta, lam) = tables
     units, unconnected, unlisted, parallel = oracles.level2_pair_listing(
         A, B, C, delta, lam)
-    _, pairs, coherence, _ = point_models._unit_scan(A, B, delta)
+    _, pairs, _ = oracles.unit_pair_scan(A, B, delta)
+    coherence = oracles.coherence_triple_failures(
+        A.table, A.inverse, B.inverse, [(a,) * B.order for a in A.elements()],
+        sorted((delta[a], a) for a in A.elements()))
     return [(bool(units), f"{len(units)} units"), (not unconnected, None),
             (not (unlisted or pairs), f"{parallel} parallel pairs"),
             (not coherence, None)]
@@ -578,7 +581,9 @@ class TestLevel2Translation:
                                                            monkeypatch):
         # and the disagreements are named: the listing passes some tables
         # of B that are not a group, mostly with one inverse moved, whose
-        # first failed hypothesis here is the group law of B
+        # first failed hypothesis here is the group law of B; and the pair
+        # scan finds one solution per pair on the subtracting A, which
+        # fails the group law of A here
         missed, stricter, cases = [], [], 0
         for name, X, tables in _corrupted_tables():
             monkeypatch.setattr(point_models, "_tables", lambda X: tables)
@@ -593,19 +598,23 @@ class TestLevel2Translation:
             cases += 1
         assert cases == 349
         assert missed == []
+        assert stricter[0] == ("subtracting A", LEVEL2_CHECKS[2],
+                               "A is a group"), stricter
+        moves = stricter[1:]
         assert {(name.split(": ")[-1][0], hypothesis)
-                for name, _, hypothesis in stricter} == \
+                for name, _, hypothesis in moves} == \
             {("B", "B is a group")}, stricter
-        assert len({name for name, _, _ in stricter}) == 23
-        assert len(stricter) == 29  # 6 of the 23 fail both checks here
+        assert len({name for name, _, _ in moves}) == 23
+        assert len(moves) == 29  # 6 of the 23 fail both checks here
 
 
 def _level_2_states(X):
     """|B|^2 |A| + |A|^2 (|A| + |ker delta|), on the groups of X: |A| unit
-    1-morphisms listed for each of the |B|^2 unit pairs, then one scan of
-    delta with a ker(delta) fiber per pair of its units, and the |A|^3
-    coherence triples that the charge still counts, though the scan
-    checks the group law of A in their place."""
+    1-morphisms listed for each of the |B|^2 unit pairs, a ker(delta)
+    fiber per pair of delta's units, and the |A|^3 coherence triples: the
+    work of the listing and the scans that the charge still counts,
+    though the hypotheses of the translation and cancellation arguments
+    are checked in their place."""
     a, b = (G.order() for G in X.terms[:2])
     return b ** 2 * a + a ** 2 * (a + kernel(X.maps[0])[0].order())
 
@@ -632,13 +641,15 @@ class TestContractible2Charge:
             kernels.add((X.terms[0].order(), kernel(X.maps[0])[0].order()))
         assert {(2, 2), (4, 2), (2, 1)} <= kernels
 
-    def test_refusal_builds_nothing_and_fibers_are_built_once(self,
-                                                              monkeypatch):
-        # a refusal builds no unit, no fiber array and checks no hypothesis
+    def test_refusal_builds_nothing_and_no_fiber_is_built(self,
+                                                          monkeypatch):
+        # a refusal builds no unit and checks no hypothesis
         called = []
         for module, name in ((point_models, "_coded_units"),
+                             (coded, "_coded_units"),
                              (coded, "_fibers"),
-                             (point_models, "_group_law")):
+                             (point_models, "_group_law"),
+                             (coded, "_group_law")):
             monkeypatch.setattr(
                 module, name, lambda *args, name=name,
                 real=getattr(module, name): called.append(name) or
@@ -648,9 +659,9 @@ class TestContractible2Charge:
             verify_contractible_2(X, max_states=_level_2_states(X) - 1)
         assert called == []
         verify_contractible_2(X, max_states=_level_2_states(X))
-        # the units of lam (delta's are derived inside the scan), the
-        # fibers of delta once, inside the scan, and the group law of B
-        assert sorted(called) == ["_coded_units", "_fibers", "_group_law"]
+        # the units of lam and of delta, and the group laws of B and of A,
+        # each once; the check of delta reads no fiber
+        assert sorted(called) == ["_coded_units"] * 2 + ["_group_law"] * 2
 
 
 def _check(report, name):
@@ -663,7 +674,8 @@ class TestFaultInjection:
 
     def test_incoherent_composition_fails_level_1(self, monkeypatch):
         # Z/3 -> 0 with b - a in place of a + b: the square still has one
-        # solution u = a_s + a_t per pair, but these no longer compose
+        # solution u = a_s + a_t per pair, but these no longer compose, and
+        # the pair check, which rests on the group law, fails with it
         tables = point_models._tables
 
         def subtracting(X):
@@ -676,10 +688,57 @@ class TestFaultInjection:
         model = Complex((Z3, T), (GroupHom.zero(Z3, T),))
         monkeypatch.setattr(point_models, "_tables", subtracting)
         rep = verify_contractible_1(model)
-        assert _check(rep, "exactly one unit morphism per ordered pair").passed
+        pairs = _check(rep, "exactly one unit morphism per ordered pair")
+        assert pairs.witness == [("A is a group", ("identity", 1)),
+                                 ("A is commutative", (0, 1))]
         coherence = _check(rep, "composition of unique morphisms is coherent")
         assert not coherence.passed
-        assert coherence.witness
+        assert coherence.witness == [("identity", 1)]
+        # the pair scan of the oracles finds the one solution per pair
+        (A, B), (lam,) = subtracting(model)
+        assert oracles.unit_pair_scan(A, B, lam)[1:] == ([], 9)
+
+    # A is Z/3 with a table that is not a commutative group, but on which
+    # u = a_s - a_t passes the square of every pair: each element its own
+    # inverse, and not associative; and 1 x = 1, 2 x = 2 (x != 0), which
+    # is associative but has no inverses
+    NOT_A_COMMUTATIVE_GROUP = [
+        ("self-inverse", ((0, 1, 2), (1, 0, 2), (2, 1, 0)), (0, 1, 2),
+         [["A is a group", ["associativity", 2, 1]],
+          ["A is commutative", [2, 1]]]),
+        ("left-absorbing", ((0, 1, 2), (1, 1, 1), (2, 2, 2)), (0, 2, 1),
+         [["A is a group", ["inverse", 1]], ["A is commutative", [2, 1]]])]
+
+    @pytest.mark.parametrize("name, table, inverse, witness",
+                             NOT_A_COMMUTATIVE_GROUP,
+                             ids=[c[0] for c in NOT_A_COMMUTATIVE_GROUP])
+    def test_units_fails_on_a_table_that_is_not_a_commutative_group(
+            self, monkeypatch, tmp_path, capsys, name, table, inverse,
+            witness):
+        # the uniqueness check of units can fail, where the loop that
+        # tried only u = a_s - a_t passed every pair
+        tables = point_models._tables
+
+        def corrupted(X):
+            (A, B), maps = tables(X)
+            A.table, A.inverse = table, inverse
+            return (A, B), maps
+
+        monkeypatch.setattr(point_models, "_tables", corrupted)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({
+            "kind": "complex2", "groups": {"A": {"inv": [3]},
+                                           "B": {"inv": []}},
+            "maps": {"lambda": []}}))
+        assert main(["units", "--in", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["name"], c["status"], c["witness"])
+                for c in report["checks"]] == [
+            ("unit count equals |A|", "pass", 3),
+            ("one morphism per ordered pair", "fail", witness)]
+        assert report["data"]["unique_morphisms"] is None
+        (A, B), (lam,) = corrupted(parse_spec(path.read_text()).payload)
+        assert oracles.unit_pair_loop(A, B, lam) == 9
 
     def test_incoherent_vertical_composition_fails_level_2(self, monkeypatch):
         # Z/3 -> 0 -> 0 with every element its own inverse: the three
