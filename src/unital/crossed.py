@@ -55,6 +55,13 @@ lam they are a tested consequence: (g, g', h) is then the unit cocycle
 (a, a_phi, -b), and the law is its pointwise tensor.  For nonabelian
 modules on non-point nerves they remain an assumption recorded by the
 validator of ``h0_group_law``, not a statement from a reference.
+
+That (1,1,1) is an identity of every descent triple follows from two
+hypotheses read on the tables, bnd(1) = 1 and g^1 = g for every g, so
+``descent_identity_check`` builds no triple and multiplies none.  It
+does not exercise the law or the triple constructor, and on tables that
+pass the axioms (bnd a homomorphism, 1 acting trivially) it cannot fail.
+The streamed comparison of every triple is the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -208,15 +215,6 @@ def enumerate_unit_triples(X, nerve, max_states=MAX_STATES):
                itertools.product(X.G.elements(), repeat=n0))
 
 
-def _product(X, faces, t1, t2):
-    (g1, gp1, h1), (g2, gp2, h2) = t1, t2
-    mul, act = X.G.table, X.action
-    return (tuple(mul[act[x][h2[f0]]][y]
-                  for x, (f0, _), y in zip(g1, faces, g2)),
-            tuple(mul[act[x][h]][y] for x, h, y in zip(gp1, h2, gp2)),
-            tuple(X.H.table[x][y] for x, y in zip(h1, h2)))
-
-
 def h0_group_law(X, nerve, t1, t2):
     """(g1, g1', h1)(g2, g2', h2) = (g1^(d0* h2) g2, g1'^(h2) g2', h1 h2) on
     coded triples, after validating both operands: ValueError names the
@@ -240,23 +238,36 @@ def h0_group_law(X, nerve, t1, t2):
             if x != y:
                 raise ValueError(
                     f"level-1 condition g = d0*(g') (d1*(g'))^-1 fails at {c}")
-    return _product(X, faces, t1, t2)
+    (g1, gp1, h1), (g2, gp2, h2) = t1, t2
+    mul, act = X.G.table, X.action
+    return (tuple(mul[act[x][h2[f0]]][y]
+                  for x, (f0, _), y in zip(g1, faces, g2)),
+            tuple(mul[act[x][h]][y] for x, h, y in zip(gp1, h2, gp2)),
+            tuple(X.H.table[x][y] for x, y in zip(h1, h2)))
 
 
 def descent_identity_check(X, nerve, max_states=MAX_STATES):
-    """Whether (1,1,1) is a right identity of every descent triple, checked
-    on the tables; returns ``(holds, number of triples)``.
+    """Whether (1,1,1) is a right identity of every descent triple under
+    the law of ``h0_group_law``; returns ``(holds, number of triples)``.
 
-    Streams ``enumerate_unit_triples``, with its |G|^|V_0| charge first,
-    and compares each triple t with t (1,1,1) under the law of
-    ``h0_group_law``.  Its triples are valid by construction, so the law's
-    body runs unvalidated; a product equal to a valid triple is valid
-    too, which is why the comparison alone decides the check.
+    No triple is built: ``enumerate_unit_triples`` is called for its
+    |G|^|V_0| charge alone, and the identity law is read off two table
+    hypotheses, bnd(1) = 1 and g^1 = g for every g in G, |G| + 1 entries.
+    Over g' = 1, (1,1,1) is (1, 1, bnd(1)^-1), so t (1,1,1) has h-part
+    h bnd(1)^-1, which is h iff bnd(1) = 1, by cancellation in H.  Then
+    its g'- and g-parts are g'^1 and g^1 at every cell, which are g' and
+    g for every triple iff g^1 = g for every g: V_0 is never empty, so
+    every g is a coordinate of some g'.  G and H are
+    ``tables.FiniteGroup``s, whose identity laws their constructor
+    checks, so the factors 1 and the Cech differential of g' = 1 drop
+    out.  The result equals that of the streamed comparison on every
+    table, failing ones included, but the check claims nothing beyond
+    the two hypotheses: it runs neither the law's body nor the triples.
     """
-    triples = enumerate_unit_triples(X, nerve, max_states)
-    faces = nerve.faces(1)
-    one = _triple_of(X, faces)((X.G.identity,) * len(nerve.level(0)))
-    return (all(_product(X, faces, t, one) == t for t in triples),
+    enumerate_unit_triples(X, nerve, max_states)  # the charge; none is read
+    e = X.H.identity
+    return (X.boundary[X.G.identity] == e
+            and all(row[e] == g for g, row in enumerate(X.action)),
             X.G.order ** len(nerve.level(0)))
 
 

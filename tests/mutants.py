@@ -252,6 +252,24 @@ MUTANTS = [
      ["tests/test_abelian.py::TestMatmul::test_matches_the_triple_sum",
       "tests/test_complexes.py::TestQuasiIsomorphism::"
       "test_z64_tripwire_products_cost_their_nonzeros"]),
+    # the descent identity law read off its two hypotheses
+    ("descent-identity-drops-bnd-of-1", "crossed.py",
+     "    return (X.boundary[X.G.identity] == e\n"
+     "            and all(row[e] == g",
+     "    return (all(row[e] == g",
+     ["tests/test_crossed.py::TestDescentIdentityCheck::"
+      "test_bad_tables_agree"]),
+    ("descent-identity-reads-column-0", "crossed.py",
+     "all(row[e] == g for g, row in enumerate(X.action))",
+     "all(row[0] == g for g, row in enumerate(X.action))",
+     ["tests/test_crossed.py::TestDescentIdentityCheck::"
+      "test_bad_tables_agree"]),
+    ("descent-identity-on-the-kernel-only", "crossed.py",
+     "for g, row in enumerate(X.action)),",
+     "for g, row in enumerate(X.action)\n"
+     "                if X.boundary[g] == e),",
+     ["tests/test_crossed.py::TestDescentIdentityCheck::"
+      "test_bad_tables_agree"]),
     # the nerve that crossed-units builds for itself
     ("crossed-units-reads-the-point-nerve", "crossed.py",
      "opts.cover or covers.point_cover()",
