@@ -310,8 +310,8 @@ class TestCliProcess:
 
     def test_descent_triples_cap_builds_no_triple(self, tmp_path, capsys,
                                                   monkeypatch):
-        # the check reads two table hypotheses, so no triple is built and
-        # none is multiplied, at the cap or below it
+        # the check reads two table hypotheses, so no triple is built, at
+        # the cap or below it, and none can be multiplied
         built, triple_of = [], crossed._triple_of
 
         def counted(X, faces):
@@ -319,8 +319,6 @@ class TestCliProcess:
             return lambda gp: built.append(gp) or triple(gp)
 
         monkeypatch.setattr(crossed, "_triple_of", counted)
-        monkeypatch.setattr(crossed, "h0_group_law",
-                            lambda *args: built.append(args))
         args = ["crossed-units", "--in", self._write(tmp_path, INVERSION),
                 "--nerve", self._write(tmp_path, RING_NERVE, "n.json")]
         # |G|^|V0| = 3^4 triples; the unit scan's |G|^3 = 27 is admitted

@@ -1030,18 +1030,19 @@ def _identity_moves(X):
 
 @st.composite
 def descent_modules(draw, max_order):
-    """A relabelled ``random_crossed_module`` with |G| at most max_order,
-    as it is, with its action scrambled off the column of 1, or with one
-    entry that the check reads moved."""
+    """``(how, X)``: a relabelled ``random_crossed_module`` with |G| at
+    most max_order, as it is, with its action scrambled off the column of
+    1, or with one entry that the check reads moved."""
     rng = draw(st.randoms(use_true_random=False))
     X = random_crossed_module(rng, max_order)
     X = _relabeled(X, draw(st.permutations(range(X.G.order))),
                    draw(st.permutations(range(X.H.order))))
     how = draw(st.sampled_from(["as it is", "scrambled", "moved"]))
     if how == "scrambled":
-        return _scrambled_action(rng, X)
+        return how, _scrambled_action(rng, X)
     moves = list(_identity_moves(X)) if how == "moved" else []
-    return draw(st.sampled_from(moves)) if moves else X
+    return ("moved", draw(st.sampled_from(moves))) if moves \
+        else ("as it is", X)
 
 
 def _disjoint_parts(k):
@@ -1062,11 +1063,14 @@ class TestDescentIdentityCheck:
              else _nerve(nerve))
         # |G| is capped so that the oracle's |G|^|V_0| triples stay at
         # most 1,296
-        X = data.draw(descent_modules(max(
+        how, X = data.draw(descent_modules(max(
             n for n in (6, 8, 12) if n ** len(N.level(0)) <= 1296)))
         got = descent_identity_check(X, N)
-        event(f"identity law {'holds' if got[0] else 'fails'}")
+        event(how)
         assert got == _identity_by_triples(X, N)
+        # the law holds on every valid module and on every scrambled one,
+        # which keeps bnd(1) = 1 and the column of 1; every move breaks one
+        assert got[0] == (how != "moved")
 
     def test_bad_tables_agree(self):
         # every move of an entry that the check reads fails both: on the
@@ -1085,6 +1089,12 @@ class TestDescentIdentityCheck:
             for Y in moves:
                 assert descent_identity_check(Y, N) == \
                     _identity_by_triples(Y, N) == (False, count)
+            # an action scrambled off the column of 1 fails the axioms but
+            # keeps (1,1,1) as the identity
+            Y = _scrambled_action(random.Random(263), X)
+            assert not verify_crossed_module(Y).passed
+            assert descent_identity_check(Y, N) == \
+                _identity_by_triples(Y, N) == (True, count)
         # a boundary that moves 1, under the trivial action: the product
         # with (1,1,1) differs from t only in its h part
         G, H = FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)
