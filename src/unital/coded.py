@@ -11,19 +11,21 @@ scans read of either: ``table``, ``inverse``, ``identity``, ``order``,
 
 ``unit_morphism_checks`` is the library's one unit-groupoid check, on the
 tables of a crossed module in the conventions of ``crossed``:
-``point_models`` runs it on lam: A -> B with the trivial action (level 1,
-``units`` and ``contractible``) and on delta: A -> B (level 2), and
-``crossed`` on a crossed module (``crossed-units``).  It derives the units
-it checks from the boundary and returns them, so no caller builds a unit
-list for it.  It visits no pair of units and no fiber.  That each ordered
-pair carries exactly one unit morphism is cancellation in a group (Kock
-[MR2388233]; Joyal and Kock, 2009): the Peiffer identity reduces the unit
-square to x g_s = x g_t x, whose one solution g_t^-1 g_s lies in the right
-fiber because the boundary is a homomorphism.  So the check tests those
-premises on the tables, each on every element: the group law of G
-(``record._group_law`` on the ``generators``, k |G| row gathers for k
-cyclic factors), the additivity of the boundary, and the Peiffer
-identity, which under the trivial action is the commutativity of G.
+``point_models`` runs it with the trivial action on lam: A -> B (level 1,
+``units`` and ``contractible``) and, at level 2, on lam: B -> C and on
+delta: A -> B, and ``crossed`` on a crossed module (``crossed-units``).
+It derives the units it checks from the boundary and returns them, so no
+caller builds a unit list for it.  It visits no pair of units and no
+fiber.  That each ordered pair carries exactly one unit morphism is
+cancellation in a group (Kock [MR2388233]; Joyal and Kock, 2009): the
+Peiffer identity reduces the unit square to x g_s = x g_t x, whose one
+solution g_t^-1 g_s lies in the right fiber because the boundary is a
+homomorphism.  So the check tests those premises on the tables, each on
+every element: the group law of G (``record._group_law`` on the
+``generators``, k |G| row gathers for k cyclic factors, and every
+element a product of them), the additivity of the boundary, and the
+Peiffer identity, which under the trivial action is the commutativity
+of G.
 Coherence needs no scan of its own either.  The one morphism of each
 ordered pair of units is u_st = x_t^-1 x_s, with x_s the twisted
 g_s^(e_s^-1), so u_tw u_st = x_w^-1 (x_t x_t^-1) x_s = u_sw on every

@@ -25,11 +25,16 @@ lam(phi) = e; morphisms of units carry a filling 2-cell.  Each
 hom-groupoid of the unit 2-groupoid is the unit groupoid of the 2-term
 complex delta: A -> B (Kock [MR2388233]; Joyal and Kock, 2009):
 translation by (phi_t - phi_s, 0) maps the unit 1-morphisms s -> t onto
-delta's graph {(delta(theta), theta)}, since B is a group, lam is
-additive, each unit lies over its e and lam delta = 0.  So level-2
-contractibility checks those hypotheses on the coded tables, each on
-every element, and runs the same ``unit_morphism_checks`` once, on
-delta; no unit pair is visited.
+delta's graph {(delta(theta), theta)}, since B is a commutative group,
+lam is additive, each unit lies over its e and lam delta = 0.  The first
+three are the premises of the level-1 unit check of lam: B -> C, whose
+units are the units here.  So level-2 contractibility is level 1 run
+twice, ``unit_morphism_checks`` on lam and on delta, plus the two glue
+facts, each checked on every element of the coded tables; no unit pair
+is visited.  "Every unit pair is connected" rests on lam's check and on
+each unit lying over its e; "exactly one unit 2-morphism per parallel
+pair" on both checks and both glue facts; vertical coherence on the
+group law of A, which delta's check tests.
 
 Orientation of the filling 2-cell: theta runs from the path
 (f tensor f) ; phi_target to the path phi_source ; f, so membership reads
@@ -52,7 +57,6 @@ from __future__ import annotations
 
 from .coded import _coded, _coded_units, unit_morphism_checks
 from .groups import Complex, _require_finite
-from .record import _group_law
 from .verification import MAX_STATES, Report, charge
 
 
@@ -159,28 +163,32 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     So no unit pair is visited.  The proof's hypotheses are checked on
     the coded tables, each on every element, in this order:
 
-    - B is a group: its table passes ``record._group_law`` on its
-      generators;
-    - lam is additive: lam(b + g) = lam(b) + lam(g) for every b and each
-      generator g of B, k |B| reads;
+    - the level-1 unit check of lam: B -> C, ``unit_morphism_checks``
+      with the trivial action, which also derives the units: B is a
+      group (``record._group_law`` on B's k generators, and every element
+      a product of them, which Light's associativity test needs), lam is
+      additive and B is commutative (lam's Peiffer identity under the
+      trivial action), k |B| reads each;
     - every unit lies over its e, relative to the base unit c, the first
       unit: the shift (phi_s - phi_c, 0) is a unit 1-morphism s -> c,
       that is delta(0) = 0 and lam(phi_s - phi_c) = e_s - e_c;
     - lam delta = 0, on every element of A.
 
-    The first two make lam a homomorphism, and with the third every pair
-    s, t has the 1-morphism (phi_s - phi_t, 0), so "every unit pair is
-    connected" rests on those three.  With the fourth, the translate of
-    the 1-morphisms s -> t is all of delta's graph, and one
-    ``unit_morphism_checks`` of delta covers every parallel pair of every
-    unit pair, by cancellation in A (A a group, delta additive and A
-    commutative, each on every element and each generator of A), and
-    vertical coherence on every triple as the group law of A: "exactly
-    one unit 2-morphism per parallel pair" rests on all four and that
-    check.  A failing check lists its failed hypotheses in this order,
-    then those of the delta check, at most three, each with the first
-    element that breaks it in the indices of the coded tables (the group
-    law's as ``_group_law`` gives it).
+    Lam's check makes lam a homomorphism of commutative groups, in which
+    the translation is taken, and with the second every pair s, t has
+    the 1-morphism (phi_s - phi_t, 0), so "every unit pair is connected"
+    rests on those two.  With the third, the translate of the
+    1-morphisms s -> t is all of delta's graph, and the same check of
+    delta covers every parallel pair of every unit pair, by cancellation
+    in A (A a group, delta additive and A commutative, each on every
+    element and each generator of A), and vertical coherence on every
+    triple as the group law of A: "exactly one unit 2-morphism per
+    parallel pair" rests on all three and delta's check.  A failing
+    check lists its failed hypotheses in this order, then those of the
+    delta check, at most three, each with the first element that breaks
+    it in the indices of the coded tables (the group law's as
+    ``_group_law`` gives it, or ("generation", b) for the least b that
+    B's generators miss).
 
     The charge is still that of the per-pair listing this replaced,
     |B|^2 |A| 1-morphisms, plus the fibers of delta that the delta check
@@ -194,20 +202,16 @@ def verify_contractible_2(X: Complex, max_states=MAX_STATES) -> Report:
     charge("2-cell verification",
            B.order ** 2 * a + a ** 2 * (a + delta.count(B.identity)),
            "|B|^2 |A| + |A|^2 (|A| + |ker delta|)", max_states)
-    units = _coded_units(B, lam)
+    units, joined, _ = unit_morphism_checks(B, C, lam, names=("B", "lam"))
     report.add("unit set nonempty", len(units) > 0, f"{len(units)} units")
     _, pairs, coherence = unit_morphism_checks(A, B, delta,
                                                names=("A", "delta"))
     add, neg, (e_c, phi_c) = B.table, B.inverse, units[0]  # the base unit c
-    shifts = [(s, add[s[1]][neg[phi_c]]) for s in units]  # phi_s - phi_c
-    joined = [h for h in [  # each failure is a tuple, or None
-        ("B is a group", _group_law(add, B.identity, neg, B.generators)),
-        ("lam is additive",
-         next(((b, g) for g in B.generators for b, row in enumerate(add)
-               if lam[row[g]] != C.table[lam[b]][lam[g]]), None)),
-        ("every unit lies over its e",
-         next((s for s, f in shifts if delta[A.identity] != B.identity
-               or lam[f] != C.table[s[0]][C.inverse[e_c]]), None))] if h[1]]
+    over = next((s for s in units if delta[A.identity] != B.identity
+                 # the shift phi_s - phi_c lies over e_s - e_c
+                 or lam[add[s[1]][neg[phi_c]]] !=
+                 C.table[s[0]][C.inverse[e_c]]), None)
+    joined += [("every unit lies over its e", over)] if over else []
     graph = [("lam delta = 0", x) for x in A.elements()
              if lam[delta[x]] != C.identity][:1]
     report.add("every unit pair is connected by a unit 1-morphism",

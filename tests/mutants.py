@@ -206,13 +206,15 @@ MUTANTS = [
       "test_every_corruption_the_listing_fails_fails_here",
       "tests/test_point_models.py::TestFaultInjection::"
       "test_fault_injected_contractible_exits_1"]),
-    ("level-2-additivity-on-no-generator", "point_models.py",
-     "((b, g) for g in B.generators",
-     "((b, g) for g in ()",
+    ("level-2-ignores-the-lam-check", "point_models.py",
+     "units, joined, _ = unit_morphism_checks(B, C, lam, "
+     'names=("B", "lam"))',
+     "units, joined = unit_morphism_checks(B, C, lam, "
+     'names=("B", "lam"))[0], []',
      ["tests/test_point_models.py::TestLevel2Translation::"
       "test_every_corruption_the_listing_fails_fails_here",
       "tests/test_point_models.py::TestFaultInjection::"
-      "test_missing_canonical_1morphism_fails_named_check"]),
+      "test_level_2_fails_on_a_b_that_one_generator_misses"]),
     ("level-2-shift-with-the-wrong-sign", "point_models.py",
      "add[s[1]][neg[phi_c]]",
      "add[phi_c][neg[s[1]]]",
@@ -239,7 +241,9 @@ MUTANTS = [
      "if a not in products), None)",
      "if False), None)",
      ["tests/test_crossed.py::TestUnitPairHypotheses::"
-      "test_every_corruption_the_pair_scan_fails_fails_here"]),
+      "test_every_corruption_the_pair_scan_fails_fails_here",
+      "tests/test_point_models.py::TestFaultInjection::"
+      "test_level_2_fails_on_a_b_that_one_generator_misses"]),
     ("unit-check-drops-peiffer-for-crossed-units", "coded.py",
      "if mul[s][act[x][bnd[s]] if act else x] != row[s]",
      "if act is None and mul[s][x] != row[s]",

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from unital.covers import point_cover
 from unital.complexes import Complex, homology, unit_complex_1
 from unital import coded, point_models
 from unital.cli import main
+from unital.record import _group_law
 from unital.reporting import run
 from unital.specfile import parse_spec
 from unital.point_models import (
@@ -511,6 +513,28 @@ def _moved(array, size):
                 yield (x, y), array[:x] + [y] + array[x + 1:]
 
 
+def _associative_through_1():
+    """Every table on 0..3 with identity 0 and two-sided inverses, each
+    element's least inverse taken, that passes ``record._group_law`` on
+    Z/4's one generator 1 but not with every element a generator: it is
+    not associative, and 1 does not generate it, which Light's test
+    through 1 needs.  (x 1) y = x (1 y), the part of that law through 1,
+    is tested first only because it skips most of the 4^9 tables fast."""
+    rows = list(itertools.product(range(4), repeat=3))
+    for r1, r2, r3 in itertools.product(rows, repeat=3):
+        T = ((0, 1, 2, 3), (1, *r1), (2, *r2), (3, *r3))
+        through = itemgetter(*T[1])
+        if any(T[row[1]] != through(row) for row in T):
+            continue
+        inverse = tuple(next((b for b, ab in enumerate(row)
+                              if ab == 0 == T[b][a]), None)
+                        for a, row in enumerate(T))
+        if None not in inverse and \
+                _group_law(T, 0, inverse, (1,)) is None and \
+                _group_law(T, 0, inverse, range(4)):
+            yield T, inverse
+
+
 def _corrupted_tables():
     """(name, complex, coded tables) for every corruption: the tables of
     ``TestFaultInjection`` at level 2, and each complex below with one
@@ -529,6 +553,12 @@ def _corrupted_tables():
     yield "subtracting A", Z3zero, ((A, B, C), maps)
     terms, (delta, _) = tables(model2_example())
     yield "swapped lam", model2_example(), (terms, (delta, [1, 0]))
+    Z4zero = Complex((Z4, Z4, Z4), (GroupHom.zero(Z4, Z4),
+                                    GroupHom.zero(Z4, Z4)))
+    for table, inverse in _associative_through_1():
+        (A, B, C), maps = tables(Z4zero)
+        B.table, B.inverse = table, inverse
+        yield f"B through 1: {table}", Z4zero, ((A, B, C), maps)
     V4 = FgAbGroup.from_divisors(2, 2)
     for name, X in [
             ("Z/2 -0-> Z/2 -1-> Z/2", model2_example()),
@@ -596,7 +626,7 @@ class TestLevel2Translation:
                          for check, n, o in zip(report.checks, new, listed)
                          if o and not n]
             cases += 1
-        assert cases == 349
+        assert cases == 389
         assert missed == []
         assert stricter[0] == ("subtracting A", LEVEL2_CHECKS[2],
                                "A is a group"), stricter
@@ -648,7 +678,6 @@ class TestContractible2Charge:
         for module, name in ((point_models, "_coded_units"),
                              (coded, "_coded_units"),
                              (coded, "_fibers"),
-                             (point_models, "_group_law"),
                              (coded, "_group_law")):
             monkeypatch.setattr(
                 module, name, lambda *args, name=name,
@@ -762,6 +791,37 @@ class TestFaultInjection:
             rep, "vertical composition of unique 2-morphisms is coherent")
         assert not coherence.passed
         assert coherence.witness
+
+    def test_level_2_fails_on_a_b_that_one_generator_misses(self,
+                                                            monkeypatch):
+        # Z/4 -0-> Z/4 -0-> Z/4 with each such table as B: the group law
+        # of B through 1 holds, so only the generation check that lam's
+        # unit check runs with it sees that B is not a group, where the
+        # group law alone on B's generators passed all four checks
+        tables = point_models._tables
+        model = Complex((Z4, Z4, Z4), (GroupHom.zero(Z4, Z4),
+                                       GroupHom.zero(Z4, Z4)))
+        found = list(_associative_through_1())
+        assert len(found) == 40
+        assert found[0] == (((0, 1, 2, 3), (1, 0, 2, 3), (2, 2, 0, 0),
+                             (3, 3, 0, 0)), (0, 1, 2, 2))
+        firsts = []
+        for table, inverse in found:
+            def corrupted(X):
+                (A, B, C), maps = tables(X)
+                B.table, B.inverse = table, inverse
+                return (A, B, C), maps
+
+            monkeypatch.setattr(point_models, "_tables", corrupted)
+            rep = verify_contractible_2(model)
+            for name in ("every unit pair is connected by a unit 1-morphism",
+                         "exactly one unit 2-morphism per parallel pair"):
+                check = _check(rep, name)
+                assert not check.passed, table
+                hypothesis, (kind, a) = check.witness[0]
+                assert (hypothesis, kind) == ("B is a group", "generation")
+                firsts.append(a)
+        assert firsts[:2] == [2, 2]  # in the first, 1 generates {0, 1}
 
     def test_missing_canonical_1morphism_fails_named_check(self,
                                                            monkeypatch):
